@@ -37,6 +37,29 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "text"), default="csv")
 
 
+def _parse_points(text: str) -> tuple[float, ...]:
+    """Comma-separated densities; range checks belong to the sweep."""
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise ConfigurationError(
+            f"--points {text!r}: expected comma-separated numbers"
+        ) from None
+
+
+def _parse_grids(text: str) -> tuple[tuple[int, int], ...]:
+    """Comma-separated ROWSxCOLS PE grids."""
+    grids = []
+    for g in text.split(","):
+        dims = g.split("x")
+        if len(dims) != 2 or not all(d.isdigit() for d in dims):
+            raise ConfigurationError(
+                f"--grids {text!r}: {g!r} is not of the form ROWSxCOLS"
+            )
+        grids.append((int(dims[0]), int(dims[1])))
+    return tuple(grids)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scnnsim",
@@ -94,11 +117,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "sweep-density":
-            points = (
-                tuple(float(x) for x in args.points.split(","))
-                if args.points
-                else cfg.densities
-            )
+            points = _parse_points(args.points) if args.points else cfg.densities
             rows = density_sweep(
                 net, cfg.arch, points, seed=seed, engine=args.engine
             )
@@ -110,10 +129,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "sweep-pe":
-            grids = tuple(
-                (int(g.split("x")[0]), int(g.split("x")[1]))
-                for g in args.grids.split(",")
-            )
+            grids = _parse_grids(args.grids)
             rows = pe_granularity_sweep(
                 net, cfg.arch, grids, seed=seed, total_mults=args.total_mults
             )

@@ -254,6 +254,9 @@ def choose_kc(layer: LayerShape, arch) -> GroupPlan:
     physical = arch.accum_banks * arch.bank_entries
     double_buffered = bool(getattr(arch, "accum_double_buffered", True))
     capacity = physical // 2 if double_buffered else physical
+    if cells == 0:
+        # every output sees only padding: no product lands anywhere
+        return GroupPlan(layer.K, (range(layer.K),), 0, capacity, double_buffered)
     kc = min(layer.K, capacity // cells)
     if kc < 1 and double_buffered and physical // cells >= 1:
         double_buffered = False

@@ -11,6 +11,18 @@ one product per cycle; elastic queues absorb transient imbalance within a
 group), and a global barrier at each group boundary charges every PE the
 time of the slowest one.
 
+On the host, each (PE, group) scatter is one pass over phase-matched pairs.
+Operand entries are decoded once per layer and sorted by class (input
+channel, stride phase): an activation at x has phase (x + pad) % stride, a
+tap r has phase r % stride, and a product lands on an output only when the
+two phases agree in both axes. Pairs are expanded only inside a class, so
+products a stride skips are counted, never formed. Within a class the
+accumulator address separates into a weight term plus an activation term,
+and pairs are expanded in fixed-size chunks and summed with `np.bincount`
+in float64. Those sums are exact because operands are 16-bit (products
+< 2**30) and at most channels_per_group * R * S products reach one cell;
+`simulate_scnn_layer` rejects layers where that could reach 2**53.
+
 Functional equivalence is the master contract: the decoded, halo-merged,
 ReLU'd (and optionally pooled) outputs equal the exact reference convolution
 bit for bit.
@@ -160,7 +172,6 @@ class PEState:
     iaram: dict[int, CompressedBlock] = field(default_factory=dict)
     oaram: dict[int, CompressedBlock] = field(default_factory=dict)
     acc: np.ndarray | None = None
-    current_group: int = -1
 
 
 @dataclass(frozen=True)
@@ -291,6 +302,167 @@ def _bank_ids(linear: np.ndarray, banks: int, bank_map: str) -> np.ndarray:
     if bank_map == "xor":
         return ((linear >> 5) ^ linear) % banks
     return linear % banks
+
+
+# Pairs expanded per bincount pass. A pass holds a few 8-byte arrays of this
+# length, so the chunk bounds the scatter's working memory whatever the layer
+# size and keeps it cache-sized.
+_SCATTER_CHUNK = 1 << 14
+
+# A 16-bit x 16-bit product is below 2**30 in magnitude; float64 sums of
+# integers stay exact below 2**53.
+_PRODUCT_BITS = 30
+_EXACT_FLOAT_BITS = 53
+
+
+@dataclass(frozen=True)
+class _Entries:
+    """Decoded entries of one operand stream (one PE's activation tiles or
+    one group's weights), placeholders included, sorted by class
+    channel * stride**2 + phase. Class q owns entries start[q]:start[q + 1].
+
+    `addr` holds the per-entry terms of the separable accumulator address:
+    (k, r // stride, s // stride) for weights, the activation term for
+    activations."""
+
+    vals: np.ndarray              # float64 operand values
+    cls: np.ndarray
+    start: np.ndarray
+    stored: np.ndarray            # entries per channel
+    nnz: np.ndarray               # non-zero entries per channel
+    addr: tuple[np.ndarray, ...]
+
+
+def _decoded(
+    blocks: Sequence[tuple[int, CompressedBlock]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(channel, value, dense position) of every stored entry of
+    (channel, block) pairs, concatenated in order."""
+    if not blocks:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
+    decoded = [codec.decode_entries(b) for _, b in blocks]
+    chan = np.repeat(
+        np.array([c for c, _ in blocks], dtype=np.int64),
+        [v.size for v, _ in decoded],
+    )
+    vals = np.concatenate([v for v, _ in decoded])
+    pos = np.concatenate([p for _, p in decoded])
+    return chan, vals, pos
+
+
+def _entries(
+    n_channels: int,
+    stride: int,
+    chan: np.ndarray,
+    vals: np.ndarray,
+    phase: tuple[np.ndarray, np.ndarray],
+    addr: tuple[np.ndarray, ...],
+) -> _Entries:
+    """Sort decoded entries by class and count them per class and channel."""
+    n_cls = n_channels * stride * stride
+    cls = (chan * stride + phase[0]) * stride + phase[1]
+    order = np.argsort(cls, kind="stable")
+    start = np.zeros(n_cls + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cls, minlength=n_cls), out=start[1:])
+    return _Entries(
+        vals=vals[order].astype(np.float64),
+        cls=cls[order],
+        start=start,
+        stored=np.bincount(chan, minlength=n_channels),
+        nnz=np.bincount(chan[vals != 0], minlength=n_channels),
+        addr=tuple(a[order] for a in addr),
+    )
+
+
+def _weight_entries(layer: LayerShape, weights: WeightStream) -> list[_Entries]:
+    """Weight entries of each output-channel group, shared by every PE."""
+    s = layer.stride
+    rs = layer.R * layer.S
+    per_group: list[list[tuple[int, CompressedBlock]]] = [
+        [] for _ in weights.gplan.groups
+    ]
+    for (gi, c), block in weights.blocks.items():
+        per_group[gi].append((c, block))
+    out = []
+    for gi, blocks in enumerate(per_group):
+        chan, vals, pos = _decoded(blocks)
+        k_offset = np.array(
+            [weights.k_offset[(gi, c)] for c, _ in blocks], dtype=np.int64
+        )
+        k = np.repeat(k_offset, [b.stored_count for _, b in blocks]) + pos // rs
+        r, t = (pos % rs) // layer.S, pos % layer.S
+        out.append(_entries(layer.C, s, chan, vals, (r % s, t % s), (k, r // s, t // s)))
+    return out
+
+
+def _activation_entries(
+    plan: TilePlan, pe: int, tiles: dict[int, CompressedBlock]
+) -> _Entries:
+    """One PE's activation entries; the address term is
+    ((x + pad) // stride) * ey + (y + pad) // stride."""
+    layer = plan.layer
+    s, pad = layer.stride, layer.pad
+    t = plan.tile(pe)
+    for c, block in tiles.items():
+        if block.logical_extent != t.wt * t.ht:
+            raise ConfigurationError(
+                f"pe {pe} channel {c}: block extent {block.logical_extent} "
+                f"does not match tile {t.wt}x{t.ht}"
+            )
+    chan, vals, pos = _decoded(list(tiles.items()))
+    x = t.x0 + pos // t.ht + pad
+    y = t.y0 + pos % t.ht + pad
+    ey = plan.acc_extent(pe)[1]
+    return _entries(layer.C, s, chan, vals, (x % s, y % s), ((x // s) * ey + y // s,))
+
+
+def _scatter_group(
+    w: _Entries,
+    a: _Entries,
+    kc: int,
+    base: tuple[int, int],
+    extent: tuple[int, int],
+    banks: int,
+    bank_map: str,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Multiply and accumulate every weight/activation pair of one PE and
+    one output-channel group.
+
+    Returns the [kc, ex, ey] accumulator, the products landed on each bank
+    and the products skipped by the stride. Only phase-matched pairs are
+    formed; a pair (i, j) lands at cell wl[i] + al[j].
+    """
+    (xb, yb), (ex, ey) = base, extent
+    n_cells = kc * ex * ey
+    k, rq, sq = w.addr
+    wl = (k * ex - rq - xb) * ey - sq - yb
+    (al,) = a.addr
+    partners = np.diff(a.start)[w.cls]  # activations each weight meets
+    first = a.start[w.cls]
+    ends = np.cumsum(partners)
+    acc = np.zeros(n_cells)
+    landed = np.zeros(n_cells, dtype=np.int64)
+    i0 = done = 0
+    while i0 < partners.size:
+        i1 = max(i0 + 1, int(np.searchsorted(ends, done + _SCATTER_CHUNK, "right")))
+        n = partners[i0:i1]
+        pairs = int(ends[i1 - 1]) - done
+        if pairs:
+            aidx = np.repeat(first[i0:i1] - (ends[i0:i1] - n - done), n)
+            aidx += np.arange(pairs)
+            lin = np.repeat(wl[i0:i1], n) + al[aidx]
+            prods = np.repeat(w.vals[i0:i1], n) * a.vals[aidx]
+            acc += np.bincount(lin, weights=prods, minlength=n_cells)
+            landed += np.bincount(lin, minlength=n_cells)
+        i0, done = i1, done + pairs
+    bank_totals = np.bincount(
+        _bank_ids(np.arange(n_cells), banks, bank_map),
+        weights=landed,
+        minlength=banks,
+    ).astype(np.int64)
+    skipped = int((w.stored * a.stored).sum()) - done
+    return acc.astype(np.int64).reshape(kc, ex, ey), bank_totals, skipped
 
 
 @dataclass(frozen=True)
@@ -440,50 +612,41 @@ def simulate_scnn_layer(
     Activations must already be distributed per the layer's tile plan and the
     weights broadcast (same stream for every PE). Returns the compressed
     per-PE outputs and the cycle/energy report.
+
+    Each (PE, group) scatter multiplies only pairs whose stride phases match
+    and accumulates them in float64 (see the module docstring). That is
+    exact for 16-bit operands while channels_per_group * R * S * 2**30 <
+    2**53; a layer beyond that bound raises ConfigurationError.
     """
+    per_cell = layer.channels_per_group * layer.R * layer.S
+    if per_cell << _PRODUCT_BITS >= 1 << _EXACT_FLOAT_BITS:
+        raise ConfigurationError(
+            f"{layer.name}: {per_cell} products per accumulator cell "
+            f"(channels_per_group * R * S) could exceed 2**{_EXACT_FLOAT_BITS}, "
+            "past exact float64 accumulation"
+        )
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
     gplan = weights.gplan
     n_pes = arch.n_pes
     if len(act_tiles) != n_pes:
         raise ConfigurationError(f"expected {n_pes} activation tile sets")
     F, I = arch.weights_per_fetch, arch.acts_per_fetch
-    banks = arch.accum_banks
     fm = FootprintModel()
     coded_bits = fm.value_bits + fm.index_overhead_bits
 
     states = [PEState(pe, iaram=dict(act_tiles[pe])) for pe in range(n_pes)]
     ev = EventCounts()
 
-    # decode activation entries once per (pe, channel); reused across groups
-    act_entries: list[dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
-    iaram_stored = 0
-    for pe in range(n_pes):
-        t = plan.tile(pe)
-        per_c: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for c, block in states[pe].iaram.items():
-            if t.empty:
-                continue
-            if block.logical_extent != t.wt * t.ht:
-                raise ConfigurationError(
-                    f"pe {pe} channel {c}: block extent {block.logical_extent} "
-                    f"does not match tile {t.wt}x{t.ht}"
-                )
-            iaram_stored += block.stored_count
-            vals, pos = codec.decode_entries(block)
-            if vals.size == 0:
-                continue
-            per_c[c] = (vals, t.x0 + pos // t.ht, t.y0 + pos % t.ht)
-        act_entries.append(per_c)
-
-    # weight entries per (group, channel), shared by all PEs
-    w_entries: dict[tuple[int, int], tuple] = {}
-    rs = layer.R * layer.S
-    for (gi, c), block in weights.blocks.items():
-        vals, pos = codec.decode_entries(block)
-        if vals.size == 0:
-            continue
-        k_in_group = weights.k_offset[(gi, c)] + pos // rs
-        w_entries[(gi, c)] = (vals, k_in_group, (pos % rs) // layer.S, pos % layer.S)
+    # operand entries decoded once per layer: activations per PE (reused
+    # across groups), weights per group (shared by all PEs)
+    live = [pe for pe in range(n_pes) if not plan.tile(pe).empty]
+    acts = {pe: _activation_entries(plan, pe, states[pe].iaram) for pe in live}
+    w_groups = _weight_entries(layer, weights)
+    iaram_stored = sum(int(e.stored.sum()) for e in acts.values())
+    # activation vectors per (PE, channel)
+    va = np.zeros((n_pes, layer.C), dtype=np.int64)
+    for pe, e in acts.items():
+        va[pe] = -((-e.stored) // I)
 
     total_cycles = 0
     conflict_stalls_total = 0
@@ -499,62 +662,25 @@ def simulate_scnn_layer(
 
     for gi, group in enumerate(gplan.groups):
         kc = len(group)
+        w = w_groups[gi]
+        wv = -((-w.stored) // F)
         group_busy = np.zeros(n_pes, dtype=np.int64)
         group_batches = np.zeros(n_pes, dtype=np.int64)
-        max_va: dict[int, int] = {}
-        for pe in range(n_pes):
-            st = states[pe]
-            st.current_group = gi
-            t = plan.tile(pe)
-            if t.empty:
-                st.acc = None
-                continue
+        for pe in live:
             ex, ey = plan.acc_extent(pe)
             if kc * ex * ey > gplan.capacity_entries:
                 raise ConfigurationError(
                     f"group of {kc} channels overflows the accumulator "
                     f"({kc * ex * ey} > {gplan.capacity_entries} entries)"
                 )
-            xb, yb = plan.acc_base(pe)
-            acc = np.zeros((kc, ex, ey), dtype=np.int64)
-            st.acc = acc
-            bank_totals = np.zeros(banks, dtype=np.int64)
-            batches = 0
-            for c, (avals, xs, ys) in act_entries[pe].items():
-                na = avals.size
-                va = -((-na) // I)
-                if va > max_va.get(c, 0):
-                    max_va[c] = va
-                entry = w_entries.get((gi, c))
-                if entry is None:
-                    continue
-                wvals, wk, wr, ws = entry
-                nw = wvals.size
-                batches += (-((-nw) // F)) * va
-                ev.mult_ops += nw * na
-                useful += int(np.count_nonzero(wvals)) * int(np.count_nonzero(avals))
-                xo_num = xs[None, :] - wr[:, None] + layer.pad
-                yo_num = ys[None, :] - ws[:, None] + layer.pad
-                prods = wvals[:, None] * avals[None, :]
-                karr = np.broadcast_to(wk[:, None], prods.shape)
-                if layer.stride == 1:
-                    xa = (xo_num - xb).reshape(-1)
-                    ya = (yo_num - yb).reshape(-1)
-                    kf = karr.reshape(-1)
-                    pf = prods.reshape(-1)
-                else:
-                    valid = (xo_num % layer.stride == 0) & (yo_num % layer.stride == 0)
-                    stride_skipped += int(valid.size - np.count_nonzero(valid))
-                    sel = valid.reshape(-1)
-                    xa = (xo_num // layer.stride - xb).reshape(-1)[sel]
-                    ya = (yo_num // layer.stride - yb).reshape(-1)[sel]
-                    kf = karr.reshape(-1)[sel]
-                    pf = prods.reshape(-1)[sel]
-                np.add.at(acc, (kf, xa, ya), pf)
-                lin = (kf * ex + xa) * ey + ya
-                bank_totals += np.bincount(
-                    _bank_ids(lin, banks, arch.bank_map), minlength=banks
-                )
+            a = acts[pe]
+            states[pe].acc, bank_totals, skipped = _scatter_group(
+                w, a, kc, plan.acc_base(pe), (ex, ey), arch.accum_banks, arch.bank_map
+            )
+            stride_skipped += skipped
+            batches = int((wv * va[pe]).sum())
+            ev.mult_ops += int((w.stored * a.stored).sum())
+            useful += int((w.nnz * a.nnz).sum())
             routed = int(bank_totals.sum())
             ev.xbar_transfers += routed
             ev.acc_updates += routed
@@ -570,14 +696,10 @@ def simulate_scnn_layer(
         # weight FIFO refill: DRAM streams the group's broadcast weights in
         # parallel with compute; channels whose working set spills the FIFO
         # are re-streamed once per activation-vector pass
-        stream_values = 0.0
-        for c in range(layer.C):
-            blk = weights.block(gi, c)
-            if blk is None or blk.stored_count == 0:
-                continue
-            vw = -((-blk.stored_count) // F)
-            passes = 1 if vw <= arch.weight_fifo_entries else max_va.get(c, 1)
-            stream_values += blk.stored_count * passes
+        passes = np.where(
+            wv <= arch.weight_fifo_entries, 1, np.maximum(va.max(axis=0), 1)
+        )
+        stream_values = int((w.stored * passes).sum())
         stream_cycles = math.ceil(
             stream_values * coded_bits / 16 / arch.dram_values_per_cycle
         )
@@ -644,13 +766,11 @@ def simulate_scnn_layer(
 
     ev.act_ram_bits += iaram_stored * coded_bits * gplan.n_groups
     ev.act_ram_bits += oaram_stored * coded_bits
-    for (gi, c), block in weights.blocks.items():
-        va_sum = 0
-        for pe in range(n_pes):
-            entry = act_entries[pe].get(c)
-            if entry is not None:
-                va_sum += -((-entry[0].size) // I)
-        ev.weight_buf_bits += block.stored_count * coded_bits * va_sum
+    # every activation vector of a channel re-reads that channel's weights
+    va_sum = va.sum(axis=0)
+    ev.weight_buf_bits += coded_bits * sum(
+        int((w.stored * va_sum).sum()) for w in w_groups
+    )
     ev.dram_bits += weights.stored_values() * coded_bits
     if input_from_dram or dram_tiled:
         ev.dram_bits += iaram_stored * coded_bits

@@ -753,6 +753,10 @@ class GranularityPoint:
 def pe_granularity_arch(arch: ArchConfig, grid: tuple[int, int], total_mults: int) -> ArchConfig:
     """Same chip-wide multiplier and RAM budget redistributed over the grid."""
     rows, cols = grid
+    if rows < 1 or cols < 1 or total_mults < 1:
+        raise ConfigurationError(
+            f"grid {grid} and {total_mults} multipliers must all be positive"
+        )
     per_pe = total_mults // (rows * cols)
     side = math.isqrt(per_pe)
     if rows * cols * per_pe != total_mults or side * side != per_pe:

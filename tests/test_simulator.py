@@ -62,6 +62,8 @@ class TestFunctionalEquivalence:
             (dict(C=2, K=4, W=6, H=6, R=5, S=5, pad=2), (3, 3), 0.7, 0.3),
             (dict(C=4, K=6, W=10, H=10, R=1, S=1), (2, 2), 0.5, 0.5),
             (dict(C=4, K=4, W=8, H=8, R=3, S=3, pad=1, groups=2), (2, 2), 0.6, 0.5),
+            # every output sees only padding: no accumulator cell on any PE
+            (dict(C=1, K=1, W=2, H=6, R=1, S=5, stride=3, pad=1), (3, 2), 1.0, 1.0),
         ],
     )
     def test_outputs_bit_equal_to_oracle(self, kw, grid, wd, ad):
