@@ -308,11 +308,19 @@ def shipped_networks() -> list[str]:
     )
 
 
-def _parse_network(text: str, where: str) -> NetworkDescriptor:
+def _load_yaml(text: str, where: str):
+    """Parse YAML; a syntax error becomes a one-line DescriptorError."""
     try:
-        doc = yaml.safe_load(text)
+        return yaml.safe_load(text)
     except yaml.YAMLError as e:
-        raise DescriptorError(f"{where}: not valid YAML: {e}") from e
+        mark = getattr(e, "problem_mark", None)
+        at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(e, "problem", None) or str(e).splitlines()[0]
+        raise DescriptorError(f"{where}: not valid YAML{at}: {problem}") from e
+
+
+def _parse_network(text: str, where: str) -> NetworkDescriptor:
+    doc = _load_yaml(text, where)
     if not isinstance(doc, dict):
         raise DescriptorError(f"{where}: expected a mapping at top level")
     version = _field(doc, "schema_version", where, int)
@@ -329,6 +337,16 @@ def _parse_network(text: str, where: str) -> NetworkDescriptor:
     return NetworkDescriptor(name, topology, layers, doc.get("source", ""))
 
 
+def _check_variants(variants: Sequence[str]) -> None:
+    if not variants:
+        raise ConfigurationError("at least one variant is required")
+    for v in variants:
+        if v not in ALL_VARIANTS:
+            raise ConfigurationError(
+                f"unknown variant {v!r} (choose from {', '.join(ALL_VARIANTS)})"
+            )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything an experiment run needs beyond the descriptor."""
@@ -341,11 +359,7 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
-        if not self.variants:
-            raise ConfigurationError("at least one variant is required")
-        for v in self.variants:
-            if v not in ALL_VARIANTS:
-                raise ConfigurationError(f"unknown variant {v}")
+        _check_variants(self.variants)
         if self.seed is None:
             raise ConfigurationError("a seed is mandatory (determinism contract)")
         for d in self.densities:
@@ -357,7 +371,13 @@ def load_experiment_config(path: str | Path | None) -> ExperimentConfig:
     """Build an ExperimentConfig from a YAML file of overrides (or defaults)."""
     if path is None:
         return ExperimentConfig()
-    doc = yaml.safe_load(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except OSError as e:
+        raise ConfigurationError(
+            f"{path}: cannot read experiment config: {e.strerror}"
+        ) from e
+    doc = _load_yaml(text, str(path))
     if not isinstance(doc, dict):
         raise DescriptorError(f"{path}: expected a mapping at top level")
     version = _field(doc, "schema_version", str(path), int)
@@ -365,7 +385,10 @@ def load_experiment_config(path: str | Path | None) -> ExperimentConfig:
         raise DescriptorError(f"{path}: schema_version {version} != {SCHEMA_VERSION}")
     arch_kw = dict(doc.get("arch", {}))
     if "energy" in doc:
-        arch_kw["energy"] = EnergyModel(**doc["energy"])
+        try:
+            arch_kw["energy"] = EnergyModel(**doc["energy"])
+        except TypeError as e:
+            raise DescriptorError(f"{path}: bad energy field: {e}") from e
     try:
         arch = ArchConfig(**arch_kw)
     except TypeError as e:
@@ -424,7 +447,6 @@ class LayerRun:
     spec: LayerSpec
     reports: dict[str, SimReport]
     oracle_checked: bool = False
-    ram_swapped: bool = False  # odd layers read from the other activation RAM
 
 
 @dataclass
@@ -571,11 +593,14 @@ def _analytic_layer(
             input_from_dram=first, dram_tiled=tiled,
         )
         cycles, energy = analytic_time_energy(counts, eff_arch, arch.energy)
-        base_counts = count_events(
-            eff_arch, shape, dflow, (wd, ad), input_from_dram=first, dram_tiled=False
-        )
-        _, base_energy = analytic_time_energy(base_counts, eff_arch, arch.energy)
-        frac = (energy - base_energy) / base_energy if tiled and base_energy > 0 else 0.0
+        frac = 0.0
+        if tiled:
+            base_counts = count_events(
+                eff_arch, shape, dflow, (wd, ad), input_from_dram=first, dram_tiled=False
+            )
+            _, base_energy = analytic_time_energy(base_counts, eff_arch, arch.energy)
+            if base_energy > 0:
+                frac = (energy - base_energy) / base_energy
         util = (
             counts.useful_mults / (arch.total_mults * cycles) if cycles else 0.0
         )
@@ -645,34 +670,44 @@ def run_network(
     pipeline (module-topology nets run each layer on fresh synthetic inputs
     at its declared density, since branches are not a chain). The oracle
     variant cross-checks every simulated layer and aborts on any mismatch.
-    engine="analytic" uses the closed-form model (the practical choice for
-    the full-size networks).
+    Weights are made one layer ahead (layer i's seeded from seed + 101*i),
+    so at most two layers' weights are held: the current layer's and the
+    next one's, which requantizing the chained output needs.
+    engine="analytic" uses the closed-form model, which reads only layer
+    shapes and declared densities and makes no tensor at all (the practical
+    choice for the full-size networks).
     """
     if engine not in ("sim", "analytic"):
         raise ConfigurationError(f"unknown engine {engine}")
-    runs: list[LayerRun] = []
+    _check_variants(variants)
+    if engine == "analytic":
+        runs = [
+            LayerRun(spec, _analytic_layer(arch, spec, variants, first=i == 0))
+            for i, spec in enumerate(net.layers)
+        ]
+        return NetworkRun(net.name, engine, seed, runs, tuple(variants))
+
+    def weights_of(i: int) -> DenseTensor | None:
+        if i == len(net.layers):
+            return None
+        return synth_weights(net.layers[i], seed + 101 * i)
+
+    runs = []
     acts: DenseTensor | None = None
-    all_weights = [synth_weights(s, seed + 101 * i) for i, s in enumerate(net.layers)]
+    weights = weights_of(0)
     for i, spec in enumerate(net.layers):
-        first = i == 0
-        if engine == "analytic":
-            reports = _analytic_layer(arch, spec, variants, first)
-            runs.append(LayerRun(spec, reports, ram_swapped=bool(i % 2)))
-            continue
-        weights = all_weights[i]
         if net.chained and acts is not None:
             layer_acts = acts
         else:
             layer_acts = synth_acts(spec, seed + 101 * i + 50)
         reports, decoded, checked = _sim_layer(
-            arch, spec, weights, layer_acts, variants, first
+            arch, spec, weights, layer_acts, variants, first=i == 0
         )
+        nxt = weights_of(i + 1)
         if net.chained and decoded is not None:
-            nxt = all_weights[i + 1] if i + 1 < len(net.layers) else None
             acts = requantize(decoded, nxt)
-        runs.append(
-            LayerRun(spec, reports, oracle_checked=checked, ram_swapped=bool(i % 2))
-        )
+        runs.append(LayerRun(spec, reports, oracle_checked=checked))
+        weights = nxt
     return NetworkRun(net.name, engine, seed, runs, tuple(variants))
 
 
@@ -696,19 +731,24 @@ def density_sweep(
 ) -> list[SweepPoint]:
     """Sweep weight and activation density together across the network.
 
-    Every layer's operands are regenerated at the point density from one
-    seeded permutation per tensor, so lower densities are position subsets
-    of higher ones and the speedup series is monotone by construction.
+    engine="sim" regenerates every layer's operands at the point density
+    from one seeded permutation per tensor, so lower densities are position
+    subsets of higher ones and the speedup series is monotone by
+    construction; the dense weights are made once and pruned per point.
+    engine="analytic" reads only layer shapes and the point density and
+    makes no tensor.
     """
     for d in points:
         if not 0.0 < d <= 1.0:
             raise ConfigurationError(f"sweep density {d} outside (0, 1]")
     rows: list[SweepPoint] = []
     wanted = list(dict.fromkeys([*variants, VARIANT_DCNN, VARIANT_ORACLE]))
-    dense_weights = [
-        gen_synthetic(s.shape.weight_shape(), 1.0, seed=seed + 101 * i, lo=1, hi=31)
-        for i, s in enumerate(net.layers)
-    ]
+    dense_weights = []
+    if engine == "sim":
+        dense_weights = [
+            gen_synthetic(s.shape.weight_shape(), 1.0, seed=seed + 101 * i, lo=1, hi=31)
+            for i, s in enumerate(net.layers)
+        ]
     for d in points:
         totals: dict[str, list[float]] = {v: [0, 0.0] for v in wanted}
         for i, spec in enumerate(net.layers):
