@@ -20,6 +20,14 @@ CASES = {
     "inception_mini_density_analytic.csv": [
         "sweep-density", "--network", "inception_mini", "--engine", "analytic"
     ],
+    # two grids keep the sweep to a few seconds
+    "inception_mini_grids_sim.csv": [
+        "sweep-pe", "--network", "inception_mini", "--grids", "2x2,8x8"
+    ],
+    # strides 2 and 4, grouped layers, pooling and placeholder runs
+    "strided_chain_run_sim.csv": [
+        "run", "--network", str(GOLDEN / "strided_chain.yaml"), "--engine", "sim"
+    ],
 }
 
 
