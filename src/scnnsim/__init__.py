@@ -13,12 +13,13 @@ from .analytic import (
     count_events,
 )
 from .codec import (
+    BlockSet,
     CompressedBlock,
     Footprint,
     FootprintModel,
     decode_block,
-    decode_entries,
     encode_block,
+    encode_blocks,
     footprint,
 )
 from .dataflow import (
@@ -33,7 +34,6 @@ from .dataflow import (
 from .simulator import (
     ArchConfig,
     LayerOutput,
-    PEState,
     PoolSpec,
     SimReport,
     WeightStream,

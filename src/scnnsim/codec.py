@@ -2,9 +2,17 @@
 
 Each stored value carries the count of zeros that precede it in the dense
 linearization (weights: k-major then r then s; activations: x-major then y).
-Runs longer than 2**index_bits - 1 are split by zero-value placeholders, and
-trailing zeros are implicit in the logical extent, so decode(encode(x)) == x
-for every slice.
+A zero gap g before a non-zero is stored as g // 2**index_bits zero-value
+placeholders, each standing for 2**index_bits - 1 zeros plus itself, and a
+final run of g % 2**index_bits. Trailing zeros are implicit in the logical
+extent, so decode(encode(x)) == x for every slice.
+
+The simulator keeps operands columnar: a `BlockSet` holds many blocks as the
+flat `values` and `run_lengths` streams plus per-block `offsets` and
+`extents`, built for a whole tensor slice by one vectorized `encode_blocks`
+and validated once. The simulator reads the flat arrays (and the dense
+positions derived from the runs) directly; `BlockSet.block` materializes one
+`CompressedBlock` for code that inspects a single block.
 """
 
 from __future__ import annotations
@@ -26,6 +34,67 @@ class CodecError(ValueError):
     """Malformed compressed block."""
 
 
+# runs are held as int64, so an index field is at most 62 bits wide
+_MAX_INDEX_BITS = 62
+
+
+def _check_index_bits(index_bits: int) -> None:
+    if not 1 <= index_bits <= _MAX_INDEX_BITS:
+        raise CodecError(f"index_bits {index_bits} outside [1, {_MAX_INDEX_BITS}]")
+
+
+def _check_stream(
+    values: np.ndarray,
+    run_lengths: np.ndarray,
+    offsets: np.ndarray,
+    extents: np.ndarray,
+    index_bits: int,
+) -> np.ndarray:
+    """Validate a stream of blocks, block b owning entries
+    offsets[b]:offsets[b + 1], and return each entry's dense position within
+    its block."""
+    _check_index_bits(index_bits)
+    if values.shape != run_lengths.shape or values.ndim != 1:
+        raise CodecError("values and run_lengths differ in length")
+    if (
+        offsets.ndim != 1
+        or extents.ndim != 1
+        or offsets.size != extents.size + 1
+        or offsets[0] != 0
+        or offsets[-1] != values.size
+        or (np.diff(offsets) < 0).any()
+    ):
+        raise CodecError("block offsets do not partition the stream")
+    max_run = (1 << index_bits) - 1
+    bad = (run_lengths < 0) | (run_lengths > max_run)
+    if bad.any():
+        run = int(run_lengths[bad.argmax()])
+        raise CodecError(f"run length {run} outside [0, {max_run}]")
+    # blocks carry 16-bit operands or 24-bit pre-requantization outputs;
+    # operand-range enforcement happens where data enters the pipeline
+    bad = (values < ACCUM_MIN) | (values > ACCUM_MAX)
+    if bad.any():
+        raise CodecError(
+            f"value {int(values[bad.argmax()])} outside 24-bit accumulator range"
+        )
+    ends = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(run_lengths + 1, out=ends[1:])
+    used = ends[offsets[1:]] - ends[offsets[:-1]]
+    over = used > extents
+    if over.any():
+        raise CodecError(
+            f"block expands past its logical extent {int(extents[over.argmax()])}"
+        )
+    return ends[1:] - 1 - np.repeat(ends[offsets[:-1]], np.diff(offsets))
+
+
+def _int64(xs, what: str) -> np.ndarray:
+    try:
+        return np.asarray(xs, dtype=np.int64)
+    except OverflowError as e:
+        raise CodecError(f"{what} outside the 64-bit range") from e
+
+
 @dataclass(frozen=True)
 class CompressedBlock:
     """One weight group (Kc x R x S per input channel) or one activation
@@ -38,23 +107,15 @@ class CompressedBlock:
     granularity: str = ACTIVATION_TILE
 
     def __post_init__(self) -> None:
-        if self.index_bits < 1:
-            raise CodecError("index_bits must be >= 1")
         if len(self.values) != len(self.run_lengths):
             raise CodecError("values and run_lengths differ in length")
-        max_run = (1 << self.index_bits) - 1
-        for run in self.run_lengths:
-            if not 0 <= run <= max_run:
-                raise CodecError(f"run length {run} outside [0, {max_run}]")
-        # blocks carry 16-bit operands or 24-bit pre-requantization outputs;
-        # operand-range enforcement happens where data enters the pipeline
-        for v in self.values:
-            if not ACCUM_MIN <= v <= ACCUM_MAX:
-                raise CodecError(f"value {v} outside 24-bit accumulator range")
-        if sum(self.run_lengths) + len(self.values) > self.logical_extent:
-            raise CodecError(
-                f"block expands past its logical extent {self.logical_extent}"
-            )
+        _check_stream(
+            _int64(self.values, "value").reshape(-1),
+            _int64(self.run_lengths, "run length").reshape(-1),
+            np.array([0, len(self.values)], dtype=np.int64),
+            np.array([self.logical_extent], dtype=np.int64),
+            self.index_bits,
+        )
 
     @property
     def stored_count(self) -> int:
@@ -63,7 +124,7 @@ class CompressedBlock:
 
     def nnz(self) -> int:
         """True non-zeros (placeholders excluded)."""
-        return sum(1 for v in self.values if v != 0)
+        return int(np.count_nonzero(self.values))
 
     def positions(self) -> np.ndarray:
         """Dense coordinate of every stored entry, in stream order."""
@@ -73,33 +134,97 @@ class CompressedBlock:
         return np.cumsum(runs + 1) - 1
 
 
+@dataclass(frozen=True, eq=False)
+class BlockSet:
+    """Many blocks in the stream format, stored column-wise.
+
+    Block b owns entries offsets[b]:offsets[b + 1] of `values` and
+    `run_lengths` and expands to extents[b] dense values. `positions` holds
+    each entry's dense coordinate within its block, derived from the runs.
+    Every condition `CompressedBlock` checks is checked once for the whole
+    set."""
+
+    values: np.ndarray
+    run_lengths: np.ndarray
+    offsets: np.ndarray
+    extents: np.ndarray
+    index_bits: int = DEFAULT_INDEX_BITS
+    granularity: str = ACTIVATION_TILE
+    positions: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for name in ("values", "run_lengths", "offsets", "extents"):
+            object.__setattr__(self, name, _int64(getattr(self, name), name))
+        positions = _check_stream(
+            self.values, self.run_lengths, self.offsets, self.extents, self.index_bits
+        )
+        object.__setattr__(self, "positions", positions)
+
+    def __len__(self) -> int:
+        return self.extents.size
+
+    def block_ids(self) -> np.ndarray:
+        """The block of every stored entry."""
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
+
+    def block(self, b: int) -> CompressedBlock:
+        """Block b as a standalone `CompressedBlock`."""
+        b = range(len(self))[b]
+        lo, hi = self.offsets[b], self.offsets[b + 1]
+        return CompressedBlock(
+            tuple(self.values[lo:hi].tolist()),
+            tuple(self.run_lengths[lo:hi].tolist()),
+            int(self.extents[b]),
+            self.index_bits,
+            self.granularity,
+        )
+
+
+def encode_blocks(
+    dense: Sequence[int] | np.ndarray,
+    extents: Sequence[int] | np.ndarray,
+    index_bits: int = DEFAULT_INDEX_BITS,
+    granularity: str = ACTIVATION_TILE,
+) -> BlockSet:
+    """Run-length encode many dense slices at once: `dense` concatenates the
+    blocks' linearized slices and `extents` gives their lengths."""
+    _check_index_bits(index_bits)
+    flat = _int64(dense, "value").reshape(-1)
+    extents = _int64(extents, "extent").reshape(-1)
+    if (extents < 0).any() or int(extents.sum()) != flat.size:
+        raise CodecError(f"extents do not partition {flat.size} dense values")
+    starts = np.zeros(extents.size + 1, dtype=np.int64)
+    np.cumsum(extents, out=starts[1:])
+    nz = np.flatnonzero(flat)
+    blk = np.searchsorted(starts, nz, side="right") - 1
+    local = nz - starts[blk]
+    # zeros since the previous non-zero of the same block (or its start)
+    prev = np.empty_like(local)
+    prev[:1] = -1
+    prev[1:] = np.where(blk[1:] == blk[:-1], local[:-1], -1)
+    gap = local - prev - 1
+    # each placeholder stands for 2**index_bits - 1 zeros plus itself
+    ends = np.cumsum((gap >> index_bits) + 1)
+    total = int(ends[-1]) if ends.size else 0
+    values = np.zeros(total, dtype=np.int64)
+    values[ends - 1] = flat[nz]
+    runs = np.full(total, (1 << index_bits) - 1, dtype=np.int64)
+    runs[ends - 1] = gap & ((1 << index_bits) - 1)
+    offsets = np.zeros(extents.size + 1, dtype=np.int64)
+    offsets[1:] = np.concatenate(([0], ends))[
+        np.cumsum(np.bincount(blk, minlength=extents.size))
+    ]
+    return BlockSet(values, runs, offsets, extents, index_bits, granularity)
+
+
 def encode_block(
     dense_slice: Sequence[int] | np.ndarray,
     index_bits: int = DEFAULT_INDEX_BITS,
     granularity: str = ACTIVATION_TILE,
 ) -> CompressedBlock:
     """Run-length encode one dense slice (already linearized by the caller)."""
-    if index_bits < 1:
-        raise CodecError("index_bits must be >= 1")
-    flat = np.asarray(dense_slice, dtype=np.int64).reshape(-1)
-    max_run = (1 << index_bits) - 1
-    values: list[int] = []
-    runs: list[int] = []
-    zeros = 0
-    for v in flat.tolist():
-        if v == 0:
-            zeros += 1
-            continue
-        while zeros > max_run:
-            values.append(0)  # placeholder occupies one of the zeros
-            runs.append(max_run)
-            zeros -= max_run + 1
-        values.append(v)
-        runs.append(zeros)
-        zeros = 0
-    return CompressedBlock(
-        tuple(values), tuple(runs), int(flat.size), index_bits, granularity
-    )
+    flat = _int64(dense_slice, "value").reshape(-1)
+    return encode_blocks(flat, [flat.size], index_bits, granularity).block(0)
 
 
 def decode_block(block: CompressedBlock) -> np.ndarray:
@@ -111,15 +236,6 @@ def decode_block(block: CompressedBlock) -> np.ndarray:
             raise CodecError("block expands past its logical extent")
         dense[pos] = block.values
     return dense
-
-
-def decode_entries(block: CompressedBlock) -> tuple[np.ndarray, np.ndarray]:
-    """(values, dense coordinates) of the stored entries, placeholders
-    included, exactly as a buffer fetch would deliver them."""
-    pos = block.positions()
-    if pos.size and int(pos[-1]) >= block.logical_extent:
-        raise CodecError("block expands past its logical extent")
-    return np.asarray(block.values, dtype=np.int64), pos
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,19 @@ one product per cycle; elastic queues absorb transient imbalance within a
 group), and a global barrier at each group boundary charges every PE the
 time of the slowest one.
 
-On the host, each (PE, group) scatter is one pass over phase-matched pairs.
-Operand entries are decoded once per layer and sorted by class (input
-channel, stride phase): an activation at x has phase (x + pad) % stride, a
-tap r has phase r % stride, and a product lands on an output only when the
-two phases agree in both axes. Pairs are expanded only inside a class, so
+On the host, operands stay columnar (`codec.BlockSet`): the weights of each
+output-channel group, the activation tiles of each PE and the outputs of
+each group are encoded by one `codec.encode_blocks` call apiece, one block
+per input channel or per (PE, output channel). Nothing is encoded or decoded
+block by block: the scatter reads each set's flat values and the dense
+positions derived from its runs, and `LayerOutput.decoded` rebuilds the
+plane from them with one scatter per group.
+
+Each (PE, group) scatter is one pass over phase-matched pairs. Operand
+entries are read once per layer and sorted by class (input channel, stride
+phase): an activation at x has phase (x + pad) % stride, a tap r has phase
+r % stride, and a product lands on an output only when the two phases agree
+in both axes. Pairs are expanded only inside a class, so
 products a stride skips are counted, never formed. Within a class the
 accumulator address separates into a weight term plus an activation term,
 and pairs are expanded in fixed-size chunks and summed with `np.bincount`
@@ -47,13 +55,7 @@ from .analytic import (
     EventCounts,
     count_events,
 )
-from .codec import (
-    ACTIVATION_TILE,
-    WEIGHT_GROUP,
-    CompressedBlock,
-    Footprint,
-    FootprintModel,
-)
+from .codec import ACTIVATION_TILE, WEIGHT_GROUP, BlockSet, Footprint, FootprintModel
 from .dataflow import (
     ConfigurationError,
     GroupPlan,
@@ -163,17 +165,6 @@ def dcnn_arch(base: ArchConfig) -> ArchConfig:
     return replace(base, iaram_bytes=per_ram, oaram_bytes=per_ram)
 
 
-@dataclass
-class PEState:
-    """Mutable per-PE simulation state. The input and output activation RAMs
-    hold compressed blocks; the accumulator is dense for the current group."""
-
-    pe: int
-    iaram: dict[int, CompressedBlock] = field(default_factory=dict)
-    oaram: dict[int, CompressedBlock] = field(default_factory=dict)
-    acc: np.ndarray | None = None
-
-
 @dataclass(frozen=True)
 class SimReport:
     """Per-layer outcome of one variant run.
@@ -210,51 +201,42 @@ class SimReport:
 
 @dataclass(frozen=True)
 class WeightStream:
-    """Broadcast weight blocks, one per (output-channel group, input channel),
-    linearized k-major then r then s over the group's eligible filters."""
+    """Broadcast weights: one block set per output-channel group, whose block
+    c holds input channel c linearized k-major then r then s over the
+    group's filters in c's convolution group (extent 0 when there are
+    none)."""
 
     layer: LayerShape
     gplan: GroupPlan
-    blocks: dict[tuple[int, int], CompressedBlock]
-    k_offset: dict[tuple[int, int], int]  # first eligible k within the group
-
-    def block(self, group_index: int, channel: int) -> CompressedBlock | None:
-        return self.blocks.get((group_index, channel))
-
-    def stored_values(self, group_index: int | None = None) -> int:
-        return sum(
-            b.stored_count
-            for (gi, _), b in self.blocks.items()
-            if group_index is None or gi == group_index
-        )
+    blocks: tuple[BlockSet, ...]
 
 
 def compress_weights(
     layer: LayerShape, gplan: GroupPlan, weights: DenseTensor, index_bits: int = 4
 ) -> WeightStream:
-    """Encode pruned weights per (group, channel) for broadcast to the PEs."""
+    """Encode pruned weights per output-channel group for broadcast to the PEs."""
     check_operand_range(weights, "weight")
-    blocks: dict[tuple[int, int], CompressedBlock] = {}
-    offsets: dict[tuple[int, int], int] = {}
-    kpg = layer.filters_per_group
-    cpg = layer.channels_per_group
-    for gi, grp in enumerate(gplan.groups):
-        for c in range(layer.C):
-            gg = c // cpg
+    kpg, rs = layer.filters_per_group, layer.R * layer.S
+    blocks = []
+    for grp in gplan.groups:
+        parts, extents = [], []
+        for gg in range(layer.groups):
             k_lo = max(grp.start, gg * kpg)
-            k_hi = min(grp.stop, (gg + 1) * kpg)
-            if k_lo >= k_hi:
-                continue
-            dense = weights.values[k_lo:k_hi, c % cpg].reshape(-1)
-            blocks[(gi, c)] = codec.encode_block(dense, index_bits, WEIGHT_GROUP)
-            offsets[(gi, c)] = k_lo - grp.start
-    return WeightStream(layer, gplan, blocks, offsets)
+            k_hi = max(k_lo, min(grp.stop, (gg + 1) * kpg))
+            # [k, c, r, s] -> one row per channel of this convolution group
+            parts.append(weights.values[k_lo:k_hi].transpose(1, 0, 2, 3).reshape(-1))
+            extents += [(k_hi - k_lo) * rs] * layer.channels_per_group
+        blocks.append(
+            codec.encode_blocks(np.concatenate(parts), extents, index_bits, WEIGHT_GROUP)
+        )
+    return WeightStream(layer, gplan, tuple(blocks))
 
 
 def distribute_activations(
     plan: TilePlan, acts: DenseTensor, index_bits: int = 4
-) -> list[dict[int, CompressedBlock]]:
-    """Per-PE compressed channel tiles (x-major then y within the tile)."""
+) -> list[BlockSet]:
+    """Per-PE compressed tiles, block c holding channel c (x-major then y
+    within the tile)."""
     check_operand_range(acts, "activation")
     if acts.shape != plan.layer.input_shape():
         raise ConfigurationError(
@@ -265,20 +247,15 @@ def distribute_activations(
     out = []
     for pe in range(plan.n_pes):
         t = plan.tile(pe)
-        tiles: dict[int, CompressedBlock] = {}
-        if not t.empty:
-            for c in range(plan.layer.C):
-                dense = acts.values[c, t.x0 : t.x0 + t.wt, t.y0 : t.y0 + t.ht]
-                tiles[c] = codec.encode_block(
-                    dense.reshape(-1), index_bits, ACTIVATION_TILE
-                )
-        out.append(tiles)
+        dense = acts.values[:, t.x0 : t.x0 + t.wt, t.y0 : t.y0 + t.ht]
+        extents = np.full(plan.layer.C, t.wt * t.ht)
+        out.append(codec.encode_blocks(dense, extents, index_bits, ACTIVATION_TILE))
     return out
 
 
 def prepare_scnn_inputs(
     arch: ArchConfig, layer: LayerShape, weights: DenseTensor, acts: DenseTensor
-) -> tuple[WeightStream, list[dict[int, CompressedBlock]]]:
+) -> tuple[WeightStream, list[BlockSet]]:
     """Plan the layer and compress/distribute dense operands for the array."""
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
     gplan = choose_kc(layer, arch)
@@ -317,8 +294,8 @@ _EXACT_FLOAT_BITS = 53
 
 @dataclass(frozen=True)
 class _Entries:
-    """Decoded entries of one operand stream (one PE's activation tiles or
-    one group's weights), placeholders included, sorted by class
+    """Entries of one operand stream (one PE's activation tiles or one
+    group's weights), placeholders included, sorted by class
     channel * stride**2 + phase. Class q owns entries start[q]:start[q + 1].
 
     `addr` holds the per-entry terms of the separable accumulator address:
@@ -333,24 +310,6 @@ class _Entries:
     addr: tuple[np.ndarray, ...]
 
 
-def _decoded(
-    blocks: Sequence[tuple[int, CompressedBlock]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(channel, value, dense position) of every stored entry of
-    (channel, block) pairs, concatenated in order."""
-    if not blocks:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
-    decoded = [codec.decode_entries(b) for _, b in blocks]
-    chan = np.repeat(
-        np.array([c for c, _ in blocks], dtype=np.int64),
-        [v.size for v, _ in decoded],
-    )
-    vals = np.concatenate([v for v, _ in decoded])
-    pos = np.concatenate([p for _, p in decoded])
-    return chan, vals, pos
-
-
 def _entries(
     n_channels: int,
     stride: int,
@@ -359,7 +318,7 @@ def _entries(
     phase: tuple[np.ndarray, np.ndarray],
     addr: tuple[np.ndarray, ...],
 ) -> _Entries:
-    """Sort decoded entries by class and count them per class and channel."""
+    """Sort entries by class and count them per class and channel."""
     n_cls = n_channels * stride * stride
     cls = (chan * stride + phase[0]) * stride + phase[1]
     order = np.argsort(cls, kind="stable")
@@ -379,38 +338,34 @@ def _weight_entries(layer: LayerShape, weights: WeightStream) -> list[_Entries]:
     """Weight entries of each output-channel group, shared by every PE."""
     s = layer.stride
     rs = layer.R * layer.S
-    per_group: list[list[tuple[int, CompressedBlock]]] = [
-        [] for _ in weights.gplan.groups
-    ]
-    for (gi, c), block in weights.blocks.items():
-        per_group[gi].append((c, block))
+    # first filter of each channel's convolution group
+    first_k = np.arange(layer.C) // layer.channels_per_group * layer.filters_per_group
     out = []
-    for gi, blocks in enumerate(per_group):
-        chan, vals, pos = _decoded(blocks)
-        k_offset = np.array(
-            [weights.k_offset[(gi, c)] for c, _ in blocks], dtype=np.int64
-        )
-        k = np.repeat(k_offset, [b.stored_count for _, b in blocks]) + pos // rs
+    for grp, blocks in zip(weights.gplan.groups, weights.blocks):
+        chan, pos = blocks.block_ids(), blocks.positions
+        k = np.maximum(first_k, grp.start)[chan] - grp.start + pos // rs
         r, t = (pos % rs) // layer.S, pos % layer.S
-        out.append(_entries(layer.C, s, chan, vals, (r % s, t % s), (k, r // s, t // s)))
+        out.append(
+            _entries(layer.C, s, chan, blocks.values, (r % s, t % s), (k, r // s, t // s))
+        )
     return out
 
 
-def _activation_entries(
-    plan: TilePlan, pe: int, tiles: dict[int, CompressedBlock]
-) -> _Entries:
+def _activation_entries(plan: TilePlan, pe: int, tiles: BlockSet) -> _Entries:
     """One PE's activation entries; the address term is
     ((x + pad) // stride) * ey + (y + pad) // stride."""
     layer = plan.layer
     s, pad = layer.stride, layer.pad
     t = plan.tile(pe)
-    for c, block in tiles.items():
-        if block.logical_extent != t.wt * t.ht:
-            raise ConfigurationError(
-                f"pe {pe} channel {c}: block extent {block.logical_extent} "
-                f"does not match tile {t.wt}x{t.ht}"
-            )
-    chan, vals, pos = _decoded(list(tiles.items()))
+    if len(tiles) != layer.C:
+        raise ConfigurationError(f"pe {pe}: {len(tiles)} tiles for {layer.C} channels")
+    bad = np.flatnonzero(tiles.extents != t.wt * t.ht)
+    if bad.size:
+        raise ConfigurationError(
+            f"pe {pe} channel {bad[0]}: block extent {tiles.extents[bad[0]]} "
+            f"does not match tile {t.wt}x{t.ht}"
+        )
+    chan, vals, pos = tiles.block_ids(), tiles.values, tiles.positions
     x = t.x0 + pos // t.ht + pad
     y = t.y0 + pos % t.ht + pad
     ey = plan.acc_extent(pe)[1]
@@ -467,8 +422,8 @@ def _scatter_group(
 
 @dataclass(frozen=True)
 class PPUResult:
-    blocks: list[dict[int, CompressedBlock]]  # per PE: out channel -> block
-    plane: np.ndarray                         # merged post-ReLU/pool [kc, Wp, Hp]
+    blocks: BlockSet    # block pe * kc + i: the group's output channel i on PE pe
+    plane: np.ndarray   # merged post-ReLU/pool [kc, Wp, Hp]
     drained_cells: int
     halo_values: int
 
@@ -534,6 +489,17 @@ def plane_partition(span: int, parts: int) -> list[tuple[int, int]]:
     return [(min(p * width, span), min((p + 1) * width, span)) for p in range(parts)]
 
 
+def _out_rects(
+    w: int, h: int, pe_rows: int, pe_cols: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(x_lo, width, y_lo, height) of each PE's share of a w x h output plane."""
+    xr = np.array(plane_partition(w, pe_cols), dtype=np.int64).reshape(-1, 2)
+    yr = np.array(plane_partition(h, pe_rows), dtype=np.int64).reshape(-1, 2)
+    xs = np.tile(xr, (pe_rows, 1))
+    ys = np.repeat(yr, pe_cols, axis=0)
+    return xs[:, 0], xs[:, 1] - xs[:, 0], ys[:, 0], ys[:, 1] - ys[:, 0]
+
+
 def ppu_finalize(
     pe_accumulators: Sequence[np.ndarray | None],
     tile_plan: TilePlan,
@@ -545,63 +511,67 @@ def ppu_finalize(
 
     Halo cells are added into their owners' partial sums, the merged plane is
     ReLU'd (and max-pooled when requested), and each PE compresses its slice
-    of the result for its output RAM.
+    of the result for its output RAM: one block per (PE, output channel),
+    all encoded in one pass.
     """
     layer = tile_plan.layer
-    merged, halo_values = _merge_group_plane(pe_accumulators, tile_plan, len(group))
+    kc = len(group)
+    merged, halo_values = _merge_group_plane(pe_accumulators, tile_plan, kc)
     _check_accum(merged, layer.name)
     plane = np.maximum(merged, 0)
     if pool is not None:
         plane = max_pool(plane, pool)
-    xr = plane_partition(plane.shape[1], tile_plan.pe_cols)
-    yr = plane_partition(plane.shape[2], tile_plan.pe_rows)
-    drained = 0
-    blocks: list[dict[int, CompressedBlock]] = []
-    for pe in range(tile_plan.n_pes):
-        acc = pe_accumulators[pe]
-        if acc is not None:
-            drained += acc.size
-        xlo, xhi = xr[pe % tile_plan.pe_cols]
-        ylo, yhi = yr[pe // tile_plan.pe_cols]
-        mine: dict[int, CompressedBlock] = {}
-        if xhi > xlo and yhi > ylo:
-            for ki, k in enumerate(group):
-                dense = plane[ki, xlo:xhi, ylo:yhi].reshape(-1)
-                mine[k] = codec.encode_block(dense, index_bits, ACTIVATION_TILE)
-        blocks.append(mine)
+    drained = sum(acc.size for acc in pe_accumulators if acc is not None)
+    x0, wt, y0, ht = _out_rects(
+        plane.shape[1], plane.shape[2], tile_plan.pe_rows, tile_plan.pe_cols
+    )
+    dense = np.concatenate(
+        [
+            plane[:, x : x + dx, y : y + dy].reshape(-1)
+            for x, dx, y, dy in zip(x0.tolist(), wt.tolist(), y0.tolist(), ht.tolist())
+        ]
+    )
+    blocks = codec.encode_blocks(
+        dense, np.repeat(wt * ht, kc), index_bits, ACTIVATION_TILE
+    )
     return PPUResult(blocks, plane, drained, halo_values)
 
 
 @dataclass(frozen=True)
 class LayerOutput:
     """Compressed per-PE outputs plus the assembled dense plane (post ReLU
-    and pooling). `dense` is what the simulator merged internally; `decoded`
-    rebuilds the same plane strictly from the compressed blocks."""
+    and pooling). `blocks` holds one set per output-channel group, laid out
+    as `ppu_finalize` encodes it. `dense` is what the simulator merged
+    internally; `decoded` rebuilds the same plane strictly from the
+    compressed blocks."""
 
-    blocks: list[dict[int, CompressedBlock]]
+    blocks: tuple[BlockSet, ...]
     dense: DenseTensor
     pe_rows: int
     pe_cols: int
 
     def decoded(self) -> DenseTensor:
         k_total, w, h = self.dense.shape
-        xr = plane_partition(w, self.pe_cols)
-        yr = plane_partition(h, self.pe_rows)
-        out = np.zeros((k_total, w, h), dtype=np.int64)
-        for pe, per_k in enumerate(self.blocks):
-            xlo, xhi = xr[pe % self.pe_cols]
-            ylo, yhi = yr[pe // self.pe_cols]
-            for k, block in per_k.items():
-                tile = codec.decode_block(block).reshape(xhi - xlo, yhi - ylo)
-                out[k, xlo:xhi, ylo:yhi] = tile
-        return DenseTensor(out, OUT_ROLES)
+        n_pes = self.pe_rows * self.pe_cols
+        x0, _, y0, ht = _out_rects(w, h, self.pe_rows, self.pe_cols)
+        out = np.zeros(k_total * w * h, dtype=np.int64)
+        k_base = 0
+        for blocks in self.blocks:
+            kc = len(blocks) // n_pes
+            ids = blocks.block_ids()
+            pe, pos = ids // kc, blocks.positions
+            x = x0[pe] + pos // ht[pe]
+            y = y0[pe] + pos % ht[pe]
+            out[((k_base + ids % kc) * w + x) * h + y] = blocks.values
+            k_base += kc
+        return DenseTensor(out.reshape(k_total, w, h), OUT_ROLES)
 
 
 def simulate_scnn_layer(
     arch: ArchConfig,
     layer: LayerShape,
     weights: WeightStream,
-    act_tiles: list[dict[int, CompressedBlock]],
+    act_tiles: Sequence[BlockSet],
     pool: PoolSpec | None = None,
     input_from_dram: bool = True,
     output_to_dram: bool = False,
@@ -630,17 +600,22 @@ def simulate_scnn_layer(
     n_pes = arch.n_pes
     if len(act_tiles) != n_pes:
         raise ConfigurationError(f"expected {n_pes} activation tile sets")
+    if len(weights.blocks) != gplan.n_groups or any(
+        len(b) != layer.C for b in weights.blocks
+    ):
+        raise ConfigurationError(
+            f"expected {gplan.n_groups} weight block sets of {layer.C} channels"
+        )
     F, I = arch.weights_per_fetch, arch.acts_per_fetch
     fm = FootprintModel()
     coded_bits = fm.value_bits + fm.index_overhead_bits
 
-    states = [PEState(pe, iaram=dict(act_tiles[pe])) for pe in range(n_pes)]
     ev = EventCounts()
 
-    # operand entries decoded once per layer: activations per PE (reused
+    # operand entries read once per layer: activations per PE (reused
     # across groups), weights per group (shared by all PEs)
     live = [pe for pe in range(n_pes) if not plan.tile(pe).empty]
-    acts = {pe: _activation_entries(plan, pe, states[pe].iaram) for pe in live}
+    acts = {pe: _activation_entries(plan, pe, act_tiles[pe]) for pe in live}
     w_groups = _weight_entries(layer, weights)
     iaram_stored = sum(int(e.stored.sum()) for e in acts.values())
     # activation vectors per (PE, channel)
@@ -656,7 +631,9 @@ def simulate_scnn_layer(
     batches_total = 0
     useful = 0
     out_planes: list[np.ndarray] = []
-    out_blocks: list[dict[int, CompressedBlock]] = [dict() for _ in range(n_pes)]
+    out_blocks: list[BlockSet] = []
+    # stored output entries per PE, summed over groups
+    out_stored = np.zeros(n_pes, dtype=np.int64)
     pe_busy = np.zeros(n_pes, dtype=np.int64)
     pe_wait = np.zeros(n_pes, dtype=np.int64)
 
@@ -666,6 +643,7 @@ def simulate_scnn_layer(
         wv = -((-w.stored) // F)
         group_busy = np.zeros(n_pes, dtype=np.int64)
         group_batches = np.zeros(n_pes, dtype=np.int64)
+        accs: list[np.ndarray | None] = [None] * n_pes
         for pe in live:
             ex, ey = plan.acc_extent(pe)
             if kc * ex * ey > gplan.capacity_entries:
@@ -674,7 +652,7 @@ def simulate_scnn_layer(
                     f"({kc * ex * ey} > {gplan.capacity_entries} entries)"
                 )
             a = acts[pe]
-            states[pe].acc, bank_totals, skipped = _scatter_group(
+            accs[pe], bank_totals, skipped = _scatter_group(
                 w, a, kc, plan.acc_base(pe), (ex, ey), arch.accum_banks, arch.bank_map
             )
             stride_skipped += skipped
@@ -706,17 +684,13 @@ def simulate_scnn_layer(
         t_eff = max(compute_t, stream_cycles)
         fifo_stalls_total += t_eff - compute_t
 
-        ppu = ppu_finalize(
-            [st.acc for st in states], plan, group, pool, arch.index_bits
-        )
+        ppu = ppu_finalize(accs, plan, group, pool, arch.index_bits)
         out_planes.append(ppu.plane)
-        for pe in range(n_pes):
-            for k, block in ppu.blocks[pe].items():
-                out_blocks[pe][k] = block
-                states[pe].oaram[k] = block
+        out_blocks.append(ppu.blocks)
+        out_stored += np.diff(ppu.blocks.offsets[::kc])
         ev.acc_drains += ppu.drained_cells
         drain_cycles = math.ceil(
-            max(st.acc.size if st.acc is not None else 0 for st in states)
+            max(acc.size if acc is not None else 0 for acc in accs)
             / arch.ppu_values_per_cycle
         )
         if arch.accum_double_buffered and gplan.double_buffered:
@@ -729,8 +703,6 @@ def simulate_scnn_layer(
         total_cycles += group_cycles
         pe_busy += group_busy
         pe_wait += group_cycles - group_busy
-        for st in states:
-            st.acc = None  # drained and cleared
         if trace is not None:
             for pe in range(n_pes):
                 trace.write(
@@ -745,24 +717,21 @@ def simulate_scnn_layer(
         else np.zeros((0, layer.Wo, layer.Ho), dtype=np.int64)
     )
     output = LayerOutput(
-        out_blocks, DenseTensor(dense_out, OUT_ROLES), arch.pe_rows, arch.pe_cols
+        tuple(out_blocks), DenseTensor(dense_out, OUT_ROLES), arch.pe_rows, arch.pe_cols
     )
 
-    oaram_stored = sum(
-        b.stored_count for blocks in out_blocks for b in blocks.values()
-    )
+    oaram_stored = int(out_stored.sum())
     iaram_fp = Footprint(
         iaram_stored * fm.value_bits, iaram_stored * fm.index_overhead_bits
     )
     oaram_fp = Footprint(
         oaram_stored * fm.value_bits, oaram_stored * fm.index_overhead_bits
     )
-    dram_tiled = False
-    for pe in range(n_pes):
-        in_stored = sum(b.stored_count for b in states[pe].iaram.values())
-        out_stored = sum(b.stored_count for b in states[pe].oaram.values())
-        if in_stored > arch.iaram_value_capacity or out_stored > arch.oaram_value_capacity:
-            dram_tiled = True
+    in_stored = np.array([t.values.size for t in act_tiles], dtype=np.int64)
+    dram_tiled = bool(
+        (in_stored > arch.iaram_value_capacity).any()
+        or (out_stored > arch.oaram_value_capacity).any()
+    )
 
     ev.act_ram_bits += iaram_stored * coded_bits * gplan.n_groups
     ev.act_ram_bits += oaram_stored * coded_bits
@@ -771,7 +740,7 @@ def simulate_scnn_layer(
     ev.weight_buf_bits += coded_bits * sum(
         int((w.stored * va_sum).sum()) for w in w_groups
     )
-    ev.dram_bits += weights.stored_values() * coded_bits
+    ev.dram_bits += sum(b.values.size for b in weights.blocks) * coded_bits
     if input_from_dram or dram_tiled:
         ev.dram_bits += iaram_stored * coded_bits
     if output_to_dram or dram_tiled:

@@ -102,6 +102,8 @@ class NetworkDescriptor:
 
 
 def _field(mapping: dict, key: str, path: str, kind=None, default=None, required=True):
+    if not isinstance(mapping, dict):
+        raise DescriptorError(f"{path}: expected a mapping, got {mapping!r}")
     if key not in mapping:
         if not required:
             return default
@@ -123,14 +125,10 @@ def _density(mapping: dict, key: str, path: str, default=None, required=True) ->
     return float(v)
 
 
-def _pool(mapping: dict, path: str) -> PoolSpec | None:
-    raw = mapping.get("pool")
+def _pool(raw, path: str) -> PoolSpec | None:
     if raw is None:
         return None
-    return PoolSpec(
-        _field(raw, "window", f"{path}.pool", int),
-        _field(raw, "stride", f"{path}.pool", int),
-    )
+    return PoolSpec(_field(raw, "window", path, int), _field(raw, "stride", path, int))
 
 
 def _load_chain(doc: dict, name: str) -> tuple[LayerSpec, ...]:
@@ -167,7 +165,7 @@ def _load_chain(doc: dict, name: str) -> tuple[LayerSpec, ...]:
             )
         except ValueError as e:
             raise DescriptorError(f"{path}: {e}") from e
-        pool = _pool(raw, path)
+        pool = _pool(raw.get("pool"), f"{path}.pool")
         specs.append(
             LayerSpec(
                 shape,
@@ -194,8 +192,10 @@ def _load_modules(doc: dict, name: str) -> tuple[LayerSpec, ...]:
     raw_modules = _field(doc, "modules", name, list)
     if not raw_modules:
         raise DescriptorError(f"{name}: empty module list")
-    pool_raw = doc.get("inter_module_pool", {"window": 3, "stride": 2})
-    inter_pool = PoolSpec(pool_raw["window"], pool_raw["stride"])
+    inter_pool = _pool(
+        doc.get("inter_module_pool", {"window": 3, "stride": 2}),
+        f"{name}.inter_module_pool",
+    )
     specs: list[LayerSpec] = []
     prev_concat: int | None = None
     prev_plane: tuple[int, int] | None = None
@@ -738,6 +738,8 @@ def density_sweep(
     engine="analytic" reads only layer shapes and the point density and
     makes no tensor.
     """
+    if engine not in ("sim", "analytic"):
+        raise ConfigurationError(f"unknown engine {engine}")
     for d in points:
         if not 0.0 < d <= 1.0:
             raise ConfigurationError(f"sweep density {d} outside (0, 1]")

@@ -37,6 +37,27 @@ def naive_conv(
     return out
 
 
+def loop_rle_encode(dense, index_bits):
+    """(values, run_lengths) of one slice, one value at a time: a zero run
+    longer than 2**index_bits - 1 is split by zero placeholders, each
+    absorbing one of the zeros; trailing zeros are dropped."""
+    max_run = (1 << index_bits) - 1
+    values, runs = [], []
+    zeros = 0
+    for v in dense:
+        if v == 0:
+            zeros += 1
+            continue
+        while zeros > max_run:
+            values.append(0)
+            runs.append(max_run)
+            zeros -= max_run + 1
+        values.append(v)
+        runs.append(zeros)
+        zeros = 0
+    return values, runs
+
+
 def naive_rle_decode(values, run_lengths, extent):
     """Expand (zeros-before-value, value) pairs; trailing zeros implicit."""
     out = []

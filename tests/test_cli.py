@@ -67,3 +67,43 @@ def test_bad_input_file_is_a_one_line_error(option, text, message, tmp_path, cap
     assert rc == 2
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
+
+
+CHAIN_HEAD = (
+    "schema_version: 1\nname: bad\ntopology: chain\n"
+    "input: {channels: 2, width: 8, height: 8}\n"
+)
+LAYER = "{name: c1, K: 4, R: 3, S: 3, weight_density: 0.5, act_density: 0.5"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (CHAIN_HEAD + "layers: [3]\n", "bad.layers[0]: expected a mapping, got 3"),
+        (
+            CHAIN_HEAD + "layers:\n  - name1\n",
+            "bad.layers[0]: expected a mapping, got 'name1'",
+        ),
+        (
+            CHAIN_HEAD + f"layers: [{LAYER}, pool: 3}}]\n",
+            "bad.layers[0].pool: expected a mapping, got 3",
+        ),
+        (
+            "schema_version: 1\nname: bad\ntopology: modules\nmodules: [7]\n",
+            "bad.modules[0]: expected a mapping, got 7",
+        ),
+        (
+            "schema_version: 1\nname: bad\ntopology: modules\ninter_module_pool: 2\n"
+            "modules: [{name: m}]\n",
+            "bad.inter_module_pool: expected a mapping, got 2",
+        ),
+    ],
+    ids=["int-layer", "str-layer", "int-pool", "int-module", "int-inter-module-pool"],
+)
+def test_non_mapping_descriptor_entry_is_a_one_line_error(text, message, tmp_path, capsys):
+    path = tmp_path / "net.yaml"
+    path.write_text(text)
+    rc = main(["run", "--network", str(path), "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {message}\n"

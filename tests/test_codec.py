@@ -3,16 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_rle_decode
+from oracles import loop_rle_encode, naive_rle_decode
 from scnnsim.codec import (
+    BlockSet,
     CodecError,
     CompressedBlock,
     FootprintModel,
     decode_block,
-    decode_entries,
     encode_block,
+    encode_blocks,
     footprint,
 )
+from scnnsim.tensors import ACCUM_MAX, ACCUM_MIN
 
 
 class TestEncode:
@@ -62,9 +64,8 @@ class TestDecode:
 
     def test_entries_expose_coordinates(self):
         b = encode_block([0, 9, 0, 0, 4])
-        vals, pos = decode_entries(b)
-        assert vals.tolist() == [9, 4]
-        assert pos.tolist() == [1, 4]
+        assert b.values == (9, 4)
+        assert b.positions().tolist() == [1, 4]
 
     def test_overlong_block_rejected(self):
         with pytest.raises(CodecError):
@@ -113,6 +114,119 @@ class TestRoundTrip:
         b = encode_block(dense, index_bits=index_bits)
         placeholders = sum(1 for v in b.values if v == 0)
         assert placeholders == n_zeros // (1 << index_bits)
+
+
+nonzero = st.one_of(
+    st.sampled_from([ACCUM_MIN, ACCUM_MAX, -1, 1]),
+    st.integers(ACCUM_MIN, ACCUM_MAX).filter(bool),
+)
+
+
+@st.composite
+def dense_block(draw):
+    """Zero runs of 0-40 (several placeholders at small index widths)
+    between values, then trailing zeros; may be empty or all zero."""
+    out = []
+    for zeros, v in draw(st.lists(st.tuples(st.integers(0, 40), nonzero), max_size=6)):
+        out += [0] * zeros + [v]
+    return out + [0] * draw(st.integers(0, 40))
+
+
+class TestEncodeBlocks:
+    """The batch encoder against the per-value loop, block by block."""
+
+    @given(st.lists(dense_block(), max_size=8), st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_loop_reference(self, blocks, index_bits):
+        bs = encode_blocks(
+            [v for b in blocks for v in b], [len(b) for b in blocks], index_bits
+        )
+        refs = [loop_rle_encode(b, index_bits) for b in blocks]
+        assert len(bs) == len(blocks)
+        assert bs.extents.tolist() == [len(b) for b in blocks]
+        assert bs.values.tolist() == [v for vals, _ in refs for v in vals]
+        assert bs.run_lengths.tolist() == [r for _, runs in refs for r in runs]
+        assert np.diff(bs.offsets).tolist() == [len(vals) for vals, _ in refs]
+        positions = []
+        for _, runs in refs:
+            pos = -1
+            for r in runs:
+                pos += r + 1
+                positions.append(pos)
+        assert bs.positions.tolist() == positions
+        for i, (b, (vals, runs)) in enumerate(zip(blocks, refs)):
+            block = bs.block(i)
+            assert block == CompressedBlock(
+                tuple(vals), tuple(runs), len(b), index_bits
+            )
+            assert naive_rle_decode(vals, runs, len(b)) == b
+
+    @given(dense_block(), st.integers(1, 4))
+    def test_encode_block_is_the_one_block_case(self, dense, index_bits):
+        vals, runs = loop_rle_encode(dense, index_bits)
+        b = encode_block(dense, index_bits)
+        assert b == CompressedBlock(tuple(vals), tuple(runs), len(dense), index_bits)
+        assert all(type(v) is int for v in b.values + b.run_lengths)
+
+    def test_extents_must_cover_the_values(self):
+        with pytest.raises(CodecError, match="partition"):
+            encode_blocks([1, 0, 2], [2])
+        with pytest.raises(CodecError, match="partition"):
+            encode_blocks([1, 0, 2], [4, -1])
+
+
+class TestBlockSetRejects:
+    """One case per condition the container checks."""
+
+    @pytest.mark.parametrize("index_bits", [0, -1, 63])
+    def test_index_bits_outside_range(self, index_bits):
+        with pytest.raises(CodecError, match="index_bits"):
+            BlockSet([], [], [0], [], index_bits=index_bits)
+        with pytest.raises(CodecError, match="index_bits"):
+            encode_blocks([1], [1], index_bits=index_bits)
+
+    def test_values_and_runs_differ_in_length(self):
+        with pytest.raises(CodecError, match="differ in length"):
+            BlockSet([1, 2], [0], [0, 2], [4])
+
+    def test_offsets_do_not_partition_the_stream(self):
+        cases = [
+            ([0, 1], [4]),              # last offset short of the stream
+            ([1, 2], [4]),              # first offset not 0
+            ([0, 2, 1, 2], [4, 4, 4]),  # decreasing
+            ([0, 2], [4, 4]),           # one offset too few for the extents
+        ]
+        for offsets, extents in cases:
+            with pytest.raises(CodecError, match="offsets"):
+                BlockSet([1, 2], [0, 0], offsets, extents)
+
+    @pytest.mark.parametrize("run", [-1, 16])
+    def test_run_outside_index_width(self, run):
+        with pytest.raises(CodecError, match="run length"):
+            BlockSet([5, 1], [0, run], [0, 1, 2], [20, 20], index_bits=4)
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            (ACCUM_MIN - 1, "24-bit accumulator range"),
+            (ACCUM_MAX + 1, "24-bit accumulator range"),
+            (1 << 70, "64-bit range"),
+        ],
+    )
+    def test_value_outside_accumulator_range(self, value, message):
+        with pytest.raises(CodecError, match=message):
+            BlockSet([1, value], [0, 0], [0, 1, 2], [1, 1])
+        with pytest.raises(CodecError, match=message):
+            CompressedBlock((1, value), (0, 0), 2)
+
+    def test_block_expands_past_its_extent(self):
+        # the stream fits the total extent 7; block 1 alone needs 3 of its 2
+        with pytest.raises(CodecError, match="logical extent 2"):
+            BlockSet([1, 1], [0, 2], [0, 1, 2], [5, 2])
+
+    def test_extremes_accepted(self):
+        bs = BlockSet([ACCUM_MIN, ACCUM_MAX], [0, 15], [0, 1, 2], [1, 16])
+        assert bs.positions.tolist() == [0, 15]
 
 
 class TestFootprint:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scnnsim.codec import decode_entries
+from scnnsim.codec import encode_blocks
 from scnnsim.dataflow import ConfigurationError, choose_kc, partition_tiles
 from scnnsim.simulator import (
     _SCATTER_CHUNK,
@@ -39,15 +39,16 @@ def loop_scatter(arch, layer, stream, tiles, gi, pe):
     bank_totals = np.zeros(banks, dtype=np.int64)
     skipped = 0
     rs = layer.R * layer.S
-    for c, block in tiles[pe].items():
-        wblock = stream.block(gi, c)
-        if wblock is None:
-            continue
-        avals, apos = decode_entries(block)
-        wvals, wpos = decode_entries(wblock)
+    group = stream.gplan.groups[gi]
+    kpg, cpg = layer.filters_per_group, layer.channels_per_group
+    for c in range(layer.C):
+        ablock, wblock = tiles[pe].block(c), stream.blocks[gi].block(c)
+        avals, apos = np.array(ablock.values, dtype=np.int64), ablock.positions()
+        wvals, wpos = np.array(wblock.values, dtype=np.int64), wblock.positions()
         xs = t.x0 + apos // t.ht
         ys = t.y0 + apos % t.ht
-        wk = stream.k_offset[(gi, c)] + wpos // rs
+        # the block starts at the group's first filter in c's convolution group
+        wk = max(group.start, c // cpg * kpg) - group.start + wpos // rs
         wr = (wpos % rs) // layer.S
         ws = wpos % layer.S
         xo_num = xs[None, :] - wr[:, None] + layer.pad
@@ -165,10 +166,14 @@ def test_float64_exactness_bound(cpg, groups, rejected):
         "huge", C=cpg * groups, K=groups, W=1, H=1, R=3, S=3, pad=1, groups=groups
     )
     arch = ArchConfig(pe_rows=1, pe_cols=1)
-    stream = WeightStream(layer, choose_kc(layer, arch), {}, {})
+    gplan = choose_kc(layer, arch)
+    # blocks of every channel, all empty: no weight and a zero activation
+    no_weights = encode_blocks([], [0] * layer.C)
+    stream = WeightStream(layer, gplan, (no_weights,) * gplan.n_groups)
+    tiles = [encode_blocks(np.zeros(layer.C), [1] * layer.C)]
     if rejected:
         with pytest.raises(ConfigurationError, match="exact float64"):
-            simulate_scnn_layer(arch, layer, stream, [{}])
+            simulate_scnn_layer(arch, layer, stream, tiles)
     else:
-        _, report = simulate_scnn_layer(arch, layer, stream, [{}])
+        _, report = simulate_scnn_layer(arch, layer, stream, tiles)
         assert report.useful_mults == 0

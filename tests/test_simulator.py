@@ -91,7 +91,6 @@ class TestFunctionalEquivalence:
         arch = ArchConfig(pe_rows=1, pe_cols=1, bank_entries=64)
         w, a, out, report = run_scnn(arch, layer, 0.5, 0.1)
         assert out.decoded().values.tolist() == expected_output(layer, w, a).tolist()
-        stored = sum(b.stored_count for blocks in [out.blocks[0]] for b in blocks.values())
         assert report.events.mult_ops >= report.useful_mults
 
     def test_all_zero_activations(self):
@@ -254,9 +253,10 @@ class TestPPU:
             arch, layer, DenseTensor(w, WEIGHT_ROLES), DenseTensor(a, ACT_ROLES)
         )
         out, report = simulate_scnn_layer(arch, layer, stream, tiles)
-        # output coordinate: xo = x - r + pad = 4, owned by PE1
-        assert decode_block(out.blocks[1][0]).reshape(4, 4)[0, 2] == 10
-        assert not out.blocks[0] or not decode_block(out.blocks[0][0]).any()
+        # output coordinate: xo = x - r + pad = 4, owned by PE1; one group
+        # of one output channel, so block pe holds PE pe's tile
+        assert decode_block(out.blocks[0].block(1)).reshape(4, 4)[0, 2] == 10
+        assert not decode_block(out.blocks[0].block(0)).any()
 
     def test_single_pe_halo_exchange_noop(self):
         layer = LayerShape("noop", C=2, K=2, W=6, H=6, R=3, S=3, pad=1)
@@ -273,7 +273,7 @@ class TestPPU:
         plan = partition_tiles(layer, (1, 1))
         acc = np.full((1, 4, 4), -5, dtype=np.int64)
         res = ppu_finalize([acc], plan, range(0, 1))
-        assert res.blocks[0][0].stored_count == 0
+        assert res.blocks.block(0).stored_count == 0
 
 
 class TestDenseBaselines:

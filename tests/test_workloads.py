@@ -5,6 +5,7 @@ import weakref
 import pytest
 
 from scnnsim import workloads
+from scnnsim.dataflow import ConfigurationError
 from scnnsim.simulator import ArchConfig
 from scnnsim.workloads import (
     VARIANT_ORACLE,
@@ -72,3 +73,12 @@ def test_sim_engine_makes_weights_one_layer_ahead(monkeypatch, tmp_path):
     assert seeds == [5, 106, 207]
     assert most_alive[0] == 2
     assert all(lr.oracle_checked for lr in run.layers)
+
+
+@pytest.mark.parametrize("engine", ["analytical", "Sim", ""])
+def test_unknown_engine_rejected(engine):
+    net = load_network("inception_mini")
+    with pytest.raises(ConfigurationError, match="unknown engine"):
+        density_sweep(net, ArchConfig(), (0.5,), engine=engine)
+    with pytest.raises(ConfigurationError, match="unknown engine"):
+        run_network(net, ArchConfig(), engine=engine)
