@@ -193,7 +193,7 @@ def _load_modules(doc: dict, name: str) -> tuple[LayerSpec, ...]:
     if not raw_modules:
         raise DescriptorError(f"{name}: empty module list")
     inter_pool = _pool(
-        doc.get("inter_module_pool", {"window": 3, "stride": 2}),
+        _field(doc, "inter_module_pool", name, dict, {"window": 3, "stride": 2}, False),
         f"{name}.inter_module_pool",
     )
     specs: list[LayerSpec] = []

@@ -95,10 +95,18 @@ LAYER = "{name: c1, K: 4, R: 3, S: 3, weight_density: 0.5, act_density: 0.5"
         (
             "schema_version: 1\nname: bad\ntopology: modules\ninter_module_pool: 2\n"
             "modules: [{name: m}]\n",
-            "bad.inter_module_pool: expected a mapping, got 2",
+            "bad.inter_module_pool: expected dict, got 2",
+        ),
+        (
+            "schema_version: 1\nname: bad\ntopology: modules\ninter_module_pool:\n"
+            "modules: [{name: m}]\n",
+            "bad.inter_module_pool: expected dict, got None",
         ),
     ],
-    ids=["int-layer", "str-layer", "int-pool", "int-module", "int-inter-module-pool"],
+    ids=[
+        "int-layer", "str-layer", "int-pool", "int-module", "int-inter-module-pool",
+        "null-inter-module-pool",
+    ],
 )
 def test_non_mapping_descriptor_entry_is_a_one_line_error(text, message, tmp_path, capsys):
     path = tmp_path / "net.yaml"
