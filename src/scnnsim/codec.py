@@ -26,9 +26,6 @@ from .tensors import ACCUM_MAX, ACCUM_MIN
 
 DEFAULT_INDEX_BITS = 4
 
-WEIGHT_GROUP = "weight-group"
-ACTIVATION_TILE = "activation-tile"
-
 
 class CodecError(ValueError):
     """Malformed compressed block."""
@@ -77,15 +74,23 @@ def _check_stream(
         raise CodecError(
             f"value {int(values[bad.argmax()])} outside 24-bit accumulator range"
         )
+    # every entry must land inside its block. The int64 sums wrap modulo
+    # 2**64, so a position is exact while below 2**63; the first entry past
+    # an extent (< 2**63) overshoots it by at most one run (< 2**62), so its
+    # position is either exact or wraps negative.
     ends = np.zeros(values.size + 1, dtype=np.int64)
     np.cumsum(run_lengths + 1, out=ends[1:])
-    used = ends[offsets[1:]] - ends[offsets[:-1]]
-    over = used > extents
+    counts = np.diff(offsets)
+    positions = ends[1:] - 1 - np.repeat(ends[offsets[:-1]], counts)
+    outside = (positions < 0) | (positions >= np.repeat(extents, counts))
+    over = extents < 0
+    if outside.any():
+        over[np.searchsorted(offsets, outside.argmax(), side="right") - 1] = True
     if over.any():
         raise CodecError(
             f"block expands past its logical extent {int(extents[over.argmax()])}"
         )
-    return ends[1:] - 1 - np.repeat(ends[offsets[:-1]], np.diff(offsets))
+    return positions
 
 
 def _int64(xs, what: str) -> np.ndarray:
@@ -104,7 +109,6 @@ class CompressedBlock:
     run_lengths: tuple[int, ...]
     logical_extent: int
     index_bits: int = DEFAULT_INDEX_BITS
-    granularity: str = ACTIVATION_TILE
 
     def __post_init__(self) -> None:
         if len(self.values) != len(self.run_lengths):
@@ -149,7 +153,6 @@ class BlockSet:
     offsets: np.ndarray
     extents: np.ndarray
     index_bits: int = DEFAULT_INDEX_BITS
-    granularity: str = ACTIVATION_TILE
     positions: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -176,7 +179,6 @@ class BlockSet:
             tuple(self.run_lengths[lo:hi].tolist()),
             int(self.extents[b]),
             self.index_bits,
-            self.granularity,
         )
 
 
@@ -184,17 +186,21 @@ def encode_blocks(
     dense: Sequence[int] | np.ndarray,
     extents: Sequence[int] | np.ndarray,
     index_bits: int = DEFAULT_INDEX_BITS,
-    granularity: str = ACTIVATION_TILE,
 ) -> BlockSet:
     """Run-length encode many dense slices at once: `dense` concatenates the
     blocks' linearized slices and `extents` gives their lengths."""
     _check_index_bits(index_bits)
     flat = _int64(dense, "value").reshape(-1)
     extents = _int64(extents, "extent").reshape(-1)
-    if (extents < 0).any() or int(extents.sum()) != flat.size:
-        raise CodecError(f"extents do not partition {flat.size} dense values")
     starts = np.zeros(extents.size + 1, dtype=np.int64)
     np.cumsum(extents, out=starts[1:])
+    # with no extent negative, a wrapped int64 sum shows as a decrease
+    if (
+        (extents < 0).any()
+        or (starts[1:] < starts[:-1]).any()
+        or starts[-1] != flat.size
+    ):
+        raise CodecError(f"extents do not partition {flat.size} dense values")
     nz = np.flatnonzero(flat)
     blk = np.searchsorted(starts, nz, side="right") - 1
     local = nz - starts[blk]
@@ -214,17 +220,16 @@ def encode_blocks(
     offsets[1:] = np.concatenate(([0], ends))[
         np.cumsum(np.bincount(blk, minlength=extents.size))
     ]
-    return BlockSet(values, runs, offsets, extents, index_bits, granularity)
+    return BlockSet(values, runs, offsets, extents, index_bits)
 
 
 def encode_block(
     dense_slice: Sequence[int] | np.ndarray,
     index_bits: int = DEFAULT_INDEX_BITS,
-    granularity: str = ACTIVATION_TILE,
 ) -> CompressedBlock:
     """Run-length encode one dense slice (already linearized by the caller)."""
     flat = _int64(dense_slice, "value").reshape(-1)
-    return encode_blocks(flat, [flat.size], index_bits, granularity).block(0)
+    return encode_blocks(flat, [flat.size], index_bits).block(0)
 
 
 def decode_block(block: CompressedBlock) -> np.ndarray:

@@ -55,7 +55,7 @@ from .analytic import (
     EventCounts,
     count_events,
 )
-from .codec import ACTIVATION_TILE, WEIGHT_GROUP, BlockSet, Footprint, FootprintModel
+from .codec import BlockSet, Footprint, FootprintModel
 from .dataflow import (
     ConfigurationError,
     GroupPlan,
@@ -226,9 +226,7 @@ def compress_weights(
             # [k, c, r, s] -> one row per channel of this convolution group
             parts.append(weights.values[k_lo:k_hi].transpose(1, 0, 2, 3).reshape(-1))
             extents += [(k_hi - k_lo) * rs] * layer.channels_per_group
-        blocks.append(
-            codec.encode_blocks(np.concatenate(parts), extents, index_bits, WEIGHT_GROUP)
-        )
+        blocks.append(codec.encode_blocks(np.concatenate(parts), extents, index_bits))
     return WeightStream(layer, gplan, tuple(blocks))
 
 
@@ -249,7 +247,7 @@ def distribute_activations(
         t = plan.tile(pe)
         dense = acts.values[:, t.x0 : t.x0 + t.wt, t.y0 : t.y0 + t.ht]
         extents = np.full(plan.layer.C, t.wt * t.ht)
-        out.append(codec.encode_blocks(dense, extents, index_bits, ACTIVATION_TILE))
+        out.append(codec.encode_blocks(dense, extents, index_bits))
     return out
 
 
@@ -531,9 +529,7 @@ def ppu_finalize(
             for x, dx, y, dy in zip(x0.tolist(), wt.tolist(), y0.tolist(), ht.tolist())
         ]
     )
-    blocks = codec.encode_blocks(
-        dense, np.repeat(wt * ht, kc), index_bits, ACTIVATION_TILE
-    )
+    blocks = codec.encode_blocks(dense, np.repeat(wt * ht, kc), index_bits)
     return PPUResult(blocks, plane, drained, halo_values)
 
 

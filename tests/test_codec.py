@@ -224,6 +224,27 @@ class TestBlockSetRejects:
         with pytest.raises(CodecError, match="logical extent 2"):
             BlockSet([1, 1], [0, 2], [0, 1, 2], [5, 2])
 
+    def test_run_sum_past_int64_does_not_wrap_into_the_extent(self):
+        # two runs of 2**62 - 1 sum to 2**63, which wraps negative in int64
+        runs = [(1 << 62) - 1] * 2
+        with pytest.raises(CodecError, match="logical extent 5"):
+            BlockSet([1, 1], runs, [0, 2], [5], index_bits=62)
+        with pytest.raises(CodecError, match="logical extent 5"):
+            CompressedBlock((1, 1), tuple(runs), 5, index_bits=62)
+        # the third entry's position, 2**63 + 4, wraps negative
+        with pytest.raises(CodecError, match="logical extent"):
+            BlockSet(
+                [1] * 3, [(1 << 62) - 1, (1 << 62) - 2, 5], [0, 3], [(1 << 63) - 1],
+                index_bits=62,
+            )
+        # blocks that fit their extents stay valid when the stream total wraps
+        bs = BlockSet([1] * 4, runs * 2, [0, 1, 2, 3, 4], [1 << 62] * 4, index_bits=62)
+        assert bs.positions.tolist() == [(1 << 62) - 1] * 4
+
+    def test_extents_summing_past_int64_do_not_wrap(self):
+        with pytest.raises(CodecError, match="partition"):
+            encode_blocks([], [(1 << 63) - 1, (1 << 63) - 1, 2])
+
     def test_extremes_accepted(self):
         bs = BlockSet([ACCUM_MIN, ACCUM_MAX], [0, 15], [0, 1, 2], [1, 16])
         assert bs.positions.tolist() == [0, 15]
