@@ -28,7 +28,6 @@ from .dataflow import (
     TilePlan,
     cartesian_work,
     choose_kc,
-    output_coord,
     partition_tiles,
 )
 from .simulator import (

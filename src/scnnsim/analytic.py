@@ -68,7 +68,7 @@ class EnergyModel:
 
     def __post_init__(self) -> None:
         for f in fields(EnergyModel):
-            if getattr(self, f.name) < 0:
+            if not getattr(self, f.name) >= 0:  # NaN fails too
                 raise ConfigurationError(f"energy coefficient {f.name} must be >= 0")
         on_chip_bit = max(self.sram_bit, self.fifo_bit)
         if self.dram_bit <= on_chip_bit:

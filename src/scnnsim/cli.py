@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .dataflow import ConfigurationError
@@ -97,7 +98,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_experiment_config(args.config)
-        seed = args.seed if args.seed is not None else cfg.seed
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+        seed = cfg.seed
         out_dir = Path(args.out_dir if args.out_dir is not None else cfg.out_dir)
         net = load_network(args.network)
 

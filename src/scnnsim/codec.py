@@ -32,12 +32,12 @@ class CodecError(ValueError):
 
 
 # runs are held as int64, so an index field is at most 62 bits wide
-_MAX_INDEX_BITS = 62
+MAX_INDEX_BITS = 62
 
 
 def _check_index_bits(index_bits: int) -> None:
-    if not 1 <= index_bits <= _MAX_INDEX_BITS:
-        raise CodecError(f"index_bits {index_bits} outside [1, {_MAX_INDEX_BITS}]")
+    if not 1 <= index_bits <= MAX_INDEX_BITS:
+        raise CodecError(f"index_bits {index_bits} outside [1, {MAX_INDEX_BITS}]")
 
 
 def _check_stream(

@@ -24,6 +24,13 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def plane_partition(span: int, parts: int) -> list[tuple[int, int]]:
+    """Even split of a plane axis into [lo, hi) ranges ceil(span / parts)
+    wide, the last parts ragged or empty."""
+    width = _ceil_div(span, parts)
+    return [(min(p * width, span), min((p + 1) * width, span)) for p in range(parts)]
+
+
 @dataclass(frozen=True)
 class Tile:
     """One PE's input rectangle. Zero extents mark an idle PE."""
@@ -41,50 +48,24 @@ class Tile:
         return self.wt == 0 or self.ht == 0
 
 
-@dataclass(frozen=True)
-class HaloRegion:
-    """A rectangle of accumulator coordinates and who owns its outputs.
-
-    owner is a PE index, or None for cells whose output coordinate falls
-    outside the valid output plane (dropped at drain time).
-    """
-
-    owner: int | None
-    xa_lo: int
-    xa_hi: int  # exclusive
-    ya_lo: int
-    ya_hi: int  # exclusive
-    interior: bool
-
-
 class _Axis:
     """Tiling arithmetic along one spatial dimension."""
 
     def __init__(self, span: int, parts: int, tap: int, pad: int, stride: int, out: int):
-        self.span = span
-        self.parts = parts
-        self.tap = tap
-        self.pad = pad
-        self.stride = stride
-        self.out = out
-        self.nominal = _ceil_div(span, parts)
-        self.starts = [min(p * self.nominal, span) for p in range(parts)]
-        self.widths = [
-            min((p + 1) * self.nominal, span) - self.starts[p] for p in range(parts)
-        ]
+        self.tap, self.pad, self.stride = tap, pad, stride
+        ranges = plane_partition(span, parts)
+        self.starts = [lo for lo, _ in ranges]
+        self.widths = [hi - lo for lo, hi in ranges]
         # owner of each output coordinate: the part holding the centre input
         # of its receptive window, clamped to the plane
-        self.out_owner = np.empty(out, dtype=np.int64)
-        for o in range(out):
-            anchor = min(max(o * stride - pad + (tap - 1) // 2, 0), span - 1)
-            self.out_owner[o] = min(anchor // self.nominal, parts - 1)
+        anchor = np.clip(np.arange(out) * stride - pad + (tap - 1) // 2, 0, span - 1)
+        owner = anchor // _ceil_div(span, parts)
         self.out_ranges = []
         for p in range(parts):
-            hits = np.nonzero(self.out_owner == p)[0]
-            if hits.size:
-                self.out_ranges.append((int(hits[0]), int(hits[-1]) + 1))
-            else:
-                self.out_ranges.append((0, 0))
+            hits = np.flatnonzero(owner == p)
+            self.out_ranges.append(
+                (int(hits[0]), int(hits[-1]) + 1) if hits.size else (0, 0)
+            )
 
     def acc_base(self, p: int) -> int:
         """Smallest output coordinate reachable from this part's inputs
@@ -96,35 +77,6 @@ class _Axis:
             return 0
         top = (self.starts[p] + self.widths[p] - 1 + self.pad) // self.stride
         return top - self.acc_base(p) + 1
-
-    def nominal_acc_extent(self) -> int:
-        """Extent of a full-width tile, the sizing term for buffers."""
-        top = (self.nominal - 1 + self.pad) // self.stride
-        return top - _ceil_div(-(self.tap - 1) + self.pad, self.stride) + 1
-
-    def cell_owner(self, p: int) -> np.ndarray:
-        """Owner part of each accumulator cell of part p; -1 marks dead."""
-        base = self.acc_base(p)
-        ext = self.acc_extent(p)
-        owner = np.full(ext, -1, dtype=np.int64)
-        for a in range(ext):
-            o = base + a
-            if 0 <= o < self.out:
-                owner[a] = self.out_owner[o]
-        return owner
-
-    @staticmethod
-    def segments(owner: np.ndarray) -> list[tuple[int, int, int]]:
-        """Runs of equal ownership: (owner, lo, hi exclusive)."""
-        runs = []
-        i = 0
-        while i < owner.size:
-            j = i
-            while j < owner.size and owner[j] == owner[i]:
-                j += 1
-            runs.append((int(owner[i]), i, j))
-            i = j
-        return runs
 
 
 @dataclass(frozen=True)
@@ -153,9 +105,6 @@ class TilePlan:
             return 0, 0
         return self._x.acc_extent(t.col), self._y.acc_extent(t.row)
 
-    def nominal_acc_extent(self) -> tuple[int, int]:
-        return self._x.nominal_acc_extent(), self._y.nominal_acc_extent()
-
     def max_acc_cells(self) -> int:
         """Largest per-group spatial accumulator footprint over the PEs."""
         best = 0
@@ -164,12 +113,6 @@ class TilePlan:
             best = max(best, ex * ey)
         return best
 
-    def cell_owner_x(self, pe: int) -> np.ndarray:
-        return self._x.cell_owner(self.tiles[pe].col)
-
-    def cell_owner_y(self, pe: int) -> np.ndarray:
-        return self._y.cell_owner(self.tiles[pe].row)
-
     def owned_out_range(self, pe: int) -> tuple[tuple[int, int], tuple[int, int]]:
         t = self.tiles[pe]
         return self._x.out_ranges[t.col], self._y.out_ranges[t.row]
@@ -177,23 +120,6 @@ class TilePlan:
     def owned_out_cells(self, pe: int) -> int:
         (xl, xh), (yl, yh) = self.owned_out_range(pe)
         return max(0, xh - xl) * max(0, yh - yl)
-
-    def regions(self, pe: int) -> list[HaloRegion]:
-        """Interior / halo / dead rectangles of one PE's accumulator."""
-        t = self.tiles[pe]
-        if t.empty:
-            return []
-        out = []
-        for ox, xl, xh in _Axis.segments(self.cell_owner_x(pe)):
-            for oy, yl, yh in _Axis.segments(self.cell_owner_y(pe)):
-                if ox < 0 or oy < 0:
-                    owner: int | None = None
-                else:
-                    owner = oy * self.pe_cols + ox
-                out.append(
-                    HaloRegion(owner, xl, xh, yl, yh, interior=(owner == pe))
-                )
-        return out
 
 
 def partition_tiles(layer: LayerShape, pe_grid: tuple[int, int]) -> TilePlan:
@@ -230,7 +156,6 @@ class GroupPlan:
 
     kc: int
     groups: tuple[range, ...]
-    acc_cells_per_channel: int
     capacity_entries: int
     double_buffered: bool = True
 
@@ -256,7 +181,7 @@ def choose_kc(layer: LayerShape, arch) -> GroupPlan:
     capacity = physical // 2 if double_buffered else physical
     if cells == 0:
         # every output sees only padding: no product lands anywhere
-        return GroupPlan(layer.K, (range(layer.K),), 0, capacity, double_buffered)
+        return GroupPlan(layer.K, (range(layer.K),), capacity, double_buffered)
     kc = min(layer.K, capacity // cells)
     if kc < 1 and double_buffered and physical // cells >= 1:
         double_buffered = False
@@ -270,24 +195,7 @@ def choose_kc(layer: LayerShape, arch) -> GroupPlan:
     groups = tuple(
         range(k0, min(k0 + kc, layer.K)) for k0 in range(0, layer.K, kc)
     )
-    return GroupPlan(kc, groups, cells, capacity, double_buffered)
-
-
-def output_coord(
-    weight_coord: tuple[int, int, int],
-    act_coord: tuple[int, int],
-    filter_extent: tuple[int, int],
-) -> tuple[int, int, int]:
-    """Accumulator coordinate hit by one weight/activation pair (stride 1).
-
-    The tile-local activation (x, y) multiplied by tap (r, s) lands at
-    (k, x + R-1 - r, y + S-1 - s), always inside the
-    [0, Wt+R-2] x [0, Ht+S-2] accumulator range.
-    """
-    k, r, s = weight_coord
-    x, y = act_coord
-    rr, ss = filter_extent
-    return k, x + (rr - 1) - r, y + (ss - 1) - s
+    return GroupPlan(kc, groups, capacity, double_buffered)
 
 
 def strided_out_coord(global_in: int, tap: int, pad: int, stride: int) -> tuple[int, bool]:

@@ -39,9 +39,10 @@ bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -62,6 +63,7 @@ from .dataflow import (
     TilePlan,
     choose_kc,
     partition_tiles,
+    plane_partition,
 )
 from .tensors import (
     ACCUM_MAX,
@@ -119,6 +121,16 @@ class ArchConfig:
     dcnn_area: AreaTable = DCNN_AREA
 
     def __post_init__(self) -> None:
+        # every other knob is an integer; bools pass only where one is due
+        kinds = {
+            "accum_double_buffered": bool, "dram_values_per_cycle": numbers.Real,
+            "bank_map": str, "energy": EnergyModel,
+            "scnn_area": AreaTable, "dcnn_area": AreaTable,
+        }
+        for f in fields(self):
+            value, kind = getattr(self, f.name), kinds.get(f.name, numbers.Integral)
+            if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+                raise ConfigurationError(f"{f.name} must be {kind.__name__}, got {value!r}")
         for attr in (
             "pe_rows", "pe_cols", "weights_per_fetch", "acts_per_fetch",
             "accum_banks", "bank_entries", "iaram_bytes", "oaram_bytes",
@@ -126,8 +138,12 @@ class ArchConfig:
         ):
             if getattr(self, attr) < 1:
                 raise ConfigurationError(f"{attr} must be >= 1")
-        if self.halo_latency_cycles < 0 or self.dram_values_per_cycle <= 0:
+        if self.halo_latency_cycles < 0 or not self.dram_values_per_cycle > 0:
             raise ConfigurationError("bandwidth/latency knobs must be positive")
+        if not 1 <= self.index_bits <= codec.MAX_INDEX_BITS:
+            raise ConfigurationError(
+                f"index_bits {self.index_bits} outside [1, {codec.MAX_INDEX_BITS}]"
+            )
         if self.bank_map not in ("mod", "xor"):
             raise ConfigurationError(f"unknown bank_map {self.bank_map}")
         if self.accum_banks < self.weights_per_fetch * self.acts_per_fetch:
@@ -167,36 +183,59 @@ def dcnn_arch(base: ArchConfig) -> ArchConfig:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Per-layer outcome of one variant run.
+    """Per-layer outcome of one variant run, made by `SimReport.build`.
 
-    busy counts multiply batches plus bank-conflict stalls; every other
-    PE-cycle (barrier skew, FIFO refill, unhidden drain) is wait, so
-    busy + wait sums to n_pes * cycles exactly.
+    The builder derives energy and its breakdown from the event counts,
+    utilization from events.useful_mults, and the barrier fraction from
+    pe_wait; stall, footprint and per-PE fields default to zero or empty.
+    On the cycle-level engine busy counts multiply batches plus
+    bank-conflict stalls; every other PE-cycle (barrier skew, FIFO refill,
+    unhidden drain) is wait, so busy + wait sums to n_pes * cycles exactly.
     """
 
     layer: str
     variant: str
     cycles: int
-    useful_mults: int
     mult_utilization: float
     barrier_stall_fraction: float
-    bank_conflict_stalls: int
-    fifo_stalls: int
-    drain_overhead_cycles: int
-    stride_skipped: int
     batches: int
     events: EventCounts
     energy: float
     energy_breakdown: dict[str, float]
-    iaram_footprint: Footprint
-    oaram_footprint: Footprint
-    dram_tiled: bool
-    pe_busy: tuple[int, ...]
-    pe_wait: tuple[int, ...]
+    bank_conflict_stalls: int = 0
+    fifo_stalls: int = 0
+    drain_overhead_cycles: int = 0
+    stride_skipped: int = 0
+    iaram_footprint: Footprint = Footprint(0, 0)
+    oaram_footprint: Footprint = Footprint(0, 0)
+    dram_tiled: bool = False
+    pe_busy: tuple[int, ...] = ()
+    pe_wait: tuple[int, ...] = ()
     kc: int = 0
     n_groups: int = 1
-    oracle_checked: bool = False
     tiling_energy_fraction: float = 0.0
+
+    @property
+    def useful_mults(self) -> int:
+        return self.events.useful_mults
+
+    @staticmethod
+    def build(
+        arch: ArchConfig, layer: LayerShape, variant: str, cycles: int,
+        events: EventCounts, batches: int,
+        pe_busy: Sequence[int] = (), pe_wait: Sequence[int] = (), **extra,
+    ) -> SimReport:
+        energy, breakdown = arch.energy.rollup(events)
+        pe_wait = tuple(int(w) for w in pe_wait)
+        return SimReport(
+            layer=layer.name, variant=variant, cycles=cycles,
+            mult_utilization=(
+                events.useful_mults / (arch.total_mults * cycles) if cycles else 0.0
+            ),
+            barrier_stall_fraction=sum(pe_wait) / (arch.n_pes * cycles) if cycles else 0.0,
+            batches=batches, events=events, energy=energy, energy_breakdown=breakdown,
+            pe_busy=tuple(int(b) for b in pe_busy), pe_wait=pe_wait, **extra,
+        )
 
 
 @dataclass(frozen=True)
@@ -481,12 +520,6 @@ def max_pool(plane: np.ndarray, pool: PoolSpec) -> np.ndarray:
     return out
 
 
-def plane_partition(span: int, parts: int) -> list[tuple[int, int]]:
-    """Even split of an output plane axis, last parts ragged or empty."""
-    width = -((-span) // parts)
-    return [(min(p * width, span), min((p + 1) * width, span)) for p in range(parts)]
-
-
 def _out_rects(
     w: int, h: int, pe_rows: int, pe_cols: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -747,31 +780,15 @@ def simulate_scnn_layer(
     ev.mult_slots = batches_total * F * I
     ev.pe_max_batches = int(pe_busy.max())
 
-    energy, breakdown = arch.energy.rollup(ev)
-    util = useful / (arch.total_mults * total_cycles) if total_cycles else 0.0
-    wait_total = int(pe_wait.sum())
-    report = SimReport(
-        layer=layer.name,
-        variant=VARIANT_SCNN,
-        cycles=total_cycles,
-        useful_mults=useful,
-        mult_utilization=util,
-        barrier_stall_fraction=(
-            wait_total / (n_pes * total_cycles) if total_cycles else 0.0
-        ),
+    report = SimReport.build(
+        arch, layer, VARIANT_SCNN, total_cycles, ev, batches_total, pe_busy, pe_wait,
         bank_conflict_stalls=conflict_stalls_total,
         fifo_stalls=fifo_stalls_total,
         drain_overhead_cycles=drain_overhead_total,
         stride_skipped=stride_skipped,
-        batches=batches_total,
-        events=ev,
-        energy=energy,
-        energy_breakdown=breakdown,
         iaram_footprint=iaram_fp,
         oaram_footprint=oaram_fp,
         dram_tiled=dram_tiled,
-        pe_busy=tuple(int(b) for b in pe_busy),
-        pe_wait=tuple(int(w) for w in pe_wait),
         kc=gplan.kc,
         n_groups=gplan.n_groups,
     )
@@ -829,32 +846,12 @@ def simulate_dcnn_layer(
         out_values > dense_arch.n_pes * dense_arch.oaram_value_capacity
     )
 
-    energy, breakdown = arch.energy.rollup(counts)
-    useful = counts.useful_mults
-    util = useful / (arch.total_mults * cycles) if cycles else 0.0
-    wait = [cycles - b for b in pe_busy]
-    return SimReport(
-        layer=layer.name,
-        variant=variant,
-        cycles=cycles,
-        useful_mults=useful,
-        mult_utilization=util,
-        barrier_stall_fraction=(
-            sum(wait) / (arch.n_pes * cycles) if cycles else 0.0
-        ),
-        bank_conflict_stalls=0,
-        fifo_stalls=0,
-        drain_overhead_cycles=0,
-        stride_skipped=0,
-        batches=sum(pe_busy),
-        events=counts,
-        energy=energy,
-        energy_breakdown=breakdown,
+    return SimReport.build(
+        arch, layer, variant, cycles, counts, sum(pe_busy), pe_busy,
+        [cycles - b for b in pe_busy],
         iaram_footprint=Footprint(in_values * 16, 0),
         oaram_footprint=Footprint(out_values * 16, 0),
         dram_tiled=dram_tiled,
-        pe_busy=tuple(pe_busy),
-        pe_wait=tuple(wait),
     )
 
 

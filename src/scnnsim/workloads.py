@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -128,7 +128,10 @@ def _density(mapping: dict, key: str, path: str, default=None, required=True) ->
 def _pool(raw, path: str) -> PoolSpec | None:
     if raw is None:
         return None
-    return PoolSpec(_field(raw, "window", path, int), _field(raw, "stride", path, int))
+    window, stride = _field(raw, "window", path, int), _field(raw, "stride", path, int)
+    if window < 1 or stride < 1:
+        raise DescriptorError(f"{path}: window {window} and stride {stride} must be >= 1")
+    return PoolSpec(window, stride)
 
 
 def _load_chain(doc: dict, name: str) -> tuple[LayerSpec, ...]:
@@ -294,7 +297,7 @@ def load_network(path: str | Path) -> NetworkDescriptor:
     """Load and validate a network descriptor (a path or a shipped name)."""
     p = Path(path)
     if not p.exists():
-        builtin = resources.files("scnnsim.networks").joinpath(f"{path}.yaml")
+        builtin = resources.files("scnnsim") / "networks" / f"{path}.yaml"
         if builtin.is_file():
             return _parse_network(builtin.read_text(), str(path))
         raise DescriptorError(f"network descriptor not found: {path}")
@@ -302,7 +305,9 @@ def load_network(path: str | Path) -> NetworkDescriptor:
 
 
 def shipped_networks() -> list[str]:
-    files = resources.files("scnnsim.networks")
+    # networks/ has no __init__.py, so it is reached through the scnnsim
+    # package: a namespace-package lookup fails in zipped installs
+    files = resources.files("scnnsim") / "networks"
     return sorted(
         f.name[: -len(".yaml")] for f in files.iterdir() if f.name.endswith(".yaml")
     )
@@ -352,23 +357,45 @@ class ExperimentConfig:
     """Everything an experiment run needs beyond the descriptor."""
 
     arch: ArchConfig = field(default_factory=ArchConfig)
-    variants: tuple[str, ...] = ALL_VARIANTS
     seed: int = 1
     densities: tuple[float, ...] = (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
-    grids: tuple[tuple[int, int], ...] = ((2, 2), (4, 4), (8, 8))
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
-        _check_variants(self.variants)
-        if self.seed is None:
-            raise ConfigurationError("a seed is mandatory (determinism contract)")
+        if not self.densities:
+            raise ConfigurationError("at least one sweep density is required")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigurationError(f"seed {self.seed!r} is not an integer >= 0")
         for d in self.densities:
             if not 0.0 < d <= 1.0:
                 raise ConfigurationError(f"sweep density {d} outside (0, 1]")
 
 
+CONFIG_KEYS = ("schema_version", "arch", "energy", "seed", "sweep", "out_dir")
+
+
+def _known_keys(mapping: dict, keys: Sequence[str], path: str) -> None:
+    for key in mapping:
+        if key not in keys:
+            expected = ", ".join(keys)
+            raise DescriptorError(f"{path}: unknown key {key!r} (expected {expected})")
+
+
+def _build(cls, kw: dict, path: str):
+    """cls(**kw) with every failure a one-line DescriptorError. Unknown names
+    are refused first: the constructor's TypeError prints them unescaped."""
+    _known_keys(kw, [f.name for f in fields(cls)], path)
+    try:
+        return cls(**kw)
+    except (TypeError, ValueError) as e:
+        raise DescriptorError(f"{path}: {e}") from e
+
+
 def load_experiment_config(path: str | Path | None) -> ExperimentConfig:
-    """Build an ExperimentConfig from a YAML file of overrides (or defaults)."""
+    """Build an ExperimentConfig from a YAML file of overrides (or defaults).
+
+    Every problem with the file is a DescriptorError or ConfigurationError
+    whose message starts with the path."""
     if path is None:
         return ExperimentConfig()
     try:
@@ -377,32 +404,34 @@ def load_experiment_config(path: str | Path | None) -> ExperimentConfig:
         raise ConfigurationError(
             f"{path}: cannot read experiment config: {e.strerror}"
         ) from e
-    doc = _load_yaml(text, str(path))
+    where = str(path)
+    doc = _load_yaml(text, where)
     if not isinstance(doc, dict):
-        raise DescriptorError(f"{path}: expected a mapping at top level")
-    version = _field(doc, "schema_version", str(path), int)
+        raise DescriptorError(f"{where}: expected a mapping at top level")
+    _known_keys(doc, CONFIG_KEYS, where)
+    version = _field(doc, "schema_version", where, int)
     if version != SCHEMA_VERSION:
-        raise DescriptorError(f"{path}: schema_version {version} != {SCHEMA_VERSION}")
-    arch_kw = dict(doc.get("arch", {}))
+        raise DescriptorError(f"{where}: schema_version {version} != {SCHEMA_VERSION}")
+    arch_kw = dict(_field(doc, "arch", where, dict, {}, required=False))
     if "energy" in doc:
-        try:
-            arch_kw["energy"] = EnergyModel(**doc["energy"])
-        except TypeError as e:
-            raise DescriptorError(f"{path}: bad energy field: {e}") from e
-    try:
-        arch = ArchConfig(**arch_kw)
-    except TypeError as e:
-        raise DescriptorError(f"{path}: bad arch field: {e}") from e
-    kw = {}
-    if "variants" in doc:
-        kw["variants"] = tuple(doc["variants"])
+        energy = _field(doc, "energy", where, dict)
+        arch_kw["energy"] = _build(EnergyModel, energy, f"{where}: bad energy field")
+    kw = {"arch": _build(ArchConfig, arch_kw, f"{where}: bad arch field")}
     if "seed" in doc:
-        kw["seed"] = int(doc["seed"])
-    if "sweep" in doc and "densities" in doc["sweep"]:
-        kw["densities"] = tuple(float(d) for d in doc["sweep"]["densities"])
+        kw["seed"] = _field(doc, "seed", where, int)
+    sweep = _field(doc, "sweep", where, dict, {}, required=False)
+    _known_keys(sweep, ("densities",), f"{where}.sweep")
+    if "densities" in sweep:
+        points = _field(sweep, "densities", f"{where}.sweep", list)
+        for i, d in enumerate(points):
+            if isinstance(d, bool) or not isinstance(d, (int, float)) or not 0 < d <= 1:
+                raise DescriptorError(
+                    f"{where}.sweep.densities[{i}]: {d!r} is not a density in (0, 1]"
+                )
+        kw["densities"] = tuple(float(d) for d in points)
     if "out_dir" in doc:
-        kw["out_dir"] = str(doc["out_dir"])
-    return ExperimentConfig(arch=arch, **kw)
+        kw["out_dir"] = _field(doc, "out_dir", where, str)
+    return _build(ExperimentConfig, kw, where)
 
 
 def synth_weights(spec: LayerSpec, seed: int) -> DenseTensor:
@@ -470,31 +499,12 @@ class NetworkRun:
 
 
 def _oracle_report(layer: LayerShape, useful: int, arch: ArchConfig) -> SimReport:
-    """Upper-bound row: every useful multiply lands on a busy multiplier."""
+    """Upper-bound row: every useful multiply lands on a busy multiplier,
+    so its utilization is 1 by definition."""
     cycles = math.ceil(useful / arch.total_mults) if useful else 0
     ev = EventCounts(useful_mults=useful, energized_mults=useful, mult_ops=useful)
-    energy = useful * arch.energy.mult_op
-    return SimReport(
-        layer=layer.name,
-        variant=VARIANT_ORACLE,
-        cycles=cycles,
-        useful_mults=useful,
-        mult_utilization=1.0 if useful else 0.0,
-        barrier_stall_fraction=0.0,
-        bank_conflict_stalls=0,
-        fifo_stalls=0,
-        drain_overhead_cycles=0,
-        stride_skipped=0,
-        batches=cycles,
-        events=ev,
-        energy=energy,
-        energy_breakdown={"multiply": energy},
-        iaram_footprint=None,
-        oaram_footprint=None,
-        dram_tiled=False,
-        pe_busy=(),
-        pe_wait=(),
-    )
+    report = SimReport.build(arch, layer, VARIANT_ORACLE, cycles, ev, cycles)
+    return replace(report, mult_utilization=1.0 if useful else 0.0)
 
 
 def _tiling_fraction(report: SimReport, arch: ArchConfig) -> float:
@@ -504,8 +514,6 @@ def _tiling_fraction(report: SimReport, arch: ArchConfig) -> float:
         return 0.0
     round_trip_bits = (
         report.iaram_footprint.total_bits + report.oaram_footprint.total_bits
-        if report.iaram_footprint is not None
-        else 0
     )
     penalty = round_trip_bits * arch.energy.dram_bit
     base = report.energy - penalty
@@ -551,12 +559,9 @@ def _sim_layer(
             checked = True
             reports[VARIANT_ORACLE] = _oracle_report(spec.shape, rep.useful_mults, arch)
         if VARIANT_SCNN in variants:
-            rep = replace(
-                rep,
-                oracle_checked=checked,
-                tiling_energy_fraction=_tiling_fraction(rep, arch),
+            reports[VARIANT_SCNN] = replace(
+                rep, tiling_energy_fraction=_tiling_fraction(rep, arch)
             )
-            reports[VARIANT_SCNN] = rep
     for variant in (VARIANT_DCNN, VARIANT_DCNN_OPT):
         if variant in variants:
             reports[variant] = simulate_dcnn_layer(
@@ -601,30 +606,9 @@ def _analytic_layer(
             _, base_energy = analytic_time_energy(base_counts, eff_arch, arch.energy)
             if base_energy > 0:
                 frac = (energy - base_energy) / base_energy
-        util = (
-            counts.useful_mults / (arch.total_mults * cycles) if cycles else 0.0
-        )
-        reports[variant] = SimReport(
-            layer=shape.name,
-            variant=variant,
-            cycles=cycles,
-            useful_mults=counts.useful_mults,
-            mult_utilization=util,
-            barrier_stall_fraction=0.0,
-            bank_conflict_stalls=0,
-            fifo_stalls=0,
-            drain_overhead_cycles=0,
-            stride_skipped=0,
-            batches=counts.pe_max_batches,
-            events=counts,
-            energy=energy,
-            energy_breakdown=arch.energy.rollup(counts)[1],
-            iaram_footprint=None,
-            oaram_footprint=None,
-            dram_tiled=tiled,
-            pe_busy=(),
-            pe_wait=(),
-            tiling_energy_fraction=frac,
+        reports[variant] = SimReport.build(
+            arch, shape, variant, cycles, counts, counts.pe_max_batches,
+            dram_tiled=tiled, tiling_energy_fraction=frac,
         )
     return reports
 

@@ -54,6 +54,44 @@ def test_bad_run_input_is_a_one_line_error(argv, message, tmp_path, capsys):
         ("--config", "schema_version: 1\nenergy: {bogus: 1.0}\n", ": bad energy field"),
         ("--config", "schema_version: 1\nseed: [1\n", ": not valid YAML at line 3"),
         ("--network", "name: [x\n", ": not valid YAML at line 2"),
+        ("--config", "schema_version: 1\narch: 3\n", ".arch: expected dict, got 3"),
+        ("--config", "schema_version: 1\nseed: null\n", ".seed: expected int, got None"),
+        ("--config", "schema_version: 1\nsweep: 3\n", ".sweep: expected dict, got 3"),
+        (
+            "--config", "schema_version: 1\nsweep: {densities: [abc]}\n",
+            ".sweep.densities[0]: 'abc' is not a density in (0, 1]",
+        ),
+        (
+            "--config", "schema_version: 1\narch: {index_bits: 0}\n",
+            ": bad arch field: index_bits 0 outside [1, 62]",
+        ),
+        (
+            "--config", "schema_version: 1\narch: {index_bits: 63}\n",
+            ": bad arch field: index_bits 63 outside [1, 62]",
+        ),
+        (
+            "--config", "schema_version: 1\narch: {pe_rows: 2.5}\n",
+            ": bad arch field: pe_rows must be Integral, got 2.5",
+        ),
+        ("--config", "schema_version: 1\nseed: -1\n", ": seed -1 is not an integer >= 0"),
+        (
+            "--config", "schema_version: 1\nvariants: [scnn]\n",
+            ": unknown key 'variants' (expected schema_version, arch, energy, seed, "
+            "sweep, out_dir)",
+        ),
+        ("--config", "schema_version: 1\ngrids: [[2, 2]]\n", ": unknown key 'grids'"),
+        (
+            "--config", "schema_version: 1\nenergy: {mult_op: .nan}\n",
+            ": bad energy field: energy coefficient mult_op must be >= 0",
+        ),
+        (
+            "--config", "schema_version: 1\nsweep: {densities: []}\n",
+            ": at least one sweep density is required",
+        ),
+        (
+            "--config", "schema_version: 1\nsweep: {grids: [[2, 2]]}\n",
+            ".sweep: unknown key 'grids'",
+        ),
     ],
 )
 def test_bad_input_file_is_a_one_line_error(option, text, message, tmp_path, capsys):
@@ -102,10 +140,19 @@ LAYER = "{name: c1, K: 4, R: 3, S: 3, weight_density: 0.5, act_density: 0.5"
             "modules: [{name: m}]\n",
             "bad.inter_module_pool: expected dict, got None",
         ),
+        (
+            CHAIN_HEAD + f"layers: [{LAYER}, pool: {{window: 2, stride: 0}}}}]\n",
+            "bad.layers[0].pool: window 2 and stride 0 must be >= 1",
+        ),
+        (
+            "schema_version: 1\nname: bad\ntopology: modules\n"
+            "inter_module_pool: {window: 0, stride: 2}\nmodules: [{name: m}]\n",
+            "bad.inter_module_pool: window 0 and stride 2 must be >= 1",
+        ),
     ],
     ids=[
         "int-layer", "str-layer", "int-pool", "int-module", "int-inter-module-pool",
-        "null-inter-module-pool",
+        "null-inter-module-pool", "zero-pool-stride", "zero-inter-module-pool-window",
     ],
 )
 def test_non_mapping_descriptor_entry_is_a_one_line_error(text, message, tmp_path, capsys):
@@ -115,3 +162,12 @@ def test_non_mapping_descriptor_entry_is_a_one_line_error(text, message, tmp_pat
     err = capsys.readouterr().err
     assert rc == 2
     assert err == f"error: {message}\n"
+
+
+def test_seed_option_is_checked_like_the_config_seed(tmp_path, capsys):
+    rc = main([
+        "run", "--network", "inception_mini", "--seed", "-1", "--engine", "sim",
+        "--out-dir", str(tmp_path),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: seed -1 is not an integer >= 0\n"

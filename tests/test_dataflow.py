@@ -6,7 +6,6 @@ from scnnsim.dataflow import (
     ConfigurationError,
     cartesian_work,
     choose_kc,
-    output_coord,
     partition_tiles,
     strided_out_coord,
 )
@@ -28,21 +27,35 @@ def layer(**kw):
     return LayerShape(kw.get("name", "l"), **{k: v for k, v in base.items() if k != "name"})
 
 
+def reached(x0, width, taps, pad, stride):
+    """Output coordinates, in the plane or not, that inputs [x0, x0 + width)
+    reach through some tap."""
+    out = set()
+    for x in range(x0, x0 + width):
+        for tap in range(taps):
+            o, ok = strided_out_coord(x, tap, pad, stride)
+            if ok:
+                out.add(o)
+    return out
+
+
 class TestPartition:
     def test_even_2x2(self):
         plan = partition_tiles(layer(W=8, H=8), (2, 2))
         assert all(t.wt == 4 and t.ht == 4 for t in plan.tiles)
         assert plan.acc_extent(0) == (6, 6)
-        # shared-edge halo is one cell wide for a 3x3 filter with pad 1
-        regions = plan.regions(0)
-        exported = [r for r in regions if not r.interior and r.owner is not None]
-        assert any(r.xa_lo == 5 and r.xa_hi == 6 for r in exported)
+        # PE 0's accumulator spans outputs [-1, 5): one dead cell, its own
+        # [0, 4), and a one-cell halo at 4 owned by the neighbour in x
+        assert plan.acc_base(0) == (-1, -1)
+        assert plan.owned_out_range(0) == ((0, 4), (0, 4))
+        assert plan.owned_out_range(1) == ((4, 8), (0, 4))
 
     def test_monolithic_grid(self):
         plan = partition_tiles(layer(W=8, H=8), (1, 1))
         assert plan.acc_extent(0) == (10, 10)
-        regions = plan.regions(0)
-        assert all(r.owner in (0, None) for r in regions)
+        # the accumulator spans outputs [-1, 9); the one PE owns the plane
+        assert plan.acc_base(0) == (-1, -1)
+        assert plan.owned_out_range(0) == ((0, 8), (0, 8))
 
     def test_tiles_partition_plane_exactly(self):
         lay = layer(W=13, H=11)
@@ -76,23 +89,21 @@ class TestPartition:
             (xl, xh), (yl, yh) = plan.owned_out_range(pe)
             seen[xl:xh, yl:yh] += 1
         assert (seen == 1).all()
-        # every owned coordinate is reachable from the owner's accumulator,
-        # and exported halo cells name the true owner of that coordinate
         for pe in range(plan.n_pes):
             t = plan.tile(pe)
             if t.empty:
+                assert plan.owned_out_cells(pe) == 0
                 continue
-            xb, yb = plan.acc_base(pe)
-            ex, ey = plan.acc_extent(pe)
-            for region in plan.regions(pe):
-                for xa in range(region.xa_lo, region.xa_hi):
-                    for ya in range(region.ya_lo, region.ya_hi):
-                        xo, yo = xb + xa, yb + ya
-                        if region.owner is None:
-                            assert not (0 <= xo < lay.Wo and 0 <= yo < lay.Ho)
-                        else:
-                            (oxl, oxh), (oyl, oyh) = plan.owned_out_range(region.owner)
-                            assert oxl <= xo < oxh and oyl <= yo < oyh
+            # the accumulator window is exactly the outputs the tile's
+            # inputs reach, so every in-plane cell of it has an owner
+            (xb, yb), (ex, ey) = plan.acc_base(pe), plan.acc_extent(pe)
+            assert reached(t.x0, t.wt, r, pad, stride) == set(range(xb, xb + ex))
+            assert reached(t.y0, t.ht, s, pad, stride) == set(range(yb, yb + ey))
+            # and holds every output the PE owns, which the halo merge needs
+            (oxl, oxh), (oyl, oyh) = plan.owned_out_range(pe)
+            if oxl < oxh and oyl < oyh:
+                assert xb <= oxl and oxh <= xb + ex
+                assert yb <= oyl and oyh <= yb + ey
 
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -135,22 +146,6 @@ class TestChooseKc:
 
 
 class TestOutputCoord:
-    def test_1x1_passthrough(self):
-        assert output_coord((2, 0, 0), (3, 5), (1, 1)) == (2, 3, 5)
-
-    def test_corner(self):
-        assert output_coord((0, 2, 2), (0, 0), (3, 3)) == (0, 0, 0)
-
-    def test_range_guarantee(self):
-        R, S, wt, ht = 5, 3, 4, 6
-        for r in range(R):
-            for s in range(S):
-                for x in range(wt):
-                    for y in range(ht):
-                        _, xa, ya = output_coord((0, r, s), (x, y), (R, S))
-                        assert 0 <= xa <= wt + R - 2
-                        assert 0 <= ya <= ht + S - 2
-
     def test_strided_skip(self):
         xo, ok = strided_out_coord(5, 0, 0, 4)
         assert not ok

@@ -1,16 +1,25 @@
-"""Network descriptors, and what each engine of run_network builds."""
+"""Network descriptors, experiment configs, and what each engine of
+run_network builds."""
 
 import weakref
+from dataclasses import fields
 
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from scnnsim import workloads
+from scnnsim.analytic import EnergyModel
 from scnnsim.dataflow import ConfigurationError
-from scnnsim.simulator import ArchConfig
+from scnnsim.simulator import VARIANT_DCNN, ArchConfig
 from scnnsim.workloads import (
+    ALL_VARIANTS,
     VARIANT_ORACLE,
     VARIANT_SCNN,
+    DescriptorError,
+    ExperimentConfig,
     density_sweep,
+    load_experiment_config,
     load_network,
     run_network,
 )
@@ -82,3 +91,71 @@ def test_unknown_engine_rejected(engine):
         density_sweep(net, ArchConfig(), (0.5,), engine=engine)
     with pytest.raises(ConfigurationError, match="unknown engine"):
         run_network(net, ArchConfig(), engine=engine)
+
+
+@pytest.mark.parametrize("engine", ["sim", "analytic"])
+def test_every_report_obeys_its_definitions(engine, tmp_path):
+    path = tmp_path / "tiny.yaml"
+    path.write_text(TINY_CHAIN)
+    arch = ArchConfig()
+    run = run_network(load_network(path), arch, ALL_VARIANTS, seed=3, engine=engine)
+    for lr in run.layers:
+        assert set(lr.reports) == set(ALL_VARIANTS)
+        for variant, rep in lr.reports.items():
+            assert rep.useful_mults == rep.events.useful_mults
+            assert rep.energy == sum(rep.energy_breakdown.values())
+            if variant == VARIANT_ORACLE:
+                assert rep.mult_utilization == (1.0 if rep.useful_mults else 0.0)
+            else:
+                assert rep.mult_utilization == (
+                    rep.useful_mults / (arch.total_mults * rep.cycles)
+                )
+            if engine == "sim" and variant in (VARIANT_SCNN, VARIANT_DCNN):
+                assert len(rep.pe_busy) == len(rep.pe_wait) == arch.n_pes
+                assert sum(rep.pe_busy) + sum(rep.pe_wait) == arch.n_pes * rep.cycles
+
+
+YAML_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def settings_of(names):
+    """Mappings keyed mostly by real setting names, valued by any YAML."""
+    keys = st.sampled_from(names) | st.text(max_size=8)
+    return st.dictionaries(keys, YAML_VALUES, max_size=4) | YAML_VALUES
+
+
+# every top-level key the loader reads, each optional and of any YAML type;
+# a wrong schema_version or an unknown key is refused before any of them
+CONFIG_DOCS = st.fixed_dictionaries(
+    {"schema_version": st.just(1)},
+    optional={
+        "arch": settings_of([f.name for f in fields(ArchConfig)]),
+        "energy": settings_of([f.name for f in fields(EnergyModel)]),
+        "seed": st.integers() | YAML_VALUES,
+        "sweep": settings_of(["densities"]),
+        "out_dir": st.text(max_size=8) | YAML_VALUES,
+    },
+)
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "config.yaml"
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=CONFIG_DOCS)
+def test_config_loader_returns_or_raises_a_path_qualified_error(doc, config_path):
+    config_path.write_text(yaml.safe_dump(doc))
+    try:
+        cfg = load_experiment_config(config_path)
+    except (DescriptorError, ConfigurationError) as e:
+        assert str(e).startswith(str(config_path))
+        assert "\n" not in str(e)
+    else:
+        assert isinstance(cfg, ExperimentConfig)
