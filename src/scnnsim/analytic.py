@@ -1,23 +1,66 @@
-"""Analytical cost model: event counting, bottleneck cycles, energy and area.
+"""Analytical cost model: event counting, bottleneck cycles, energy and
+area, plus the architecture, report and footprint types both engines share.
 
 Energy coefficients are relative estimates shipped in the config (ordered
 DRAM >> RAM > FIFO > multiply); absolute joules are never asserted. The area
 tables reproduce the published per-structure breakdowns at the default sizes
 and scale linearly with the configured structure sizes.
+
+This module imports no numpy: an analytic run reads only layer shapes and
+densities, so it loads neither numpy nor the cycle-level engine (see the
+package docstring).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import numbers
+import warnings
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from statistics import NormalDist
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+from .dataflow import (
+    ConfigurationError,
+    LayerShape,
+    cartesian_work,
+    choose_kc,
+    partition_tiles,
+)
 
-from .codec import FootprintModel
-from .dataflow import ConfigurationError, choose_kc, partition_tiles
-from .tensors import DenseTensor, LayerShape
+if TYPE_CHECKING:
+    from .tensors import DenseTensor
+
+VARIANT_SCNN = "scnn"
+VARIANT_DCNN = "dcnn"
+VARIANT_DCNN_OPT = "dcnn-opt"
+
+# compressed runs are held as int64, so an index field is at most 62 bits wide
+MAX_INDEX_BITS = 62
+
+
+@dataclass(frozen=True)
+class FootprintModel:
+    """Bits charged per stored value: the value itself plus the per-value
+    coordinate overhead the buffers carry."""
+
+    value_bits: int = 16
+    index_overhead_bits: int = 10
+
+
+@dataclass(frozen=True)
+class Footprint:
+    data_bits: int
+    index_bits: int
+
+    @property
+    def total_bits(self) -> int:
+        return self.data_bits + self.index_bits
+
+    @property
+    def total_bytes(self) -> float:
+        return self.total_bits / 8
 
 
 @dataclass
@@ -161,15 +204,162 @@ def area_model(arch, table: AreaTable) -> tuple[float, dict[str, float]]:
     return total, per_pe
 
 
-def _tile_classes(plan) -> list[tuple[int, int, int, int, int, int]]:
-    """Distinct tile shapes with multiplicity: (count, wt, ht, ex, ey, out_cells)."""
-    seen: dict[tuple[int, int, int, int, int], int] = {}
-    for pe in range(plan.n_pes):
-        t = plan.tile(pe)
-        ex, ey = plan.acc_extent(pe)
-        key = (t.wt, t.ht, ex, ey, plan.owned_out_cells(pe))
-        seen[key] = seen.get(key, 0) + 1
-    return [(n, *k) for k, n in seen.items()]
+@dataclass(frozen=True)
+class PoolSpec:
+    """Max pooling applied by the post-processing unit after ReLU.
+
+    Output sizing is ceil-mode: partial windows at the far edge produce an
+    output, matching the pooling conventions of the shipped networks."""
+
+    window: int
+    stride: int
+
+    def out_extent(self, span: int) -> int:
+        if span < 1:
+            return 0
+        return max(1, -((-(span - self.window)) // self.stride) + 1)
+
+
+@dataclass(frozen=True)
+class ArchConfig:
+    """Hardware knobs for the sparse accelerator and its dense baselines."""
+
+    pe_rows: int = 8
+    pe_cols: int = 8
+    weights_per_fetch: int = 4   # weight vector width per cycle
+    acts_per_fetch: int = 4      # activation vector width per cycle
+    accum_banks: int = 32
+    bank_entries: int = 32
+    iaram_bytes: int = 10 * 1024
+    oaram_bytes: int = 10 * 1024
+    weight_fifo_entries: int = 50  # F-wide vectors resident per PE
+    accum_double_buffered: bool = True
+    dram_values_per_cycle: float = 16.0  # 16-bit value units per cycle
+    ppu_values_per_cycle: int = 16
+    halo_latency_cycles: int = 0
+    act_ram_port_bits: int = 104  # per-PE activation RAM bits per cycle
+    index_bits: int = 4
+    bank_map: str = "mod"  # or "xor": fold the linear coordinate before mod
+    energy: EnergyModel = field(default_factory=EnergyModel)
+    scnn_area: AreaTable = SCNN_AREA
+    dcnn_area: AreaTable = DCNN_AREA
+
+    def __post_init__(self) -> None:
+        # every other knob is an integer; bools pass only where one is due
+        kinds = {
+            "accum_double_buffered": bool, "dram_values_per_cycle": numbers.Real,
+            "bank_map": str, "energy": EnergyModel,
+            "scnn_area": AreaTable, "dcnn_area": AreaTable,
+        }
+        for f in fields(self):
+            value, kind = getattr(self, f.name), kinds.get(f.name, numbers.Integral)
+            if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+                raise ConfigurationError(f"{f.name} must be {kind.__name__}, got {value!r}")
+        for attr in (
+            "pe_rows", "pe_cols", "weights_per_fetch", "acts_per_fetch",
+            "accum_banks", "bank_entries", "iaram_bytes", "oaram_bytes",
+            "weight_fifo_entries", "ppu_values_per_cycle", "act_ram_port_bits",
+        ):
+            if getattr(self, attr) < 1:
+                raise ConfigurationError(f"{attr} must be >= 1")
+        if self.halo_latency_cycles < 0 or not self.dram_values_per_cycle > 0:
+            raise ConfigurationError("bandwidth/latency knobs must be positive")
+        if not 1 <= self.index_bits <= MAX_INDEX_BITS:
+            raise ConfigurationError(
+                f"index_bits {self.index_bits} outside [1, {MAX_INDEX_BITS}]"
+            )
+        if self.bank_map not in ("mod", "xor"):
+            raise ConfigurationError(f"unknown bank_map {self.bank_map}")
+        if self.accum_banks < self.weights_per_fetch * self.acts_per_fetch:
+            warnings.warn(
+                "accumulator banks fewer than multiplier products per cycle; "
+                "expect heavy contention",
+                stacklevel=2,
+            )
+
+    @property
+    def n_pes(self) -> int:
+        return self.pe_rows * self.pe_cols
+
+    @property
+    def mults_per_pe(self) -> int:
+        return self.weights_per_fetch * self.acts_per_fetch
+
+    @property
+    def total_mults(self) -> int:
+        return self.n_pes * self.mults_per_pe
+
+    @property
+    def iaram_value_capacity(self) -> int:
+        return self.iaram_bytes * 8 // 16
+
+    @property
+    def oaram_value_capacity(self) -> int:
+        return self.oaram_bytes * 8 // 16
+
+
+def dcnn_arch(base: ArchConfig) -> ArchConfig:
+    """Dense baseline provisioning: same multiplier budget, 2MB of plain
+    activation SRAM instead of 1MB of compressed RAM."""
+    per_ram = 2 * 1024 * 1024 // (2 * base.n_pes)
+    return replace(base, iaram_bytes=per_ram, oaram_bytes=per_ram)
+
+
+@dataclass(frozen=True)
+class SimReport:
+    """Per-layer outcome of one variant run, made by `SimReport.build`.
+
+    The builder derives energy and its breakdown from the event counts,
+    utilization from events.useful_mults, and the barrier fraction from
+    pe_wait; stall, footprint and per-PE fields default to zero or empty.
+    On the cycle-level engine busy counts multiply batches plus
+    bank-conflict stalls; every other PE-cycle (barrier skew, FIFO refill,
+    unhidden drain) is wait, so busy + wait sums to n_pes * cycles exactly.
+    """
+
+    layer: str
+    variant: str
+    cycles: int
+    mult_utilization: float
+    barrier_stall_fraction: float
+    batches: int
+    events: EventCounts
+    energy: float
+    energy_breakdown: dict[str, float]
+    bank_conflict_stalls: int = 0
+    fifo_stalls: int = 0
+    drain_overhead_cycles: int = 0
+    stride_skipped: int = 0
+    iaram_footprint: Footprint = Footprint(0, 0)
+    oaram_footprint: Footprint = Footprint(0, 0)
+    dram_tiled: bool = False
+    pe_busy: tuple[int, ...] = ()
+    pe_wait: tuple[int, ...] = ()
+    kc: int = 0
+    n_groups: int = 1
+    tiling_energy_fraction: float = 0.0
+
+    @property
+    def useful_mults(self) -> int:
+        return self.events.useful_mults
+
+    @staticmethod
+    def build(
+        arch: ArchConfig, layer: LayerShape, variant: str, cycles: int,
+        events: EventCounts, batches: int,
+        pe_busy: Sequence[int] = (), pe_wait: Sequence[int] = (), **extra,
+    ) -> SimReport:
+        energy, breakdown = arch.energy.rollup(events)
+        pe_wait = tuple(int(w) for w in pe_wait)
+        return SimReport(
+            layer=layer.name, variant=variant, cycles=cycles,
+            mult_utilization=(
+                events.useful_mults / (arch.total_mults * cycles) if cycles else 0.0
+            ),
+            barrier_stall_fraction=sum(pe_wait) / (arch.n_pes * cycles) if cycles else 0.0,
+            batches=batches, events=events, energy=energy, energy_breakdown=breakdown,
+            pe_busy=tuple(int(b) for b in pe_busy), pe_wait=pe_wait, **extra,
+        )
 
 
 @lru_cache(maxsize=4096)
@@ -182,17 +372,15 @@ def _ceil_vec_moments(n: int, p: float, v: int) -> tuple[float, float]:
     if p >= 1.0:
         c = math.ceil(n / v)
         return float(c), float(c * c)
-    ks = np.arange(n + 1)
-    log_comb = (
-        math.lgamma(n + 1)
-        - np.array([math.lgamma(k + 1) + math.lgamma(n - k + 1) for k in range(n + 1)])
-    )
-    logpmf = log_comb + ks * math.log(p) + (n - ks) * math.log1p(-p)
-    pmf = np.exp(logpmf)
-    ceils = -(-ks // v)
-    e1 = float((pmf * ceils).sum())
-    e2 = float((pmf * ceils * ceils).sum())
-    return e1, e2
+    log_n, log_p, log_q = math.lgamma(n + 1), math.log(p), math.log1p(-p)
+    terms1, terms2 = [], []
+    for k in range(n + 1):
+        log_comb = log_n - (math.lgamma(k + 1) + math.lgamma(n - k + 1))
+        pmf = math.exp(log_comb + k * log_p + (n - k) * log_q)
+        ceil_k = -(-k // v)
+        terms1.append(pmf * ceil_k)
+        terms2.append(pmf * ceil_k * ceil_k)
+    return math.fsum(terms1), math.fsum(terms2)
 
 
 def _max_of(n: int, mean: float, var: float) -> float:
@@ -240,8 +428,6 @@ def count_events(
 
     dense_cart = layer.filters_per_group * layer.C * layer.R * layer.S * layer.W * layer.H
     if weights is not None and acts is not None:
-        from .dataflow import cartesian_work
-
         useful = cartesian_work(layer, weights, acts)
     else:
         useful = round(dense_cart * wd * ad)
@@ -261,7 +447,7 @@ def count_events(
                 segs.append((layer.channels_per_group, elig * layer.R * layer.S))
         group_segments.append(segs)
 
-    classes = [cls for cls in _tile_classes(plan) if cls[1] and cls[2]]
+    classes = plan.tile_classes()
     op_bits = coded_bits if sparse else val_bits
 
     if sparse:

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .analytic import MAX_INDEX_BITS, Footprint, FootprintModel
 from .tensors import ACCUM_MAX, ACCUM_MIN
 
 DEFAULT_INDEX_BITS = 4
@@ -29,10 +30,6 @@ DEFAULT_INDEX_BITS = 4
 
 class CodecError(ValueError):
     """Malformed compressed block."""
-
-
-# runs are held as int64, so an index field is at most 62 bits wide
-MAX_INDEX_BITS = 62
 
 
 def _check_index_bits(index_bits: int) -> None:
@@ -241,29 +238,6 @@ def decode_block(block: CompressedBlock) -> np.ndarray:
             raise CodecError("block expands past its logical extent")
         dense[pos] = block.values
     return dense
-
-
-@dataclass(frozen=True)
-class FootprintModel:
-    """Bits charged per stored value: the value itself plus the per-value
-    coordinate overhead the buffers carry."""
-
-    value_bits: int = 16
-    index_overhead_bits: int = 10
-
-
-@dataclass(frozen=True)
-class Footprint:
-    data_bits: int
-    index_bits: int
-
-    @property
-    def total_bits(self) -> int:
-        return self.data_bits + self.index_bits
-
-    @property
-    def total_bytes(self) -> float:
-        return self.total_bits / 8
 
 
 def footprint(

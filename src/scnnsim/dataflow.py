@@ -1,23 +1,96 @@
-"""Work decomposition shared by the dense and sparse pipelines.
+"""Layer geometry and the work decomposition shared by the dense and sparse
+pipelines.
 
 The activation plane is split into per-PE input tiles that partition W x H
 exactly (no input replication); partial sums that belong to a neighbouring
 tile land in accumulator halo cells and are exchanged at output-channel-group
 boundaries. Output channels are processed in groups of Kc chosen so one
 group's accumulator state fits the banked buffer.
+
+A tile's shape is an x-axis split times a y-axis split, so the tile
+classes and the accumulator footprint the analytic engine needs are
+derived per axis, never per PE. This module imports no numpy: the
+analytic engine runs on it (see the package docstring).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    from .tensors import DenseTensor
 
-from .tensors import DenseTensor, LayerShape, ShapeError
+
+class ShapeError(ValueError):
+    """Tensor dimensions do not match the layer description."""
 
 
 class ConfigurationError(ValueError):
     """Hardware configuration cannot run the requested layer."""
+
+
+@dataclass(frozen=True)
+class LayerShape:
+    """Convolution geometry: C input channels of W x H activations convolved
+    with K filters of R x S taps, plus stride / zero padding / grouping."""
+
+    name: str
+    C: int
+    K: int
+    W: int
+    H: int
+    R: int
+    S: int
+    stride: int = 1
+    pad: int = 0
+    groups: int = 1
+
+    def __post_init__(self) -> None:
+        for attr in ("C", "K", "W", "H", "R", "S", "stride", "groups"):
+            if getattr(self, attr) < 1:
+                raise ShapeError(f"{self.name}: {attr} must be >= 1")
+        if self.pad < 0:
+            raise ShapeError(f"{self.name}: pad must be >= 0")
+        if self.C % self.groups or self.K % self.groups:
+            raise ShapeError(
+                f"{self.name}: groups={self.groups} must divide C={self.C} and K={self.K}"
+            )
+        for span, tap, out_name in ((self.W, self.R, "Wo"), (self.H, self.S, "Ho")):
+            num = span + 2 * self.pad - tap
+            if num < 0 or num % self.stride:
+                raise ShapeError(
+                    f"{self.name}: {out_name} = ({span} + 2*{self.pad} - {tap})"
+                    f"/{self.stride} + 1 is not a positive integer"
+                )
+
+    @property
+    def Wo(self) -> int:
+        return (self.W + 2 * self.pad - self.R) // self.stride + 1
+
+    @property
+    def Ho(self) -> int:
+        return (self.H + 2 * self.pad - self.S) // self.stride + 1
+
+    @property
+    def channels_per_group(self) -> int:
+        return self.C // self.groups
+
+    @property
+    def filters_per_group(self) -> int:
+        return self.K // self.groups
+
+    def dense_multiplies(self) -> int:
+        """Multiply count of the plain output-centric loop nest (padding taps
+        included), the convention used for whole-network totals."""
+        return self.K * self.channels_per_group * self.R * self.S * self.Wo * self.Ho
+
+    def weight_shape(self) -> tuple[int, int, int, int]:
+        return (self.K, self.channels_per_group, self.R, self.S)
+
+    def input_shape(self) -> tuple[int, int, int]:
+        return (self.C, self.W, self.H)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -49,7 +122,12 @@ class Tile:
 
 
 class _Axis:
-    """Tiling arithmetic along one spatial dimension."""
+    """Tiling arithmetic along one spatial dimension: part p covers inputs
+    [starts[p], starts[p] + widths[p]) and owns outputs out_ranges[p].
+
+    `classes` maps each distinct (width, accumulator extent, owned outputs)
+    of the parts with inputs to its number of parts, in part order of first
+    appearance."""
 
     def __init__(self, span: int, parts: int, tap: int, pad: int, stride: int, out: int):
         self.tap, self.pad, self.stride = tap, pad, stride
@@ -57,15 +135,25 @@ class _Axis:
         self.starts = [lo for lo, _ in ranges]
         self.widths = [hi - lo for lo, hi in ranges]
         # owner of each output coordinate: the part holding the centre input
-        # of its receptive window, clamped to the plane
-        anchor = np.clip(np.arange(out) * stride - pad + (tap - 1) // 2, 0, span - 1)
-        owner = anchor // _ceil_div(span, parts)
+        # of its receptive window, clamped to the plane. The centre grows
+        # with the output, so a part owns the outputs from the first whose
+        # centre reaches its first input up to the first that reaches the
+        # next part's.
+        centre = (tap - 1) // 2 - pad
+
+        def first_reaching(x: int) -> int:  # for 0 < x < span
+            return min(out, max(0, _ceil_div(x - centre, stride)))
+
         self.out_ranges = []
-        for p in range(parts):
-            hits = np.flatnonzero(owner == p)
-            self.out_ranges.append(
-                (int(hits[0]), int(hits[-1]) + 1) if hits.size else (0, 0)
-            )
+        self.classes: dict[tuple[int, int, int], int] = {}
+        for p, (lo, hi) in enumerate(ranges):
+            o_lo = first_reaching(lo) if lo > 0 else 0
+            o_hi = first_reaching(hi) if hi < span else out
+            owned = (o_lo, o_hi) if lo < hi and o_lo < o_hi else (0, 0)
+            self.out_ranges.append(owned)
+            if lo < hi:
+                key = (hi - lo, self.acc_extent(p), owned[1] - owned[0])
+                self.classes[key] = self.classes.get(key, 0) + 1
 
     def acc_base(self, p: int) -> int:
         """Smallest output coordinate reachable from this part's inputs
@@ -81,41 +169,60 @@ class _Axis:
 
 @dataclass(frozen=True)
 class TilePlan:
+    """Per-PE input tiles: PE r * pe_cols + c holds column part c of the x
+    axis (W) and row part r of the y axis (H)."""
+
     layer: LayerShape
     pe_rows: int
     pe_cols: int
-    tiles: tuple[Tile, ...]
-    _x: _Axis
-    _y: _Axis
+    x: _Axis
+    y: _Axis
 
     @property
     def n_pes(self) -> int:
         return self.pe_rows * self.pe_cols
+
+    @cached_property
+    def tiles(self) -> tuple[Tile, ...]:
+        x, y = self.x, self.y
+        return tuple(
+            Tile(r * self.pe_cols + c, r, c, x.starts[c], y.starts[r], x.widths[c], y.widths[r])
+            for r in range(self.pe_rows)
+            for c in range(self.pe_cols)
+        )
 
     def tile(self, pe: int) -> Tile:
         return self.tiles[pe]
 
     def acc_base(self, pe: int) -> tuple[int, int]:
         t = self.tiles[pe]
-        return self._x.acc_base(t.col), self._y.acc_base(t.row)
+        return self.x.acc_base(t.col), self.y.acc_base(t.row)
 
     def acc_extent(self, pe: int) -> tuple[int, int]:
         t = self.tiles[pe]
         if t.empty:
             return 0, 0
-        return self._x.acc_extent(t.col), self._y.acc_extent(t.row)
+        return self.x.acc_extent(t.col), self.y.acc_extent(t.row)
+
+    def tile_classes(self) -> list[tuple[int, int, int, int, int, int]]:
+        """Distinct shapes of the tiles that hold inputs, with multiplicity:
+        (count, wt, ht, ex, ey, owned output cells), in the order the PEs
+        first show them. Each is a y-axis class times an x-axis class;
+        products with equal shapes are one class."""
+        seen: dict[tuple[int, int, int, int, int], int] = {}
+        for (ht, ey, oy), ny in self.y.classes.items():
+            for (wt, ex, ox), nx in self.x.classes.items():
+                key = (wt, ht, ex, ey, ox * oy)
+                seen[key] = seen.get(key, 0) + nx * ny
+        return [(n, *k) for k, n in seen.items()]
 
     def max_acc_cells(self) -> int:
         """Largest per-group spatial accumulator footprint over the PEs."""
-        best = 0
-        for pe in range(self.n_pes):
-            ex, ey = self.acc_extent(pe)
-            best = max(best, ex * ey)
-        return best
+        return max(e for _, e, _ in self.x.classes) * max(e for _, e, _ in self.y.classes)
 
     def owned_out_range(self, pe: int) -> tuple[tuple[int, int], tuple[int, int]]:
         t = self.tiles[pe]
-        return self._x.out_ranges[t.col], self._y.out_ranges[t.row]
+        return self.x.out_ranges[t.col], self.y.out_ranges[t.row]
 
     def owned_out_cells(self, pe: int) -> int:
         (xl, xh), (yl, yh) = self.owned_out_range(pe)
@@ -131,23 +238,13 @@ def partition_tiles(layer: LayerShape, pe_grid: tuple[int, int]) -> TilePlan:
     rows, cols = pe_grid
     if rows < 1 or cols < 1:
         raise ConfigurationError(f"pe grid {pe_grid} must be at least 1x1")
-    ax = _Axis(layer.W, cols, layer.R, layer.pad, layer.stride, layer.Wo)
-    ay = _Axis(layer.H, rows, layer.S, layer.pad, layer.stride, layer.Ho)
-    tiles = []
-    for r in range(rows):
-        for c in range(cols):
-            tiles.append(
-                Tile(
-                    pe=r * cols + c,
-                    row=r,
-                    col=c,
-                    x0=ax.starts[c],
-                    y0=ay.starts[r],
-                    wt=ax.widths[c],
-                    ht=ay.widths[r],
-                )
-            )
-    return TilePlan(layer, rows, cols, tuple(tiles), ax, ay)
+    return TilePlan(
+        layer,
+        rows,
+        cols,
+        _Axis(layer.W, cols, layer.R, layer.pad, layer.stride, layer.Wo),
+        _Axis(layer.H, rows, layer.S, layer.pad, layer.stride, layer.Ho),
+    )
 
 
 @dataclass(frozen=True)
@@ -218,7 +315,5 @@ def cartesian_work(layer: LayerShape, weights: DenseTensor, acts: DenseTensor) -
     for c in range(layer.C):
         g = c // layer.channels_per_group
         w_slice = weights.values[g * kpg : (g + 1) * kpg, c % layer.channels_per_group]
-        total += int(np.count_nonzero(w_slice)) * int(
-            np.count_nonzero(acts.values[c])
-        )
+        total += int((w_slice != 0).sum()) * int((acts.values[c] != 0).sum())
     return total

@@ -39,27 +39,31 @@ bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
-import warnings
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from . import codec
 from .analytic import (
-    DCNN_AREA,
-    SCNN_AREA,
-    AreaTable,
-    EnergyModel,
+    VARIANT_DCNN,
+    VARIANT_DCNN_OPT,
+    VARIANT_SCNN,
+    ArchConfig,
     EventCounts,
+    Footprint,
+    FootprintModel,
+    PoolSpec,
+    SimReport,
     count_events,
+    dcnn_arch,
 )
-from .codec import BlockSet, Footprint, FootprintModel
+from .codec import BlockSet
 from .dataflow import (
     ConfigurationError,
     GroupPlan,
+    LayerShape,
     TilePlan,
     choose_kc,
     partition_tiles,
@@ -70,172 +74,9 @@ from .tensors import (
     ACCUM_MIN,
     DenseTensor,
     FixedPointOverflow,
-    LayerShape,
     OUT_ROLES,
     check_operand_range,
 )
-
-VARIANT_SCNN = "scnn"
-VARIANT_DCNN = "dcnn"
-VARIANT_DCNN_OPT = "dcnn-opt"
-
-
-@dataclass(frozen=True)
-class PoolSpec:
-    """Max pooling applied by the post-processing unit after ReLU.
-
-    Output sizing is ceil-mode: partial windows at the far edge produce an
-    output, matching the pooling conventions of the shipped networks."""
-
-    window: int
-    stride: int
-
-    def out_extent(self, span: int) -> int:
-        if span < 1:
-            return 0
-        return max(1, -((-(span - self.window)) // self.stride) + 1)
-
-
-@dataclass(frozen=True)
-class ArchConfig:
-    """Hardware knobs for the sparse accelerator and its dense baselines."""
-
-    pe_rows: int = 8
-    pe_cols: int = 8
-    weights_per_fetch: int = 4   # weight vector width per cycle
-    acts_per_fetch: int = 4      # activation vector width per cycle
-    accum_banks: int = 32
-    bank_entries: int = 32
-    iaram_bytes: int = 10 * 1024
-    oaram_bytes: int = 10 * 1024
-    weight_fifo_entries: int = 50  # F-wide vectors resident per PE
-    accum_double_buffered: bool = True
-    dram_values_per_cycle: float = 16.0  # 16-bit value units per cycle
-    ppu_values_per_cycle: int = 16
-    halo_latency_cycles: int = 0
-    act_ram_port_bits: int = 104  # per-PE activation RAM bits per cycle
-    index_bits: int = 4
-    bank_map: str = "mod"  # or "xor": fold the linear coordinate before mod
-    energy: EnergyModel = field(default_factory=EnergyModel)
-    scnn_area: AreaTable = SCNN_AREA
-    dcnn_area: AreaTable = DCNN_AREA
-
-    def __post_init__(self) -> None:
-        # every other knob is an integer; bools pass only where one is due
-        kinds = {
-            "accum_double_buffered": bool, "dram_values_per_cycle": numbers.Real,
-            "bank_map": str, "energy": EnergyModel,
-            "scnn_area": AreaTable, "dcnn_area": AreaTable,
-        }
-        for f in fields(self):
-            value, kind = getattr(self, f.name), kinds.get(f.name, numbers.Integral)
-            if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
-                raise ConfigurationError(f"{f.name} must be {kind.__name__}, got {value!r}")
-        for attr in (
-            "pe_rows", "pe_cols", "weights_per_fetch", "acts_per_fetch",
-            "accum_banks", "bank_entries", "iaram_bytes", "oaram_bytes",
-            "weight_fifo_entries", "ppu_values_per_cycle", "act_ram_port_bits",
-        ):
-            if getattr(self, attr) < 1:
-                raise ConfigurationError(f"{attr} must be >= 1")
-        if self.halo_latency_cycles < 0 or not self.dram_values_per_cycle > 0:
-            raise ConfigurationError("bandwidth/latency knobs must be positive")
-        if not 1 <= self.index_bits <= codec.MAX_INDEX_BITS:
-            raise ConfigurationError(
-                f"index_bits {self.index_bits} outside [1, {codec.MAX_INDEX_BITS}]"
-            )
-        if self.bank_map not in ("mod", "xor"):
-            raise ConfigurationError(f"unknown bank_map {self.bank_map}")
-        if self.accum_banks < self.weights_per_fetch * self.acts_per_fetch:
-            warnings.warn(
-                "accumulator banks fewer than multiplier products per cycle; "
-                "expect heavy contention",
-                stacklevel=2,
-            )
-
-    @property
-    def n_pes(self) -> int:
-        return self.pe_rows * self.pe_cols
-
-    @property
-    def mults_per_pe(self) -> int:
-        return self.weights_per_fetch * self.acts_per_fetch
-
-    @property
-    def total_mults(self) -> int:
-        return self.n_pes * self.mults_per_pe
-
-    @property
-    def iaram_value_capacity(self) -> int:
-        return self.iaram_bytes * 8 // 16
-
-    @property
-    def oaram_value_capacity(self) -> int:
-        return self.oaram_bytes * 8 // 16
-
-
-def dcnn_arch(base: ArchConfig) -> ArchConfig:
-    """Dense baseline provisioning: same multiplier budget, 2MB of plain
-    activation SRAM instead of 1MB of compressed RAM."""
-    per_ram = 2 * 1024 * 1024 // (2 * base.n_pes)
-    return replace(base, iaram_bytes=per_ram, oaram_bytes=per_ram)
-
-
-@dataclass(frozen=True)
-class SimReport:
-    """Per-layer outcome of one variant run, made by `SimReport.build`.
-
-    The builder derives energy and its breakdown from the event counts,
-    utilization from events.useful_mults, and the barrier fraction from
-    pe_wait; stall, footprint and per-PE fields default to zero or empty.
-    On the cycle-level engine busy counts multiply batches plus
-    bank-conflict stalls; every other PE-cycle (barrier skew, FIFO refill,
-    unhidden drain) is wait, so busy + wait sums to n_pes * cycles exactly.
-    """
-
-    layer: str
-    variant: str
-    cycles: int
-    mult_utilization: float
-    barrier_stall_fraction: float
-    batches: int
-    events: EventCounts
-    energy: float
-    energy_breakdown: dict[str, float]
-    bank_conflict_stalls: int = 0
-    fifo_stalls: int = 0
-    drain_overhead_cycles: int = 0
-    stride_skipped: int = 0
-    iaram_footprint: Footprint = Footprint(0, 0)
-    oaram_footprint: Footprint = Footprint(0, 0)
-    dram_tiled: bool = False
-    pe_busy: tuple[int, ...] = ()
-    pe_wait: tuple[int, ...] = ()
-    kc: int = 0
-    n_groups: int = 1
-    tiling_energy_fraction: float = 0.0
-
-    @property
-    def useful_mults(self) -> int:
-        return self.events.useful_mults
-
-    @staticmethod
-    def build(
-        arch: ArchConfig, layer: LayerShape, variant: str, cycles: int,
-        events: EventCounts, batches: int,
-        pe_busy: Sequence[int] = (), pe_wait: Sequence[int] = (), **extra,
-    ) -> SimReport:
-        energy, breakdown = arch.energy.rollup(events)
-        pe_wait = tuple(int(w) for w in pe_wait)
-        return SimReport(
-            layer=layer.name, variant=variant, cycles=cycles,
-            mult_utilization=(
-                events.useful_mults / (arch.total_mults * cycles) if cycles else 0.0
-            ),
-            barrier_stall_fraction=sum(pe_wait) / (arch.n_pes * cycles) if cycles else 0.0,
-            batches=batches, events=events, energy=energy, energy_breakdown=breakdown,
-            pe_busy=tuple(int(b) for b in pe_busy), pe_wait=pe_wait, **extra,
-        )
 
 
 @dataclass(frozen=True)

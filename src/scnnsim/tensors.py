@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from .dataflow import LayerShape, ShapeError
 
 VALUE_BITS = 16
 ACCUM_BITS = 24
@@ -26,74 +28,8 @@ ACT_ROLES = ("c", "x", "y")
 OUT_ROLES = ("k", "x", "y")
 
 
-class ShapeError(ValueError):
-    """Tensor dimensions do not match the layer description."""
-
-
 class FixedPointOverflow(ArithmeticError):
     """A value left the 16-bit operand or 24-bit accumulator range."""
-
-
-@dataclass(frozen=True)
-class LayerShape:
-    """Convolution geometry: C input channels of W x H activations convolved
-    with K filters of R x S taps, plus stride / zero padding / grouping."""
-
-    name: str
-    C: int
-    K: int
-    W: int
-    H: int
-    R: int
-    S: int
-    stride: int = 1
-    pad: int = 0
-    groups: int = 1
-
-    def __post_init__(self) -> None:
-        for attr in ("C", "K", "W", "H", "R", "S", "stride", "groups"):
-            if getattr(self, attr) < 1:
-                raise ShapeError(f"{self.name}: {attr} must be >= 1")
-        if self.pad < 0:
-            raise ShapeError(f"{self.name}: pad must be >= 0")
-        if self.C % self.groups or self.K % self.groups:
-            raise ShapeError(
-                f"{self.name}: groups={self.groups} must divide C={self.C} and K={self.K}"
-            )
-        for span, tap, out_name in ((self.W, self.R, "Wo"), (self.H, self.S, "Ho")):
-            num = span + 2 * self.pad - tap
-            if num < 0 or num % self.stride:
-                raise ShapeError(
-                    f"{self.name}: {out_name} = ({span} + 2*{self.pad} - {tap})"
-                    f"/{self.stride} + 1 is not a positive integer"
-                )
-
-    @property
-    def Wo(self) -> int:
-        return (self.W + 2 * self.pad - self.R) // self.stride + 1
-
-    @property
-    def Ho(self) -> int:
-        return (self.H + 2 * self.pad - self.S) // self.stride + 1
-
-    @property
-    def channels_per_group(self) -> int:
-        return self.C // self.groups
-
-    @property
-    def filters_per_group(self) -> int:
-        return self.K // self.groups
-
-    def dense_multiplies(self) -> int:
-        """Multiply count of the plain output-centric loop nest (padding taps
-        included), the convention used for whole-network totals."""
-        return self.K * self.channels_per_group * self.R * self.S * self.Wo * self.Ho
-
-    def weight_shape(self) -> tuple[int, int, int, int]:
-        return (self.K, self.channels_per_group, self.R, self.S)
-
-    def input_shape(self) -> tuple[int, int, int]:
-        return (self.C, self.W, self.H)
 
 
 @dataclass(frozen=True)
@@ -127,31 +63,6 @@ class DenseTensor:
 
     def with_values(self, values: np.ndarray) -> "DenseTensor":
         return DenseTensor(values, self.roles)
-
-
-@dataclass(frozen=True)
-class LayerDensity:
-    name: str
-    weight_density: float
-    activation_density: float
-
-    @property
-    def ideal_work_fraction(self) -> float:
-        return self.weight_density * self.activation_density
-
-
-@dataclass(frozen=True)
-class DensityStats:
-    """Non-zero fractions and the work fraction an ideal sparse machine
-    would retain (the product of the two densities)."""
-
-    weight_density: float
-    activation_density: float
-    per_layer: tuple[LayerDensity, ...] | None = None
-
-    @property
-    def ideal_work_fraction(self) -> float:
-        return self.weight_density * self.activation_density
 
 
 def check_operand_range(t: DenseTensor, what: str = "operand") -> None:
@@ -275,34 +186,3 @@ def gen_synthetic(
     flat = np.zeros(n, dtype=np.int64)
     flat[positions[:m]] = mags[:m]
     return DenseTensor(flat.reshape(shape), roles)
-
-
-def _pooled_density(tensors: Iterable[DenseTensor]) -> float:
-    nnz = 0
-    total = 0
-    for t in tensors:
-        nnz += t.nnz()
-        total += t.size
-    return nnz / total if total else 0.0
-
-
-def density_stats(
-    weights: DenseTensor | Sequence[DenseTensor],
-    activations: DenseTensor | Sequence[DenseTensor],
-    per_layer: bool = False,
-    names: Sequence[str] | None = None,
-) -> DensityStats:
-    """Exact non-zero fractions plus their product, the ideal work fraction."""
-    w_seq = [weights] if isinstance(weights, DenseTensor) else list(weights)
-    a_seq = [activations] if isinstance(activations, DenseTensor) else list(activations)
-    if len(w_seq) != len(a_seq):
-        raise ShapeError("weight and activation sequences differ in length")
-    layers = None
-    if per_layer:
-        if names is None:
-            names = [f"layer{i}" for i in range(len(w_seq))]
-        layers = tuple(
-            LayerDensity(name, w.density(), a.density())
-            for name, w, a in zip(names, w_seq, a_seq)
-        )
-    return DensityStats(_pooled_density(w_seq), _pooled_density(a_seq), layers)

@@ -5,6 +5,10 @@ shapes plus approximate per-layer density targets. Runs execute each layer
 in order: the cycle-level engine chains real activations through the PE
 array and can cross-check every layer against the exact convolution; the
 analytical engine covers the full-size networks in closed form.
+
+numpy, `tensors` and `simulator` are imported inside the sim-engine
+functions only, so loading descriptors and running the analytical engine
+never loads them.
 """
 
 from __future__ import annotations
@@ -15,34 +19,27 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
 import yaml
 
-from .analytic import EnergyModel, EventCounts, analytic_time_energy, count_events
-from .dataflow import ConfigurationError, partition_tiles
-from .simulator import (
-    ArchConfig,
-    PoolSpec,
-    SimReport,
+from .analytic import (
     VARIANT_DCNN,
     VARIANT_DCNN_OPT,
     VARIANT_SCNN,
+    ArchConfig,
+    EnergyModel,
+    EventCounts,
+    PoolSpec,
+    SimReport,
+    analytic_time_energy,
+    count_events,
     dcnn_arch,
-    prepare_scnn_inputs,
-    simulate_dcnn_layer,
-    simulate_scnn_layer,
 )
-from .tensors import (
-    ACT_ROLES,
-    DenseTensor,
-    LayerShape,
-    apply_relu,
-    gen_synthetic,
-    prune_magnitude,
-    reference_conv,
-)
+from .dataflow import ConfigurationError, LayerShape, partition_tiles
+
+if TYPE_CHECKING:
+    from .tensors import DenseTensor
 
 SCHEMA_VERSION = 1
 VARIANT_ORACLE = "oracle"
@@ -120,7 +117,7 @@ def _density(mapping: dict, key: str, path: str, default=None, required=True) ->
     v = _field(mapping, key, path, (int, float), default, required)
     if v is None:
         return v
-    if not 0.0 < float(v) <= 1.0:
+    if not 0.0 < v <= 1.0:
         raise DescriptorError(f"{path}.{key}: density {v} outside (0, 1]")
     return float(v)
 
@@ -203,9 +200,16 @@ def _load_modules(doc: dict, name: str) -> tuple[LayerSpec, ...]:
     prev_concat: int | None = None
     prev_plane: tuple[int, int] | None = None
     prev_name = ""
+    module_index: dict[str, int] = {}
     for mi, m in enumerate(raw_modules):
         mpath = f"{name}.modules[{mi}]"
         mname = _field(m, "name", mpath, str)
+        if mname in module_index:
+            raise DescriptorError(
+                f"{mpath}: module name '{mname}' is already used by "
+                f"{name}.modules[{module_index[mname]}]"
+            )
+        module_index[mname] = mi
         c_in = _field(m, "input_channels", mpath, int)
         w = _field(m, "width", mpath, int)
         h = _field(m, "height", mpath, int)
@@ -228,6 +232,10 @@ def _load_modules(doc: dict, name: str) -> tuple[LayerSpec, ...]:
         for li, raw in enumerate(raw_layers):
             path = f"{mpath}.layers[{li}]"
             lname = _field(raw, "name", path, str)
+            if lname in by_name:
+                raise DescriptorError(
+                    f"{path}: layer name '{lname}' is already used in module {mname}"
+                )
             takes = _field(raw, "takes", path, str)
             if takes == "input":
                 c_src, a_density = c_in, m_act
@@ -276,7 +284,7 @@ def _load_modules(doc: dict, name: str) -> tuple[LayerSpec, ...]:
             s.takes: s.act_density for s in module_specs if s.takes != "input"
         }
         for s in module_specs:
-            od = consumer_density.get(s.shape.name.split("/")[1])
+            od = consumer_density.get(s.shape.name[len(mname) + 1 :])
             specs.append(s if od is None else replace(s, out_density=od))
         prev_concat = concat_sum
         prev_plane = (
@@ -316,7 +324,8 @@ def shipped_networks() -> list[str]:
 def _load_yaml(text: str, where: str):
     """Parse YAML; a syntax error becomes a one-line DescriptorError."""
     try:
-        return yaml.safe_load(text)
+        # libyaml's parser, several times faster, when PyYAML was built with it
+        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -435,11 +444,15 @@ def load_experiment_config(path: str | Path | None) -> ExperimentConfig:
 
 
 def synth_weights(spec: LayerSpec, seed: int) -> DenseTensor:
+    from .tensors import gen_synthetic, prune_magnitude
+
     dense = gen_synthetic(spec.shape.weight_shape(), 1.0, seed=seed, lo=1, hi=31)
     return prune_magnitude(dense, spec.weight_density)
 
 
 def synth_acts(spec: LayerSpec, seed: int) -> DenseTensor:
+    from .tensors import gen_synthetic
+
     return gen_synthetic(
         spec.shape.input_shape(), spec.act_density, seed=seed, lo=1, hi=31, signed=False
     )
@@ -448,7 +461,7 @@ def synth_acts(spec: LayerSpec, seed: int) -> DenseTensor:
 def max_l1_per_output(weights: DenseTensor) -> int:
     """Largest sum of |w| feeding any single output channel; with inputs
     bounded by B, no accumulator value can exceed B times this."""
-    flat = np.abs(weights.values).reshape(weights.shape[0], -1).sum(axis=1)
+    flat = abs(weights.values).reshape(weights.shape[0], -1).sum(axis=1)
     return int(flat.max()) if flat.size else 0
 
 
@@ -457,7 +470,7 @@ def requantize(t: DenseTensor, next_weights: DenseTensor | None = None) -> Dense
     range of the next layer (arithmetic right shift by the smallest amount
     that provably keeps the next accumulation inside 24 bits). Applied
     identically wherever activations chain, oracle path included."""
-    from .tensors import ACCUM_MAX, VALUE_MAX
+    from .tensors import ACCUM_MAX, ACT_ROLES, VALUE_MAX, DenseTensor
 
     bound = VALUE_MAX
     if next_weights is not None:
@@ -531,6 +544,14 @@ def _sim_layer(
     """One layer through every requested engine; returns reports, the decoded
     pooled output (when the sparse pipeline or the oracle needs it), and
     whether the oracle comparison ran."""
+    from .simulator import (
+        max_pool,
+        prepare_scnn_inputs,
+        simulate_dcnn_layer,
+        simulate_scnn_layer,
+    )
+    from .tensors import apply_relu, reference_conv
+
     reports: dict[str, SimReport] = {}
     decoded: DenseTensor | None = None
     checked = False
@@ -545,14 +566,11 @@ def _sim_layer(
             ref = apply_relu(reference_conv(spec.shape, weights, acts))
             expect = ref.values
             if spec.pool is not None:
-                from .simulator import max_pool
-
                 expect = max_pool(expect, spec.pool)
             if decoded.values.shape != expect.shape or not (
                 decoded.values == expect
             ).all():
-                diff = np.argwhere(decoded.values != expect)
-                k, x, y = (int(v) for v in diff[0])
+                k, x, y = (int(v[0]) for v in (decoded.values != expect).nonzero())
                 raise OracleMismatch(
                     spec.name, (k, x, y), int(decoded.values[k, x, y]), int(expect[k, x, y])
                 )
@@ -618,9 +636,7 @@ def _analytic_tiled(arch: ArchConfig, spec: LayerSpec) -> bool:
     (inputs and post-pool outputs) fit the per-PE activation RAMs?"""
     shape = spec.shape
     plan = partition_tiles(shape, (arch.pe_rows, arch.pe_cols))
-    wt = max(t.wt for t in plan.tiles)
-    ht = max(t.ht for t in plan.tiles)
-    in_pe = round(spec.act_density * shape.C * wt * ht)
+    in_pe = round(spec.act_density * shape.C * max(plan.x.widths) * max(plan.y.widths))
     out_w, out_h = shape.Wo, shape.Ho
     if spec.pool is not None:
         out_w, out_h = spec.pool.out_extent(out_w), spec.pool.out_extent(out_h)
@@ -731,6 +747,8 @@ def density_sweep(
     wanted = list(dict.fromkeys([*variants, VARIANT_DCNN, VARIANT_ORACLE]))
     dense_weights = []
     if engine == "sim":
+        from .tensors import gen_synthetic, prune_magnitude
+
         dense_weights = [
             gen_synthetic(s.shape.weight_shape(), 1.0, seed=seed + 101 * i, lo=1, hi=31)
             for i, s in enumerate(net.layers)

@@ -88,3 +88,44 @@ def count_cartesian_products(layer, weights: list, input_: list) -> int:
                     nnz_a += 1
         total += nnz_w * nnz_a
     return total
+
+
+def _axis_parts(span, parts, tap, pad, stride):
+    """Per part of one plane axis: (width, accumulator extent, owned outputs).
+
+    The extent counts the output coordinates, in the plane or not, that some
+    input of the part reaches through some tap; an output is owned by the
+    part holding the centre input of its window, clamped to the plane."""
+    out = (span + 2 * pad - tap) // stride + 1
+    width = -(-span // parts)
+    owner = [min(max(o * stride - pad + (tap - 1) // 2, 0), span - 1) // width for o in range(out)]
+    result = []
+    for p in range(parts):
+        lo, hi = min(p * width, span), min((p + 1) * width, span)
+        reached = {
+            (x + pad - t) // stride
+            for x in range(lo, hi)
+            for t in range(tap)
+            if (x + pad - t) % stride == 0
+        }
+        extent = max(reached) - min(reached) + 1 if reached else 0
+        result.append((hi - lo, extent, owner.count(p)))
+    return result
+
+
+def per_pe_tiles(layer, rows, cols):
+    """The tiles with inputs, one PE at a time in row-major order: their
+    (count, wt, ht, ex, ey, owned output cells) classes, merged in order of
+    first sight, and the largest ex * ey among them."""
+    xs = _axis_parts(layer.W, cols, layer.R, layer.pad, layer.stride)
+    ys = _axis_parts(layer.H, rows, layer.S, layer.pad, layer.stride)
+    seen = {}
+    max_cells = 0
+    for r in range(rows):
+        for c in range(cols):
+            (wt, ex, ox), (ht, ey, oy) = xs[c], ys[r]
+            if wt and ht:
+                key = (wt, ht, ex, ey, ox * oy)
+                seen[key] = seen.get(key, 0) + 1
+                max_cells = max(max_cells, ex * ey)
+    return [(n, *key) for key, n in seen.items()], max_cells

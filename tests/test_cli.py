@@ -1,8 +1,17 @@
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import yaml
 
 from scnnsim.cli import main
+from scnnsim.workloads import load_network
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.mark.parametrize(
@@ -171,3 +180,93 @@ def test_seed_option_is_checked_like_the_config_seed(tmp_path, capsys):
     ])
     assert rc == 2
     assert capsys.readouterr().err == "error: seed -1 is not an integer >= 0\n"
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
+def test_yaml_syntax_error_names_line_and_column(libyaml, tmp_path, capsys, monkeypatch):
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    path = tmp_path / "net.yaml"
+    path.write_text("schema_version: 1\nname: [x\n")
+    rc = main(["run", "--network", str(path), "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert re.fullmatch(r"error: net\.yaml: not valid YAML at line 3, column 1: [^\n]+\n", err)
+
+
+MODULE = (
+    "  - name: {module}\n    input_channels: 8\n    width: 6\n    height: 6\n"
+    "    act_density: {density}\n    layers:\n"
+    "      - {{name: a, takes: input, K: 4, R: 1, S: 1, weight_density: 0.5}}\n"
+    "      - {{name: {second}, takes: a, K: 8, R: 3, S: 3, pad: 1, weight_density: 0.5,\n"
+    "         act_density: 0.4, concat: true}}\n"
+)
+
+
+def modules_net(*modules: tuple[str, float, str]) -> str:
+    return "schema_version: 1\nname: net\ntopology: modules\nmodules:\n" + "".join(
+        MODULE.format(module=m, density=d, second=second) for m, d, second in modules
+    )
+
+
+@pytest.mark.parametrize(
+    "modules,message",
+    [
+        (
+            [("m", 0.5, "b"), ("m", 0.2, "b"), ("m3", 0.9, "b")],
+            "net.modules[1]: module name 'm' is already used by net.modules[0]",
+        ),
+        (
+            [("m", 0.5, "b"), ("m2", 0.2, "a")],
+            "net.modules[1].layers[1]: layer name 'a' is already used in module m2",
+        ),
+    ],
+    ids=["module", "layer"],
+)
+def test_duplicate_descriptor_name_is_a_one_line_error(modules, message, tmp_path, capsys):
+    path = tmp_path / "net.yaml"
+    path.write_text(modules_net(*modules))
+    rc = main(["run", "--network", str(path), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_branch_terminals_take_their_successor_module_density(tmp_path):
+    path = tmp_path / "net.yaml"
+    path.write_text(modules_net(("m/1", 0.5, "b"), ("m2", 0.2, "b"), ("m3", 0.9, "b")))
+    out = {s.name: s.out_density for s in load_network(path).layers}
+    # a reduce's output density is its consumer's input density, even when
+    # the module name has a slash; terminals get the next module's
+    assert out == {
+        "m/1/a": 0.4, "m/1/b": 0.2, "m2/a": 0.4, "m2/b": 0.9, "m3/a": 0.4, "m3/b": 0.9,
+    }
+
+
+NO_NUMPY_RUN = """
+import json, sys
+import scnnsim.cli
+out = sys.argv[1]
+rcs = [
+    scnnsim.cli.main(["run", "--network", "googlenet", "--engine", "analytic", "--out-dir", out]),
+    scnnsim.cli.main([
+        "sweep-density", "--network", "alexnet", "--engine", "analytic",
+        "--points", "1.0,0.5", "--out-dir", out,
+    ]),
+]
+print(json.dumps({"rcs": rcs, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_analytic_commands_import_neither_numpy_nor_the_sim_engine(tmp_path):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_RUN, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["rcs"] == [0, 0]
+    assert (tmp_path / "googlenet_run.csv").is_file()
+    assert (tmp_path / "alexnet_density.csv").is_file()
+    loaded = {"numpy", "scnnsim.simulator", "scnnsim.codec", "scnnsim.tensors"}
+    assert loaded.isdisjoint(result["modules"])

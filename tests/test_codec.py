@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import loop_rle_encode, naive_rle_decode
+from scnnsim.analytic import FootprintModel
 from scnnsim.codec import (
     BlockSet,
     CodecError,
     CompressedBlock,
-    FootprintModel,
     decode_block,
     encode_block,
     encode_blocks,

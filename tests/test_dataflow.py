@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import count_cartesian_products, naive_conv
+from oracles import count_cartesian_products, naive_conv, per_pe_tiles
 from scnnsim.dataflow import (
     ConfigurationError,
+    LayerShape,
     cartesian_work,
     choose_kc,
     partition_tiles,
     strided_out_coord,
 )
-from scnnsim.tensors import ACT_ROLES, WEIGHT_ROLES, DenseTensor, LayerShape, gen_synthetic
+from scnnsim.tensors import ACT_ROLES, WEIGHT_ROLES, DenseTensor, gen_synthetic
 
 
 class Arch:
@@ -104,6 +106,24 @@ class TestPartition:
             if oxl < oxh and oyl < oyh:
                 assert xb <= oxl and oxh <= xb + ex
                 assert yb <= oyl and oyh <= yb + ey
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        w=st.integers(1, 40), h=st.integers(1, 40), r=st.integers(1, 11),
+        s=st.integers(1, 11), pad=st.integers(0, 6), stride=st.integers(1, 5),
+        rows=st.integers(1, 9), cols=st.integers(1, 9),
+    )
+    def test_per_axis_classes_match_the_per_pe_walk(self, w, h, r, s, pad, stride, rows, cols):
+        assume(all(
+            (span + 2 * pad - tap) >= 0 and (span + 2 * pad - tap) % stride == 0
+            for span, tap in ((w, r), (h, s))
+        ))
+        lay = LayerShape("axes", C=1, K=1, W=w, H=h, R=r, S=s, pad=pad, stride=stride)
+        plan = partition_tiles(lay, (rows, cols))
+        classes, max_cells = per_pe_tiles(lay, rows, cols)
+        # the order matters: count_events sums the classes in this order
+        assert plan.tile_classes() == classes
+        assert plan.max_acc_cells() == max_cells
 
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ConfigurationError):

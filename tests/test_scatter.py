@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scnnsim.analytic import ArchConfig
 from scnnsim.codec import encode_blocks
-from scnnsim.dataflow import ConfigurationError, choose_kc, partition_tiles
+from scnnsim.dataflow import ConfigurationError, LayerShape, choose_kc, partition_tiles
 from scnnsim.simulator import (
     _SCATTER_CHUNK,
-    ArchConfig,
     WeightStream,
     _activation_entries,
     _scatter_group,
@@ -23,7 +23,7 @@ from scnnsim.simulator import (
     prepare_scnn_inputs,
     simulate_scnn_layer,
 )
-from scnnsim.tensors import ACT_ROLES, WEIGHT_ROLES, DenseTensor, LayerShape
+from scnnsim.tensors import ACT_ROLES, WEIGHT_ROLES, DenseTensor
 
 
 def loop_scatter(arch, layer, stream, tiles, gi, pe):

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from oracles import count_cartesian_products
-from scnnsim.codec import decode_block
-from scnnsim.dataflow import choose_kc, partition_tiles
-from scnnsim.simulator import (
-    ArchConfig,
-    PoolSpec,
+from scnnsim.analytic import (
     VARIANT_DCNN,
     VARIANT_DCNN_OPT,
-    compress_weights,
+    ArchConfig,
+    PoolSpec,
     dcnn_arch,
+)
+from scnnsim.codec import decode_block
+from scnnsim.dataflow import LayerShape, choose_kc, partition_tiles
+from scnnsim.simulator import (
+    compress_weights,
     distribute_activations,
     max_pool,
     ppu_finalize,
@@ -22,7 +24,6 @@ from scnnsim.simulator import (
     simulate_scnn_layer,
 )
 from scnnsim.tensors import (
-    LayerShape,
     apply_relu,
     gen_synthetic,
     prune_magnitude,

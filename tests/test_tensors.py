@@ -4,15 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_conv
+from scnnsim.dataflow import LayerShape, ShapeError
 from scnnsim.tensors import (
     ACT_ROLES,
     DenseTensor,
     FixedPointOverflow,
-    LayerShape,
-    ShapeError,
     WEIGHT_ROLES,
     apply_relu,
-    density_stats,
     gen_synthetic,
     prune_magnitude,
     reference_conv,
@@ -211,31 +209,3 @@ class TestSynthetic:
         x = gen_synthetic((50,), 1.0, seed=4, signed=False)
         assert (x.values > 0).all()
 
-
-class TestDensityStats:
-    def test_half_half_quarter_work(self):
-        w = gen_synthetic((10, 10), 0.5, seed=1)
-        a = gen_synthetic((10, 10), 0.5, seed=2)
-        stats = density_stats(w, a)
-        assert stats.ideal_work_fraction == pytest.approx(0.25)
-
-    def test_fully_dense(self):
-        w = gen_synthetic((4, 4), 1.0, seed=1)
-        stats = density_stats(w, w)
-        assert stats.ideal_work_fraction == 1.0
-
-    def test_work_reduction_factor_four(self):
-        w = gen_synthetic((20, 20), 0.5, seed=3)
-        a = gen_synthetic((20, 20), 0.5, seed=4)
-        stats = density_stats(w, a)
-        assert 1.0 / stats.ideal_work_fraction == pytest.approx(4.0)
-
-    def test_per_layer_entries(self):
-        ws = [gen_synthetic((8, 8), d, seed=i) for i, d in enumerate((0.25, 0.75))]
-        as_ = [gen_synthetic((8, 8), 0.5, seed=9 + i) for i in range(2)]
-        stats = density_stats(ws, as_, per_layer=True, names=["a", "b"])
-        assert len(stats.per_layer) == 2
-        for entry in stats.per_layer:
-            assert entry.ideal_work_fraction == pytest.approx(
-                entry.weight_density * entry.activation_density
-            )

@@ -8,10 +8,9 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from scnnsim import workloads
-from scnnsim.analytic import EnergyModel
+from scnnsim import tensors, workloads
+from scnnsim.analytic import VARIANT_DCNN, ArchConfig, EnergyModel
 from scnnsim.dataflow import ConfigurationError
-from scnnsim.simulator import VARIANT_DCNN, ArchConfig
 from scnnsim.workloads import (
     ALL_VARIANTS,
     VARIANT_ORACLE,
@@ -51,8 +50,8 @@ def test_analytic_engine_makes_no_tensor(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the analytic engine made a tensor")
 
-    monkeypatch.setattr(workloads, "gen_synthetic", forbidden)
-    monkeypatch.setattr(workloads, "prune_magnitude", forbidden)
+    monkeypatch.setattr(tensors, "gen_synthetic", forbidden)
+    monkeypatch.setattr(tensors, "prune_magnitude", forbidden)
     arch = ArchConfig()
     for name in SHIPPED:
         net = load_network(name)
@@ -159,3 +158,88 @@ def test_config_loader_returns_or_raises_a_path_qualified_error(doc, config_path
         assert "\n" not in str(e)
     else:
         assert isinstance(cfg, ExperimentConfig)
+
+
+NAMES = st.sampled_from(["a", "b", "c", "input"])
+SCALARS = st.integers(-1, 12) | st.floats(-0.5, 1.5) | NAMES | st.booleans() | st.none()
+DENSITIES = st.sampled_from([0.25, 0.5, 1.0])
+
+
+@st.composite
+def network_docs(draw):
+    """A well-formed chain or module descriptor with small shapes and
+    names drawn from a few (so some repeat), then up to three of its nodes,
+    mostly deep ones, replaced by any YAML value or deleted."""
+    small = st.integers(1, 6)
+
+    def layer(**extra):
+        return {
+            "name": draw(NAMES), "K": draw(small), "R": draw(st.integers(1, 3)),
+            "S": draw(st.integers(1, 3)), "pad": draw(st.integers(0, 1)),
+            "weight_density": draw(DENSITIES), **extra,
+        }
+
+    if draw(st.booleans()):
+        doc = {
+            "topology": "chain",
+            "input": {"channels": draw(small), "width": draw(small), "height": draw(small)},
+            "layers": [
+                layer(act_density=draw(DENSITIES)) for _ in range(draw(st.integers(1, 3)))
+            ],
+        }
+    else:
+        modules = []
+        for _ in range(draw(st.integers(1, 3))):
+            layers = []
+            for _ in range(draw(st.integers(1, 3))):
+                takes = draw(st.sampled_from(["input", *[l["name"] for l in layers]]))
+                extra = {} if takes == "input" else {"act_density": draw(DENSITIES)}
+                layers.append(layer(takes=takes, concat=draw(st.booleans()), **extra))
+            modules.append({
+                "name": draw(st.sampled_from(["m", "n", "m/1"])),
+                "input_channels": draw(small), "width": draw(small), "height": draw(small),
+                "act_density": draw(DENSITIES), "pool_after": draw(st.booleans()),
+                "layers": layers,
+            })
+        doc = {"topology": "modules", "modules": modules}
+        if draw(st.booleans()):
+            doc["inter_module_pool"] = {"window": draw(small), "stride": draw(small)}
+    doc = {"schema_version": 1, "name": "net", **doc}
+    for _ in range(draw(st.integers(0, 3))):
+        node = doc
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            if not keys:
+                break
+            inner = [k for k in keys if isinstance(node[k], (dict, list))]
+            if inner and (draw(st.booleans()) or draw(st.booleans())):
+                node = node[draw(st.sampled_from(inner))]
+                continue
+            key = draw(st.sampled_from(keys))
+            if draw(st.booleans()):
+                node[key] = draw(SCALARS | YAML_VALUES)
+            else:
+                del node[key]
+            break
+    return doc
+
+
+@pytest.fixture(scope="module")
+def network_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("network") / "net.yaml"
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=network_docs())
+def test_network_loader_returns_or_raises_a_descriptor_error(doc, network_path):
+    network_path.write_text(yaml.safe_dump(doc))
+    try:
+        net = load_network(network_path)
+    except DescriptorError as e:
+        # qualified by the file name, or by the network name within it
+        name = doc.get("name")
+        prefixes = (network_path.name, name) if isinstance(name, str) else network_path.name
+        assert str(e).startswith(prefixes)
+        assert "\n" not in str(e)
+    else:
+        assert net.layers
