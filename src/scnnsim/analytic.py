@@ -209,7 +209,9 @@ class PoolSpec:
     """Max pooling applied by the post-processing unit after ReLU.
 
     Output sizing is ceil-mode: partial windows at the far edge produce an
-    output, matching the pooling conventions of the shipped networks."""
+    output, matching the pooling conventions of the shipped networks, but a
+    window must start inside the plane (with window < stride the last ceil-
+    mode window could start past it and cover nothing)."""
 
     window: int
     stride: int
@@ -217,7 +219,8 @@ class PoolSpec:
     def out_extent(self, span: int) -> int:
         if span < 1:
             return 0
-        return max(1, -((-(span - self.window)) // self.stride) + 1)
+        ceil_mode = max(1, -((-(span - self.window)) // self.stride) + 1)
+        return min(ceil_mode, -(-span // self.stride))
 
 
 @dataclass(frozen=True)

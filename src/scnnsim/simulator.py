@@ -19,17 +19,18 @@ block by block: the scatter reads each set's flat values and the dense
 positions derived from its runs, and `LayerOutput.decoded` rebuilds the
 plane from them with one scatter per group.
 
-Each (PE, group) scatter is one pass over phase-matched pairs. Operand
-entries are read once per layer and sorted by class (input channel, stride
-phase): an activation at x has phase (x + pad) % stride, a tap r has phase
-r % stride, and a product lands on an output only when the two phases agree
-in both axes. Pairs are expanded only inside a class, so
-products a stride skips are counted, never formed. Within a class the
-accumulator address separates into a weight term plus an activation term,
-and pairs are expanded in fixed-size chunks and summed with `np.bincount`
-in float64. Those sums are exact because operands are 16-bit (products
-< 2**30) and at most channels_per_group * R * S products reach one cell;
-`simulate_scnn_layer` rejects layers where that could reach 2**53.
+Each output-channel group is scattered once over every live PE, as its
+weights are broadcast to all of them, into accumulators laid out uniformly
+as [slot, kc, EX, EY] (`_Slots`). Operand entries are read once per layer
+and sorted by class (input channel, stride phase): an activation at x has
+phase (x + pad) % stride, a tap r has phase r % stride, and a product lands
+only when the two phases agree in both axes, so products a stride skips are
+counted, never formed. Within a class the address is a weight term plus an
+activation term (`_Entries`), and the class's pairs are an outer sum of two
+contiguous slices. Passes of pairs are summed with `np.bincount` in
+float64, exact because operands are 16-bit (products < 2**30) and at most
+channels_per_group * R * S products reach one cell; `simulate_scnn_layer`
+rejects layers where that could reach 2**53.
 
 Functional equivalence is the master contract: the decoded, halo-merged,
 ReLU'd (and optionally pooled) outputs equal the exact reference convolution
@@ -159,10 +160,9 @@ def _bank_ids(linear: np.ndarray, banks: int, bank_map: str) -> np.ndarray:
     return linear % banks
 
 
-# Pairs expanded per bincount pass. A pass holds a few 8-byte arrays of this
-# length, so the chunk bounds the scatter's working memory whatever the layer
-# size and keeps it cache-sized.
-_SCATTER_CHUNK = 1 << 14
+# Pairs per bincount pass, whose two 8-byte buffers bound the scatter's memory;
+# a pass widens to the group's cells plus one class to amortize the minlength.
+_SCATTER_CHUNK = 1 << 16
 
 # A 16-bit x 16-bit product is below 2**30 in magnitude; float64 sums of
 # integers stay exact below 2**53.
@@ -171,51 +171,59 @@ _EXACT_FLOAT_BITS = 53
 
 
 @dataclass(frozen=True)
-class _Entries:
-    """Entries of one operand stream (one PE's activation tiles or one
-    group's weights), placeholders included, sorted by class
-    channel * stride**2 + phase. Class q owns entries start[q]:start[q + 1].
+class _Slots:
+    """A layer's uniform accumulator layout [slot, kc, EX, EY]: slot i is
+    live PE pes[i], kc the largest group and (EX, EY) the largest extents
+    (a slot fits the capacity `choose_kc` sized); the PE's own accumulator
+    is [i, :kc, :ex, :ey]. `bank` holds every cell's i * n_banks + bank, the
+    bank taken from the PE's own address (k * ex + x) * ey + y."""
 
-    `addr` holds the per-entry terms of the separable accumulator address:
-    (k, r // stride, s // stride) for weights, the activation term for
-    activations."""
+    pes: list[int]
+    extent: np.ndarray    # (slots, 2): each PE's (ex, ey)
+    bank: np.ndarray      # [slot, kc, EX, EY]
+    n_banks: int
+
+
+def _slots(plan: TilePlan, kc: int, banks: int, bank_map: str) -> _Slots:
+    pes = [pe for pe in range(plan.n_pes) if not plan.tile(pe).empty]
+    extent = np.array([plan.acc_extent(pe) for pe in pes], dtype=np.int64)
+    ex, ey = (extent[:, i, None, None, None] for i in (0, 1))
+    k, x, y = np.ogrid[:kc, : extent[:, 0].max(), : extent[:, 1].max()]
+    bank = _bank_ids((k * ex + x) * ey + y, banks, bank_map)
+    bank += np.arange(len(pes))[:, None, None, None] * banks
+    return _Slots(pes, extent, bank, banks)
+
+
+@dataclass(frozen=True)
+class _Entries:
+    """One group's weights or every live PE's activations, placeholders
+    included, sorted by class channel * stride**2 + phase; class q owns
+    entries start[q]:start[q + 1]. `stored` and `nnz` count entries per
+    channel (per slot and channel for activations). A pair lands at the sum
+    of its entries' `addr`: (k * EX - r // stride) * EY - s // stride for
+    filter k's tap (r, s), i * kc * EX * EY + (x // stride - xb) * EY +
+    y // stride - yb for slot i's activation at padded (x, y)."""
 
     vals: np.ndarray              # float64 operand values
-    cls: np.ndarray
     start: np.ndarray
-    stored: np.ndarray            # entries per channel
-    nnz: np.ndarray               # non-zero entries per channel
-    addr: tuple[np.ndarray, ...]
+    stored: np.ndarray
+    nnz: np.ndarray
+    addr: np.ndarray
 
 
-def _entries(
-    n_channels: int,
-    stride: int,
-    chan: np.ndarray,
-    vals: np.ndarray,
-    phase: tuple[np.ndarray, np.ndarray],
-    addr: tuple[np.ndarray, ...],
-) -> _Entries:
-    """Sort entries by class and count them per class and channel."""
-    n_cls = n_channels * stride * stride
-    cls = (chan * stride + phase[0]) * stride + phase[1]
-    order = np.argsort(cls, kind="stable")
+def _entries(n_cls: int, cls, vals, addr, stored, nnz) -> _Entries:
+    """Sort entries by class; a stable sort of 16-bit keys is a radix sort."""
+    order = np.argsort(cls.astype(np.uint16) if n_cls <= 1 << 16 else cls, kind="stable")
     start = np.zeros(n_cls + 1, dtype=np.int64)
     np.cumsum(np.bincount(cls, minlength=n_cls), out=start[1:])
-    return _Entries(
-        vals=vals[order].astype(np.float64),
-        cls=cls[order],
-        start=start,
-        stored=np.bincount(chan, minlength=n_channels),
-        nnz=np.bincount(chan[vals != 0], minlength=n_channels),
-        addr=tuple(a[order] for a in addr),
-    )
+    return _Entries(vals[order].astype(np.float64), start, stored, nnz, addr[order])
 
 
-def _weight_entries(layer: LayerShape, weights: WeightStream) -> list[_Entries]:
+def _weight_entries(layer: LayerShape, weights: WeightStream, slots: _Slots) -> list[_Entries]:
     """Weight entries of each output-channel group, shared by every PE."""
     s = layer.stride
     rs = layer.R * layer.S
+    _, _, EX, EY = slots.bank.shape
     # first filter of each channel's convolution group
     first_k = np.arange(layer.C) // layer.channels_per_group * layer.filters_per_group
     out = []
@@ -223,79 +231,83 @@ def _weight_entries(layer: LayerShape, weights: WeightStream) -> list[_Entries]:
         chan, pos = blocks.block_ids(), blocks.positions
         k = np.maximum(first_k, grp.start)[chan] - grp.start + pos // rs
         r, t = (pos % rs) // layer.S, pos % layer.S
-        out.append(
-            _entries(layer.C, s, chan, blocks.values, (r % s, t % s), (k, r // s, t // s))
-        )
+        out.append(_entries(
+            layer.C * s * s, (chan * s + r % s) * s + t % s, blocks.values,
+            (k * EX - r // s) * EY - t // s, np.diff(blocks.offsets),
+            np.bincount(chan[blocks.values != 0], minlength=layer.C),
+        ))
     return out
 
 
-def _activation_entries(plan: TilePlan, pe: int, tiles: BlockSet) -> _Entries:
-    """One PE's activation entries; the address term is
-    ((x + pad) // stride) * ey + (y + pad) // stride."""
+def _activation_entries(plan: TilePlan, slots: _Slots, tiles: Sequence[BlockSet]) -> _Entries:
+    """The activation entries of every live PE, built into one stream."""
     layer = plan.layer
-    s, pad = layer.stride, layer.pad
-    t = plan.tile(pe)
-    if len(tiles) != layer.C:
-        raise ConfigurationError(f"pe {pe}: {len(tiles)} tiles for {layer.C} channels")
-    bad = np.flatnonzero(tiles.extents != t.wt * t.ht)
-    if bad.size:
-        raise ConfigurationError(
-            f"pe {pe} channel {bad[0]}: block extent {tiles.extents[bad[0]]} "
-            f"does not match tile {t.wt}x{t.ht}"
-        )
-    chan, vals, pos = tiles.block_ids(), tiles.values, tiles.positions
-    x = t.x0 + pos // t.ht + pad
-    y = t.y0 + pos % t.ht + pad
-    ey = plan.acc_extent(pe)[1]
-    return _entries(layer.C, s, chan, vals, (x % s, y % s), ((x // s) * ey + y // s,))
+    s, pad, C = layer.stride, layer.pad, layer.C
+    slot_cells, EY = slots.bank[0].size, slots.bank.shape[3]
+    ends = np.cumsum([0] + [tiles[pe].values.size for pe in slots.pes])
+    cls, addr = np.empty((2, ends[-1]), dtype=np.int64)
+    stored, nnz = np.empty((2, len(slots.pes), C), dtype=np.int64)
+    for i, pe in enumerate(slots.pes):
+        t, b, e = plan.tile(pe), tiles[pe], slice(ends[i], ends[i + 1])
+        if len(b) != C:
+            raise ConfigurationError(f"pe {pe}: {len(b)} tiles for {C} channels")
+        bad = np.flatnonzero(b.extents != t.wt * t.ht)
+        if bad.size:
+            raise ConfigurationError(
+                f"pe {pe} channel {bad[0]}: block extent {b.extents[bad[0]]} "
+                f"does not match tile {t.wt}x{t.ht}"
+            )
+        chan = b.block_ids()
+        x = t.x0 + b.positions // t.ht + pad
+        y = t.y0 + b.positions % t.ht + pad
+        xb, yb = plan.acc_base(pe)
+        cls[e] = (chan * s + x % s) * s + y % s
+        addr[e] = i * slot_cells + (x // s - xb) * EY + y // s - yb
+        stored[i] = np.diff(b.offsets)
+        nnz[i] = np.bincount(chan[b.values != 0], minlength=C)
+    vals = np.concatenate([tiles[pe].values for pe in slots.pes])
+    return _entries(C * s * s, cls, vals, addr, stored, nnz)
 
 
-def _scatter_group(
-    w: _Entries,
-    a: _Entries,
-    kc: int,
-    base: tuple[int, int],
-    extent: tuple[int, int],
-    banks: int,
-    bank_map: str,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Multiply and accumulate every weight/activation pair of one PE and
-    one output-channel group.
-
-    Returns the [kc, ex, ey] accumulator, the products landed on each bank
-    and the products skipped by the stride. Only phase-matched pairs are
-    formed; a pair (i, j) lands at cell wl[i] + al[j].
-    """
-    (xb, yb), (ex, ey) = base, extent
-    n_cells = kc * ex * ey
-    k, rq, sq = w.addr
-    wl = (k * ex - rq - xb) * ey - sq - yb
-    (al,) = a.addr
-    partners = np.diff(a.start)[w.cls]  # activations each weight meets
-    first = a.start[w.cls]
-    ends = np.cumsum(partners)
-    acc = np.zeros(n_cells)
-    landed = np.zeros(n_cells, dtype=np.int64)
-    i0 = done = 0
-    while i0 < partners.size:
-        i1 = max(i0 + 1, int(np.searchsorted(ends, done + _SCATTER_CHUNK, "right")))
-        n = partners[i0:i1]
-        pairs = int(ends[i1 - 1]) - done
-        if pairs:
-            aidx = np.repeat(first[i0:i1] - (ends[i0:i1] - n - done), n)
-            aidx += np.arange(pairs)
-            lin = np.repeat(wl[i0:i1], n) + al[aidx]
-            prods = np.repeat(w.vals[i0:i1], n) * a.vals[aidx]
-            acc += np.bincount(lin, weights=prods, minlength=n_cells)
-            landed += np.bincount(lin, minlength=n_cells)
-        i0, done = i1, done + pairs
-    bank_totals = np.bincount(
-        _bank_ids(np.arange(n_cells), banks, bank_map),
-        weights=landed,
-        minlength=banks,
-    ).astype(np.int64)
-    skipped = int((w.stored * a.stored).sum()) - done
-    return acc.astype(np.int64).reshape(kc, ex, ey), bank_totals, skipped
+def _scatter(
+    w: _Entries, a: _Entries, slots: _Slots
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every phase-matched pair of one output-channel group on every live PE:
+    the [slot, kc, EX, EY] accumulators, each slot's products per bank and
+    its products skipped by the stride."""
+    n_cells = slots.bank.size
+    nw, na = np.diff(w.start), np.diff(a.start)
+    size = max(_SCATTER_CHUNK, n_cells + int(na.max(initial=0)))
+    lin, prods = np.empty(size, dtype=np.int64), np.empty(size)
+    acc, landed = np.zeros(n_cells), np.zeros(n_cells)
+    fill = 0
+    w_start, a_start = w.start.tolist(), a.start.tolist()
+    for q in np.flatnonzero(nw * na).tolist():
+        a0, a1 = a_start[q], a_start[q + 1]
+        n, al, av = a1 - a0, a.addr[a0:a1], a.vals[a0:a1]
+        i0, i_end = w_start[q], w_start[q + 1]
+        while i0 < i_end:
+            rows = min(i_end - i0, (size - fill) // n)
+            if not rows:
+                acc += np.bincount(lin[:fill], prods[:fill], n_cells)
+                landed += np.bincount(lin[:fill], minlength=n_cells)
+                fill = 0
+                continue
+            i1, m = i0 + rows, rows * n
+            # the longer side runs innermost
+            (x, y), (u, v) = (w.addr[i0:i1], al), (w.vals[i0:i1], av)
+            if rows >= n:
+                (x, y), (u, v) = (y, x), (v, u)
+            np.add(x[:, None], y, out=lin[fill : fill + m].reshape(x.size, y.size))
+            np.multiply(u[:, None], v, out=prods[fill : fill + m].reshape(u.size, v.size))
+            i0, fill = i1, fill + m
+    acc += np.bincount(lin[:fill], prods[:fill], n_cells)
+    landed += np.bincount(lin[:fill], minlength=n_cells)
+    n_slots = len(slots.pes)
+    bank_totals = np.bincount(slots.bank.reshape(-1), landed, n_slots * slots.n_banks)
+    bank_totals = bank_totals.astype(np.int64).reshape(n_slots, -1)
+    skipped = a.stored @ w.stored - bank_totals.sum(axis=1)
+    return acc.astype(np.int64).reshape(slots.bank.shape), bank_totals, skipped
 
 
 @dataclass(frozen=True)
@@ -349,16 +361,19 @@ def _check_accum(plane: np.ndarray, layer_name: str) -> None:
 
 
 def max_pool(plane: np.ndarray, pool: PoolSpec) -> np.ndarray:
-    """Ceil-mode max pooling over the two trailing axes of [k, W, H]."""
+    """Ceil-mode max pooling over the two trailing axes of [k, W, H], one axis
+    at a time. Far edges are padded with the dtype's least value, which no
+    window can return: each starts inside the plane."""
     k, w, h = plane.shape
+    win, st = pool.window, pool.stride
     wo, ho = pool.out_extent(w), pool.out_extent(h)
-    out = np.empty((k, wo, ho), dtype=plane.dtype)
-    for i in range(wo):
-        for j in range(ho):
-            xs = slice(i * pool.stride, min(i * pool.stride + pool.window, w))
-            ys = slice(j * pool.stride, min(j * pool.stride + pool.window, h))
-            out[:, i, j] = plane[:, xs, ys].max(axis=(1, 2))
-    return out
+    least = np.iinfo(plane.dtype).min if plane.dtype.kind in "iu" else -np.inf
+    padded = np.full(
+        (k, max(w, (wo - 1) * st + win), max(h, (ho - 1) * st + win)), least, plane.dtype
+    )
+    padded[:, :w, :h] = plane
+    cols = np.maximum.reduce([padded[:, d : d + st * wo : st] for d in range(win)])
+    return np.maximum.reduce([cols[:, :, d : d + st * ho : st] for d in range(win)])
 
 
 def _out_rects(
@@ -453,7 +468,7 @@ def simulate_scnn_layer(
     weights broadcast (same stream for every PE). Returns the compressed
     per-PE outputs and the cycle/energy report.
 
-    Each (PE, group) scatter multiplies only pairs whose stride phases match
+    Each group's scatter multiplies only pairs whose stride phases match
     and accumulates them in float64 (see the module docstring). That is
     exact for 16-bit operands while channels_per_group * R * S * 2**30 <
     2**53; a layer beyond that bound raises ConfigurationError.
@@ -482,16 +497,21 @@ def simulate_scnn_layer(
 
     ev = EventCounts()
 
-    # operand entries read once per layer: activations per PE (reused
-    # across groups), weights per group (shared by all PEs)
-    live = [pe for pe in range(n_pes) if not plan.tile(pe).empty]
-    acts = {pe: _activation_entries(plan, pe, act_tiles[pe]) for pe in live}
-    w_groups = _weight_entries(layer, weights)
-    iaram_stored = sum(int(e.stored.sum()) for e in acts.values())
+    kc_max, cells = max(map(len, gplan.groups)), plan.max_acc_cells()
+    if kc_max * cells > gplan.capacity_entries:
+        raise ConfigurationError(
+            f"group of {kc_max} channels overflows the accumulator "
+            f"({kc_max * cells} > {gplan.capacity_entries} entries)"
+        )
+    # operand entries read once per layer: activations of every live PE
+    # (reused across groups), weights per group (shared by all PEs)
+    slots = _slots(plan, kc_max, arch.accum_banks, arch.bank_map)
+    acts = _activation_entries(plan, slots, act_tiles)
+    w_groups = _weight_entries(layer, weights, slots)
+    iaram_stored = int(acts.stored.sum())
     # activation vectors per (PE, channel)
     va = np.zeros((n_pes, layer.C), dtype=np.int64)
-    for pe, e in acts.items():
-        va[pe] = -((-e.stored) // I)
+    va[slots.pes] = -((-acts.stored) // I)
 
     total_cycles = 0
     conflict_stalls_total = 0
@@ -507,37 +527,27 @@ def simulate_scnn_layer(
     pe_busy = np.zeros(n_pes, dtype=np.int64)
     pe_wait = np.zeros(n_pes, dtype=np.int64)
 
-    for gi, group in enumerate(gplan.groups):
+    for gi, (group, w) in enumerate(zip(gplan.groups, w_groups)):
         kc = len(group)
-        w = w_groups[gi]
         wv = -((-w.stored) // F)
-        group_busy = np.zeros(n_pes, dtype=np.int64)
-        group_batches = np.zeros(n_pes, dtype=np.int64)
+        acc, bank_totals, skipped = _scatter(w, acts, slots)
         accs: list[np.ndarray | None] = [None] * n_pes
-        for pe in live:
-            ex, ey = plan.acc_extent(pe)
-            if kc * ex * ey > gplan.capacity_entries:
-                raise ConfigurationError(
-                    f"group of {kc} channels overflows the accumulator "
-                    f"({kc * ex * ey} > {gplan.capacity_entries} entries)"
-                )
-            a = acts[pe]
-            accs[pe], bank_totals, skipped = _scatter_group(
-                w, a, kc, plan.acc_base(pe), (ex, ey), arch.accum_banks, arch.bank_map
-            )
-            stride_skipped += skipped
-            batches = int((wv * va[pe]).sum())
-            ev.mult_ops += int((w.stored * a.stored).sum())
-            useful += int((w.nnz * a.nnz).sum())
-            routed = int(bank_totals.sum())
-            ev.xbar_transfers += routed
-            ev.acc_updates += routed
-            # banks retire one product per cycle; within a group the elastic
-            # queues hide anything short of sustained single-bank overload
-            stall = max(0, int(bank_totals.max()) - batches) if batches else 0
-            conflict_stalls_total += stall
-            group_busy[pe] = batches + stall
-            group_batches[pe] = batches
+        for i, (pe, (ex, ey)) in enumerate(zip(slots.pes, slots.extent.tolist())):
+            accs[pe] = acc[i, :kc, :ex, :ey]
+        stride_skipped += int(skipped.sum())
+        ev.mult_ops += int((acts.stored @ w.stored).sum())
+        useful += int((acts.nnz @ w.nnz).sum())
+        routed = int(bank_totals.sum())
+        ev.xbar_transfers += routed
+        ev.acc_updates += routed
+        group_batches = va @ wv
+        peak = np.zeros(n_pes, dtype=np.int64)
+        peak[slots.pes] = bank_totals.max(axis=1)
+        # banks retire one product per cycle; within a group the elastic
+        # queues hide anything short of sustained single-bank overload
+        stall = np.where(group_batches > 0, np.maximum(peak - group_batches, 0), 0)
+        conflict_stalls_total += int(stall.sum())
+        group_busy = group_batches + stall
         batches_total += int(group_batches.sum())
 
         compute_t = int(group_busy.max())
@@ -559,10 +569,7 @@ def simulate_scnn_layer(
         out_blocks.append(ppu.blocks)
         out_stored += np.diff(ppu.blocks.offsets[::kc])
         ev.acc_drains += ppu.drained_cells
-        drain_cycles = math.ceil(
-            max(acc.size if acc is not None else 0 for acc in accs)
-            / arch.ppu_values_per_cycle
-        )
+        drain_cycles = math.ceil(kc * cells / arch.ppu_values_per_cycle)
         if arch.accum_double_buffered and gplan.double_buffered:
             group_cycles = max(t_eff, drain_cycles)
             drain_overhead_total += max(0, drain_cycles - t_eff)
@@ -581,14 +588,8 @@ def simulate_scnn_layer(
                     f"group_cycles={group_cycles}\n"
                 )
 
-    dense_out = (
-        np.concatenate(out_planes, axis=0)
-        if out_planes
-        else np.zeros((0, layer.Wo, layer.Ho), dtype=np.int64)
-    )
-    output = LayerOutput(
-        tuple(out_blocks), DenseTensor(dense_out, OUT_ROLES), arch.pe_rows, arch.pe_cols
-    )
+    dense_out = DenseTensor(np.concatenate(out_planes, axis=0), OUT_ROLES)
+    output = LayerOutput(tuple(out_blocks), dense_out, arch.pe_rows, arch.pe_cols)
 
     oaram_stored = int(out_stored.sum())
     iaram_fp = Footprint(
@@ -597,9 +598,8 @@ def simulate_scnn_layer(
     oaram_fp = Footprint(
         oaram_stored * fm.value_bits, oaram_stored * fm.index_overhead_bits
     )
-    in_stored = np.array([t.values.size for t in act_tiles], dtype=np.int64)
     dram_tiled = bool(
-        (in_stored > arch.iaram_value_capacity).any()
+        (acts.stored.sum(axis=1) > arch.iaram_value_capacity).any()
         or (out_stored > arch.oaram_value_capacity).any()
     )
 

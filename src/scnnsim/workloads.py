@@ -141,9 +141,16 @@ def _load_chain(doc: dict, name: str) -> tuple[LayerSpec, ...]:
         raise DescriptorError(f"{name}: empty layer list")
     specs: list[LayerSpec] = []
     prev = "input"
+    layer_index: dict[str, int] = {}
     for i, raw in enumerate(raw_layers):
         path = f"{name}.layers[{i}]"
         lname = _field(raw, "name", path, str)
+        if lname in layer_index:
+            raise DescriptorError(
+                f"{path}: layer name '{lname}' is already used by "
+                f"{name}.layers[{layer_index[lname]}]"
+            )
+        layer_index[lname] = i
         declared_c = _field(raw, "C", path, int, required=False)
         if declared_c is not None and declared_c != c:
             raise DescriptorError(

@@ -129,3 +129,24 @@ def per_pe_tiles(layer, rows, cols):
                 seen[key] = seen.get(key, 0) + 1
                 max_cells = max(max_cells, ex * ey)
     return [(n, *key) for key, n in seen.items()], max_cells
+
+
+def naive_max_pool(plane: list, window: int, stride: int) -> list:
+    """Ceil-mode max pooling of plane[k][x][y] (nested lists): windows start
+    at 0, stride, 2 * stride, ... while the start lies inside the plane, each
+    clipped at the far edge, and none follows the first that reaches it."""
+
+    def windows(span):
+        out, lo = [], 0
+        while lo < span:
+            out.append(range(lo, min(lo + window, span)))
+            if lo + window >= span:
+                break
+            lo += stride
+        return out
+
+    result = []
+    for chan in plane:
+        xs, ys = windows(len(chan)), windows(len(chan[0]) if chan else 0)
+        result.append([[max(chan[x][y] for x in wx for y in wy) for wy in ys] for wx in xs])
+    return result

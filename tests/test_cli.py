@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from scnnsim.analytic import PoolSpec
 from scnnsim.cli import main
 from scnnsim.workloads import load_network
 
@@ -171,6 +172,36 @@ def test_non_mapping_descriptor_entry_is_a_one_line_error(text, message, tmp_pat
     err = capsys.readouterr().err
     assert rc == 2
     assert err == f"error: {message}\n"
+
+
+def test_duplicate_chain_layer_name_is_a_one_line_error(tmp_path, capsys):
+    # two rows named c1 in the report could not be told apart
+    path = tmp_path / "net.yaml"
+    path.write_text(
+        CHAIN_HEAD + f"layers:\n  - {LAYER}}}\n  - {LAYER.replace('c1', 'c2')}}}\n"
+        f"  - {LAYER}}}\n"
+    )
+    rc = main(["run", "--network", str(path), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: bad.layers[2]: layer name 'c1' is already used by bad.layers[0]\n"
+    )
+
+
+def test_pool_window_shorter_than_stride_matches_the_oracle(tmp_path, capsys):
+    # a 5-wide plane pooled by window 1, stride 3 keeps columns 0 and 3; a
+    # third ceil-mode window would start at 6, past the plane
+    path = tmp_path / "net.yaml"
+    path.write_text(
+        "schema_version: 1\nname: gap\ntopology: chain\n"
+        "input: {channels: 2, width: 5, height: 5}\n"
+        "layers:\n  - {name: c, K: 2, R: 1, S: 1, weight_density: 1.0, act_density: 1.0,\n"
+        "     pool: {window: 1, stride: 3}}\n"
+    )
+    assert PoolSpec(1, 3).out_extent(5) == 2
+    rc = main(["validate", "--network", str(path), "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert "1/1 layers match the oracle" in capsys.readouterr().out
 
 
 def test_seed_option_is_checked_like_the_config_seed(tmp_path, capsys):

@@ -1,10 +1,12 @@
-"""The vectorised (PE, group) scatter against a per-channel loop reference.
+"""The group-level scatter against a per-(PE, channel) loop reference.
 
 `loop_scatter` is the straightforward form of the Cartesian-product scatter:
-for each input channel, form every weight x activation product, drop those
-the stride skips, and add the rest into the accumulator with `np.add.at` in
-int64. The simulator's phase-matched, chunked, float64 `bincount` scatter
-must reproduce it exactly.
+for one PE and each input channel, form every weight x activation product,
+drop those the stride skips, and add the rest into the accumulator with
+`np.add.at` in int64. The simulator scatters each output-channel group over
+every live PE at once, in phase-matched float64 `bincount` passes over a
+uniform [slot, kc, EX, EY] layout; every PE's view of it, its bank totals
+and its skipped count must reproduce the reference exactly.
 """
 
 import numpy as np
@@ -18,7 +20,8 @@ from scnnsim.simulator import (
     _SCATTER_CHUNK,
     WeightStream,
     _activation_entries,
-    _scatter_group,
+    _scatter,
+    _slots,
     _weight_entries,
     prepare_scnn_inputs,
     simulate_scnn_layer,
@@ -68,6 +71,37 @@ def loop_scatter(arch, layer, stream, tiles, gi, pe):
     return acc, bank_totals, skipped
 
 
+def group_scatters(arch, layer, stream, tiles):
+    """(pe, gi, acc, bank_totals, skipped) of every live PE in every group,
+    from one group-level scatter per group. The cells of a slot outside its
+    PE's [kc, ex, ey] view must stay empty."""
+    plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
+    groups = stream.gplan.groups
+    slots = _slots(plan, max(map(len, groups)), arch.accum_banks, arch.bank_map)
+    assert slots.pes == [pe for pe in range(arch.n_pes) if not plan.tile(pe).empty]
+    acts = _activation_entries(plan, slots, tiles)
+    for gi, w in enumerate(_weight_entries(layer, stream, slots)):
+        acc, bank_totals, skipped = _scatter(w, acts, slots)
+        assert acc.dtype == np.int64
+        for i, pe in enumerate(slots.pes):
+            kc, (ex, ey) = len(groups[gi]), slots.extent[i]
+            view = acc[i, :kc, :ex, :ey]
+            assert np.abs(acc[i]).sum() == np.abs(view).sum()
+            yield pe, gi, view, bank_totals[i], int(skipped[i])
+
+
+def assert_matches_loop_reference(arch, layer, stream, tiles):
+    """Compare every live PE in every group; return their skipped counts."""
+    skips = []
+    for pe, gi, acc, bank_totals, skipped in group_scatters(arch, layer, stream, tiles):
+        ref_acc, ref_banks, ref_skipped = loop_scatter(arch, layer, stream, tiles, gi, pe)
+        assert np.array_equal(acc, ref_acc)
+        assert np.array_equal(bank_totals, ref_banks)
+        assert skipped == ref_skipped
+        skips.append(skipped)
+    return skips
+
+
 def _operand(rng, shape, density, lo):
     """16-bit operands at the given density, extremes included."""
     vals = rng.integers(lo, 1 << 15, size=shape)
@@ -115,44 +149,51 @@ def scatter_cases(draw):
 def test_scatter_equals_loop_reference(case):
     arch, layer, w, a = case
     stream, tiles = prepare_scnn_inputs(arch, layer, w, a)
-    plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
-    w_groups = _weight_entries(layer, stream)
-    for pe in range(arch.n_pes):
-        if plan.tile(pe).empty:
-            continue
-        acts = _activation_entries(plan, pe, tiles[pe])
-        for gi, group in enumerate(stream.gplan.groups):
-            acc, bank_totals, skipped = _scatter_group(
-                w_groups[gi], acts, len(group), plan.acc_base(pe),
-                plan.acc_extent(pe), arch.accum_banks, arch.bank_map,
-            )
-            ref_acc, ref_banks, ref_skipped = loop_scatter(arch, layer, stream, tiles, gi, pe)
-            assert acc.dtype == np.int64
-            assert np.array_equal(acc, ref_acc)
-            assert np.array_equal(bank_totals, ref_banks)
-            assert skipped == ref_skipped
+    assert_matches_loop_reference(arch, layer, stream, tiles)
+
+
+def _dense_case(layer, arch, density, seed):
+    rng = np.random.default_rng(seed)
+    w = DenseTensor(_operand(rng, layer.weight_shape(), density, -(1 << 15)), WEIGHT_ROLES)
+    a = DenseTensor(_operand(rng, layer.input_shape(), density, 0), ACT_ROLES)
+    return prepare_scnn_inputs(arch, layer, w, a)
 
 
 def test_scatter_spans_several_chunks():
-    # one (PE, group) with far more pairs than one bincount pass holds
+    # one group with far more pairs than one bincount pass holds
     layer = LayerShape("big", C=4, K=8, W=24, H=24, R=3, S=3, pad=1)
     arch = ArchConfig(pe_rows=1, pe_cols=1, accum_banks=32, bank_entries=512)
-    rng = np.random.default_rng(3)
-    w = DenseTensor(_operand(rng, layer.weight_shape(), 1.0, -(1 << 15)), WEIGHT_ROLES)
-    a = DenseTensor(_operand(rng, layer.input_shape(), 1.0, 0), ACT_ROLES)
-    stream, tiles = prepare_scnn_inputs(arch, layer, w, a)
-    plan = partition_tiles(layer, (1, 1))
-    w_groups = _weight_entries(layer, stream)
-    acts = _activation_entries(plan, 0, tiles[0])
+    stream, tiles = _dense_case(layer, arch, 1.0, 3)
     kc = len(stream.gplan.groups[0])
-    assert kc * layer.C * layer.R * layer.S * layer.W * layer.H > 4 * _SCATTER_CHUNK
-    got = _scatter_group(
-        w_groups[0], acts, kc, plan.acc_base(0), plan.acc_extent(0), 32, "mod"
-    )
-    ref = loop_scatter(arch, layer, stream, tiles, 0, 0)
-    assert np.array_equal(got[0], ref[0])
-    assert np.array_equal(got[1], ref[1])
-    assert got[2] == ref[2] == 0
+    cells = kc * partition_tiles(layer, (1, 1)).max_acc_cells()
+    assert kc * layer.C * layer.R * layer.S * layer.W * layer.H > 2 * _SCATTER_CHUNK
+    assert cells + layer.W * layer.H <= _SCATTER_CHUNK
+    assert assert_matches_loop_reference(arch, layer, stream, tiles) == [0]
+
+
+def test_slots_pad_pes_with_smaller_accumulators():
+    # ragged tiles: the last column and row are narrower, and the stride-2
+    # phases give neighbouring tiles different accumulator extents
+    layer = LayerShape("ragged", C=3, K=5, W=11, H=7, R=3, S=3, stride=2, pad=1)
+    arch = ArchConfig(pe_rows=2, pe_cols=3, accum_banks=16, bank_entries=3, bank_map="xor")
+    stream, tiles = _dense_case(layer, arch, 0.8, 5)
+    plan = partition_tiles(layer, (2, 3))
+    extents = {plan.acc_extent(pe) for pe in range(plan.n_pes)}
+    assert len({ex for ex, _ in extents}) > 1 and len({ey for _, ey in extents}) > 1
+    # groups of 2, 2 and 1 channels: the last leaves a slot's k padding empty
+    assert [len(g) for g in stream.gplan.groups] == [2, 2, 1]
+    assert len(assert_matches_loop_reference(arch, layer, stream, tiles)) == 6 * 3
+
+
+def test_group_with_more_cells_than_one_pass():
+    # 16 slots x 48 channels x 10 x 10 cells outgrow the default pass, which
+    # then widens to the group's cells plus one class
+    layer = LayerShape("wide", C=2, K=48, W=32, H=32, R=3, S=3, pad=1)
+    arch = ArchConfig(pe_rows=4, pe_cols=4, accum_banks=32, bank_entries=512)
+    stream, tiles = _dense_case(layer, arch, 0.5, 7)
+    assert stream.gplan.n_groups == 1
+    assert 16 * 48 * partition_tiles(layer, (4, 4)).max_acc_cells() > _SCATTER_CHUNK
+    assert len(assert_matches_loop_reference(arch, layer, stream, tiles)) == 16
 
 
 # channels_per_group * R * S * 2**30 must stay below 2**53, i.e. fewer than

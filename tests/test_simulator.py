@@ -2,8 +2,9 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import count_cartesian_products
+from oracles import count_cartesian_products, naive_max_pool
 from scnnsim.analytic import (
     VARIANT_DCNN,
     VARIANT_DCNN_OPT,
@@ -317,3 +318,21 @@ class TestDenseBaselines:
         d = dcnn_arch(arch)
         total = d.n_pes * (d.iaram_bytes + d.oaram_bytes)
         assert total == 2 * 1024 * 1024
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    window=st.integers(1, 5),
+    stride=st.integers(1, 5),
+    k=st.integers(1, 3),
+    w=st.integers(1, 13),
+    h=st.integers(1, 13),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_max_pool_equals_loop_reference(window, stride, k, w, h, seed):
+    # spans shorter than the window and windows shorter than the stride
+    # included; negative values check that the far-edge padding never wins
+    plane = np.random.default_rng(seed).integers(-(1 << 23), 1 << 23, size=(k, w, h))
+    got = max_pool(plane, PoolSpec(window, stride))
+    assert got.dtype == plane.dtype
+    assert got.tolist() == naive_max_pool(plane.tolist(), window, stride)
