@@ -1,6 +1,6 @@
 """Sparse CNN inference accelerator model: exact functional simulation of
 the compressed Cartesian-product dataflow, cycle-level PE array timing,
-dense baselines, and an analytical cost/area model.
+dense baselines, and an analytical cycle and energy model.
 
 Import the submodules; the package root re-exports nothing. numpy is
 imported only by the cycle-level engine's modules (`tensors`, `codec`,

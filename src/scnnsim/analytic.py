@@ -1,10 +1,9 @@
-"""Analytical cost model: event counting, bottleneck cycles, energy and
-area, plus the architecture, report and footprint types both engines share.
+"""Analytical cost model: event counting, bottleneck cycles and energy, plus
+the architecture, report and footprint types and the dense baseline's DRAM
+tiling rule that both engines share.
 
 Energy coefficients are relative estimates shipped in the config (ordered
-DRAM >> RAM > FIFO > multiply); absolute joules are never asserted. The area
-tables reproduce the published per-structure breakdowns at the default sizes
-and scale linearly with the configured structure sizes.
+DRAM >> RAM > FIFO > multiply); absolute joules are never asserted.
 
 This module imports no numpy: an analytic run reads only layer shapes and
 densities, so it loads neither numpy nor the cycle-level engine (see the
@@ -58,10 +57,6 @@ class Footprint:
     def total_bits(self) -> int:
         return self.data_bits + self.index_bits
 
-    @property
-    def total_bytes(self) -> float:
-        return self.total_bits / 8
-
 
 @dataclass
 class EventCounts:
@@ -83,15 +78,6 @@ class EventCounts:
     act_ram_bits: int = 0
     weight_buf_bits: int = 0
     dram_bits: int = 0
-
-    def __add__(self, other: "EventCounts") -> "EventCounts":
-        out = EventCounts()
-        for f in fields(EventCounts):
-            setattr(out, f.name, getattr(self, f.name) + getattr(other, f.name))
-        return out
-
-    def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(EventCounts)}
 
 
 @dataclass(frozen=True)
@@ -127,81 +113,6 @@ class EnergyModel:
             "dram": counts.dram_bits * self.dram_bit,
         }
         return sum(breakdown.values()), breakdown
-
-
-@dataclass(frozen=True)
-class AreaEntry:
-    name: str
-    base_area_mm2: float
-    scale: str = "fixed"  # one of: act_ram, weight_fifo, mult, xbar, accum, fixed
-    base_size: float = 1.0
-
-
-@dataclass(frozen=True)
-class AreaTable:
-    """Per-PE structure areas at the baseline sizes they were measured at."""
-
-    entries: tuple[AreaEntry, ...]
-
-    def pe_total(self) -> float:
-        return sum(e.base_area_mm2 for e in self.entries)
-
-    def breakdown(self) -> dict[str, float]:
-        return {e.name: e.base_area_mm2 for e in self.entries}
-
-
-# Published per-PE breakdown; "other" absorbs the rounding residual so the
-# entries sum exactly to the published PE total of 0.123 mm^2.
-SCNN_AREA = AreaTable(
-    (
-        AreaEntry("iaram_oaram", 0.031, "act_ram", base_size=20 * 1024),
-        AreaEntry("weight_fifo", 0.004, "weight_fifo", base_size=50),
-        AreaEntry("multiplier_array", 0.008, "mult", base_size=16),
-        AreaEntry("scatter_network", 0.026, "xbar", base_size=16 * 32),
-        AreaEntry("accumulator_buffers", 0.036, "accum", base_size=2048),
-        AreaEntry("other", 0.018, "fixed"),
-    )
-)
-
-# Only the 5.9 mm^2 accelerator total is published for the dense baseline;
-# the split below is an estimate that preserves that total at 64 PEs.
-DCNN_AREA = AreaTable(
-    (
-        AreaEntry("act_sram", 0.0496, "act_ram", base_size=32 * 1024),
-        AreaEntry("weight_buffer", 0.004, "weight_fifo", base_size=50),
-        AreaEntry("multiplier_array", 0.008, "mult", base_size=16),
-        AreaEntry("psum_buffer", 0.0200, "accum", base_size=2048),
-        AreaEntry("other", 0.0105875, "fixed"),
-    )
-)
-
-
-def _scale_factor(entry: AreaEntry, arch) -> float:
-    if entry.scale == "fixed":
-        return 1.0
-    if entry.scale == "act_ram":
-        return (arch.iaram_bytes + arch.oaram_bytes) / entry.base_size
-    if entry.scale == "weight_fifo":
-        return arch.weight_fifo_entries / entry.base_size
-    if entry.scale == "mult":
-        return (arch.weights_per_fetch * arch.acts_per_fetch) / entry.base_size
-    if entry.scale == "xbar":
-        return (
-            arch.weights_per_fetch * arch.acts_per_fetch * arch.accum_banks
-        ) / entry.base_size
-    if entry.scale == "accum":
-        copies = 2 if arch.accum_double_buffered else 1
-        return (arch.accum_banks * arch.bank_entries * copies) / entry.base_size
-    raise ConfigurationError(f"unknown area scale rule {entry.scale}")
-
-
-def area_model(arch, table: AreaTable) -> tuple[float, dict[str, float]]:
-    """Accelerator area: table entries scaled by the configured structure
-    sizes, times the PE count. At the default configuration every scale
-    factor is 1 and the published totals are reproduced exactly."""
-    per_pe = {e.name: e.base_area_mm2 * _scale_factor(e, arch) for e in table.entries}
-    total = sum(per_pe.values()) * arch.pe_rows * arch.pe_cols
-    return total, per_pe
 
 
 @dataclass(frozen=True)
@@ -244,15 +155,12 @@ class ArchConfig:
     index_bits: int = 4
     bank_map: str = "mod"  # or "xor": fold the linear coordinate before mod
     energy: EnergyModel = field(default_factory=EnergyModel)
-    scnn_area: AreaTable = SCNN_AREA
-    dcnn_area: AreaTable = DCNN_AREA
 
     def __post_init__(self) -> None:
         # every other knob is an integer; bools pass only where one is due
         kinds = {
             "accum_double_buffered": bool, "dram_values_per_cycle": numbers.Real,
             "bank_map": str, "energy": EnergyModel,
-            "scnn_area": AreaTable, "dcnn_area": AreaTable,
         }
         for f in fields(self):
             value, kind = getattr(self, f.name), kinds.get(f.name, numbers.Integral)
@@ -306,6 +214,18 @@ def dcnn_arch(base: ArchConfig) -> ArchConfig:
     activation SRAM instead of 1MB of compressed RAM."""
     per_ram = 2 * 1024 * 1024 // (2 * base.n_pes)
     return replace(base, iaram_bytes=per_ram, oaram_bytes=per_ram)
+
+
+def dense_dram_tiled(arch: ArchConfig, layer: LayerShape, pool: PoolSpec | None) -> bool:
+    """Whether the dense baselines tile a layer through DRAM: its raw input
+    plus its post-pool output overflow the 2MB of activation SRAM, which
+    holds any split of the two."""
+    d = dcnn_arch(arch)
+    out_w, out_h = layer.Wo, layer.Ho
+    if pool is not None:
+        out_w, out_h = pool.out_extent(out_w), pool.out_extent(out_h)
+    total = layer.C * layer.W * layer.H + layer.K * out_w * out_h
+    return total > d.n_pes * (d.iaram_value_capacity + d.oaram_value_capacity)
 
 
 @dataclass(frozen=True)

@@ -7,22 +7,22 @@ placeholders, each standing for 2**index_bits - 1 zeros plus itself, and a
 final run of g % 2**index_bits. Trailing zeros are implicit in the logical
 extent, so decode(encode(x)) == x for every slice.
 
-The simulator keeps operands columnar: a `BlockSet` holds many blocks as the
-flat `values` and `run_lengths` streams plus per-block `offsets` and
-`extents`, built for a whole tensor slice by one vectorized `encode_blocks`
-and validated once. The simulator reads the flat arrays (and the dense
-positions derived from the runs) directly; `BlockSet.block` materializes one
-`CompressedBlock` for code that inspects a single block.
+`BlockSet` is the one block format: it holds many blocks as the flat
+`values` and `run_lengths` streams plus per-block `offsets` and `extents`,
+built for a whole tensor slice by one vectorized `encode_blocks` and
+validated once. The simulator reads the flat arrays (and the dense positions
+derived from the runs) directly; a single block is the slice
+offsets[b]:offsets[b + 1] of those arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .analytic import MAX_INDEX_BITS, Footprint, FootprintModel
+from .analytic import MAX_INDEX_BITS
 from .tensors import ACCUM_MAX, ACCUM_MIN
 
 DEFAULT_INDEX_BITS = 4
@@ -97,44 +97,6 @@ def _int64(xs, what: str) -> np.ndarray:
         raise CodecError(f"{what} outside the 64-bit range") from e
 
 
-@dataclass(frozen=True)
-class CompressedBlock:
-    """One weight group (Kc x R x S per input channel) or one activation
-    channel tile (Wt x Ht), run-length encoded."""
-
-    values: tuple[int, ...]
-    run_lengths: tuple[int, ...]
-    logical_extent: int
-    index_bits: int = DEFAULT_INDEX_BITS
-
-    def __post_init__(self) -> None:
-        if len(self.values) != len(self.run_lengths):
-            raise CodecError("values and run_lengths differ in length")
-        _check_stream(
-            _int64(self.values, "value").reshape(-1),
-            _int64(self.run_lengths, "run length").reshape(-1),
-            np.array([0, len(self.values)], dtype=np.int64),
-            np.array([self.logical_extent], dtype=np.int64),
-            self.index_bits,
-        )
-
-    @property
-    def stored_count(self) -> int:
-        """Entries held in the buffer, placeholders included."""
-        return len(self.values)
-
-    def nnz(self) -> int:
-        """True non-zeros (placeholders excluded)."""
-        return int(np.count_nonzero(self.values))
-
-    def positions(self) -> np.ndarray:
-        """Dense coordinate of every stored entry, in stream order."""
-        if not self.values:
-            return np.empty(0, dtype=np.int64)
-        runs = np.asarray(self.run_lengths, dtype=np.int64)
-        return np.cumsum(runs + 1) - 1
-
-
 @dataclass(frozen=True, eq=False)
 class BlockSet:
     """Many blocks in the stream format, stored column-wise.
@@ -142,8 +104,9 @@ class BlockSet:
     Block b owns entries offsets[b]:offsets[b + 1] of `values` and
     `run_lengths` and expands to extents[b] dense values. `positions` holds
     each entry's dense coordinate within its block, derived from the runs.
-    Every condition `CompressedBlock` checks is checked once for the whole
-    set."""
+    The whole set is checked once: the index width, offsets that partition
+    the stream, runs within the index width, values within the 24-bit
+    accumulator range and every entry inside its block's extent."""
 
     values: np.ndarray
     run_lengths: np.ndarray
@@ -166,17 +129,6 @@ class BlockSet:
     def block_ids(self) -> np.ndarray:
         """The block of every stored entry."""
         return np.repeat(np.arange(len(self)), np.diff(self.offsets))
-
-    def block(self, b: int) -> CompressedBlock:
-        """Block b as a standalone `CompressedBlock`."""
-        b = range(len(self))[b]
-        lo, hi = self.offsets[b], self.offsets[b + 1]
-        return CompressedBlock(
-            tuple(self.values[lo:hi].tolist()),
-            tuple(self.run_lengths[lo:hi].tolist()),
-            int(self.extents[b]),
-            self.index_bits,
-        )
 
 
 def encode_blocks(
@@ -218,34 +170,3 @@ def encode_blocks(
         np.cumsum(np.bincount(blk, minlength=extents.size))
     ]
     return BlockSet(values, runs, offsets, extents, index_bits)
-
-
-def encode_block(
-    dense_slice: Sequence[int] | np.ndarray,
-    index_bits: int = DEFAULT_INDEX_BITS,
-) -> CompressedBlock:
-    """Run-length encode one dense slice (already linearized by the caller)."""
-    flat = _int64(dense_slice, "value").reshape(-1)
-    return encode_blocks(flat, [flat.size], index_bits).block(0)
-
-
-def decode_block(block: CompressedBlock) -> np.ndarray:
-    """Expand to the dense slice of length logical_extent."""
-    dense = np.zeros(block.logical_extent, dtype=np.int64)
-    pos = block.positions()
-    if pos.size:
-        if int(pos[-1]) >= block.logical_extent:
-            raise CodecError("block expands past its logical extent")
-        dense[pos] = block.values
-    return dense
-
-
-def footprint(
-    blocks: CompressedBlock | Iterable[CompressedBlock],
-    model: FootprintModel = FootprintModel(),
-) -> Footprint:
-    """Storage bits for a set of blocks, data and index reported separately."""
-    if isinstance(blocks, CompressedBlock):
-        blocks = [blocks]
-    stored = sum(b.stored_count for b in blocks)
-    return Footprint(stored * model.value_bits, stored * model.index_overhead_bits)

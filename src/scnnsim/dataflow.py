@@ -295,15 +295,6 @@ def choose_kc(layer: LayerShape, arch) -> GroupPlan:
     return GroupPlan(kc, groups, capacity, double_buffered)
 
 
-def strided_out_coord(global_in: int, tap: int, pad: int, stride: int) -> tuple[int, bool]:
-    """Output coordinate for a strided pair, or valid=False when the pair
-    falls between output positions and is skipped (and counted) instead."""
-    num = global_in - tap + pad
-    if num % stride:
-        return 0, False
-    return num // stride, True
-
-
 def cartesian_work(layer: LayerShape, weights: DenseTensor, acts: DenseTensor) -> int:
     """Total useful multiplies: per input channel, every non-zero weight
     meets every non-zero activation exactly once. Independent of the PE

@@ -40,9 +40,8 @@ bit for bit.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,6 +58,7 @@ from .analytic import (
     SimReport,
     count_events,
     dcnn_arch,
+    dense_dram_tiled,
 )
 from .codec import BlockSet
 from .dataflow import (
@@ -141,17 +141,6 @@ def prepare_scnn_inputs(
     stream = compress_weights(layer, gplan, weights, arch.index_bits)
     tiles = distribute_activations(plan, acts, arch.index_bits)
     return stream, tiles
-
-
-def route_batch(products: Iterable[tuple[int, int]]) -> int:
-    """Stall cycles one batch of (bank_id, value) products adds in isolation.
-
-    The batch completes in max(1, max products on one bank) cycles since each
-    bank accepts one product per cycle; the stall is that minus one.
-    """
-    counts = Counter(bank for bank, _ in products)
-    worst = max(counts.values(), default=0)
-    return max(1, worst) - 1
 
 
 def _bank_ids(linear: np.ndarray, banks: int, bank_map: str) -> np.ndarray:
@@ -460,7 +449,6 @@ def simulate_scnn_layer(
     pool: PoolSpec | None = None,
     input_from_dram: bool = True,
     output_to_dram: bool = False,
-    trace: IO | None = None,
 ) -> tuple[LayerOutput, SimReport]:
     """Run one layer through the sparse PE array.
 
@@ -527,7 +515,7 @@ def simulate_scnn_layer(
     pe_busy = np.zeros(n_pes, dtype=np.int64)
     pe_wait = np.zeros(n_pes, dtype=np.int64)
 
-    for gi, (group, w) in enumerate(zip(gplan.groups, w_groups)):
+    for group, w in zip(gplan.groups, w_groups):
         kc = len(group)
         wv = -((-w.stored) // F)
         acc, bank_totals, skipped = _scatter(w, acts, slots)
@@ -580,13 +568,6 @@ def simulate_scnn_layer(
         total_cycles += group_cycles
         pe_busy += group_busy
         pe_wait += group_cycles - group_busy
-        if trace is not None:
-            for pe in range(n_pes):
-                trace.write(
-                    f"layer={layer.name} group={gi} pe={pe} "
-                    f"batches={int(group_batches[pe])} busy={int(group_busy[pe])} "
-                    f"group_cycles={group_cycles}\n"
-                )
 
     dense_out = DenseTensor(np.concatenate(out_planes, axis=0), OUT_ROLES)
     output = LayerOutput(tuple(out_blocks), dense_out, arch.pe_rows, arch.pe_cols)
@@ -656,9 +637,8 @@ def simulate_dcnn_layer(
     if variant not in (VARIANT_DCNN, VARIANT_DCNN_OPT):
         raise ConfigurationError(f"unknown dense variant {variant}")
     wd, ad = weights.density(), acts.density()
-    dense_arch = dcnn_arch(arch)
     counts = count_events(
-        dense_arch,
+        dcnn_arch(arch),
         layer,
         "dense" if variant == VARIANT_DCNN else "dense-opt",
         (wd, ad),
@@ -683,16 +663,13 @@ def simulate_dcnn_layer(
         out_w, out_h = pool.out_extent(out_w), pool.out_extent(out_h)
     in_values = layer.C * layer.W * layer.H
     out_values = layer.K * out_w * out_h
-    dram_tiled = in_values > dense_arch.n_pes * dense_arch.iaram_value_capacity or (
-        out_values > dense_arch.n_pes * dense_arch.oaram_value_capacity
-    )
 
     return SimReport.build(
         arch, layer, variant, cycles, counts, sum(pe_busy), pe_busy,
         [cycles - b for b in pe_busy],
         iaram_footprint=Footprint(in_values * 16, 0),
         oaram_footprint=Footprint(out_values * 16, 0),
-        dram_tiled=dram_tiled,
+        dram_tiled=dense_dram_tiled(arch, layer, pool),
     )
 
 

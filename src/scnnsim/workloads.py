@@ -35,6 +35,7 @@ from .analytic import (
     analytic_time_energy,
     count_events,
     dcnn_arch,
+    dense_dram_tiled,
 )
 from .dataflow import ConfigurationError, LayerShape, partition_tiles
 
@@ -86,12 +87,6 @@ class NetworkDescriptor:
 
     def total_multiplies(self) -> int:
         return sum(s.shape.dense_multiplies() for s in self.layers)
-
-    def max_weight_bytes(self) -> int:
-        return max(
-            s.shape.K * s.shape.channels_per_group * s.shape.R * s.shape.S * 2
-            for s in self.layers
-        )
 
     @property
     def chained(self) -> bool:
@@ -616,8 +611,10 @@ def _analytic_layer(
             VARIANT_DCNN: "dense",
             VARIANT_DCNN_OPT: "dense-opt",
         }[variant]
-        eff_arch = arch if variant == VARIANT_SCNN else dcnn_arch(arch)
-        tiled = dram_tiled if variant != VARIANT_DCNN else _analytic_tiled_dense(arch, spec)
+        if variant == VARIANT_SCNN:
+            eff_arch, tiled = arch, dram_tiled
+        else:
+            eff_arch, tiled = dcnn_arch(arch), dense_dram_tiled(arch, shape, spec.pool)
         counts = count_events(
             eff_arch, shape, dflow, (wd, ad),
             input_from_dram=first, dram_tiled=tiled,
@@ -651,17 +648,6 @@ def _analytic_tiled(arch: ArchConfig, spec: LayerSpec) -> bool:
     ph = -((-out_h) // arch.pe_rows)
     out_pe = round(spec.out_density * shape.K * pw * ph)
     return in_pe > arch.iaram_value_capacity or out_pe > arch.oaram_value_capacity
-
-
-def _analytic_tiled_dense(arch: ArchConfig, spec: LayerSpec) -> bool:
-    """Dense baseline holds raw activations in its 2MB SRAM."""
-    shape = spec.shape
-    d = dcnn_arch(arch)
-    out_w, out_h = shape.Wo, shape.Ho
-    if spec.pool is not None:
-        out_w, out_h = spec.pool.out_extent(out_w), spec.pool.out_extent(out_h)
-    total = shape.C * shape.W * shape.H + shape.K * out_w * out_h
-    return total > d.n_pes * (d.iaram_value_capacity + d.oaram_value_capacity)
 
 
 def run_network(
@@ -857,15 +843,6 @@ def pe_granularity_sweep(
     return rows
 
 
-REPORT_COLUMNS = (
-    "network", "layer", "variant", "sweep_wd", "sweep_ad", "grid",
-    "cycles", "batches", "useful_mults", "mult_utilization",
-    "barrier_stall_fraction", "bank_conflict_stalls", "fifo_stalls",
-    "dram_tiled", "tiling_energy_fraction", "energy", "speedup_vs_dcnn",
-    "energy_vs_dcnn",
-)
-
-
 @dataclass(frozen=True)
 class ReportRow:
     network: str
@@ -886,6 +863,9 @@ class ReportRow:
     energy: float = 0.0
     speedup_vs_dcnn: float | None = None
     energy_vs_dcnn: float | None = None
+
+
+REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 def rows_from_run(run: NetworkRun) -> list[ReportRow]:

@@ -68,6 +68,15 @@ def naive_rle_decode(values, run_lengths, extent):
     return out
 
 
+def strided_out_coord(global_in: int, tap: int, pad: int, stride: int) -> tuple[int, bool]:
+    """Output coordinate an input at global_in reaches through a tap, or
+    valid=False when the pair falls between output positions."""
+    num = global_in - tap + pad
+    if num % stride:
+        return 0, False
+    return num // stride, True
+
+
 def count_cartesian_products(layer, weights: list, input_: list) -> int:
     """Per input channel, non-zero weights times non-zero activations."""
     cpg = layer.C // layer.groups

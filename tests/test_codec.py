@@ -4,76 +4,82 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import loop_rle_encode, naive_rle_decode
-from scnnsim.analytic import FootprintModel
-from scnnsim.codec import (
-    BlockSet,
-    CodecError,
-    CompressedBlock,
-    decode_block,
-    encode_block,
-    encode_blocks,
-    footprint,
-)
+from scnnsim.codec import BlockSet, CodecError, encode_blocks
 from scnnsim.tensors import ACCUM_MAX, ACCUM_MIN
+
+
+def encode(dense, index_bits=4):
+    """One dense slice as a one-block set."""
+    return encode_blocks(dense, [len(dense)], index_bits)
+
+
+def decode(b):
+    """Every block of a set expanded by the loop reference, concatenated."""
+    out = []
+    for i, extent in enumerate(b.extents.tolist()):
+        lo, hi = b.offsets[i], b.offsets[i + 1]
+        out += naive_rle_decode(
+            b.values[lo:hi].tolist(), b.run_lengths[lo:hi].tolist(), extent
+        )
+    return out
 
 
 class TestEncode:
     def test_basic(self):
-        b = encode_block([1, 0, 0, 2])
-        assert b.values == (1, 2)
-        assert b.run_lengths == (0, 2)
+        b = encode([1, 0, 0, 2])
+        assert b.values.tolist() == [1, 2]
+        assert b.run_lengths.tolist() == [0, 2]
 
     def test_all_zero_is_empty(self):
-        b = encode_block([0] * 8)
-        assert b.values == ()
-        assert b.run_lengths == ()
-        assert b.logical_extent == 8
+        b = encode([0] * 8)
+        assert b.values.size == 0
+        assert b.run_lengths.size == 0
+        assert b.extents.tolist() == [8]
 
     def test_long_run_split_with_placeholder(self):
         # 20 zeros then 7: a zero placeholder absorbs the 16th zero
-        b = encode_block([0] * 20 + [7], index_bits=4)
-        assert b.values == (0, 7)
-        assert b.run_lengths == (15, 4)
-        assert decode_block(b).tolist() == [0] * 20 + [7]
+        b = encode([0] * 20 + [7], index_bits=4)
+        assert b.values.tolist() == [0, 7]
+        assert b.run_lengths.tolist() == [15, 4]
+        assert decode(b) == [0] * 20 + [7]
 
     def test_two_placeholders(self):
-        b = encode_block([0] * 40 + [3], index_bits=4)
-        assert b.values == (0, 0, 3)
-        assert b.run_lengths == (15, 15, 8)
-        assert decode_block(b).tolist() == [0] * 40 + [3]
+        b = encode([0] * 40 + [3], index_bits=4)
+        assert b.values.tolist() == [0, 0, 3]
+        assert b.run_lengths.tolist() == [15, 15, 8]
+        assert decode(b) == [0] * 40 + [3]
 
     def test_trailing_zeros_implicit(self):
-        b = encode_block([0, 5] + [0] * 100)
-        assert b.values == (5,)
-        assert b.run_lengths == (1,)
-        assert b.logical_extent == 102
+        b = encode([0, 5] + [0] * 100)
+        assert b.values.tolist() == [5]
+        assert b.run_lengths.tolist() == [1]
+        assert b.extents.tolist() == [102]
 
     def test_nnz_excludes_placeholders(self):
-        b = encode_block([0] * 20 + [7])
-        assert b.stored_count == 2
-        assert b.nnz() == 1
+        b = encode([0] * 20 + [7])
+        assert b.values.size == 2
+        assert np.count_nonzero(b.values) == 1
 
 
 class TestDecode:
     def test_basic(self):
-        b = CompressedBlock((1, 2), (0, 2), 4)
-        assert decode_block(b).tolist() == [1, 0, 0, 2]
+        assert decode(BlockSet([1, 2], [0, 2], [0, 2], [4])) == [1, 0, 0, 2]
 
     def test_empty_block(self):
-        assert decode_block(CompressedBlock((), (), 3)).tolist() == [0, 0, 0]
+        assert decode(BlockSet([], [], [0, 0], [3])) == [0, 0, 0]
 
     def test_entries_expose_coordinates(self):
-        b = encode_block([0, 9, 0, 0, 4])
-        assert b.values == (9, 4)
-        assert b.positions().tolist() == [1, 4]
+        b = encode([0, 9, 0, 0, 4])
+        assert b.values.tolist() == [9, 4]
+        assert b.positions.tolist() == [1, 4]
 
     def test_overlong_block_rejected(self):
         with pytest.raises(CodecError):
-            decode_block(CompressedBlock((1, 1), (3, 3), 4))
+            BlockSet([1, 1], [3, 3], [0, 2], [4])
 
     def test_run_length_over_width_rejected(self):
         with pytest.raises(CodecError):
-            CompressedBlock((1,), (16,), 20, index_bits=4)
+            BlockSet([1], [16], [0, 1], [20], index_bits=4)
 
 
 class TestRoundTrip:
@@ -85,34 +91,36 @@ class TestRoundTrip:
         dense = np.where(
             rng.random(n) < density, rng.integers(-999, 1000, n), 0
         )
-        b = encode_block(dense)
-        assert decode_block(b).tolist() == dense.tolist()
+        b = encode(dense)
+        assert decode(b) == dense.tolist()
         # stored non-placeholder count preserves the slice's non-zero count
-        assert b.nnz() == int(np.count_nonzero(dense))
+        assert np.count_nonzero(b.values) == np.count_nonzero(dense)
 
     def test_bulk_random_slices(self):
-        # volume pass: ten thousand slices incl. >15-zero runs
+        # volume pass: ten thousand slices incl. >15-zero runs, one encode
         rng = np.random.default_rng(1234)
-        for _ in range(10_000):
-            n = int(rng.integers(1, 64))
-            dense = np.where(rng.random(n) < 0.15, rng.integers(1, 100, n), 0)
-            b = encode_block(dense)
-            assert decode_block(b).tolist() == dense.tolist()
+        extents = rng.integers(1, 64, 10_000)
+        dense = np.where(
+            rng.random(extents.sum()) < 0.15, rng.integers(1, 100, extents.sum()), 0
+        )
+        b = encode_blocks(dense, extents)
+        assert len(b) == extents.size
+        assert decode(b) == dense.tolist()
 
     @given(st.lists(st.integers(-100, 100), min_size=0, max_size=80))
     @settings(max_examples=300)
     def test_property_round_trip(self, xs):
-        b = encode_block(xs)
-        assert decode_block(b).tolist() == list(xs)
-        assert decode_block(b).tolist() == naive_rle_decode(
-            b.values, b.run_lengths, b.logical_extent
-        )
+        b = encode(xs)
+        assert decode(b) == list(xs)
+        # the positions the simulator decodes from place every entry
+        dense = np.zeros(len(xs), dtype=np.int64)
+        dense[b.positions] = b.values
+        assert dense.tolist() == list(xs)
 
     @given(st.integers(1, 64), st.integers(1, 6))
     def test_placeholders_only_for_long_runs(self, n_zeros, index_bits):
-        dense = [0] * n_zeros + [5]
-        b = encode_block(dense, index_bits=index_bits)
-        placeholders = sum(1 for v in b.values if v == 0)
+        b = encode([0] * n_zeros + [5], index_bits=index_bits)
+        placeholders = int((b.values == 0).sum())
         assert placeholders == n_zeros // (1 << index_bits)
 
 
@@ -154,19 +162,8 @@ class TestEncodeBlocks:
                 pos += r + 1
                 positions.append(pos)
         assert bs.positions.tolist() == positions
-        for i, (b, (vals, runs)) in enumerate(zip(blocks, refs)):
-            block = bs.block(i)
-            assert block == CompressedBlock(
-                tuple(vals), tuple(runs), len(b), index_bits
-            )
+        for b, (vals, runs) in zip(blocks, refs):
             assert naive_rle_decode(vals, runs, len(b)) == b
-
-    @given(dense_block(), st.integers(1, 4))
-    def test_encode_block_is_the_one_block_case(self, dense, index_bits):
-        vals, runs = loop_rle_encode(dense, index_bits)
-        b = encode_block(dense, index_bits)
-        assert b == CompressedBlock(tuple(vals), tuple(runs), len(dense), index_bits)
-        assert all(type(v) is int for v in b.values + b.run_lengths)
 
     def test_extents_must_cover_the_values(self):
         with pytest.raises(CodecError, match="partition"):
@@ -216,8 +213,6 @@ class TestBlockSetRejects:
     def test_value_outside_accumulator_range(self, value, message):
         with pytest.raises(CodecError, match=message):
             BlockSet([1, value], [0, 0], [0, 1, 2], [1, 1])
-        with pytest.raises(CodecError, match=message):
-            CompressedBlock((1, value), (0, 0), 2)
 
     def test_block_expands_past_its_extent(self):
         # the stream fits the total extent 7; block 1 alone needs 3 of its 2
@@ -229,8 +224,6 @@ class TestBlockSetRejects:
         runs = [(1 << 62) - 1] * 2
         with pytest.raises(CodecError, match="logical extent 5"):
             BlockSet([1, 1], runs, [0, 2], [5], index_bits=62)
-        with pytest.raises(CodecError, match="logical extent 5"):
-            CompressedBlock((1, 1), tuple(runs), 5, index_bits=62)
         # the third entry's position, 2**63 + 4, wraps negative
         with pytest.raises(CodecError, match="logical extent"):
             BlockSet(
@@ -248,39 +241,3 @@ class TestBlockSetRejects:
     def test_extremes_accepted(self):
         bs = BlockSet([ACCUM_MIN, ACCUM_MAX], [0, 15], [0, 1, 2], [1, 16])
         assert bs.positions.tolist() == [0, 15]
-
-
-class TestFootprint:
-    def test_single_value_default_model(self):
-        b = encode_block([0, 0, 42])
-        fp = footprint(b)
-        assert fp.data_bits == 16
-        assert fp.index_bits == 10
-        assert fp.total_bits == 26
-
-    def test_empty_block_zero_bits(self):
-        assert footprint(encode_block([0, 0, 0])).total_bits == 0
-
-    def test_index_to_data_ratio(self):
-        # the shipped overhead model stores 10 index bits per 16 data bits
-        rng = np.random.default_rng(0)
-        blocks = [
-            encode_block(np.where(rng.random(64) < 0.4, rng.integers(1, 50, 64), 0))
-            for _ in range(32)
-        ]
-        fp = footprint(blocks)
-        assert fp.data_bits > 0
-        assert fp.index_bits / fp.data_bits == pytest.approx(10 / 16)
-
-    def test_monotone_in_nonzero_count(self):
-        dense = np.zeros(64, dtype=int)
-        last = 0
-        for i in range(0, 64, 8):
-            dense[i] = 7
-            fp = footprint(encode_block(dense)).total_bits
-            assert fp >= last
-            last = fp
-
-    def test_custom_model(self):
-        fp = footprint(encode_block([1, 2, 3]), FootprintModel(16, 4))
-        assert (fp.data_bits, fp.index_bits) == (48, 12)

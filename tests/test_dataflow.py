@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import count_cartesian_products, naive_conv, per_pe_tiles
+from oracles import (
+    count_cartesian_products,
+    naive_conv,
+    per_pe_tiles,
+    strided_out_coord,
+)
 from scnnsim.dataflow import (
     ConfigurationError,
     LayerShape,
     cartesian_work,
     choose_kc,
     partition_tiles,
-    strided_out_coord,
 )
 from scnnsim.tensors import ACT_ROLES, WEIGHT_ROLES, DenseTensor, gen_synthetic
 

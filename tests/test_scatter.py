@@ -29,6 +29,13 @@ from scnnsim.simulator import (
 from scnnsim.tensors import ACT_ROLES, WEIGHT_ROLES, DenseTensor
 
 
+def block_entries(blocks, b):
+    """Values and dense positions of block b's entries, the positions summed
+    from its runs here rather than read from the set."""
+    lo, hi = blocks.offsets[b], blocks.offsets[b + 1]
+    return blocks.values[lo:hi], np.cumsum(blocks.run_lengths[lo:hi] + 1) - 1
+
+
 def loop_scatter(arch, layer, stream, tiles, gi, pe):
     """(acc, bank_totals, stride_skipped) of one PE and group, one
     `np.add.at` per input channel."""
@@ -45,9 +52,8 @@ def loop_scatter(arch, layer, stream, tiles, gi, pe):
     group = stream.gplan.groups[gi]
     kpg, cpg = layer.filters_per_group, layer.channels_per_group
     for c in range(layer.C):
-        ablock, wblock = tiles[pe].block(c), stream.blocks[gi].block(c)
-        avals, apos = np.array(ablock.values, dtype=np.int64), ablock.positions()
-        wvals, wpos = np.array(wblock.values, dtype=np.int64), wblock.positions()
+        avals, apos = block_entries(tiles[pe], c)
+        wvals, wpos = block_entries(stream.blocks[gi], c)
         xs = t.x0 + apos // t.ht
         ys = t.y0 + apos % t.ht
         # the block starts at the group's first filter in c's convolution group

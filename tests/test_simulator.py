@@ -1,18 +1,22 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import count_cartesian_products, naive_max_pool
+from oracles import (
+    count_cartesian_products,
+    loop_rle_encode,
+    naive_max_pool,
+    naive_rle_decode,
+)
 from scnnsim.analytic import (
     VARIANT_DCNN,
     VARIANT_DCNN_OPT,
     ArchConfig,
+    Footprint,
+    FootprintModel,
     PoolSpec,
     dcnn_arch,
 )
-from scnnsim.codec import decode_block
 from scnnsim.dataflow import LayerShape, choose_kc, partition_tiles
 from scnnsim.simulator import (
     compress_weights,
@@ -20,7 +24,6 @@ from scnnsim.simulator import (
     max_pool,
     ppu_finalize,
     prepare_scnn_inputs,
-    route_batch,
     simulate_dcnn_layer,
     simulate_scnn_layer,
 )
@@ -45,6 +48,15 @@ def run_scnn(arch, layer, wd=0.5, ad=0.5, seed=0, pool=None):
     stream, tiles = prepare_scnn_inputs(arch, layer, w, a)
     out, report = simulate_scnn_layer(arch, layer, stream, tiles, pool=pool)
     return w, a, out, report
+
+
+def block_values(blocks, b):
+    """Block b of a set, expanded by the loop reference."""
+    lo, hi = blocks.offsets[b], blocks.offsets[b + 1]
+    return naive_rle_decode(
+        blocks.values[lo:hi].tolist(), blocks.run_lengths[lo:hi].tolist(),
+        int(blocks.extents[b]),
+    )
 
 
 def expected_output(layer, w, a, pool=None):
@@ -195,49 +207,23 @@ class TestCycleModel:
         assert r1 == r2
         assert out1.decoded().values.tolist() == out2.decoded().values.tolist()
 
-    def test_trace_emission(self):
-        layer = LayerShape("trace", C=2, K=4, W=6, H=6, R=3, S=3, pad=1)
-        arch = small_arch()
-        w = gen_synthetic(layer.weight_shape(), 0.5, seed=1)
-        a = gen_synthetic(layer.input_shape(), 0.5, seed=2, signed=False)
-        stream, tiles = prepare_scnn_inputs(arch, layer, w, a)
-        buf = io.StringIO()
-        simulate_scnn_layer(arch, layer, stream, tiles, trace=buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines and all(line.startswith("layer=trace group=") for line in lines)
+    def test_footprints_charge_every_stored_entry(self):
+        # one PE, so each channel's input and output plane is one block
+        layer = LayerShape("ph", C=2, K=2, W=16, H=16, R=3, S=3, pad=1)
+        arch = ArchConfig(pe_rows=1, pe_cols=1, bank_entries=64)
+        _, a, out, report = run_scnn(arch, layer, 0.5, 0.1)
 
+        def stored(planes):
+            # entries of each x-major plane, placeholders included
+            vals = [loop_rle_encode(p.reshape(-1), arch.index_bits)[0] for p in planes]
+            return sum(map(len, vals)), sum(v.count(0) for v in vals)
 
-class TestRouteBatch:
-    def test_distinct_banks_no_stall(self):
-        assert route_batch([(b, 1) for b in range(16)]) == 0
-
-    def test_all_one_bank_worst_case(self):
-        assert route_batch([(3, 1)] * 16) == 15
-
-    def test_empty_batch(self):
-        assert route_batch([]) == 0
-
-    def test_uniform_random_stream_overhead_under_15_percent(self):
-        # 1e5 batches of 16 products on 32 banks; banks retire one product
-        # per cycle with elastic queueing, so stalls need sustained imbalance
-        rng = np.random.default_rng(99)
-        batches = 100_000
-        banks = 32
-        totals = np.zeros(banks, dtype=np.int64)
-        for _ in range(100):
-            chunk = rng.integers(0, 4096, size=(batches // 100, 16))
-            ids = chunk % banks
-            totals += np.bincount(ids.reshape(-1), minlength=banks)
-        stall = max(0, int(totals.max()) - batches)
-        assert stall / batches < 0.15
-
-    def test_stream_model_matches_route_batch_on_single_batches(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            n = int(rng.integers(1, 17))
-            bank_ids = rng.integers(0, 32, n)
-            stream_stall = max(0, int(np.bincount(bank_ids, minlength=32).max()) - 1)
-            assert stream_stall == route_batch([(int(b), 1) for b in bank_ids])
+        (n_in, ph_in), (n_out, _) = stored(a.values), stored(out.decoded().values)
+        assert ph_in > 0
+        fm = FootprintModel()
+        assert (fm.value_bits, fm.index_overhead_bits) == (16, 10)
+        assert report.iaram_footprint == Footprint(n_in * 16, n_in * 10)
+        assert report.oaram_footprint == Footprint(n_out * 16, n_out * 10)
 
 
 class TestPPU:
@@ -257,8 +243,8 @@ class TestPPU:
         out, report = simulate_scnn_layer(arch, layer, stream, tiles)
         # output coordinate: xo = x - r + pad = 4, owned by PE1; one group
         # of one output channel, so block pe holds PE pe's tile
-        assert decode_block(out.blocks[0].block(1)).reshape(4, 4)[0, 2] == 10
-        assert not decode_block(out.blocks[0].block(0)).any()
+        assert np.reshape(block_values(out.blocks[0], 1), (4, 4))[0, 2] == 10
+        assert not any(block_values(out.blocks[0], 0))
 
     def test_single_pe_halo_exchange_noop(self):
         layer = LayerShape("noop", C=2, K=2, W=6, H=6, R=3, S=3, pad=1)
@@ -275,7 +261,7 @@ class TestPPU:
         plan = partition_tiles(layer, (1, 1))
         acc = np.full((1, 4, 4), -5, dtype=np.int64)
         res = ppu_finalize([acc], plan, range(0, 1))
-        assert res.blocks.block(0).stored_count == 0
+        assert res.blocks.offsets.tolist() == [0, 0]
 
 
 class TestDenseBaselines:

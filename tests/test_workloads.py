@@ -9,7 +9,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from scnnsim import tensors, workloads
-from scnnsim.analytic import VARIANT_DCNN, ArchConfig, EnergyModel
+from scnnsim.analytic import VARIANT_DCNN, VARIANT_DCNN_OPT, ArchConfig, EnergyModel
 from scnnsim.dataflow import ConfigurationError
 from scnnsim.workloads import (
     ALL_VARIANTS,
@@ -81,6 +81,29 @@ def test_sim_engine_makes_weights_one_layer_ahead(monkeypatch, tmp_path):
     assert seeds == [5, 106, 207]
     assert most_alive[0] == 2
     assert all(lr.oracle_checked for lr in run.layers)
+
+
+# 589,824 input values overflow half the dense baseline's 2MB of SRAM
+# (524,288 16-bit values): with K = 16 the 147,456 outputs still fit the
+# whole of it, with K = 64 the 589,824 outputs do not
+WIDE_INPUT = """\
+schema_version: 1
+name: wide-input
+topology: chain
+input: {{channels: 64, width: 96, height: 96}}
+layers:
+  - {{name: wide, K: {k}, R: 1, S: 1, weight_density: 1.0, act_density: 1.0}}
+"""
+
+
+@pytest.mark.parametrize("k,tiled", [(16, False), (64, True)])
+def test_engines_share_the_dense_tiling_rule(k, tiled, tmp_path):
+    path = tmp_path / "wide.yaml"
+    path.write_text(WIDE_INPUT.format(k=k))
+    net = load_network(path)
+    for engine in ("sim", "analytic"):
+        run = run_network(net, ArchConfig(), (VARIANT_DCNN, VARIANT_DCNN_OPT), engine=engine)
+        assert [rep.dram_tiled for rep in run.layers[0].reports.values()] == [tiled, tiled]
 
 
 @pytest.mark.parametrize("engine", ["analytical", "Sim", ""])
