@@ -37,6 +37,21 @@ def _check_index_bits(index_bits: int) -> None:
         raise CodecError(f"index_bits {index_bits} outside [1, {MAX_INDEX_BITS}]")
 
 
+# Items per pass of the encoder and the stream check. A pass covers whole
+# blocks, so its scratch arrays stay near cache size however large the set;
+# a block longer than this is a pass of its own.
+_PASS = 1 << 16
+
+
+def _passes(bounds: np.ndarray) -> list[tuple[int, int]]:
+    """Cut the blocks, block b spanning bounds[b]:bounds[b + 1], into runs
+    [b0, b1) of whole blocks about _PASS items long."""
+    marks = np.searchsorted(bounds, np.arange(_PASS, bounds[-1], _PASS))
+    cuts = np.concatenate(([0], marks, [bounds.size - 1]))
+    cuts = cuts[np.diff(cuts, prepend=-1) > 0].tolist()
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
 def _check_stream(
     values: np.ndarray,
     run_lengths: np.ndarray,
@@ -60,14 +75,14 @@ def _check_stream(
     ):
         raise CodecError("block offsets do not partition the stream")
     max_run = (1 << index_bits) - 1
-    bad = (run_lengths < 0) | (run_lengths > max_run)
-    if bad.any():
+    if values.size and (run_lengths.min() < 0 or run_lengths.max() > max_run):
+        bad = (run_lengths < 0) | (run_lengths > max_run)
         run = int(run_lengths[bad.argmax()])
         raise CodecError(f"run length {run} outside [0, {max_run}]")
     # blocks carry 16-bit operands or 24-bit pre-requantization outputs;
     # operand-range enforcement happens where data enters the pipeline
-    bad = (values < ACCUM_MIN) | (values > ACCUM_MAX)
-    if bad.any():
+    if values.size and (values.min() < ACCUM_MIN or values.max() > ACCUM_MAX):
+        bad = (values < ACCUM_MIN) | (values > ACCUM_MAX)
         raise CodecError(
             f"value {int(values[bad.argmax()])} outside 24-bit accumulator range"
         )
@@ -75,14 +90,19 @@ def _check_stream(
     # 2**64, so a position is exact while below 2**63; the first entry past
     # an extent (< 2**63) overshoots it by at most one run (< 2**62), so its
     # position is either exact or wraps negative.
-    ends = np.zeros(values.size + 1, dtype=np.int64)
-    np.cumsum(run_lengths + 1, out=ends[1:])
-    counts = np.diff(offsets)
-    positions = ends[1:] - 1 - np.repeat(ends[offsets[:-1]], counts)
-    outside = (positions < 0) | (positions >= np.repeat(extents, counts))
+    positions = np.empty(values.size, dtype=np.int64)
     over = extents < 0
-    if outside.any():
-        over[np.searchsorted(offsets, outside.argmax(), side="right") - 1] = True
+    for b0, b1 in _passes(offsets):
+        lo, hi = offsets[b0], offsets[b1]
+        ends = np.zeros(hi - lo + 1, dtype=np.int64)
+        np.cumsum(run_lengths[lo:hi] + 1, out=ends[1:])
+        counts = np.diff(offsets[b0 : b1 + 1])
+        pos = positions[lo:hi]
+        np.subtract(ends[1:] - 1, np.repeat(ends[offsets[b0:b1] - lo], counts), out=pos)
+        outside = (pos < 0) | (pos >= np.repeat(extents[b0:b1], counts))
+        if outside.any():
+            over[np.searchsorted(offsets, lo + outside.argmax(), side="right") - 1] = True
+            break
     if over.any():
         raise CodecError(
             f"block expands past its logical extent {int(extents[over.argmax()])}"
@@ -150,23 +170,26 @@ def encode_blocks(
         or starts[-1] != flat.size
     ):
         raise CodecError(f"extents do not partition {flat.size} dense values")
-    nz = np.flatnonzero(flat)
-    blk = np.searchsorted(starts, nz, side="right") - 1
-    local = nz - starts[blk]
-    # zeros since the previous non-zero of the same block (or its start)
-    prev = np.empty_like(local)
-    prev[:1] = -1
-    prev[1:] = np.where(blk[1:] == blk[:-1], local[:-1], -1)
-    gap = local - prev - 1
-    # each placeholder stands for 2**index_bits - 1 zeros plus itself
-    ends = np.cumsum((gap >> index_bits) + 1)
-    total = int(ends[-1]) if ends.size else 0
-    values = np.zeros(total, dtype=np.int64)
-    values[ends - 1] = flat[nz]
-    runs = np.full(total, (1 << index_bits) - 1, dtype=np.int64)
-    runs[ends - 1] = gap & ((1 << index_bits) - 1)
+    # a block of extent e holds at most e >> index_bits placeholders
+    bound = np.count_nonzero(flat) + int((extents >> index_bits).sum())
+    values = np.zeros(bound, dtype=np.int64)
+    runs = np.full(bound, (1 << index_bits) - 1, dtype=np.int64)
     offsets = np.zeros(extents.size + 1, dtype=np.int64)
-    offsets[1:] = np.concatenate(([0], ends))[
-        np.cumsum(np.bincount(blk, minlength=extents.size))
-    ]
-    return BlockSet(values, runs, offsets, extents, index_bits)
+    for b0, b1 in _passes(starts):
+        part, at = flat[starts[b0] : starts[b1]], offsets[b0]
+        nz = np.flatnonzero(part)
+        blk = np.repeat(np.arange(b1 - b0), extents[b0:b1])[nz]
+        local = nz - (starts[b0:b1] - starts[b0])[blk]
+        # zeros since the previous non-zero of the same block (or its start)
+        prev = np.empty_like(local)
+        prev[:1] = -1
+        prev[1:] = np.where(blk[1:] == blk[:-1], local[:-1], -1)
+        gap = local - prev - 1
+        # each placeholder stands for 2**index_bits - 1 zeros plus itself
+        ends = at + np.cumsum((gap >> index_bits) + 1)
+        values[ends - 1] = part[nz]
+        runs[ends - 1] = gap & ((1 << index_bits) - 1)
+        block_ends = np.cumsum(np.bincount(blk, minlength=b1 - b0))
+        offsets[b0 + 1 : b1 + 1] = np.concatenate(([at], ends))[block_ends]
+    n = offsets[-1]
+    return BlockSet(values[:n], runs[:n], offsets, extents, index_bits)

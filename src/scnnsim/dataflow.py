@@ -301,10 +301,8 @@ def cartesian_work(layer: LayerShape, weights: DenseTensor, acts: DenseTensor) -
     grid, vector widths and bank count."""
     if weights.shape != layer.weight_shape() or acts.shape != layer.input_shape():
         raise ShapeError("tensor shapes do not match the layer")
-    kpg = layer.filters_per_group
-    total = 0
-    for c in range(layer.C):
-        g = c // layer.channels_per_group
-        w_slice = weights.values[g * kpg : (g + 1) * kpg, c % layer.channels_per_group]
-        total += int((w_slice != 0).sum()) * int((acts.values[c] != 0).sum())
-    return total
+    g, kpg, cpg = layer.groups, layer.filters_per_group, layer.channels_per_group
+    # non-zero weights of channel g * cpg + c, over group g's filters and taps
+    w_nnz = (weights.values != 0).reshape(g, kpg, cpg, -1).sum(axis=(1, 3))
+    a_nnz = (acts.values != 0).reshape(layer.C, -1).sum(axis=1)
+    return int(w_nnz.reshape(-1) @ a_nnz)

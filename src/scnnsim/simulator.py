@@ -11,10 +11,12 @@ one product per cycle; elastic queues absorb transient imbalance within a
 group), and a global barrier at each group boundary charges every PE the
 time of the slowest one.
 
-On the host, operands stay columnar (`codec.BlockSet`): the weights of each
-output-channel group, the activation tiles of each PE and the outputs of
-each group are encoded by one `codec.encode_blocks` call apiece, one block
-per input channel or per (PE, output channel). Nothing is encoded or decoded
+On the host, operands stay columnar (`codec.BlockSet`), and every stage of a
+layer outside the scatter is a few array passes, never a loop over PEs or
+channels. The weights of each output-channel group, the activation tiles of
+every PE and the outputs of each group are encoded by one
+`codec.encode_blocks` call apiece: one block per input channel, per (PE,
+input channel) or per (PE, output channel). Nothing is encoded or decoded
 block by block: the scatter reads each set's flat values and the dense
 positions derived from its runs, and `LayerOutput.decoded` rebuilds the
 plane from them with one scatter per group.
@@ -30,7 +32,8 @@ activation term (`_Entries`), and the class's pairs are an outer sum of two
 contiguous slices. Passes of pairs are summed with `np.bincount` in
 float64, exact because operands are 16-bit (products < 2**30) and at most
 channels_per_group * R * S products reach one cell; `simulate_scnn_layer`
-rejects layers where that could reach 2**53.
+rejects layers where that could reach 2**53. The PPU sums the slots into
+the output plane through a merge map `_Slots` builds once per layer.
 
 Functional equivalence is the master contract: the decoded, halo-merged,
 ReLU'd (and optionally pooled) outputs equal the exact reference convolution
@@ -41,8 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from . import codec
@@ -71,12 +72,13 @@ from .dataflow import (
     plane_partition,
 )
 from .tensors import (
-    ACCUM_MAX,
-    ACCUM_MIN,
+    ACCUM_BITS,
+    EXACT_FLOAT_BITS,
+    PRODUCT_BITS,
     DenseTensor,
-    FixedPointOverflow,
     OUT_ROLES,
     check_operand_range,
+    check_range,
 )
 
 
@@ -113,9 +115,10 @@ def compress_weights(
 
 def distribute_activations(
     plan: TilePlan, acts: DenseTensor, index_bits: int = 4
-) -> list[BlockSet]:
-    """Per-PE compressed tiles, block c holding channel c (x-major then y
-    within the tile)."""
+) -> BlockSet:
+    """Every PE's compressed tile in one block set: block pe * C + c holds
+    PE pe's channel c, x-major then y within the tile (extent 0 on an idle
+    PE)."""
     check_operand_range(acts, "activation")
     if acts.shape != plan.layer.input_shape():
         raise ConfigurationError(
@@ -123,18 +126,25 @@ def distribute_activations(
         )
     if acts.size and int(acts.values.min()) < 0:
         raise ConfigurationError("input activations must be non-negative (post ReLU)")
-    out = []
-    for pe in range(plan.n_pes):
-        t = plan.tile(pe)
-        dense = acts.values[:, t.x0 : t.x0 + t.wt, t.y0 : t.y0 + t.ht]
-        extents = np.full(plan.layer.C, t.wt * t.ht)
-        out.append(codec.encode_blocks(dense, extents, index_bits))
-    return out
+    x0, wt, y0, ht = _rects(plan.layer.W, plan.layer.H, plan.pe_rows, plan.pe_cols)
+    dense = _pe_major(acts.values, x0, wt, y0, ht)
+    return codec.encode_blocks(dense, np.repeat(wt * ht, plan.layer.C), index_bits)
+
+
+def _pe_major(planes: np.ndarray, x0, wt, y0, ht) -> np.ndarray:
+    """planes[:, x0:x0 + wt, y0:y0 + ht] of every PE, flattened in PE order;
+    the rectangles partition the plane, so each value is copied once."""
+    k, at = planes.shape[0], 0
+    dense = np.empty(planes.size, dtype=np.int64)
+    for x, dx, y, dy in zip(x0.tolist(), wt.tolist(), y0.tolist(), ht.tolist()):
+        dense[at : at + k * dx * dy].reshape(k, dx, dy)[...] = planes[:, x : x + dx, y : y + dy]
+        at += k * dx * dy
+    return dense
 
 
 def prepare_scnn_inputs(
     arch: ArchConfig, layer: LayerShape, weights: DenseTensor, acts: DenseTensor
-) -> tuple[WeightStream, list[BlockSet]]:
+) -> tuple[WeightStream, BlockSet]:
     """Plan the layer and compress/distribute dense operands for the array."""
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
     gplan = choose_kc(layer, arch)
@@ -153,11 +163,6 @@ def _bank_ids(linear: np.ndarray, banks: int, bank_map: str) -> np.ndarray:
 # a pass widens to the group's cells plus one class to amortize the minlength.
 _SCATTER_CHUNK = 1 << 16
 
-# A 16-bit x 16-bit product is below 2**30 in magnitude; float64 sums of
-# integers stay exact below 2**53.
-_PRODUCT_BITS = 30
-_EXACT_FLOAT_BITS = 53
-
 
 @dataclass(frozen=True)
 class _Slots:
@@ -165,22 +170,68 @@ class _Slots:
     live PE pes[i], kc the largest group and (EX, EY) the largest extents
     (a slot fits the capacity `choose_kc` sized); the PE's own accumulator
     is [i, :kc, :ex, :ey]. `bank` holds every cell's i * n_banks + bank, the
-    bank taken from the PE's own address (k * ex + x) * ey + y."""
+    bank taken from the PE's own address (k * ex + x) * ey + y.
 
+    Per PE: its input tile (`_rects`) and `offset`, where its accumulator
+    cell for output (x, y) sits at offset + x * EY + y. The merge map:
+    `cells` of [slot, EX, EY] inside the output plane, sorted by plane
+    coordinate x * Ho + y; run j of equal coordinates starts at first[j]
+    and lands at dest[j]. `halo` holds the in-plane cells outside their
+    PE's owned rectangle."""
+
+    plan: TilePlan
     pes: list[int]
-    extent: np.ndarray    # (slots, 2): each PE's (ex, ey)
+    extent: np.ndarray    # (slots, 2): each live PE's (ex, ey)
     bank: np.ndarray      # [slot, kc, EX, EY]
     n_banks: int
+    tile: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    offset: np.ndarray
+    cells: np.ndarray
+    first: np.ndarray
+    dest: np.ndarray
+    halo: np.ndarray
+
+
+def _per_pe(rows: int, cols: int, per_col, per_row) -> np.ndarray:
+    """Rows (per_col[c], per_row[r]) for PE r * cols + c, on axis 1."""
+    xs, ys = np.asarray(per_col, dtype=np.int64), np.asarray(per_row, dtype=np.int64)
+    xs = np.tile(xs, (rows,) + (1,) * (xs.ndim - 1))
+    return np.stack([xs, np.repeat(ys, cols, axis=0)], axis=1)
 
 
 def _slots(plan: TilePlan, kc: int, banks: int, bank_map: str) -> _Slots:
-    pes = [pe for pe in range(plan.n_pes) if not plan.tile(pe).empty]
-    extent = np.array([plan.acc_extent(pe) for pe in pes], dtype=np.int64)
-    ex, ey = (extent[:, i, None, None, None] for i in (0, 1))
-    k, x, y = np.ogrid[:kc, : extent[:, 0].max(), : extent[:, 1].max()]
+    layer, ax, ay, rows, cols = plan.layer, plan.x, plan.y, plan.pe_rows, plan.pe_cols
+    tile = _rects(layer.W, layer.H, rows, cols)
+    live = tile[1] * tile[3] > 0
+    pes = np.flatnonzero(live)
+    xb, yb = _per_pe(
+        rows, cols, [ax.acc_base(c) for c in range(cols)], [ay.acc_base(r) for r in range(rows)]
+    ).T
+    ex, ey = _per_pe(
+        rows, cols, [ax.acc_extent(c) for c in range(cols)], [ay.acc_extent(r) for r in range(rows)]
+    ).T
+    extent = np.stack([ex[pes], ey[pes]], axis=1)
+    k, x, y = np.ogrid[:kc, : ex[pes].max(), : ey[pes].max()]
+    ex, ey = ex[pes, None, None, None], ey[pes, None, None, None]
     bank = _bank_ids((k * ex + x) * ey + y, banks, bank_map)
-    bank += np.arange(len(pes))[:, None, None, None] * banks
-    return _Slots(pes, extent, bank, banks)
+    bank += np.arange(pes.size)[:, None, None, None] * banks
+    offset = (np.cumsum(live) - 1) * bank[0].size - xb * y.size - yb
+    # the merge map, from every slot cell's global output coordinate
+    gx, gy = x[0] + xb[pes, None, None], y[0] + yb[pes, None, None]
+    inside = (x[0] < ex[:, 0]) & (y[0] < ey[:, 0])
+    inside &= (gx >= 0) & (gx < layer.Wo) & (gy >= 0) & (gy < layer.Ho)
+    ranges = _per_pe(rows, cols, ax.out_ranges, ay.out_ranges)[pes, :, :, None, None]
+    (oxl, oxh), (oyl, oyh) = ranges.transpose(1, 2, 0, 3, 4)
+    owned = (gx >= oxl) & (gx < oxh) & (gy >= oyl) & (gy < oyh)
+    cells = np.flatnonzero(inside)
+    dest = (gx * layer.Ho + gy).reshape(-1)[cells]
+    order = np.argsort(dest, kind="stable")
+    cells, dest = cells[order], dest[order]
+    first = np.flatnonzero(np.diff(dest, prepend=-1))
+    return _Slots(
+        plan, pes.tolist(), extent, bank, banks, tile, offset,
+        cells, first, dest[first], np.flatnonzero(inside & ~owned),
+    )
 
 
 @dataclass(frozen=True)
@@ -228,34 +279,44 @@ def _weight_entries(layer: LayerShape, weights: WeightStream, slots: _Slots) -> 
     return out
 
 
-def _activation_entries(plan: TilePlan, slots: _Slots, tiles: Sequence[BlockSet]) -> _Entries:
+def _activation_entries(plan: TilePlan, slots: _Slots, tiles: BlockSet) -> _Entries:
     """The activation entries of every live PE, built into one stream."""
     layer = plan.layer
-    s, pad, C = layer.stride, layer.pad, layer.C
-    slot_cells, EY = slots.bank[0].size, slots.bank.shape[3]
-    ends = np.cumsum([0] + [tiles[pe].values.size for pe in slots.pes])
-    cls, addr = np.empty((2, ends[-1]), dtype=np.int64)
-    stored, nnz = np.empty((2, len(slots.pes), C), dtype=np.int64)
-    for i, pe in enumerate(slots.pes):
-        t, b, e = plan.tile(pe), tiles[pe], slice(ends[i], ends[i + 1])
-        if len(b) != C:
-            raise ConfigurationError(f"pe {pe}: {len(b)} tiles for {C} channels")
-        bad = np.flatnonzero(b.extents != t.wt * t.ht)
-        if bad.size:
-            raise ConfigurationError(
-                f"pe {pe} channel {bad[0]}: block extent {b.extents[bad[0]]} "
-                f"does not match tile {t.wt}x{t.ht}"
-            )
-        chan = b.block_ids()
-        x = t.x0 + b.positions // t.ht + pad
-        y = t.y0 + b.positions % t.ht + pad
-        xb, yb = plan.acc_base(pe)
-        cls[e] = (chan * s + x % s) * s + y % s
-        addr[e] = i * slot_cells + (x // s - xb) * EY + y // s - yb
-        stored[i] = np.diff(b.offsets)
-        nnz[i] = np.bincount(chan[b.values != 0], minlength=C)
-    vals = np.concatenate([tiles[pe].values for pe in slots.pes])
-    return _entries(C * s * s, cls, vals, addr, stored, nnz)
+    s, pad, C, EY = layer.stride, layer.pad, layer.C, slots.bank.shape[3]
+    if len(tiles) != plan.n_pes * C:
+        raise ConfigurationError(
+            f"{len(tiles)} activation blocks for {plan.n_pes} PEs of {C} channels"
+        )
+    x0, wt, y0, ht = slots.tile
+    bad = np.flatnonzero(tiles.extents != np.repeat(wt * ht, C))
+    if bad.size:
+        pe, c = divmod(int(bad[0]), C)
+        raise ConfigurationError(
+            f"pe {pe} channel {c}: block extent {tiles.extents[bad[0]]} "
+            f"does not match tile {wt[pe]}x{ht[pe]}"
+        )
+    # built in place, as a layer's entries can run to millions; x ends as
+    # the address offset + (x // s) * EY + y // s of padded (x, y)
+    ids = tiles.block_ids()
+    nnz = np.bincount(ids[tiles.values != 0], minlength=len(tiles)).reshape(-1, C)
+    pe, cls = np.divmod(ids, C)
+    del ids
+    x, y = np.divmod(tiles.positions, ht[pe])
+    x += x0[pe] + pad
+    y += y0[pe] + pad
+    cls *= s
+    cls += x % s
+    cls *= s
+    cls += y % s
+    x //= s
+    x *= EY
+    y //= s
+    x += y
+    del y
+    x += slots.offset[pe]
+    del pe
+    stored = np.diff(tiles.offsets).reshape(-1, C)[slots.pes]
+    return _entries(C * s * s, cls, tiles.values, x, stored, nnz[slots.pes])
 
 
 def _scatter(
@@ -307,46 +368,19 @@ class PPUResult:
     halo_values: int
 
 
-def _merge_group_plane(
-    accs: Sequence[np.ndarray | None], plan: TilePlan, kc: int
-) -> tuple[np.ndarray, int]:
-    """Sum every PE's live accumulator cells at their global coordinates.
+def _merge_group_plane(acc: np.ndarray, slots: _Slots, kc: int) -> tuple[np.ndarray, int]:
+    """Sum every slot's accumulator cells at their global coordinates, through
+    the layer's merge map.
 
     Cells whose output coordinate falls outside the plane are dropped; the
     non-zero cells outside a PE's owned rectangle are the halo traffic."""
-    layer = plan.layer
-    full = np.zeros((kc, layer.Wo, layer.Ho), dtype=np.int64)
-    halo_values = 0
-    for pe in range(plan.n_pes):
-        acc = accs[pe]
-        if acc is None:
-            continue
-        xb, yb = plan.acc_base(pe)
-        ex, ey = plan.acc_extent(pe)
-        xl, xh = max(0, -xb), min(ex, layer.Wo - xb)
-        yl, yh = max(0, -yb), min(ey, layer.Ho - yb)
-        if xl >= xh or yl >= yh:
-            continue
-        window = acc[:, xl:xh, yl:yh]
-        full[:, xb + xl : xb + xh, yb + yl : yb + yh] += window
-        (oxl, oxh), (oyl, oyh) = plan.owned_out_range(pe)
-        own = window[
-            :,
-            max(oxl - xb - xl, 0) : max(oxh - xb - xl, 0),
-            max(oyl - yb - yl, 0) : max(oyh - yb - yl, 0),
-        ]
-        halo_values += int(np.count_nonzero(window)) - int(np.count_nonzero(own))
-    return full, halo_values
-
-
-def _check_accum(plane: np.ndarray, layer_name: str) -> None:
-    if plane.size == 0:
-        return
-    lo, hi = int(plane.min()), int(plane.max())
-    if lo < ACCUM_MIN or hi > ACCUM_MAX:
-        raise FixedPointOverflow(
-            f"{layer_name}: merged partial sums [{lo}, {hi}] exceed 24-bit range"
-        )
+    layer = slots.plan.layer
+    flat = acc[:, :kc].transpose(1, 0, 2, 3).reshape(kc, -1)
+    full = np.zeros((kc, layer.Wo * layer.Ho), dtype=np.int64)
+    if slots.cells.size:
+        full[:, slots.dest] = np.add.reduceat(flat[:, slots.cells], slots.first, axis=1)
+    halo_values = int(np.count_nonzero(flat[:, slots.halo]))
+    return full.reshape(kc, layer.Wo, layer.Ho), halo_values
 
 
 def max_pool(plane: np.ndarray, pool: PoolSpec) -> np.ndarray:
@@ -365,48 +399,42 @@ def max_pool(plane: np.ndarray, pool: PoolSpec) -> np.ndarray:
     return np.maximum.reduce([cols[:, :, d : d + st * ho : st] for d in range(win)])
 
 
-def _out_rects(
+def _rects(
     w: int, h: int, pe_rows: int, pe_cols: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(x_lo, width, y_lo, height) of each PE's share of a w x h output plane."""
-    xr = np.array(plane_partition(w, pe_cols), dtype=np.int64).reshape(-1, 2)
-    yr = np.array(plane_partition(h, pe_rows), dtype=np.int64).reshape(-1, 2)
-    xs = np.tile(xr, (pe_rows, 1))
-    ys = np.repeat(yr, pe_cols, axis=0)
-    return xs[:, 0], xs[:, 1] - xs[:, 0], ys[:, 0], ys[:, 1] - ys[:, 0]
+    """(x_lo, width, y_lo, height) of each PE's share of a w x h plane."""
+    parts = (plane_partition(w, pe_cols), plane_partition(h, pe_rows))
+    (x_lo, y_lo), (x_hi, y_hi) = _per_pe(pe_rows, pe_cols, *parts).transpose(2, 1, 0)
+    return x_lo, x_hi - x_lo, y_lo, y_hi - y_lo
 
 
 def ppu_finalize(
-    pe_accumulators: Sequence[np.ndarray | None],
-    tile_plan: TilePlan,
+    acc: np.ndarray,
+    slots: _Slots,
     group: range,
     pool: PoolSpec | None = None,
     index_bits: int = 4,
 ) -> PPUResult:
     """Group-boundary post-processing across the PE array.
 
+    `acc` holds the group's accumulators laid out as `slots` describes.
     Halo cells are added into their owners' partial sums, the merged plane is
     ReLU'd (and max-pooled when requested), and each PE compresses its slice
     of the result for its output RAM: one block per (PE, output channel),
     all encoded in one pass.
     """
-    layer = tile_plan.layer
+    tile_plan = slots.plan
     kc = len(group)
-    merged, halo_values = _merge_group_plane(pe_accumulators, tile_plan, kc)
-    _check_accum(merged, layer.name)
+    merged, halo_values = _merge_group_plane(acc, slots, kc)
+    check_range(merged, ACCUM_BITS, f"{tile_plan.layer.name}: merged partial sums")
     plane = np.maximum(merged, 0)
     if pool is not None:
         plane = max_pool(plane, pool)
-    drained = sum(acc.size for acc in pe_accumulators if acc is not None)
-    x0, wt, y0, ht = _out_rects(
+    drained = kc * int(slots.extent.prod(axis=1).sum())
+    x0, wt, y0, ht = _rects(
         plane.shape[1], plane.shape[2], tile_plan.pe_rows, tile_plan.pe_cols
     )
-    dense = np.concatenate(
-        [
-            plane[:, x : x + dx, y : y + dy].reshape(-1)
-            for x, dx, y, dy in zip(x0.tolist(), wt.tolist(), y0.tolist(), ht.tolist())
-        ]
-    )
+    dense = _pe_major(plane, x0, wt, y0, ht)
     blocks = codec.encode_blocks(dense, np.repeat(wt * ht, kc), index_bits)
     return PPUResult(blocks, plane, drained, halo_values)
 
@@ -427,7 +455,7 @@ class LayerOutput:
     def decoded(self) -> DenseTensor:
         k_total, w, h = self.dense.shape
         n_pes = self.pe_rows * self.pe_cols
-        x0, _, y0, ht = _out_rects(w, h, self.pe_rows, self.pe_cols)
+        x0, _, y0, ht = _rects(w, h, self.pe_rows, self.pe_cols)
         out = np.zeros(k_total * w * h, dtype=np.int64)
         k_base = 0
         for blocks in self.blocks:
@@ -445,16 +473,16 @@ def simulate_scnn_layer(
     arch: ArchConfig,
     layer: LayerShape,
     weights: WeightStream,
-    act_tiles: Sequence[BlockSet],
+    act_tiles: BlockSet,
     pool: PoolSpec | None = None,
     input_from_dram: bool = True,
     output_to_dram: bool = False,
 ) -> tuple[LayerOutput, SimReport]:
     """Run one layer through the sparse PE array.
 
-    Activations must already be distributed per the layer's tile plan and the
-    weights broadcast (same stream for every PE). Returns the compressed
-    per-PE outputs and the cycle/energy report.
+    Activations must already be distributed per the layer's tile plan (one
+    set, block pe * C + c) and the weights broadcast (same stream for every
+    PE). Returns the compressed per-PE outputs and the cycle/energy report.
 
     Each group's scatter multiplies only pairs whose stride phases match
     and accumulates them in float64 (see the module docstring). That is
@@ -462,17 +490,15 @@ def simulate_scnn_layer(
     2**53; a layer beyond that bound raises ConfigurationError.
     """
     per_cell = layer.channels_per_group * layer.R * layer.S
-    if per_cell << _PRODUCT_BITS >= 1 << _EXACT_FLOAT_BITS:
+    if per_cell << PRODUCT_BITS >= 1 << EXACT_FLOAT_BITS:
         raise ConfigurationError(
             f"{layer.name}: {per_cell} products per accumulator cell "
-            f"(channels_per_group * R * S) could exceed 2**{_EXACT_FLOAT_BITS}, "
+            f"(channels_per_group * R * S) could exceed 2**{EXACT_FLOAT_BITS}, "
             "past exact float64 accumulation"
         )
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
     gplan = weights.gplan
     n_pes = arch.n_pes
-    if len(act_tiles) != n_pes:
-        raise ConfigurationError(f"expected {n_pes} activation tile sets")
     if len(weights.blocks) != gplan.n_groups or any(
         len(b) != layer.C for b in weights.blocks
     ):
@@ -519,9 +545,6 @@ def simulate_scnn_layer(
         kc = len(group)
         wv = -((-w.stored) // F)
         acc, bank_totals, skipped = _scatter(w, acts, slots)
-        accs: list[np.ndarray | None] = [None] * n_pes
-        for i, (pe, (ex, ey)) in enumerate(zip(slots.pes, slots.extent.tolist())):
-            accs[pe] = acc[i, :kc, :ex, :ey]
         stride_skipped += int(skipped.sum())
         ev.mult_ops += int((acts.stored @ w.stored).sum())
         useful += int((acts.nnz @ w.nnz).sum())
@@ -552,7 +575,7 @@ def simulate_scnn_layer(
         t_eff = max(compute_t, stream_cycles)
         fifo_stalls_total += t_eff - compute_t
 
-        ppu = ppu_finalize(accs, plan, group, pool, arch.index_bits)
+        ppu = ppu_finalize(acc, slots, group, pool, arch.index_bits)
         out_planes.append(ppu.plane)
         out_blocks.append(ppu.blocks)
         out_stored += np.diff(ppu.blocks.offsets[::kc])

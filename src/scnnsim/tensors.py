@@ -1,9 +1,10 @@
 """Dense fixed-point tensors, the exact convolution reference, and sparsity ops.
 
 Arithmetic is exact signed integer fixed point: 16-bit operands, 24-bit
-accumulator semantics. Accumulation runs in int64 internally and the final
-partial sums are checked against the 24-bit range, so any two correct
-implementations of the same layer agree bit for bit.
+accumulator semantics. Accumulation is exact (int64, or float64 under a
+checked bound) and the final partial sums are checked against the 24-bit
+range, so any two correct implementations of the same layer agree bit for
+bit.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ VALUE_MIN = -(1 << (VALUE_BITS - 1))
 VALUE_MAX = (1 << (VALUE_BITS - 1)) - 1
 ACCUM_MIN = -(1 << (ACCUM_BITS - 1))
 ACCUM_MAX = (1 << (ACCUM_BITS - 1)) - 1
+# A 16-bit product is at most 2**30 in magnitude and float64 holds every
+# integer below 2**53, so a float64 sum of under 2**23 products is exact.
+PRODUCT_BITS = 2 * (VALUE_BITS - 1)
+EXACT_FLOAT_BITS = 53
+_CONV_PASS = 1 << 18  # values per buffer of one reference_conv band
 
 WEIGHT_ROLES = ("k", "c", "r", "s")
 ACT_ROLES = ("c", "x", "y")
@@ -65,26 +71,16 @@ class DenseTensor:
         return DenseTensor(values, self.roles)
 
 
+def check_range(values: np.ndarray, bits: int, what: str) -> None:
+    """Raise FixedPointOverflow if any value leaves the signed `bits`-bit range."""
+    if values.size:
+        lo, hi = int(values.min()), int(values.max())
+        if lo < -(1 << (bits - 1)) or hi >= 1 << (bits - 1):
+            raise FixedPointOverflow(f"{what} [{lo}, {hi}] exceed {bits}-bit range")
+
+
 def check_operand_range(t: DenseTensor, what: str = "operand") -> None:
-    if t.size == 0:
-        return
-    lo = int(t.values.min())
-    hi = int(t.values.max())
-    if lo < VALUE_MIN or hi > VALUE_MAX:
-        raise FixedPointOverflow(
-            f"{what} values [{lo}, {hi}] exceed {VALUE_BITS}-bit range"
-        )
-
-
-def _check_accum_range(out: np.ndarray) -> None:
-    if out.size == 0:
-        return
-    lo = int(out.min())
-    hi = int(out.max())
-    if lo < ACCUM_MIN or hi > ACCUM_MAX:
-        raise FixedPointOverflow(
-            f"partial sums [{lo}, {hi}] exceed {ACCUM_BITS}-bit accumulator range"
-        )
+    check_range(t.values, VALUE_BITS, f"{what} values")
 
 
 def reference_conv(layer: LayerShape, weights: DenseTensor, input_: DenseTensor) -> DenseTensor:
@@ -93,6 +89,12 @@ def reference_conv(layer: LayerShape, weights: DenseTensor, input_: DenseTensor)
     out[k][x][y] = sum_{c,r,s} in[c][x*stride + r - pad][y*stride + s - pad]
                    * w[k][c][r][s], with out-of-range input coordinates
     contributing zero. Raises FixedPointOverflow instead of saturating.
+
+    Each (tap, convolution group) term is a float64 matrix product of the
+    tap's filters with a contiguous copy of the strided input window, added
+    into the int64 output. It is exact: every partial sum, in whatever order
+    the BLAS forms it, is an integer below channels_per_group * 2**30 <
+    2**53. Layers with 2**23 or more channels per group raise ShapeError.
     """
     if weights.shape != layer.weight_shape():
         raise ShapeError(
@@ -102,27 +104,43 @@ def reference_conv(layer: LayerShape, weights: DenseTensor, input_: DenseTensor)
         raise ShapeError(
             f"input {input_.shape} does not match layer {layer.input_shape()}"
         )
+    cpg, kpg = layer.channels_per_group, layer.filters_per_group
+    if cpg << PRODUCT_BITS >= 1 << EXACT_FLOAT_BITS:
+        raise ShapeError(
+            f"{layer.name}: {cpg} channels per group could sum past "
+            f"2**{EXACT_FLOAT_BITS}, beyond exact float64 accumulation"
+        )
     check_operand_range(weights, "weight")
     check_operand_range(input_, "activation")
 
     c, w, h = layer.C, layer.W, layer.H
     pad, stride = layer.pad, layer.stride
     wo, ho = layer.Wo, layer.Ho
-    padded = np.zeros((c, w + 2 * pad, h + 2 * pad), dtype=np.int64)
+    padded = np.zeros((c, w + 2 * pad, h + 2 * pad))
     padded[:, pad : pad + w, pad : pad + h] = input_.values
-
+    # [r, s, k, c]: each tap's filter matrix, rows contiguous
+    taps = np.ascontiguousarray(weights.values.transpose(2, 3, 0, 1), dtype=np.float64)
     out = np.zeros((layer.K, wo, ho), dtype=np.int64)
-    cpg, kpg = layer.channels_per_group, layer.filters_per_group
-    for r in range(layer.R):
-        for s in range(layer.S):
-            window = padded[:, r : r + stride * wo : stride, s : s + stride * ho : stride]
-            for g in range(layer.groups):
-                cs = slice(g * cpg, (g + 1) * cpg)
-                ks = slice(g * kpg, (g + 1) * kpg)
-                out[ks] += np.einsum(
-                    "kc,cxy->kxy", weights.values[ks, :, r, s], window[cs]
-                )
-    _check_accum_range(out)
+    # a band of output rows at a time, so the window copy, the term and its
+    # int64 copy each hold about _CONV_PASS values
+    rows = max(1, _CONV_PASS // (max(c, kpg) * ho))
+    for x0 in range(0, wo, rows):
+        n = min(rows, wo - x0)
+        window = np.empty((c, n, ho))
+        cols = window.reshape(c, n * ho)
+        term = np.empty((kpg, n * ho))
+        exact = np.empty((kpg, n, ho), dtype=np.int64)
+        for r in range(layer.R):
+            xs = slice(x0 * stride + r, (x0 + n - 1) * stride + r + 1, stride)
+            for s in range(layer.S):
+                window[...] = padded[:, xs, s : s + stride * ho : stride]
+                for g in range(layer.groups):
+                    ks = slice(g * kpg, (g + 1) * kpg)
+                    np.matmul(taps[r, s, ks], cols[g * cpg : (g + 1) * cpg], out=term)
+                    exact.reshape(kpg, -1)[...] = term
+                    out[ks, x0 : x0 + n] += exact
+    del padded  # before DenseTensor copies the output
+    check_range(out, ACCUM_BITS, "partial sums")
     return DenseTensor(out, OUT_ROLES)
 
 
@@ -135,8 +153,10 @@ def prune_magnitude(weights: DenseTensor, target_density: float) -> DenseTensor:
     """Zero all but the ceil(target_density * n) largest-magnitude values.
 
     Only the thresholding half of the usual two-phase pruning flow; no
-    retraining. Ties break toward the lowest linear index so the result is
-    deterministic. Surviving values are untouched (pure Hadamard mask).
+    retraining. The threshold is the keep-th largest magnitude, found by a
+    linear-time partition; of the values at the threshold, the lowest
+    linear indices survive, so the result is deterministic. Surviving values
+    are untouched (pure Hadamard mask).
     """
     if weights.size == 0:
         raise ShapeError("cannot prune an empty tensor")
@@ -144,11 +164,10 @@ def prune_magnitude(weights: DenseTensor, target_density: float) -> DenseTensor:
         raise ValueError(f"target_density {target_density} outside (0, 1]")
     n = weights.size
     keep = math.ceil(target_density * n)
-    flat = weights.values.reshape(-1)
-    # stable sort on descending magnitude keeps equal magnitudes in index order
-    order = np.argsort(-np.abs(flat), kind="stable")
-    mask = np.zeros(n, dtype=bool)
-    mask[order[:keep]] = True
+    mag = np.abs(weights.values.reshape(-1))
+    threshold = np.partition(mag, n - keep)[n - keep]
+    mask = mag > threshold
+    mask[np.flatnonzero(mag == threshold)[: keep - np.count_nonzero(mask)]] = True
     return weights.with_values(np.where(mask.reshape(weights.shape), weights.values, 0))
 
 

@@ -559,9 +559,10 @@ def _sim_layer(
     checked = False
     need_scnn = VARIANT_SCNN in variants or VARIANT_ORACLE in variants
     if need_scnn:
-        stream, tiles = prepare_scnn_inputs(arch, spec.shape, weights, acts)
+        # the compressed operands are freed before the oracle runs
         out, rep = simulate_scnn_layer(
-            arch, spec.shape, stream, tiles, pool=spec.pool, input_from_dram=first
+            arch, spec.shape, *prepare_scnn_inputs(arch, spec.shape, weights, acts),
+            pool=spec.pool, input_from_dram=first,
         )
         decoded = out.decoded()
         if VARIANT_ORACLE in variants:

@@ -1,7 +1,15 @@
-"""Independent brute-force references, written before the library code they
-check and kept free of it: plain Python loops over plain Python ints."""
+"""Independent references for the library code.
+
+Most are brute force, written before the code they check and kept free of
+it: plain Python loops over plain Python ints. The NumPy ones at the end are
+the straightforward forms that vectorized library code replaced, kept as
+references for it."""
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 
 def naive_conv(
@@ -159,3 +167,78 @@ def naive_max_pool(plane: list, window: int, stride: int) -> list:
         xs, ys = windows(len(chan)), windows(len(chan[0]) if chan else 0)
         result.append([[max(chan[x][y] for x in wx for y in wy) for wy in ys] for wx in xs])
     return result
+
+
+def einsum_conv(layer, weights: np.ndarray, input_: np.ndarray) -> np.ndarray:
+    """The convolution as one int64 `einsum` per (tap, convolution group),
+    exact for any int64 partial sums; weights [k, c, r, s], input [c, x, y]."""
+    c, w, h = layer.C, layer.W, layer.H
+    pad, stride = layer.pad, layer.stride
+    wo = (w + 2 * pad - layer.R) // stride + 1
+    ho = (h + 2 * pad - layer.S) // stride + 1
+    padded = np.zeros((c, w + 2 * pad, h + 2 * pad), dtype=np.int64)
+    padded[:, pad : pad + w, pad : pad + h] = input_
+    out = np.zeros((layer.K, wo, ho), dtype=np.int64)
+    cpg, kpg = layer.C // layer.groups, layer.K // layer.groups
+    for r in range(layer.R):
+        for s in range(layer.S):
+            window = padded[:, r : r + stride * wo : stride, s : s + stride * ho : stride]
+            for g in range(layer.groups):
+                cs = slice(g * cpg, (g + 1) * cpg)
+                ks = slice(g * kpg, (g + 1) * kpg)
+                out[ks] += np.einsum("kc,cxy->kxy", weights[ks, :, r, s], window[cs])
+    return out
+
+
+def argsort_prune(values: np.ndarray, target_density: float) -> np.ndarray:
+    """Keep the ceil(d * n) largest magnitudes by a full stable sort on
+    descending magnitude, equal magnitudes in index order; zero the rest."""
+    n = values.size
+    keep = math.ceil(target_density * n)
+    order = np.argsort(-np.abs(values.reshape(-1)), kind="stable")
+    mask = np.zeros(n, dtype=bool)
+    mask[order[:keep]] = True
+    return np.where(mask.reshape(values.shape), values, 0)
+
+
+def per_pe_tiles_encoded(plan, acts: np.ndarray, index_bits: int):
+    """One `encode_blocks` call per PE over its [C, wt, ht] tile: block c of
+    PE pe's set holds channel c, x-major then y."""
+    from scnnsim.codec import encode_blocks
+
+    out = []
+    for pe in range(plan.n_pes):
+        t = plan.tile(pe)
+        dense = acts[:, t.x0 : t.x0 + t.wt, t.y0 : t.y0 + t.ht]
+        out.append(encode_blocks(dense, [t.wt * t.ht] * plan.layer.C, index_bits))
+    return out
+
+
+def loop_merge_group_plane(accs, plan, kc: int):
+    """Sum every PE's [kc, ex, ey] accumulator (None for an idle PE) into the
+    [kc, Wo, Ho] plane at its global coordinates, one PE at a time; return
+    the plane and the count of non-zero in-plane cells outside each PE's
+    owned rectangle."""
+    layer = plan.layer
+    full = np.zeros((kc, layer.Wo, layer.Ho), dtype=np.int64)
+    halo_values = 0
+    for pe in range(plan.n_pes):
+        acc = accs[pe]
+        if acc is None:
+            continue
+        xb, yb = plan.acc_base(pe)
+        ex, ey = plan.acc_extent(pe)
+        xl, xh = max(0, -xb), min(ex, layer.Wo - xb)
+        yl, yh = max(0, -yb), min(ey, layer.Ho - yb)
+        if xl >= xh or yl >= yh:
+            continue
+        window = acc[:, xl:xh, yl:yh]
+        full[:, xb + xl : xb + xh, yb + yl : yb + yh] += window
+        (oxl, oxh), (oyl, oyh) = plan.owned_out_range(pe)
+        own = window[
+            :,
+            max(oxl - xb - xl, 0) : max(oxh - xb - xl, 0),
+            max(oyl - yb - yl, 0) : max(oyh - yb - yl, 0),
+        ]
+        halo_values += int(np.count_nonzero(window)) - int(np.count_nonzero(own))
+    return full, halo_values

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import loop_rle_encode, naive_rle_decode
+from scnnsim import codec
 from scnnsim.codec import BlockSet, CodecError, encode_blocks
 from scnnsim.tensors import ACCUM_MAX, ACCUM_MIN
 
@@ -165,6 +168,18 @@ class TestEncodeBlocks:
         for b, (vals, runs) in zip(blocks, refs):
             assert naive_rle_decode(vals, runs, len(b)) == b
 
+    @given(st.lists(dense_block(), max_size=8), st.integers(1, 4), st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_pass_size_changes_nothing(self, blocks, index_bits, pass_size):
+        # passes of a few values split the set at many block boundaries, and
+        # blocks longer than a pass each take one of their own
+        dense, extents = [v for b in blocks for v in b], [len(b) for b in blocks]
+        one = encode_blocks(dense, extents, index_bits)
+        with mock.patch.object(codec, "_PASS", pass_size):
+            many = encode_blocks(dense, extents, index_bits)
+        for name in ("values", "run_lengths", "offsets", "extents", "positions"):
+            assert getattr(many, name).tolist() == getattr(one, name).tolist()
+
     def test_extents_must_cover_the_values(self):
         with pytest.raises(CodecError, match="partition"):
             encode_blocks([1, 0, 2], [2])
@@ -218,6 +233,12 @@ class TestBlockSetRejects:
         # the stream fits the total extent 7; block 1 alone needs 3 of its 2
         with pytest.raises(CodecError, match="logical extent 2"):
             BlockSet([1, 1], [0, 2], [0, 1, 2], [5, 2])
+
+    def test_block_past_its_extent_in_a_later_pass(self):
+        # one block per pass: the third pass finds block 2 overflowing
+        with mock.patch.object(codec, "_PASS", 1):
+            with pytest.raises(CodecError, match="logical extent 2"):
+                BlockSet([1, 1, 1], [0, 4, 2], [0, 1, 2, 3], [5, 5, 2])
 
     def test_run_sum_past_int64_does_not_wrap_into_the_extent(self):
         # two runs of 2**62 - 1 sum to 2**63, which wraps negative in int64

@@ -238,3 +238,24 @@ class TestCartesianWork:
         assert cartesian_work(lay, w, a) == count_cartesian_products(
             lay, w.values.tolist(), a.values.tolist()
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        groups=st.integers(1, 4),
+        cpg=st.integers(1, 3),
+        kpg=st.integers(1, 3),
+        taps=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        plane=st.tuples(st.integers(3, 6), st.integers(3, 6)),
+        densities=st.tuples(st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from([0.0, 0.3, 1.0])),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_grouped_layers_match_recount(self, groups, cpg, kpg, taps, plane, densities, seed):
+        lay = LayerShape(
+            "work", C=groups * cpg, K=groups * kpg, W=plane[0], H=plane[1],
+            R=taps[0], S=taps[1], groups=groups,
+        )
+        w = gen_synthetic(lay.weight_shape(), densities[0], seed=seed)
+        a = gen_synthetic(lay.input_shape(), densities[1], seed=seed + 1, signed=False)
+        assert cartesian_work(lay, w, a) == count_cartesian_products(
+            lay, w.values.tolist(), a.values.tolist()
+        )

@@ -16,10 +16,12 @@ from hypothesis import given, settings, strategies as st
 from scnnsim.analytic import ArchConfig
 from scnnsim.codec import encode_blocks
 from scnnsim.dataflow import ConfigurationError, LayerShape, choose_kc, partition_tiles
+from oracles import loop_merge_group_plane
 from scnnsim.simulator import (
     _SCATTER_CHUNK,
     WeightStream,
     _activation_entries,
+    _merge_group_plane,
     _scatter,
     _slots,
     _weight_entries,
@@ -52,7 +54,7 @@ def loop_scatter(arch, layer, stream, tiles, gi, pe):
     group = stream.gplan.groups[gi]
     kpg, cpg = layer.filters_per_group, layer.channels_per_group
     for c in range(layer.C):
-        avals, apos = block_entries(tiles[pe], c)
+        avals, apos = block_entries(tiles, pe * layer.C + c)
         wvals, wpos = block_entries(stream.blocks[gi], c)
         xs = t.x0 + apos // t.ht
         ys = t.y0 + apos % t.ht
@@ -158,6 +160,33 @@ def test_scatter_equals_loop_reference(case):
     assert_matches_loop_reference(arch, layer, stream, tiles)
 
 
+@settings(max_examples=150, deadline=None)
+@given(scatter_cases(), st.integers(0, 2**32 - 1))
+def test_merge_equals_loop_reference(case, seed):
+    # the layer's merge map against a per-PE sum, on the scatter's own
+    # accumulators and on random ones filling every slot's extent
+    arch, layer, w, a = case
+    stream, tiles = prepare_scnn_inputs(arch, layer, w, a)
+    plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
+    groups = stream.gplan.groups
+    slots = _slots(plan, max(map(len, groups)), arch.accum_banks, arch.bank_map)
+    acts = _activation_entries(plan, slots, tiles)
+    rng = np.random.default_rng(seed)
+    for g, wg in zip(groups, _weight_entries(layer, stream, slots)):
+        kc = len(g)
+        noise = np.zeros_like(slots.bank)
+        for i, (ex, ey) in enumerate(slots.extent.tolist()):
+            noise[i, :kc, :ex, :ey] = rng.integers(-3, 4, size=(kc, ex, ey))
+        for acc in (_scatter(wg, acts, slots)[0], noise):
+            views = [None] * plan.n_pes
+            for i, (pe, (ex, ey)) in enumerate(zip(slots.pes, slots.extent.tolist())):
+                views[pe] = acc[i, :kc, :ex, :ey]
+            plane, halo = _merge_group_plane(acc, slots, kc)
+            ref_plane, ref_halo = loop_merge_group_plane(views, plan, kc)
+            assert np.array_equal(plane, ref_plane)
+            assert halo == ref_halo
+
+
 def _dense_case(layer, arch, density, seed):
     rng = np.random.default_rng(seed)
     w = DenseTensor(_operand(rng, layer.weight_shape(), density, -(1 << 15)), WEIGHT_ROLES)
@@ -217,7 +246,7 @@ def test_float64_exactness_bound(cpg, groups, rejected):
     # blocks of every channel, all empty: no weight and a zero activation
     no_weights = encode_blocks([], [0] * layer.C)
     stream = WeightStream(layer, gplan, (no_weights,) * gplan.n_groups)
-    tiles = [encode_blocks(np.zeros(layer.C), [1] * layer.C)]
+    tiles = encode_blocks(np.zeros(layer.C), [1] * layer.C)
     if rejected:
         with pytest.raises(ConfigurationError, match="exact float64"):
             simulate_scnn_layer(arch, layer, stream, tiles)

@@ -7,6 +7,7 @@ from oracles import (
     loop_rle_encode,
     naive_max_pool,
     naive_rle_decode,
+    per_pe_tiles_encoded,
 )
 from scnnsim.analytic import (
     VARIANT_DCNN,
@@ -17,8 +18,10 @@ from scnnsim.analytic import (
     PoolSpec,
     dcnn_arch,
 )
-from scnnsim.dataflow import LayerShape, choose_kc, partition_tiles
+from scnnsim.codec import encode_blocks
+from scnnsim.dataflow import ConfigurationError, LayerShape, choose_kc, partition_tiles
 from scnnsim.simulator import (
+    _slots,
     compress_weights,
     distribute_activations,
     max_pool,
@@ -226,6 +229,52 @@ class TestCycleModel:
         assert report.oaram_footprint == Footprint(n_out * 16, n_out * 10)
 
 
+class TestDistribute:
+    """The all-PE block set against one encode per PE."""
+
+    @pytest.mark.parametrize(
+        "kw,grid,empty",
+        [
+            # ragged last column and row
+            (dict(C=3, K=2, W=11, H=7, R=3, S=3, pad=1), (2, 3), False),
+            # a 2-wide plane over 3 columns and a 1-high plane over 2 rows
+            # leave whole columns and rows of PEs empty
+            (dict(C=2, K=2, W=2, H=6, R=1, S=5, stride=3, pad=1), (2, 3), True),
+            (dict(C=2, K=2, W=5, H=1, R=3, S=1, pad=1), (2, 4), True),
+        ],
+    )
+    @pytest.mark.parametrize("index_bits", [1, 4])
+    def test_equals_per_pe_encodes(self, kw, grid, empty, index_bits):
+        layer = LayerShape("tiles", **kw)
+        plan = partition_tiles(layer, grid)
+        a = gen_synthetic(layer.input_shape(), 0.4, seed=3, signed=False)
+        got = distribute_activations(plan, a, index_bits)
+        refs = per_pe_tiles_encoded(plan, a.values, index_bits)
+        assert any(plan.tile(pe).empty for pe in range(plan.n_pes)) == empty
+        assert len(got) == plan.n_pes * layer.C
+        for name in ("values", "run_lengths", "positions", "extents"):
+            assert getattr(got, name).tolist() == np.concatenate(
+                [getattr(r, name) for r in refs]
+            ).tolist()
+        counts = np.concatenate([np.diff(r.offsets) for r in refs])
+        assert np.diff(got.offsets).tolist() == counts.tolist()
+
+    def test_tile_checks_name_the_pe_and_channel(self):
+        layer = LayerShape("chk", C=3, K=2, W=6, H=6, R=3, S=3, pad=1)
+        arch = small_arch()
+        w = gen_synthetic(layer.weight_shape(), 0.5, seed=1)
+        a = gen_synthetic(layer.input_shape(), 0.5, seed=2, signed=False)
+        stream, tiles = prepare_scnn_inputs(arch, layer, w, a)
+        short = encode_blocks(np.zeros(9 * 3), [9] * 3)
+        with pytest.raises(ConfigurationError, match="3 activation blocks for 4 PEs of 3 channels"):
+            simulate_scnn_layer(arch, layer, stream, short)
+        extents = tiles.extents.copy()
+        extents[1 * 3 + 2] += 1  # PE 1, channel 2
+        dense = np.zeros(int(extents.sum()))
+        with pytest.raises(ConfigurationError, match="pe 1 channel 2: block extent 10"):
+            simulate_scnn_layer(arch, layer, stream, encode_blocks(dense, extents))
+
+
 class TestPPU:
     def test_halo_product_lands_in_neighbor_output(self):
         # 1x2 grid; a single product in PE0's halo column belongs to PE1
@@ -249,9 +298,9 @@ class TestPPU:
     def test_single_pe_halo_exchange_noop(self):
         layer = LayerShape("noop", C=2, K=2, W=6, H=6, R=3, S=3, pad=1)
         plan = partition_tiles(layer, (1, 1))
-        acc = np.zeros((2, 8, 8), dtype=np.int64)
-        acc[0, 2, 2] = 7
-        res = ppu_finalize([acc], plan, range(0, 2))
+        acc = np.zeros((1, 2, 8, 8), dtype=np.int64)
+        acc[0, 0, 2, 2] = 7
+        res = ppu_finalize(acc, _slots(plan, 2, 32, "mod"), range(0, 2))
         assert res.halo_values == 0
         # accumulator base is -1 with pad 1 and a 3x3 filter
         assert res.plane[0, 1, 1] == 7
@@ -259,8 +308,8 @@ class TestPPU:
     def test_all_negative_group_encodes_empty(self):
         layer = LayerShape("neg", C=1, K=1, W=4, H=4, R=1, S=1)
         plan = partition_tiles(layer, (1, 1))
-        acc = np.full((1, 4, 4), -5, dtype=np.int64)
-        res = ppu_finalize([acc], plan, range(0, 1))
+        acc = np.full((1, 1, 4, 4), -5, dtype=np.int64)
+        res = ppu_finalize(acc, _slots(plan, 1, 32, "mod"), range(0, 1))
         assert res.blocks.offsets.tolist() == [0, 0]
 
 

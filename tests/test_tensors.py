@@ -3,12 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_conv
+from oracles import argsort_prune, einsum_conv, naive_conv
 from scnnsim.dataflow import LayerShape, ShapeError
 from scnnsim.tensors import (
+    ACCUM_MAX,
+    ACCUM_MIN,
     ACT_ROLES,
     DenseTensor,
     FixedPointOverflow,
+    VALUE_MAX,
+    VALUE_MIN,
     WEIGHT_ROLES,
     apply_relu,
     gen_synthetic,
@@ -122,6 +126,87 @@ class TestReferenceConv:
             reference_conv(layer, w, t([[[1]]], ACT_ROLES))
 
 
+def _operand(rng, shape, bits, extreme):
+    """Signed values below 2**bits in magnitude, a share `extreme` of them
+    replaced by the 16-bit extremes, and about a third zero."""
+    vals = rng.integers(-(1 << bits), 1 << bits, size=shape)
+    ext = rng.random(shape) < extreme
+    vals[ext] = rng.choice([VALUE_MIN, VALUE_MAX], size=int(ext.sum()))
+    return np.clip(vals, VALUE_MIN, VALUE_MAX) * (rng.random(shape) < 0.7)
+
+
+@st.composite
+def conv_cases(draw):
+    stride, pad = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    R, S = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    groups = draw(st.integers(1, 3))
+    C, K = groups * draw(st.integers(1, 3)), groups * draw(st.integers(1, 3))
+    # W = R - 2*pad + stride*n keeps the output size integral
+    W = R - 2 * pad + stride * draw(st.integers(0, 4))
+    H = S - 2 * pad + stride * draw(st.integers(0, 4))
+    W += stride * max(0, -(-(1 - W) // stride))
+    H += stride * max(0, -(-(1 - H) // stride))
+    layer = LayerShape("p", C=C, K=K, W=W, H=H, R=R, S=S, stride=stride, pad=pad, groups=groups)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    extreme = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    w = _operand(rng, layer.weight_shape(), draw(st.integers(0, 15)), extreme)
+    a = _operand(rng, layer.input_shape(), draw(st.integers(0, 15)), extreme)
+    return layer, w, a
+
+
+class TestReferenceConvAgainstEinsum:
+    """The float64 matmul oracle against the int64 einsum it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(conv_cases())
+    def test_equals_einsum(self, case):
+        layer, w, a = case
+        expect = einsum_conv(layer, w, a)
+        if expect.min() < ACCUM_MIN or expect.max() > ACCUM_MAX:
+            with pytest.raises(FixedPointOverflow):
+                reference_conv(layer, t(w, WEIGHT_ROLES), t(a, ACT_ROLES))
+        else:
+            got = reference_conv(layer, t(w, WEIGHT_ROLES), t(a, ACT_ROLES))
+            assert got.values.dtype == np.int64
+            assert np.array_equal(got.values, expect)
+
+    def test_partial_sums_past_24_bits(self):
+        layer = LayerShape("wide", C=2, K=2, W=1, H=1, R=1, S=1)
+        # filter 0 sums to 2 * 32767**2 > 2**24; filter 1's two products
+        # of that size cancel to zero
+        w = np.array([[VALUE_MAX, VALUE_MAX], [VALUE_MAX, -VALUE_MAX]]).reshape(2, 2, 1, 1)
+        a = np.full((2, 1, 1), VALUE_MAX)
+        with pytest.raises(FixedPointOverflow):
+            reference_conv(layer, t(w, WEIGHT_ROLES), t(a, ACT_ROLES))
+        w[0] = 0
+        got = reference_conv(layer, t(w, WEIGHT_ROLES), t(a, ACT_ROLES))
+        assert got.values.reshape(-1).tolist() == [0, 0]
+
+    def test_wide_channel_sum_near_the_float64_bound(self):
+        # 2**21 products of 2**30 each: the first half climbs to 2**50, the
+        # second half cancels it, and one product of the two -32768 extremes
+        # leaves 2**30 - 32767**2 = 65535
+        n = 1 << 21
+        layer = LayerShape("deep", C=n, K=1, W=1, H=1, R=1, S=1)
+        w = np.full(n, VALUE_MAX)
+        w[n // 2 :] = -VALUE_MAX
+        a = np.full(n, VALUE_MAX)
+        w[0] = a[0] = VALUE_MIN
+        w, a = w.reshape(1, n, 1, 1), a.reshape(n, 1, 1)
+        got = reference_conv(layer, t(w, WEIGHT_ROLES), t(a, ACT_ROLES))
+        assert got.values.reshape(-1).tolist() == [65535]
+        assert einsum_conv(layer, w, a).reshape(-1).tolist() == [65535]
+
+    def test_channels_past_the_float64_bound_rejected(self):
+        # channels_per_group * 2**30 must stay below 2**53
+        n = 1 << 23
+        layer = LayerShape("too-deep", C=n, K=1, W=1, H=1, R=1, S=1)
+        w = t(np.zeros((1, n, 1, 1), dtype=np.int64), WEIGHT_ROLES)
+        a = t(np.zeros((n, 1, 1), dtype=np.int64), ACT_ROLES)
+        with pytest.raises(ShapeError, match="exact float64"):
+            reference_conv(layer, w, a)
+
+
 class TestRelu:
     def test_definition(self):
         assert apply_relu(t([-3, 0, 5])).values.tolist() == [0, 0, 5]
@@ -177,6 +262,20 @@ class TestPrune:
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
             prune_magnitude(t(np.zeros((0,), dtype=int)), 0.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from([-9, -4, -1, 0, 1, 4, 9]), min_size=1, max_size=120),
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.sampled_from([(-1,), (2, -1), (1, 2, 1, -1)]),
+    )
+    def test_equals_stable_argsort_with_ties(self, xs, d, shape):
+        # a few magnitudes of both signs, so the threshold is nearly always tied
+        x = np.array(xs)
+        if len(xs) % 2:
+            shape = (-1,)
+        got = prune_magnitude(t(x.reshape(shape)), d)
+        assert got.values.tolist() == argsort_prune(x.reshape(shape), d).tolist()
 
 
 class TestSynthetic:
