@@ -103,6 +103,14 @@ def main(argv: list[str] | None = None) -> int:
         seed = cfg.seed
         out_dir = Path(args.out_dir if args.out_dir is not None else cfg.out_dir)
         net = load_network(args.network)
+        if args.command != "validate":
+            # before the run, which may take minutes, not after it
+            try:
+                out_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as e:
+                raise ConfigurationError(
+                    f"--out-dir {out_dir}: cannot make directory: {e.strerror}"
+                ) from e
 
         if args.command == "run":
             variants = tuple(v.strip() for v in args.variants.split(",") if v.strip())

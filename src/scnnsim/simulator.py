@@ -23,17 +23,22 @@ plane from them with one scatter per group.
 
 Each output-channel group is scattered once over every live PE, as its
 weights are broadcast to all of them, into accumulators laid out uniformly
-as [slot, kc, EX, EY] (`_Slots`). Operand entries are read once per layer
-and sorted by class (input channel, stride phase): an activation at x has
-phase (x + pad) % stride, a tap r has phase r % stride, and a product lands
-only when the two phases agree in both axes, so products a stride skips are
-counted, never formed. Within a class the address is a weight term plus an
-activation term (`_Entries`), and the class's pairs are an outer sum of two
-contiguous slices. Passes of pairs are summed with `np.bincount` in
-float64, exact because operands are 16-bit (products < 2**30) and at most
-channels_per_group * R * S products reach one cell; `simulate_scnn_layer`
-rejects layers where that could reach 2**53. The PPU sums the slots into
-the output plane through a merge map `_Slots` builds once per layer.
+as [slot, kc, EX, EY] (`_Slots`). A product lands only when the stride
+phases of its tap (r % stride) and its activation ((x + pad) % stride)
+agree in both axes, so products a stride skips are counted, never formed.
+Activations are read once per layer into one dense grid per phase
+(`_activation_operand`), and each group's weights into a dense
+[R, S, k, C] array. All products of one (filter, tap, activation position)
+land in one cell, whose sum and count are all that is read, so per phase
+and convolution group the scatter contracts the input channels first: one
+float64 GEMM of the values and one float32 GEMM of the 0/1 masks of stored
+entries (placeholders included), whose tap rows then add into the
+accumulators as shifted slices (`_scatter`). Both are exact in any order of
+addition. Products of 16-bit operands are integers below 2**30, so every
+partial sum of a cell is an integer below channels_per_group * R * S *
+2**30, which `simulate_scnn_layer` keeps below 2**53; every count is an
+integer below 2**23, which float32 holds. The PPU sums the slots into the
+output plane through a merge map `_Slots` builds once per layer.
 
 Functional equivalence is the master contract: the decoded, halo-merged,
 ReLU'd (and optionally pooled) outputs equal the exact reference convolution
@@ -159,9 +164,9 @@ def _bank_ids(linear: np.ndarray, banks: int, bank_map: str) -> np.ndarray:
     return linear % banks
 
 
-# Pairs per bincount pass, whose two 8-byte buffers bound the scatter's memory;
-# a pass widens to the group's cells plus one class to amortize the minlength.
-_SCATTER_CHUNK = 1 << 16
+# Elements of one GEMM output band, which with its float32 count twin
+# bounds the scatter's temporaries; a band holds at least one grid row.
+_BAND = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -170,10 +175,12 @@ class _Slots:
     live PE pes[i], kc the largest group and (EX, EY) the largest extents
     (a slot fits the capacity `choose_kc` sized); the PE's own accumulator
     is [i, :kc, :ex, :ey]. `bank` holds every cell's i * n_banks + bank, the
-    bank taken from the PE's own address (k * ex + x) * ey + y.
+    bank taken from the PE's own address (k * ex + x) * ey + y. It is a view
+    of a [kc, EX, EY, slot] array, the memory order the scatter fills.
 
-    Per PE: its input tile (`_rects`) and `offset`, where its accumulator
-    cell for output (x, y) sits at offset + x * EY + y. The merge map:
+    Per PE: its input tile (`_rects`) and `origin`, its slot (-1 when
+    idle) and the output coordinate (xb, yb) of its accumulator cell
+    (0, 0). The merge map:
     `cells` of [slot, EX, EY] inside the output plane, sorted by plane
     coordinate x * Ho + y; run j of equal coordinates starts at first[j]
     and lands at dest[j]. `halo` holds the in-plane cells outside their
@@ -185,7 +192,7 @@ class _Slots:
     bank: np.ndarray      # [slot, kc, EX, EY]
     n_banks: int
     tile: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    offset: np.ndarray
+    origin: np.ndarray    # (n_pes, 3): slot, xb, yb
     cells: np.ndarray
     first: np.ndarray
     dest: np.ndarray
@@ -215,7 +222,8 @@ def _slots(plan: TilePlan, kc: int, banks: int, bank_map: str) -> _Slots:
     ex, ey = ex[pes, None, None, None], ey[pes, None, None, None]
     bank = _bank_ids((k * ex + x) * ey + y, banks, bank_map)
     bank += np.arange(pes.size)[:, None, None, None] * banks
-    offset = (np.cumsum(live) - 1) * bank[0].size - xb * y.size - yb
+    bank = np.ascontiguousarray(bank.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+    origin = np.stack([np.where(live, np.cumsum(live) - 1, -1), xb, yb], axis=1)
     # the merge map, from every slot cell's global output coordinate
     gx, gy = x[0] + xb[pes, None, None], y[0] + yb[pes, None, None]
     inside = (x[0] < ex[:, 0]) & (y[0] < ey[:, 0])
@@ -229,60 +237,66 @@ def _slots(plan: TilePlan, kc: int, banks: int, bank_map: str) -> _Slots:
     cells, dest = cells[order], dest[order]
     first = np.flatnonzero(np.diff(dest, prepend=-1))
     return _Slots(
-        plan, pes.tolist(), extent, bank, banks, tile, offset,
+        plan, pes.tolist(), extent, bank, banks, tile, origin,
         cells, first, dest[first], np.flatnonzero(inside & ~owned),
     )
 
 
 @dataclass(frozen=True)
-class _Entries:
-    """One group's weights or every live PE's activations, placeholders
-    included, sorted by class channel * stride**2 + phase; class q owns
-    entries start[q]:start[q + 1]. `stored` and `nnz` count entries per
-    channel (per slot and channel for activations). A pair lands at the sum
-    of its entries' `addr`: (k * EX - r // stride) * EY - s // stride for
-    filter k's tap (r, s), i * kc * EX * EY + (x // stride - xb) * EY +
-    y // stride - yb for slot i's activation at padded (x, y)."""
+class _Operand:
+    """One group's weights or every live PE's activations as float64 values
+    and float32 0/1 masks of the stored entries, placeholders included.
 
-    vals: np.ndarray              # float64 operand values
-    start: np.ndarray
+    Weights are [R, S, k, C] over the group's filters k (None when the
+    group stores nothing). Activations are keyed by stride phase (px, py),
+    each a [C, GX * GY * slot] grid (`_activation_operand`); no key holds
+    an activation that meets no tap. `stored` and `nnz` count entries per
+    channel (per slot and channel for activations)."""
+
     stored: np.ndarray
     nnz: np.ndarray
-    addr: np.ndarray
+    vals: np.ndarray | dict[tuple[int, int], np.ndarray] | None
+    mask: np.ndarray | dict[tuple[int, int], np.ndarray] | None
 
 
-def _entries(n_cls: int, cls, vals, addr, stored, nnz) -> _Entries:
-    """Sort entries by class; a stable sort of 16-bit keys is a radix sort."""
-    order = np.argsort(cls.astype(np.uint16) if n_cls <= 1 << 16 else cls, kind="stable")
-    start = np.zeros(n_cls + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cls, minlength=n_cls), out=start[1:])
-    return _Entries(vals[order].astype(np.float64), start, stored, nnz, addr[order])
+def _weight_operand(layer: LayerShape, group: range, blocks: BlockSet) -> _Operand:
+    """The weights of one output-channel group, shared by every PE."""
+    chan, pos = blocks.block_ids(), blocks.positions
+    nnz = np.bincount(chan[blocks.values != 0], minlength=layer.C)
+    vals = mask = None
+    if blocks.values.size:
+        rs, shape = layer.R * layer.S, (layer.R, layer.S, len(group), layer.C)
+        # first filter of each channel's convolution group, within the group
+        first_k = np.arange(layer.C) // layer.channels_per_group * layer.filters_per_group
+        k = np.maximum(first_k, group.start)[chan] - group.start + pos // rs
+        at = ((pos % rs) * len(group) + k) * layer.C + chan
+        vals, mask = np.zeros(shape), np.zeros(shape, dtype=np.float32)
+        vals.reshape(-1)[at] = blocks.values
+        mask.reshape(-1)[at] = 1
+    return _Operand(np.diff(blocks.offsets), nnz, vals, mask)
 
 
-def _weight_entries(layer: LayerShape, weights: WeightStream, slots: _Slots) -> list[_Entries]:
-    """Weight entries of each output-channel group, shared by every PE."""
-    s = layer.stride
-    rs = layer.R * layer.S
-    _, _, EX, EY = slots.bank.shape
-    # first filter of each channel's convolution group
-    first_k = np.arange(layer.C) // layer.channels_per_group * layer.filters_per_group
-    out = []
-    for grp, blocks in zip(weights.gplan.groups, weights.blocks):
-        chan, pos = blocks.block_ids(), blocks.positions
-        k = np.maximum(first_k, grp.start)[chan] - grp.start + pos // rs
-        r, t = (pos % rs) // layer.S, pos % layer.S
-        out.append(_entries(
-            layer.C * s * s, (chan * s + r % s) * s + t % s, blocks.values,
-            (k * EX - r // s) * EY - t // s, np.diff(blocks.offsets),
-            np.bincount(chan[blocks.values != 0], minlength=layer.C),
-        ))
-    return out
+def _phase_taps(layer: LayerShape) -> np.ndarray:
+    """(2, stride): the taps of each phase p along x and y, r = p + stride * i
+    for i < ceil((R - p) / stride)."""
+    p = np.arange(layer.stride)
+    return np.stack([-(-(layer.R - p) // layer.stride), -(-(layer.S - p) // layer.stride)])
 
 
-def _activation_entries(plan: TilePlan, slots: _Slots, tiles: BlockSet) -> _Entries:
-    """The activation entries of every live PE, built into one stream."""
+def _activation_operand(plan: TilePlan, slots: _Slots, tiles: BlockSet) -> _Operand:
+    """The activations of every live PE, built once per layer.
+
+    Along x, an activation at padded x of phase px = x % stride meets the
+    rq taps r = px + stride * i, and tap i sends it to accumulator row
+    x // stride - xb - i. Every product lands in [0, ex), so the activation
+    sits in row g = x // stride - xb - (rq - 1) of a grid GX = EX - rq + 1
+    rows deep, and tap i reaches row g + rq - 1 - i; likewise along y. The
+    grid of phase (px, py) is [C, GX, GY, slot]. It is filled in passes of
+    whole blocks (`codec._passes`), so per-entry temporaries stay small
+    however many millions of entries a layer holds."""
     layer = plan.layer
-    s, pad, C, EY = layer.stride, layer.pad, layer.C, slots.bank.shape[3]
+    s, pad, C = layer.stride, layer.pad, layer.C
+    n_slots, _, EX, EY = slots.bank.shape
     if len(tiles) != plan.n_pes * C:
         raise ConfigurationError(
             f"{len(tiles)} activation blocks for {plan.n_pes} PEs of {C} channels"
@@ -295,69 +309,97 @@ def _activation_entries(plan: TilePlan, slots: _Slots, tiles: BlockSet) -> _Entr
             f"pe {pe} channel {c}: block extent {tiles.extents[bad[0]]} "
             f"does not match tile {wt[pe]}x{ht[pe]}"
         )
-    # built in place, as a layer's entries can run to millions; x ends as
-    # the address offset + (x // s) * EY + y // s of padded (x, y)
-    ids = tiles.block_ids()
-    nnz = np.bincount(ids[tiles.values != 0], minlength=len(tiles)).reshape(-1, C)
-    pe, cls = np.divmod(ids, C)
-    del ids
-    x, y = np.divmod(tiles.positions, ht[pe])
-    x += x0[pe] + pad
-    y += y0[pe] + pad
-    cls *= s
-    cls += x % s
-    cls *= s
-    cls += y % s
-    x //= s
-    x *= EY
-    y //= s
-    x += y
-    del y
-    x += slots.offset[pe]
-    del pe
-    stored = np.diff(tiles.offsets).reshape(-1, C)[slots.pes]
-    return _entries(C * s * s, cls, tiles.values, x, stored, nnz[slots.pes])
+    taps = _phase_taps(layer)
+    grid = np.array([[EX], [EY]]) - taps + 1
+    live = np.outer((taps[0] > 0) & (grid[0] > 0), (taps[1] > 0) & (grid[1] > 0))
+    live &= tiles.values.size > 0
+    size = np.where(live, C * n_slots * np.outer(grid[0], grid[1]), 0)
+    base = (np.cumsum(size) - size.reshape(-1)).reshape(s, s)
+    vals, mask = np.zeros(size.sum()), np.zeros(size.sum(), dtype=np.float32)
+    nnz = np.zeros(len(tiles), dtype=np.int64)
+    slot, xb, yb = slots.origin.T
+    for b0, b1 in codec._passes(tiles.offsets):
+        lo, hi = tiles.offsets[b0], tiles.offsets[b1]
+        ids = np.repeat(np.arange(b0, b1), np.diff(tiles.offsets[b0 : b1 + 1]))
+        v = tiles.values[lo:hi]
+        nnz[b0:b1] = np.bincount(ids[v != 0] - b0, minlength=b1 - b0)
+        pe, c = np.divmod(ids, C)
+        x, y = np.divmod(tiles.positions[lo:hi], ht[pe])
+        x, px = np.divmod(x + x0[pe] + pad, s)
+        y, py = np.divmod(y + y0[pe] + pad, s)
+        keep = live[px, py]
+        if not keep.all():
+            pe, c, x, y, px, py, v = (t[keep] for t in (pe, c, x, y, px, py, v))
+        x -= xb[pe] + taps[0, px] - 1
+        y -= yb[pe] + taps[1, py] - 1
+        at = base[px, py] + ((c * grid[0, px] + x) * grid[1, py] + y) * n_slots + slot[pe]
+        vals[at] = v
+        mask[at] = 1
+    spans = {
+        (px, py): slice(base[px, py], base[px, py] + size[px, py])
+        for px, py in zip(*np.nonzero(live))
+    }
+    return _Operand(
+        np.diff(tiles.offsets).reshape(-1, C)[slots.pes],
+        nnz.reshape(-1, C)[slots.pes],
+        {p: vals[span].reshape(C, -1) for p, span in spans.items()},
+        {p: mask[span].reshape(C, -1) for p, span in spans.items()},
+    )
 
 
 def _scatter(
-    w: _Entries, a: _Entries, slots: _Slots
+    group: range, w: _Operand, a: _Operand, slots: _Slots
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every phase-matched pair of one output-channel group on every live PE:
-    the [slot, kc, EX, EY] accumulators, each slot's products per bank and
-    its products skipped by the stride."""
-    n_cells = slots.bank.size
-    nw, na = np.diff(w.start), np.diff(a.start)
-    size = max(_SCATTER_CHUNK, n_cells + int(na.max(initial=0)))
-    lin, prods = np.empty(size, dtype=np.int64), np.empty(size)
-    acc, landed = np.zeros(n_cells), np.zeros(n_cells)
-    fill = 0
-    w_start, a_start = w.start.tolist(), a.start.tolist()
-    for q in np.flatnonzero(nw * na).tolist():
-        a0, a1 = a_start[q], a_start[q + 1]
-        n, al, av = a1 - a0, a.addr[a0:a1], a.vals[a0:a1]
-        i0, i_end = w_start[q], w_start[q + 1]
-        while i0 < i_end:
-            rows = min(i_end - i0, (size - fill) // n)
-            if not rows:
-                acc += np.bincount(lin[:fill], prods[:fill], n_cells)
-                landed += np.bincount(lin[:fill], minlength=n_cells)
-                fill = 0
-                continue
-            i1, m = i0 + rows, rows * n
-            # the longer side runs innermost
-            (x, y), (u, v) = (w.addr[i0:i1], al), (w.vals[i0:i1], av)
-            if rows >= n:
-                (x, y), (u, v) = (y, x), (v, u)
-            np.add(x[:, None], y, out=lin[fill : fill + m].reshape(x.size, y.size))
-            np.multiply(u[:, None], v, out=prods[fill : fill + m].reshape(u.size, v.size))
-            i0, fill = i1, fill + m
-    acc += np.bincount(lin[:fill], prods[:fill], n_cells)
-    landed += np.bincount(lin[:fill], minlength=n_cells)
-    n_slots = len(slots.pes)
-    bank_totals = np.bincount(slots.bank.reshape(-1), landed, n_slots * slots.n_banks)
+    """Every phase-matched product of one output-channel group on every live
+    PE: the [slot, kc, EX, EY] accumulators, each slot's products per bank
+    and its products skipped by the stride.
+
+    Per stride phase and convolution group, one GEMM contracts the input
+    channels of the phase's taps (rows tap, k) with its activation grid
+    (columns x, y, slot), and the same GEMM on the masks counts the
+    products. Each tap's rows then add into the accumulators as one slice,
+    shifted by the tap (`_activation_operand`). Slots run innermost, so a
+    slice's contiguous runs span every slot. The GEMM output is made in
+    bands of whole grid rows, about _BAND values each."""
+    layer = slots.plan.layer
+    s, taps = layer.stride, _phase_taps(layer)
+    n_slots, kc_max, EX, EY = slots.bank.shape
+    acc = np.zeros((kc_max, EX, EY, n_slots))
+    landed = np.zeros((kc_max, EX, EY, n_slots), dtype=np.float32)
+    if w.vals is not None:
+        kpg, cpg = layer.filters_per_group, layer.channels_per_group
+        conv_groups = [
+            (k_lo - group.start, k_hi - group.start, g * cpg, (g + 1) * cpg)
+            for g in range(layer.groups)
+            for k_lo, k_hi in [(max(group.start, g * kpg), min(group.stop, (g + 1) * kpg))]
+            if k_lo < k_hi and w.stored[g * cpg : (g + 1) * cpg].any()
+        ]
+        for (px, py), a_vals in a.vals.items():
+            rq, sq = taps[0, px], taps[1, py]
+            GX, GY = EX - rq + 1, EY - sq + 1
+            shifts = [(rq - 1 - i, sq - 1 - j) for i in range(rq) for j in range(sq)]
+            w_vals, w_mask = w.vals[px::s, py::s], w.mask[px::s, py::s]
+            for k_lo, k_hi, c_lo, c_hi in conv_groups:
+                kg, cs = k_hi - k_lo, slice(c_lo, c_hi)
+                passes = [
+                    (w_vals[:, :, k_lo:k_hi, cs].reshape(-1, cpg), a_vals[cs], acc),
+                    (w_mask[:, :, k_lo:k_hi, cs].reshape(-1, cpg), a.mask[px, py][cs], landed),
+                ]
+                rows = max(1, _BAND // (len(shifts) * kg * GY * n_slots))
+                for g0 in range(0, GX, rows):
+                    g1 = min(GX, g0 + rows)
+                    cols = slice(g0 * GY * n_slots, g1 * GY * n_slots)
+                    for wmat, amat, out in passes:
+                        m = (wmat @ amat[:, cols]).reshape(len(shifts), kg, g1 - g0, GY, n_slots)
+                        for j, (dx, dy) in enumerate(shifts):
+                            out[k_lo:k_hi, g0 + dx : g1 + dx, dy : dy + GY] += m[j]
+    bank = slots.bank.transpose(1, 2, 3, 0).reshape(-1)
+    bank_totals = np.bincount(bank, landed.reshape(-1), n_slots * slots.n_banks)
     bank_totals = bank_totals.astype(np.int64).reshape(n_slots, -1)
     skipped = a.stored @ w.stored - bank_totals.sum(axis=1)
-    return acc.astype(np.int64).reshape(slots.bank.shape), bank_totals, skipped
+    # in the [kc, slot, EX, EY] memory order the PPU reads
+    acc = acc.transpose(0, 3, 1, 2).astype(np.int64, order="C").transpose(1, 0, 2, 3)
+    return acc, bank_totals, skipped
 
 
 @dataclass(frozen=True)
@@ -484,10 +526,10 @@ def simulate_scnn_layer(
     set, block pe * C + c) and the weights broadcast (same stream for every
     PE). Returns the compressed per-PE outputs and the cycle/energy report.
 
-    Each group's scatter multiplies only pairs whose stride phases match
-    and accumulates them in float64 (see the module docstring). That is
-    exact for 16-bit operands while channels_per_group * R * S * 2**30 <
-    2**53; a layer beyond that bound raises ConfigurationError.
+    Each group's scatter contracts only phase-matched taps and activations
+    in float64 (see the module docstring). That is exact for 16-bit
+    operands while channels_per_group * R * S * 2**30 < 2**53; a layer
+    beyond that bound raises ConfigurationError.
     """
     per_cell = layer.channels_per_group * layer.R * layer.S
     if per_cell << PRODUCT_BITS >= 1 << EXACT_FLOAT_BITS:
@@ -517,11 +559,10 @@ def simulate_scnn_layer(
             f"group of {kc_max} channels overflows the accumulator "
             f"({kc_max * cells} > {gplan.capacity_entries} entries)"
         )
-    # operand entries read once per layer: activations of every live PE
-    # (reused across groups), weights per group (shared by all PEs)
+    # activations of every live PE read once per layer and reused across
+    # groups; weights built per group (shared by all PEs)
     slots = _slots(plan, kc_max, arch.accum_banks, arch.bank_map)
-    acts = _activation_entries(plan, slots, act_tiles)
-    w_groups = _weight_entries(layer, weights, slots)
+    acts = _activation_operand(plan, slots, act_tiles)
     iaram_stored = int(acts.stored.sum())
     # activation vectors per (PE, channel)
     va = np.zeros((n_pes, layer.C), dtype=np.int64)
@@ -540,11 +581,16 @@ def simulate_scnn_layer(
     out_stored = np.zeros(n_pes, dtype=np.int64)
     pe_busy = np.zeros(n_pes, dtype=np.int64)
     pe_wait = np.zeros(n_pes, dtype=np.int64)
+    # every activation vector of a channel re-reads that channel's weights
+    va_sum = va.sum(axis=0)
+    weight_reads = 0
 
-    for group, w in zip(gplan.groups, w_groups):
+    for group, blocks in zip(gplan.groups, weights.blocks):
         kc = len(group)
+        w = _weight_operand(layer, group, blocks)
         wv = -((-w.stored) // F)
-        acc, bank_totals, skipped = _scatter(w, acts, slots)
+        weight_reads += int((w.stored * va_sum).sum())
+        acc, bank_totals, skipped = _scatter(group, w, acts, slots)
         stride_skipped += int(skipped.sum())
         ev.mult_ops += int((acts.stored @ w.stored).sum())
         useful += int((acts.nnz @ w.nnz).sum())
@@ -609,11 +655,7 @@ def simulate_scnn_layer(
 
     ev.act_ram_bits += iaram_stored * coded_bits * gplan.n_groups
     ev.act_ram_bits += oaram_stored * coded_bits
-    # every activation vector of a channel re-reads that channel's weights
-    va_sum = va.sum(axis=0)
-    ev.weight_buf_bits += coded_bits * sum(
-        int((w.stored * va_sum).sum()) for w in w_groups
-    )
+    ev.weight_buf_bits += coded_bits * weight_reads
     ev.dram_bits += sum(b.values.size for b in weights.blocks) * coded_bits
     if input_from_dram or dram_tiled:
         ev.dram_bits += iaram_stored * coded_bits
@@ -698,20 +740,28 @@ def simulate_dcnn_layer(
 
 def _gated_mults(layer: LayerShape, weights: DenseTensor, acts: DenseTensor) -> int:
     """Dense products whose operands are both non-zero (padding taps count
-    as zero operands): the multiplies DCNN-opt leaves energized."""
-    pad, stride = layer.pad, layer.stride
-    wo, ho = layer.Wo, layer.Ho
-    padded = np.zeros((layer.C, layer.W + 2 * pad, layer.H + 2 * pad), dtype=bool)
+    as zero operands): the multiplies DCNN-opt leaves energized.
+
+    Tap (r, s) meets padded inputs (r + stride * x, s + stride * y) over the
+    outputs (x, y): a Wo x Ho window of phase (r % stride, s % stride) at
+    phase row r // stride and column s // stride. A summed-area table per
+    phase of the non-zero mask counts every (channel, tap) window with one
+    gather, weighed by the non-zero weights of each (channel, tap) over the
+    filters of the channel's convolution group."""
+    st, pad, C, R, S = layer.stride, layer.pad, layer.C, layer.R, layer.S
+    padded = np.zeros((C, layer.W + 2 * pad, layer.H + 2 * pad), dtype=bool)
     padded[:, pad : pad + layer.W, pad : pad + layer.H] = acts.values != 0
+    dtype = np.int32 if padded[0].size < 1 << 31 else np.int64
+    a_nnz = np.empty((C, R, S), dtype=np.int64)
+    for px in range(min(st, R)):
+        for py in range(min(st, S)):
+            phase = padded[:, px::st, py::st]
+            sat = np.zeros((C, phase.shape[1] + 1, phase.shape[2] + 1), dtype)
+            np.cumsum(phase, axis=1, dtype=dtype, out=sat[:, 1:, 1:])
+            np.cumsum(sat[:, 1:, 1:], axis=2, out=sat[:, 1:, 1:])
+            x0, y0 = np.arange(px, R, st)[:, None] // st, np.arange(py, S, st) // st
+            x1, y1 = x0 + layer.Wo, y0 + layer.Ho
+            a_nnz[:, px::st, py::st] = sat[:, x1, y1] - sat[:, x0, y1] - sat[:, x1, y0] + sat[:, x0, y0]
     kpg, cpg = layer.filters_per_group, layer.channels_per_group
-    total = 0
-    for r in range(layer.R):
-        for s in range(layer.S):
-            window = padded[:, r : r + stride * wo : stride, s : s + stride * ho : stride]
-            a_nnz = window.reshape(layer.C, -1).sum(axis=1)
-            for g in range(layer.groups):
-                w_per_c = np.count_nonzero(
-                    weights.values[g * kpg : (g + 1) * kpg, :, r, s], axis=0
-                )
-                total += int((w_per_c * a_nnz[g * cpg : (g + 1) * cpg]).sum())
-    return total
+    w_nnz = (weights.values != 0).reshape(layer.groups, kpg, cpg, R, S).sum(axis=1)
+    return int((w_nnz.reshape(C, R, S) * a_nnz).sum())

@@ -303,6 +303,17 @@ def _load_modules(doc: dict, name: str) -> tuple[LayerSpec, ...]:
     )
 
 
+def _read_text(path: str | Path, what: str) -> str:
+    """A file's UTF-8 text; a file that cannot be read is a one-line
+    DescriptorError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise DescriptorError(f"{path}: cannot read {what}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise DescriptorError(f"{path}: {what} is not UTF-8 text (offset {e.start})") from e
+
+
 def load_network(path: str | Path) -> NetworkDescriptor:
     """Load and validate a network descriptor (a path or a shipped name)."""
     p = Path(path)
@@ -311,7 +322,7 @@ def load_network(path: str | Path) -> NetworkDescriptor:
         if builtin.is_file():
             return _parse_network(builtin.read_text(), str(path))
         raise DescriptorError(f"network descriptor not found: {path}")
-    return _parse_network(p.read_text(), p.name)
+    return _parse_network(_read_text(p, "network descriptor"), p.name)
 
 
 def shipped_networks() -> list[str]:
@@ -409,12 +420,7 @@ def load_experiment_config(path: str | Path | None) -> ExperimentConfig:
     whose message starts with the path."""
     if path is None:
         return ExperimentConfig()
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise ConfigurationError(
-            f"{path}: cannot read experiment config: {e.strerror}"
-        ) from e
+    text = _read_text(path, "experiment config")
     where = str(path)
     doc = _load_yaml(text, where)
     if not isinstance(doc, dict):

@@ -242,3 +242,24 @@ def loop_merge_group_plane(accs, plan, kc: int):
         ]
         halo_values += int(np.count_nonzero(window)) - int(np.count_nonzero(own))
     return full, halo_values
+
+
+def loop_gated_mults(layer, weights: np.ndarray, acts: np.ndarray) -> int:
+    """Dense products whose operands are both non-zero, padding taps counted
+    as zero operands: one window sum per tap and one `count_nonzero` per
+    (tap, convolution group); weights [k, c, r, s], acts [c, x, y]."""
+    pad, stride = layer.pad, layer.stride
+    wo = (layer.W + 2 * pad - layer.R) // stride + 1
+    ho = (layer.H + 2 * pad - layer.S) // stride + 1
+    padded = np.zeros((layer.C, layer.W + 2 * pad, layer.H + 2 * pad), dtype=bool)
+    padded[:, pad : pad + layer.W, pad : pad + layer.H] = acts != 0
+    kpg, cpg = layer.K // layer.groups, layer.C // layer.groups
+    total = 0
+    for r in range(layer.R):
+        for s in range(layer.S):
+            window = padded[:, r : r + stride * wo : stride, s : s + stride * ho : stride]
+            a_nnz = window.reshape(layer.C, -1).sum(axis=1)
+            for g in range(layer.groups):
+                w_per_c = np.count_nonzero(weights[g * kpg : (g + 1) * kpg, :, r, s], axis=0)
+                total += int((w_per_c * a_nnz[g * cpg : (g + 1) * cpg]).sum())
+    return total

@@ -188,6 +188,49 @@ def test_duplicate_chain_layer_name_is_a_one_line_error(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "option,kind,message",
+    [
+        ("--network", "directory", "cannot read network descriptor: Is a directory"),
+        ("--network", "latin-1", "network descriptor is not UTF-8 text (offset 9)"),
+        ("--config", "latin-1", "experiment config is not UTF-8 text (offset 9)"),
+    ],
+)
+def test_unreadable_input_file_is_a_one_line_error(option, kind, message, tmp_path, capsys):
+    path = tmp_path / "input.yaml"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes("name: caf\xe9\n".encode("latin-1"))
+    network = str(path) if option == "--network" else "inception_mini"
+    config = ["--config", str(path)] if option == "--config" else []
+    rc = main(["run", "--network", network, *config, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run"], ["sweep-density", "--points", "0.5"], ["sweep-pe", "--grids", "1x1"]],
+    ids=["run", "sweep-density", "sweep-pe"],
+)
+def test_out_dir_naming_a_file_fails_before_the_run(argv, tmp_path, capsys, monkeypatch):
+    import scnnsim.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for name in ("run_network", "density_sweep", "pe_granularity_sweep"):
+        monkeypatch.setattr(cli, name, never)
+    target = tmp_path / "report"
+    target.write_text("")
+    rc = main([*argv, "--network", "inception_mini", "--out-dir", str(target)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: --out-dir {target}: cannot make directory: File exists\n"
+    )
+
+
 def test_pool_window_shorter_than_stride_matches_the_oracle(tmp_path, capsys):
     # a 5-wide plane pooled by window 1, stride 3 keeps columns 0 and 3; a
     # third ceil-mode window would start at 6, past the plane

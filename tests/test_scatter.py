@@ -4,10 +4,15 @@
 for one PE and each input channel, form every weight x activation product,
 drop those the stride skips, and add the rest into the accumulator with
 `np.add.at` in int64. The simulator scatters each output-channel group over
-every live PE at once, in phase-matched float64 `bincount` passes over a
-uniform [slot, kc, EX, EY] layout; every PE's view of it, its bank totals
-and its skipped count must reproduce the reference exactly.
+every live PE at once into a uniform [slot, kc, EX, EY] layout: per stride
+phase it contracts the input channels with a float64 GEMM of the values and
+a float32 GEMM of the stored-entry masks, in bands of the GEMM output, then
+adds each tap's rows into the accumulators as a shifted slice. Every PE's
+view of the result, its bank totals and its skipped count must reproduce
+the reference exactly.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,13 +23,13 @@ from scnnsim.codec import encode_blocks
 from scnnsim.dataflow import ConfigurationError, LayerShape, choose_kc, partition_tiles
 from oracles import loop_merge_group_plane
 from scnnsim.simulator import (
-    _SCATTER_CHUNK,
+    _BAND,
     WeightStream,
-    _activation_entries,
+    _activation_operand,
     _merge_group_plane,
     _scatter,
     _slots,
-    _weight_entries,
+    _weight_operand,
     prepare_scnn_inputs,
     simulate_scnn_layer,
 )
@@ -87,9 +92,10 @@ def group_scatters(arch, layer, stream, tiles):
     groups = stream.gplan.groups
     slots = _slots(plan, max(map(len, groups)), arch.accum_banks, arch.bank_map)
     assert slots.pes == [pe for pe in range(arch.n_pes) if not plan.tile(pe).empty]
-    acts = _activation_entries(plan, slots, tiles)
-    for gi, w in enumerate(_weight_entries(layer, stream, slots)):
-        acc, bank_totals, skipped = _scatter(w, acts, slots)
+    acts = _activation_operand(plan, slots, tiles)
+    for gi, (group, blocks) in enumerate(zip(groups, stream.blocks)):
+        w = _weight_operand(layer, group, blocks)
+        acc, bank_totals, skipped = _scatter(group, w, acts, slots)
         assert acc.dtype == np.int64
         for i, pe in enumerate(slots.pes):
             kc, (ex, ey) = len(groups[gi]), slots.extent[i]
@@ -170,14 +176,14 @@ def test_merge_equals_loop_reference(case, seed):
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
     groups = stream.gplan.groups
     slots = _slots(plan, max(map(len, groups)), arch.accum_banks, arch.bank_map)
-    acts = _activation_entries(plan, slots, tiles)
+    acts = _activation_operand(plan, slots, tiles)
     rng = np.random.default_rng(seed)
-    for g, wg in zip(groups, _weight_entries(layer, stream, slots)):
+    for g, blocks in zip(groups, stream.blocks):
         kc = len(g)
         noise = np.zeros_like(slots.bank)
         for i, (ex, ey) in enumerate(slots.extent.tolist()):
             noise[i, :kc, :ex, :ey] = rng.integers(-3, 4, size=(kc, ex, ey))
-        for acc in (_scatter(wg, acts, slots)[0], noise):
+        for acc in (_scatter(g, _weight_operand(layer, g, blocks), acts, slots)[0], noise):
             views = [None] * plan.n_pes
             for i, (pe, (ex, ey)) in enumerate(zip(slots.pes, slots.extent.tolist())):
                 views[pe] = acc[i, :kc, :ex, :ey]
@@ -195,14 +201,15 @@ def _dense_case(layer, arch, density, seed):
 
 
 def test_scatter_spans_several_chunks():
-    # one group with far more pairs than one bincount pass holds
-    layer = LayerShape("big", C=4, K=8, W=24, H=24, R=3, S=3, pad=1)
-    arch = ArchConfig(pe_rows=1, pe_cols=1, accum_banks=32, bank_entries=512)
+    # one group whose GEMM output (taps x filters x grid cells) fills
+    # three bands, each of whole grid rows
+    layer = LayerShape("big", C=4, K=16, W=64, H=64, R=3, S=3, pad=1)
+    arch = ArchConfig(pe_rows=1, pe_cols=1, accum_banks=32, bank_entries=4400)
     stream, tiles = _dense_case(layer, arch, 1.0, 3)
     kc = len(stream.gplan.groups[0])
-    cells = kc * partition_tiles(layer, (1, 1)).max_acc_cells()
-    assert kc * layer.C * layer.R * layer.S * layer.W * layer.H > 2 * _SCATTER_CHUNK
-    assert cells + layer.W * layer.H <= _SCATTER_CHUNK
+    assert kc == layer.K
+    assert layer.R * layer.S * kc * layer.W * layer.H > 2 * _BAND
+    assert layer.R * layer.S * kc * layer.H <= _BAND
     assert assert_matches_loop_reference(arch, layer, stream, tiles) == [0]
 
 
@@ -221,14 +228,36 @@ def test_slots_pad_pes_with_smaller_accumulators():
 
 
 def test_group_with_more_cells_than_one_pass():
-    # 16 slots x 48 channels x 10 x 10 cells outgrow the default pass, which
-    # then widens to the group's cells plus one class
-    layer = LayerShape("wide", C=2, K=48, W=32, H=32, R=3, S=3, pad=1)
-    arch = ArchConfig(pe_rows=4, pe_cols=4, accum_banks=32, bank_entries=512)
+    # 64 slots x 64 filters x 9 taps x 8 cells in one grid row outgrow a
+    # band, which then holds that one row
+    layer = LayerShape("wide", C=2, K=64, W=64, H=64, R=3, S=3, pad=1)
+    arch = ArchConfig(pe_rows=8, pe_cols=8, accum_banks=32, bank_entries=512)
     stream, tiles = _dense_case(layer, arch, 0.5, 7)
     assert stream.gplan.n_groups == 1
-    assert 16 * 48 * partition_tiles(layer, (4, 4)).max_acc_cells() > _SCATTER_CHUNK
-    assert len(assert_matches_loop_reference(arch, layer, stream, tiles)) == 16
+    assert layer.R * layer.S * layer.K * (layer.H // 8) * 64 > _BAND
+    assert len(assert_matches_loop_reference(arch, layer, stream, tiles)) == 64
+
+
+def test_channel_sums_past_the_blas_block():
+    # a 1x1 layer contracting 2048 channels of 16-bit extremes: BLAS sums
+    # the channels in blocks of a few hundred, and every partial sum, up to
+    # 2048 * 2**30, must stay exact; one filter's products cancel to 0
+    layer = LayerShape("deep", C=2048, K=3, W=4, H=4, R=1, S=1)
+    arch = ArchConfig(pe_rows=2, pe_cols=2, accum_banks=16, bank_entries=64)
+    rng = np.random.default_rng(11)
+    w = rng.choice([-(1 << 15), (1 << 15) - 1, 0], size=layer.weight_shape())
+    w[0] = (1 << 15) - 1
+    w[2, 0::2], w[2, 1::2] = (1 << 15) - 1, -((1 << 15) - 1)
+    a = rng.choice([(1 << 15) - 1, 0], size=layer.input_shape(), p=[0.9, 0.1])
+    a[1::2] = a[0::2]
+    stream, tiles = prepare_scnn_inputs(
+        arch, layer, DenseTensor(w, WEIGHT_ROLES), DenseTensor(a, ACT_ROLES)
+    )
+    assert stream.gplan.n_groups == 1
+    accs = [acc for _, _, acc, _, _ in group_scatters(arch, layer, stream, tiles)]
+    assert max(int(np.abs(acc).max()) for acc in accs) > 1 << 40
+    assert not any(acc[2].any() for acc in accs)
+    assert len(assert_matches_loop_reference(arch, layer, stream, tiles)) == 4
 
 
 # channels_per_group * R * S * 2**30 must stay below 2**53, i.e. fewer than
@@ -251,5 +280,13 @@ def test_float64_exactness_bound(cpg, groups, rejected):
         with pytest.raises(ConfigurationError, match="exact float64"):
             simulate_scnn_layer(arch, layer, stream, tiles)
     else:
-        _, report = simulate_scnn_layer(arch, layer, stream, tiles)
+        # empty operands build no [taps x channels] weight matrix: with its
+        # float32 mask it alone would take 12 bytes per (tap, channel)
+        tracemalloc.start()
+        try:
+            _, report = simulate_scnn_layer(arch, layer, stream, tiles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert report.useful_mults == 0
+        assert peak < layer.R * layer.S * layer.C * 12

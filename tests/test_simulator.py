@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     count_cartesian_products,
+    loop_gated_mults,
     loop_rle_encode,
     naive_max_pool,
     naive_rle_decode,
@@ -21,6 +22,7 @@ from scnnsim.analytic import (
 from scnnsim.codec import encode_blocks
 from scnnsim.dataflow import ConfigurationError, LayerShape, choose_kc, partition_tiles
 from scnnsim.simulator import (
+    _gated_mults,
     _slots,
     compress_weights,
     distribute_activations,
@@ -31,6 +33,9 @@ from scnnsim.simulator import (
     simulate_scnn_layer,
 )
 from scnnsim.tensors import (
+    ACT_ROLES,
+    WEIGHT_ROLES,
+    DenseTensor,
     apply_relu,
     gen_synthetic,
     prune_magnitude,
@@ -341,12 +346,40 @@ class TestDenseBaselines:
         full = gen_synthetic(layer.input_shape(), 1.0, seed=6, signed=False)
         half_vals = full.values.copy()
         half_vals[:, ::2, :] = 0  # zero half the activations
-        from scnnsim.tensors import ACT_ROLES, DenseTensor
-
         half = DenseTensor(half_vals, ACT_ROLES)
         r_full = simulate_dcnn_layer(arch, layer, w, full, VARIANT_DCNN_OPT)
         r_half = simulate_dcnn_layer(arch, layer, w, half, VARIANT_DCNN_OPT)
         assert r_half.events.energized_mults * 2 == r_full.events.energized_mults
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stride=st.integers(1, 4),
+        pad=st.integers(0, 2),
+        groups=st.integers(1, 3),
+        taps=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        per_group=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        steps=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        wd=st.sampled_from([0.0, 0.3, 1.0]),
+        ad=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gated_multiplies_equal_loop_reference(
+        self, stride, pad, groups, taps, per_group, steps, wd, ad, seed
+    ):
+        (R, S), (cpg, kpg) = taps, per_group
+        # W = R - 2*pad + stride*n keeps the output size integral
+        W, H = R - 2 * pad + stride * steps[0], S - 2 * pad + stride * steps[1]
+        W += stride * max(0, -(-(1 - W) // stride))
+        H += stride * max(0, -(-(1 - H) // stride))
+        layer = LayerShape(
+            "g", C=groups * cpg, K=groups * kpg, W=W, H=H, R=R, S=S,
+            stride=stride, pad=pad, groups=groups,
+        )
+        rng = np.random.default_rng(seed)
+        w = rng.integers(-3, 4, size=layer.weight_shape()) * (rng.random(layer.weight_shape()) < wd)
+        a = rng.integers(1, 4, size=layer.input_shape()) * (rng.random(layer.input_shape()) < ad)
+        got = _gated_mults(layer, DenseTensor(w, WEIGHT_ROLES), DenseTensor(a, ACT_ROLES))
+        assert got == loop_gated_mults(layer, w, a)
 
     def test_dcnn_arch_has_2mb_sram(self):
         arch = ArchConfig()
