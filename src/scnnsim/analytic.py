@@ -17,7 +17,6 @@ import numbers
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
-from statistics import NormalDist
 from typing import TYPE_CHECKING, Sequence
 
 from .dataflow import (
@@ -209,6 +208,7 @@ class ArchConfig:
         return self.oaram_bytes * 8 // 16
 
 
+@lru_cache(maxsize=64)
 def dcnn_arch(base: ArchConfig) -> ArchConfig:
     """Dense baseline provisioning: same multiplier budget, 2MB of plain
     activation SRAM instead of 1MB of compressed RAM."""
@@ -311,6 +311,10 @@ def _max_of(n: int, mean: float, var: float) -> float:
     and variance (barrier skew: a group waits for its slowest PE)."""
     if n <= 1 or var <= 0.0:
         return mean
+    # imported here, its only use: the import costs a few ms per process,
+    # and a run that never estimates a barrier skew should not pay them
+    from statistics import NormalDist
+
     z = NormalDist().inv_cdf(1.0 - 1.0 / (2.0 * n))
     return mean + z * math.sqrt(var)
 

@@ -177,19 +177,21 @@ def encode_blocks(
     offsets = np.zeros(extents.size + 1, dtype=np.int64)
     for b0, b1 in _passes(starts):
         part, at = flat[starts[b0] : starts[b1]], offsets[b0]
-        nz = np.flatnonzero(part)
-        blk = np.repeat(np.arange(b1 - b0), extents[b0:b1])[nz]
-        local = nz - (starts[b0:b1] - starts[b0])[blk]
-        # zeros since the previous non-zero of the same block (or its start)
-        prev = np.empty_like(local)
-        prev[:1] = -1
-        prev[1:] = np.where(blk[1:] == blk[:-1], local[:-1], -1)
-        gap = local - prev - 1
+        # np.flatnonzero runs several times faster on a boolean mask than on int64
+        nz = np.flatnonzero(part != 0)
+        # block b's non-zeros are nz[first[b]:first[b + 1]]
+        block_starts = starts[b0:b1] - starts[b0]
+        first = np.append(np.searchsorted(nz, block_starts), nz.size)
+        # zeros since the previous non-zero, or since the start of its block
+        prev = np.empty_like(nz)
+        prev[1:] = nz[:-1]
+        held = first[:-1] < first[1:]
+        prev[first[:-1][held]] = block_starts[held] - 1
+        gap = nz - prev - 1
         # each placeholder stands for 2**index_bits - 1 zeros plus itself
         ends = at + np.cumsum((gap >> index_bits) + 1)
         values[ends - 1] = part[nz]
         runs[ends - 1] = gap & ((1 << index_bits) - 1)
-        block_ends = np.cumsum(np.bincount(blk, minlength=b1 - b0))
-        offsets[b0 + 1 : b1 + 1] = np.concatenate(([at], ends))[block_ends]
+        offsets[b0 + 1 : b1 + 1] = np.concatenate(([at], ends))[first[1:]]
     n = offsets[-1]
     return BlockSet(values[:n], runs[:n], offsets, extents, index_bits)

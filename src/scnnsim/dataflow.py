@@ -16,7 +16,7 @@ analytic engine runs on it (see the package docstring).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -238,6 +238,15 @@ def partition_tiles(layer: LayerShape, pe_grid: tuple[int, int]) -> TilePlan:
     rows, cols = pe_grid
     if rows < 1 or cols < 1:
         raise ConfigurationError(f"pe grid {pe_grid} must be at least 1x1")
+    return _tile_plan(layer, rows, cols)
+
+
+# The plans are pure functions of frozen inputs, so each (layer, grid) and
+# (layer, accumulator) is planned once per process however often the
+# engines, the dense baselines and the reports ask for it. The public
+# planners stay plain functions, which perfbench's tracer wraps by name.
+@lru_cache(maxsize=1024)
+def _tile_plan(layer: LayerShape, rows: int, cols: int) -> TilePlan:
     return TilePlan(
         layer,
         rows,
@@ -271,10 +280,18 @@ def choose_kc(layer: LayerShape, arch) -> GroupPlan:
     pe_rows, pe_cols, accum_banks, bank_entries and accum_double_buffered
     attributes.
     """
-    plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
-    cells = plan.max_acc_cells()
-    physical = arch.accum_banks * arch.bank_entries
-    double_buffered = bool(getattr(arch, "accum_double_buffered", True))
+    return _group_plan(
+        layer, arch.pe_rows, arch.pe_cols, arch.accum_banks, arch.bank_entries,
+        bool(getattr(arch, "accum_double_buffered", True)),
+    )
+
+
+@lru_cache(maxsize=1024)
+def _group_plan(
+    layer: LayerShape, rows: int, cols: int, banks: int, entries: int, double_buffered: bool
+) -> GroupPlan:
+    cells = partition_tiles(layer, (rows, cols)).max_acc_cells()
+    physical = banks * entries
     capacity = physical // 2 if double_buffered else physical
     if cells == 0:
         # every output sees only padding: no product lands anywhere

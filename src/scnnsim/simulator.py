@@ -13,32 +13,37 @@ time of the slowest one.
 
 On the host, operands stay columnar (`codec.BlockSet`), and every stage of a
 layer outside the scatter is a few array passes, never a loop over PEs or
-channels. The weights of each output-channel group, the activation tiles of
-every PE and the outputs of each group are encoded by one
-`codec.encode_blocks` call apiece: one block per input channel, per (PE,
-input channel) or per (PE, output channel). Nothing is encoded or decoded
-block by block: the scatter reads each set's flat values and the dense
-positions derived from its runs, and `LayerOutput.decoded` rebuilds the
-plane from them with one scatter per group.
+channels. A layer makes three `codec.encode_blocks` calls, whatever its
+group count: its weights (block g * C + c: group g's filters of input
+channel c), the activation tiles of every PE (block pe * C + c) and its
+outputs (block pe * K + k). Nothing is encoded or decoded block by block:
+the scatter reads each set's flat values and the dense positions derived
+from its runs, and `LayerOutput.decoded` rebuilds the plane from them with
+one scatter.
 
-Each output-channel group is scattered once over every live PE, as its
-weights are broadcast to all of them, into accumulators laid out uniformly
-as [slot, kc, EX, EY] (`_Slots`). A product lands only when the stride
-phases of its tap (r % stride) and its activation ((x + pad) % stride)
-agree in both axes, so products a stride skips are counted, never formed.
-Activations are read once per layer into one dense grid per phase
-(`_activation_operand`), and each group's weights into a dense
-[R, S, k, C] array. All products of one (filter, tap, activation position)
-land in one cell, whose sum and count are all that is read, so per phase
-and convolution group the scatter contracts the input channels first: one
-float64 GEMM of the values and one float32 GEMM of the 0/1 masks of stored
-entries (placeholders included), whose tap rows then add into the
-accumulators as shifted slices (`_scatter`). Both are exact in any order of
-addition. Products of 16-bit operands are integers below 2**30, so every
-partial sum of a cell is an integer below channels_per_group * R * S *
-2**30, which `simulate_scnn_layer` keeps below 2**53; every count is an
-integer below 2**23, which float32 holds. The PPU sums the slots into the
-output plane through a merge map `_Slots` builds once per layer.
+The hardware works through a layer one output-channel group at a time; the
+host scatters batches of consecutive groups (`_batches`, sized by the
+_BATCH byte budget), each over every live PE at once, as the weights are
+broadcast to all of them, into accumulators laid out uniformly as
+[slot, k, EX, EY] (`_Slots`). Each group keeps its own cells, so its bank
+totals, stalls and skipped products are those of a pass of its own. A
+product lands only when the stride phases of its tap (r % stride) and its
+activation ((x + pad) % stride) agree in both axes, so products a stride
+skips are counted, never formed. Activations are read once per layer into
+one dense grid per phase (`_activation_operand`), and each batch's weights
+into a dense [C, R, S, k] array. All products of one (filter, tap,
+activation position) land in one cell, whose sum and count are all that is
+read, so per phase and convolution group the scatter contracts the input
+channels first: one float64 GEMM of the values and one float32 GEMM of the
+0/1 masks of stored entries (placeholders included), whose tap rows then
+add into the accumulators as shifted slices (`_scatter`). Both are exact in
+any order of addition. Products of 16-bit operands are integers below
+2**30, so every partial sum of a cell is an integer below
+channels_per_group * R * S * 2**30, which `simulate_scnn_layer` keeps below
+2**53; every count is an integer below 2**23, which float32 holds. The PPU
+sums the slots into the output plane through a merge map `_Slots` builds
+once per layer, batch by batch; the cycle model then works on every group
+at once from the per-group counts.
 
 Functional equivalence is the master contract: the decoded, halo-merged,
 ReLU'd (and optionally pooled) outputs equal the exact reference convolution
@@ -47,6 +52,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -89,33 +95,33 @@ from .tensors import (
 
 @dataclass(frozen=True)
 class WeightStream:
-    """Broadcast weights: one block set per output-channel group, whose block
-    c holds input channel c linearized k-major then r then s over the
-    group's filters in c's convolution group (extent 0 when there are
-    none)."""
+    """Broadcast weights of every output-channel group in one block set:
+    block g * C + c holds input channel c of group g, linearized k-major
+    then r then s over the group's filters in c's convolution group
+    (extent 0 when there are none)."""
 
     layer: LayerShape
     gplan: GroupPlan
-    blocks: tuple[BlockSet, ...]
+    blocks: BlockSet
 
 
 def compress_weights(
     layer: LayerShape, gplan: GroupPlan, weights: DenseTensor, index_bits: int = 4
 ) -> WeightStream:
-    """Encode pruned weights per output-channel group for broadcast to the PEs."""
+    """Encode pruned weights for broadcast to the PEs, every output-channel
+    group in one block set."""
     check_operand_range(weights, "weight")
     kpg, rs = layer.filters_per_group, layer.R * layer.S
-    blocks = []
+    parts, extents = [], []
     for grp in gplan.groups:
-        parts, extents = [], []
         for gg in range(layer.groups):
             k_lo = max(grp.start, gg * kpg)
             k_hi = max(k_lo, min(grp.stop, (gg + 1) * kpg))
             # [k, c, r, s] -> one row per channel of this convolution group
             parts.append(weights.values[k_lo:k_hi].transpose(1, 0, 2, 3).reshape(-1))
             extents += [(k_hi - k_lo) * rs] * layer.channels_per_group
-        blocks.append(codec.encode_blocks(np.concatenate(parts), extents, index_bits))
-    return WeightStream(layer, gplan, tuple(blocks))
+    blocks = codec.encode_blocks(np.concatenate(parts), extents, index_bits)
+    return WeightStream(layer, gplan, blocks)
 
 
 def distribute_activations(
@@ -168,6 +174,13 @@ def _bank_ids(linear: np.ndarray, banks: int, bank_map: str) -> np.ndarray:
 # bounds the scatter's temporaries; a band holds at least one grid row.
 _BAND = 1 << 18
 
+# Bytes of float64 values and float32 counts that one scatter pass holds,
+# in its accumulators and its weight operand: the consecutive output-channel
+# groups that fit share one pass over the activation grids, and a batch
+# holds at least one group. Past a few MB a larger pass saves no grid reads
+# worth its cache misses.
+_BATCH = 1 << 23
+
 
 @dataclass(frozen=True)
 class _Slots:
@@ -180,10 +193,11 @@ class _Slots:
 
     Per PE: its input tile (`_rects`) and `origin`, its slot (-1 when
     idle) and the output coordinate (xb, yb) of its accumulator cell
-    (0, 0). The merge map:
-    `cells` of [slot, EX, EY] inside the output plane, sorted by plane
-    coordinate x * Ho + y; run j of equal coordinates starts at first[j]
-    and lands at dest[j]. `halo` holds the in-plane cells outside their
+    (0, 0). The merge map, over the cells of [slot, EX, EY] and the plane
+    coordinates x * Ho + y: `src` holds the first cell that lands on each
+    coordinate (0 where none does, the coordinates in `bare`), and each
+    pair (cells, dest) of `adds` adds one more cell to each of a set of
+    distinct coordinates. `halo` holds the in-plane cells outside their
     PE's owned rectangle."""
 
     plan: TilePlan
@@ -193,9 +207,9 @@ class _Slots:
     n_banks: int
     tile: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     origin: np.ndarray    # (n_pes, 3): slot, xb, yb
-    cells: np.ndarray
-    first: np.ndarray
-    dest: np.ndarray
+    src: np.ndarray
+    bare: np.ndarray
+    adds: tuple[tuple[np.ndarray, np.ndarray], ...]
     halo: np.ndarray
 
 
@@ -235,23 +249,33 @@ def _slots(plan: TilePlan, kc: int, banks: int, bank_map: str) -> _Slots:
     dest = (gx * layer.Ho + gy).reshape(-1)[cells]
     order = np.argsort(dest, kind="stable")
     cells, dest = cells[order], dest[order]
-    first = np.flatnonzero(np.diff(dest, prepend=-1))
+    # each cell's rank among the cells landing on its coordinate
+    rank = np.arange(dest.size) - np.searchsorted(dest, dest)
+    src = np.zeros(layer.Wo * layer.Ho, dtype=np.int64)
+    src[dest[rank == 0]] = cells[rank == 0]
+    bare = np.ones(src.size, dtype=bool)
+    bare[dest] = False
+    adds = tuple(
+        (cells[rank == r], dest[rank == r]) for r in range(1, rank.max(initial=0) + 1)
+    )
     return _Slots(
         plan, pes.tolist(), extent, bank, banks, tile, origin,
-        cells, first, dest[first], np.flatnonzero(inside & ~owned),
+        src, np.flatnonzero(bare), adds, np.flatnonzero(inside & ~owned),
     )
 
 
 @dataclass(frozen=True)
 class _Operand:
-    """One group's weights or every live PE's activations as float64 values
-    and float32 0/1 masks of the stored entries, placeholders included.
+    """A batch of groups' weights or every live PE's activations as float64
+    values and float32 0/1 masks of the stored entries, placeholders
+    included.
 
-    Weights are [R, S, k, C] over the group's filters k (None when the
-    group stores nothing). Activations are keyed by stride phase (px, py),
+    Weights are [C, R, S, k] over the batch's filters k (None when the
+    batch stores nothing). Activations are keyed by stride phase (px, py),
     each a [C, GX * GY * slot] grid (`_activation_operand`); no key holds
     an activation that meets no tap. `stored` and `nnz` count entries per
-    channel (per slot and channel for activations)."""
+    (group, channel) for weights and per (slot, channel) for
+    activations."""
 
     stored: np.ndarray
     nnz: np.ndarray
@@ -259,21 +283,41 @@ class _Operand:
     mask: np.ndarray | dict[tuple[int, int], np.ndarray] | None
 
 
-def _weight_operand(layer: LayerShape, group: range, blocks: BlockSet) -> _Operand:
-    """The weights of one output-channel group, shared by every PE."""
-    chan, pos = blocks.block_ids(), blocks.positions
-    nnz = np.bincount(chan[blocks.values != 0], minlength=layer.C)
+def _batches(n_groups: int, slots: _Slots) -> list[range]:
+    """Runs of consecutive output-channel groups whose accumulators and
+    weights, 12 bytes a cell or a (tap, filter, channel), fit _BATCH bytes
+    together."""
+    layer = slots.plan.layer
+    n_slots, kc, EX, EY = slots.bank.shape
+    per_group = 12 * kc * (n_slots * EX * EY + layer.R * layer.S * layer.C)
+    per = max(1, _BATCH // per_group)
+    return [range(g, min(g + per, n_groups)) for g in range(0, n_groups, per)]
+
+
+def _weight_operand(stream: WeightStream, batch: range) -> _Operand:
+    """The weights of the output-channel groups `batch` (consecutive
+    indices into the group plan), shared by every PE."""
+    layer, gplan, blocks = stream.layer, stream.gplan, stream.blocks
+    C, rs = layer.C, layer.R * layer.S
+    offsets = blocks.offsets[batch.start * C : batch.stop * C + 1]
+    lo, hi = offsets[0], offsets[-1]
+    v = blocks.values[lo:hi]
+    stored = np.diff(offsets)
+    nnz = np.diff(np.concatenate(([0], np.cumsum(v != 0)))[offsets - lo])
     vals = mask = None
-    if blocks.values.size:
-        rs, shape = layer.R * layer.S, (layer.R, layer.S, len(group), layer.C)
-        # first filter of each channel's convolution group, within the group
-        first_k = np.arange(layer.C) // layer.channels_per_group * layer.filters_per_group
-        k = np.maximum(first_k, group.start)[chan] - group.start + pos // rs
-        at = ((pos % rs) * len(group) + k) * layer.C + chan
+    if hi > lo:
+        k0 = gplan.groups[batch.start].start
+        nk = gplan.groups[batch.stop - 1].stop - k0
+        g, c = np.divmod(np.arange(batch.start * C, batch.stop * C), C)
+        # block (g, c) starts at g's first filter in c's convolution group
+        first = np.maximum(c // layer.channels_per_group * layer.filters_per_group, g * gplan.kc)
+        k, tap = np.divmod(blocks.positions[lo:hi], rs)
+        at = tap * nk + k + np.repeat(c * (rs * nk) + first - k0, stored)
+        shape = (C, layer.R, layer.S, nk)
         vals, mask = np.zeros(shape), np.zeros(shape, dtype=np.float32)
-        vals.reshape(-1)[at] = blocks.values
+        vals.reshape(-1)[at] = v
         mask.reshape(-1)[at] = 1
-    return _Operand(np.diff(blocks.offsets), nnz, vals, mask)
+    return _Operand(stored.reshape(-1, C), nnz.reshape(-1, C), vals, mask)
 
 
 def _phase_taps(layer: LayerShape) -> np.ndarray:
@@ -348,42 +392,48 @@ def _activation_operand(plan: TilePlan, slots: _Slots, tiles: BlockSet) -> _Oper
 
 
 def _scatter(
-    group: range, w: _Operand, a: _Operand, slots: _Slots
+    groups: tuple[range, ...], w: _Operand, a: _Operand, slots: _Slots
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every phase-matched product of one output-channel group on every live
-    PE: the [slot, kc, EX, EY] accumulators, each slot's products per bank
-    and its products skipped by the stride.
+    """Every phase-matched product of a batch of consecutive output-channel
+    groups on every live PE: the [slot, k, EX, EY] accumulators over the
+    batch's filters, and per group each slot's products per bank and its
+    products skipped by the stride.
 
     Per stride phase and convolution group, one GEMM contracts the input
     channels of the phase's taps (rows tap, k) with its activation grid
     (columns x, y, slot), and the same GEMM on the masks counts the
-    products. Each tap's rows then add into the accumulators as one slice,
-    shifted by the tap (`_activation_operand`). Slots run innermost, so a
-    slice's contiguous runs span every slot. The GEMM output is made in
-    bands of whole grid rows, about _BAND values each."""
+    products; the rows cover every filter of the batch, so the grid is read
+    once per batch, not once per group. Each tap's rows then add into the
+    accumulators as one slice, shifted by the tap (`_activation_operand`).
+    Slots run innermost, so a slice's contiguous runs span every slot. The
+    GEMM output is made in bands of whole grid rows, about _BAND values
+    each. Each group's cells stay its own, so its bank totals are those of
+    a pass of its own."""
     layer = slots.plan.layer
     s, taps = layer.stride, _phase_taps(layer)
-    n_slots, kc_max, EX, EY = slots.bank.shape
-    acc = np.zeros((kc_max, EX, EY, n_slots))
-    landed = np.zeros((kc_max, EX, EY, n_slots), dtype=np.float32)
+    n_slots, _, EX, EY = slots.bank.shape
+    k0, k1 = groups[0].start, groups[-1].stop
+    acc = np.zeros((k1 - k0, EX, EY, n_slots))
+    landed = np.zeros((k1 - k0, EX, EY, n_slots), dtype=np.float32)
     if w.vals is not None:
         kpg, cpg = layer.filters_per_group, layer.channels_per_group
+        stored = w.stored.sum(axis=0)
         conv_groups = [
-            (k_lo - group.start, k_hi - group.start, g * cpg, (g + 1) * cpg)
+            (k_lo - k0, k_hi - k0, g * cpg, (g + 1) * cpg)
             for g in range(layer.groups)
-            for k_lo, k_hi in [(max(group.start, g * kpg), min(group.stop, (g + 1) * kpg))]
-            if k_lo < k_hi and w.stored[g * cpg : (g + 1) * cpg].any()
+            for k_lo, k_hi in [(max(k0, g * kpg), min(k1, (g + 1) * kpg))]
+            if k_lo < k_hi and stored[g * cpg : (g + 1) * cpg].any()
         ]
         for (px, py), a_vals in a.vals.items():
             rq, sq = taps[0, px], taps[1, py]
             GX, GY = EX - rq + 1, EY - sq + 1
             shifts = [(rq - 1 - i, sq - 1 - j) for i in range(rq) for j in range(sq)]
-            w_vals, w_mask = w.vals[px::s, py::s], w.mask[px::s, py::s]
+            w_vals, w_mask = w.vals[:, px::s, py::s], w.mask[:, px::s, py::s]
             for k_lo, k_hi, c_lo, c_hi in conv_groups:
                 kg, cs = k_hi - k_lo, slice(c_lo, c_hi)
                 passes = [
-                    (w_vals[:, :, k_lo:k_hi, cs].reshape(-1, cpg), a_vals[cs], acc),
-                    (w_mask[:, :, k_lo:k_hi, cs].reshape(-1, cpg), a.mask[px, py][cs], landed),
+                    (w_vals[cs, :, :, k_lo:k_hi].reshape(cpg, -1).T, a_vals[cs], acc),
+                    (w_mask[cs, :, :, k_lo:k_hi].reshape(cpg, -1).T, a.mask[px, py][cs], landed),
                 ]
                 rows = max(1, _BAND // (len(shifts) * kg * GY * n_slots))
                 for g0 in range(0, GX, rows):
@@ -393,52 +443,65 @@ def _scatter(
                         m = (wmat @ amat[:, cols]).reshape(len(shifts), kg, g1 - g0, GY, n_slots)
                         for j, (dx, dy) in enumerate(shifts):
                             out[k_lo:k_hi, g0 + dx : g1 + dx, dy : dy + GY] += m[j]
-    bank = slots.bank.transpose(1, 2, 3, 0).reshape(-1)
-    bank_totals = np.bincount(bank, landed.reshape(-1), n_slots * slots.n_banks)
-    bank_totals = bank_totals.astype(np.int64).reshape(n_slots, -1)
-    skipped = a.stored @ w.stored - bank_totals.sum(axis=1)
-    # in the [kc, slot, EX, EY] memory order the PPU reads
+    # a group's bank of cell (k, x, y) is that of its own filter k - start
+    bank = slots.bank.transpose(1, 2, 3, 0)
+    bank_totals = np.stack([
+        np.bincount(
+            bank[: len(g)].reshape(-1),
+            landed[g.start - k0 : g.stop - k0].reshape(-1),
+            n_slots * slots.n_banks,
+        )
+        for g in groups
+    ]).astype(np.int64).reshape(len(groups), n_slots, -1)
+    skipped = w.stored @ a.stored.T - bank_totals.sum(axis=2)
+    # in the [k, slot, EX, EY] memory order the PPU reads
     acc = acc.transpose(0, 3, 1, 2).astype(np.int64, order="C").transpose(1, 0, 2, 3)
     return acc, bank_totals, skipped
 
 
 @dataclass(frozen=True)
 class PPUResult:
-    blocks: BlockSet    # block pe * kc + i: the group's output channel i on PE pe
-    plane: np.ndarray   # merged post-ReLU/pool [kc, Wp, Hp]
+    plane: np.ndarray   # merged post-ReLU/pool [k, Wp, Hp]
     drained_cells: int
     halo_values: int
 
 
-def _merge_group_plane(acc: np.ndarray, slots: _Slots, kc: int) -> tuple[np.ndarray, int]:
+def _merge_group_plane(acc: np.ndarray, slots: _Slots) -> tuple[np.ndarray, int]:
     """Sum every slot's accumulator cells at their global coordinates, through
     the layer's merge map.
 
     Cells whose output coordinate falls outside the plane are dropped; the
     non-zero cells outside a PE's owned rectangle are the halo traffic."""
     layer = slots.plan.layer
-    flat = acc[:, :kc].transpose(1, 0, 2, 3).reshape(kc, -1)
-    full = np.zeros((kc, layer.Wo * layer.Ho), dtype=np.int64)
-    if slots.cells.size:
-        full[:, slots.dest] = np.add.reduceat(flat[:, slots.cells], slots.first, axis=1)
+    kc = acc.shape[1]
+    flat = acc.transpose(1, 0, 2, 3).reshape(kc, -1)
+    if flat.size:
+        full = flat[:, slots.src]
+        full[:, slots.bare] = 0
+    else:
+        full = np.zeros((kc, layer.Wo * layer.Ho), dtype=np.int64)
+    for cells, dest in slots.adds:
+        full[:, dest] += flat[:, cells]
     halo_values = int(np.count_nonzero(flat[:, slots.halo]))
     return full.reshape(kc, layer.Wo, layer.Ho), halo_values
 
 
 def max_pool(plane: np.ndarray, pool: PoolSpec) -> np.ndarray:
     """Ceil-mode max pooling over the two trailing axes of [k, W, H], one axis
-    at a time. Far edges are padded with the dtype's least value, which no
-    window can return: each starts inside the plane."""
+    at a time, one strided view of the window's offsets after another. Far
+    edges that windows overhang are padded with the dtype's least value,
+    which no window can return: each starts inside the plane."""
     k, w, h = plane.shape
     win, st = pool.window, pool.stride
     wo, ho = pool.out_extent(w), pool.out_extent(h)
-    least = np.iinfo(plane.dtype).min if plane.dtype.kind in "iu" else -np.inf
-    padded = np.full(
-        (k, max(w, (wo - 1) * st + win), max(h, (ho - 1) * st + win)), least, plane.dtype
-    )
-    padded[:, :w, :h] = plane
-    cols = np.maximum.reduce([padded[:, d : d + st * wo : st] for d in range(win)])
-    return np.maximum.reduce([cols[:, :, d : d + st * ho : st] for d in range(win)])
+    span = (max(w, (wo - 1) * st + win), max(h, (ho - 1) * st + win))
+    if span != (w, h):
+        least = np.iinfo(plane.dtype).min if plane.dtype.kind in "iu" else -np.inf
+        padded = np.full((k, *span), least, plane.dtype)
+        padded[:, :w, :h] = plane
+        plane = padded
+    cols = functools.reduce(np.maximum, [plane[:, d : d + st * wo : st] for d in range(win)])
+    return functools.reduce(np.maximum, [cols[:, :, d : d + st * ho : st] for d in range(win)])
 
 
 def _rects(
@@ -451,63 +514,49 @@ def _rects(
 
 
 def ppu_finalize(
-    acc: np.ndarray,
-    slots: _Slots,
-    group: range,
-    pool: PoolSpec | None = None,
-    index_bits: int = 4,
+    acc: np.ndarray, slots: _Slots, pool: PoolSpec | None = None
 ) -> PPUResult:
     """Group-boundary post-processing across the PE array.
 
-    `acc` holds the group's accumulators laid out as `slots` describes.
-    Halo cells are added into their owners' partial sums, the merged plane is
-    ReLU'd (and max-pooled when requested), and each PE compresses its slice
-    of the result for its output RAM: one block per (PE, output channel),
-    all encoded in one pass.
-    """
-    tile_plan = slots.plan
-    kc = len(group)
-    merged, halo_values = _merge_group_plane(acc, slots, kc)
-    check_range(merged, ACCUM_BITS, f"{tile_plan.layer.name}: merged partial sums")
+    `acc` holds the accumulators of one or more consecutive output-channel
+    groups, [slot, k, EX, EY] as `slots` describes. Halo cells are added
+    into their owners' partial sums, and the merged plane is range-checked,
+    ReLU'd and max-pooled when requested; every step acts on each output
+    channel alone, so a batch of groups gives each group's result. The
+    layer compresses the planes of all its groups into the PEs' output RAMs
+    at once (`simulate_scnn_layer`)."""
+    merged, halo_values = _merge_group_plane(acc, slots)
+    check_range(merged, ACCUM_BITS, f"{slots.plan.layer.name}: merged partial sums")
     plane = np.maximum(merged, 0)
     if pool is not None:
         plane = max_pool(plane, pool)
-    drained = kc * int(slots.extent.prod(axis=1).sum())
-    x0, wt, y0, ht = _rects(
-        plane.shape[1], plane.shape[2], tile_plan.pe_rows, tile_plan.pe_cols
-    )
-    dense = _pe_major(plane, x0, wt, y0, ht)
-    blocks = codec.encode_blocks(dense, np.repeat(wt * ht, kc), index_bits)
-    return PPUResult(blocks, plane, drained, halo_values)
+    drained = acc.shape[1] * int(slots.extent.prod(axis=1).sum())
+    return PPUResult(plane, drained, halo_values)
 
 
 @dataclass(frozen=True)
 class LayerOutput:
     """Compressed per-PE outputs plus the assembled dense plane (post ReLU
-    and pooling). `blocks` holds one set per output-channel group, laid out
-    as `ppu_finalize` encodes it. `dense` is what the simulator merged
+    and pooling). `blocks` holds the whole layer in one set: block
+    pe * K + k is PE pe's share of output channel k, x-major then y within
+    its rectangle of the plane. `dense` is what the simulator merged
     internally; `decoded` rebuilds the same plane strictly from the
     compressed blocks."""
 
-    blocks: tuple[BlockSet, ...]
+    blocks: BlockSet
     dense: DenseTensor
     pe_rows: int
     pe_cols: int
 
     def decoded(self) -> DenseTensor:
         k_total, w, h = self.dense.shape
-        n_pes = self.pe_rows * self.pe_cols
         x0, _, y0, ht = _rects(w, h, self.pe_rows, self.pe_cols)
+        pe, k = np.divmod(self.blocks.block_ids(), k_total)
+        pos = self.blocks.positions
+        x = x0[pe] + pos // ht[pe]
+        y = y0[pe] + pos % ht[pe]
         out = np.zeros(k_total * w * h, dtype=np.int64)
-        k_base = 0
-        for blocks in self.blocks:
-            kc = len(blocks) // n_pes
-            ids = blocks.block_ids()
-            pe, pos = ids // kc, blocks.positions
-            x = x0[pe] + pos // ht[pe]
-            y = y0[pe] + pos % ht[pe]
-            out[((k_base + ids % kc) * w + x) * h + y] = blocks.values
-            k_base += kc
+        out[(k * w + x) * h + y] = self.blocks.values
         return DenseTensor(out.reshape(k_total, w, h), OUT_ROLES)
 
 
@@ -526,10 +575,11 @@ def simulate_scnn_layer(
     set, block pe * C + c) and the weights broadcast (same stream for every
     PE). Returns the compressed per-PE outputs and the cycle/energy report.
 
-    Each group's scatter contracts only phase-matched taps and activations
-    in float64 (see the module docstring). That is exact for 16-bit
-    operands while channels_per_group * R * S * 2**30 < 2**53; a layer
-    beyond that bound raises ConfigurationError.
+    Output-channel groups are scattered in batches (`_batches`), each
+    contracting only phase-matched taps and activations in float64 (see
+    the module docstring). That is exact for 16-bit operands while
+    channels_per_group * R * S * 2**30 < 2**53; a layer beyond that bound
+    raises ConfigurationError.
     """
     per_cell = layer.channels_per_group * layer.R * layer.S
     if per_cell << PRODUCT_BITS >= 1 << EXACT_FLOAT_BITS:
@@ -540,12 +590,11 @@ def simulate_scnn_layer(
         )
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
     gplan = weights.gplan
-    n_pes = arch.n_pes
-    if len(weights.blocks) != gplan.n_groups or any(
-        len(b) != layer.C for b in weights.blocks
-    ):
+    n_pes, n_groups = arch.n_pes, gplan.n_groups
+    if len(weights.blocks) != n_groups * layer.C:
         raise ConfigurationError(
-            f"expected {gplan.n_groups} weight block sets of {layer.C} channels"
+            f"expected {n_groups * layer.C} weight blocks, "
+            f"{layer.C} channels for each of {n_groups} groups"
         )
     F, I = arch.weights_per_fetch, arch.acts_per_fetch
     fm = FootprintModel()
@@ -560,7 +609,7 @@ def simulate_scnn_layer(
             f"({kc_max * cells} > {gplan.capacity_entries} entries)"
         )
     # activations of every live PE read once per layer and reused across
-    # groups; weights built per group (shared by all PEs)
+    # batches of groups; weights built per batch (shared by all PEs)
     slots = _slots(plan, kc_max, arch.accum_banks, arch.bank_map)
     acts = _activation_operand(plan, slots, act_tiles)
     iaram_stored = int(acts.stored.sum())
@@ -568,78 +617,67 @@ def simulate_scnn_layer(
     va = np.zeros((n_pes, layer.C), dtype=np.int64)
     va[slots.pes] = -((-acts.stored) // I)
 
-    total_cycles = 0
-    conflict_stalls_total = 0
-    fifo_stalls_total = 0
-    drain_overhead_total = 0
+    # per (group, channel): stored and non-zero weights; per (PE, group):
+    # the hottest bank's products
+    w_stored = np.zeros((n_groups, layer.C), dtype=np.int64)
+    w_nnz = np.zeros((n_groups, layer.C), dtype=np.int64)
+    peak = np.zeros((n_pes, n_groups), dtype=np.int64)
     stride_skipped = 0
-    batches_total = 0
-    useful = 0
-    out_planes: list[np.ndarray] = []
-    out_blocks: list[BlockSet] = []
-    # stored output entries per PE, summed over groups
-    out_stored = np.zeros(n_pes, dtype=np.int64)
-    pe_busy = np.zeros(n_pes, dtype=np.int64)
-    pe_wait = np.zeros(n_pes, dtype=np.int64)
-    # every activation vector of a channel re-reads that channel's weights
-    va_sum = va.sum(axis=0)
-    weight_reads = 0
-
-    for group, blocks in zip(gplan.groups, weights.blocks):
-        kc = len(group)
-        w = _weight_operand(layer, group, blocks)
-        wv = -((-w.stored) // F)
-        weight_reads += int((w.stored * va_sum).sum())
-        acc, bank_totals, skipped = _scatter(group, w, acts, slots)
+    planes: list[np.ndarray] = []
+    for batch in _batches(n_groups, slots):
+        rows = slice(batch.start, batch.stop)
+        w = _weight_operand(weights, batch)
+        acc, bank_totals, skipped = _scatter(gplan.groups[rows], w, acts, slots)
+        w_stored[rows], w_nnz[rows] = w.stored, w.nnz
+        peak[slots.pes, rows] = bank_totals.max(axis=2).T
         stride_skipped += int(skipped.sum())
-        ev.mult_ops += int((acts.stored @ w.stored).sum())
-        useful += int((acts.nnz @ w.nnz).sum())
-        routed = int(bank_totals.sum())
-        ev.xbar_transfers += routed
-        ev.acc_updates += routed
-        group_batches = va @ wv
-        peak = np.zeros(n_pes, dtype=np.int64)
-        peak[slots.pes] = bank_totals.max(axis=1)
-        # banks retire one product per cycle; within a group the elastic
-        # queues hide anything short of sustained single-bank overload
-        stall = np.where(group_batches > 0, np.maximum(peak - group_batches, 0), 0)
-        conflict_stalls_total += int(stall.sum())
-        group_busy = group_batches + stall
-        batches_total += int(group_batches.sum())
-
-        compute_t = int(group_busy.max())
-        # weight FIFO refill: DRAM streams the group's broadcast weights in
-        # parallel with compute; channels whose working set spills the FIFO
-        # are re-streamed once per activation-vector pass
-        passes = np.where(
-            wv <= arch.weight_fifo_entries, 1, np.maximum(va.max(axis=0), 1)
-        )
-        stream_values = int((w.stored * passes).sum())
-        stream_cycles = math.ceil(
-            stream_values * coded_bits / 16 / arch.dram_values_per_cycle
-        )
-        t_eff = max(compute_t, stream_cycles)
-        fifo_stalls_total += t_eff - compute_t
-
-        ppu = ppu_finalize(acc, slots, group, pool, arch.index_bits)
-        out_planes.append(ppu.plane)
-        out_blocks.append(ppu.blocks)
-        out_stored += np.diff(ppu.blocks.offsets[::kc])
+        ev.xbar_transfers += int(bank_totals.sum())
+        ppu = ppu_finalize(acc, slots, pool)
+        planes.append(ppu.plane)
         ev.acc_drains += ppu.drained_cells
-        drain_cycles = math.ceil(kc * cells / arch.ppu_values_per_cycle)
-        if arch.accum_double_buffered and gplan.double_buffered:
-            group_cycles = max(t_eff, drain_cycles)
-            drain_overhead_total += max(0, drain_cycles - t_eff)
-        else:
-            group_cycles = t_eff + drain_cycles
-            drain_overhead_total += drain_cycles
-        group_cycles += arch.halo_latency_cycles
-        total_cycles += group_cycles
-        pe_busy += group_busy
-        pe_wait += group_cycles - group_busy
+    ev.acc_updates = ev.xbar_transfers
+    ev.mult_ops = int((acts.stored @ w_stored.T).sum())
+    useful = int((acts.nnz @ w_nnz.T).sum())
+    # every activation vector of a channel re-reads that channel's weights
+    weight_reads = int((w_stored * va.sum(axis=0)).sum())
 
-    dense_out = DenseTensor(np.concatenate(out_planes, axis=0), OUT_ROLES)
-    output = LayerOutput(tuple(out_blocks), dense_out, arch.pe_rows, arch.pe_cols)
+    # the cycles of each group, [PE, group] where they differ between PEs
+    wv = -((-w_stored) // F)
+    group_batches = va @ wv.T
+    # banks retire one product per cycle; within a group the elastic queues
+    # hide anything short of sustained single-bank overload
+    stall = np.where(group_batches > 0, np.maximum(peak - group_batches, 0), 0)
+    group_busy = group_batches + stall
+    compute_t = group_busy.max(axis=0)
+    # weight FIFO refill: DRAM streams each group's broadcast weights in
+    # parallel with compute; channels whose working set spills the FIFO are
+    # re-streamed once per activation-vector pass
+    passes = np.where(wv <= arch.weight_fifo_entries, 1, np.maximum(va.max(axis=0), 1))
+    stream_values = (w_stored * passes).sum(axis=1)
+    stream_cycles = np.ceil(stream_values * coded_bits / 16 / arch.dram_values_per_cycle)
+    t_eff = np.maximum(compute_t, stream_cycles.astype(np.int64))
+    kcs = np.array([len(g) for g in gplan.groups])
+    drain_cycles = -(-(kcs * cells) // arch.ppu_values_per_cycle)
+    if arch.accum_double_buffered and gplan.double_buffered:
+        group_cycles = np.maximum(t_eff, drain_cycles)
+        drain_overhead = np.maximum(drain_cycles - t_eff, 0)
+    else:
+        group_cycles = t_eff + drain_cycles
+        drain_overhead = drain_cycles
+    group_cycles += arch.halo_latency_cycles
+    pe_busy = group_busy.sum(axis=1)
+    pe_wait = (group_cycles - group_busy).sum(axis=1)
+    batches_total = int(group_batches.sum())
+
+    # the PEs' output RAMs: block pe * K + k of one set for the layer
+    dense_out = DenseTensor(np.concatenate(planes, axis=0), OUT_ROLES)
+    x0, wt, y0, ht = _rects(dense_out.shape[1], dense_out.shape[2], arch.pe_rows, arch.pe_cols)
+    out_blocks = codec.encode_blocks(
+        _pe_major(dense_out.values, x0, wt, y0, ht), np.repeat(wt * ht, layer.K), arch.index_bits
+    )
+    output = LayerOutput(out_blocks, dense_out, arch.pe_rows, arch.pe_cols)
+    # stored output entries per PE
+    out_stored = np.diff(out_blocks.offsets[:: layer.K])
 
     oaram_stored = int(out_stored.sum())
     iaram_fp = Footprint(
@@ -653,10 +691,10 @@ def simulate_scnn_layer(
         or (out_stored > arch.oaram_value_capacity).any()
     )
 
-    ev.act_ram_bits += iaram_stored * coded_bits * gplan.n_groups
+    ev.act_ram_bits += iaram_stored * coded_bits * n_groups
     ev.act_ram_bits += oaram_stored * coded_bits
     ev.weight_buf_bits += coded_bits * weight_reads
-    ev.dram_bits += sum(b.values.size for b in weights.blocks) * coded_bits
+    ev.dram_bits += weights.blocks.values.size * coded_bits
     if input_from_dram or dram_tiled:
         ev.dram_bits += iaram_stored * coded_bits
     if output_to_dram or dram_tiled:
@@ -668,16 +706,16 @@ def simulate_scnn_layer(
     ev.pe_max_batches = int(pe_busy.max())
 
     report = SimReport.build(
-        arch, layer, VARIANT_SCNN, total_cycles, ev, batches_total, pe_busy, pe_wait,
-        bank_conflict_stalls=conflict_stalls_total,
-        fifo_stalls=fifo_stalls_total,
-        drain_overhead_cycles=drain_overhead_total,
+        arch, layer, VARIANT_SCNN, int(group_cycles.sum()), ev, batches_total, pe_busy, pe_wait,
+        bank_conflict_stalls=int(stall.sum()),
+        fifo_stalls=int((t_eff - compute_t).sum()),
+        drain_overhead_cycles=int(drain_overhead.sum()),
         stride_skipped=stride_skipped,
         iaram_footprint=iaram_fp,
         oaram_footprint=oaram_fp,
         dram_tiled=dram_tiled,
         kc=gplan.kc,
-        n_groups=gplan.n_groups,
+        n_groups=n_groups,
     )
     return output, report
 

@@ -201,6 +201,38 @@ def argsort_prune(values: np.ndarray, target_density: float) -> np.ndarray:
     return np.where(mask.reshape(values.shape), values, 0)
 
 
+def pass_encode_blocks(dense, extents, index_bits: int):
+    """`codec.encode_blocks` as it was first vectorized: per pass, a block id
+    for every dense value (`np.repeat`), and each non-zero's gap taken from
+    the previous non-zero when the neighbouring block ids agree."""
+    from scnnsim.codec import BlockSet, _passes
+
+    flat = np.asarray(dense, dtype=np.int64).reshape(-1)
+    extents = np.asarray(extents, dtype=np.int64).reshape(-1)
+    starts = np.zeros(extents.size + 1, dtype=np.int64)
+    np.cumsum(extents, out=starts[1:])
+    bound = np.count_nonzero(flat) + int((extents >> index_bits).sum())
+    values = np.zeros(bound, dtype=np.int64)
+    runs = np.full(bound, (1 << index_bits) - 1, dtype=np.int64)
+    offsets = np.zeros(extents.size + 1, dtype=np.int64)
+    for b0, b1 in _passes(starts):
+        part, at = flat[starts[b0] : starts[b1]], offsets[b0]
+        nz = np.flatnonzero(part)
+        blk = np.repeat(np.arange(b1 - b0), extents[b0:b1])[nz]
+        local = nz - (starts[b0:b1] - starts[b0])[blk]
+        prev = np.empty_like(local)
+        prev[:1] = -1
+        prev[1:] = np.where(blk[1:] == blk[:-1], local[:-1], -1)
+        gap = local - prev - 1
+        ends = at + np.cumsum((gap >> index_bits) + 1)
+        values[ends - 1] = part[nz]
+        runs[ends - 1] = gap & ((1 << index_bits) - 1)
+        block_ends = np.cumsum(np.bincount(blk, minlength=b1 - b0))
+        offsets[b0 + 1 : b1 + 1] = np.concatenate(([at], ends))[block_ends]
+    n = offsets[-1]
+    return BlockSet(values[:n], runs[:n], offsets, extents, index_bits)
+
+
 def per_pe_tiles_encoded(plan, acts: np.ndarray, index_bits: int):
     """One `encode_blocks` call per PE over its [C, wt, ht] tile: block c of
     PE pe's set holds channel c, x-major then y."""

@@ -5,7 +5,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import loop_rle_encode, naive_rle_decode
+from oracles import loop_rle_encode, naive_rle_decode, pass_encode_blocks
 from scnnsim import codec
 from scnnsim.codec import BlockSet, CodecError, encode_blocks
 from scnnsim.tensors import ACCUM_MAX, ACCUM_MIN
@@ -179,6 +179,37 @@ class TestEncodeBlocks:
             many = encode_blocks(dense, extents, index_bits)
         for name in ("values", "run_lengths", "offsets", "extents", "positions"):
             assert getattr(many, name).tolist() == getattr(one, name).tolist()
+
+    @given(
+        st.lists(
+            st.one_of(
+                dense_block(),
+                # all-zero blocks, and long runs past 2**8 zeros
+                st.integers(0, 600).map(lambda n: [0] * n),
+                st.tuples(st.integers(256, 600), nonzero).map(lambda t: [0] * t[0] + [t[1]]),
+            ),
+            max_size=8,
+        ),
+        st.sampled_from([1, 2, 4, 8]),
+        st.sampled_from([None, 3, 64]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_pass_encoder(self, blocks, index_bits, pass_size):
+        # block starts found among the non-zeros against per-value block ids:
+        # zero extents, all-zero blocks, gaps of 2**index_bits and more, and
+        # at small pass sizes blocks longer than a pass
+        dense, extents = [v for b in blocks for v in b], [len(b) for b in blocks]
+        with mock.patch.object(codec, "_PASS", pass_size or codec._PASS):
+            got = encode_blocks(dense, extents, index_bits)
+            ref = pass_encode_blocks(dense, extents, index_bits)
+        for name in ("values", "run_lengths", "offsets", "extents", "positions"):
+            assert getattr(got, name).tolist() == getattr(ref, name).tolist()
+
+    def test_equals_pass_encoder_on_empty_input(self):
+        for extents in ([], [0], [0, 0, 0]):
+            got, ref = encode_blocks([], extents), pass_encode_blocks([], extents, 4)
+            assert got.offsets.tolist() == ref.offsets.tolist() == [0] * (len(extents) + 1)
+            assert got.values.size == ref.values.size == 0
 
     def test_extents_must_cover_the_values(self):
         with pytest.raises(CodecError, match="partition"):

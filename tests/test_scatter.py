@@ -3,16 +3,18 @@
 `loop_scatter` is the straightforward form of the Cartesian-product scatter:
 for one PE and each input channel, form every weight x activation product,
 drop those the stride skips, and add the rest into the accumulator with
-`np.add.at` in int64. The simulator scatters each output-channel group over
-every live PE at once into a uniform [slot, kc, EX, EY] layout: per stride
-phase it contracts the input channels with a float64 GEMM of the values and
-a float32 GEMM of the stored-entry masks, in bands of the GEMM output, then
-adds each tap's rows into the accumulators as a shifted slice. Every PE's
-view of the result, its bank totals and its skipped count must reproduce
-the reference exactly.
+`np.add.at` in int64. The simulator scatters a batch of consecutive
+output-channel groups over every live PE at once into a uniform
+[slot, k, EX, EY] layout: per stride phase it contracts the input channels
+with a float64 GEMM of the values and a float32 GEMM of the stored-entry
+masks, in bands of the GEMM output, then adds each tap's rows into the
+accumulators as a shifted slice. Every PE's view of each group's result,
+its bank totals and its skipped count must reproduce the reference exactly,
+however the groups are batched.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,10 +24,12 @@ from scnnsim.analytic import ArchConfig
 from scnnsim.codec import encode_blocks
 from scnnsim.dataflow import ConfigurationError, LayerShape, choose_kc, partition_tiles
 from oracles import loop_merge_group_plane
+from scnnsim import simulator
 from scnnsim.simulator import (
     _BAND,
     WeightStream,
     _activation_operand,
+    _batches,
     _merge_group_plane,
     _scatter,
     _slots,
@@ -60,7 +64,7 @@ def loop_scatter(arch, layer, stream, tiles, gi, pe):
     kpg, cpg = layer.filters_per_group, layer.channels_per_group
     for c in range(layer.C):
         avals, apos = block_entries(tiles, pe * layer.C + c)
-        wvals, wpos = block_entries(stream.blocks[gi], c)
+        wvals, wpos = block_entries(stream.blocks, gi * layer.C + c)
         xs = t.x0 + apos // t.ht
         ys = t.y0 + apos % t.ht
         # the block starts at the group's first filter in c's convolution group
@@ -86,22 +90,25 @@ def loop_scatter(arch, layer, stream, tiles, gi, pe):
 
 def group_scatters(arch, layer, stream, tiles):
     """(pe, gi, acc, bank_totals, skipped) of every live PE in every group,
-    from one group-level scatter per group. The cells of a slot outside its
-    PE's [kc, ex, ey] view must stay empty."""
+    from one scatter per batch of groups (`_batches`). The cells of a slot
+    outside its PE's [kc, ex, ey] view of a group must stay empty."""
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
     groups = stream.gplan.groups
     slots = _slots(plan, max(map(len, groups)), arch.accum_banks, arch.bank_map)
     assert slots.pes == [pe for pe in range(arch.n_pes) if not plan.tile(pe).empty]
     acts = _activation_operand(plan, slots, tiles)
-    for gi, (group, blocks) in enumerate(zip(groups, stream.blocks)):
-        w = _weight_operand(layer, group, blocks)
-        acc, bank_totals, skipped = _scatter(group, w, acts, slots)
+    for batch in _batches(len(groups), slots):
+        w = _weight_operand(stream, batch)
+        acc, bank_totals, skipped = _scatter(groups[batch.start : batch.stop], w, acts, slots)
         assert acc.dtype == np.int64
-        for i, pe in enumerate(slots.pes):
-            kc, (ex, ey) = len(groups[gi]), slots.extent[i]
-            view = acc[i, :kc, :ex, :ey]
-            assert np.abs(acc[i]).sum() == np.abs(view).sum()
-            yield pe, gi, view, bank_totals[i], int(skipped[i])
+        assert acc.shape[1] == sum(len(groups[gi]) for gi in batch)
+        for j, gi in enumerate(batch):
+            k0 = groups[gi].start - groups[batch.start].start
+            for i, pe in enumerate(slots.pes):
+                kc, (ex, ey) = len(groups[gi]), slots.extent[i]
+                view = acc[i, k0 : k0 + kc, :ex, :ey]
+                assert np.abs(acc[i, k0 : k0 + kc]).sum() == np.abs(view).sum()
+                yield pe, gi, view, bank_totals[j, i], int(skipped[j, i])
 
 
 def assert_matches_loop_reference(arch, layer, stream, tiles):
@@ -125,11 +132,11 @@ def _operand(rng, shape, density, lo):
 
 
 @st.composite
-def scatter_cases(draw):
+def scatter_cases(draw, max_groups=2):
     stride = draw(st.integers(1, 4))
     pad = draw(st.integers(0, 2))
     R, S = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    groups = draw(st.integers(1, 2))
+    groups = draw(st.integers(1, max_groups))
     C = groups * draw(st.integers(1, 3))
     K = groups * draw(st.integers(1, 4))
     # W = R - 2*pad + stride*n keeps the output size integral; the smallest
@@ -166,6 +173,29 @@ def test_scatter_equals_loop_reference(case):
     assert_matches_loop_reference(arch, layer, stream, tiles)
 
 
+@settings(max_examples=100, deadline=None)
+@given(scatter_cases(max_groups=3), st.sampled_from(["one", "two", "all"]))
+def test_batched_scatter_equals_loop_reference(case, per):
+    # a budget for batches of one group, two groups or every group of the
+    # layer: each group's accumulators, bank totals and skipped products
+    # are those of the per-(PE, channel) loop, however the groups share
+    # the passes
+    arch, layer, w, a = case
+    stream, tiles = prepare_scnn_inputs(arch, layer, w, a)
+    groups = stream.gplan.groups
+    plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
+    slots = _slots(plan, max(map(len, groups)), arch.accum_banks, arch.bank_map)
+    n = {"one": 1, "two": 2, "all": len(groups)}[per]
+    # the budget the batches of n groups just fit, and a byte short of n + 1
+    one = 12 * max(map(len, groups)) * (
+        slots.bank[0, 0].size * len(slots.pes) + layer.R * layer.S * layer.C
+    )
+    with mock.patch.object(simulator, "_BATCH", n * one + one - 1):
+        sizes = [len(b) for b in _batches(len(groups), slots)]
+        assert sizes == [min(n, len(groups) - g) for g in range(0, len(groups), n)]
+        assert_matches_loop_reference(arch, layer, stream, tiles)
+
+
 @settings(max_examples=150, deadline=None)
 @given(scatter_cases(), st.integers(0, 2**32 - 1))
 def test_merge_equals_loop_reference(case, seed):
@@ -178,16 +208,18 @@ def test_merge_equals_loop_reference(case, seed):
     slots = _slots(plan, max(map(len, groups)), arch.accum_banks, arch.bank_map)
     acts = _activation_operand(plan, slots, tiles)
     rng = np.random.default_rng(seed)
-    for g, blocks in zip(groups, stream.blocks):
-        kc = len(g)
-        noise = np.zeros_like(slots.bank)
+    for batch in _batches(len(groups), slots):
+        batch_groups = groups[batch.start : batch.stop]
+        kc = sum(map(len, batch_groups))
+        noise = np.zeros((len(slots.pes), kc, *slots.bank.shape[2:]), dtype=np.int64)
         for i, (ex, ey) in enumerate(slots.extent.tolist()):
             noise[i, :kc, :ex, :ey] = rng.integers(-3, 4, size=(kc, ex, ey))
-        for acc in (_scatter(g, _weight_operand(layer, g, blocks), acts, slots)[0], noise):
+        scattered = _scatter(batch_groups, _weight_operand(stream, batch), acts, slots)[0]
+        for acc in (scattered, noise):
             views = [None] * plan.n_pes
             for i, (pe, (ex, ey)) in enumerate(zip(slots.pes, slots.extent.tolist())):
                 views[pe] = acc[i, :kc, :ex, :ey]
-            plane, halo = _merge_group_plane(acc, slots, kc)
+            plane, halo = _merge_group_plane(acc, slots)
             ref_plane, ref_halo = loop_merge_group_plane(views, plan, kc)
             assert np.array_equal(plane, ref_plane)
             assert halo == ref_halo
@@ -273,8 +305,8 @@ def test_float64_exactness_bound(cpg, groups, rejected):
     arch = ArchConfig(pe_rows=1, pe_cols=1)
     gplan = choose_kc(layer, arch)
     # blocks of every channel, all empty: no weight and a zero activation
-    no_weights = encode_blocks([], [0] * layer.C)
-    stream = WeightStream(layer, gplan, (no_weights,) * gplan.n_groups)
+    no_weights = encode_blocks([], [0] * layer.C * gplan.n_groups)
+    stream = WeightStream(layer, gplan, no_weights)
     tiles = encode_blocks(np.zeros(layer.C), [1] * layer.C)
     if rejected:
         with pytest.raises(ConfigurationError, match="exact float64"):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,9 +21,11 @@ from scnnsim.analytic import (
     PoolSpec,
     dcnn_arch,
 )
+from scnnsim import codec, simulator
 from scnnsim.codec import encode_blocks
 from scnnsim.dataflow import ConfigurationError, LayerShape, choose_kc, partition_tiles
 from scnnsim.simulator import (
+    WeightStream,
     _gated_mults,
     _slots,
     compress_weights,
@@ -234,6 +238,49 @@ class TestCycleModel:
         assert report.oaram_footprint == Footprint(n_out * 16, n_out * 10)
 
 
+class TestLayerEncodes:
+    """A layer's activations, weights and outputs are encoded once each,
+    however many output-channel groups it has and however they batch."""
+
+    @pytest.mark.parametrize(
+        "kw,bank_entries,budget,n_groups",
+        [
+            (dict(C=2, K=4, W=6, H=6, R=3, S=3, pad=1), 256, None, 1),
+            (dict(C=3, K=8, W=8, H=8, R=3, S=3, pad=1), 16, None, 2),
+            # eight groups, scattered in one batch and in eight
+            (dict(C=3, K=8, W=8, H=8, R=3, S=3, pad=1), 4, None, 8),
+            (dict(C=3, K=8, W=8, H=8, R=3, S=3, pad=1), 4, 1, 8),
+            (dict(C=4, K=6, W=9, H=9, R=3, S=3, stride=2, groups=2), 1, 1, 6),
+        ],
+    )
+    def test_three_encodes_per_layer(self, kw, bank_entries, budget, n_groups):
+        layer = LayerShape("enc", **kw)
+        arch = small_arch(bank_entries=bank_entries)
+        w = gen_synthetic(layer.weight_shape(), 0.5, seed=1)
+        a = gen_synthetic(layer.input_shape(), 0.5, seed=2, signed=False)
+        assert choose_kc(layer, arch).n_groups == n_groups
+        scatter = mock.Mock(side_effect=simulator._scatter)
+        with mock.patch.object(codec, "encode_blocks", side_effect=codec.encode_blocks) as enc, \
+                mock.patch.object(simulator, "_scatter", scatter), \
+                mock.patch.object(simulator, "_BATCH", budget or simulator._BATCH):
+            out, _ = simulate_scnn_layer(arch, layer, *prepare_scnn_inputs(arch, layer, w, a))
+        assert enc.call_count == 3
+        assert scatter.call_count == (n_groups if budget else 1)
+        assert len(out.blocks) == arch.n_pes * layer.K
+
+    def test_weight_set_must_hold_every_group(self):
+        # one group's worth of channel blocks for a layer of two groups
+        layer = LayerShape("short", C=3, K=8, W=8, H=8, R=3, S=3, pad=1)
+        arch = small_arch(bank_entries=16)
+        w = gen_synthetic(layer.weight_shape(), 0.5, seed=1)
+        a = gen_synthetic(layer.input_shape(), 0.5, seed=2, signed=False)
+        stream, tiles = prepare_scnn_inputs(arch, layer, w, a)
+        assert stream.gplan.n_groups == 2
+        short = WeightStream(layer, stream.gplan, encode_blocks([], [0] * layer.C))
+        with pytest.raises(ConfigurationError, match="expected 6 weight blocks"):
+            simulate_scnn_layer(arch, layer, short, tiles)
+
+
 class TestDistribute:
     """The all-PE block set against one encode per PE."""
 
@@ -295,27 +342,33 @@ class TestPPU:
             arch, layer, DenseTensor(w, WEIGHT_ROLES), DenseTensor(a, ACT_ROLES)
         )
         out, report = simulate_scnn_layer(arch, layer, stream, tiles)
-        # output coordinate: xo = x - r + pad = 4, owned by PE1; one group
-        # of one output channel, so block pe holds PE pe's tile
-        assert np.reshape(block_values(out.blocks[0], 1), (4, 4))[0, 2] == 10
-        assert not any(block_values(out.blocks[0], 0))
+        # output coordinate: xo = x - r + pad = 4, owned by PE1; one output
+        # channel, so block pe * K + 0 holds PE pe's tile
+        assert np.reshape(block_values(out.blocks, 1), (4, 4))[0, 2] == 10
+        assert not any(block_values(out.blocks, 0))
 
     def test_single_pe_halo_exchange_noop(self):
         layer = LayerShape("noop", C=2, K=2, W=6, H=6, R=3, S=3, pad=1)
         plan = partition_tiles(layer, (1, 1))
         acc = np.zeros((1, 2, 8, 8), dtype=np.int64)
         acc[0, 0, 2, 2] = 7
-        res = ppu_finalize(acc, _slots(plan, 2, 32, "mod"), range(0, 2))
+        res = ppu_finalize(acc, _slots(plan, 2, 32, "mod"))
         assert res.halo_values == 0
         # accumulator base is -1 with pad 1 and a 3x3 filter
         assert res.plane[0, 1, 1] == 7
 
     def test_all_negative_group_encodes_empty(self):
+        # every partial sum is -5, so ReLU leaves an empty output block
         layer = LayerShape("neg", C=1, K=1, W=4, H=4, R=1, S=1)
         plan = partition_tiles(layer, (1, 1))
         acc = np.full((1, 1, 4, 4), -5, dtype=np.int64)
-        res = ppu_finalize(acc, _slots(plan, 1, 32, "mod"), range(0, 1))
-        assert res.blocks.offsets.tolist() == [0, 0]
+        res = ppu_finalize(acc, _slots(plan, 1, 32, "mod"))
+        assert not res.plane.any()
+        arch = ArchConfig(pe_rows=1, pe_cols=1)
+        w = DenseTensor(np.full(layer.weight_shape(), -1), WEIGHT_ROLES)
+        a = DenseTensor(np.full(layer.input_shape(), 5), ACT_ROLES)
+        out, _ = simulate_scnn_layer(arch, layer, *prepare_scnn_inputs(arch, layer, w, a))
+        assert out.blocks.offsets.tolist() == [0, 0]
 
 
 class TestDenseBaselines:
