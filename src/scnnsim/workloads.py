@@ -54,12 +54,9 @@ class DescriptorError(ValueError):
 class OracleMismatch(AssertionError):
     """Simulated output diverged from the exact convolution."""
 
-    def __init__(self, layer: str, coord: tuple[int, int, int], got: int, want: int):
+    def __init__(self, layer: str, detail: str):
         self.layer = layer
-        self.coord = coord
-        super().__init__(
-            f"{layer}: first mismatch at (k,x,y)={coord}: got {got}, expected {want}"
-        )
+        super().__init__(f"{layer}: {detail}")
 
 
 @dataclass(frozen=True)
@@ -576,12 +573,17 @@ def _sim_layer(
             expect = ref.values
             if spec.pool is not None:
                 expect = max_pool(expect, spec.pool)
-            if decoded.values.shape != expect.shape or not (
-                decoded.values == expect
-            ).all():
-                k, x, y = (int(v[0]) for v in (decoded.values != expect).nonzero())
+            got = decoded.values
+            if got.shape != expect.shape:
                 raise OracleMismatch(
-                    spec.name, (k, x, y), int(decoded.values[k, x, y]), int(expect[k, x, y])
+                    spec.name, f"output shape {got.shape}, expected {expect.shape}"
+                )
+            if not (got == expect).all():
+                k, x, y = (int(v[0]) for v in (got != expect).nonzero())
+                raise OracleMismatch(
+                    spec.name,
+                    f"first mismatch at (k,x,y)={(k, x, y)}: "
+                    f"got {int(got[k, x, y])}, expected {int(expect[k, x, y])}",
                 )
             checked = True
             reports[VARIANT_ORACLE] = _oracle_report(spec.shape, rep.useful_mults, arch)
@@ -971,9 +973,12 @@ def emit_report(rows: Sequence[ReportRow], fmt: str, path: str | Path) -> Path:
             for c, cell in cells.items():
                 widths[c] = max(widths[c], len(cell))
             table.append(cells)
-        lines = ["  ".join(c.ljust(widths[c]) for c in REPORT_COLUMNS)]
-        for cells in table:
-            lines.append("  ".join(cells[c].ljust(widths[c]) for c in REPORT_COLUMNS))
+
+        def line(cells: dict[str, str]) -> str:
+            # no padding after the last cell, even an empty one
+            return "  ".join(cells[c].ljust(widths[c]) for c in REPORT_COLUMNS).rstrip()
+
+        lines = [line({c: c for c in REPORT_COLUMNS}), *map(line, table)]
         path.write_text("\n".join(lines) + "\n")
     else:
         raise ConfigurationError(f"unknown report format {fmt}")

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -8,9 +9,11 @@ from pathlib import Path
 import pytest
 import yaml
 
+from scnnsim import simulator, tensors
 from scnnsim.analytic import PoolSpec
 from scnnsim.cli import main
 from scnnsim.workloads import load_network
+from test_golden import CASES, GOLDEN
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -344,3 +347,121 @@ def test_analytic_commands_import_neither_numpy_nor_the_sim_engine(tmp_path):
     assert (tmp_path / "alexnet_density.csv").is_file()
     loaded = {"numpy", "scnnsim.simulator", "scnnsim.codec", "scnnsim.tensors"}
     assert loaded.isdisjoint(result["modules"])
+
+
+ONE_LAYER = (
+    "schema_version: 1\nname: one\ntopology: chain\n"
+    "input: {channels: 2, width: 5, height: 5}\n"
+    "layers:\n  - {name: c, K: 2, R: 1, S: 1, weight_density: 1.0, act_density: 1.0}\n"
+)
+
+
+def off_by_one_reference(reference_conv):
+    """reference_conv with out[0, 0, 0] one above its rectified value, so the
+    oracle check fails there whatever the sign of the true value."""
+
+    def wrong(*args):
+        values = reference_conv(*args).values.copy()
+        values[0, 0, 0] = max(values[0, 0, 0], 0) + 1
+        return tensors.DenseTensor(values, tensors.OUT_ROLES)
+
+    return wrong
+
+
+def test_oracle_value_mismatch_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tensors, "reference_conv", off_by_one_reference(tensors.reference_conv))
+    path = tmp_path / "net.yaml"
+    path.write_text(ONE_LAYER)
+    rc = main(["validate", "--network", str(path), "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    got, want = re.fullmatch(
+        r"ORACLE MISMATCH: c: first mismatch at \(k,x,y\)=\(0, 0, 0\): "
+        r"got (\d+), expected (\d+)\n", err,
+    ).groups()
+    assert int(want) == int(got) + 1
+
+
+def test_oracle_shape_mismatch_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    decoded = simulator.LayerOutput.decoded
+
+    def cropped(self):
+        return tensors.DenseTensor(decoded(self).values[:, :-1, :], tensors.OUT_ROLES)
+
+    monkeypatch.setattr(simulator.LayerOutput, "decoded", cropped)
+    path = tmp_path / "net.yaml"
+    path.write_text(ONE_LAYER)
+    rc = main(["validate", "--network", str(path), "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "ORACLE MISMATCH: c: output shape (2, 4, 5), expected (2, 5, 5)\n"
+    )
+
+
+def test_text_report_has_the_csv_cells_and_no_trailing_whitespace(tmp_path):
+    golden = "alexnet_run_analytic.csv"
+    argv = [*CASES[golden], "--seed", "1", "--format", "text", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    lines = (tmp_path / "alexnet_run.text").read_text().splitlines()
+    assert not [line for line in lines if line != line.rstrip()]
+    # each column starts where its header name does; empty cells stay empty
+    starts = [m.start() for m in re.finditer(r"\S+", lines[0])]
+    bounds = list(zip(starts, [*starts[1:], None]))
+    cells = [[line[a:b].strip() for a, b in bounds] for line in lines]
+    with open(GOLDEN / golden, newline="") as f:
+        assert cells == list(csv.reader(f))
+
+
+def cli_process(*args: str) -> subprocess.CompletedProcess:
+    """`python -m scnnsim.cli ARGS`, or `python -c SCRIPT ...` when ARGS
+    starts with -c, in a fresh interpreter that imports the source tree and
+    can import these test modules."""
+    tests = str(Path(__file__).parent)
+    path = os.pathsep.join(filter(None, [str(SRC), tests, os.environ.get("PYTHONPATH")]))
+    # buffered pipes, so what the process prints reaches them only by the
+    # flushes at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    cmd = [sys.executable, *([] if args[0] == "-c" else ["-m", "scnnsim.cli"]), *args]
+    return subprocess.run(
+        cmd, env={**env, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize("golden", ["alexnet_run_analytic.csv", "strided_chain_run_sim.csv"])
+def test_process_exit_keeps_report_and_summary(golden, tmp_path, capsys):
+    argv = [*CASES[golden], "--seed", "1", "--format", "csv", "--out-dir", str(tmp_path)]
+    proc = cli_process(*argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    (report,) = tmp_path.iterdir()
+    assert report.read_bytes() == (GOLDEN / golden).read_bytes()
+    # the same command in this process rewrites the same file and prints the
+    # summary that the exiting process must have flushed in full
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert proc.stdout.count("\n") >= 5  # the report line and one per variant
+
+
+def test_process_exit_code_2_for_a_bad_network(tmp_path):
+    proc = cli_process("run", "--network", str(tmp_path / "none.yaml"), "--out-dir", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+MISMATCH_RUN = """
+import sys
+from scnnsim import tensors
+from scnnsim.cli import main
+from test_cli import off_by_one_reference
+tensors.reference_conv = off_by_one_reference(tensors.reference_conv)
+sys.exit(main(["validate", "--network", sys.argv[1], "--out-dir", sys.argv[2]]))
+"""
+
+
+def test_process_exit_code_1_for_an_oracle_mismatch(tmp_path):
+    path = tmp_path / "net.yaml"
+    path.write_text(ONE_LAYER)
+    proc = cli_process("-c", MISMATCH_RUN, str(path), str(tmp_path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("ORACLE MISMATCH: c: ") and proc.stderr.count("\n") == 1
