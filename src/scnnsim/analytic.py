@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
@@ -26,6 +25,7 @@ from .dataflow import (
     choose_kc,
     partition_tiles,
 )
+from .record import Record, fields, replace
 
 if TYPE_CHECKING:
     from .tensors import DenseTensor
@@ -38,17 +38,13 @@ VARIANT_DCNN_OPT = "dcnn-opt"
 MAX_INDEX_BITS = 62
 
 
-@dataclass(frozen=True)
-class FootprintModel:
-    """Bits charged per stored value: the value itself plus the per-value
-    coordinate overhead the buffers carry."""
-
-    value_bits: int = 16
-    index_overhead_bits: int = 10
+# Bits charged per stored value in footprints and traffic: the value itself
+# plus the per-value coordinate overhead the compressed buffers carry.
+STORED_VALUE_BITS = 16
+INDEX_OVERHEAD_BITS = 10
 
 
-@dataclass(frozen=True)
-class Footprint:
+class Footprint(Record):
     data_bits: int
     index_bits: int
 
@@ -57,8 +53,7 @@ class Footprint:
         return self.data_bits + self.index_bits
 
 
-@dataclass
-class EventCounts:
+class EventCounts(Record, frozen=False):
     """Operation and traffic totals for one layer run (one variant).
 
     Bit counts for memories include the per-value index overhead when the
@@ -79,8 +74,7 @@ class EventCounts:
     dram_bits: int = 0
 
 
-@dataclass(frozen=True)
-class EnergyModel:
+class EnergyModel(Record):
     """Per-event energy coefficients in abstract units.
 
     The values are estimates (the reference breakdowns behind them are not
@@ -95,9 +89,9 @@ class EnergyModel:
     dram_bit: float = 4.0
 
     def __post_init__(self) -> None:
-        for f in fields(EnergyModel):
-            if not getattr(self, f.name) >= 0:  # NaN fails too
-                raise ConfigurationError(f"energy coefficient {f.name} must be >= 0")
+        for name in fields(EnergyModel):
+            if not getattr(self, name) >= 0:  # NaN fails too
+                raise ConfigurationError(f"energy coefficient {name} must be >= 0")
         on_chip_bit = max(self.sram_bit, self.fifo_bit)
         if self.dram_bit <= on_chip_bit:
             raise ConfigurationError("DRAM energy per bit must exceed on-chip access")
@@ -114,8 +108,7 @@ class EnergyModel:
         return sum(breakdown.values()), breakdown
 
 
-@dataclass(frozen=True)
-class PoolSpec:
+class PoolSpec(Record):
     """Max pooling applied by the post-processing unit after ReLU.
 
     Output sizing is ceil-mode: partial windows at the far edge produce an
@@ -133,8 +126,7 @@ class PoolSpec:
         return min(ceil_mode, -(-span // self.stride))
 
 
-@dataclass(frozen=True)
-class ArchConfig:
+class ArchConfig(Record):
     """Hardware knobs for the sparse accelerator and its dense baselines."""
 
     pe_rows: int = 8
@@ -153,7 +145,7 @@ class ArchConfig:
     act_ram_port_bits: int = 104  # per-PE activation RAM bits per cycle
     index_bits: int = 4
     bank_map: str = "mod"  # or "xor": fold the linear coordinate before mod
-    energy: EnergyModel = field(default_factory=EnergyModel)
+    energy: EnergyModel = EnergyModel()
 
     def __post_init__(self) -> None:
         # every other knob is an integer; bools pass only where one is due
@@ -161,10 +153,10 @@ class ArchConfig:
             "accum_double_buffered": bool, "dram_values_per_cycle": numbers.Real,
             "bank_map": str, "energy": EnergyModel,
         }
-        for f in fields(self):
-            value, kind = getattr(self, f.name), kinds.get(f.name, numbers.Integral)
+        for name in fields(self):
+            value, kind = getattr(self, name), kinds.get(name, numbers.Integral)
             if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
-                raise ConfigurationError(f"{f.name} must be {kind.__name__}, got {value!r}")
+                raise ConfigurationError(f"{name} must be {kind.__name__}, got {value!r}")
         for attr in (
             "pe_rows", "pe_cols", "weights_per_fetch", "acts_per_fetch",
             "accum_banks", "bank_entries", "iaram_bytes", "oaram_bytes",
@@ -228,8 +220,7 @@ def dense_dram_tiled(arch: ArchConfig, layer: LayerShape, pool: PoolSpec | None)
     return total > d.n_pes * (d.iaram_value_capacity + d.oaram_value_capacity)
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(Record):
     """Per-layer outcome of one variant run, made by `SimReport.build`.
 
     The builder derives energy and its breakdown from the event counts,
@@ -344,9 +335,8 @@ def count_events(
     if not (0.0 <= wd <= 1.0 and 0.0 <= ad <= 1.0):
         raise ConfigurationError(f"densities {densities} outside [0, 1]")
     sparse = dataflow == "sparse"
-    fm = FootprintModel()
-    val_bits = fm.value_bits
-    coded_bits = fm.value_bits + fm.index_overhead_bits
+    val_bits = STORED_VALUE_BITS
+    coded_bits = STORED_VALUE_BITS + INDEX_OVERHEAD_BITS
 
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
     gplan = choose_kc(layer, arch)

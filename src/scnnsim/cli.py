@@ -18,10 +18,10 @@ import argparse
 import atexit
 import gc
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .dataflow import ConfigurationError
+from .record import replace
 from .workloads import (
     ALL_VARIANTS,
     DescriptorError,
@@ -144,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "sweep-density":
-            points = _parse_points(args.points) if args.points else cfg.densities
+            points = _parse_points(args.points) if args.points is not None else cfg.densities
             rows = density_sweep(
                 net, cfg.arch, points, seed=seed, engine=args.engine
             )

@@ -17,12 +17,12 @@ offsets[b]:offsets[b + 1] of those arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .analytic import MAX_INDEX_BITS
+from .record import Record
 from .tensors import ACCUM_MAX, ACCUM_MIN
 
 DEFAULT_INDEX_BITS = 4
@@ -117,13 +117,13 @@ def _int64(xs, what: str) -> np.ndarray:
         raise CodecError(f"{what} outside the 64-bit range") from e
 
 
-@dataclass(frozen=True, eq=False)
-class BlockSet:
+class BlockSet(Record, eq=False):
     """Many blocks in the stream format, stored column-wise.
 
     Block b owns entries offsets[b]:offsets[b + 1] of `values` and
-    `run_lengths` and expands to extents[b] dense values. `positions` holds
-    each entry's dense coordinate within its block, derived from the runs.
+    `run_lengths` and expands to extents[b] dense values. `positions`, not a
+    field, holds each entry's dense coordinate within its block, derived
+    from the runs.
     The whole set is checked once: the index width, offsets that partition
     the stream, runs within the index width, values within the 24-bit
     accumulator range and every entry inside its block's extent."""
@@ -133,7 +133,6 @@ class BlockSet:
     offsets: np.ndarray
     extents: np.ndarray
     index_bits: int = DEFAULT_INDEX_BITS
-    positions: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("values", "run_lengths", "offsets", "extents"):

@@ -15,9 +15,10 @@ analytic engine runs on it (see the package docstring).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
+
+from .record import Record
 
 if TYPE_CHECKING:
     from .tensors import DenseTensor
@@ -31,8 +32,7 @@ class ConfigurationError(ValueError):
     """Hardware configuration cannot run the requested layer."""
 
 
-@dataclass(frozen=True)
-class LayerShape:
+class LayerShape(Record):
     """Convolution geometry: C input channels of W x H activations convolved
     with K filters of R x S taps, plus stride / zero padding / grouping."""
 
@@ -104,8 +104,7 @@ def plane_partition(span: int, parts: int) -> list[tuple[int, int]]:
     return [(min(p * width, span), min((p + 1) * width, span)) for p in range(parts)]
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(Record):
     """One PE's input rectangle. Zero extents mark an idle PE."""
 
     pe: int
@@ -167,8 +166,7 @@ class _Axis:
         return top - self.acc_base(p) + 1
 
 
-@dataclass(frozen=True)
-class TilePlan:
+class TilePlan(Record):
     """Per-PE input tiles: PE r * pe_cols + c holds column part c of the x
     axis (W) and row part r of the y axis (H)."""
 
@@ -256,8 +254,7 @@ def _tile_plan(layer: LayerShape, rows: int, cols: int) -> TilePlan:
     )
 
 
-@dataclass(frozen=True)
-class GroupPlan:
+class GroupPlan(Record):
     """K split into output-channel groups of at most kc channels."""
 
     kc: int

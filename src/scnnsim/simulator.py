@@ -54,18 +54,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+
 import numpy as np
 
 from . import codec
 from .analytic import (
+    INDEX_OVERHEAD_BITS,
+    STORED_VALUE_BITS,
     VARIANT_DCNN,
     VARIANT_DCNN_OPT,
     VARIANT_SCNN,
     ArchConfig,
     EventCounts,
     Footprint,
-    FootprintModel,
     PoolSpec,
     SimReport,
     count_events,
@@ -82,6 +83,7 @@ from .dataflow import (
     partition_tiles,
     plane_partition,
 )
+from .record import Record
 from .tensors import (
     ACCUM_BITS,
     EXACT_FLOAT_BITS,
@@ -93,8 +95,7 @@ from .tensors import (
 )
 
 
-@dataclass(frozen=True)
-class WeightStream:
+class WeightStream(Record):
     """Broadcast weights of every output-channel group in one block set:
     block g * C + c holds input channel c of group g, linearized k-major
     then r then s over the group's filters in c's convolution group
@@ -182,8 +183,7 @@ _BAND = 1 << 18
 _BATCH = 1 << 23
 
 
-@dataclass(frozen=True)
-class _Slots:
+class _Slots(Record):
     """A layer's uniform accumulator layout [slot, kc, EX, EY]: slot i is
     live PE pes[i], kc the largest group and (EX, EY) the largest extents
     (a slot fits the capacity `choose_kc` sized); the PE's own accumulator
@@ -264,8 +264,7 @@ def _slots(plan: TilePlan, kc: int, banks: int, bank_map: str) -> _Slots:
     )
 
 
-@dataclass(frozen=True)
-class _Operand:
+class _Operand(Record):
     """A batch of groups' weights or every live PE's activations as float64
     values and float32 0/1 masks of the stored entries, placeholders
     included.
@@ -459,13 +458,6 @@ def _scatter(
     return acc, bank_totals, skipped
 
 
-@dataclass(frozen=True)
-class PPUResult:
-    plane: np.ndarray   # merged post-ReLU/pool [k, Wp, Hp]
-    drained_cells: int
-    halo_values: int
-
-
 def _merge_group_plane(acc: np.ndarray, slots: _Slots) -> tuple[np.ndarray, int]:
     """Sum every slot's accumulator cells at their global coordinates, through
     the layer's merge map.
@@ -515,8 +507,10 @@ def _rects(
 
 def ppu_finalize(
     acc: np.ndarray, slots: _Slots, pool: PoolSpec | None = None
-) -> PPUResult:
-    """Group-boundary post-processing across the PE array.
+) -> tuple[np.ndarray, int, int]:
+    """Group-boundary post-processing across the PE array: the merged
+    post-ReLU/pool plane [k, Wp, Hp], the accumulator cells drained and the
+    non-zero halo values exchanged.
 
     `acc` holds the accumulators of one or more consecutive output-channel
     groups, [slot, k, EX, EY] as `slots` describes. Halo cells are added
@@ -531,11 +525,10 @@ def ppu_finalize(
     if pool is not None:
         plane = max_pool(plane, pool)
     drained = acc.shape[1] * int(slots.extent.prod(axis=1).sum())
-    return PPUResult(plane, drained, halo_values)
+    return plane, drained, halo_values
 
 
-@dataclass(frozen=True)
-class LayerOutput:
+class LayerOutput(Record):
     """Compressed per-PE outputs plus the assembled dense plane (post ReLU
     and pooling). `blocks` holds the whole layer in one set: block
     pe * K + k is PE pe's share of output channel k, x-major then y within
@@ -597,8 +590,7 @@ def simulate_scnn_layer(
             f"{layer.C} channels for each of {n_groups} groups"
         )
     F, I = arch.weights_per_fetch, arch.acts_per_fetch
-    fm = FootprintModel()
-    coded_bits = fm.value_bits + fm.index_overhead_bits
+    coded_bits = STORED_VALUE_BITS + INDEX_OVERHEAD_BITS
 
     ev = EventCounts()
 
@@ -632,9 +624,9 @@ def simulate_scnn_layer(
         peak[slots.pes, rows] = bank_totals.max(axis=2).T
         stride_skipped += int(skipped.sum())
         ev.xbar_transfers += int(bank_totals.sum())
-        ppu = ppu_finalize(acc, slots, pool)
-        planes.append(ppu.plane)
-        ev.acc_drains += ppu.drained_cells
+        plane, drained, _ = ppu_finalize(acc, slots, pool)
+        planes.append(plane)
+        ev.acc_drains += drained
     ev.acc_updates = ev.xbar_transfers
     ev.mult_ops = int((acts.stored @ w_stored.T).sum())
     useful = int((acts.nnz @ w_nnz.T).sum())
@@ -680,12 +672,8 @@ def simulate_scnn_layer(
     out_stored = np.diff(out_blocks.offsets[:: layer.K])
 
     oaram_stored = int(out_stored.sum())
-    iaram_fp = Footprint(
-        iaram_stored * fm.value_bits, iaram_stored * fm.index_overhead_bits
-    )
-    oaram_fp = Footprint(
-        oaram_stored * fm.value_bits, oaram_stored * fm.index_overhead_bits
-    )
+    iaram_fp = Footprint(iaram_stored * STORED_VALUE_BITS, iaram_stored * INDEX_OVERHEAD_BITS)
+    oaram_fp = Footprint(oaram_stored * STORED_VALUE_BITS, oaram_stored * INDEX_OVERHEAD_BITS)
     dram_tiled = bool(
         (acts.stored.sum(axis=1) > arch.iaram_value_capacity).any()
         or (out_stored > arch.oaram_value_capacity).any()

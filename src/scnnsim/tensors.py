@@ -10,12 +10,12 @@ bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .dataflow import LayerShape, ShapeError
+from .record import Record
 
 VALUE_BITS = 16
 ACCUM_BITS = 24
@@ -38,8 +38,7 @@ class FixedPointOverflow(ArithmeticError):
     """A value left the 16-bit operand or 24-bit accumulator range."""
 
 
-@dataclass(frozen=True)
-class DenseTensor:
+class DenseTensor(Record):
     """A rank-3/4 integer array with role labels for each dimension
     (weights: k,c,r,s; activations: c,x,y)."""
 

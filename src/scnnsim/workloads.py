@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -38,6 +37,7 @@ from .analytic import (
     dense_dram_tiled,
 )
 from .dataflow import ConfigurationError, LayerShape, partition_tiles
+from .record import Record, fields, replace
 
 if TYPE_CHECKING:
     from .tensors import DenseTensor
@@ -59,8 +59,7 @@ class OracleMismatch(AssertionError):
         super().__init__(f"{layer}: {detail}")
 
 
-@dataclass(frozen=True)
-class LayerSpec:
+class LayerSpec(Record):
     shape: LayerShape
     weight_density: float
     act_density: float      # input activation density (approximate)
@@ -75,8 +74,7 @@ class LayerSpec:
         return self.shape.name
 
 
-@dataclass(frozen=True)
-class NetworkDescriptor:
+class NetworkDescriptor(Record):
     name: str
     topology: str  # "chain" | "modules"
     layers: tuple[LayerSpec, ...]
@@ -364,18 +362,19 @@ def _parse_network(text: str, where: str) -> NetworkDescriptor:
 def _check_variants(variants: Sequence[str]) -> None:
     if not variants:
         raise ConfigurationError("at least one variant is required")
-    for v in variants:
+    for i, v in enumerate(variants):
         if v not in ALL_VARIANTS:
             raise ConfigurationError(
                 f"unknown variant {v!r} (choose from {', '.join(ALL_VARIANTS)})"
             )
+        if v in variants[:i]:
+            raise ConfigurationError(f"variant {v!r} is given more than once")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """Everything an experiment run needs beyond the descriptor."""
 
-    arch: ArchConfig = field(default_factory=ArchConfig)
+    arch: ArchConfig = ArchConfig()
     seed: int = 1
     densities: tuple[float, ...] = (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
     out_dir: str = "out"
@@ -403,7 +402,7 @@ def _known_keys(mapping: dict, keys: Sequence[str], path: str) -> None:
 def _build(cls, kw: dict, path: str):
     """cls(**kw) with every failure a one-line DescriptorError. Unknown names
     are refused first: the constructor's TypeError prints them unescaped."""
-    _known_keys(kw, [f.name for f in fields(cls)], path)
+    _known_keys(kw, fields(cls), path)
     try:
         return cls(**kw)
     except (TypeError, ValueError) as e:
@@ -489,15 +488,13 @@ def requantize(t: DenseTensor, next_weights: DenseTensor | None = None) -> Dense
     return DenseTensor(t.values >> shift, ACT_ROLES)
 
 
-@dataclass
-class LayerRun:
+class LayerRun(Record, frozen=False):
     spec: LayerSpec
     reports: dict[str, SimReport]
     oracle_checked: bool = False
 
 
-@dataclass
-class NetworkRun:
+class NetworkRun(Record, frozen=False):
     network: str
     engine: str
     seed: int
@@ -713,8 +710,7 @@ def run_network(
     return NetworkRun(net.name, engine, seed, runs, tuple(variants))
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(Record):
     density: float
     variant: str
     cycles: int
@@ -787,8 +783,7 @@ def density_sweep(
     return rows
 
 
-@dataclass(frozen=True)
-class GranularityPoint:
+class GranularityPoint(Record):
     grid: tuple[int, int]
     mults_per_pe: int
     cycles: int
@@ -809,7 +804,7 @@ def pe_granularity_arch(arch: ArchConfig, grid: tuple[int, int], total_mults: in
         raise ConfigurationError(
             f"grid {grid} cannot hold {total_mults} multipliers as square F x I arrays"
         )
-    scale = (arch.pe_rows * arch.pe_cols) // (rows * cols)
+    base_pes = arch.pe_rows * arch.pe_cols
     return replace(
         arch,
         pe_rows=rows,
@@ -817,8 +812,8 @@ def pe_granularity_arch(arch: ArchConfig, grid: tuple[int, int], total_mults: in
         weights_per_fetch=side,
         acts_per_fetch=side,
         accum_banks=2 * per_pe,
-        iaram_bytes=arch.iaram_bytes * scale,
-        oaram_bytes=arch.oaram_bytes * scale,
+        iaram_bytes=arch.iaram_bytes * base_pes // (rows * cols),
+        oaram_bytes=arch.oaram_bytes * base_pes // (rows * cols),
         act_ram_port_bits=26 * side,
     )
 
@@ -852,8 +847,7 @@ def pe_granularity_sweep(
     return rows
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(Record):
     network: str
     layer: str
     variant: str
@@ -874,7 +868,7 @@ class ReportRow:
     energy_vs_dcnn: float | None = None
 
 
-REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
+REPORT_COLUMNS = fields(ReportRow)
 
 
 def rows_from_run(run: NetworkRun) -> list[ReportRow]:

@@ -26,6 +26,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
         (["sweep-pe", "--grids", "3x"], "--grids"),
         (["sweep-pe", "--grids", "2x2x2"], "--grids"),
         (["sweep-pe", "--grids", "0x2"], "grid (0, 2)"),
+        (["sweep-density", "--points", ""], "--points"),
     ],
 )
 def test_bad_list_argument_is_a_one_line_error(argv, flag, tmp_path, capsys):
@@ -51,6 +52,11 @@ def test_validate_shipped_network(tmp_path, capsys):
         (["--variants", "bogus"], "unknown variant 'bogus'"),
         (["--variants", ""], "at least one variant"),
         (["--variants", "scnn,bogus", "--engine", "sim"], "unknown variant 'bogus'"),
+        (["--variants", "scnn,scnn"], "variant 'scnn' is given more than once"),
+        (
+            ["--variants", "scnn,dcnn,oracle,dcnn", "--engine", "sim"],
+            "variant 'dcnn' is given more than once",
+        ),
     ],
 )
 def test_bad_run_input_is_a_one_line_error(argv, message, tmp_path, capsys):
@@ -345,7 +351,8 @@ def test_analytic_commands_import_neither_numpy_nor_the_sim_engine(tmp_path):
     assert result["rcs"] == [0, 0]
     assert (tmp_path / "googlenet_run.csv").is_file()
     assert (tmp_path / "alexnet_density.csv").is_file()
-    loaded = {"numpy", "scnnsim.simulator", "scnnsim.codec", "scnnsim.tensors"}
+    # dataclasses execs generated code and imports inspect: see scnnsim.record
+    loaded = {"numpy", "scnnsim.simulator", "scnnsim.codec", "scnnsim.tensors", "dataclasses"}
     assert loaded.isdisjoint(result["modules"])
 
 

@@ -13,11 +13,12 @@ from oracles import (
     per_pe_tiles_encoded,
 )
 from scnnsim.analytic import (
+    INDEX_OVERHEAD_BITS,
+    STORED_VALUE_BITS,
     VARIANT_DCNN,
     VARIANT_DCNN_OPT,
     ArchConfig,
     Footprint,
-    FootprintModel,
     PoolSpec,
     dcnn_arch,
 )
@@ -232,8 +233,7 @@ class TestCycleModel:
 
         (n_in, ph_in), (n_out, _) = stored(a.values), stored(out.decoded().values)
         assert ph_in > 0
-        fm = FootprintModel()
-        assert (fm.value_bits, fm.index_overhead_bits) == (16, 10)
+        assert (STORED_VALUE_BITS, INDEX_OVERHEAD_BITS) == (16, 10)
         assert report.iaram_footprint == Footprint(n_in * 16, n_in * 10)
         assert report.oaram_footprint == Footprint(n_out * 16, n_out * 10)
 
@@ -352,18 +352,18 @@ class TestPPU:
         plan = partition_tiles(layer, (1, 1))
         acc = np.zeros((1, 2, 8, 8), dtype=np.int64)
         acc[0, 0, 2, 2] = 7
-        res = ppu_finalize(acc, _slots(plan, 2, 32, "mod"))
-        assert res.halo_values == 0
+        plane, _, halo_values = ppu_finalize(acc, _slots(plan, 2, 32, "mod"))
+        assert halo_values == 0
         # accumulator base is -1 with pad 1 and a 3x3 filter
-        assert res.plane[0, 1, 1] == 7
+        assert plane[0, 1, 1] == 7
 
     def test_all_negative_group_encodes_empty(self):
         # every partial sum is -5, so ReLU leaves an empty output block
         layer = LayerShape("neg", C=1, K=1, W=4, H=4, R=1, S=1)
         plan = partition_tiles(layer, (1, 1))
         acc = np.full((1, 1, 4, 4), -5, dtype=np.int64)
-        res = ppu_finalize(acc, _slots(plan, 1, 32, "mod"))
-        assert not res.plane.any()
+        plane, _, _ = ppu_finalize(acc, _slots(plan, 1, 32, "mod"))
+        assert not plane.any()
         arch = ArchConfig(pe_rows=1, pe_cols=1)
         w = DenseTensor(np.full(layer.weight_shape(), -1), WEIGHT_ROLES)
         a = DenseTensor(np.full(layer.input_shape(), 5), ACT_ROLES)

@@ -2,7 +2,6 @@
 run_network builds."""
 
 import weakref
-from dataclasses import fields
 
 import pytest
 import yaml
@@ -11,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scnnsim import tensors, workloads
 from scnnsim.analytic import VARIANT_DCNN, VARIANT_DCNN_OPT, ArchConfig, EnergyModel
 from scnnsim.dataflow import ConfigurationError
+from scnnsim.record import fields
 from scnnsim.workloads import (
     ALL_VARIANTS,
     VARIANT_ORACLE,
@@ -20,6 +20,8 @@ from scnnsim.workloads import (
     density_sweep,
     load_experiment_config,
     load_network,
+    pe_granularity_arch,
+    pe_granularity_sweep,
     run_network,
 )
 
@@ -106,6 +108,21 @@ def test_engines_share_the_dense_tiling_rule(k, tiled, tmp_path):
         assert [rep.dram_tiled for rep in run.layers[0].reports.values()] == [tiled, tiled]
 
 
+@pytest.mark.parametrize("grid", [(2, 2), (4, 4), (8, 8), (16, 16), (32, 32)])
+def test_pe_grids_share_the_chip_ram_budget(grid):
+    base = ArchConfig()
+    garch = pe_granularity_arch(base, grid, 1024)
+    assert garch.n_pes * garch.iaram_bytes == base.n_pes * base.iaram_bytes
+    assert garch.n_pes * garch.oaram_bytes == base.n_pes * base.oaram_bytes
+    assert garch.total_mults == 1024
+
+
+def test_pe_grid_larger_than_the_base_array_runs():
+    (point,) = pe_granularity_sweep(load_network("inception_mini"), ArchConfig(), ((16, 16),))
+    assert (point.grid, point.mults_per_pe) == ((16, 16), 4)
+    assert point.cycles > 0
+
+
 @pytest.mark.parametrize("engine", ["analytical", "Sim", ""])
 def test_unknown_engine_rejected(engine):
     net = load_network("inception_mini")
@@ -156,8 +173,8 @@ def settings_of(names):
 CONFIG_DOCS = st.fixed_dictionaries(
     {"schema_version": st.just(1)},
     optional={
-        "arch": settings_of([f.name for f in fields(ArchConfig)]),
-        "energy": settings_of([f.name for f in fields(EnergyModel)]),
+        "arch": settings_of(list(fields(ArchConfig))),
+        "energy": settings_of(list(fields(EnergyModel))),
         "seed": st.integers() | YAML_VALUES,
         "sweep": settings_of(["densities"]),
         "out_dir": st.text(max_size=8) | YAML_VALUES,
