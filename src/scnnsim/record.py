@@ -4,10 +4,11 @@
 start-up time. The standard library's record decorator writes each class's
 `__init__`, `__eq__`, `__hash__`, `__repr__` and frozen `__setattr__` as
 source text and `exec`s it in every process, and importing it loads
-`inspect`, which nothing else on the analytic path needs. Timed in cold
-processes on a 2-core host, that cost 24-33 ms of `import scnnsim.cli` and
-28-37 ms of a cold sim command for the package's 26 records: 10-15% of a
-whole analytic run. Measure that again before going back to it.
+`inspect`, which nothing else on the analytic path needs. Replacing it on
+the package's records cut the scnnsim part of a cold `import scnnsim.cli`
+from 80 to 39 ms, and a whole cold analytic `run` of each shipped network
+from 212-256 to 171-213 ms (medians of 9 processes each on a 2-core host,
+sources compiled at every start). Measure again before going back to it.
 """
 
 from __future__ import annotations
