@@ -1,10 +1,12 @@
 """Network descriptors, end-to-end runs, the sweep experiments, and reports.
 
-Descriptors are YAML files (chain or module topologies) carrying layer
-shapes plus approximate per-layer density targets. Runs execute each layer
-in order: the cycle-level engine chains real activations through the PE
-array and can cross-check every layer against the exact convolution; the
-analytical engine covers the full-size networks in closed form.
+A descriptor is a YAML layer graph: layer shapes, approximate per-layer
+density targets, and for each layer the earlier layers (or the network
+input) whose outputs, concatenated, it `takes`; by default the layer
+before it. Runs execute each layer in order: the cycle-level engine feeds
+every layer its producers' real outputs through the PE array and can
+cross-check every layer against the exact convolution; the analytical
+engine covers the full-size networks in closed form.
 
 numpy, `tensors` and `simulator` are imported inside the sim-engine
 functions only, so loading descriptors and running the analytical engine
@@ -65,9 +67,8 @@ class LayerSpec(Record):
     act_density: float      # input activation density (approximate)
     out_density: float      # density of this layer's stored output
     pool: PoolSpec | None = None
-    module: str | None = None
-    takes: str | None = None
-    concat: bool = False
+    # the producers whose outputs, concatenated in this order, are the input
+    takes: tuple[str, ...] = ("input",)
 
     @property
     def name(self) -> str:
@@ -76,16 +77,11 @@ class LayerSpec(Record):
 
 class NetworkDescriptor(Record):
     name: str
-    topology: str  # "chain" | "modules"
     layers: tuple[LayerSpec, ...]
     source: str = ""
 
     def total_multiplies(self) -> int:
         return sum(s.shape.dense_multiplies() for s in self.layers)
-
-    @property
-    def chained(self) -> bool:
-        return self.topology == "chain"
 
 
 def _field(mapping: dict, key: str, path: str, kind=None, default=None, required=True):
@@ -96,10 +92,10 @@ def _field(mapping: dict, key: str, path: str, kind=None, default=None, required
             return default
         raise DescriptorError(f"{path}: missing required field '{key}'")
     value = mapping[key]
-    if kind is not None and not isinstance(value, kind):
-        raise DescriptorError(
-            f"{path}.{key}: expected {getattr(kind, '__name__', kind)}, got {value!r}"
-        )
+    # bool is an int subclass, but `true` is no count or density
+    if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise DescriptorError(f"{path}.{key}: expected {names}, got {value!r}")
     return value
 
 
@@ -121,45 +117,64 @@ def _pool(raw, path: str) -> PoolSpec | None:
     return PoolSpec(window, stride)
 
 
-def _load_chain(doc: dict, name: str) -> tuple[LayerSpec, ...]:
+def _takes(raw: dict, path: str, prev: str, made: dict) -> tuple[str, ...]:
+    """The producers a layer names: one, or a list concatenated in order;
+    the previous layer when it names none."""
+    takes = _field(raw, "takes", path, (str, list), prev, required=False)
+    takes = (takes,) if isinstance(takes, str) else tuple(takes)
+    if not takes:
+        raise DescriptorError(f"{path}.takes: empty list")
+    for i, t in enumerate(takes):
+        if not isinstance(t, str) or t not in made:
+            raise DescriptorError(
+                f"{path}.takes: {t!r} names neither 'input' nor an earlier layer"
+            )
+        if t in takes[:i]:
+            raise DescriptorError(f"{path}.takes: '{t}' is named twice")
+        if made[t][1] != made[takes[0]][1]:
+            (w, h), (w0, h0) = made[t][1], made[takes[0]][1]
+            raise DescriptorError(
+                f"{path}.takes: {t}'s {w}x{h} plane does not match {takes[0]}'s {w0}x{h0}"
+            )
+    return takes
+
+
+def _load_layers(doc: dict, name: str) -> tuple[LayerSpec, ...]:
     inp = _field(doc, "input", name, dict)
-    c = _field(inp, "channels", f"{name}.input", int)
-    w = _field(inp, "width", f"{name}.input", int)
-    h = _field(inp, "height", f"{name}.input", int)
+    # what each layer a later one may take hands over: channels, post-pool
+    # plane, and where it is declared
+    made = {"input": (
+        _field(inp, "channels", f"{name}.input", int),
+        (_field(inp, "width", f"{name}.input", int), _field(inp, "height", f"{name}.input", int)),
+        f"{name}.input",
+    )}
     raw_layers = _field(doc, "layers", name, list)
     if not raw_layers:
         raise DescriptorError(f"{name}: empty layer list")
     specs: list[LayerSpec] = []
     prev = "input"
-    layer_index: dict[str, int] = {}
     for i, raw in enumerate(raw_layers):
         path = f"{name}.layers[{i}]"
         lname = _field(raw, "name", path, str)
-        if lname in layer_index:
+        if lname in made:
             raise DescriptorError(
-                f"{path}: layer name '{lname}' is already used by "
-                f"{name}.layers[{layer_index[lname]}]"
+                f"{path}: layer name '{lname}' is already used by {made[lname][2]}"
             )
-        layer_index[lname] = i
+        takes = _takes(raw, path, prev, made)
+        c, (w, h) = sum(made[t][0] for t in takes), made[takes[0]][1]
         declared_c = _field(raw, "C", path, int, required=False)
         if declared_c is not None and declared_c != c:
+            src = " + ".join(takes)
             raise DescriptorError(
-                f"{path} ({prev} -> {lname}): declared C={declared_c} but "
-                f"{prev} produces {c} channels"
+                f"{path} ({src} -> {lname}): declared C={declared_c} but "
+                f"{src} produces {c} channels"
             )
+        # read before the shape is built, whose errors get the path prefixed
+        ints = {k: _field(raw, k, path, int) for k in ("K", "R", "S")}
+        for k, default in (("stride", 1), ("pad", 0), ("groups", 1)):
+            ints[k] = _field(raw, k, path, int, default, required=False)
         try:
-            shape = LayerShape(
-                lname,
-                C=c,
-                K=_field(raw, "K", path, int),
-                W=w,
-                H=h,
-                R=_field(raw, "R", path, int),
-                S=_field(raw, "S", path, int),
-                stride=_field(raw, "stride", path, int, 1, required=False),
-                pad=_field(raw, "pad", path, int, 0, required=False),
-                groups=_field(raw, "groups", path, int, 1, required=False),
-            )
+            shape = LayerShape(lname, C=c, W=w, H=h, **ints)
         except ValueError as e:
             raise DescriptorError(f"{path}: {e}") from e
         pool = _pool(raw.get("pool"), f"{path}.pool")
@@ -170,131 +185,23 @@ def _load_chain(doc: dict, name: str) -> tuple[LayerSpec, ...]:
                 _density(raw, "act_density", path),
                 out_density=0.0,  # resolved after the walk
                 pool=pool,
+                takes=takes,
             )
         )
-        c, w, h = shape.K, shape.Wo, shape.Ho
+        w, h = shape.Wo, shape.Ho
         if pool is not None:
             w, h = pool.out_extent(w), pool.out_extent(h)
+        made[lname] = (shape.K, (w, h), path)
         prev = lname
-    # a layer's stored output density is the next layer's input density;
-    # the last layer keeps its own as a proxy
-    out: list[LayerSpec] = []
-    for i, spec in enumerate(specs):
-        nxt = specs[i + 1].act_density if i + 1 < len(specs) else spec.act_density
-        out.append(replace(spec, out_density=nxt))
-    return tuple(out)
-
-
-def _load_modules(doc: dict, name: str) -> tuple[LayerSpec, ...]:
-    raw_modules = _field(doc, "modules", name, list)
-    if not raw_modules:
-        raise DescriptorError(f"{name}: empty module list")
-    inter_pool = _pool(
-        _field(doc, "inter_module_pool", name, dict, {"window": 3, "stride": 2}, False),
-        f"{name}.inter_module_pool",
-    )
-    specs: list[LayerSpec] = []
-    prev_concat: int | None = None
-    prev_plane: tuple[int, int] | None = None
-    prev_name = ""
-    module_index: dict[str, int] = {}
-    for mi, m in enumerate(raw_modules):
-        mpath = f"{name}.modules[{mi}]"
-        mname = _field(m, "name", mpath, str)
-        if mname in module_index:
-            raise DescriptorError(
-                f"{mpath}: module name '{mname}' is already used by "
-                f"{name}.modules[{module_index[mname]}]"
-            )
-        module_index[mname] = mi
-        c_in = _field(m, "input_channels", mpath, int)
-        w = _field(m, "width", mpath, int)
-        h = _field(m, "height", mpath, int)
-        m_act = _density(m, "act_density", mpath)
-        if prev_concat is not None and prev_concat != c_in:
-            raise DescriptorError(
-                f"{mpath} ({prev_name} -> {mname}): input_channels={c_in} but "
-                f"{prev_name} concatenates {prev_concat} channels"
-            )
-        if prev_plane is not None and (w, h) != prev_plane:
-            raise DescriptorError(
-                f"{mpath} ({prev_name} -> {mname}): plane {w}x{h} does not "
-                f"match the {prev_plane[0]}x{prev_plane[1]} handed over"
-            )
-        pool_after = bool(m.get("pool_after", False))
-        raw_layers = _field(m, "layers", mpath, list)
-        by_name: dict[str, dict] = {}
-        concat_sum = 0
-        module_specs: list[LayerSpec] = []
-        for li, raw in enumerate(raw_layers):
-            path = f"{mpath}.layers[{li}]"
-            lname = _field(raw, "name", path, str)
-            if lname in by_name:
-                raise DescriptorError(
-                    f"{path}: layer name '{lname}' is already used in module {mname}"
-                )
-            takes = _field(raw, "takes", path, str)
-            if takes == "input":
-                c_src, a_density = c_in, m_act
-            elif takes in by_name:
-                c_src = by_name[takes]["K"]
-                a_density = _density(raw, "act_density", path)
-            else:
-                raise DescriptorError(
-                    f"{path}: takes='{takes}' does not name 'input' or an "
-                    f"earlier layer of module {mname}"
-                )
-            try:
-                shape = LayerShape(
-                    f"{mname}/{lname}",
-                    C=c_src,
-                    K=_field(raw, "K", path, int),
-                    W=w,
-                    H=h,
-                    R=_field(raw, "R", path, int),
-                    S=_field(raw, "S", path, int),
-                    pad=_field(raw, "pad", path, int, 0, required=False),
-                )
-            except ValueError as e:
-                raise DescriptorError(f"{path}: {e}") from e
-            concat = bool(raw.get("concat", False))
-            if concat:
-                concat_sum += shape.K
-            module_specs.append(
-                LayerSpec(
-                    shape,
-                    _density(raw, "weight_density", path),
-                    a_density,
-                    out_density=0.0,
-                    pool=inter_pool if (pool_after and concat) else None,
-                    module=mname,
-                    takes=takes,
-                    concat=concat,
-                )
-            )
-            by_name[lname] = {"K": shape.K}
-        if concat_sum == 0:
-            raise DescriptorError(f"{mpath}: no layer marked concat")
-        # a reduce's output density is its consumer's declared input density;
-        # branch terminals get the next module's input density (patched below)
-        consumer_density = {
-            s.takes: s.act_density for s in module_specs if s.takes != "input"
-        }
-        for s in module_specs:
-            od = consumer_density.get(s.shape.name[len(mname) + 1 :])
-            specs.append(s if od is None else replace(s, out_density=od))
-        prev_concat = concat_sum
-        prev_plane = (
-            (inter_pool.out_extent(w), inter_pool.out_extent(h)) if pool_after else (w, h)
-        )
-        prev_name = mname
-    next_density: dict[str, float] = {}
-    for mi, m in enumerate(raw_modules):
-        successor = raw_modules[min(mi + 1, len(raw_modules) - 1)]
-        next_density[m["name"]] = _density(successor, "act_density", "modules")
+    # a layer's stored output density is its first consumer's input
+    # density; a layer nothing takes keeps its own as a proxy
+    first_use: dict[str, float] = {}
+    for spec in specs:
+        for t in spec.takes:
+            first_use.setdefault(t, spec.act_density)
     return tuple(
-        replace(s, out_density=next_density[s.module]) if s.out_density == 0.0 else s
-        for s in specs
+        replace(spec, out_density=first_use.get(spec.name, spec.act_density))
+        for spec in specs
     )
 
 
@@ -349,14 +256,7 @@ def _parse_network(text: str, where: str) -> NetworkDescriptor:
     if version != SCHEMA_VERSION:
         raise DescriptorError(f"{where}: schema_version {version} != {SCHEMA_VERSION}")
     name = _field(doc, "name", where, str)
-    topology = _field(doc, "topology", where, str)
-    if topology == "chain":
-        layers = _load_chain(doc, name)
-    elif topology == "modules":
-        layers = _load_modules(doc, name)
-    else:
-        raise DescriptorError(f"{where}: unknown topology '{topology}'")
-    return NetworkDescriptor(name, topology, layers, doc.get("source", ""))
+    return NetworkDescriptor(name, _load_layers(doc, name), doc.get("source", ""))
 
 
 def _check_variants(variants: Sequence[str]) -> None:
@@ -469,18 +369,16 @@ def max_l1_per_output(weights: DenseTensor) -> int:
     return int(flat.max()) if flat.size else 0
 
 
-def requantize(t: DenseTensor, next_weights: DenseTensor | None = None) -> DenseTensor:
+def requantize(t: DenseTensor, consumer_weights: Sequence[DenseTensor] = ()) -> DenseTensor:
     """Dynamic fixed-point rescale of non-negative outputs into the operand
-    range of the next layer (arithmetic right shift by the smallest amount
-    that provably keeps the next accumulation inside 24 bits). Applied
-    identically wherever activations chain, oracle path included."""
+    range of the layers that take them (arithmetic right shift by the
+    smallest amount that provably keeps each of their accumulations inside
+    24 bits, whatever else they concatenate). Applied identically wherever
+    activations chain, oracle path included."""
     from .tensors import ACCUM_MAX, ACT_ROLES, VALUE_MAX, DenseTensor
 
-    bound = VALUE_MAX
-    if next_weights is not None:
-        l1 = max_l1_per_output(next_weights)
-        if l1 > 0:
-            bound = min(bound, ACCUM_MAX // l1)
+    l1 = max(map(max_l1_per_output, consumer_weights), default=0)
+    bound = min(VALUE_MAX, ACCUM_MAX // l1) if l1 > 0 else VALUE_MAX
     m = int(t.values.max()) if t.size else 0
     shift = 0
     while (m >> shift) > bound:
@@ -522,15 +420,16 @@ def _oracle_report(layer: LayerShape, useful: int, arch: ArchConfig) -> SimRepor
     return replace(report, mult_utilization=1.0 if useful else 0.0)
 
 
-def _tiling_fraction(report: SimReport, arch: ArchConfig) -> float:
+def _tiling_fraction(report: SimReport, arch: ArchConfig, first: bool) -> float:
     """Energy overhead of shuttling this layer's activations through DRAM,
-    relative to the same layer held on chip."""
+    relative to the same layer held on chip. A first layer reads its input
+    from DRAM either way, so tiling adds only the output's round trip."""
     if not report.dram_tiled:
         return 0.0
-    round_trip_bits = (
-        report.iaram_footprint.total_bits + report.oaram_footprint.total_bits
-    )
-    penalty = round_trip_bits * arch.energy.dram_bit
+    added_bits = report.oaram_footprint.total_bits
+    if not first:
+        added_bits += report.iaram_footprint.total_bits
+    penalty = added_bits * arch.energy.dram_bit
     base = report.energy - penalty
     return penalty / base if base > 0 else 0.0
 
@@ -586,7 +485,7 @@ def _sim_layer(
             reports[VARIANT_ORACLE] = _oracle_report(spec.shape, rep.useful_mults, arch)
         if VARIANT_SCNN in variants:
             reports[VARIANT_SCNN] = replace(
-                rep, tiling_energy_fraction=_tiling_fraction(rep, arch)
+                rep, tiling_energy_fraction=_tiling_fraction(rep, arch, first)
             )
     for variant in (VARIANT_DCNN, VARIANT_DCNN_OPT):
         if variant in variants:
@@ -665,13 +564,16 @@ def run_network(
 ) -> NetworkRun:
     """Execute every layer in order.
 
-    engine="sim" chains real synthetic activations through the cycle-level
-    pipeline (module-topology nets run each layer on fresh synthetic inputs
-    at its declared density, since branches are not a chain). The oracle
+    engine="sim" runs real activations through the cycle-level pipeline:
+    a layer's input is its producers' outputs concatenated in `takes`
+    order, where the network input is synthesized once and each layer's
+    decoded output is requantized once, against the largest L1 over the
+    weights of the layers that take it, and freed after the last of them.
+    A layer whose producers made no output (no scnn or oracle variant) gets
+    fresh synthetic inputs at its declared density instead. The oracle
     variant cross-checks every simulated layer and aborts on any mismatch.
-    Weights are made one layer ahead (layer i's seeded from seed + 101*i),
-    so at most two layers' weights are held: the current layer's and the
-    next one's, which requantizing the chained output needs.
+    Layer i's weights are seeded from seed + 101*i and made once: when the
+    layer runs, or earlier if requantizing a producer's output needs them.
     engine="analytic" uses the closed-form model, which reads only layer
     shapes and declared densities and makes no tensor at all (the practical
     choice for the full-size networks).
@@ -685,28 +587,43 @@ def run_network(
             for i, spec in enumerate(net.layers)
         ]
         return NetworkRun(net.name, engine, seed, runs, tuple(variants))
+    import numpy as np
 
-    def weights_of(i: int) -> DenseTensor | None:
-        if i == len(net.layers):
-            return None
-        return synth_weights(net.layers[i], seed + 101 * i)
+    from .tensors import ACT_ROLES, DenseTensor
 
-    runs = []
-    acts: DenseTensor | None = None
-    weights = weights_of(0)
+    consumers: dict[str, list[int]] = {}
     for i, spec in enumerate(net.layers):
-        if net.chained and acts is not None:
-            layer_acts = acts
+        for t in spec.takes:
+            consumers.setdefault(t, []).append(i)
+    made: dict[int, DenseTensor] = {}
+
+    def weights_of(i: int) -> DenseTensor:
+        if i not in made:
+            made[i] = synth_weights(net.layers[i], seed + 101 * i)
+        return made[i]
+
+    outputs = {"input": synth_acts(net.layers[0], seed + 50)}
+    runs = []
+    for i, spec in enumerate(net.layers):
+        weights = weights_of(i)
+        del made[i]
+        if not all(t in outputs for t in spec.takes):
+            acts = synth_acts(spec, seed + 101 * i + 50)
+        elif len(spec.takes) == 1:
+            acts = outputs[spec.takes[0]]
         else:
-            layer_acts = synth_acts(spec, seed + 101 * i + 50)
+            acts = DenseTensor(
+                np.concatenate([outputs[t].values for t in spec.takes]), ACT_ROLES
+            )
         reports, decoded, checked = _sim_layer(
-            arch, spec, weights, layer_acts, variants, first=i == 0
+            arch, spec, weights, acts, variants, first=i == 0
         )
-        nxt = weights_of(i + 1)
-        if net.chained and decoded is not None:
-            acts = requantize(decoded, nxt)
+        for t in spec.takes:
+            if consumers[t][-1] == i:
+                outputs.pop(t, None)
+        if decoded is not None and spec.name in consumers:
+            outputs[spec.name] = requantize(decoded, list(map(weights_of, consumers[spec.name])))
         runs.append(LayerRun(spec, reports, oracle_checked=checked))
-        weights = nxt
     return NetworkRun(net.name, engine, seed, runs, tuple(variants))
 
 

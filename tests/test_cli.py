@@ -146,33 +146,11 @@ LAYER = "{name: c1, K: 4, R: 3, S: 3, weight_density: 0.5, act_density: 0.5"
             "bad.layers[0].pool: expected a mapping, got 3",
         ),
         (
-            "schema_version: 1\nname: bad\ntopology: modules\nmodules: [7]\n",
-            "bad.modules[0]: expected a mapping, got 7",
-        ),
-        (
-            "schema_version: 1\nname: bad\ntopology: modules\ninter_module_pool: 2\n"
-            "modules: [{name: m}]\n",
-            "bad.inter_module_pool: expected dict, got 2",
-        ),
-        (
-            "schema_version: 1\nname: bad\ntopology: modules\ninter_module_pool:\n"
-            "modules: [{name: m}]\n",
-            "bad.inter_module_pool: expected dict, got None",
-        ),
-        (
             CHAIN_HEAD + f"layers: [{LAYER}, pool: {{window: 2, stride: 0}}}}]\n",
             "bad.layers[0].pool: window 2 and stride 0 must be >= 1",
         ),
-        (
-            "schema_version: 1\nname: bad\ntopology: modules\n"
-            "inter_module_pool: {window: 0, stride: 2}\nmodules: [{name: m}]\n",
-            "bad.inter_module_pool: window 0 and stride 2 must be >= 1",
-        ),
     ],
-    ids=[
-        "int-layer", "str-layer", "int-pool", "int-module", "int-inter-module-pool",
-        "null-inter-module-pool", "zero-pool-stride", "zero-inter-module-pool-window",
-    ],
+    ids=["int-layer", "str-layer", "int-pool", "zero-pool-stride"],
 )
 def test_non_mapping_descriptor_entry_is_a_one_line_error(text, message, tmp_path, capsys):
     path = tmp_path / "net.yaml"
@@ -195,6 +173,107 @@ def test_duplicate_chain_layer_name_is_a_one_line_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: bad.layers[2]: layer name 'c1' is already used by bad.layers[0]\n"
     )
+
+
+GRAPH_HEAD = (
+    "schema_version: 1\nname: bad\ninput: {channels: 2, width: 8, height: 8}\nlayers:\n"
+    "  - {name: a, K: 4, R: 1, S: 1, weight_density: 0.5, act_density: 0.5,\n"
+    "     pool: {window: 2, stride: 2}}\n"
+    "  - {name: b, K: 3, R: 1, S: 1, weight_density: 0.5, act_density: 0.5, takes: input}\n"
+)
+
+
+def graph_layer(fields: str) -> str:
+    return f"  - {{name: c, K: 4, R: 1, S: 1, weight_density: 0.5, act_density: 0.5, {fields}}}\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (
+            GRAPH_HEAD.replace("takes: input", "takes: c") + graph_layer("takes: b"),
+            "bad.layers[1].takes: 'c' names neither 'input' nor an earlier layer",
+        ),
+        (
+            GRAPH_HEAD + graph_layer("takes: [b, bb]"),
+            "bad.layers[2].takes: 'bb' names neither 'input' nor an earlier layer",
+        ),
+        (
+            GRAPH_HEAD + graph_layer("takes: [b, 3]"),
+            "bad.layers[2].takes: 3 names neither 'input' nor an earlier layer",
+        ),
+        (GRAPH_HEAD + graph_layer("takes: []"), "bad.layers[2].takes: empty list"),
+        (
+            GRAPH_HEAD + graph_layer("takes: [b, a]"),
+            "bad.layers[2].takes: a's 4x4 plane does not match b's 8x8",
+        ),
+        (
+            GRAPH_HEAD + graph_layer("takes: [input, b], C: 6"),
+            "bad.layers[2] (input + b -> c): declared C=6 but input + b produces 5 channels",
+        ),
+        (GRAPH_HEAD + graph_layer("takes: [b, b]"), "bad.layers[2].takes: 'b' is named twice"),
+        (
+            GRAPH_HEAD.replace("{name: b,", "{name: input,"),
+            "bad.layers[1]: layer name 'input' is already used by bad.input",
+        ),
+        (
+            GRAPH_HEAD + graph_layer("stride: true"),
+            "bad.layers[2].stride: expected int, got True",
+        ),
+        (GRAPH_HEAD.replace("K: 3", "K: true"), "bad.layers[1].K: expected int, got True"),
+        (
+            GRAPH_HEAD + graph_layer("pool: {window: 2, stride: false}"),
+            "bad.layers[2].pool.stride: expected int, got False",
+        ),
+        (
+            GRAPH_HEAD.replace("act_density: 0.5, takes", "act_density: true, takes"),
+            "bad.layers[1].act_density: expected int or float, got True",
+        ),
+    ],
+    ids=[
+        "later-layer", "unknown-layer", "non-name", "empty-list", "planes-disagree",
+        "concat-channels", "repeated-producer", "input-as-layer-name", "bool-stride",
+        "bool-K", "bool-pool-stride", "bool-density",
+    ],
+)
+def test_bad_layer_graph_is_a_one_line_error(text, message, tmp_path, capsys):
+    path = tmp_path / "net.yaml"
+    path.write_text(text)
+    rc = main(["run", "--network", str(path), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_output_density_is_the_first_consumers_input_density(tmp_path):
+    path = tmp_path / "net.yaml"
+    path.write_text(
+        "schema_version: 1\nname: net\ninput: {channels: 2, width: 6, height: 6}\nlayers:\n"
+        + "".join(
+            f"  - {{name: {name}, K: 2, R: 1, S: 1, weight_density: 0.5, "
+            f"act_density: {density}, takes: {takes}}}\n"
+            for name, density, takes in [
+                ("a", 0.6, "input"), ("b", 0.3, "a"), ("c", 0.7, "a"),
+                ("d", 0.9, "[b, c]"), ("e", 0.4, "b"),
+            ]
+        )
+    )
+    out = {s.name: s.out_density for s in load_network(path).layers}
+    # d and e take nothing further and keep their own input density
+    assert out == {"a": 0.3, "b": 0.9, "c": 0.9, "d": 0.9, "e": 0.4}
+
+
+def test_explicit_takes_chain_writes_the_implicit_chains_report(tmp_path):
+    doc = yaml.safe_load((GOLDEN / "strided_chain.yaml").read_text())
+    for layer, takes in zip(doc["layers"], ["input", "conv1", ["conv2"]]):
+        layer["takes"] = takes
+    path = tmp_path / "explicit.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert main([
+        "run", "--network", str(path), "--engine", "sim", "--seed", "1", "--out-dir", str(out),
+    ]) == 0
+    report = out / "strided-chain_run.csv"
+    assert report.read_bytes() == (GOLDEN / "strided_chain_run_sim.csv").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -275,54 +354,6 @@ def test_yaml_syntax_error_names_line_and_column(libyaml, tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert rc == 2
     assert re.fullmatch(r"error: net\.yaml: not valid YAML at line 3, column 1: [^\n]+\n", err)
-
-
-MODULE = (
-    "  - name: {module}\n    input_channels: 8\n    width: 6\n    height: 6\n"
-    "    act_density: {density}\n    layers:\n"
-    "      - {{name: a, takes: input, K: 4, R: 1, S: 1, weight_density: 0.5}}\n"
-    "      - {{name: {second}, takes: a, K: 8, R: 3, S: 3, pad: 1, weight_density: 0.5,\n"
-    "         act_density: 0.4, concat: true}}\n"
-)
-
-
-def modules_net(*modules: tuple[str, float, str]) -> str:
-    return "schema_version: 1\nname: net\ntopology: modules\nmodules:\n" + "".join(
-        MODULE.format(module=m, density=d, second=second) for m, d, second in modules
-    )
-
-
-@pytest.mark.parametrize(
-    "modules,message",
-    [
-        (
-            [("m", 0.5, "b"), ("m", 0.2, "b"), ("m3", 0.9, "b")],
-            "net.modules[1]: module name 'm' is already used by net.modules[0]",
-        ),
-        (
-            [("m", 0.5, "b"), ("m2", 0.2, "a")],
-            "net.modules[1].layers[1]: layer name 'a' is already used in module m2",
-        ),
-    ],
-    ids=["module", "layer"],
-)
-def test_duplicate_descriptor_name_is_a_one_line_error(modules, message, tmp_path, capsys):
-    path = tmp_path / "net.yaml"
-    path.write_text(modules_net(*modules))
-    rc = main(["run", "--network", str(path), "--out-dir", str(tmp_path)])
-    assert rc == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-
-
-def test_branch_terminals_take_their_successor_module_density(tmp_path):
-    path = tmp_path / "net.yaml"
-    path.write_text(modules_net(("m/1", 0.5, "b"), ("m2", 0.2, "b"), ("m3", 0.9, "b")))
-    out = {s.name: s.out_density for s in load_network(path).layers}
-    # a reduce's output density is its consumer's input density, even when
-    # the module name has a slash; terminals get the next module's
-    assert out == {
-        "m/1/a": 0.4, "m/1/b": 0.2, "m2/a": 0.4, "m2/b": 0.9, "m3/a": 0.4, "m3/b": 0.9,
-    }
 
 
 NO_NUMPY_RUN = """

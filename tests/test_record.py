@@ -52,7 +52,7 @@ SAMPLES = {
     simulator._Operand: dict(stored=np.ones((2, 2)), nnz=np.ones((2, 2)), vals=None, mask=None),
     simulator.LayerOutput: dict(blocks=BLOCKS, dense=DENSE, pe_rows=1, pe_cols=1),
     workloads.LayerSpec: _of(SPEC),
-    workloads.NetworkDescriptor: dict(name="n", topology="chain", layers=(SPEC,)),
+    workloads.NetworkDescriptor: dict(name="n", layers=(SPEC,)),
     workloads.ExperimentConfig: dict(seed=3, densities=(0.5,)),
     workloads.LayerRun: dict(spec=SPEC, reports={}),
     workloads.NetworkRun: dict(

@@ -3,6 +3,7 @@ run_network builds."""
 
 import weakref
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
@@ -83,6 +84,84 @@ def test_sim_engine_makes_weights_one_layer_ahead(monkeypatch, tmp_path):
     assert seeds == [5, 106, 207]
     assert most_alive[0] == 2
     assert all(lr.oracle_checked for lr in run.layers)
+
+
+# a reads the input and feeds c and d; b reads the input and feeds c; c
+# concatenates a, b and the input; d concatenates c and a
+GRAPH = """\
+schema_version: 1
+name: graph
+input: {channels: 4, width: 9, height: 9}
+layers:
+  - {name: a, K: 4, R: 3, S: 3, pad: 1, weight_density: 0.7, act_density: 0.8}
+  - {name: b, K: 5, R: 1, S: 1, weight_density: 0.6, act_density: 0.8, takes: input}
+  - {name: c, K: 16, R: 3, S: 3, pad: 1, weight_density: 0.3, act_density: 0.5,
+     takes: [a, b, input]}
+  - {name: d, K: 4, R: 3, S: 3, pad: 1, weight_density: 1.0, act_density: 0.5,
+     takes: [c, a]}
+"""
+
+
+def test_sim_engine_feeds_each_layer_its_producers_requantized_outputs(
+    monkeypatch, tmp_path
+):
+    path = tmp_path / "graph.yaml"
+    path.write_text(GRAPH)
+    net = load_network(path)
+    seed = 4
+    inputs, decoded, alive = {}, {}, {}
+    quantized = []
+    sim_layer, requantize = workloads._sim_layer, workloads.requantize
+
+    def tracked_layer(arch, spec, weights, acts, variants, first):
+        inputs[spec.name] = acts.values.copy()
+        alive[spec.name] = sorted(n for n, r in quantized if r() is not None)
+        reports, out, checked = sim_layer(arch, spec, weights, acts, variants, first)
+        decoded[spec.name] = out
+        return reports, out, checked
+
+    def tracked_requantize(t, consumer_weights=()):
+        out = requantize(t, consumer_weights)
+        quantized.append(("abc"[len(quantized)], weakref.ref(out)))
+        return out
+
+    monkeypatch.setattr(workloads, "_sim_layer", tracked_layer)
+    monkeypatch.setattr(workloads, "requantize", tracked_requantize)
+    run = run_network(net, ArchConfig(), (VARIANT_SCNN, VARIANT_ORACLE), seed=seed)
+    assert all(lr.oracle_checked for lr in run.layers)
+
+    index = {spec.name: i for i, spec in enumerate(net.layers)}
+
+    def weights(name):
+        return workloads.synth_weights(net.layers[index[name]], seed + 101 * index[name])
+
+    def requantized(name, *consumers):
+        return requantize(decoded[name], [weights(c) for c in consumers]).values
+
+    x = workloads.synth_acts(net.layers[0], seed + 50).values
+    a, b, c = requantized("a", "c", "d"), requantized("b", "c"), requantized("c", "d")
+    # d's weights, not c's, set the shift of a's output
+    assert not np.array_equal(a, requantized("a", "c"))
+    assert np.array_equal(inputs["a"], x) and np.array_equal(inputs["b"], x)
+    assert np.array_equal(inputs["c"], np.concatenate([a, b, x]))
+    assert np.array_equal(inputs["d"], np.concatenate([c, a]))
+    # b's output is freed once c, its one consumer, has run
+    assert alive == {"a": [], "b": ["a"], "c": ["a", "b"], "d": ["a", "c"]}
+
+
+def test_sim_tiling_fraction_is_the_energy_tiling_adds():
+    # 64-byte activation RAMs tile every layer, the first one included,
+    # whose input comes from DRAM whether or not it is tiled
+    net = load_network("inception_mini")
+    small = ArchConfig(iaram_bytes=64, oaram_bytes=64)
+    tiled, held = (
+        run_network(net, arch, (VARIANT_SCNN,), seed=1).layers
+        for arch in (small, ArchConfig())
+    )
+    for t, h in zip(tiled, held):
+        t, h = t.reports[VARIANT_SCNN], h.reports[VARIANT_SCNN]
+        assert t.dram_tiled and not h.dram_tiled
+        assert t.tiling_energy_fraction == pytest.approx(t.energy / h.energy - 1, rel=1e-9)
 
 
 # 589,824 input values overflow half the dense baseline's 2MB of SRAM
@@ -207,43 +286,30 @@ DENSITIES = st.sampled_from([0.25, 0.5, 1.0])
 
 @st.composite
 def network_docs(draw):
-    """A well-formed chain or module descriptor with small shapes and
-    names drawn from a few (so some repeat), then up to three of its nodes,
-    mostly deep ones, replaced by any YAML value or deleted."""
+    """A well-formed layer graph with small shapes, names drawn from a few
+    (so some repeat) and edges to earlier names, the input or lists of
+    them (so planes and channel sums may disagree), then up to three of its
+    nodes, mostly deep ones, replaced by any YAML value or deleted."""
     small = st.integers(1, 6)
-
-    def layer(**extra):
-        return {
+    layers = []
+    for _ in range(draw(st.integers(1, 4))):
+        raw = {
             "name": draw(NAMES), "K": draw(small), "R": draw(st.integers(1, 3)),
             "S": draw(st.integers(1, 3)), "pad": draw(st.integers(0, 1)),
-            "weight_density": draw(DENSITIES), **extra,
+            "weight_density": draw(DENSITIES), "act_density": draw(DENSITIES),
         }
-
-    if draw(st.booleans()):
-        doc = {
-            "topology": "chain",
-            "input": {"channels": draw(small), "width": draw(small), "height": draw(small)},
-            "layers": [
-                layer(act_density=draw(DENSITIES)) for _ in range(draw(st.integers(1, 3)))
-            ],
-        }
-    else:
-        modules = []
-        for _ in range(draw(st.integers(1, 3))):
-            layers = []
-            for _ in range(draw(st.integers(1, 3))):
-                takes = draw(st.sampled_from(["input", *[l["name"] for l in layers]]))
-                extra = {} if takes == "input" else {"act_density": draw(DENSITIES)}
-                layers.append(layer(takes=takes, concat=draw(st.booleans()), **extra))
-            modules.append({
-                "name": draw(st.sampled_from(["m", "n", "m/1"])),
-                "input_channels": draw(small), "width": draw(small), "height": draw(small),
-                "act_density": draw(DENSITIES), "pool_after": draw(st.booleans()),
-                "layers": layers,
-            })
-        doc = {"topology": "modules", "modules": modules}
+        earlier = st.sampled_from(["input", *[l["name"] for l in layers]])
         if draw(st.booleans()):
-            doc["inter_module_pool"] = {"window": draw(small), "stride": draw(small)}
+            raw["takes"] = draw(earlier | st.lists(earlier, max_size=3))
+        if draw(st.booleans()):
+            raw["C"] = draw(small)
+        if draw(st.booleans()):
+            raw["pool"] = {"window": draw(small), "stride": draw(small)}
+        layers.append(raw)
+    doc = {
+        "input": {"channels": draw(small), "width": draw(small), "height": draw(small)},
+        "layers": layers,
+    }
     doc = {"schema_version": 1, "name": "net", **doc}
     for _ in range(draw(st.integers(0, 3))):
         node = doc
@@ -283,3 +349,5 @@ def test_network_loader_returns_or_raises_a_descriptor_error(doc, network_path):
         assert "\n" not in str(e)
     else:
         assert net.layers
+        for i, spec in enumerate(net.layers):
+            assert set(spec.takes) <= {"input", *(s.name for s in net.layers[:i])}
