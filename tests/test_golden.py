@@ -28,6 +28,11 @@ CASES = {
     "strided_chain_run_sim.csv": [
         "run", "--network", str(GOLDEN / "strided_chain.yaml"), "--engine", "sim"
     ],
+    # the cycle-level density sweep; two points keep it under a second
+    "strided_chain_density_sim.csv": [
+        "sweep-density", "--network", str(GOLDEN / "strided_chain.yaml"),
+        "--engine", "sim", "--points", "0.9,0.4",
+    ],
 }
 
 
