@@ -16,19 +16,15 @@ import math
 import numbers
 import warnings
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .dataflow import (
     ConfigurationError,
     LayerShape,
-    cartesian_work,
     choose_kc,
     partition_tiles,
 )
 from .record import Record, fields, replace
-
-if TYPE_CHECKING:
-    from .tensors import DenseTensor
 
 VARIANT_SCNN = "scnn"
 VARIANT_DCNN = "dcnn"
@@ -315,19 +311,15 @@ def count_events(
     layer: LayerShape,
     dataflow: str,
     densities: tuple[float, float],
-    weights: DenseTensor | None = None,
-    acts: DenseTensor | None = None,
     input_from_dram: bool = True,
-    output_to_dram: bool = False,
     dram_tiled: bool = False,
 ) -> EventCounts:
     """Closed-form event totals for one layer under the given dataflow.
 
     `dataflow` is "sparse" (compressed operands, Cartesian-product PEs),
     "dense" or "dense-opt" (dot-product PEs; -opt gates zero-operand
-    multiplies and compresses DRAM activation traffic). When the actual
-    tensors are supplied the useful-multiply count uses the exact shared
-    formula instead of the density product.
+    multiplies and compresses DRAM activation traffic). Useful multiplies
+    are the density product.
     """
     if dataflow not in ("sparse", "dense", "dense-opt"):
         raise ConfigurationError(f"unknown dataflow {dataflow}")
@@ -344,10 +336,7 @@ def count_events(
     I = arch.acts_per_fetch
 
     dense_cart = layer.filters_per_group * layer.C * layer.R * layer.S * layer.W * layer.H
-    if weights is not None and acts is not None:
-        useful = cartesian_work(layer, weights, acts)
-    else:
-        useful = round(dense_cart * wd * ad)
+    useful = round(dense_cart * wd * ad)
 
     c = EventCounts()
     c.useful_mults = useful
@@ -433,8 +422,9 @@ def count_events(
     out_stored = round(out_values * ad) if sparse else out_values
     c.act_ram_bits += out_stored * coded_bits if sparse else out_values * val_bits
 
-    # DRAM: weights stream once per layer (broadcast); activations cross the
-    # boundary when requested or when the layer is tiled through DRAM.
+    # DRAM: weights stream once per layer (broadcast); the input crosses the
+    # boundary when requested, and both activations when the layer is tiled
+    # through DRAM.
     in_values = layer.C * layer.W * layer.H
     compressed_acts = sparse or dataflow == "dense-opt"
     act_bits_in = round(in_values * ad) * coded_bits if compressed_acts else in_values * val_bits
@@ -442,7 +432,7 @@ def count_events(
     c.dram_bits += total_w_values * (coded_bits if sparse else val_bits)
     if input_from_dram or dram_tiled:
         c.dram_bits += act_bits_in
-    if output_to_dram or dram_tiled:
+    if dram_tiled:
         c.dram_bits += act_bits_out
     return c
 

@@ -33,9 +33,7 @@ from .workloads import (
     load_experiment_config,
     load_network,
     pe_granularity_sweep,
-    rows_from_granularity,
     rows_from_run,
-    rows_from_sweep,
     run_network,
     shipped_networks,
 )
@@ -145,13 +143,8 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "sweep-density":
             points = _parse_points(args.points) if args.points is not None else cfg.densities
-            rows = density_sweep(
-                net, cfg.arch, points, seed=seed, engine=args.engine
-            )
-            path = emit_report(
-                rows_from_sweep(net.name, rows), args.format,
-                out_dir / f"{net.name}_density.{args.format}",
-            )
+            rows = density_sweep(net, cfg.arch, points, seed=seed, engine=args.engine)
+            path = emit_report(rows, args.format, out_dir / f"{net.name}_density.{args.format}")
             print(f"{net.name}: {len(points)} density points -> {path}")
             return 0
 
@@ -160,15 +153,12 @@ def main(argv: list[str] | None = None) -> int:
             rows = pe_granularity_sweep(
                 net, cfg.arch, grids, seed=seed, total_mults=args.total_mults
             )
-            path = emit_report(
-                rows_from_granularity(net.name, rows), args.format,
-                out_dir / f"{net.name}_grids.{args.format}",
-            )
-            for p in rows:
+            path = emit_report(rows, args.format, out_dir / f"{net.name}_grids.{args.format}")
+            for (pe_rows, pe_cols), row in zip(grids, rows):
                 print(
-                    f"  {p.grid[0]}x{p.grid[1]} PEs ({p.mults_per_pe}/PE): "
-                    f"{p.cycles} cycles, util {p.mult_utilization:.3f}, "
-                    f"barrier {p.barrier_stall_fraction:.3f}"
+                    f"  {row.grid} PEs ({args.total_mults // (pe_rows * pe_cols)}/PE): "
+                    f"{row.cycles} cycles, util {row.mult_utilization:.3f}, "
+                    f"barrier {row.barrier_stall_fraction:.3f}"
                 )
             print(f"-> {path}")
             return 0

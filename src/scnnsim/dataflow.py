@@ -7,15 +7,16 @@ tile land in accumulator halo cells and are exchanged at output-channel-group
 boundaries. Output channels are processed in groups of Kc chosen so one
 group's accumulator state fits the banked buffer.
 
-A tile's shape is an x-axis split times a y-axis split, so the tile
-classes and the accumulator footprint the analytic engine needs are
-derived per axis, never per PE. This module imports no numpy: the
-analytic engine runs on it (see the package docstring).
+A tile is an x-axis part times a y-axis part, so the plan is held per axis
+only: each axis's input ranges, accumulator windows and owned outputs,
+from which every per-PE quantity is a product of a column's and a row's.
+This module imports no numpy: the analytic engine runs on it (see the
+package docstring).
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .record import Record
@@ -104,22 +105,6 @@ def plane_partition(span: int, parts: int) -> list[tuple[int, int]]:
     return [(min(p * width, span), min((p + 1) * width, span)) for p in range(parts)]
 
 
-class Tile(Record):
-    """One PE's input rectangle. Zero extents mark an idle PE."""
-
-    pe: int
-    row: int
-    col: int
-    x0: int
-    y0: int
-    wt: int
-    ht: int
-
-    @property
-    def empty(self) -> bool:
-        return self.wt == 0 or self.ht == 0
-
-
 class _Axis:
     """Tiling arithmetic along one spatial dimension: part p covers inputs
     [starts[p], starts[p] + widths[p]) and owns outputs out_ranges[p].
@@ -167,8 +152,12 @@ class _Axis:
 
 
 class TilePlan(Record):
-    """Per-PE input tiles: PE r * pe_cols + c holds column part c of the x
-    axis (W) and row part r of the y axis (H)."""
+    """Per-PE input tiles, held per axis: PE r * pe_cols + c holds column
+    part c of the x axis (W) and row part r of the y axis (H), so its input
+    starts at (x.starts[c], y.starts[r]), its accumulator at
+    (x.acc_base(c), y.acc_base(r)), and it owns the outputs
+    x.out_ranges[c] times y.out_ranges[r]. A part with no inputs leaves its
+    PEs idle."""
 
     layer: LayerShape
     pe_rows: int
@@ -179,28 +168,6 @@ class TilePlan(Record):
     @property
     def n_pes(self) -> int:
         return self.pe_rows * self.pe_cols
-
-    @cached_property
-    def tiles(self) -> tuple[Tile, ...]:
-        x, y = self.x, self.y
-        return tuple(
-            Tile(r * self.pe_cols + c, r, c, x.starts[c], y.starts[r], x.widths[c], y.widths[r])
-            for r in range(self.pe_rows)
-            for c in range(self.pe_cols)
-        )
-
-    def tile(self, pe: int) -> Tile:
-        return self.tiles[pe]
-
-    def acc_base(self, pe: int) -> tuple[int, int]:
-        t = self.tiles[pe]
-        return self.x.acc_base(t.col), self.y.acc_base(t.row)
-
-    def acc_extent(self, pe: int) -> tuple[int, int]:
-        t = self.tiles[pe]
-        if t.empty:
-            return 0, 0
-        return self.x.acc_extent(t.col), self.y.acc_extent(t.row)
 
     def tile_classes(self) -> list[tuple[int, int, int, int, int, int]]:
         """Distinct shapes of the tiles that hold inputs, with multiplicity:
@@ -217,14 +184,6 @@ class TilePlan(Record):
     def max_acc_cells(self) -> int:
         """Largest per-group spatial accumulator footprint over the PEs."""
         return max(e for _, e, _ in self.x.classes) * max(e for _, e, _ in self.y.classes)
-
-    def owned_out_range(self, pe: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        t = self.tiles[pe]
-        return self.x.out_ranges[t.col], self.y.out_ranges[t.row]
-
-    def owned_out_cells(self, pe: int) -> int:
-        (xl, xh), (yl, yh) = self.owned_out_range(pe)
-        return max(0, xh - xl) * max(0, yh - yl)
 
 
 def partition_tiles(layer: LayerShape, pe_grid: tuple[int, int]) -> TilePlan:
@@ -279,7 +238,7 @@ def choose_kc(layer: LayerShape, arch) -> GroupPlan:
     """
     return _group_plan(
         layer, arch.pe_rows, arch.pe_cols, arch.accum_banks, arch.bank_entries,
-        bool(getattr(arch, "accum_double_buffered", True)),
+        arch.accum_double_buffered,
     )
 
 

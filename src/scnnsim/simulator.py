@@ -79,6 +79,7 @@ from .dataflow import (
     GroupPlan,
     LayerShape,
     TilePlan,
+    cartesian_work,
     choose_kc,
     partition_tiles,
     plane_partition,
@@ -529,20 +530,19 @@ def ppu_finalize(
 
 
 class LayerOutput(Record):
-    """Compressed per-PE outputs plus the assembled dense plane (post ReLU
-    and pooling). `blocks` holds the whole layer in one set: block
-    pe * K + k is PE pe's share of output channel k, x-major then y within
-    its rectangle of the plane. `dense` is what the simulator merged
-    internally; `decoded` rebuilds the same plane strictly from the
-    compressed blocks."""
+    """A layer's outputs (post ReLU and pooling) as the PEs' output RAMs
+    hold them: `blocks` holds the whole layer in one set, block pe * K + k
+    being PE pe's share of output channel k, x-major then y within its
+    rectangle of the (K, W, H) plane `shape`. `decoded` rebuilds the plane
+    strictly from the compressed blocks."""
 
     blocks: BlockSet
-    dense: DenseTensor
+    shape: tuple[int, int, int]
     pe_rows: int
     pe_cols: int
 
     def decoded(self) -> DenseTensor:
-        k_total, w, h = self.dense.shape
+        k_total, w, h = self.shape
         x0, _, y0, ht = _rects(w, h, self.pe_rows, self.pe_cols)
         pe, k = np.divmod(self.blocks.block_ids(), k_total)
         pos = self.blocks.positions
@@ -560,7 +560,6 @@ def simulate_scnn_layer(
     act_tiles: BlockSet,
     pool: PoolSpec | None = None,
     input_from_dram: bool = True,
-    output_to_dram: bool = False,
 ) -> tuple[LayerOutput, SimReport]:
     """Run one layer through the sparse PE array.
 
@@ -662,12 +661,13 @@ def simulate_scnn_layer(
     batches_total = int(group_batches.sum())
 
     # the PEs' output RAMs: block pe * K + k of one set for the layer
-    dense_out = DenseTensor(np.concatenate(planes, axis=0), OUT_ROLES)
-    x0, wt, y0, ht = _rects(dense_out.shape[1], dense_out.shape[2], arch.pe_rows, arch.pe_cols)
+    out = np.concatenate(planes, axis=0)
+    del planes  # the concatenation is the one copy of the outputs kept
+    x0, wt, y0, ht = _rects(out.shape[1], out.shape[2], arch.pe_rows, arch.pe_cols)
     out_blocks = codec.encode_blocks(
-        _pe_major(dense_out.values, x0, wt, y0, ht), np.repeat(wt * ht, layer.K), arch.index_bits
+        _pe_major(out, x0, wt, y0, ht), np.repeat(wt * ht, layer.K), arch.index_bits
     )
-    output = LayerOutput(out_blocks, dense_out, arch.pe_rows, arch.pe_cols)
+    output = LayerOutput(out_blocks, out.shape, arch.pe_rows, arch.pe_cols)
     # stored output entries per PE
     out_stored = np.diff(out_blocks.offsets[:: layer.K])
 
@@ -685,7 +685,7 @@ def simulate_scnn_layer(
     ev.dram_bits += weights.blocks.values.size * coded_bits
     if input_from_dram or dram_tiled:
         ev.dram_bits += iaram_stored * coded_bits
-    if output_to_dram or dram_tiled:
+    if dram_tiled:
         ev.dram_bits += oaram_stored * coded_bits
 
     ev.useful_mults = useful
@@ -716,7 +716,6 @@ def simulate_dcnn_layer(
     variant: str = VARIANT_DCNN,
     pool: PoolSpec | None = None,
     input_from_dram: bool = True,
-    output_to_dram: bool = False,
 ) -> SimReport:
     """Dense baseline cycle/energy model (dot-product inner core).
 
@@ -733,19 +732,18 @@ def simulate_dcnn_layer(
         layer,
         "dense" if variant == VARIANT_DCNN else "dense-opt",
         (wd, ad),
-        weights=weights,
-        acts=acts,
         input_from_dram=input_from_dram,
-        output_to_dram=output_to_dram,
     )
+    counts.useful_mults = cartesian_work(layer, weights, acts)
     if variant == VARIANT_DCNN_OPT:
         counts.energized_mults = _gated_mults(layer, weights, acts)
 
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
     per_out = layer.K * layer.channels_per_group * layer.R * layer.S
     pe_busy = [
-        math.ceil(per_out * plan.owned_out_cells(pe) / arch.mults_per_pe)
-        for pe in range(plan.n_pes)
+        math.ceil(per_out * (xh - xl) * (yh - yl) / arch.mults_per_pe)
+        for yl, yh in plan.y.out_ranges
+        for xl, xh in plan.x.out_ranges
     ]
     cycles = max(pe_busy)
 

@@ -434,6 +434,15 @@ def _tiling_fraction(report: SimReport, arch: ArchConfig, first: bool) -> float:
     return penalty / base if base > 0 else 0.0
 
 
+def _reference_output(spec: LayerSpec, weights: DenseTensor, acts: DenseTensor):
+    """The layer's exact output, [K, W, H] after ReLU and the pool."""
+    from .simulator import max_pool
+    from .tensors import apply_relu, reference_conv
+
+    out = apply_relu(reference_conv(spec.shape, weights, acts)).values
+    return out if spec.pool is None else max_pool(out, spec.pool)
+
+
 def _sim_layer(
     arch: ArchConfig,
     spec: LayerSpec,
@@ -445,13 +454,7 @@ def _sim_layer(
     """One layer through every requested engine; returns reports, the decoded
     pooled output (when the sparse pipeline or the oracle needs it), and
     whether the oracle comparison ran."""
-    from .simulator import (
-        max_pool,
-        prepare_scnn_inputs,
-        simulate_dcnn_layer,
-        simulate_scnn_layer,
-    )
-    from .tensors import apply_relu, reference_conv
+    from .simulator import prepare_scnn_inputs, simulate_dcnn_layer, simulate_scnn_layer
 
     reports: dict[str, SimReport] = {}
     decoded: DenseTensor | None = None
@@ -465,10 +468,7 @@ def _sim_layer(
         )
         decoded = out.decoded()
         if VARIANT_ORACLE in variants:
-            ref = apply_relu(reference_conv(spec.shape, weights, acts))
-            expect = ref.values
-            if spec.pool is not None:
-                expect = max_pool(expect, spec.pool)
+            expect = _reference_output(spec, weights, acts)
             got = decoded.values
             if got.shape != expect.shape:
                 raise OracleMismatch(
@@ -569,9 +569,10 @@ def run_network(
     order, where the network input is synthesized once and each layer's
     decoded output is requantized once, against the largest L1 over the
     weights of the layers that take it, and freed after the last of them.
-    A layer whose producers made no output (no scnn or oracle variant) gets
-    fresh synthetic inputs at its declared density instead. The oracle
-    variant cross-checks every simulated layer and aborts on any mismatch.
+    Without the scnn and oracle variants no layer is simulated, so the
+    output passed on is the ReLU'd, pooled reference convolution, the
+    tensor the oracle check compares against. The oracle variant
+    cross-checks every simulated layer and aborts on any mismatch.
     Layer i's weights are seeded from seed + 101*i and made once: when the
     layer runs, or earlier if requantizing a producer's output needs them.
     engine="analytic" uses the closed-form model, which reads only layer
@@ -589,7 +590,7 @@ def run_network(
         return NetworkRun(net.name, engine, seed, runs, tuple(variants))
     import numpy as np
 
-    from .tensors import ACT_ROLES, DenseTensor
+    from .tensors import ACT_ROLES, OUT_ROLES, DenseTensor
 
     consumers: dict[str, list[int]] = {}
     for i, spec in enumerate(net.layers):
@@ -607,9 +608,7 @@ def run_network(
     for i, spec in enumerate(net.layers):
         weights = weights_of(i)
         del made[i]
-        if not all(t in outputs for t in spec.takes):
-            acts = synth_acts(spec, seed + 101 * i + 50)
-        elif len(spec.takes) == 1:
+        if len(spec.takes) == 1:
             acts = outputs[spec.takes[0]]
         else:
             acts = DenseTensor(
@@ -620,20 +619,13 @@ def run_network(
         )
         for t in spec.takes:
             if consumers[t][-1] == i:
-                outputs.pop(t, None)
-        if decoded is not None and spec.name in consumers:
+                del outputs[t]
+        if spec.name in consumers:
+            if decoded is None:
+                decoded = DenseTensor(_reference_output(spec, weights, acts), OUT_ROLES)
             outputs[spec.name] = requantize(decoded, list(map(weights_of, consumers[spec.name])))
         runs.append(LayerRun(spec, reports, oracle_checked=checked))
     return NetworkRun(net.name, engine, seed, runs, tuple(variants))
-
-
-class SweepPoint(Record):
-    density: float
-    variant: str
-    cycles: int
-    energy: float
-    speedup: float        # dense-baseline cycles / this variant's cycles
-    energy_ratio: float   # dense-baseline energy / this variant's energy
 
 
 def density_sweep(
@@ -643,8 +635,10 @@ def density_sweep(
     seed: int = 1,
     variants: Sequence[str] = (VARIANT_SCNN, VARIANT_DCNN, VARIANT_DCNN_OPT),
     engine: str = "sim",
-) -> list[SweepPoint]:
-    """Sweep weight and activation density together across the network.
+) -> list[ReportRow]:
+    """Sweep weight and activation density together across the network:
+    one network-total row per (point, variant), the bound row (`oracle`)
+    always included.
 
     engine="sim" regenerates every layer's operands at the point density
     from one seeded permutation per tensor, so lower densities are position
@@ -658,7 +652,7 @@ def density_sweep(
     for d in points:
         if not 0.0 < d <= 1.0:
             raise ConfigurationError(f"sweep density {d} outside (0, 1]")
-    rows: list[SweepPoint] = []
+    rows: list[ReportRow] = []
     wanted = list(dict.fromkeys([*variants, VARIANT_DCNN, VARIANT_ORACLE]))
     dense_weights = []
     if engine == "sim":
@@ -688,24 +682,19 @@ def density_sweep(
         for v in list(dict.fromkeys([*variants, VARIANT_ORACLE])):
             cycles, energy = totals[v]
             rows.append(
-                SweepPoint(
-                    d,
-                    v,
-                    int(cycles),
-                    energy,
-                    base_cycles / cycles if cycles else math.inf,
-                    base_energy / energy if energy else math.inf,
+                ReportRow(
+                    network=net.name,
+                    layer="(network)",
+                    variant=v,
+                    sweep_wd=d,
+                    sweep_ad=d,
+                    cycles=int(cycles),
+                    energy=energy,
+                    speedup_vs_dcnn=base_cycles / cycles if cycles else math.inf,
+                    energy_vs_dcnn=base_energy / energy if energy else math.inf,
                 )
             )
     return rows
-
-
-class GranularityPoint(Record):
-    grid: tuple[int, int]
-    mults_per_pe: int
-    cycles: int
-    mult_utilization: float
-    barrier_stall_fraction: float
 
 
 def pe_granularity_arch(arch: ArchConfig, grid: tuple[int, int], total_mults: int) -> ArchConfig:
@@ -741,9 +730,9 @@ def pe_granularity_sweep(
     grids: Sequence[tuple[int, int]] = ((2, 2), (4, 4), (8, 8)),
     seed: int = 1,
     total_mults: int = 1024,
-) -> list[GranularityPoint]:
+) -> list[ReportRow]:
     """Hold chip math throughput constant and trade PE count against per-PE
-    multiplier array size."""
+    multiplier array size: one network-total scnn row per grid."""
     rows = []
     for grid in grids:
         garch = pe_granularity_arch(arch, grid, total_mults)
@@ -753,12 +742,14 @@ def pe_granularity_sweep(
         util = useful / (total_mults * cycles) if cycles else 0.0
         waits = [r.reports[VARIANT_SCNN].barrier_stall_fraction for r in run.layers]
         rows.append(
-            GranularityPoint(
-                grid,
-                total_mults // (grid[0] * grid[1]),
-                cycles,
-                util,
-                sum(waits) / len(waits) if waits else 0.0,
+            ReportRow(
+                network=net.name,
+                layer="(network)",
+                variant=VARIANT_SCNN,
+                grid=f"{grid[0]}x{grid[1]}",
+                cycles=cycles,
+                mult_utilization=util,
+                barrier_stall_fraction=sum(waits) / len(waits) if waits else 0.0,
             )
         )
     return rows
@@ -820,38 +811,6 @@ def rows_from_run(run: NetworkRun) -> list[ReportRow]:
                 )
             )
     return rows
-
-
-def rows_from_sweep(net: str, points: list[SweepPoint]) -> list[ReportRow]:
-    return [
-        ReportRow(
-            network=net,
-            layer="(network)",
-            variant=p.variant,
-            sweep_wd=p.density,
-            sweep_ad=p.density,
-            cycles=p.cycles,
-            energy=p.energy,
-            speedup_vs_dcnn=p.speedup,
-            energy_vs_dcnn=p.energy_ratio,
-        )
-        for p in points
-    ]
-
-
-def rows_from_granularity(net: str, points: list[GranularityPoint]) -> list[ReportRow]:
-    return [
-        ReportRow(
-            network=net,
-            layer="(network)",
-            variant=VARIANT_SCNN,
-            grid=f"{p.grid[0]}x{p.grid[1]}",
-            cycles=p.cycles,
-            mult_utilization=p.mult_utilization,
-            barrier_stall_fraction=p.barrier_stall_fraction,
-        )
-        for p in points
-    ]
 
 
 def _fmt(value) -> str:

@@ -240,9 +240,10 @@ def per_pe_tiles_encoded(plan, acts: np.ndarray, index_bits: int):
 
     out = []
     for pe in range(plan.n_pes):
-        t = plan.tile(pe)
-        dense = acts[:, t.x0 : t.x0 + t.wt, t.y0 : t.y0 + t.ht]
-        out.append(encode_blocks(dense, [t.wt * t.ht] * plan.layer.C, index_bits))
+        r, c = divmod(pe, plan.pe_cols)
+        x0, wt, y0, ht = plan.x.starts[c], plan.x.widths[c], plan.y.starts[r], plan.y.widths[r]
+        dense = acts[:, x0 : x0 + wt, y0 : y0 + ht]
+        out.append(encode_blocks(dense, [wt * ht] * plan.layer.C, index_bits))
     return out
 
 
@@ -258,15 +259,16 @@ def loop_merge_group_plane(accs, plan, kc: int):
         acc = accs[pe]
         if acc is None:
             continue
-        xb, yb = plan.acc_base(pe)
-        ex, ey = plan.acc_extent(pe)
+        r, c = divmod(pe, plan.pe_cols)
+        xb, yb = plan.x.acc_base(c), plan.y.acc_base(r)
+        ex, ey = plan.x.acc_extent(c), plan.y.acc_extent(r)
         xl, xh = max(0, -xb), min(ex, layer.Wo - xb)
         yl, yh = max(0, -yb), min(ey, layer.Ho - yb)
         if xl >= xh or yl >= yh:
             continue
         window = acc[:, xl:xh, yl:yh]
         full[:, xb + xl : xb + xh, yb + yl : yb + yh] += window
-        (oxl, oxh), (oyl, oyh) = plan.owned_out_range(pe)
+        (oxl, oxh), (oyl, oyh) = plan.x.out_ranges[c], plan.y.out_ranges[r]
         own = window[
             :,
             max(oxl - xb - xl, 0) : max(oxh - xb - xl, 0),

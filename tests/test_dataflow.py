@@ -48,33 +48,35 @@ def reached(x0, width, taps, pad, stride):
 class TestPartition:
     def test_even_2x2(self):
         plan = partition_tiles(layer(W=8, H=8), (2, 2))
-        assert all(t.wt == 4 and t.ht == 4 for t in plan.tiles)
-        assert plan.acc_extent(0) == (6, 6)
-        # PE 0's accumulator spans outputs [-1, 5): one dead cell, its own
-        # [0, 4), and a one-cell halo at 4 owned by the neighbour in x
-        assert plan.acc_base(0) == (-1, -1)
-        assert plan.owned_out_range(0) == ((0, 4), (0, 4))
-        assert plan.owned_out_range(1) == ((4, 8), (0, 4))
+        for ax in (plan.x, plan.y):
+            assert ax.starts == [0, 4] and ax.widths == [4, 4]
+            # part 0's accumulator spans outputs [-1, 5): one dead cell, its
+            # own [0, 4), and a one-cell halo at 4 owned by the next part
+            assert (ax.acc_base(0), ax.acc_extent(0)) == (-1, 6)
+            assert ax.out_ranges == [(0, 4), (4, 8)]
 
     def test_monolithic_grid(self):
         plan = partition_tiles(layer(W=8, H=8), (1, 1))
-        assert plan.acc_extent(0) == (10, 10)
-        # the accumulator spans outputs [-1, 9); the one PE owns the plane
-        assert plan.acc_base(0) == (-1, -1)
-        assert plan.owned_out_range(0) == ((0, 8), (0, 8))
+        for ax in (plan.x, plan.y):
+            # the accumulator spans outputs [-1, 9); the one PE owns the plane
+            assert (ax.acc_base(0), ax.acc_extent(0)) == (-1, 10)
+            assert ax.out_ranges == [(0, 8)]
 
     def test_tiles_partition_plane_exactly(self):
         lay = layer(W=13, H=11)
         plan = partition_tiles(lay, (4, 3))
         cover = np.zeros((lay.W, lay.H), dtype=int)
-        for t in plan.tiles:
-            cover[t.x0 : t.x0 + t.wt, t.y0 : t.y0 + t.ht] += 1
+        for pe in range(plan.n_pes):
+            r, c = divmod(pe, plan.pe_cols)
+            x0, y0 = plan.x.starts[c], plan.y.starts[r]
+            cover[x0 : x0 + plan.x.widths[c], y0 : y0 + plan.y.widths[r]] += 1
         assert (cover == 1).all()
 
     def test_ragged_with_empty_tiles(self):
         lay = layer(W=13, H=13)
         plan = partition_tiles(lay, (8, 8))
-        assert any(t.empty for t in plan.tiles)
+        # 13 inputs in parts 2 wide leave the last part of each axis empty
+        assert plan.x.widths[-1] == plan.y.widths[-1] == 0
 
     @pytest.mark.parametrize(
         "w,h,grid,r,s,pad,stride",
@@ -92,24 +94,25 @@ class TestPartition:
         plan = partition_tiles(lay, grid)
         seen = np.zeros((lay.Wo, lay.Ho), dtype=int)
         for pe in range(plan.n_pes):
-            (xl, xh), (yl, yh) = plan.owned_out_range(pe)
+            row, col = divmod(pe, plan.pe_cols)
+            (xl, xh), (yl, yh) = plan.x.out_ranges[col], plan.y.out_ranges[row]
             seen[xl:xh, yl:yh] += 1
         assert (seen == 1).all()
-        for pe in range(plan.n_pes):
-            t = plan.tile(pe)
-            if t.empty:
-                assert plan.owned_out_cells(pe) == 0
-                continue
-            # the accumulator window is exactly the outputs the tile's
-            # inputs reach, so every in-plane cell of it has an owner
-            (xb, yb), (ex, ey) = plan.acc_base(pe), plan.acc_extent(pe)
-            assert reached(t.x0, t.wt, r, pad, stride) == set(range(xb, xb + ex))
-            assert reached(t.y0, t.ht, s, pad, stride) == set(range(yb, yb + ey))
-            # and holds every output the PE owns, which the halo merge needs
-            (oxl, oxh), (oyl, oyh) = plan.owned_out_range(pe)
-            if oxl < oxh and oyl < oyh:
-                assert xb <= oxl and oxh <= xb + ex
-                assert yb <= oyl and oyh <= yb + ey
+        for ax, taps in ((plan.x, r), (plan.y, s)):
+            for p in range(len(ax.starts)):
+                lo, hi = ax.out_ranges[p]
+                if ax.widths[p] == 0:
+                    assert (lo, hi, ax.acc_extent(p)) == (0, 0, 0)
+                    continue
+                # the accumulator window is exactly the outputs the part's
+                # inputs reach, so every in-plane cell of it has an owner
+                base, extent = ax.acc_base(p), ax.acc_extent(p)
+                reach = reached(ax.starts[p], ax.widths[p], taps, pad, stride)
+                assert reach == set(range(base, base + extent))
+                # and holds every output the part owns, which the halo merge
+                # needs
+                if lo < hi:
+                    assert base <= lo and hi <= base + extent
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -184,9 +187,9 @@ def scatter_reference(lay, weights, acts, grid):
     full = np.zeros((lay.K, lay.Wo, lay.Ho), dtype=np.int64)
     cpg, kpg = lay.channels_per_group, lay.filters_per_group
     for pe in range(plan.n_pes):
-        t = plan.tile(pe)
-        if t.empty:
-            continue
+        row, col = divmod(pe, plan.pe_cols)
+        x0, wt = plan.x.starts[col], plan.x.widths[col]
+        y0, ht = plan.y.starts[row], plan.y.widths[row]
         for c in range(lay.C):
             g = c // cpg
             for k in range(g * kpg, (g + 1) * kpg):
@@ -195,13 +198,13 @@ def scatter_reference(lay, weights, acts, grid):
                         wv = int(weights.values[k, c % cpg, r, s])
                         if wv == 0:
                             continue
-                        for x in range(t.wt):
-                            for y in range(t.ht):
-                                av = int(acts.values[c, t.x0 + x, t.y0 + y])
+                        for x in range(wt):
+                            for y in range(ht):
+                                av = int(acts.values[c, x0 + x, y0 + y])
                                 if av == 0:
                                     continue
-                                xo, okx = strided_out_coord(t.x0 + x, r, lay.pad, lay.stride)
-                                yo, oky = strided_out_coord(t.y0 + y, s, lay.pad, lay.stride)
+                                xo, okx = strided_out_coord(x0 + x, r, lay.pad, lay.stride)
+                                yo, oky = strided_out_coord(y0 + y, s, lay.pad, lay.stride)
                                 if not (okx and oky):
                                     continue
                                 if 0 <= xo < lay.Wo and 0 <= yo < lay.Ho:

@@ -42,7 +42,6 @@ SAMPLES = {
         energy=1.5, energy_breakdown={"dram": 1.5}, pe_busy=(1, 2),
     ),
     dataflow.LayerShape: _of(SHAPE),
-    dataflow.Tile: _of(PLAN.tile(1)),
     dataflow.TilePlan: _of(PLAN),
     dataflow.GroupPlan: _of(GPLAN),
     tensors.DenseTensor: _of(DENSE),
@@ -50,20 +49,13 @@ SAMPLES = {
     simulator.WeightStream: dict(layer=SHAPE, gplan=GPLAN, blocks=BLOCKS),
     simulator._Slots: _of(SLOTS),
     simulator._Operand: dict(stored=np.ones((2, 2)), nnz=np.ones((2, 2)), vals=None, mask=None),
-    simulator.LayerOutput: dict(blocks=BLOCKS, dense=DENSE, pe_rows=1, pe_cols=1),
+    simulator.LayerOutput: dict(blocks=BLOCKS, shape=(1, 2, 2), pe_rows=1, pe_cols=1),
     workloads.LayerSpec: _of(SPEC),
     workloads.NetworkDescriptor: dict(name="n", layers=(SPEC,)),
     workloads.ExperimentConfig: dict(seed=3, densities=(0.5,)),
     workloads.LayerRun: dict(spec=SPEC, reports={}),
     workloads.NetworkRun: dict(
         network="n", engine="analytic", seed=1, layers=[], variants=("scnn",)
-    ),
-    workloads.SweepPoint: dict(
-        density=0.5, variant="scnn", cycles=9, energy=1.0, speedup=2.0, energy_ratio=2.5
-    ),
-    workloads.GranularityPoint: dict(
-        grid=(2, 2), mults_per_pe=16, cycles=9, mult_utilization=0.5,
-        barrier_stall_fraction=0.25,
     ),
     workloads.ReportRow: dict(network="n", layer="c", variant="scnn", cycles=9),
 }

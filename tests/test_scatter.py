@@ -51,10 +51,11 @@ def loop_scatter(arch, layer, stream, tiles, gi, pe):
     """(acc, bank_totals, stride_skipped) of one PE and group, one
     `np.add.at` per input channel."""
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
-    t = plan.tile(pe)
+    row, col = divmod(pe, plan.pe_cols)
+    x0, y0, ht = plan.x.starts[col], plan.y.starts[row], plan.y.widths[row]
     kc = len(stream.gplan.groups[gi])
-    xb, yb = plan.acc_base(pe)
-    ex, ey = plan.acc_extent(pe)
+    xb, yb = plan.x.acc_base(col), plan.y.acc_base(row)
+    ex, ey = plan.x.acc_extent(col), plan.y.acc_extent(row)
     banks = arch.accum_banks
     acc = np.zeros((kc, ex, ey), dtype=np.int64)
     bank_totals = np.zeros(banks, dtype=np.int64)
@@ -65,8 +66,8 @@ def loop_scatter(arch, layer, stream, tiles, gi, pe):
     for c in range(layer.C):
         avals, apos = block_entries(tiles, pe * layer.C + c)
         wvals, wpos = block_entries(stream.blocks, gi * layer.C + c)
-        xs = t.x0 + apos // t.ht
-        ys = t.y0 + apos % t.ht
+        xs = x0 + apos // ht
+        ys = y0 + apos % ht
         # the block starts at the group's first filter in c's convolution group
         wk = max(group.start, c // cpg * kpg) - group.start + wpos // rs
         wr = (wpos % rs) // layer.S
@@ -95,7 +96,12 @@ def group_scatters(arch, layer, stream, tiles):
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
     groups = stream.gplan.groups
     slots = _slots(plan, max(map(len, groups)), arch.accum_banks, arch.bank_map)
-    assert slots.pes == [pe for pe in range(arch.n_pes) if not plan.tile(pe).empty]
+    assert slots.pes == [
+        r * plan.pe_cols + c
+        for r, ht in enumerate(plan.y.widths)
+        for c, wt in enumerate(plan.x.widths)
+        if wt and ht
+    ]
     acts = _activation_operand(plan, slots, tiles)
     for batch in _batches(len(groups), slots):
         w = _weight_operand(stream, batch)
@@ -252,8 +258,8 @@ def test_slots_pad_pes_with_smaller_accumulators():
     arch = ArchConfig(pe_rows=2, pe_cols=3, accum_banks=16, bank_entries=3, bank_map="xor")
     stream, tiles = _dense_case(layer, arch, 0.8, 5)
     plan = partition_tiles(layer, (2, 3))
-    extents = {plan.acc_extent(pe) for pe in range(plan.n_pes)}
-    assert len({ex for ex, _ in extents}) > 1 and len({ey for _, ey in extents}) > 1
+    for ax in (plan.x, plan.y):
+        assert len({ax.acc_extent(p) for p in range(len(ax.starts))}) > 1
     # groups of 2, 2 and 1 channels: the last leaves a slot's k padding empty
     assert [len(g) for g in stream.gplan.groups] == [2, 2, 1]
     assert len(assert_matches_loop_reference(arch, layer, stream, tiles)) == 6 * 3

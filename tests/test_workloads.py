@@ -23,6 +23,7 @@ from scnnsim.workloads import (
     load_network,
     pe_granularity_arch,
     pe_granularity_sweep,
+    rows_from_run,
     run_network,
 )
 
@@ -59,10 +60,8 @@ def test_analytic_engine_makes_no_tensor(monkeypatch):
     for name in SHIPPED:
         net = load_network(name)
         assert len(run_network(net, arch, engine="analytic").layers) == len(net.layers)
-    points = density_sweep(
-        load_network("inception_mini"), arch, (1.0, 0.5), engine="analytic"
-    )
-    assert {p.density for p in points} == {1.0, 0.5}
+    rows = density_sweep(load_network("inception_mini"), arch, (1.0, 0.5), engine="analytic")
+    assert {row.sweep_wd for row in rows} == {1.0, 0.5}
 
 
 def test_sim_engine_makes_weights_one_layer_ahead(monkeypatch, tmp_path):
@@ -164,6 +163,19 @@ def test_sim_tiling_fraction_is_the_energy_tiling_adds():
         assert t.tiling_energy_fraction == pytest.approx(t.energy / h.energy - 1, rel=1e-9)
 
 
+def test_dense_rows_do_not_depend_on_the_other_variants():
+    # without scnn or oracle no layer is simulated, yet each consumer must
+    # take the output a full run passes it, not fresh synthetic inputs
+    net = load_network("inception_mini")
+    dense = (VARIANT_DCNN, VARIANT_DCNN_OPT)
+    full, alone = (
+        rows_from_run(run_network(net, ArchConfig(), variants, seed=1))
+        for variants in (ALL_VARIANTS, dense)
+    )
+    assert len(net.layers) > 2
+    assert alone == [row for row in full if row.variant in dense]
+
+
 # 589,824 input values overflow half the dense baseline's 2MB of SRAM
 # (524,288 16-bit values): with K = 16 the 147,456 outputs still fit the
 # whole of it, with K = 64 the 589,824 outputs do not
@@ -197,9 +209,9 @@ def test_pe_grids_share_the_chip_ram_budget(grid):
 
 
 def test_pe_grid_larger_than_the_base_array_runs():
-    (point,) = pe_granularity_sweep(load_network("inception_mini"), ArchConfig(), ((16, 16),))
-    assert (point.grid, point.mults_per_pe) == ((16, 16), 4)
-    assert point.cycles > 0
+    (row,) = pe_granularity_sweep(load_network("inception_mini"), ArchConfig(), ((16, 16),))
+    assert row.grid == "16x16" and row.cycles > 0
+    assert pe_granularity_arch(ArchConfig(), (16, 16), 1024).mults_per_pe == 4
 
 
 @pytest.mark.parametrize("engine", ["analytical", "Sim", ""])
