@@ -1,6 +1,10 @@
-"""Analytical cost model: event counting, bottleneck cycles and energy, plus
-the architecture, report and footprint types and the dense baseline's DRAM
-tiling rule that both engines share.
+"""Analytical cost model: event counting, cycles and energy, plus the
+architecture, report and footprint types and the rules both engines share:
+the dense baselines' DRAM tiling, and the timing of the PE arrays.
+
+Each engine counts a layer's work per output-channel group (the cycle-level
+engine exactly per PE, `count_events` in expectation per tile class), and
+one function, `group_cycles`, turns the counts into cycles.
 
 Energy coefficients are relative estimates shipped in the config (ordered
 DRAM >> RAM > FIFO > multiply); absolute joules are never asserted.
@@ -20,6 +24,7 @@ from typing import Sequence
 
 from .dataflow import (
     ConfigurationError,
+    GroupPlan,
     LayerShape,
     choose_kc,
     partition_tiles,
@@ -53,8 +58,10 @@ class EventCounts(Record, frozen=False):
     """Operation and traffic totals for one layer run (one variant).
 
     Bit counts for memories include the per-value index overhead when the
-    structure holds compressed data. pe_max_batches is the multiplier-array
-    occupancy of the busiest PE and drives the compute bottleneck term.
+    structure holds compressed data. pe_max_batches is the analytic
+    engine's compute-side cycles: the busiest PE's time through every
+    group (`group_cycles`) on the sparse dataflow, its multiply cycles on
+    the dense ones. The cycle-level engine leaves it 0.
     """
 
     mult_ops: int = 0         # products with operands loaded
@@ -138,7 +145,6 @@ class ArchConfig(Record):
     dram_values_per_cycle: float = 16.0  # 16-bit value units per cycle
     ppu_values_per_cycle: int = 16
     halo_latency_cycles: int = 0
-    act_ram_port_bits: int = 104  # per-PE activation RAM bits per cycle
     index_bits: int = 4
     bank_map: str = "mod"  # or "xor": fold the linear coordinate before mod
     energy: EnergyModel = EnergyModel()
@@ -156,7 +162,7 @@ class ArchConfig(Record):
         for attr in (
             "pe_rows", "pe_cols", "weights_per_fetch", "acts_per_fetch",
             "accum_banks", "bank_entries", "iaram_bytes", "oaram_bytes",
-            "weight_fifo_entries", "ppu_values_per_cycle", "act_ram_port_bits",
+            "weight_fifo_entries", "ppu_values_per_cycle",
         ):
             if getattr(self, attr) < 1:
                 raise ConfigurationError(f"{attr} must be >= 1")
@@ -306,6 +312,42 @@ def _max_of(n: int, mean: float, var: float) -> float:
     return mean + z * math.sqrt(var)
 
 
+def group_cycles(
+    arch, gplan: GroupPlan, cells: int, compute: Sequence, streamed: Sequence
+) -> tuple[list, list, list]:
+    """The sparse PE array's timing rule, shared by both engines: a barrier
+    ends each output-channel group of `gplan`. Group g takes compute[g]
+    (the busiest PE's multiply and bank-stall cycles) or DRAM's time to
+    stream its streamed[g] broadcast weight values, whichever is longer,
+    then the PPU's drain of kc * cells accumulator entries, hidden only
+    when double-buffered, then halo_latency_cycles. Returns, per group,
+    its cycles, FIFO refill (stream beyond compute) and unhidden drain."""
+    coded_bits = STORED_VALUE_BITS + INDEX_OVERHEAD_BITS
+    cycles, refill, unhidden = [], [], []
+    for grp, busy, values in zip(gplan.groups, compute, streamed):
+        t = max(busy, math.ceil(values * coded_bits / 16 / arch.dram_values_per_cycle))
+        drain = -(-len(grp) * cells // arch.ppu_values_per_cycle)
+        end = max(t, drain) if gplan.double_buffered else t + drain
+        cycles.append(end + arch.halo_latency_cycles)
+        refill.append(t - busy)
+        unhidden.append(end - t)
+    return cycles, refill, unhidden
+
+
+def dense_pe_cycles(layer: LayerShape, out_cells: int, mults: int) -> int:
+    """Cycles of a dense dot-product PE with `mults` multipliers that owns
+    `out_cells` outputs of every filter: a straight throughput bound."""
+    return -(-layer.K * layer.channels_per_group * layer.R * layer.S * out_cells // mults)
+
+
+def useful_products(layer: LayerShape, wd: float, ad: float) -> int:
+    """Expected products of two non-zero operands at weight density wd and
+    activation density ad: each weight meets every input of its channel."""
+    return round(
+        layer.filters_per_group * layer.C * layer.R * layer.S * layer.W * layer.H * wd * ad
+    )
+
+
 def count_events(
     arch,
     layer: LayerShape,
@@ -329,107 +371,82 @@ def count_events(
     sparse = dataflow == "sparse"
     val_bits = STORED_VALUE_BITS
     coded_bits = STORED_VALUE_BITS + INDEX_OVERHEAD_BITS
+    op_bits = coded_bits if sparse else val_bits
 
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
     gplan = choose_kc(layer, arch)
     F = arch.weights_per_fetch
     I = arch.acts_per_fetch
-
-    dense_cart = layer.filters_per_group * layer.C * layer.R * layer.S * layer.W * layer.H
-    useful = round(dense_cart * wd * ad)
-
-    c = EventCounts()
-    c.useful_mults = useful
-
-    # weight working set per output-channel group, split at convolution-group
-    # boundaries: only the filters of a channel's group are eligible
-    kpg = layer.filters_per_group
-    group_segments: list[list[tuple[int, int]]] = []  # per group: (channels, cells)
-    for grp in gplan.groups:
-        segs = []
-        for gg in range(layer.groups):
-            elig = max(0, min(grp.stop, (gg + 1) * kpg) - max(grp.start, gg * kpg))
-            if elig:
-                segs.append((layer.channels_per_group, elig * layer.R * layer.S))
-        group_segments.append(segs)
-
     classes = plan.tile_classes()
-    op_bits = coded_bits if sparse else val_bits
+    useful = useful_products(layer, wd, ad)
+    w_cells_total = layer.K * layer.channels_per_group * layer.R * layer.S
+
+    c = EventCounts(useful_mults=useful)
+    # each PE drains its accumulator window once per output channel
+    c.acc_drains = layer.K * sum(n * ex * ey for n, _, _, ex, ey, _ in classes)
 
     if sparse:
         # expected vector counts per fetch stream; the weight stream is shared
         # by every PE, so only activation variation skews the barrier
         total_batches = 0.0
-        pe_max_total = 0.0
-        for gi, segs in enumerate(group_segments):
-            kc = len(gplan.groups[gi])
-            group_w_stored = sum(nch * wd * cells for nch, cells in segs)
-            best_est = 0.0
-            drain_floor = 0.0
-            for n, wt, ht, ex, ey, _ in classes:
+        compute, streamed = [], []
+        kpg = layer.filters_per_group
+        for grp in gplan.groups:
+            # the group's weights split at convolution-group boundaries,
+            # (channels, cells): only the filters of a channel's group count
+            segs = []
+            for gg in range(layer.groups):
+                elig = min(grp.stop, (gg + 1) * kpg) - max(grp.start, gg * kpg)
+                if elig > 0:
+                    segs.append((layer.channels_per_group, elig * layer.R * layer.S))
+            w_stored = sum(nch * wd * cells for nch, cells in segs)
+            best = 0.0
+            for n, wt, ht, *_ in classes:
                 ea, ea2 = _ceil_vec_moments(wt * ht, ad, I)
                 var_a = max(ea2 - ea * ea, 0.0)
-                mean_pe = 0.0
-                var_pe = 0.0
+                mean_pe = var_pe = 0.0
                 for nch, cells in segs:
                     ew, ew2 = _ceil_vec_moments(cells, wd, F)
                     mean_pe += nch * ew * ea
                     var_pe += nch * ew2 * var_a
                 total_batches += n * mean_pe
-                best_est = max(best_est, _max_of(n, mean_pe, var_pe))
-                drain_floor = max(drain_floor, kc * ex * ey / arch.ppu_values_per_cycle)
-                c.acc_drains += n * kc * ex * ey
-                c.weight_buf_bits += round(n * ea * group_w_stored * coded_bits)
-            stream = group_w_stored * coded_bits / 16 / arch.dram_values_per_cycle
-            pe_max_total += (
-                max(best_est, drain_floor, stream) + arch.halo_latency_cycles
-            )
+                # a bank retires one product per cycle, so a PE spends at
+                # least its products over its banks (binds below F x I banks)
+                bank_floor = w_stored * ad * wt * ht / arch.accum_banks
+                best = max(best, _max_of(n, mean_pe, var_pe), bank_floor)
+                c.weight_buf_bits += round(n * ea * w_stored * coded_bits)
+            compute.append(best)
+            streamed.append(w_stored)
         c.mult_slots = round(total_batches * F * I)
-        c.pe_max_batches = math.ceil(pe_max_total)
+        cycles, _, _ = group_cycles(arch, gplan, plan.max_acc_cells(), compute, streamed)
+        c.pe_max_batches = math.ceil(sum(cycles))
+        # placeholder slots are negligible in closed form
+        c.mult_ops = c.energized_mults = c.xbar_transfers = c.acc_updates = useful
     else:
         # dense dot-product core: straight throughput bound over the ragged
         # per-PE output shares; no data-dependent skew
-        for n, wt, ht, ex, ey, out_cells in classes:
-            pe_mults = layer.K * layer.channels_per_group * layer.R * layer.S * out_cells
-            pe_batches = math.ceil(pe_mults / (F * I))
+        for n, wt, ht, _, _, out_cells in classes:
+            pe_batches = dense_pe_cycles(layer, out_cells, F * I)
             c.mult_slots += n * pe_batches * F * I
             c.pe_max_batches = max(c.pe_max_batches, pe_batches)
-            va = math.ceil(wt * ht / I)
-            for gi, segs in enumerate(group_segments):
-                kc = len(gplan.groups[gi])
-                c.acc_drains += n * kc * ex * ey
-                c.weight_buf_bits += n * va * sum(
-                    nch * cells * val_bits for nch, cells in segs
-                )
-
-    for n, wt, ht, *_ in classes:
-        a_stored = wt * ht if not sparse else round(ad * wt * ht)
-        c.act_ram_bits += n * layer.C * a_stored * op_bits * gplan.n_groups
-    w_cells_total = layer.K * layer.channels_per_group * layer.R * layer.S
-    total_w_values = w_cells_total if not sparse else round(wd * w_cells_total)
-
-    if sparse:
-        c.mult_ops = useful  # placeholder slots are negligible in closed form
-        c.energized_mults = c.mult_ops
-        c.xbar_transfers = useful
-        c.acc_updates = useful
-    else:
+            c.weight_buf_bits += n * math.ceil(wt * ht / I) * w_cells_total * val_bits
         c.mult_ops = layer.dense_multiplies()
         c.energized_mults = c.mult_ops if dataflow == "dense" else useful
         c.acc_updates = math.ceil(c.mult_ops / (F * I))
 
-    out_values = layer.K * layer.Wo * layer.Ho
-    out_stored = round(out_values * ad) if sparse else out_values
-    c.act_ram_bits += out_stored * coded_bits if sparse else out_values * val_bits
+    for n, wt, ht, *_ in classes:
+        a_stored = round(ad * wt * ht) if sparse else wt * ht
+        c.act_ram_bits += n * layer.C * a_stored * op_bits * gplan.n_groups
 
     # DRAM: weights stream once per layer (broadcast); the input crosses the
     # boundary when requested, and both activations when the layer is tiled
     # through DRAM.
-    in_values = layer.C * layer.W * layer.H
+    in_values, out_values = layer.C * layer.W * layer.H, layer.K * layer.Wo * layer.Ho
     compressed_acts = sparse or dataflow == "dense-opt"
     act_bits_in = round(in_values * ad) * coded_bits if compressed_acts else in_values * val_bits
     act_bits_out = round(out_values * ad) * coded_bits if compressed_acts else out_values * val_bits
-    c.dram_bits += total_w_values * (coded_bits if sparse else val_bits)
+    c.act_ram_bits += act_bits_out if sparse else out_values * val_bits
+    c.dram_bits = (round(wd * w_cells_total) if sparse else w_cells_total) * op_bits
     if input_from_dram or dram_tiled:
         c.dram_bits += act_bits_in
     if dram_tiled:
@@ -440,29 +457,12 @@ def count_events(
 def analytic_time_energy(
     counts: EventCounts, arch, model: EnergyModel
 ) -> tuple[int, float]:
-    """Bottleneck cycle estimate plus the energy roll-up.
+    """The analytic engine's cycles plus the energy roll-up.
 
-    Cycles are the maximum over resources of demand / capacity: the busiest
-    PE's multiplier occupancy, accumulator bank write ports, activation RAM
-    ports, and DRAM bandwidth.
+    Cycles are the busiest PE's (`counts.pe_max_batches`, timed by
+    `group_cycles` on the sparse dataflow), or the layer's DRAM traffic
+    over the DRAM bandwidth when that is longer.
     """
-    n_pes = arch.pe_rows * arch.pe_cols
-    banks = n_pes * arch.accum_banks
-    ram_port_bits = n_pes * arch.act_ram_port_bits
-    dram_bits_per_cycle = arch.dram_values_per_cycle * 16
-    for name, cap in (
-        ("multipliers", n_pes),
-        ("accumulator banks", banks),
-        ("activation RAM ports", ram_port_bits),
-        ("DRAM bandwidth", dram_bits_per_cycle),
-    ):
-        if cap <= 0:
-            raise ConfigurationError(f"resource {name} has zero capacity")
-    cycles = max(
-        counts.pe_max_batches,
-        math.ceil(counts.acc_updates / banks),
-        math.ceil(counts.act_ram_bits / ram_port_bits),
-        math.ceil(counts.dram_bits / dram_bits_per_cycle),
-    )
+    dram = math.ceil(counts.dram_bits / (arch.dram_values_per_cycle * 16))
     total, _ = model.rollup(counts)
-    return cycles, total
+    return max(counts.pe_max_batches, dram), total

@@ -4,12 +4,13 @@ baseline cycle models.
 The sparse pipeline is simulated exactly: compressed operands are fetched in
 vectors of F weights x I activations, every operand pair is multiplied, and
 each product is scattered to a banked accumulator addressed by its output
-coordinate. Cycle accounting is per (PE, output-channel group): the base cost
-is the number of F x I vector batches, accumulator contention adds stalls
-when the hottest bank's total demand exceeds the batch count (banks retire
-one product per cycle; elastic queues absorb transient imbalance within a
-group), and a global barrier at each group boundary charges every PE the
-time of the slowest one.
+coordinate. Work is counted per (PE, output-channel group): the base cost
+is the number of F x I vector batches, and accumulator contention adds
+stalls when the hottest bank's total demand exceeds the batch count (banks
+retire one product per cycle; elastic queues absorb transient imbalance
+within a group). `analytic.group_cycles`, the timing rule both engines
+share, turns the counts into cycles: a barrier at each group boundary
+charges every PE the time of the slowest one.
 
 On the host, operands stay columnar (`codec.BlockSet`), and every stage of a
 layer outside the scatter is a few array passes, never a loop over PEs or
@@ -53,7 +54,6 @@ bit for bit.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -72,6 +72,8 @@ from .analytic import (
     count_events,
     dcnn_arch,
     dense_dram_tiled,
+    dense_pe_cycles,
+    group_cycles,
 )
 from .codec import BlockSet
 from .dataflow import (
@@ -639,25 +641,16 @@ def simulate_scnn_layer(
     # hide anything short of sustained single-bank overload
     stall = np.where(group_batches > 0, np.maximum(peak - group_batches, 0), 0)
     group_busy = group_batches + stall
-    compute_t = group_busy.max(axis=0)
     # weight FIFO refill: DRAM streams each group's broadcast weights in
     # parallel with compute; channels whose working set spills the FIFO are
     # re-streamed once per activation-vector pass
     passes = np.where(wv <= arch.weight_fifo_entries, 1, np.maximum(va.max(axis=0), 1))
     stream_values = (w_stored * passes).sum(axis=1)
-    stream_cycles = np.ceil(stream_values * coded_bits / 16 / arch.dram_values_per_cycle)
-    t_eff = np.maximum(compute_t, stream_cycles.astype(np.int64))
-    kcs = np.array([len(g) for g in gplan.groups])
-    drain_cycles = -(-(kcs * cells) // arch.ppu_values_per_cycle)
-    if arch.accum_double_buffered and gplan.double_buffered:
-        group_cycles = np.maximum(t_eff, drain_cycles)
-        drain_overhead = np.maximum(drain_cycles - t_eff, 0)
-    else:
-        group_cycles = t_eff + drain_cycles
-        drain_overhead = drain_cycles
-    group_cycles += arch.halo_latency_cycles
+    per_group, refill, drain_overhead = map(np.array, group_cycles(
+        arch, gplan, cells, group_busy.max(axis=0).tolist(), stream_values.tolist()
+    ))
     pe_busy = group_busy.sum(axis=1)
-    pe_wait = (group_cycles - group_busy).sum(axis=1)
+    pe_wait = (per_group - group_busy).sum(axis=1)
     batches_total = int(group_batches.sum())
 
     # the PEs' output RAMs: block pe * K + k of one set for the layer
@@ -691,12 +684,11 @@ def simulate_scnn_layer(
     ev.useful_mults = useful
     ev.energized_mults = ev.mult_ops
     ev.mult_slots = batches_total * F * I
-    ev.pe_max_batches = int(pe_busy.max())
 
     report = SimReport.build(
-        arch, layer, VARIANT_SCNN, int(group_cycles.sum()), ev, batches_total, pe_busy, pe_wait,
+        arch, layer, VARIANT_SCNN, int(per_group.sum()), ev, batches_total, pe_busy, pe_wait,
         bank_conflict_stalls=int(stall.sum()),
-        fifo_stalls=int((t_eff - compute_t).sum()),
+        fifo_stalls=int(refill.sum()),
         drain_overhead_cycles=int(drain_overhead.sum()),
         stride_skipped=stride_skipped,
         iaram_footprint=iaram_fp,
@@ -719,29 +711,32 @@ def simulate_dcnn_layer(
 ) -> SimReport:
     """Dense baseline cycle/energy model (dot-product inner core).
 
-    Cycles are the dense-multiply throughput bound, taken as the maximum over
-    PEs of their ragged output shares. The -opt variant has identical cycles
-    but gates multiply energy on zero operands and moves compressed
-    activations across DRAM.
+    Cycles are the dense-multiply throughput bound (`dense_pe_cycles`),
+    taken as the maximum over PEs of their ragged output shares. The -opt
+    variant has identical cycles but gates multiply energy on zero operands
+    and moves compressed activations across DRAM. A layer the dense
+    baselines tile through DRAM (`dense_dram_tiled`) is charged the
+    activations' round trip.
     """
     if variant not in (VARIANT_DCNN, VARIANT_DCNN_OPT):
         raise ConfigurationError(f"unknown dense variant {variant}")
     wd, ad = weights.density(), acts.density()
+    tiled = dense_dram_tiled(arch, layer, pool)
     counts = count_events(
         dcnn_arch(arch),
         layer,
         "dense" if variant == VARIANT_DCNN else "dense-opt",
         (wd, ad),
         input_from_dram=input_from_dram,
+        dram_tiled=tiled,
     )
     counts.useful_mults = cartesian_work(layer, weights, acts)
     if variant == VARIANT_DCNN_OPT:
         counts.energized_mults = _gated_mults(layer, weights, acts)
 
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
-    per_out = layer.K * layer.channels_per_group * layer.R * layer.S
     pe_busy = [
-        math.ceil(per_out * (xh - xl) * (yh - yl) / arch.mults_per_pe)
+        dense_pe_cycles(layer, (xh - xl) * (yh - yl), arch.mults_per_pe)
         for yl, yh in plan.y.out_ranges
         for xl, xh in plan.x.out_ranges
     ]
@@ -758,7 +753,7 @@ def simulate_dcnn_layer(
         [cycles - b for b in pe_busy],
         iaram_footprint=Footprint(in_values * 16, 0),
         oaram_footprint=Footprint(out_values * 16, 0),
-        dram_tiled=dense_dram_tiled(arch, layer, pool),
+        dram_tiled=tiled,
     )
 
 

@@ -37,6 +37,7 @@ from .analytic import (
     count_events,
     dcnn_arch,
     dense_dram_tiled,
+    useful_products,
 )
 from .dataflow import ConfigurationError, LayerShape, partition_tiles
 from .record import Record, fields, replace
@@ -505,11 +506,7 @@ def _analytic_layer(
     dram_tiled = _analytic_tiled(arch, spec)
     for variant in variants:
         if variant == VARIANT_ORACLE:
-            useful = round(
-                shape.filters_per_group * shape.C * shape.R * shape.S
-                * shape.W * shape.H * wd * ad
-            )
-            reports[variant] = _oracle_report(shape, useful, arch)
+            reports[variant] = _oracle_report(shape, useful_products(shape, wd, ad), arch)
             continue
         dflow = {
             VARIANT_SCNN: "sparse",
@@ -720,7 +717,6 @@ def pe_granularity_arch(arch: ArchConfig, grid: tuple[int, int], total_mults: in
         accum_banks=2 * per_pe,
         iaram_bytes=arch.iaram_bytes * base_pes // (rows * cols),
         oaram_bytes=arch.oaram_bytes * base_pes // (rows * cols),
-        act_ram_port_bits=26 * side,
     )
 
 

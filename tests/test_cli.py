@@ -92,6 +92,10 @@ def test_bad_run_input_is_a_one_line_error(argv, message, tmp_path, capsys):
             "--config", "schema_version: 1\narch: {pe_rows: 2.5}\n",
             ": bad arch field: pe_rows must be Integral, got 2.5",
         ),
+        (
+            "--config", "schema_version: 1\narch: {act_ram_port_bits: 104}\n",
+            ": bad arch field: unknown key 'act_ram_port_bits'",
+        ),
         ("--config", "schema_version: 1\nseed: -1\n", ": seed -1 is not an integer >= 0"),
         (
             "--config", "schema_version: 1\nvariants: [scnn]\n",

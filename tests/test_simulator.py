@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
     count_cartesian_products,
@@ -20,6 +20,7 @@ from scnnsim.analytic import (
     ArchConfig,
     Footprint,
     PoolSpec,
+    count_events,
     dcnn_arch,
 )
 from scnnsim import codec, simulator
@@ -238,6 +239,57 @@ class TestCycleModel:
         assert report.oaram_footprint == Footprint(n_out * 16, n_out * 10)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    per_group=st.tuples(st.integers(1, 3), st.integers(1, 4)),
+    groups=st.integers(1, 2),
+    plane=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    taps=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    pad=st.integers(0, 1),
+    grid=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    fetch=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    bank_entries=st.sampled_from([1, 2, 4, 8, 64]),
+    ppu=st.integers(1, 16),
+    halo=st.integers(0, 3),
+    double_buffered=st.booleans(),
+    dram=st.sampled_from([0.25, 1.0, 3.0, 16.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_engines_time_a_fully_dense_stride_1_layer_alike(
+    per_group, groups, plane, taps, pad, grid, fetch, bank_entries, ppu, halo,
+    double_buffered, dram, seed,
+):
+    # at density 1 the closed form's expectations are the exact counts, so
+    # with no bank stall and no FIFO re-stream (which it does not model) its
+    # compute-side cycles are the sim's: single-buffered drains, stream-bound
+    # groups and halo latency included
+    (cpg, kpg), (R, S) = per_group, taps
+    W, H = max(plane[0], R - 2 * pad), max(plane[1], S - 2 * pad)
+    layer = LayerShape(
+        "t", C=groups * cpg, K=groups * kpg, W=W, H=H, R=R, S=S, pad=pad, groups=groups
+    )
+    arch = ArchConfig(
+        pe_rows=grid[0], pe_cols=grid[1], weights_per_fetch=fetch[0],
+        acts_per_fetch=fetch[1], bank_entries=bank_entries, ppu_values_per_cycle=ppu,
+        halo_latency_cycles=halo, accum_double_buffered=double_buffered,
+        dram_values_per_cycle=dram,
+    )
+    try:
+        gplan = choose_kc(layer, arch)
+    except ConfigurationError:
+        assume(False)
+    assume(-(-gplan.kc * R * S // arch.weights_per_fetch) <= arch.weight_fifo_entries)
+    rng = np.random.default_rng(seed)
+    w = rng.integers(1, 8, size=layer.weight_shape()) * rng.choice([-1, 1], layer.weight_shape())
+    a = rng.integers(1, 8, size=layer.input_shape())
+    _, report = simulate_scnn_layer(
+        arch, layer,
+        *prepare_scnn_inputs(arch, layer, DenseTensor(w, WEIGHT_ROLES), DenseTensor(a, ACT_ROLES)),
+    )
+    assume(report.bank_conflict_stalls == 0)
+    assert count_events(arch, layer, "sparse", (1.0, 1.0)).pe_max_batches == report.cycles
+
+
 class TestLayerEncodes:
     """A layer's activations, weights and outputs are encoded once each,
     however many output-channel groups it has and however they batch."""
@@ -433,6 +485,18 @@ class TestDenseBaselines:
         a = rng.integers(1, 4, size=layer.input_shape()) * (rng.random(layer.input_shape()) < ad)
         got = _gated_mults(layer, DenseTensor(w, WEIGHT_ROLES), DenseTensor(a, ACT_ROLES))
         assert got == loop_gated_mults(layer, w, a)
+
+    def test_tiled_layer_charges_the_output_round_trip(self):
+        # 64 channels of 96 x 96 in and out overflow the baselines' 2MB
+        layer = LayerShape("wide", C=64, K=64, W=96, H=96, R=1, S=1)
+        arch = ArchConfig()
+        w = gen_synthetic(layer.weight_shape(), 1.0, seed=1)
+        a = gen_synthetic(layer.input_shape(), 1.0, seed=2, signed=False)
+        report = simulate_dcnn_layer(arch, layer, w, a)
+        on_chip = count_events(dcnn_arch(arch), layer, "dense", (w.density(), a.density()))
+        assert report.dram_tiled
+        out_bits = layer.K * layer.Wo * layer.Ho * STORED_VALUE_BITS
+        assert report.events.dram_bits == on_chip.dram_bits + out_bits
 
     def test_dcnn_arch_has_2mb_sram(self):
         arch = ArchConfig()
