@@ -1,5 +1,5 @@
 """Analytical cost model: event counting, cycles and energy, plus the
-architecture, report and footprint types and the rules both engines share:
+architecture and report types and the rules both engines share:
 the dense baselines' DRAM tiling, and the timing of the PE arrays.
 
 Each engine counts a layer's work per output-channel group (the cycle-level
@@ -39,29 +39,24 @@ VARIANT_DCNN_OPT = "dcnn-opt"
 MAX_INDEX_BITS = 62
 
 
-# Bits charged per stored value in footprints and traffic: the value itself
+# Bits charged per stored value in RAM and DRAM traffic: the value itself
 # plus the per-value coordinate overhead the compressed buffers carry.
 STORED_VALUE_BITS = 16
 INDEX_OVERHEAD_BITS = 10
-
-
-class Footprint(Record):
-    data_bits: int
-    index_bits: int
-
-    @property
-    def total_bits(self) -> int:
-        return self.data_bits + self.index_bits
 
 
 class EventCounts(Record, frozen=False):
     """Operation and traffic totals for one layer run (one variant).
 
     Bit counts for memories include the per-value index overhead when the
-    structure holds compressed data. pe_max_batches is the analytic
-    engine's compute-side cycles: the busiest PE's time through every
-    group (`group_cycles`) on the sparse dataflow, its multiply cycles on
-    the dense ones. The cycle-level engine leaves it 0.
+    structure holds compressed data. mult_slots is F x I times the vector
+    batches summed over every PE. tiling_dram_bits is the part of
+    dram_bits charged only because the layer is tiled through DRAM: the
+    output's round trip, plus the input when it would not cross DRAM
+    anyway. pe_max_batches is not a batch count but the analytic engine's
+    compute-side cycles: the busiest PE's time through every group
+    (`group_cycles`) on the sparse dataflow, its multiply cycles on the
+    dense ones. The cycle-level engine leaves it 0.
     """
 
     mult_ops: int = 0         # products with operands loaded
@@ -75,6 +70,7 @@ class EventCounts(Record, frozen=False):
     act_ram_bits: int = 0
     weight_buf_bits: int = 0
     dram_bits: int = 0
+    tiling_dram_bits: int = 0
 
 
 class EnergyModel(Record):
@@ -225,12 +221,20 @@ def dense_dram_tiled(arch: ArchConfig, layer: LayerShape, pool: PoolSpec | None)
 class SimReport(Record):
     """Per-layer outcome of one variant run, made by `SimReport.build`.
 
-    The builder derives energy and its breakdown from the event counts,
-    utilization from events.useful_mults, and the barrier fraction from
-    pe_wait; stall, footprint and per-PE fields default to zero or empty.
-    On the cycle-level engine busy counts multiply batches plus
-    bank-conflict stalls; every other PE-cycle (barrier skew, FIFO refill,
-    unhidden drain) is wait, so busy + wait sums to n_pes * cycles exactly.
+    The builder derives these from the event counts, so that a row means
+    the same in both engines:
+    - energy and its breakdown (`EnergyModel.rollup`);
+    - mult_utilization, events.useful_mults over total_mults * cycles;
+    - batches, the F x I vector batches summed over every PE,
+      events.mult_slots / mults_per_pe;
+    - tiling_energy_fraction, the energy DRAM tiling adds over the layer's
+      energy without it: penalty / (energy - penalty), where penalty is
+      events.tiling_dram_bits * dram_bit.
+    The barrier fraction comes from pe_wait; stall and per-PE fields
+    default to zero or empty. On the cycle-level engine busy counts
+    multiply batches plus bank-conflict stalls; every other PE-cycle
+    (barrier skew, FIFO refill, unhidden drain) is wait, so busy + wait
+    sums to n_pes * cycles exactly.
     """
 
     layer: str
@@ -246,8 +250,6 @@ class SimReport(Record):
     fifo_stalls: int = 0
     drain_overhead_cycles: int = 0
     stride_skipped: int = 0
-    iaram_footprint: Footprint = Footprint(0, 0)
-    oaram_footprint: Footprint = Footprint(0, 0)
     dram_tiled: bool = False
     pe_busy: tuple[int, ...] = ()
     pe_wait: tuple[int, ...] = ()
@@ -262,10 +264,12 @@ class SimReport(Record):
     @staticmethod
     def build(
         arch: ArchConfig, layer: LayerShape, variant: str, cycles: int,
-        events: EventCounts, batches: int,
+        events: EventCounts,
         pe_busy: Sequence[int] = (), pe_wait: Sequence[int] = (), **extra,
     ) -> SimReport:
         energy, breakdown = arch.energy.rollup(events)
+        penalty = events.tiling_dram_bits * arch.energy.dram_bit
+        untiled = energy - penalty
         pe_wait = tuple(int(w) for w in pe_wait)
         return SimReport(
             layer=layer.name, variant=variant, cycles=cycles,
@@ -273,7 +277,9 @@ class SimReport(Record):
                 events.useful_mults / (arch.total_mults * cycles) if cycles else 0.0
             ),
             barrier_stall_fraction=sum(pe_wait) / (arch.n_pes * cycles) if cycles else 0.0,
-            batches=batches, events=events, energy=energy, energy_breakdown=breakdown,
+            batches=events.mult_slots // arch.mults_per_pe,
+            events=events, energy=energy, energy_breakdown=breakdown,
+            tiling_energy_fraction=penalty / untiled if untiled > 0 else 0.0,
             pe_busy=tuple(int(b) for b in pe_busy), pe_wait=pe_wait, **extra,
         )
 
@@ -332,6 +338,17 @@ def group_cycles(
         refill.append(t - busy)
         unhidden.append(end - t)
     return cycles, refill, unhidden
+
+
+def activation_dram_bits(
+    in_bits: int, out_bits: int, input_from_dram: bool, dram_tiled: bool
+) -> tuple[int, int]:
+    """A layer's activation DRAM bits, by the rule both engines share, and
+    the part of them charged only because the layer is tiled. The input
+    crosses DRAM when requested. A tiled layer's output makes a round trip,
+    and so does its input when it would not cross anyway."""
+    tiling = out_bits + (0 if input_from_dram else in_bits) if dram_tiled else 0
+    return (in_bits if input_from_dram else 0) + tiling, tiling
 
 
 def dense_pe_cycles(layer: LayerShape, out_cells: int, mults: int) -> int:
@@ -438,19 +455,18 @@ def count_events(
         a_stored = round(ad * wt * ht) if sparse else wt * ht
         c.act_ram_bits += n * layer.C * a_stored * op_bits * gplan.n_groups
 
-    # DRAM: weights stream once per layer (broadcast); the input crosses the
-    # boundary when requested, and both activations when the layer is tiled
-    # through DRAM.
+    # DRAM: weights stream once per layer (broadcast), activations by the
+    # rule both engines share.
     in_values, out_values = layer.C * layer.W * layer.H, layer.K * layer.Wo * layer.Ho
     compressed_acts = sparse or dataflow == "dense-opt"
     act_bits_in = round(in_values * ad) * coded_bits if compressed_acts else in_values * val_bits
     act_bits_out = round(out_values * ad) * coded_bits if compressed_acts else out_values * val_bits
     c.act_ram_bits += act_bits_out if sparse else out_values * val_bits
-    c.dram_bits = (round(wd * w_cells_total) if sparse else w_cells_total) * op_bits
-    if input_from_dram or dram_tiled:
-        c.dram_bits += act_bits_in
-    if dram_tiled:
-        c.dram_bits += act_bits_out
+    act_dram, c.tiling_dram_bits = activation_dram_bits(
+        act_bits_in, act_bits_out, input_from_dram, dram_tiled
+    )
+    w_values = round(wd * w_cells_total) if sparse else w_cells_total
+    c.dram_bits = w_values * op_bits + act_dram
     return c
 
 

@@ -182,7 +182,7 @@ class TilePlan(Record):
         return [(n, *k) for k, n in seen.items()]
 
     def max_acc_cells(self) -> int:
-        """Largest per-group spatial accumulator footprint over the PEs."""
+        """Largest per-group spatial accumulator window over the PEs, in cells."""
         return max(e for _, e, _ in self.x.classes) * max(e for _, e, _ in self.y.classes)
 
 

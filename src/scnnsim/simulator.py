@@ -66,9 +66,9 @@ from .analytic import (
     VARIANT_SCNN,
     ArchConfig,
     EventCounts,
-    Footprint,
     PoolSpec,
     SimReport,
+    activation_dram_bits,
     count_events,
     dcnn_arch,
     dense_dram_tiled,
@@ -651,7 +651,6 @@ def simulate_scnn_layer(
     ))
     pe_busy = group_busy.sum(axis=1)
     pe_wait = (per_group - group_busy).sum(axis=1)
-    batches_total = int(group_batches.sum())
 
     # the PEs' output RAMs: block pe * K + k of one set for the layer
     out = np.concatenate(planes, axis=0)
@@ -665,8 +664,6 @@ def simulate_scnn_layer(
     out_stored = np.diff(out_blocks.offsets[:: layer.K])
 
     oaram_stored = int(out_stored.sum())
-    iaram_fp = Footprint(iaram_stored * STORED_VALUE_BITS, iaram_stored * INDEX_OVERHEAD_BITS)
-    oaram_fp = Footprint(oaram_stored * STORED_VALUE_BITS, oaram_stored * INDEX_OVERHEAD_BITS)
     dram_tiled = bool(
         (acts.stored.sum(axis=1) > arch.iaram_value_capacity).any()
         or (out_stored > arch.oaram_value_capacity).any()
@@ -675,24 +672,21 @@ def simulate_scnn_layer(
     ev.act_ram_bits += iaram_stored * coded_bits * n_groups
     ev.act_ram_bits += oaram_stored * coded_bits
     ev.weight_buf_bits += coded_bits * weight_reads
-    ev.dram_bits += weights.blocks.values.size * coded_bits
-    if input_from_dram or dram_tiled:
-        ev.dram_bits += iaram_stored * coded_bits
-    if dram_tiled:
-        ev.dram_bits += oaram_stored * coded_bits
+    act_dram, ev.tiling_dram_bits = activation_dram_bits(
+        iaram_stored * coded_bits, oaram_stored * coded_bits, input_from_dram, dram_tiled
+    )
+    ev.dram_bits += weights.blocks.values.size * coded_bits + act_dram
 
     ev.useful_mults = useful
     ev.energized_mults = ev.mult_ops
-    ev.mult_slots = batches_total * F * I
+    ev.mult_slots = int(group_batches.sum()) * F * I
 
     report = SimReport.build(
-        arch, layer, VARIANT_SCNN, int(per_group.sum()), ev, batches_total, pe_busy, pe_wait,
+        arch, layer, VARIANT_SCNN, int(per_group.sum()), ev, pe_busy, pe_wait,
         bank_conflict_stalls=int(stall.sum()),
         fifo_stalls=int(refill.sum()),
         drain_overhead_cycles=int(drain_overhead.sum()),
         stride_skipped=stride_skipped,
-        iaram_footprint=iaram_fp,
-        oaram_footprint=oaram_fp,
         dram_tiled=dram_tiled,
         kc=gplan.kc,
         n_groups=n_groups,
@@ -741,18 +735,8 @@ def simulate_dcnn_layer(
         for xl, xh in plan.x.out_ranges
     ]
     cycles = max(pe_busy)
-
-    out_w, out_h = layer.Wo, layer.Ho
-    if pool is not None:
-        out_w, out_h = pool.out_extent(out_w), pool.out_extent(out_h)
-    in_values = layer.C * layer.W * layer.H
-    out_values = layer.K * out_w * out_h
-
     return SimReport.build(
-        arch, layer, variant, cycles, counts, sum(pe_busy), pe_busy,
-        [cycles - b for b in pe_busy],
-        iaram_footprint=Footprint(in_values * 16, 0),
-        oaram_footprint=Footprint(out_values * 16, 0),
+        arch, layer, variant, cycles, counts, pe_busy, [cycles - b for b in pe_busy],
         dram_tiled=tiled,
     )
 

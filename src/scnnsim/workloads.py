@@ -414,25 +414,15 @@ class NetworkRun(Record, frozen=False):
 
 def _oracle_report(layer: LayerShape, useful: int, arch: ArchConfig) -> SimReport:
     """Upper-bound row: every useful multiply lands on a busy multiplier,
-    so its utilization is 1 by definition."""
+    so its utilization is 1 by definition, and every PE is busy every
+    cycle."""
     cycles = math.ceil(useful / arch.total_mults) if useful else 0
-    ev = EventCounts(useful_mults=useful, energized_mults=useful, mult_ops=useful)
-    report = SimReport.build(arch, layer, VARIANT_ORACLE, cycles, ev, cycles)
+    ev = EventCounts(
+        useful_mults=useful, energized_mults=useful, mult_ops=useful,
+        mult_slots=cycles * arch.total_mults,
+    )
+    report = SimReport.build(arch, layer, VARIANT_ORACLE, cycles, ev)
     return replace(report, mult_utilization=1.0 if useful else 0.0)
-
-
-def _tiling_fraction(report: SimReport, arch: ArchConfig, first: bool) -> float:
-    """Energy overhead of shuttling this layer's activations through DRAM,
-    relative to the same layer held on chip. A first layer reads its input
-    from DRAM either way, so tiling adds only the output's round trip."""
-    if not report.dram_tiled:
-        return 0.0
-    added_bits = report.oaram_footprint.total_bits
-    if not first:
-        added_bits += report.iaram_footprint.total_bits
-    penalty = added_bits * arch.energy.dram_bit
-    base = report.energy - penalty
-    return penalty / base if base > 0 else 0.0
 
 
 def _reference_output(spec: LayerSpec, weights: DenseTensor, acts: DenseTensor):
@@ -485,9 +475,7 @@ def _sim_layer(
             checked = True
             reports[VARIANT_ORACLE] = _oracle_report(spec.shape, rep.useful_mults, arch)
         if VARIANT_SCNN in variants:
-            reports[VARIANT_SCNN] = replace(
-                rep, tiling_energy_fraction=_tiling_fraction(rep, arch, first)
-            )
+            reports[VARIANT_SCNN] = rep
     for variant in (VARIANT_DCNN, VARIANT_DCNN_OPT):
         if variant in variants:
             reports[variant] = simulate_dcnn_layer(
@@ -521,18 +509,9 @@ def _analytic_layer(
             eff_arch, shape, dflow, (wd, ad),
             input_from_dram=first, dram_tiled=tiled,
         )
-        cycles, energy = analytic_time_energy(counts, eff_arch, arch.energy)
-        frac = 0.0
-        if tiled:
-            base_counts = count_events(
-                eff_arch, shape, dflow, (wd, ad), input_from_dram=first, dram_tiled=False
-            )
-            _, base_energy = analytic_time_energy(base_counts, eff_arch, arch.energy)
-            if base_energy > 0:
-                frac = (energy - base_energy) / base_energy
+        cycles, _ = analytic_time_energy(counts, eff_arch, arch.energy)
         reports[variant] = SimReport.build(
-            arch, shape, variant, cycles, counts, counts.pe_max_batches,
-            dram_tiled=tiled, tiling_energy_fraction=frac,
+            arch, shape, variant, cycles, counts, dram_tiled=tiled
         )
     return reports
 

@@ -31,14 +31,13 @@ def _of(record):
 
 # one valid instance of every record class, as the fields to build it from
 SAMPLES = {
-    analytic.Footprint: dict(data_bits=16, index_bits=10),
     analytic.EventCounts: dict(mult_ops=3, useful_mults=2),
     analytic.EnergyModel: dict(mult_op=2.0, dram_bit=5.0),
     analytic.PoolSpec: dict(window=3, stride=2),
     analytic.ArchConfig: dict(pe_rows=4, bank_map="xor"),
     analytic.SimReport: dict(
         layer="c", variant="scnn", cycles=9, mult_utilization=0.5,
-        barrier_stall_fraction=0.25, batches=4, events=EventCounts(),
+        barrier_stall_fraction=0.25, batches=4, events=EventCounts(mult_slots=64),
         energy=1.5, energy_breakdown={"dram": 1.5}, pe_busy=(1, 2),
     ),
     dataflow.LayerShape: _of(SHAPE),

@@ -18,7 +18,6 @@ from scnnsim.analytic import (
     VARIANT_DCNN,
     VARIANT_DCNN_OPT,
     ArchConfig,
-    Footprint,
     PoolSpec,
     count_events,
     dcnn_arch,
@@ -131,7 +130,7 @@ class TestFunctionalEquivalence:
         assert report.batches == 0
         assert report.useful_mults == 0
         assert not out.decoded().values.any()
-        assert report.oaram_footprint.data_bits == 0
+        assert out.blocks.values.size == 0
 
 
 class TestWorkConservation:
@@ -222,10 +221,16 @@ class TestCycleModel:
         assert out1.decoded().values.tolist() == out2.decoded().values.tolist()
 
     def test_footprints_charge_every_stored_entry(self):
-        # one PE, so each channel's input and output plane is one block
+        # one PE, so each channel's input and output plane is one block; RAMs
+        # of one value each tile the layer through DRAM
         layer = LayerShape("ph", C=2, K=2, W=16, H=16, R=3, S=3, pad=1)
-        arch = ArchConfig(pe_rows=1, pe_cols=1, bank_entries=64)
-        _, a, out, report = run_scnn(arch, layer, 0.5, 0.1)
+        arch = ArchConfig(
+            pe_rows=1, pe_cols=1, bank_entries=64, iaram_bytes=2, oaram_bytes=2
+        )
+        w, a, out, report = run_scnn(arch, layer, 0.5, 0.1)
+        _, inner = simulate_scnn_layer(
+            arch, layer, *prepare_scnn_inputs(arch, layer, w, a), input_from_dram=False
+        )
 
         def stored(planes):
             # entries of each x-major plane, placeholders included
@@ -235,8 +240,11 @@ class TestCycleModel:
         (n_in, ph_in), (n_out, _) = stored(a.values), stored(out.decoded().values)
         assert ph_in > 0
         assert (STORED_VALUE_BITS, INDEX_OVERHEAD_BITS) == (16, 10)
-        assert report.iaram_footprint == Footprint(n_in * 16, n_in * 10)
-        assert report.oaram_footprint == Footprint(n_out * 16, n_out * 10)
+        assert report.dram_tiled and inner.dram_tiled
+        # a first layer reads its input from DRAM anyway: tiling adds only
+        # the output's round trip; an inner layer's tiling adds its input too
+        assert report.events.tiling_dram_bits == n_out * 26
+        assert inner.events.tiling_dram_bits == (n_in + n_out) * 26
 
 
 @settings(max_examples=150, deadline=None)

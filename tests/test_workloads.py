@@ -26,6 +26,7 @@ from scnnsim.workloads import (
     rows_from_run,
     run_network,
 )
+from test_golden import GOLDEN
 
 SHIPPED = ("alexnet", "googlenet", "inception_mini", "vggnet")
 
@@ -191,12 +192,39 @@ layers:
 
 @pytest.mark.parametrize("k,tiled", [(16, False), (64, True)])
 def test_engines_share_the_dense_tiling_rule(k, tiled, tmp_path):
+    # and its cost: a first layer's tiling adds only its output's round trip
     path = tmp_path / "wide.yaml"
     path.write_text(WIDE_INPUT.format(k=k))
     net = load_network(path)
-    for engine in ("sim", "analytic"):
-        run = run_network(net, ArchConfig(), (VARIANT_DCNN, VARIANT_DCNN_OPT), engine=engine)
-        assert [rep.dram_tiled for rep in run.layers[0].reports.values()] == [tiled, tiled]
+    dense = (VARIANT_DCNN, VARIANT_DCNN_OPT)
+    sim, analytic = (
+        run_network(net, ArchConfig(), dense, engine=engine).layers[0].reports
+        for engine in ("sim", "analytic")
+    )
+    for variant in dense:
+        s, a = sim[variant], analytic[variant]
+        assert s.dram_tiled == a.dram_tiled == tiled
+        assert s.tiling_energy_fraction == a.tiling_energy_fraction
+        assert (s.tiling_energy_fraction > 0) == tiled
+
+
+@pytest.mark.parametrize(
+    "network",
+    ["inception_mini", GOLDEN / "strided_chain.yaml"],
+    ids=["inception_mini", "strided_chain"],
+)
+def test_engines_agree_on_dense_batches(network):
+    # dense work depends only on the shapes, so both engines count the same
+    # F x I batches over every PE
+    net = load_network(network)
+    dense = (VARIANT_DCNN, VARIANT_DCNN_OPT)
+    sim, analytic = (
+        run_network(net, ArchConfig(), dense, seed=1, engine=engine).layers
+        for engine in ("sim", "analytic")
+    )
+    for s, a in zip(sim, analytic):
+        for variant in dense:
+            assert s.reports[variant].batches == a.reports[variant].batches
 
 
 @pytest.mark.parametrize("grid", [(2, 2), (4, 4), (8, 8), (16, 16), (32, 32)])
@@ -240,6 +268,7 @@ def test_every_report_obeys_its_definitions(engine, tmp_path):
                 assert rep.mult_utilization == (
                     rep.useful_mults / (arch.total_mults * rep.cycles)
                 )
+            assert rep.batches <= arch.n_pes * rep.cycles
             if engine == "sim" and variant in (VARIANT_SCNN, VARIANT_DCNN):
                 assert len(rep.pe_busy) == len(rep.pe_wait) == arch.n_pes
                 assert sum(rep.pe_busy) + sum(rep.pe_wait) == arch.n_pes * rep.cycles
