@@ -20,6 +20,11 @@ CASES = {
     "inception_mini_density_analytic.csv": [
         "sweep-density", "--network", "inception_mini", "--engine", "analytic"
     ],
+    # 224x224 planes over 8x8 PEs: the closed-form vector counts of
+    # 784-cell tiles at all ten densities
+    "vggnet_density_analytic.csv": [
+        "sweep-density", "--network", "vggnet", "--engine", "analytic"
+    ],
     # two grids keep the sweep to a few seconds
     "inception_mini_grids_sim.csv": [
         "sweep-pe", "--network", "inception_mini", "--grids", "2x2,8x8"
