@@ -386,8 +386,12 @@ def test_analytic_commands_import_neither_numpy_nor_the_sim_engine(tmp_path):
     assert result["rcs"] == [0, 0]
     assert (tmp_path / "googlenet_run.csv").is_file()
     assert (tmp_path / "alexnet_density.csv").is_file()
-    # dataclasses execs generated code and imports inspect: see scnnsim.record
-    loaded = {"numpy", "scnnsim.simulator", "scnnsim.codec", "scnnsim.tensors", "dataclasses"}
+    # dataclasses execs generated code and imports inspect: see scnnsim.record;
+    # statistics brings fractions and decimal, some 5 ms a process
+    loaded = {
+        "numpy", "scnnsim.simulator", "scnnsim.codec", "scnnsim.tensors", "dataclasses",
+        "statistics", "fractions", "decimal",
+    }
     assert loaded.isdisjoint(result["modules"])
 
 
