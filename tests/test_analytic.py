@@ -1,5 +1,6 @@
 """Closed-form pieces of the analytic engine against exact references."""
 
+import itertools
 import math
 import statistics
 from fractions import Fraction
@@ -27,6 +28,13 @@ def exact_ceil_vec_moments(n, p, v):
     return float(Fraction(s1, d**n)), float(Fraction(s2, d**n))
 
 
+def assert_match_exact_sums(n, p, v):
+    e1, e2 = _ceil_vec_moments.__wrapped__(n, p, v)
+    want1, want2 = exact_ceil_vec_moments(n, p, v)
+    assert e1 == pytest.approx(want1, rel=1e-12, abs=0)
+    assert e2 == pytest.approx(want2, rel=1e-12, abs=0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     n=st.integers(1, 300),
@@ -34,32 +42,23 @@ def exact_ceil_vec_moments(n, p, v):
     v=st.integers(1, 16),
 )
 def test_ceil_vec_moments_match_exact_sums(n, p, v):
-    e1, e2 = _ceil_vec_moments.__wrapped__(n, p, v)
-    want1, want2 = exact_ceil_vec_moments(n, p, v)
-    assert e1 == pytest.approx(want1, rel=1e-12, abs=0)
-    assert e2 == pytest.approx(want2, rel=1e-12, abs=0)
+    assert_match_exact_sums(n, p, v)
 
 
-# the engine's largest blocks: 784 cells is vggnet's 28x28 tile; p at the
-# edges puts the mode at k = 0 or k = n
-@pytest.mark.parametrize("v", [1, 4, 16])
-@pytest.mark.parametrize("p", [1e-9, 0.35, 0.65, 1 - 1e-9])
-@pytest.mark.parametrize("n", [784, 2000])
-def test_ceil_vec_moments_match_exact_sums_on_large_blocks(n, p, v):
-    e1, e2 = _ceil_vec_moments.__wrapped__(n, p, v)
-    want1, want2 = exact_ceil_vec_moments(n, p, v)
-    assert e1 == pytest.approx(want1, rel=1e-12, abs=0)
-    assert e2 == pytest.approx(want2, rel=1e-12, abs=0)
-
-
-def test_ceil_vec_moments_of_a_near_empty_block():
-    # the mode is k = 0, whose vector count is 0, and k = 1's term is 1e-10
-    # of it: a cut-off at 1e-20 of the mode's term would drop k = 2, which
-    # carries 5e-11 of the mean
-    e1, e2 = _ceil_vec_moments.__wrapped__(100, 1e-12, 1)
-    want1, want2 = exact_ceil_vec_moments(100, 1e-12, 1)
-    assert e1 == pytest.approx(want1, rel=1e-12, abs=0)
-    assert e2 == pytest.approx(want2, rel=1e-12, abs=0)
+@pytest.mark.parametrize(
+    "n,p,v",
+    [
+        # blocks as large as the engine's: 784 cells is vggnet's 28x28 tile;
+        # p at the edges puts the mode at k = 0 or k = n
+        *itertools.product([784, 2000], [1e-9, 0.35, 0.65, 1 - 1e-9], [1, 4, 16]),
+        # the mode is k = 0, whose vector count is 0, and k = 1's term is
+        # 1e-10 of it: a cut-off at 1e-20 of the mode's term would drop
+        # k = 2, which carries 5e-11 of the mean
+        (100, 1e-12, 1),
+    ],
+)
+def test_ceil_vec_moments_match_exact_sums_at_the_edges(n, p, v):
+    assert_match_exact_sums(n, p, v)
 
 
 def test_max_quantile_matches_the_normal_inverse_cdf():
