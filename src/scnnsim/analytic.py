@@ -512,15 +512,18 @@ def count_events(
     return c
 
 
+def analytic_cycles(counts: EventCounts, arch) -> int:
+    """The analytic engine's cycles: the busiest PE's
+    (`counts.pe_max_batches`, timed by `group_cycles` on the sparse
+    dataflow), or the layer's DRAM traffic over the DRAM bandwidth when
+    that is longer."""
+    dram = math.ceil(counts.dram_bits / (arch.dram_values_per_cycle * 16))
+    return max(counts.pe_max_batches, dram)
+
+
 def analytic_time_energy(
     counts: EventCounts, arch, model: EnergyModel
 ) -> tuple[int, float]:
-    """The analytic engine's cycles plus the energy roll-up.
-
-    Cycles are the busiest PE's (`counts.pe_max_batches`, timed by
-    `group_cycles` on the sparse dataflow), or the layer's DRAM traffic
-    over the DRAM bandwidth when that is longer.
-    """
-    dram = math.ceil(counts.dram_bits / (arch.dram_values_per_cycle * 16))
+    """`analytic_cycles` plus the energy roll-up."""
     total, _ = model.rollup(counts)
-    return max(counts.pe_max_batches, dram), total
+    return analytic_cycles(counts, arch), total

@@ -41,11 +41,8 @@ from .workloads import (
 atexit.register(gc.freeze)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--network", required=True,
-        help=f"descriptor path or shipped name ({', '.join(shipped_networks())})",
-    )
+def _add_common(p: argparse.ArgumentParser, network_help: str) -> None:
+    p.add_argument("--network", required=True, help=network_help)
     p.add_argument("--config", default=None, help="experiment config YAML")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out-dir", default=None, help="report output directory")
@@ -81,9 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sparse CNN accelerator simulator and analytical model",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    network_help = f"descriptor path or shipped name ({', '.join(shipped_networks())})"
 
     run_p = sub.add_parser("run", help="run a network across variants")
-    _add_common(run_p)
+    _add_common(run_p, network_help)
     run_p.add_argument(
         "--variants", default=",".join(ALL_VARIANTS),
         help="comma-separated subset of: " + ",".join(ALL_VARIANTS),
@@ -94,17 +92,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sd = sub.add_parser("sweep-density", help="sweep weight/activation density")
-    _add_common(sd)
+    _add_common(sd, network_help)
     sd.add_argument("--points", default=None, help="comma-separated densities")
     sd.add_argument("--engine", choices=("sim", "analytic"), default="sim")
 
     sp = sub.add_parser("sweep-pe", help="trade PE count against PE width")
-    _add_common(sp)
+    _add_common(sp, network_help)
     sp.add_argument("--grids", default="2x2,4x4,8x8")
     sp.add_argument("--total-mults", type=int, default=1024)
 
     val = sub.add_parser("validate", help="oracle-only functional check")
-    _add_common(val)
+    _add_common(val, network_help)
     return parser
 
 

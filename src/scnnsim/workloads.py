@@ -10,19 +10,19 @@ engine covers the full-size networks in closed form.
 
 numpy, `tensors` and `simulator` are imported inside the sim-engine
 functions only, so loading descriptors and running the analytical engine
-never loads them.
+never loads them. PyYAML, likewise, loads only when a file is parsed: a
+shipped network is read from the JSON built from its YAML.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
-
-import yaml
 
 from .analytic import (
     VARIANT_DCNN,
@@ -33,7 +33,7 @@ from .analytic import (
     EventCounts,
     PoolSpec,
     SimReport,
-    analytic_time_energy,
+    analytic_cycles,
     count_events,
     dcnn_arch,
     dense_dram_tiled,
@@ -218,14 +218,16 @@ def _read_text(path: str | Path, what: str) -> str:
 
 
 def load_network(path: str | Path) -> NetworkDescriptor:
-    """Load and validate a network descriptor (a path or a shipped name)."""
+    """Load and validate a network descriptor: a YAML file's path, or a
+    shipped name, which reads `networks/<name>.json`, the parsed form of
+    `networks/<name>.yaml` committed beside it."""
     p = Path(path)
     if not p.exists():
-        builtin = resources.files("scnnsim") / "networks" / f"{path}.yaml"
-        if builtin.is_file():
-            return _parse_network(builtin.read_text(), str(path))
+        shipped = resources.files("scnnsim") / "networks" / f"{path}.json"
+        if shipped.is_file():
+            return _check_network(json.loads(shipped.read_text(encoding="utf-8")), str(path))
         raise DescriptorError(f"network descriptor not found: {path}")
-    return _parse_network(_read_text(p, "network descriptor"), p.name)
+    return _check_network(_load_yaml(_read_text(p, "network descriptor"), p.name), p.name)
 
 
 def shipped_networks() -> list[str]:
@@ -239,6 +241,8 @@ def shipped_networks() -> list[str]:
 
 def _load_yaml(text: str, where: str):
     """Parse YAML; a syntax error becomes a one-line DescriptorError."""
+    import yaml  # some 20 ms a process: only a file parse pays for it
+
     try:
         # libyaml's parser, several times faster, when PyYAML was built with it
         return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
@@ -249,8 +253,8 @@ def _load_yaml(text: str, where: str):
         raise DescriptorError(f"{where}: not valid YAML{at}: {problem}") from e
 
 
-def _parse_network(text: str, where: str) -> NetworkDescriptor:
-    doc = _load_yaml(text, where)
+def _check_network(doc, where: str) -> NetworkDescriptor:
+    """The descriptor a parsed document declares; errors name `where`."""
     if not isinstance(doc, dict):
         raise DescriptorError(f"{where}: expected a mapping at top level")
     version = _field(doc, "schema_version", where, int)
@@ -509,9 +513,9 @@ def _analytic_layer(
             eff_arch, shape, dflow, (wd, ad),
             input_from_dram=first, dram_tiled=tiled,
         )
-        cycles, _ = analytic_time_energy(counts, eff_arch, arch.energy)
         reports[variant] = SimReport.build(
-            arch, shape, variant, cycles, counts, dram_tiled=tiled
+            arch, shape, variant, analytic_cycles(counts, eff_arch), counts,
+            dram_tiled=tiled,
         )
     return reports
 

@@ -387,10 +387,11 @@ def test_analytic_commands_import_neither_numpy_nor_the_sim_engine(tmp_path):
     assert (tmp_path / "googlenet_run.csv").is_file()
     assert (tmp_path / "alexnet_density.csv").is_file()
     # dataclasses execs generated code and imports inspect: see scnnsim.record;
-    # statistics brings fractions and decimal, some 5 ms a process
+    # statistics brings fractions and decimal, some 5 ms a process; a shipped
+    # name reads its JSON, so PyYAML's 20 ms import is paid only to parse a file
     loaded = {
         "numpy", "scnnsim.simulator", "scnnsim.codec", "scnnsim.tensors", "dataclasses",
-        "statistics", "fractions", "decimal",
+        "statistics", "fractions", "decimal", "yaml",
     }
     assert loaded.isdisjoint(result["modules"])
 

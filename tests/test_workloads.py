@@ -1,7 +1,9 @@
 """Network descriptors, experiment configs, and what each engine of
 run_network builds."""
 
+import json
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,15 @@ from scnnsim.workloads import (
 from test_golden import GOLDEN
 
 SHIPPED = ("alexnet", "googlenet", "inception_mini", "vggnet")
+NETWORKS = Path(workloads.__file__).parent / "networks"
+# rewrites every shipped network's JSON from its YAML; run from the repository root
+REGENERATE_JSON = (
+    "PYTHONPATH=src python3 -c 'import json; from pathlib import Path; "
+    "from scnnsim.workloads import _load_yaml, shipped_networks; "
+    "d = Path(\"src/scnnsim/networks\"); "
+    "[(d / f\"{n}.json\").write_text(json.dumps(_load_yaml((d / f\"{n}.yaml\").read_text(), n), "
+    "indent=1) + \"\\n\") for n in shipped_networks()]'"
+)
 
 TINY_CHAIN = """\
 schema_version: 1
@@ -63,6 +74,33 @@ def test_analytic_engine_makes_no_tensor(monkeypatch):
         assert len(run_network(net, arch, engine="analytic").layers) == len(net.layers)
     rows = density_sweep(load_network("inception_mini"), arch, (1.0, 0.5), engine="analytic")
     assert {row.sweep_wd for row in rows} == {1.0, 0.5}
+
+
+def test_shipped_json_is_the_parsed_yaml():
+    # a shipped name loads networks/<name>.json, so each must hold what its
+    # YAML parses to. The serialized forms are compared, not the dicts:
+    # 1 == 1.0 passes a dict compare, but the loader refuses a float count
+    fix = f"regenerate the JSON (and delete any without a YAML):\n{REGENERATE_JSON}"
+    assert sorted(p.stem for p in NETWORKS.glob("*.json")) == workloads.shipped_networks(), fix
+    for name in workloads.shipped_networks():
+        parsed = workloads._load_yaml((NETWORKS / f"{name}.yaml").read_text(), name)
+        shipped = json.loads((NETWORKS / f"{name}.json").read_text())
+        assert json.dumps(shipped, sort_keys=True) == json.dumps(parsed, sort_keys=True), (
+            f"{name}.json is not the parsed {name}.yaml; {fix}"
+        )
+
+
+def test_analytic_rows_roll_up_energy_once(monkeypatch):
+    rolled = []
+    rollup = EnergyModel.rollup
+
+    def counted(self, counts):
+        rolled.append(counts)
+        return rollup(self, counts)
+
+    monkeypatch.setattr(EnergyModel, "rollup", counted)
+    run = run_network(load_network("inception_mini"), ArchConfig(), engine="analytic")
+    assert len(rolled) == sum(len(lr.reports) for lr in run.layers)
 
 
 def test_sim_engine_makes_weights_one_layer_ahead(monkeypatch, tmp_path):
