@@ -4,7 +4,9 @@ the dense baselines' DRAM tiling, and the timing of the PE arrays.
 
 Each engine counts a layer's work per output-channel group (the cycle-level
 engine exactly per PE, `count_events` in expectation per tile class), and
-one function, `group_cycles`, turns the counts into cycles.
+one function, `group_cycles`, turns the counts into cycles. The dense
+baselines' work depends on shapes alone, so one function, `dense_baseline`,
+costs their rows for both engines.
 
 Energy coefficients are relative estimates shipped in the config (ordered
 DRAM >> RAM > FIFO > multiply); absolute joules are never asserted.
@@ -60,7 +62,7 @@ class EventCounts(Record, frozen=False):
     anyway. pe_max_batches is not a batch count but the analytic engine's
     compute-side cycles: the busiest PE's time through every group
     (`group_cycles`) on the sparse dataflow, its multiply cycles on the
-    dense ones. The cycle-level engine leaves it 0.
+    dense ones (`dense_baseline`). The sim's scnn rows leave it 0.
     """
 
     mult_ops: int = 0         # products with operands loaded
@@ -235,10 +237,14 @@ class SimReport(Record):
       energy without it: penalty / (energy - penalty), where penalty is
       events.tiling_dram_bits * dram_bit.
     The barrier fraction comes from pe_wait; stall and per-PE fields
-    default to zero or empty. On the cycle-level engine busy counts
-    multiply batches plus bank-conflict stalls; every other PE-cycle
-    (barrier skew, FIFO refill, unhidden drain) is wait, so busy + wait
-    sums to n_pes * cycles exactly.
+    default to zero or empty. Every row with per-PE lists has busy + wait
+    = n_pes * cycles exactly. The sim's scnn rows count as busy the
+    multiply batches plus bank-conflict stalls, and every other PE-cycle
+    (barrier skew, FIFO refill, unhidden drain) as wait. The dense rows of
+    both engines count as busy each PE's multiply cycles
+    (`dense_baseline`), and as wait the rest of the layer's cycles, which
+    on a DRAM-bound analytic row (`analytic_cycles`) includes the DRAM
+    time beyond the busiest PE. The analytic scnn rows have no lists.
     """
 
     layer: str
@@ -393,12 +399,6 @@ def activation_dram_bits(
     return (in_bits if input_from_dram else 0) + tiling, tiling
 
 
-def dense_pe_cycles(layer: LayerShape, out_cells: int, mults: int) -> int:
-    """Cycles of a dense dot-product PE with `mults` multipliers that owns
-    `out_cells` outputs of every filter: a straight throughput bound."""
-    return -(-layer.K * layer.channels_per_group * layer.R * layer.S * out_cells // mults)
-
-
 def useful_products(layer: LayerShape, wd: float, ad: float) -> int:
     """Expected products of two non-zero operands at weight density wd and
     activation density ad: each weight meets every input of its channel."""
@@ -420,7 +420,9 @@ def count_events(
     `dataflow` is "sparse" (compressed operands, Cartesian-product PEs),
     "dense" or "dense-opt" (dot-product PEs; -opt gates zero-operand
     multiplies and compresses DRAM activation traffic). Useful multiplies
-    are the density product.
+    are the density product. On the dense dataflows mult_slots and
+    pe_max_batches are left to `dense_baseline`, which reads them off its
+    per-PE cycles.
     """
     if dataflow not in ("sparse", "dense", "dense-opt"):
         raise ConfigurationError(f"unknown dataflow {dataflow}")
@@ -482,12 +484,7 @@ def count_events(
         # placeholder slots are negligible in closed form
         c.mult_ops = c.energized_mults = c.xbar_transfers = c.acc_updates = useful
     else:
-        # dense dot-product core: straight throughput bound over the ragged
-        # per-PE output shares; no data-dependent skew
-        for n, wt, ht, _, _, out_cells in classes:
-            pe_batches = dense_pe_cycles(layer, out_cells, F * I)
-            c.mult_slots += n * pe_batches * F * I
-            c.pe_max_batches = max(c.pe_max_batches, pe_batches)
+        for n, wt, ht, *_ in classes:
             c.weight_buf_bits += n * math.ceil(wt * ht / I) * w_cells_total * val_bits
         c.mult_ops = layer.dense_multiplies()
         c.energized_mults = c.mult_ops if dataflow == "dense" else useful
@@ -510,6 +507,40 @@ def count_events(
     w_values = round(wd * w_cells_total) if sparse else w_cells_total
     c.dram_bits = w_values * op_bits + act_dram
     return c
+
+
+def dense_baseline(
+    arch: ArchConfig,
+    layer: LayerShape,
+    pool: PoolSpec | None,
+    variants: Sequence[str],
+    densities: tuple[float, float],
+    input_from_dram: bool = True,
+) -> tuple[list[int], bool, dict[str, EventCounts]]:
+    """The dense baselines' cost of one layer, from shapes and densities
+    only, for both engines: each PE's busy cycles in PE order, a straight
+    throughput bound over the outputs it owns (plan.y.out_ranges x
+    plan.x.out_ranges); whether the layer is tiled through DRAM
+    (`dense_dram_tiled`); and the `count_events` totals of each dense
+    variant in `variants`, with mult_slots and pe_max_batches read off the
+    per-PE cycles. Each engine picks its cycles from them."""
+    plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
+    per_cell = layer.K * layer.channels_per_group * layer.R * layer.S
+    pe_busy = [
+        -(-per_cell * (xh - xl) * (yh - yl) // arch.mults_per_pe)
+        for yl, yh in plan.y.out_ranges
+        for xl, xh in plan.x.out_ranges
+    ]
+    tiled = dense_dram_tiled(arch, layer, pool)
+    events = {}
+    for variant in variants:
+        if variant in (VARIANT_DCNN, VARIANT_DCNN_OPT):
+            dataflow = "dense" if variant == VARIANT_DCNN else "dense-opt"
+            ev = count_events(arch, layer, dataflow, densities, input_from_dram, tiled)
+            ev.mult_slots = sum(pe_busy) * arch.mults_per_pe
+            ev.pe_max_batches = max(pe_busy)
+            events[variant] = ev
+    return pe_busy, tiled, events
 
 
 def analytic_cycles(counts: EventCounts, arch) -> int:

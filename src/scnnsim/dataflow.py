@@ -10,19 +10,15 @@ group's accumulator state fits the banked buffer.
 A tile is an x-axis part times a y-axis part, so the plan is held per axis
 only: each axis's input ranges, accumulator windows and owned outputs,
 from which every per-PE quantity is a product of a column's and a row's.
-This module imports no numpy: the analytic engine runs on it (see the
-package docstring).
+This module reads shapes only, never a tensor, and imports no numpy: the
+analytic engine runs on it (see the package docstring).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .record import Record
-
-if TYPE_CHECKING:
-    from .tensors import DenseTensor
 
 
 class ShapeError(ValueError):
@@ -266,16 +262,3 @@ def _group_plan(
         range(k0, min(k0 + kc, layer.K)) for k0 in range(0, layer.K, kc)
     )
     return GroupPlan(kc, groups, capacity, double_buffered)
-
-
-def cartesian_work(layer: LayerShape, weights: DenseTensor, acts: DenseTensor) -> int:
-    """Total useful multiplies: per input channel, every non-zero weight
-    meets every non-zero activation exactly once. Independent of the PE
-    grid, vector widths and bank count."""
-    if weights.shape != layer.weight_shape() or acts.shape != layer.input_shape():
-        raise ShapeError("tensor shapes do not match the layer")
-    g, kpg, cpg = layer.groups, layer.filters_per_group, layer.channels_per_group
-    # non-zero weights of channel g * cpg + c, over group g's filters and taps
-    w_nnz = (weights.values != 0).reshape(g, kpg, cpg, -1).sum(axis=(1, 3))
-    a_nnz = (acts.values != 0).reshape(layer.C, -1).sum(axis=1)
-    return int(w_nnz.reshape(-1) @ a_nnz)

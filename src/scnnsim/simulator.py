@@ -1,5 +1,5 @@
-"""Cycle-level functional simulation of the sparse PE array plus the dense
-baseline cycle models.
+"""Cycle-level functional simulation of the sparse PE array, plus the two
+counts of the dense baselines that read the tensors.
 
 The sparse pipeline is simulated exactly: compressed operands are fetched in
 vectors of F weights x I activations, every operand pair is multiplied, and
@@ -54,6 +54,7 @@ bit for bit.
 from __future__ import annotations
 
 import functools
+from typing import Sequence
 
 import numpy as np
 
@@ -69,10 +70,7 @@ from .analytic import (
     PoolSpec,
     SimReport,
     activation_dram_bits,
-    count_events,
-    dcnn_arch,
-    dense_dram_tiled,
-    dense_pe_cycles,
+    dense_baseline,
     group_cycles,
 )
 from .codec import BlockSet
@@ -80,8 +78,8 @@ from .dataflow import (
     ConfigurationError,
     GroupPlan,
     LayerShape,
+    ShapeError,
     TilePlan,
-    cartesian_work,
     choose_kc,
     partition_tiles,
     plane_partition,
@@ -699,46 +697,42 @@ def simulate_dcnn_layer(
     layer: LayerShape,
     weights: DenseTensor,
     acts: DenseTensor,
-    variant: str = VARIANT_DCNN,
+    variants: Sequence[str] = (VARIANT_DCNN, VARIANT_DCNN_OPT),
     pool: PoolSpec | None = None,
     input_from_dram: bool = True,
-) -> SimReport:
-    """Dense baseline cycle/energy model (dot-product inner core).
-
-    Cycles are the dense-multiply throughput bound (`dense_pe_cycles`),
-    taken as the maximum over PEs of their ragged output shares. The -opt
-    variant has identical cycles but gates multiply energy on zero operands
-    and moves compressed activations across DRAM. A layer the dense
-    baselines tile through DRAM (`dense_dram_tiled`) is charged the
-    activations' round trip.
-    """
-    if variant not in (VARIANT_DCNN, VARIANT_DCNN_OPT):
-        raise ConfigurationError(f"unknown dense variant {variant}")
-    wd, ad = weights.density(), acts.density()
-    tiled = dense_dram_tiled(arch, layer, pool)
-    counts = count_events(
-        dcnn_arch(arch),
-        layer,
-        "dense" if variant == VARIANT_DCNN else "dense-opt",
-        (wd, ad),
-        input_from_dram=input_from_dram,
-        dram_tiled=tiled,
+) -> dict[str, SimReport]:
+    """The rows of the dense variants in `variants` for one layer: the
+    cost `analytic.dense_baseline` gives at the tensors' densities, taking
+    the busiest PE's cycles, with the tensors' own counts of useful_mults
+    (`cartesian_work`) and, on dcnn-opt, energized_mults (`_gated_mults`)."""
+    pe_busy, tiled, events = dense_baseline(
+        arch, layer, pool, variants, (weights.density(), acts.density()), input_from_dram
     )
-    counts.useful_mults = cartesian_work(layer, weights, acts)
-    if variant == VARIANT_DCNN_OPT:
-        counts.energized_mults = _gated_mults(layer, weights, acts)
-
-    plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
-    pe_busy = [
-        dense_pe_cycles(layer, (xh - xl) * (yh - yl), arch.mults_per_pe)
-        for yl, yh in plan.y.out_ranges
-        for xl, xh in plan.x.out_ranges
-    ]
     cycles = max(pe_busy)
-    return SimReport.build(
-        arch, layer, variant, cycles, counts, pe_busy, [cycles - b for b in pe_busy],
-        dram_tiled=tiled,
-    )
+    pe_wait = [cycles - b for b in pe_busy]
+    useful = cartesian_work(layer, weights, acts)
+    reports = {}
+    for variant, ev in events.items():
+        ev.useful_mults = useful
+        if variant == VARIANT_DCNN_OPT:
+            ev.energized_mults = _gated_mults(layer, weights, acts)
+        reports[variant] = SimReport.build(
+            arch, layer, variant, cycles, ev, pe_busy, pe_wait, dram_tiled=tiled
+        )
+    return reports
+
+
+def cartesian_work(layer: LayerShape, weights: DenseTensor, acts: DenseTensor) -> int:
+    """Total useful multiplies: per input channel, every non-zero weight
+    meets every non-zero activation exactly once. Independent of the PE
+    grid, vector widths and bank count."""
+    if weights.shape != layer.weight_shape() or acts.shape != layer.input_shape():
+        raise ShapeError("tensor shapes do not match the layer")
+    g, kpg, cpg = layer.groups, layer.filters_per_group, layer.channels_per_group
+    # non-zero weights of channel g * cpg + c, over group g's filters and taps
+    w_nnz = (weights.values != 0).reshape(g, kpg, cpg, -1).sum(axis=(1, 3))
+    a_nnz = (acts.values != 0).reshape(layer.C, -1).sum(axis=1)
+    return int(w_nnz.reshape(-1) @ a_nnz)
 
 
 def _gated_mults(layer: LayerShape, weights: DenseTensor, acts: DenseTensor) -> int:

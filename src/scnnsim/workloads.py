@@ -35,8 +35,7 @@ from .analytic import (
     SimReport,
     analytic_cycles,
     count_events,
-    dcnn_arch,
-    dense_dram_tiled,
+    dense_baseline,
     useful_products,
 )
 from .dataflow import ConfigurationError, LayerShape, partition_tiles
@@ -480,12 +479,10 @@ def _sim_layer(
             reports[VARIANT_ORACLE] = _oracle_report(spec.shape, rep.useful_mults, arch)
         if VARIANT_SCNN in variants:
             reports[VARIANT_SCNN] = rep
-    for variant in (VARIANT_DCNN, VARIANT_DCNN_OPT):
-        if variant in variants:
-            reports[variant] = simulate_dcnn_layer(
-                arch, spec.shape, weights, acts, variant, pool=spec.pool,
-                input_from_dram=first,
-            )
+    if VARIANT_DCNN in variants or VARIANT_DCNN_OPT in variants:
+        reports.update(simulate_dcnn_layer(
+            arch, spec.shape, weights, acts, variants, pool=spec.pool, input_from_dram=first
+        ))
     return reports, decoded, checked
 
 
@@ -495,26 +492,21 @@ def _analytic_layer(
     reports: dict[str, SimReport] = {}
     shape = spec.shape
     wd, ad = spec.weight_density, spec.act_density
-    dram_tiled = _analytic_tiled(arch, spec)
+    pe_busy, dense_tiled, dense = dense_baseline(
+        arch, shape, spec.pool, variants, (wd, ad), input_from_dram=first
+    )
     for variant in variants:
         if variant == VARIANT_ORACLE:
             reports[variant] = _oracle_report(shape, useful_products(shape, wd, ad), arch)
             continue
-        dflow = {
-            VARIANT_SCNN: "sparse",
-            VARIANT_DCNN: "dense",
-            VARIANT_DCNN_OPT: "dense-opt",
-        }[variant]
         if variant == VARIANT_SCNN:
-            eff_arch, tiled = arch, dram_tiled
+            busy, tiled = (), _analytic_tiled(arch, spec)
+            counts = count_events(arch, shape, "sparse", (wd, ad), first, tiled)
         else:
-            eff_arch, tiled = dcnn_arch(arch), dense_dram_tiled(arch, shape, spec.pool)
-        counts = count_events(
-            eff_arch, shape, dflow, (wd, ad),
-            input_from_dram=first, dram_tiled=tiled,
-        )
+            busy, tiled, counts = pe_busy, dense_tiled, dense[variant]
+        cycles = analytic_cycles(counts, arch)
         reports[variant] = SimReport.build(
-            arch, shape, variant, analytic_cycles(counts, eff_arch), counts,
+            arch, shape, variant, cycles, counts, busy, [cycles - b for b in busy],
             dram_tiled=tiled,
         )
     return reports
@@ -613,12 +605,10 @@ def density_sweep(
     arch: ArchConfig,
     points: Sequence[float],
     seed: int = 1,
-    variants: Sequence[str] = (VARIANT_SCNN, VARIANT_DCNN, VARIANT_DCNN_OPT),
     engine: str = "sim",
 ) -> list[ReportRow]:
     """Sweep weight and activation density together across the network:
-    one network-total row per (point, variant), the bound row (`oracle`)
-    always included.
+    one network-total row per (point, variant), for every variant.
 
     engine="sim" regenerates every layer's operands at the point density
     from one seeded permutation per tensor, so lower densities are position
@@ -633,7 +623,6 @@ def density_sweep(
         if not 0.0 < d <= 1.0:
             raise ConfigurationError(f"sweep density {d} outside (0, 1]")
     rows: list[ReportRow] = []
-    wanted = list(dict.fromkeys([*variants, VARIANT_DCNN, VARIANT_ORACLE]))
     dense_weights = []
     if engine == "sim":
         from .tensors import gen_synthetic, prune_magnitude
@@ -643,23 +632,20 @@ def density_sweep(
             for i, s in enumerate(net.layers)
         ]
     for d in points:
-        totals: dict[str, list[float]] = {v: [0, 0.0] for v in wanted}
+        totals: dict[str, list[float]] = {v: [0, 0.0] for v in ALL_VARIANTS}
         for i, spec in enumerate(net.layers):
             swept = replace(spec, weight_density=d, act_density=d, out_density=d)
             if engine == "sim":
                 w = prune_magnitude(dense_weights[i], d)
-                a = gen_synthetic(
-                    spec.shape.input_shape(), d, seed=seed + 101 * i + 50,
-                    lo=1, hi=31, signed=False,
-                )
-                reports, _, _ = _sim_layer(arch, swept, w, a, wanted, first=True)
+                a = synth_acts(swept, seed + 101 * i + 50)
+                reports, _, _ = _sim_layer(arch, swept, w, a, ALL_VARIANTS, first=True)
             else:
-                reports = _analytic_layer(arch, swept, wanted, first=True)
+                reports = _analytic_layer(arch, swept, ALL_VARIANTS, first=True)
             for v, rep in reports.items():
                 totals[v][0] += rep.cycles
                 totals[v][1] += rep.energy
         base_cycles, base_energy = totals[VARIANT_DCNN]
-        for v in list(dict.fromkeys([*variants, VARIANT_ORACLE])):
+        for v in ALL_VARIANTS:
             cycles, energy = totals[v]
             rows.append(
                 ReportRow(
@@ -711,7 +697,8 @@ def pe_granularity_sweep(
     total_mults: int = 1024,
 ) -> list[ReportRow]:
     """Hold chip math throughput constant and trade PE count against per-PE
-    multiplier array size: one network-total scnn row per grid."""
+    multiplier array size: one network-total scnn row per grid, its barrier
+    fraction the network's total PE wait over n_pes * cycles."""
     rows = []
     for grid in grids:
         garch = pe_granularity_arch(arch, grid, total_mults)
@@ -719,7 +706,7 @@ def pe_granularity_sweep(
         cycles = run.total(VARIANT_SCNN)
         useful = run.total(VARIANT_SCNN, "useful_mults")
         util = useful / (total_mults * cycles) if cycles else 0.0
-        waits = [r.reports[VARIANT_SCNN].barrier_stall_fraction for r in run.layers]
+        wait = sum(sum(r.reports[VARIANT_SCNN].pe_wait) for r in run.layers)
         rows.append(
             ReportRow(
                 network=net.name,
@@ -728,7 +715,7 @@ def pe_granularity_sweep(
                 grid=f"{grid[0]}x{grid[1]}",
                 cycles=cycles,
                 mult_utilization=util,
-                barrier_stall_fraction=sum(waits) / len(waits) if waits else 0.0,
+                barrier_stall_fraction=wait / (garch.n_pes * cycles) if cycles else 0.0,
             )
         )
     return rows

@@ -8,13 +8,8 @@ from oracles import (
     per_pe_tiles,
     strided_out_coord,
 )
-from scnnsim.dataflow import (
-    ConfigurationError,
-    LayerShape,
-    cartesian_work,
-    choose_kc,
-    partition_tiles,
-)
+from scnnsim.dataflow import ConfigurationError, LayerShape, choose_kc, partition_tiles
+from scnnsim.simulator import cartesian_work
 from scnnsim.tensors import ACT_ROLES, WEIGHT_ROLES, DenseTensor, gen_synthetic
 
 

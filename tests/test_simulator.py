@@ -437,7 +437,7 @@ class TestDenseBaselines:
         arch = small_arch()
         w = gen_synthetic(layer.weight_shape(), 1.0, seed=1)
         a = gen_synthetic(layer.input_shape(), 1.0, seed=2, signed=False)
-        report = simulate_dcnn_layer(arch, layer, w, a)
+        report = simulate_dcnn_layer(arch, layer, w, a)[VARIANT_DCNN]
         ideal = layer.dense_multiplies() / arch.total_mults
         assert report.cycles >= ideal
         assert report.cycles <= 1.3 * ideal + arch.n_pes
@@ -447,8 +447,8 @@ class TestDenseBaselines:
         arch = small_arch()
         w = prune_magnitude(gen_synthetic(layer.weight_shape(), 1.0, seed=3), 0.5)
         a = gen_synthetic(layer.input_shape(), 0.5, seed=4, signed=False)
-        dcnn = simulate_dcnn_layer(arch, layer, w, a, VARIANT_DCNN)
-        opt = simulate_dcnn_layer(arch, layer, w, a, VARIANT_DCNN_OPT)
+        reports = simulate_dcnn_layer(arch, layer, w, a)
+        dcnn, opt = reports[VARIANT_DCNN], reports[VARIANT_DCNN_OPT]
         assert dcnn.cycles == opt.cycles
         assert opt.energy <= dcnn.energy
 
@@ -460,8 +460,8 @@ class TestDenseBaselines:
         half_vals = full.values.copy()
         half_vals[:, ::2, :] = 0  # zero half the activations
         half = DenseTensor(half_vals, ACT_ROLES)
-        r_full = simulate_dcnn_layer(arch, layer, w, full, VARIANT_DCNN_OPT)
-        r_half = simulate_dcnn_layer(arch, layer, w, half, VARIANT_DCNN_OPT)
+        (r_full,) = simulate_dcnn_layer(arch, layer, w, full, (VARIANT_DCNN_OPT,)).values()
+        (r_half,) = simulate_dcnn_layer(arch, layer, w, half, (VARIANT_DCNN_OPT,)).values()
         assert r_half.events.energized_mults * 2 == r_full.events.energized_mults
 
     @settings(max_examples=200, deadline=None)
@@ -500,11 +500,30 @@ class TestDenseBaselines:
         arch = ArchConfig()
         w = gen_synthetic(layer.weight_shape(), 1.0, seed=1)
         a = gen_synthetic(layer.input_shape(), 1.0, seed=2, signed=False)
-        report = simulate_dcnn_layer(arch, layer, w, a)
-        on_chip = count_events(dcnn_arch(arch), layer, "dense", (w.density(), a.density()))
+        report = simulate_dcnn_layer(arch, layer, w, a)[VARIANT_DCNN]
+        on_chip = count_events(arch, layer, "dense", (w.density(), a.density()))
         assert report.dram_tiled
         out_bits = layer.K * layer.Wo * layer.Ho * STORED_VALUE_BITS
         assert report.events.dram_bits == on_chip.dram_bits + out_bits
+
+    def test_both_rows_count_the_tensors_once(self):
+        layer = LayerShape("once", C=4, K=8, W=8, H=8, R=3, S=3, pad=1)
+        arch = small_arch()
+        w = prune_magnitude(gen_synthetic(layer.weight_shape(), 1.0, seed=7), 0.5)
+        a = gen_synthetic(layer.input_shape(), 0.5, seed=8, signed=False)
+        both = (VARIANT_DCNN, VARIANT_DCNN_OPT)
+        for variants, gated in ((both, 1), ((VARIANT_DCNN,), 0)):
+            with mock.patch.object(
+                simulator, "cartesian_work", wraps=simulator.cartesian_work
+            ) as work, mock.patch.object(
+                simulator, "_gated_mults", wraps=simulator._gated_mults
+            ) as gate:
+                reports = simulate_dcnn_layer(arch, layer, w, a, variants)
+            assert tuple(reports) == variants
+            assert (work.call_count, gate.call_count) == (1, gated)
+        assert reports[VARIANT_DCNN].pe_busy == simulate_dcnn_layer(
+            arch, layer, w, a
+        )[VARIANT_DCNN_OPT].pe_busy
 
     def test_dcnn_arch_has_2mb_sram(self):
         arch = ArchConfig()

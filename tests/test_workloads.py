@@ -253,7 +253,8 @@ def test_engines_share_the_dense_tiling_rule(k, tiled, tmp_path):
 )
 def test_engines_agree_on_dense_batches(network):
     # dense work depends only on the shapes, so both engines count the same
-    # F x I batches over every PE
+    # F x I batches over every PE, and, where no layer is bound by DRAM,
+    # time them the same, PE by PE
     net = load_network(network)
     dense = (VARIANT_DCNN, VARIANT_DCNN_OPT)
     sim, analytic = (
@@ -262,7 +263,12 @@ def test_engines_agree_on_dense_batches(network):
     )
     for s, a in zip(sim, analytic):
         for variant in dense:
-            assert s.reports[variant].batches == a.reports[variant].batches
+            s_rep, a_rep = s.reports[variant], a.reports[variant]
+            assert s_rep.batches == a_rep.batches
+            assert s_rep.cycles == a_rep.cycles
+            assert s_rep.pe_busy == a_rep.pe_busy
+            assert s_rep.pe_wait == a_rep.pe_wait
+            assert s_rep.barrier_stall_fraction == a_rep.barrier_stall_fraction
 
 
 @pytest.mark.parametrize("grid", [(2, 2), (4, 4), (8, 8), (16, 16), (32, 32)])
@@ -272,6 +278,26 @@ def test_pe_grids_share_the_chip_ram_budget(grid):
     assert garch.n_pes * garch.iaram_bytes == base.n_pes * base.iaram_bytes
     assert garch.n_pes * garch.oaram_bytes == base.n_pes * base.oaram_bytes
     assert garch.total_mults == 1024
+
+
+def test_pe_sweep_barrier_is_the_network_wait_over_pe_cycles(tmp_path):
+    # wait over n_pes * cycles, summed over the layers: not a mean of the
+    # layers' fractions, which weighs a short layer like a long one
+    path = tmp_path / "tiny.yaml"
+    path.write_text(TINY_CHAIN)
+    net = load_network(path)
+    (row,) = pe_granularity_sweep(net, ArchConfig(), ((2, 2),), seed=3)
+    garch = pe_granularity_arch(ArchConfig(), (2, 2), 1024)
+    reps = [
+        lr.reports[VARIANT_SCNN]
+        for lr in run_network(net, garch, (VARIANT_SCNN,), seed=3).layers
+    ]
+    assert row.cycles == sum(r.cycles for r in reps)
+    wait = sum(sum(r.pe_wait) for r in reps)
+    assert row.barrier_stall_fraction == wait / (garch.n_pes * row.cycles)
+    # the chain tells the two apart: its layers' fractions and cycles differ
+    mean = sum(r.barrier_stall_fraction for r in reps) / len(reps)
+    assert row.barrier_stall_fraction != pytest.approx(mean, rel=1e-3)
 
 
 def test_pe_grid_larger_than_the_base_array_runs():
@@ -307,9 +333,14 @@ def test_every_report_obeys_its_definitions(engine, tmp_path):
                     rep.useful_mults / (arch.total_mults * rep.cycles)
                 )
             assert rep.batches <= arch.n_pes * rep.cycles
-            if engine == "sim" and variant in (VARIANT_SCNN, VARIANT_DCNN):
+            # every row but the bound row and the analytic scnn estimate
+            # carries its per-PE split
+            if variant in (VARIANT_DCNN, VARIANT_DCNN_OPT) or (
+                engine == "sim" and variant == VARIANT_SCNN
+            ):
                 assert len(rep.pe_busy) == len(rep.pe_wait) == arch.n_pes
                 assert sum(rep.pe_busy) + sum(rep.pe_wait) == arch.n_pes * rep.cycles
+                assert min(rep.pe_wait) >= 0
 
 
 YAML_VALUES = st.recursive(
