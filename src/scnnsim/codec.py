@@ -13,6 +13,10 @@ built for a whole tensor slice by one vectorized `encode_blocks` and
 validated once. The simulator reads the flat arrays (and the dense positions
 derived from the runs) directly; a single block is the slice
 offsets[b]:offsets[b + 1] of those arrays.
+
+Values are stored as int32, narrowed only after the 24-bit accumulator check;
+run lengths, offsets, extents and positions stay int64, since an index field
+may be up to 62 bits wide.
 """
 
 from __future__ import annotations
@@ -117,6 +121,13 @@ def _int64(xs, what: str) -> np.ndarray:
         raise CodecError(f"{what} outside the 64-bit range") from e
 
 
+def _int_values(xs) -> np.ndarray:
+    """Values as given when they are an int32 array, else as int64."""
+    if isinstance(xs, np.ndarray) and xs.dtype == np.int32:
+        return xs
+    return _int64(xs, "value")
+
+
 class BlockSet(Record, eq=False):
     """Many blocks in the stream format, stored column-wise.
 
@@ -126,7 +137,8 @@ class BlockSet(Record, eq=False):
     from the runs.
     The whole set is checked once: the index width, offsets that partition
     the stream, runs within the index width, values within the 24-bit
-    accumulator range and every entry inside its block's extent."""
+    accumulator range and every entry inside its block's extent. `values`
+    is then held as int32, the other arrays as int64."""
 
     values: np.ndarray
     run_lengths: np.ndarray
@@ -135,19 +147,17 @@ class BlockSet(Record, eq=False):
     index_bits: int = DEFAULT_INDEX_BITS
 
     def __post_init__(self) -> None:
-        for name in ("values", "run_lengths", "offsets", "extents"):
+        for name in ("run_lengths", "offsets", "extents"):
             object.__setattr__(self, name, _int64(getattr(self, name), name))
+        values = _int_values(self.values)
         positions = _check_stream(
-            self.values, self.run_lengths, self.offsets, self.extents, self.index_bits
+            values, self.run_lengths, self.offsets, self.extents, self.index_bits
         )
+        object.__setattr__(self, "values", values.astype(np.int32, copy=False))
         object.__setattr__(self, "positions", positions)
 
     def __len__(self) -> int:
         return self.extents.size
-
-    def block_ids(self) -> np.ndarray:
-        """The block of every stored entry."""
-        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
 
 
 def encode_blocks(
@@ -156,9 +166,12 @@ def encode_blocks(
     index_bits: int = DEFAULT_INDEX_BITS,
 ) -> BlockSet:
     """Run-length encode many dense slices at once: `dense` concatenates the
-    blocks' linearized slices and `extents` gives their lengths."""
+    blocks' linearized slices and `extents` gives their lengths. The value
+    buffer takes the dense values' width, int32 from every simulator stage;
+    any other input is widened to int64 and narrowed by `BlockSet` after its
+    range check."""
     _check_index_bits(index_bits)
-    flat = _int64(dense, "value").reshape(-1)
+    flat = _int_values(dense).reshape(-1)
     extents = _int64(extents, "extent").reshape(-1)
     starts = np.zeros(extents.size + 1, dtype=np.int64)
     np.cumsum(extents, out=starts[1:])
@@ -171,12 +184,12 @@ def encode_blocks(
         raise CodecError(f"extents do not partition {flat.size} dense values")
     # a block of extent e holds at most e >> index_bits placeholders
     bound = np.count_nonzero(flat) + int((extents >> index_bits).sum())
-    values = np.zeros(bound, dtype=np.int64)
+    values = np.zeros(bound, dtype=flat.dtype)
     runs = np.full(bound, (1 << index_bits) - 1, dtype=np.int64)
     offsets = np.zeros(extents.size + 1, dtype=np.int64)
     for b0, b1 in _passes(starts):
         part, at = flat[starts[b0] : starts[b1]], offsets[b0]
-        # np.flatnonzero runs several times faster on a boolean mask than on int64
+        # np.flatnonzero runs several times faster on a boolean mask than on integers
         nz = np.flatnonzero(part != 0)
         # block b's non-zeros are nz[first[b]:first[b + 1]]
         block_starts = starts[b0:b1] - starts[b0]

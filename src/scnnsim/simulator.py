@@ -20,7 +20,9 @@ channel c), the activation tiles of every PE (block pe * C + c) and its
 outputs (block pe * K + k). Nothing is encoded or decoded block by block:
 the scatter reads each set's flat values and the dense positions derived
 from its runs, and `LayerOutput.decoded` rebuilds the plane from them with
-one scatter.
+one scatter. Operands, output planes and block values are int32; only the
+accumulators and the PPU's merge, whose sums may outgrow 24 bits before
+their check, hold int64.
 
 The hardware works through a layer one output-channel group at a time; the
 host scatters batches of consecutive groups (`_batches`, sized by the
@@ -145,10 +147,11 @@ def distribute_activations(
 
 
 def _pe_major(planes: np.ndarray, x0, wt, y0, ht) -> np.ndarray:
-    """planes[:, x0:x0 + wt, y0:y0 + ht] of every PE, flattened in PE order;
-    the rectangles partition the plane, so each value is copied once."""
+    """planes[:, x0:x0 + wt, y0:y0 + ht] of every PE, flattened in PE order
+    in the planes' own dtype (int32 for the operands and outputs); the
+    rectangles partition the plane, so each value is copied once."""
     k, at = planes.shape[0], 0
-    dense = np.empty(planes.size, dtype=np.int64)
+    dense = np.empty(planes.size, dtype=planes.dtype)
     for x, dx, y, dy in zip(x0.tolist(), wt.tolist(), y0.tolist(), ht.tolist()):
         dense[at : at + k * dx * dy].reshape(k, dx, dy)[...] = planes[:, x : x + dx, y : y + dy]
         at += k * dx * dy
@@ -515,14 +518,15 @@ def ppu_finalize(
 
     `acc` holds the accumulators of one or more consecutive output-channel
     groups, [slot, k, EX, EY] as `slots` describes. Halo cells are added
-    into their owners' partial sums, and the merged plane is range-checked,
-    ReLU'd and max-pooled when requested; every step acts on each output
-    channel alone, so a batch of groups gives each group's result. The
-    layer compresses the planes of all its groups into the PEs' output RAMs
-    at once (`simulate_scnn_layer`)."""
+    into their owners' int64 partial sums, and the merged plane is
+    range-checked, narrowed to int32, ReLU'd and max-pooled when requested;
+    every step acts on each output channel alone, so a batch of groups
+    gives each group's result. The layer compresses the planes of all its
+    groups into the PEs' output RAMs at once (`simulate_scnn_layer`)."""
     merged, halo_values = _merge_group_plane(acc, slots)
     check_range(merged, ACCUM_BITS, f"{slots.plan.layer.name}: merged partial sums")
-    plane = np.maximum(merged, 0)
+    plane = merged.astype(np.int32)
+    np.maximum(plane, 0, out=plane)
     if pool is not None:
         plane = max_pool(plane, pool)
     drained = acc.shape[1] * int(slots.extent.prod(axis=1).sum())
@@ -533,8 +537,8 @@ class LayerOutput(Record):
     """A layer's outputs (post ReLU and pooling) as the PEs' output RAMs
     hold them: `blocks` holds the whole layer in one set, block pe * K + k
     being PE pe's share of output channel k, x-major then y within its
-    rectangle of the (K, W, H) plane `shape`. `decoded` rebuilds the plane
-    strictly from the compressed blocks."""
+    rectangle of the (K, W, H) plane `shape`. `decoded` rebuilds the plane,
+    as int32, strictly from the compressed blocks."""
 
     blocks: BlockSet
     shape: tuple[int, int, int]
@@ -542,15 +546,24 @@ class LayerOutput(Record):
     pe_cols: int
 
     def decoded(self) -> DenseTensor:
-        k_total, w, h = self.shape
-        x0, _, y0, ht = _rects(w, h, self.pe_rows, self.pe_cols)
-        pe, k = np.divmod(self.blocks.block_ids(), k_total)
-        pos = self.blocks.positions
-        x = x0[pe] + pos // ht[pe]
-        y = y0[pe] + pos % ht[pe]
-        out = np.zeros(k_total * w * h, dtype=np.int64)
-        out[(k * w + x) * h + y] = self.blocks.values
-        return DenseTensor(out.reshape(k_total, w, h), OUT_ROLES)
+        """The blocks expanded into the PE-major stream `_pe_major` encodes,
+        one index per entry, then each PE's rectangle copied into place."""
+        k, w, h = self.shape
+        blocks = self.blocks
+        starts = np.zeros(len(blocks), dtype=np.int64)
+        np.cumsum(blocks.extents[:-1], out=starts[1:])
+        where = np.repeat(starts, np.diff(blocks.offsets))
+        where += blocks.positions
+        dense = np.zeros(k * w * h, dtype=np.int32)
+        dense[where] = blocks.values
+        del where
+        out = np.empty((k, w, h), dtype=np.int32)
+        x0, wt, y0, ht = _rects(w, h, self.pe_rows, self.pe_cols)
+        at = 0
+        for x, dx, y, dy in zip(x0.tolist(), wt.tolist(), y0.tolist(), ht.tolist()):
+            out[:, x : x + dx, y : y + dy] = dense[at : at + k * dx * dy].reshape(k, dx, dy)
+            at += k * dx * dy
+        return DenseTensor(out, OUT_ROLES)
 
 
 def simulate_scnn_layer(

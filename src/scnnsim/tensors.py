@@ -5,6 +5,11 @@ accumulator semantics. Accumulation is exact (int64, or float64 under a
 checked bound) and the final partial sums are checked against the 24-bit
 range, so any two correct implementations of the same layer agree bit for
 bit.
+
+Storage is int32: every `DenseTensor` holds its values as int32, so each
+operand, output and synthetic draw takes half the memory int64 would. Only
+sums that can outgrow int32 stay int64, here `reference_conv`'s running
+output; a value narrowed to int32 is range-checked first, never wrapped.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ VALUE_MIN = -(1 << (VALUE_BITS - 1))
 VALUE_MAX = (1 << (VALUE_BITS - 1)) - 1
 ACCUM_MIN = -(1 << (ACCUM_BITS - 1))
 ACCUM_MAX = (1 << (ACCUM_BITS - 1)) - 1
+STORAGE_BITS = 32  # every DenseTensor's values are int32
 # A 16-bit product is at most 2**30 in magnitude and float64 holds every
 # integer below 2**53, so a float64 sum of under 2**23 products is exact.
 PRODUCT_BITS = 2 * (VALUE_BITS - 1)
@@ -35,18 +41,27 @@ OUT_ROLES = ("k", "x", "y")
 
 
 class FixedPointOverflow(ArithmeticError):
-    """A value left the 16-bit operand or 24-bit accumulator range."""
+    """A value left the 16-bit operand, 24-bit accumulator or 32-bit storage
+    range."""
 
 
 class DenseTensor(Record):
     """A rank-3/4 integer array with role labels for each dimension
-    (weights: k,c,r,s; activations: c,x,y)."""
+    (weights: k,c,r,s; activations: c,x,y).
+
+    The values are one read-only int32 copy of what is given. Operands are
+    16-bit and outputs 24-bit checked partial sums, so int32 holds them all;
+    a value outside int32 raises FixedPointOverflow instead of wrapping."""
 
     values: np.ndarray
     roles: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=np.int64, copy=True)
+        arr = np.asarray(self.values)
+        if arr.dtype != np.int32:
+            arr = np.asarray(arr, dtype=np.int64)
+            check_range(arr, STORAGE_BITS, "tensor values")
+        arr = arr.astype(np.int32)
         if arr.ndim != len(self.roles):
             raise ShapeError(f"rank {arr.ndim} does not match roles {self.roles}")
         arr.flags.writeable = False
@@ -94,6 +109,7 @@ def reference_conv(layer: LayerShape, weights: DenseTensor, input_: DenseTensor)
     into the int64 output. It is exact: every partial sum, in whatever order
     the BLAS forms it, is an integer below channels_per_group * 2**30 <
     2**53. Layers with 2**23 or more channels per group raise ShapeError.
+    The checked 24-bit sums are handed back as an int32 tensor.
     """
     if weights.shape != layer.weight_shape():
         raise ShapeError(
@@ -163,7 +179,8 @@ def prune_magnitude(weights: DenseTensor, target_density: float) -> DenseTensor:
         raise ValueError(f"target_density {target_density} outside (0, 1]")
     n = weights.size
     keep = math.ceil(target_density * n)
-    mag = np.abs(weights.values.reshape(-1))
+    # as uint32, so that |-2**31| does not wrap to a negative magnitude
+    mag = np.abs(weights.values.reshape(-1)).view(np.uint32)
     threshold = np.partition(mag, n - keep)[n - keep]
     mask = mag > threshold
     mask[np.flatnonzero(mag == threshold)[: keep - np.count_nonzero(mask)]] = True
@@ -184,7 +201,10 @@ def gen_synthetic(
     Non-zero positions are the first ceil(d*n) entries of one seeded
     permutation, so lowering the density with the same seed always yields a
     subset of the positions (used by the density sweeps for monotonicity).
-    Values are uniform integers in [lo, hi], optionally sign-flipped.
+    Values are uniform integers in [lo, hi], optionally sign-flipped. They
+    are drawn as int32: a range below 2**32 takes the same 32-bit draws from
+    the generator at either width, so the values are those an int64 draw
+    gives.
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density {density} outside [0, 1]")
@@ -198,9 +218,9 @@ def gen_synthetic(
     rng = np.random.default_rng(seed)
     positions = rng.permutation(n)
     # draw a value for every slot so the first m are identical across densities
-    mags = rng.integers(lo, hi + 1, size=n, dtype=np.int64)
+    mags = rng.integers(lo, hi + 1, size=n, dtype=np.int32)
     if signed:
-        mags *= rng.integers(0, 2, size=n, dtype=np.int64) * 2 - 1
-    flat = np.zeros(n, dtype=np.int64)
+        mags *= rng.integers(0, 2, size=n, dtype=np.int32) * 2 - 1
+    flat = np.zeros(n, dtype=np.int32)
     flat[positions[:m]] = mags[:m]
     return DenseTensor(flat.reshape(shape), roles)

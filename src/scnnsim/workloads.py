@@ -99,6 +99,15 @@ def _field(mapping: dict, key: str, path: str, kind=None, default=None, required
     return value
 
 
+def _known_keys(mapping: dict, keys: Sequence[str], path: str) -> None:
+    if not isinstance(mapping, dict):
+        raise DescriptorError(f"{path}: expected a mapping, got {mapping!r}")
+    for key in mapping:
+        if key not in keys:
+            expected = ", ".join(keys)
+            raise DescriptorError(f"{path}: unknown key {key!r} (expected {expected})")
+
+
 def _density(mapping: dict, key: str, path: str, default=None, required=True) -> float:
     v = _field(mapping, key, path, (int, float), default, required)
     if v is None:
@@ -108,9 +117,20 @@ def _density(mapping: dict, key: str, path: str, default=None, required=True) ->
     return float(v)
 
 
+# the keys a descriptor's input, layer and pool mappings may hold; a
+# misspelt optional key would otherwise fall back to its default unseen
+INPUT_KEYS = ("channels", "width", "height")
+LAYER_KEYS = (
+    "name", "takes", "C", "K", "R", "S", "stride", "pad", "groups",
+    "weight_density", "act_density", "pool",
+)
+POOL_KEYS = ("window", "stride")
+
+
 def _pool(raw, path: str) -> PoolSpec | None:
     if raw is None:
         return None
+    _known_keys(raw, POOL_KEYS, path)
     window, stride = _field(raw, "window", path, int), _field(raw, "stride", path, int)
     if window < 1 or stride < 1:
         raise DescriptorError(f"{path}: window {window} and stride {stride} must be >= 1")
@@ -141,6 +161,7 @@ def _takes(raw: dict, path: str, prev: str, made: dict) -> tuple[str, ...]:
 
 def _load_layers(doc: dict, name: str) -> tuple[LayerSpec, ...]:
     inp = _field(doc, "input", name, dict)
+    _known_keys(inp, INPUT_KEYS, f"{name}.input")
     # what each layer a later one may take hands over: channels, post-pool
     # plane, and where it is declared
     made = {"input": (
@@ -155,6 +176,7 @@ def _load_layers(doc: dict, name: str) -> tuple[LayerSpec, ...]:
     prev = "input"
     for i, raw in enumerate(raw_layers):
         path = f"{name}.layers[{i}]"
+        _known_keys(raw, LAYER_KEYS, path)
         lname = _field(raw, "name", path, str)
         if lname in made:
             raise DescriptorError(
@@ -294,13 +316,6 @@ class ExperimentConfig(Record):
 
 
 CONFIG_KEYS = ("schema_version", "arch", "energy", "seed", "sweep", "out_dir")
-
-
-def _known_keys(mapping: dict, keys: Sequence[str], path: str) -> None:
-    for key in mapping:
-        if key not in keys:
-            expected = ", ".join(keys)
-            raise DescriptorError(f"{path}: unknown key {key!r} (expected {expected})")
 
 
 def _build(cls, kw: dict, path: str):

@@ -233,11 +233,27 @@ def graph_layer(fields: str) -> str:
             GRAPH_HEAD.replace("act_density: 0.5, takes", "act_density: true, takes"),
             "bad.layers[1].act_density: expected int or float, got True",
         ),
+        # unrefused, a misspelt optional key falls back to its default: this
+        # layer would run at stride 1 and pad 0
+        (
+            GRAPH_HEAD + graph_layer("strde: 2, pading: 1"),
+            "bad.layers[2]: unknown key 'strde' (expected name, takes, C, K, R, S, stride, "
+            "pad, groups, weight_density, act_density, pool)",
+        ),
+        (
+            GRAPH_HEAD + graph_layer("pool: {window: 2, stide: 2}"),
+            "bad.layers[2].pool: unknown key 'stide' (expected window, stride)",
+        ),
+        (
+            GRAPH_HEAD.replace("height: 8}", "height: 8, chanels: 3}"),
+            "bad.input: unknown key 'chanels' (expected channels, width, height)",
+        ),
     ],
     ids=[
         "later-layer", "unknown-layer", "non-name", "empty-list", "planes-disagree",
         "concat-channels", "repeated-producer", "input-as-layer-name", "bool-stride",
-        "bool-K", "bool-pool-stride", "bool-density",
+        "bool-K", "bool-pool-stride", "bool-density", "misspelt-layer-key",
+        "misspelt-pool-key", "misspelt-input-key",
     ],
 )
 def test_bad_layer_graph_is_a_one_line_error(text, message, tmp_path, capsys):

@@ -290,6 +290,24 @@ class TestBlockSetRejects:
         with pytest.raises(CodecError, match="partition"):
             encode_blocks([], [(1 << 63) - 1, (1 << 63) - 1, 2])
 
+    @pytest.mark.parametrize("value", [(1 << 32) + 1, -(1 << 32) + 7, 1 << 40])
+    def test_values_past_int32_are_refused_not_wrapped(self, value):
+        # each wraps to a small int32; the 24-bit check must see it first
+        with pytest.raises(CodecError, match=f"value {value} outside 24-bit"):
+            BlockSet([1, value], [0, 0], [0, 1, 2], [1, 1])
+        with pytest.raises(CodecError, match=f"value {value} outside 24-bit"):
+            encode_blocks([0, value, 0], [3])
+
+    def test_values_are_int32_and_indices_int64(self):
+        for bs in (
+            BlockSet([ACCUM_MIN, ACCUM_MAX], [0, 15], [0, 1, 2], [1, 16]),
+            encode_blocks(np.array([0, 5, 0, -3], dtype=np.int32), [2, 2]),
+            encode_blocks([0, 5, 0, -3], [2, 2]),
+        ):
+            assert bs.values.dtype == np.int32
+            for index in (bs.run_lengths, bs.offsets, bs.extents, bs.positions):
+                assert index.dtype == np.int64
+
     def test_extremes_accepted(self):
         bs = BlockSet([ACCUM_MIN, ACCUM_MAX], [0, 15], [0, 1, 2], [1, 16])
         assert bs.positions.tolist() == [0, 15]

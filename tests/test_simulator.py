@@ -387,6 +387,22 @@ class TestDistribute:
             simulate_scnn_layer(arch, layer, stream, encode_blocks(dense, extents))
 
 
+def test_values_are_int32_from_synthesis_to_the_output_blocks():
+    # the accumulators keep int64; every stored value on either side is int32
+    layer = LayerShape("widths", C=3, K=6, W=9, H=9, R=3, S=3, pad=1, stride=2)
+    arch = small_arch()
+    w, a, out, _ = run_scnn(arch, layer, 0.5, 0.6, pool=PoolSpec(2, 2))
+    stream, tiles = prepare_scnn_inputs(arch, layer, w, a)
+    for values in (w.values, a.values, stream.blocks.values, tiles.values, out.blocks.values):
+        assert values.dtype == np.int32
+    for blocks in (stream.blocks, tiles, out.blocks):
+        for index in (blocks.run_lengths, blocks.offsets, blocks.extents, blocks.positions):
+            assert index.dtype == np.int64
+    decoded = out.decoded().values
+    assert decoded.dtype == np.int32
+    assert decoded.tolist() == expected_output(layer, w, a, PoolSpec(2, 2)).tolist()
+
+
 class TestPPU:
     def test_halo_product_lands_in_neighbor_output(self):
         # 1x2 grid; a single product in PE0's halo column belongs to PE1
@@ -413,6 +429,7 @@ class TestPPU:
         acc = np.zeros((1, 2, 8, 8), dtype=np.int64)
         acc[0, 0, 2, 2] = 7
         plane, _, halo_values = ppu_finalize(acc, _slots(plan, 2, 32, "mod"))
+        assert plane.dtype == np.int32
         assert halo_values == 0
         # accumulator base is -1 with pad 1 and a 3x3 filter
         assert plane[0, 1, 1] == 7

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,31 @@ def t(values, roles=None):
     if roles is None:
         roles = tuple("d" * arr.ndim)
     return DenseTensor(arr, roles)
+
+
+class TestDenseTensor:
+    def test_values_are_one_read_only_int32_copy(self):
+        src = np.arange(6, dtype=np.int64).reshape(1, 2, 3)
+        x = t(src, ACT_ROLES)
+        assert x.values.dtype == np.int32
+        assert not x.values.flags.writeable
+        src[0, 0, 0] = 9
+        assert x.values[0, 0, 0] == 0
+        y = t(x.values, ACT_ROLES)
+        assert y.values is not x.values
+
+    @pytest.mark.parametrize(
+        "value", [1 << 40, -(1 << 40), (1 << 31), -(1 << 31) - 1, (1 << 32) + 5]
+    )
+    def test_values_outside_int32_are_refused_not_wrapped(self, value):
+        with pytest.raises(FixedPointOverflow, match=str(value)):
+            t(np.array([[[0, value]]]), ACT_ROLES)
+        with pytest.raises(FixedPointOverflow, match=str(value)):
+            t([[[value]]], ACT_ROLES)
+
+    def test_int32_extremes_accepted(self):
+        x = t([[[-(1 << 31), (1 << 31) - 1]]], ACT_ROLES)
+        assert x.values.tolist() == [[[-(1 << 31), (1 << 31) - 1]]]
 
 
 class TestLayerShape:
@@ -167,7 +194,7 @@ class TestReferenceConvAgainstEinsum:
                 reference_conv(layer, t(w, WEIGHT_ROLES), t(a, ACT_ROLES))
         else:
             got = reference_conv(layer, t(w, WEIGHT_ROLES), t(a, ACT_ROLES))
-            assert got.values.dtype == np.int64
+            assert got.values.dtype == np.int32
             assert np.array_equal(got.values, expect)
 
     def test_partial_sums_past_24_bits(self):
@@ -245,6 +272,11 @@ class TestPrune:
         assert out.nnz() == 300
         assert out.density() == pytest.approx(0.3)
 
+    def test_least_int32_ranks_as_largest(self):
+        # |-2**31| wraps in int32; the magnitude must not
+        out = prune_magnitude(t([1, -(1 << 31), 3, 2]), 0.25)
+        assert out.values.tolist() == [0, -(1 << 31), 0, 0]
+
     def test_tie_break_by_lowest_index(self):
         out = prune_magnitude(t([2, -2, 2, 1]), 0.5)
         assert out.values.tolist() == [2, -2, 0, 0]
@@ -278,7 +310,33 @@ class TestPrune:
         assert got.values.tolist() == argsort_prune(x.reshape(shape), d).tolist()
 
 
+def int64_draws(shape, density, seed, lo, hi, signed):
+    """gen_synthetic's construction with int64 draws, as it was first written."""
+    n = math.prod(shape)
+    rng = np.random.default_rng(seed)
+    positions = rng.permutation(n)
+    mags = rng.integers(lo, hi + 1, size=n, dtype=np.int64)
+    if signed:
+        mags *= rng.integers(0, 2, size=n, dtype=np.int64) * 2 - 1
+    flat = np.zeros(n, dtype=np.int64)
+    flat[positions[: math.ceil(density * n)]] = mags[: math.ceil(density * n)]
+    return flat.reshape(shape)
+
+
 class TestSynthetic:
+    # signed weights and unsigned activations in [1, 31], and the default range
+    @pytest.mark.parametrize(
+        "lo,hi,signed", [(1, 31, True), (1, 31, False), (1, 99, True), (1, 99, False)]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 51, 2**31 + 3])
+    @pytest.mark.parametrize(
+        "shape,density", [((1,), 1.0), ((7,), 0.5), ((3, 5, 5), 0.3), ((4, 3, 3, 3), 1.0)]
+    )
+    def test_int32_draws_equal_the_int64_stream(self, lo, hi, signed, seed, shape, density):
+        got = gen_synthetic(shape, density, seed, lo=lo, hi=hi, signed=signed)
+        assert got.values.dtype == np.int32
+        assert np.array_equal(got.values, int64_draws(shape, density, seed, lo, hi, signed))
+
     def test_density_zero_all_zero(self):
         assert gen_synthetic((4, 5), 0.0, seed=1).nnz() == 0
 

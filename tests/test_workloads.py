@@ -90,6 +90,25 @@ def test_shipped_json_is_the_parsed_yaml():
         )
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        *SHIPPED,
+        *(str(p.relative_to(REPO)) for p in sorted((REPO / "tests/golden").glob("*.yaml"))),
+        *(str(p.relative_to(REPO)) for p in sorted((REPO / "perfbench").glob("*.yaml"))),
+    ],
+)
+def test_every_descriptor_the_repo_runs_loads(path):
+    # every shipped name, golden and benchmark descriptor passes the loader's
+    # key checks; perfbench's carry a top-level `topology`, which is left alone
+    assert set(SHIPPED) == set(workloads.shipped_networks())
+    net = load_network(path if path in SHIPPED else REPO / path)
+    assert net.layers
+
+
 def test_analytic_rows_roll_up_energy_once(monkeypatch):
     rolled = []
     rollup = EnergyModel.rollup
