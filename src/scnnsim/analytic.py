@@ -66,7 +66,7 @@ class EventCounts(Record, frozen=False):
     """
 
     mult_ops: int = 0         # products with operands loaded
-    useful_mults: int = 0     # products with both operands non-zero
+    useful_mults: int = 0     # products of two non-zero operands landing on a valid output
     energized_mults: int = 0  # products charged multiply energy (gating off => mult_ops)
     mult_slots: int = 0       # multiplier slots occupied or idled by fragmentation
     pe_max_batches: int = 0
@@ -259,7 +259,7 @@ class SimReport(Record):
     bank_conflict_stalls: int = 0
     fifo_stalls: int = 0
     drain_overhead_cycles: int = 0
-    stride_skipped: int = 0
+    stride_skipped: int = 0  # stored pairs, placeholders too, whose stride phases miss
     dram_tiled: bool = False
     pe_busy: tuple[int, ...] = ()
     pe_wait: tuple[int, ...] = ()
@@ -400,11 +400,17 @@ def activation_dram_bits(
 
 
 def useful_products(layer: LayerShape, wd: float, ad: float) -> int:
-    """Expected products of two non-zero operands at weight density wd and
-    activation density ad: each weight meets every input of its channel."""
-    return round(
-        layer.filters_per_group * layer.C * layer.R * layer.S * layer.W * layer.H * wd * ad
-    )
+    """Useful multiplies at densities (wd, ad): products of two non-zero
+    operands that land on a valid output. Along each axis, tap t reaches the
+    outputs o with 0 <= o * stride + t - pad < span; those (output, tap)
+    pairs are counted exactly, so the count is exact at densities (1, 1)."""
+    st, pad, pairs = layer.stride, layer.pad, 1
+    for span, taps, out in ((layer.W, layer.R, layer.Wo), (layer.H, layer.S, layer.Ho)):
+        pairs *= sum(
+            max(0, min(out, (span - 1 + pad - t) // st + 1) - max(0, (pad - t + st - 1) // st))
+            for t in range(taps)
+        )
+    return round(layer.filters_per_group * layer.C * pairs * wd * ad)
 
 
 def count_events(
@@ -419,8 +425,11 @@ def count_events(
 
     `dataflow` is "sparse" (compressed operands, Cartesian-product PEs),
     "dense" or "dense-opt" (dot-product PEs; -opt gates zero-operand
-    multiplies and compresses DRAM activation traffic). Useful multiplies
-    are the density product. On the dense dataflows mult_slots and
+    multiplies and compresses DRAM activation traffic). useful_mults, all
+    that dense-opt energizes, are the products of two non-zero operands that
+    land on a valid output (`useful_products`). The sparse array forms every
+    non-zero pair of a channel, landing or not: its mult_ops, energized_mults,
+    xbar_transfers and acc_updates. On the dense dataflows mult_slots and
     pe_max_batches are left to `dense_baseline`, which reads them off its
     per-PE cycles.
     """
@@ -439,10 +448,9 @@ def count_events(
     F = arch.weights_per_fetch
     I = arch.acts_per_fetch
     classes = plan.tile_classes()
-    useful = useful_products(layer, wd, ad)
     w_cells_total = layer.K * layer.channels_per_group * layer.R * layer.S
 
-    c = EventCounts(useful_mults=useful)
+    c = EventCounts(useful_mults=useful_products(layer, wd, ad))
     # each PE drains its accumulator window once per output channel
     c.acc_drains = layer.K * sum(n * ex * ey for n, _, _, ex, ey, _ in classes)
 
@@ -482,12 +490,13 @@ def count_events(
         cycles, _, _ = group_cycles(arch, gplan, plan.max_acc_cells(), compute, streamed)
         c.pe_max_batches = math.ceil(sum(cycles))
         # placeholder slots are negligible in closed form
-        c.mult_ops = c.energized_mults = c.xbar_transfers = c.acc_updates = useful
+        formed = round(kpg * layer.C * layer.R * layer.S * layer.W * layer.H * wd * ad)
+        c.mult_ops = c.energized_mults = c.xbar_transfers = c.acc_updates = formed
     else:
         for n, wt, ht, *_ in classes:
             c.weight_buf_bits += n * math.ceil(wt * ht / I) * w_cells_total * val_bits
         c.mult_ops = layer.dense_multiplies()
-        c.energized_mults = c.mult_ops if dataflow == "dense" else useful
+        c.energized_mults = c.mult_ops if dataflow == "dense" else c.useful_mults
         c.acc_updates = math.ceil(c.mult_ops / (F * I))
 
     for n, wt, ht, *_ in classes:
@@ -515,6 +524,7 @@ def dense_baseline(
     pool: PoolSpec | None,
     variants: Sequence[str],
     densities: tuple[float, float],
+    useful: int,
     input_from_dram: bool = True,
 ) -> tuple[list[int], bool, dict[str, EventCounts]]:
     """The dense baselines' cost of one layer, from shapes and densities
@@ -523,7 +533,9 @@ def dense_baseline(
     plan.x.out_ranges); whether the layer is tiled through DRAM
     (`dense_dram_tiled`); and the `count_events` totals of each dense
     variant in `variants`, with mult_slots and pe_max_batches read off the
-    per-PE cycles. Each engine picks its cycles from them."""
+    per-PE cycles and `useful`, the engine's count of useful multiplies, as
+    useful_mults (and dcnn-opt's energized_mults). Each engine picks its
+    cycles from them."""
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
     per_cell = layer.K * layer.channels_per_group * layer.R * layer.S
     pe_busy = [
@@ -537,6 +549,9 @@ def dense_baseline(
         if variant in (VARIANT_DCNN, VARIANT_DCNN_OPT):
             dataflow = "dense" if variant == VARIANT_DCNN else "dense-opt"
             ev = count_events(arch, layer, dataflow, densities, input_from_dram, tiled)
+            ev.useful_mults = useful
+            if dataflow == "dense-opt":
+                ev.energized_mults = useful
             ev.mult_slots = sum(pe_busy) * arch.mults_per_pe
             ev.pe_max_batches = max(pe_busy)
             events[variant] = ev

@@ -1,5 +1,6 @@
-"""Cycle-level functional simulation of the sparse PE array, plus the two
-counts of the dense baselines that read the tensors.
+"""Cycle-level functional simulation of the sparse PE array, plus the count
+of useful multiplies, products of two non-zero operands that land on a
+valid output, that every row of a layer reads (`_gated_mults`).
 
 The sparse pipeline is simulated exactly: compressed operands are fetched in
 vectors of F weights x I activations, every operand pair is multiplied, and
@@ -276,12 +277,10 @@ class _Operand(Record):
     Weights are [C, R, S, k] over the batch's filters k (None when the
     batch stores nothing). Activations are keyed by stride phase (px, py),
     each a [C, GX * GY * slot] grid (`_activation_operand`); no key holds
-    an activation that meets no tap. `stored` and `nnz` count entries per
-    (group, channel) for weights and per (slot, channel) for
-    activations."""
+    an activation that meets no tap. `stored` counts entries per (group,
+    channel) for weights and per (slot, channel) for activations."""
 
     stored: np.ndarray
-    nnz: np.ndarray
     vals: np.ndarray | dict[tuple[int, int], np.ndarray] | None
     mask: np.ndarray | dict[tuple[int, int], np.ndarray] | None
 
@@ -306,7 +305,6 @@ def _weight_operand(stream: WeightStream, batch: range) -> _Operand:
     lo, hi = offsets[0], offsets[-1]
     v = blocks.values[lo:hi]
     stored = np.diff(offsets)
-    nnz = np.diff(np.concatenate(([0], np.cumsum(v != 0)))[offsets - lo])
     vals = mask = None
     if hi > lo:
         k0 = gplan.groups[batch.start].start
@@ -320,7 +318,7 @@ def _weight_operand(stream: WeightStream, batch: range) -> _Operand:
         vals, mask = np.zeros(shape), np.zeros(shape, dtype=np.float32)
         vals.reshape(-1)[at] = v
         mask.reshape(-1)[at] = 1
-    return _Operand(stored.reshape(-1, C), nnz.reshape(-1, C), vals, mask)
+    return _Operand(stored.reshape(-1, C), vals, mask)
 
 
 def _phase_taps(layer: LayerShape) -> np.ndarray:
@@ -363,13 +361,11 @@ def _activation_operand(plan: TilePlan, slots: _Slots, tiles: BlockSet) -> _Oper
     size = np.where(live, C * n_slots * np.outer(grid[0], grid[1]), 0)
     base = (np.cumsum(size) - size.reshape(-1)).reshape(s, s)
     vals, mask = np.zeros(size.sum()), np.zeros(size.sum(), dtype=np.float32)
-    nnz = np.zeros(len(tiles), dtype=np.int64)
     slot, xb, yb = slots.origin.T
     for b0, b1 in codec._passes(tiles.offsets):
         lo, hi = tiles.offsets[b0], tiles.offsets[b1]
         ids = np.repeat(np.arange(b0, b1), np.diff(tiles.offsets[b0 : b1 + 1]))
         v = tiles.values[lo:hi]
-        nnz[b0:b1] = np.bincount(ids[v != 0] - b0, minlength=b1 - b0)
         pe, c = np.divmod(ids, C)
         x, y = np.divmod(tiles.positions[lo:hi], ht[pe])
         x, px = np.divmod(x + x0[pe] + pad, s)
@@ -388,7 +384,6 @@ def _activation_operand(plan: TilePlan, slots: _Slots, tiles: BlockSet) -> _Oper
     }
     return _Operand(
         np.diff(tiles.offsets).reshape(-1, C)[slots.pes],
-        nnz.reshape(-1, C)[slots.pes],
         {p: vals[span].reshape(C, -1) for p, span in spans.items()},
         {p: mask[span].reshape(C, -1) for p, span in spans.items()},
     )
@@ -571,6 +566,7 @@ def simulate_scnn_layer(
     layer: LayerShape,
     weights: WeightStream,
     act_tiles: BlockSet,
+    useful_mults: int,
     pool: PoolSpec | None = None,
     input_from_dram: bool = True,
 ) -> tuple[LayerOutput, SimReport]:
@@ -578,7 +574,10 @@ def simulate_scnn_layer(
 
     Activations must already be distributed per the layer's tile plan (one
     set, block pe * C + c) and the weights broadcast (same stream for every
-    PE). Returns the compressed per-PE outputs and the cycle/energy report.
+    PE); `useful_mults` is the layer's `_gated_mults`. Returns the compressed
+    per-PE outputs and the cycle/energy report. Every stored pair of a
+    channel, placeholders included, is formed (mult_ops); the pairs whose
+    stride phases do not meet are stride_skipped, the rest xbar_transfers.
 
     Output-channel groups are scattered in batches (`_batches`), each
     contracting only phase-matched taps and activations in float64 (see
@@ -604,7 +603,7 @@ def simulate_scnn_layer(
     F, I = arch.weights_per_fetch, arch.acts_per_fetch
     coded_bits = STORED_VALUE_BITS + INDEX_OVERHEAD_BITS
 
-    ev = EventCounts()
+    ev = EventCounts(useful_mults=useful_mults)
 
     kc_max, cells = max(map(len, gplan.groups)), plan.max_acc_cells()
     if kc_max * cells > gplan.capacity_entries:
@@ -621,10 +620,9 @@ def simulate_scnn_layer(
     va = np.zeros((n_pes, layer.C), dtype=np.int64)
     va[slots.pes] = -((-acts.stored) // I)
 
-    # per (group, channel): stored and non-zero weights; per (PE, group):
-    # the hottest bank's products
+    # per (group, channel): stored weights; per (PE, group): the hottest
+    # bank's products
     w_stored = np.zeros((n_groups, layer.C), dtype=np.int64)
-    w_nnz = np.zeros((n_groups, layer.C), dtype=np.int64)
     peak = np.zeros((n_pes, n_groups), dtype=np.int64)
     stride_skipped = 0
     planes: list[np.ndarray] = []
@@ -632,7 +630,7 @@ def simulate_scnn_layer(
         rows = slice(batch.start, batch.stop)
         w = _weight_operand(weights, batch)
         acc, bank_totals, skipped = _scatter(gplan.groups[rows], w, acts, slots)
-        w_stored[rows], w_nnz[rows] = w.stored, w.nnz
+        w_stored[rows] = w.stored
         peak[slots.pes, rows] = bank_totals.max(axis=2).T
         stride_skipped += int(skipped.sum())
         ev.xbar_transfers += int(bank_totals.sum())
@@ -641,7 +639,6 @@ def simulate_scnn_layer(
         ev.acc_drains += drained
     ev.acc_updates = ev.xbar_transfers
     ev.mult_ops = int((acts.stored @ w_stored.T).sum())
-    useful = int((acts.nnz @ w_nnz.T).sum())
     # every activation vector of a channel re-reads that channel's weights
     weight_reads = int((w_stored * va.sum(axis=0)).sum())
 
@@ -688,7 +685,6 @@ def simulate_scnn_layer(
     )
     ev.dram_bits += weights.blocks.values.size * coded_bits + act_dram
 
-    ev.useful_mults = useful
     ev.energized_mults = ev.mult_ops
     ev.mult_slots = int(group_batches.sum()) * F * I
 
@@ -710,47 +706,30 @@ def simulate_dcnn_layer(
     layer: LayerShape,
     weights: DenseTensor,
     acts: DenseTensor,
+    useful_mults: int,
     variants: Sequence[str] = (VARIANT_DCNN, VARIANT_DCNN_OPT),
     pool: PoolSpec | None = None,
     input_from_dram: bool = True,
 ) -> dict[str, SimReport]:
     """The rows of the dense variants in `variants` for one layer: the
     cost `analytic.dense_baseline` gives at the tensors' densities, taking
-    the busiest PE's cycles, with the tensors' own counts of useful_mults
-    (`cartesian_work`) and, on dcnn-opt, energized_mults (`_gated_mults`)."""
+    the busiest PE's cycles, with `useful_mults` the layer's `_gated_mults`."""
     pe_busy, tiled, events = dense_baseline(
-        arch, layer, pool, variants, (weights.density(), acts.density()), input_from_dram
+        arch, layer, pool, variants, (weights.density(), acts.density()), useful_mults,
+        input_from_dram,
     )
     cycles = max(pe_busy)
     pe_wait = [cycles - b for b in pe_busy]
-    useful = cartesian_work(layer, weights, acts)
-    reports = {}
-    for variant, ev in events.items():
-        ev.useful_mults = useful
-        if variant == VARIANT_DCNN_OPT:
-            ev.energized_mults = _gated_mults(layer, weights, acts)
-        reports[variant] = SimReport.build(
-            arch, layer, variant, cycles, ev, pe_busy, pe_wait, dram_tiled=tiled
-        )
-    return reports
-
-
-def cartesian_work(layer: LayerShape, weights: DenseTensor, acts: DenseTensor) -> int:
-    """Total useful multiplies: per input channel, every non-zero weight
-    meets every non-zero activation exactly once. Independent of the PE
-    grid, vector widths and bank count."""
-    if weights.shape != layer.weight_shape() or acts.shape != layer.input_shape():
-        raise ShapeError("tensor shapes do not match the layer")
-    g, kpg, cpg = layer.groups, layer.filters_per_group, layer.channels_per_group
-    # non-zero weights of channel g * cpg + c, over group g's filters and taps
-    w_nnz = (weights.values != 0).reshape(g, kpg, cpg, -1).sum(axis=(1, 3))
-    a_nnz = (acts.values != 0).reshape(layer.C, -1).sum(axis=1)
-    return int(w_nnz.reshape(-1) @ a_nnz)
+    return {
+        v: SimReport.build(arch, layer, v, cycles, ev, pe_busy, pe_wait, dram_tiled=tiled)
+        for v, ev in events.items()
+    }
 
 
 def _gated_mults(layer: LayerShape, weights: DenseTensor, acts: DenseTensor) -> int:
-    """Dense products whose operands are both non-zero (padding taps count
-    as zero operands): the multiplies DCNN-opt leaves energized.
+    """The layer's useful multiplies, which every row reports and dcnn-opt
+    energizes: products of two non-zero operands (padding taps count as
+    zero operands) that land on a valid output.
 
     Tap (r, s) meets padded inputs (r + stride * x, s + stride * y) over the
     outputs (x, y): a Wo x Ho window of phase (r % stride, s % stride) at
@@ -758,6 +737,8 @@ def _gated_mults(layer: LayerShape, weights: DenseTensor, acts: DenseTensor) -> 
     phase of the non-zero mask counts every (channel, tap) window with one
     gather, weighed by the non-zero weights of each (channel, tap) over the
     filters of the channel's convolution group."""
+    if weights.shape != layer.weight_shape() or acts.shape != layer.input_shape():
+        raise ShapeError("tensor shapes do not match the layer")
     st, pad, C, R, S = layer.stride, layer.pad, layer.C, layer.R, layer.S
     padded = np.zeros((C, layer.W + 2 * pad, layer.H + 2 * pad), dtype=bool)
     padded[:, pad : pad + layer.W, pad : pad + layer.H] = acts.values != 0

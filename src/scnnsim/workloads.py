@@ -431,9 +431,9 @@ class NetworkRun(Record, frozen=False):
 
 
 def _oracle_report(layer: LayerShape, useful: int, arch: ArchConfig) -> SimReport:
-    """Upper-bound row: every useful multiply lands on a busy multiplier,
-    so its utilization is 1 by definition, and every PE is busy every
-    cycle."""
+    """Upper-bound row: every useful multiply (a product of two non-zero
+    operands that lands on a valid output) on a busy multiplier, so its
+    utilization is 1 by definition and every PE is busy every cycle."""
     cycles = math.ceil(useful / arch.total_mults) if useful else 0
     ev = EventCounts(
         useful_mults=useful, energized_mults=useful, mult_ops=useful,
@@ -462,18 +462,19 @@ def _sim_layer(
 ) -> tuple[dict[str, SimReport], DenseTensor | None, bool]:
     """One layer through every requested engine; returns reports, the decoded
     pooled output (when the sparse pipeline or the oracle needs it), and
-    whether the oracle comparison ran."""
-    from .simulator import prepare_scnn_inputs, simulate_dcnn_layer, simulate_scnn_layer
+    whether the oracle comparison ran. Every row reads one count of useful
+    multiplies, made from the tensors."""
+    from . import simulator
 
     reports: dict[str, SimReport] = {}
     decoded: DenseTensor | None = None
     checked = False
-    need_scnn = VARIANT_SCNN in variants or VARIANT_ORACLE in variants
-    if need_scnn:
+    useful = simulator._gated_mults(spec.shape, weights, acts)
+    if VARIANT_SCNN in variants or VARIANT_ORACLE in variants:
         # the compressed operands are freed before the oracle runs
-        out, rep = simulate_scnn_layer(
-            arch, spec.shape, *prepare_scnn_inputs(arch, spec.shape, weights, acts),
-            pool=spec.pool, input_from_dram=first,
+        out, rep = simulator.simulate_scnn_layer(
+            arch, spec.shape, *simulator.prepare_scnn_inputs(arch, spec.shape, weights, acts),
+            useful, pool=spec.pool, input_from_dram=first,
         )
         decoded = out.decoded()
         if VARIANT_ORACLE in variants:
@@ -491,12 +492,13 @@ def _sim_layer(
                     f"got {int(got[k, x, y])}, expected {int(expect[k, x, y])}",
                 )
             checked = True
-            reports[VARIANT_ORACLE] = _oracle_report(spec.shape, rep.useful_mults, arch)
+            reports[VARIANT_ORACLE] = _oracle_report(spec.shape, useful, arch)
         if VARIANT_SCNN in variants:
             reports[VARIANT_SCNN] = rep
     if VARIANT_DCNN in variants or VARIANT_DCNN_OPT in variants:
-        reports.update(simulate_dcnn_layer(
-            arch, spec.shape, weights, acts, variants, pool=spec.pool, input_from_dram=first
+        reports.update(simulator.simulate_dcnn_layer(
+            arch, spec.shape, weights, acts, useful, variants,
+            pool=spec.pool, input_from_dram=first,
         ))
     return reports, decoded, checked
 
@@ -507,12 +509,13 @@ def _analytic_layer(
     reports: dict[str, SimReport] = {}
     shape = spec.shape
     wd, ad = spec.weight_density, spec.act_density
+    useful = useful_products(shape, wd, ad)
     pe_busy, dense_tiled, dense = dense_baseline(
-        arch, shape, spec.pool, variants, (wd, ad), input_from_dram=first
+        arch, shape, spec.pool, variants, (wd, ad), useful, input_from_dram=first
     )
     for variant in variants:
         if variant == VARIANT_ORACLE:
-            reports[variant] = _oracle_report(shape, useful_products(shape, wd, ad), arch)
+            reports[variant] = _oracle_report(shape, useful, arch)
             continue
         if variant == VARIANT_SCNN:
             busy, tiled = (), _analytic_tiled(arch, spec)

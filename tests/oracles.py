@@ -85,28 +85,6 @@ def strided_out_coord(global_in: int, tap: int, pad: int, stride: int) -> tuple[
     return num // stride, True
 
 
-def count_cartesian_products(layer, weights: list, input_: list) -> int:
-    """Per input channel, non-zero weights times non-zero activations."""
-    cpg = layer.C // layer.groups
-    kpg = layer.K // layer.groups
-    total = 0
-    for c in range(layer.C):
-        group = c // cpg
-        nnz_w = 0
-        for k in range(group * kpg, (group + 1) * kpg):
-            for r in range(layer.R):
-                for s in range(layer.S):
-                    if weights[k][c % cpg][r][s] != 0:
-                        nnz_w += 1
-        nnz_a = 0
-        for x in range(layer.W):
-            for y in range(layer.H):
-                if input_[c][x][y] != 0:
-                    nnz_a += 1
-        total += nnz_w * nnz_a
-    return total
-
-
 def _axis_parts(span, parts, tap, pad, stride):
     """Per part of one plane axis: (width, accumulator extent, owned outputs).
 

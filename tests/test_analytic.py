@@ -5,10 +5,16 @@ import math
 import statistics
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scnnsim.analytic import _ceil_vec_moments, _max_of, _max_quantile
+from oracles import loop_gated_mults
+from scnnsim.analytic import _ceil_vec_moments, _max_of, _max_quantile, useful_products
+from scnnsim.dataflow import LayerShape
+from scnnsim.simulator import _gated_mults
+from scnnsim.tensors import ACT_ROLES, WEIGHT_ROLES, DenseTensor
+from scnnsim.workloads import load_network, shipped_networks
 
 
 def exact_ceil_vec_moments(n, p, v):
@@ -77,3 +83,42 @@ def test_max_of_without_skew_is_the_mean(n, var):
 def test_ceil_vec_moments_edges(n, p, v):
     c = math.ceil(n / v) if p >= 1.0 else 0
     assert _ceil_vec_moments(n, p, v) == (float(c), float(c * c))
+
+
+def assert_useful_products_exact(layer):
+    """At densities (1, 1) the closed form counts every useful product of
+    all-non-zero tensors: the sim's count and the loop reference's."""
+    w = np.ones(layer.weight_shape(), dtype=np.int32)
+    a = np.ones(layer.input_shape(), dtype=np.int32)
+    want = loop_gated_mults(layer, w, a)
+    assert _gated_mults(layer, DenseTensor(w, WEIGHT_ROLES), DenseTensor(a, ACT_ROLES)) == want
+    assert useful_products(layer, 1.0, 1.0) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stride=st.integers(1, 4),
+    pad=st.integers(0, 3),
+    groups=st.integers(1, 3),
+    taps=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    per_group=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+    steps=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+)
+def test_useful_products_count_the_valid_output_tap_pairs(
+    stride, pad, groups, taps, per_group, steps
+):
+    (R, S), (cpg, kpg) = taps, per_group
+    # W = R - 2*pad + stride*n keeps the output size integral
+    W, H = R - 2 * pad + stride * steps[0], S - 2 * pad + stride * steps[1]
+    W += stride * max(0, -(-(1 - W) // stride))
+    H += stride * max(0, -(-(1 - H) // stride))
+    assert_useful_products_exact(LayerShape(
+        "u", C=groups * cpg, K=groups * kpg, W=W, H=H, R=R, S=S,
+        stride=stride, pad=pad, groups=groups,
+    ))
+
+
+@pytest.mark.parametrize("network", shipped_networks())
+def test_useful_products_are_exact_on_every_shipped_layer(network):
+    for spec in load_network(network).layers:
+        assert_useful_products_exact(spec.shape)

@@ -3,13 +3,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
-    count_cartesian_products,
     naive_conv,
     per_pe_tiles,
     strided_out_coord,
 )
 from scnnsim.dataflow import ConfigurationError, LayerShape, choose_kc, partition_tiles
-from scnnsim.simulator import cartesian_work
 from scnnsim.tensors import ACT_ROLES, WEIGHT_ROLES, DenseTensor, gen_synthetic
 
 
@@ -225,35 +223,3 @@ class TestScatterEquivalence:
         got = scatter_reference(lay, w, a, grid)
         expect = naive_conv(lay, w.values.tolist(), a.values.tolist())
         assert got.tolist() == expect
-
-
-class TestCartesianWork:
-    @pytest.mark.parametrize("groups", [1, 2])
-    def test_matches_independent_recount(self, groups):
-        lay = LayerShape("work", C=4, K=4, W=6, H=6, R=3, S=3, pad=1, groups=groups)
-        w = gen_synthetic(lay.weight_shape(), 0.5, seed=21)
-        a = gen_synthetic(lay.input_shape(), 0.4, seed=22, signed=False)
-        assert cartesian_work(lay, w, a) == count_cartesian_products(
-            lay, w.values.tolist(), a.values.tolist()
-        )
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        groups=st.integers(1, 4),
-        cpg=st.integers(1, 3),
-        kpg=st.integers(1, 3),
-        taps=st.tuples(st.integers(1, 3), st.integers(1, 3)),
-        plane=st.tuples(st.integers(3, 6), st.integers(3, 6)),
-        densities=st.tuples(st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from([0.0, 0.3, 1.0])),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_grouped_layers_match_recount(self, groups, cpg, kpg, taps, plane, densities, seed):
-        lay = LayerShape(
-            "work", C=groups * cpg, K=groups * kpg, W=plane[0], H=plane[1],
-            R=taps[0], S=taps[1], groups=groups,
-        )
-        w = gen_synthetic(lay.weight_shape(), densities[0], seed=seed)
-        a = gen_synthetic(lay.input_shape(), densities[1], seed=seed + 1, signed=False)
-        assert cartesian_work(lay, w, a) == count_cartesian_products(
-            lay, w.values.tolist(), a.values.tolist()
-        )

@@ -1,0 +1,100 @@
+"""Every report row obeys its own definitions, in both engines, on random
+single layers and random architectures; `check_layer_reports` is the one
+checker, shared with the network runs of test_workloads."""
+
+import math
+
+from hypothesis import example, given, settings, strategies as st
+
+from scnnsim.analytic import VARIANT_DCNN, VARIANT_DCNN_OPT, VARIANT_SCNN, ArchConfig
+from scnnsim.dataflow import LayerShape, partition_tiles
+from scnnsim.workloads import (
+    ALL_VARIANTS,
+    VARIANT_ORACLE,
+    LayerSpec,
+    NetworkDescriptor,
+    run_network,
+)
+
+
+def check_layer_reports(arch: ArchConfig, engine: str, reports: dict) -> None:
+    """One layer's rows: each obeys `SimReport`'s definitions, all read the
+    layer's one count of useful multiplies, and the bound row bounds the
+    others' cycles."""
+    assert set(reports) == set(ALL_VARIANTS)
+    useful = reports[VARIANT_ORACLE].useful_mults
+    for variant, rep in reports.items():
+        assert rep.useful_mults == rep.events.useful_mults == useful
+        assert rep.energy == sum(rep.energy_breakdown.values())
+        if variant == VARIANT_ORACLE:
+            assert rep.mult_utilization == (1.0 if useful else 0.0)
+        else:
+            assert rep.mult_utilization == (
+                useful / (arch.total_mults * rep.cycles) if rep.cycles else 0.0
+            )
+        assert 0.0 <= rep.mult_utilization <= 1.0
+        assert rep.batches <= arch.n_pes * rep.cycles
+        # every row but the bound row and the analytic scnn estimate
+        # carries its per-PE split
+        if variant in (VARIANT_DCNN, VARIANT_DCNN_OPT) or (
+            engine == "sim" and variant == VARIANT_SCNN
+        ):
+            assert len(rep.pe_busy) == len(rep.pe_wait) == arch.n_pes
+            assert sum(rep.pe_busy) + sum(rep.pe_wait) == arch.n_pes * rep.cycles
+            assert min(rep.pe_wait) >= 0
+    scnn, dcnn = reports[VARIANT_SCNN], reports[VARIANT_DCNN]
+    assert reports[VARIANT_ORACLE].cycles <= min(scnn.cycles, dcnn.cycles)
+    # gating leaves energized exactly the useful multiplies
+    assert reports[VARIANT_DCNN_OPT].events.energized_mults == useful
+    if engine == "sim":
+        # every stored pair is formed; those whose stride phases do not meet
+        # are skipped, the rest cross to the accumulators
+        assert scnn.events.mult_ops == scnn.events.xbar_transfers + scnn.stride_skipped
+
+
+@st.composite
+def cases(draw):
+    """A random layer (stride 1-4, pad 0-2, groups 1-3, taps 1-5, planes up
+    to about 12 x 12) and a random architecture that fits it."""
+    stride, pad, groups = draw(st.integers(1, 4)), draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    R, S = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    # span = tap - 2 * pad + stride * n keeps the output size integral
+    spans = []
+    for tap in (R, S):
+        span = tap - 2 * pad + stride * draw(st.integers(0, 12 // stride))
+        spans.append(span + stride * max(0, -(-(1 - span) // stride)))
+    cpg, kpg = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    layer = LayerShape(
+        "p", C=groups * cpg, K=groups * kpg, W=spans[0], H=spans[1], R=R, S=S,
+        stride=stride, pad=pad, groups=groups,
+    )
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    F, I = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    banks = F * I * draw(st.integers(1, 2))
+    # room for at least one output channel, double-buffered, with a few more
+    # channels per group at random
+    cells = partition_tiles(layer, (rows, cols)).max_acc_cells()
+    entries = max(1, math.ceil(2 * cells / banks)) * draw(st.integers(1, 4))
+    arch = ArchConfig(
+        pe_rows=rows, pe_cols=cols, weights_per_fetch=F, acts_per_fetch=I,
+        accum_banks=banks, bank_entries=entries,
+    )
+    return layer, arch
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cases(), densities=st.sampled_from([(1.0, 1.0), (0.5, 0.6), (0.3, 0.2)]))
+# a stride-4 1x1 layer: 15 of every 16 non-zero pairs fall between outputs
+@example(
+    case=(
+        LayerShape("s4", C=2, K=2, W=13, H=13, R=1, S=1, stride=4),
+        ArchConfig(pe_rows=2, pe_cols=2, bank_entries=64),
+    ),
+    densities=(1.0, 1.0),
+)
+def test_every_row_obeys_its_definitions_on_random_layers(case, densities):
+    layer, arch = case
+    net = NetworkDescriptor("p", (LayerSpec(layer, *densities, densities[1]),))
+    for engine in ("sim", "analytic"):
+        (run,) = run_network(net, arch, ALL_VARIANTS, seed=5, engine=engine).layers
+        check_layer_reports(arch, engine, run.reports)

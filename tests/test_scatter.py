@@ -316,15 +316,15 @@ def test_float64_exactness_bound(cpg, groups, rejected):
     tiles = encode_blocks(np.zeros(layer.C), [1] * layer.C)
     if rejected:
         with pytest.raises(ConfigurationError, match="exact float64"):
-            simulate_scnn_layer(arch, layer, stream, tiles)
+            simulate_scnn_layer(arch, layer, stream, tiles, 0)
     else:
         # empty operands build no [taps x channels] weight matrix: with its
         # float32 mask it alone would take 12 bytes per (tap, channel)
         tracemalloc.start()
         try:
-            _, report = simulate_scnn_layer(arch, layer, stream, tiles)
+            _, report = simulate_scnn_layer(arch, layer, stream, tiles, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.useful_mults == 0
+        assert report.events.mult_ops == 0
         assert peak < layer.R * layer.S * layer.C * 12

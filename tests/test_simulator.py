@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
-    count_cartesian_products,
     loop_gated_mults,
     loop_rle_encode,
     naive_max_pool,
@@ -21,8 +20,9 @@ from scnnsim.analytic import (
     PoolSpec,
     count_events,
     dcnn_arch,
+    useful_products,
 )
-from scnnsim import codec, simulator
+from scnnsim import codec, simulator, workloads
 from scnnsim.codec import encode_blocks
 from scnnsim.dataflow import ConfigurationError, LayerShape, choose_kc, partition_tiles
 from scnnsim.simulator import (
@@ -54,12 +54,23 @@ def small_arch(**kw):
     return ArchConfig(**base)
 
 
+def sim_scnn(arch, layer, w, a, **kw):
+    """`simulate_scnn_layer` on dense operands, given their useful count."""
+    return simulate_scnn_layer(
+        arch, layer, *prepare_scnn_inputs(arch, layer, w, a), _gated_mults(layer, w, a), **kw
+    )
+
+
+def sim_dcnn(arch, layer, w, a, *args, **kw):
+    """`simulate_dcnn_layer` given the tensors' useful count."""
+    return simulate_dcnn_layer(arch, layer, w, a, _gated_mults(layer, w, a), *args, **kw)
+
+
 def run_scnn(arch, layer, wd=0.5, ad=0.5, seed=0, pool=None):
     w = prune_magnitude(gen_synthetic(layer.weight_shape(), 1.0, seed=seed), wd) \
         if wd < 1.0 else gen_synthetic(layer.weight_shape(), 1.0, seed=seed)
     a = gen_synthetic(layer.input_shape(), ad, seed=seed + 1, signed=False)
-    stream, tiles = prepare_scnn_inputs(arch, layer, w, a)
-    out, report = simulate_scnn_layer(arch, layer, stream, tiles, pool=pool)
+    out, report = sim_scnn(arch, layer, w, a, pool=pool)
     return w, a, out, report
 
 
@@ -125,8 +136,7 @@ class TestFunctionalEquivalence:
         arch = small_arch()
         w = gen_synthetic(layer.weight_shape(), 0.5, seed=3)
         a = gen_synthetic(layer.input_shape(), 0.0, seed=4, signed=False)
-        stream, tiles = prepare_scnn_inputs(arch, layer, w, a)
-        out, report = simulate_scnn_layer(arch, layer, stream, tiles)
+        out, report = sim_scnn(arch, layer, w, a)
         assert report.batches == 0
         assert report.useful_mults == 0
         assert not out.decoded().values.any()
@@ -139,8 +149,10 @@ class TestWorkConservation:
         layer = LayerShape("wc", C=3, K=6, W=8, H=8, R=3, S=3, pad=1)
         arch = small_arch()
         w, a, out, report = run_scnn(arch, layer, 0.5, 0.4, seed=seed)
-        recount = count_cartesian_products(layer, w.values.tolist(), a.values.tolist())
+        recount = loop_gated_mults(layer, w.values, a.values)
         assert report.useful_mults == recount
+        # every useful product is one the array formed and landed
+        assert recount <= report.events.xbar_transfers <= report.events.mult_ops
 
     def test_independent_of_vector_widths_and_banks(self):
         layer = LayerShape("inv", C=2, K=8, W=8, H=8, R=3, S=3, pad=1)
@@ -150,7 +162,8 @@ class TestWorkConservation:
                 weights_per_fetch=f, acts_per_fetch=i, accum_banks=banks
             )
             _, _, _, report = run_scnn(arch, layer, 0.5, 0.5, seed=7)
-            counts.add(report.useful_mults)
+            ev = report.events
+            counts.add((ev.useful_mults, ev.mult_ops, ev.xbar_transfers, report.stride_skipped))
         assert len(counts) == 1
 
 
@@ -163,13 +176,14 @@ class TestCycleModel:
         )
         w = gen_synthetic(layer.weight_shape(), 1.0, seed=1)
         a = gen_synthetic(layer.input_shape(), 1.0, seed=2, signed=False)
-        stream, tiles = prepare_scnn_inputs(arch, layer, w, a)
-        out, report = simulate_scnn_layer(arch, layer, stream, tiles)
-        gplan = choose_kc(layer, arch)
+        out, report = sim_scnn(arch, layer, w, a)
         products = layer.C * layer.K * layer.R * layer.S * layer.W * layer.H
-        assert report.useful_mults == products
+        assert report.events.mult_ops == products
         assert report.cycles == report.batches == products
-        assert report.mult_utilization == pytest.approx(1.0)
+        # the products of border inputs with taps that reach past the plane
+        # are formed but land on no output
+        assert report.useful_mults == useful_products(layer, 1.0, 1.0) < products
+        assert report.mult_utilization == report.useful_mults / products
         assert report.bank_conflict_stalls == 0
 
     def test_cycle_lower_bound(self):
@@ -206,8 +220,7 @@ class TestCycleModel:
         for d in [1.0, 0.8, 0.6, 0.4, 0.2, 0.1]:
             w = prune_magnitude(base_w, d)
             a = gen_synthetic(layer.input_shape(), d, seed=6, signed=False)
-            stream, tiles = prepare_scnn_inputs(arch, layer, w, a)
-            _, report = simulate_scnn_layer(arch, layer, stream, tiles)
+            _, report = sim_scnn(arch, layer, w, a)
             if prev is not None:
                 assert report.cycles <= prev
             prev = report.cycles
@@ -228,9 +241,7 @@ class TestCycleModel:
             pe_rows=1, pe_cols=1, bank_entries=64, iaram_bytes=2, oaram_bytes=2
         )
         w, a, out, report = run_scnn(arch, layer, 0.5, 0.1)
-        _, inner = simulate_scnn_layer(
-            arch, layer, *prepare_scnn_inputs(arch, layer, w, a), input_from_dram=False
-        )
+        _, inner = sim_scnn(arch, layer, w, a, input_from_dram=False)
 
         def stored(planes):
             # entries of each x-major plane, placeholders included
@@ -290,10 +301,7 @@ def test_engines_time_a_fully_dense_stride_1_layer_alike(
     rng = np.random.default_rng(seed)
     w = rng.integers(1, 8, size=layer.weight_shape()) * rng.choice([-1, 1], layer.weight_shape())
     a = rng.integers(1, 8, size=layer.input_shape())
-    _, report = simulate_scnn_layer(
-        arch, layer,
-        *prepare_scnn_inputs(arch, layer, DenseTensor(w, WEIGHT_ROLES), DenseTensor(a, ACT_ROLES)),
-    )
+    _, report = sim_scnn(arch, layer, DenseTensor(w, WEIGHT_ROLES), DenseTensor(a, ACT_ROLES))
     assume(report.bank_conflict_stalls == 0)
     assert count_events(arch, layer, "sparse", (1.0, 1.0)).pe_max_batches == report.cycles
 
@@ -323,7 +331,7 @@ class TestLayerEncodes:
         with mock.patch.object(codec, "encode_blocks", side_effect=codec.encode_blocks) as enc, \
                 mock.patch.object(simulator, "_scatter", scatter), \
                 mock.patch.object(simulator, "_BATCH", budget or simulator._BATCH):
-            out, _ = simulate_scnn_layer(arch, layer, *prepare_scnn_inputs(arch, layer, w, a))
+            out, _ = sim_scnn(arch, layer, w, a)
         assert enc.call_count == 3
         assert scatter.call_count == (n_groups if budget else 1)
         assert len(out.blocks) == arch.n_pes * layer.K
@@ -338,7 +346,7 @@ class TestLayerEncodes:
         assert stream.gplan.n_groups == 2
         short = WeightStream(layer, stream.gplan, encode_blocks([], [0] * layer.C))
         with pytest.raises(ConfigurationError, match="expected 6 weight blocks"):
-            simulate_scnn_layer(arch, layer, short, tiles)
+            simulate_scnn_layer(arch, layer, short, tiles, 0)
 
 
 class TestDistribute:
@@ -379,12 +387,12 @@ class TestDistribute:
         stream, tiles = prepare_scnn_inputs(arch, layer, w, a)
         short = encode_blocks(np.zeros(9 * 3), [9] * 3)
         with pytest.raises(ConfigurationError, match="3 activation blocks for 4 PEs of 3 channels"):
-            simulate_scnn_layer(arch, layer, stream, short)
+            simulate_scnn_layer(arch, layer, stream, short, 0)
         extents = tiles.extents.copy()
         extents[1 * 3 + 2] += 1  # PE 1, channel 2
         dense = np.zeros(int(extents.sum()))
         with pytest.raises(ConfigurationError, match="pe 1 channel 2: block extent 10"):
-            simulate_scnn_layer(arch, layer, stream, encode_blocks(dense, extents))
+            simulate_scnn_layer(arch, layer, stream, encode_blocks(dense, extents), 0)
 
 
 def test_values_are_int32_from_synthesis_to_the_output_blocks():
@@ -414,10 +422,8 @@ class TestPPU:
         a[0, 3, 2] = 5  # last column of PE0's tile
         from scnnsim.tensors import ACT_ROLES, WEIGHT_ROLES, DenseTensor
 
-        stream, tiles = prepare_scnn_inputs(
-            arch, layer, DenseTensor(w, WEIGHT_ROLES), DenseTensor(a, ACT_ROLES)
-        )
-        out, report = simulate_scnn_layer(arch, layer, stream, tiles)
+        w, a = DenseTensor(w, WEIGHT_ROLES), DenseTensor(a, ACT_ROLES)
+        out, report = sim_scnn(arch, layer, w, a)
         # output coordinate: xo = x - r + pad = 4, owned by PE1; one output
         # channel, so block pe * K + 0 holds PE pe's tile
         assert np.reshape(block_values(out.blocks, 1), (4, 4))[0, 2] == 10
@@ -444,7 +450,7 @@ class TestPPU:
         arch = ArchConfig(pe_rows=1, pe_cols=1)
         w = DenseTensor(np.full(layer.weight_shape(), -1), WEIGHT_ROLES)
         a = DenseTensor(np.full(layer.input_shape(), 5), ACT_ROLES)
-        out, _ = simulate_scnn_layer(arch, layer, *prepare_scnn_inputs(arch, layer, w, a))
+        out, _ = sim_scnn(arch, layer, w, a)
         assert out.blocks.offsets.tolist() == [0, 0]
 
 
@@ -454,7 +460,7 @@ class TestDenseBaselines:
         arch = small_arch()
         w = gen_synthetic(layer.weight_shape(), 1.0, seed=1)
         a = gen_synthetic(layer.input_shape(), 1.0, seed=2, signed=False)
-        report = simulate_dcnn_layer(arch, layer, w, a)[VARIANT_DCNN]
+        report = sim_dcnn(arch, layer, w, a)[VARIANT_DCNN]
         ideal = layer.dense_multiplies() / arch.total_mults
         assert report.cycles >= ideal
         assert report.cycles <= 1.3 * ideal + arch.n_pes
@@ -464,7 +470,7 @@ class TestDenseBaselines:
         arch = small_arch()
         w = prune_magnitude(gen_synthetic(layer.weight_shape(), 1.0, seed=3), 0.5)
         a = gen_synthetic(layer.input_shape(), 0.5, seed=4, signed=False)
-        reports = simulate_dcnn_layer(arch, layer, w, a)
+        reports = sim_dcnn(arch, layer, w, a)
         dcnn, opt = reports[VARIANT_DCNN], reports[VARIANT_DCNN_OPT]
         assert dcnn.cycles == opt.cycles
         assert opt.energy <= dcnn.energy
@@ -477,8 +483,8 @@ class TestDenseBaselines:
         half_vals = full.values.copy()
         half_vals[:, ::2, :] = 0  # zero half the activations
         half = DenseTensor(half_vals, ACT_ROLES)
-        (r_full,) = simulate_dcnn_layer(arch, layer, w, full, (VARIANT_DCNN_OPT,)).values()
-        (r_half,) = simulate_dcnn_layer(arch, layer, w, half, (VARIANT_DCNN_OPT,)).values()
+        (r_full,) = sim_dcnn(arch, layer, w, full, (VARIANT_DCNN_OPT,)).values()
+        (r_half,) = sim_dcnn(arch, layer, w, half, (VARIANT_DCNN_OPT,)).values()
         assert r_half.events.energized_mults * 2 == r_full.events.energized_mults
 
     @settings(max_examples=200, deadline=None)
@@ -517,30 +523,37 @@ class TestDenseBaselines:
         arch = ArchConfig()
         w = gen_synthetic(layer.weight_shape(), 1.0, seed=1)
         a = gen_synthetic(layer.input_shape(), 1.0, seed=2, signed=False)
-        report = simulate_dcnn_layer(arch, layer, w, a)[VARIANT_DCNN]
+        report = sim_dcnn(arch, layer, w, a)[VARIANT_DCNN]
         on_chip = count_events(arch, layer, "dense", (w.density(), a.density()))
         assert report.dram_tiled
         out_bits = layer.K * layer.Wo * layer.Ho * STORED_VALUE_BITS
         assert report.events.dram_bits == on_chip.dram_bits + out_bits
 
     def test_both_rows_count_the_tensors_once(self):
-        layer = LayerShape("once", C=4, K=8, W=8, H=8, R=3, S=3, pad=1)
+        # one count of useful multiplies per layer, whatever rows are asked
+        # for, and every row reports it; dcnn-opt energizes just those
+        layer = LayerShape("once", C=4, K=8, W=9, H=9, R=3, S=3, pad=1, stride=2)
+        spec = workloads.LayerSpec(layer, 0.5, 0.5, 0.5)
         arch = small_arch()
         w = prune_magnitude(gen_synthetic(layer.weight_shape(), 1.0, seed=7), 0.5)
         a = gen_synthetic(layer.input_shape(), 0.5, seed=8, signed=False)
-        both = (VARIANT_DCNN, VARIANT_DCNN_OPT)
-        for variants, gated in ((both, 1), ((VARIANT_DCNN,), 0)):
+        useful = loop_gated_mults(layer, w.values, a.values)
+        busy = set()
+        for variants in (
+            workloads.ALL_VARIANTS, (VARIANT_DCNN,), (VARIANT_DCNN, VARIANT_DCNN_OPT),
+            (workloads.VARIANT_SCNN,), (workloads.VARIANT_ORACLE,),
+        ):
             with mock.patch.object(
-                simulator, "cartesian_work", wraps=simulator.cartesian_work
-            ) as work, mock.patch.object(
                 simulator, "_gated_mults", wraps=simulator._gated_mults
             ) as gate:
-                reports = simulate_dcnn_layer(arch, layer, w, a, variants)
-            assert tuple(reports) == variants
-            assert (work.call_count, gate.call_count) == (1, gated)
-        assert reports[VARIANT_DCNN].pe_busy == simulate_dcnn_layer(
-            arch, layer, w, a
-        )[VARIANT_DCNN_OPT].pe_busy
+                reports, _, _ = workloads._sim_layer(arch, spec, w, a, variants, first=True)
+            assert gate.call_count == 1
+            assert set(reports) == set(variants)
+            assert {rep.useful_mults for rep in reports.values()} == {useful}
+            if VARIANT_DCNN_OPT in reports:
+                assert reports[VARIANT_DCNN_OPT].events.energized_mults == useful
+            busy |= {reports[v].pe_busy for v in (VARIANT_DCNN, VARIANT_DCNN_OPT) if v in reports}
+        assert len(busy) == 1
 
     def test_dcnn_arch_has_2mb_sram(self):
         arch = ArchConfig()

@@ -28,6 +28,7 @@ from scnnsim.workloads import (
     rows_from_run,
     run_network,
 )
+from test_definitions import check_layer_reports
 from test_golden import GOLDEN
 
 SHIPPED = ("alexnet", "googlenet", "inception_mini", "vggnet")
@@ -341,25 +342,7 @@ def test_every_report_obeys_its_definitions(engine, tmp_path):
     arch = ArchConfig()
     run = run_network(load_network(path), arch, ALL_VARIANTS, seed=3, engine=engine)
     for lr in run.layers:
-        assert set(lr.reports) == set(ALL_VARIANTS)
-        for variant, rep in lr.reports.items():
-            assert rep.useful_mults == rep.events.useful_mults
-            assert rep.energy == sum(rep.energy_breakdown.values())
-            if variant == VARIANT_ORACLE:
-                assert rep.mult_utilization == (1.0 if rep.useful_mults else 0.0)
-            else:
-                assert rep.mult_utilization == (
-                    rep.useful_mults / (arch.total_mults * rep.cycles)
-                )
-            assert rep.batches <= arch.n_pes * rep.cycles
-            # every row but the bound row and the analytic scnn estimate
-            # carries its per-PE split
-            if variant in (VARIANT_DCNN, VARIANT_DCNN_OPT) or (
-                engine == "sim" and variant == VARIANT_SCNN
-            ):
-                assert len(rep.pe_busy) == len(rep.pe_wait) == arch.n_pes
-                assert sum(rep.pe_busy) + sum(rep.pe_wait) == arch.n_pes * rep.cycles
-                assert min(rep.pe_wait) >= 0
+        check_layer_reports(arch, engine, lr.reports)
 
 
 YAML_VALUES = st.recursive(
