@@ -2,11 +2,12 @@
 architecture and report types and the rules both engines share:
 the dense baselines' DRAM tiling, and the timing of the PE arrays.
 
-Each engine counts a layer's work per output-channel group (the cycle-level
-engine exactly per PE, `count_events` in expectation per tile class), and
-one function, `group_cycles`, turns the counts into cycles. The dense
-baselines' work depends on shapes alone, so one function, `dense_baseline`,
-costs their rows for both engines.
+Each machine is costed by one function. The sparse PE array's work is
+counted per output-channel group, by the cycle-level engine exactly per PE
+and by `count_events` in expectation per tile class, and one function,
+`group_cycles`, turns the counts into cycles. The dense baselines' work
+depends on shapes alone, so one function, `dense_baseline`, counts both of
+their rows for both engines.
 
 Energy coefficients are relative estimates shipped in the config (ordered
 DRAM >> RAM > FIFO > multiply); absolute joules are never asserted.
@@ -35,7 +36,7 @@ from .dataflow import (
     choose_kc,
     partition_tiles,
 )
-from .record import Record, fields, replace
+from .record import Record, fields
 
 VARIANT_SCNN = "scnn"
 VARIANT_DCNN = "dcnn"
@@ -54,22 +55,24 @@ INDEX_OVERHEAD_BITS = 10
 class EventCounts(Record, frozen=False):
     """Operation and traffic totals for one layer run (one variant).
 
-    Bit counts for memories include the per-value index overhead when the
-    structure holds compressed data. mult_slots is F x I times the vector
-    batches summed over every PE. tiling_dram_bits is the part of
-    dram_bits charged only because the layer is tiled through DRAM: the
-    output's round trip, plus the input when it would not cross DRAM
-    anyway. pe_max_batches is not a batch count but the analytic engine's
-    compute-side cycles: the busiest PE's time through every group
-    (`group_cycles`) on the sparse dataflow, its multiply cycles on the
-    dense ones (`dense_baseline`). The sim's scnn rows leave it 0.
+    Each row is built whole by the function that models its machine:
+    `count_events` (analytic scnn), `dense_baseline` (dcnn and dcnn-opt,
+    both engines) or the cycle-level engine (sim scnn). Bit counts for
+    memories include the per-value index overhead when the structure holds
+    compressed data. mult_slots is F x I times the vector batches summed
+    over every PE. tiling_dram_bits is the part of dram_bits charged only
+    because the layer is tiled through DRAM: the output's round trip, plus
+    the input when it would not cross DRAM anyway. pe_cycles is the busiest
+    PE's cycles before the whole-layer DRAM bound (`analytic_cycles`): its
+    time through every group (`group_cycles`) on the analytic scnn row, its
+    multiply cycles on the dense rows. The sim's scnn rows leave it 0.
     """
 
     mult_ops: int = 0         # products with operands loaded
     useful_mults: int = 0     # products of two non-zero operands landing on a valid output
     energized_mults: int = 0  # products charged multiply energy (gating off => mult_ops)
     mult_slots: int = 0       # multiplier slots occupied or idled by fragmentation
-    pe_max_batches: int = 0
+    pe_cycles: int = 0
     acc_updates: int = 0
     acc_drains: int = 0
     xbar_transfers: int = 0
@@ -180,7 +183,7 @@ class ArchConfig(Record):
             warnings.warn(
                 "accumulator banks fewer than multiplier products per cycle; "
                 "expect heavy contention",
-                stacklevel=2,
+                stacklevel=3,  # the constructor's caller
             )
 
     @property
@@ -204,31 +207,26 @@ class ArchConfig(Record):
         return self.oaram_bytes * 8 // 16
 
 
-@lru_cache(maxsize=64)
-def dcnn_arch(base: ArchConfig) -> ArchConfig:
-    """Dense baseline provisioning: same multiplier budget, 2MB of plain
-    activation SRAM instead of 1MB of compressed RAM."""
-    per_ram = 2 * 1024 * 1024 // (2 * base.n_pes)
-    return replace(base, iaram_bytes=per_ram, oaram_bytes=per_ram)
-
-
 def dense_dram_tiled(arch: ArchConfig, layer: LayerShape, pool: PoolSpec | None) -> bool:
     """Whether the dense baselines tile a layer through DRAM: its raw input
-    plus its post-pool output overflow the 2MB of activation SRAM, which
-    holds any split of the two."""
-    d = dcnn_arch(arch)
+    plus its post-pool output overflow their activation SRAM, which holds
+    any split of the two. The baselines keep the sparse array's multipliers
+    but hold 2MB of plain 16-bit values, split evenly over each PE's input
+    and output RAM, in place of 1MB of compressed RAM."""
+    ram_values = 2 * 1024 * 1024 // (2 * arch.n_pes) * 8 // 16
     out_w, out_h = layer.Wo, layer.Ho
     if pool is not None:
         out_w, out_h = pool.out_extent(out_w), pool.out_extent(out_h)
     total = layer.C * layer.W * layer.H + layer.K * out_w * out_h
-    return total > d.n_pes * (d.iaram_value_capacity + d.oaram_value_capacity)
+    return total > arch.n_pes * 2 * ram_values
 
 
 class SimReport(Record):
     """Per-layer outcome of one variant run, made by `SimReport.build`.
 
-    The builder derives these from the event counts, so that a row means
-    the same in both engines:
+    The event counts come whole from the function that models the row's
+    machine (see `EventCounts`), and the builder derives the rest from
+    them, so that a row means the same in both engines:
     - energy and its breakdown (`EnergyModel.rollup`);
     - mult_utilization, events.useful_mults over total_mults * cycles;
     - batches, the F x I vector batches summed over every PE,
@@ -421,150 +419,149 @@ def count_events(
     input_from_dram: bool = True,
     dram_tiled: bool = False,
 ) -> EventCounts:
-    """Closed-form event totals for one layer under the given dataflow.
+    """Closed-form event totals of one layer on the sparse PE array, in
+    expectation per tile class: compressed operands, Cartesian-product PEs.
 
-    `dataflow` is "sparse" (compressed operands, Cartesian-product PEs),
-    "dense" or "dense-opt" (dot-product PEs; -opt gates zero-operand
-    multiplies and compresses DRAM activation traffic). useful_mults, all
-    that dense-opt energizes, are the products of two non-zero operands that
-    land on a valid output (`useful_products`). The sparse array forms every
-    non-zero pair of a channel, landing or not: its mult_ops, energized_mults,
-    xbar_transfers and acc_updates. On the dense dataflows mult_slots and
-    pe_max_batches are left to `dense_baseline`, which reads them off its
-    per-PE cycles.
+    The array forms every non-zero pair of a channel, landing or not: its
+    mult_ops, energized_mults, xbar_transfers and acc_updates. useful_mults
+    are those that land on a valid output (`useful_products`). pe_cycles is
+    the busiest PE's time through every group (`group_cycles`). The dense
+    baselines are costed by `dense_baseline`; `dataflow` must be "sparse".
     """
-    if dataflow not in ("sparse", "dense", "dense-opt"):
-        raise ConfigurationError(f"unknown dataflow {dataflow}")
+    if dataflow != "sparse":
+        raise ConfigurationError(f"count_events counts the sparse dataflow, not {dataflow!r}")
     wd, ad = densities
     if not (0.0 <= wd <= 1.0 and 0.0 <= ad <= 1.0):
         raise ConfigurationError(f"densities {densities} outside [0, 1]")
-    sparse = dataflow == "sparse"
-    val_bits = STORED_VALUE_BITS
     coded_bits = STORED_VALUE_BITS + INDEX_OVERHEAD_BITS
-    op_bits = coded_bits if sparse else val_bits
 
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
     gplan = choose_kc(layer, arch)
-    F = arch.weights_per_fetch
-    I = arch.acts_per_fetch
+    F, I = arch.weights_per_fetch, arch.acts_per_fetch
     classes = plan.tile_classes()
-    w_cells_total = layer.K * layer.channels_per_group * layer.R * layer.S
 
-    c = EventCounts(useful_mults=useful_products(layer, wd, ad))
-    # each PE drains its accumulator window once per output channel
-    c.acc_drains = layer.K * sum(n * ex * ey for n, _, _, ex, ey, _ in classes)
-
-    if sparse:
-        # expected vector counts per fetch stream; the weight stream is shared
-        # by every PE, so only activation variation skews the barrier
-        total_batches = 0.0
-        compute, streamed = [], []
-        kpg = layer.filters_per_group
-        for grp in gplan.groups:
-            # the group's weights split at convolution-group boundaries,
-            # (channels, cells): only the filters of a channel's group count
-            segs = []
-            for gg in range(layer.groups):
-                elig = min(grp.stop, (gg + 1) * kpg) - max(grp.start, gg * kpg)
-                if elig > 0:
-                    segs.append((layer.channels_per_group, elig * layer.R * layer.S))
-            w_stored = sum(nch * wd * cells for nch, cells in segs)
-            best = 0.0
-            for n, wt, ht, *_ in classes:
-                ea, ea2 = _ceil_vec_moments(wt * ht, ad, I)
-                var_a = max(ea2 - ea * ea, 0.0)
-                mean_pe = var_pe = 0.0
-                for nch, cells in segs:
-                    ew, ew2 = _ceil_vec_moments(cells, wd, F)
-                    mean_pe += nch * ew * ea
-                    var_pe += nch * ew2 * var_a
-                total_batches += n * mean_pe
-                # a bank retires one product per cycle, so a PE spends at
-                # least its products over its banks (binds below F x I banks)
-                bank_floor = w_stored * ad * wt * ht / arch.accum_banks
-                best = max(best, _max_of(n, mean_pe, var_pe), bank_floor)
-                c.weight_buf_bits += round(n * ea * w_stored * coded_bits)
-            compute.append(best)
-            streamed.append(w_stored)
-        c.mult_slots = round(total_batches * F * I)
-        cycles, _, _ = group_cycles(arch, gplan, plan.max_acc_cells(), compute, streamed)
-        c.pe_max_batches = math.ceil(sum(cycles))
-        # placeholder slots are negligible in closed form
-        formed = round(kpg * layer.C * layer.R * layer.S * layer.W * layer.H * wd * ad)
-        c.mult_ops = c.energized_mults = c.xbar_transfers = c.acc_updates = formed
-    else:
+    # expected vector counts per fetch stream; the weight stream is shared
+    # by every PE, so only activation variation skews the barrier
+    total_batches = 0.0
+    weight_buf_bits = 0
+    compute, streamed = [], []
+    kpg = layer.filters_per_group
+    for grp in gplan.groups:
+        # the group's weights split at convolution-group boundaries,
+        # (channels, cells): only the filters of a channel's group count
+        segs = []
+        for gg in range(layer.groups):
+            elig = min(grp.stop, (gg + 1) * kpg) - max(grp.start, gg * kpg)
+            if elig > 0:
+                segs.append((layer.channels_per_group, elig * layer.R * layer.S))
+        w_stored = sum(nch * wd * cells for nch, cells in segs)
+        best = 0.0
         for n, wt, ht, *_ in classes:
-            c.weight_buf_bits += n * math.ceil(wt * ht / I) * w_cells_total * val_bits
-        c.mult_ops = layer.dense_multiplies()
-        c.energized_mults = c.mult_ops if dataflow == "dense" else c.useful_mults
-        c.acc_updates = math.ceil(c.mult_ops / (F * I))
-
-    for n, wt, ht, *_ in classes:
-        a_stored = round(ad * wt * ht) if sparse else wt * ht
-        c.act_ram_bits += n * layer.C * a_stored * op_bits * gplan.n_groups
+            ea, ea2 = _ceil_vec_moments(wt * ht, ad, I)
+            var_a = max(ea2 - ea * ea, 0.0)
+            mean_pe = var_pe = 0.0
+            for nch, cells in segs:
+                ew, ew2 = _ceil_vec_moments(cells, wd, F)
+                mean_pe += nch * ew * ea
+                var_pe += nch * ew2 * var_a
+            total_batches += n * mean_pe
+            # a bank retires one product per cycle, so a PE spends at
+            # least its products over its banks (binds below F x I banks)
+            bank_floor = w_stored * ad * wt * ht / arch.accum_banks
+            best = max(best, _max_of(n, mean_pe, var_pe), bank_floor)
+            weight_buf_bits += round(n * ea * w_stored * coded_bits)
+        compute.append(best)
+        streamed.append(w_stored)
+    cycles, _, _ = group_cycles(arch, gplan, plan.max_acc_cells(), compute, streamed)
+    # placeholder slots are negligible in closed form
+    formed = round(kpg * layer.C * layer.R * layer.S * layer.W * layer.H * wd * ad)
 
     # DRAM: weights stream once per layer (broadcast), activations by the
     # rule both engines share.
     in_values, out_values = layer.C * layer.W * layer.H, layer.K * layer.Wo * layer.Ho
-    compressed_acts = sparse or dataflow == "dense-opt"
-    act_bits_in = round(in_values * ad) * coded_bits if compressed_acts else in_values * val_bits
-    act_bits_out = round(out_values * ad) * coded_bits if compressed_acts else out_values * val_bits
-    c.act_ram_bits += act_bits_out if sparse else out_values * val_bits
-    act_dram, c.tiling_dram_bits = activation_dram_bits(
-        act_bits_in, act_bits_out, input_from_dram, dram_tiled
+    act_bits_in = round(in_values * ad) * coded_bits
+    act_bits_out = round(out_values * ad) * coded_bits
+    act_dram, tiling = activation_dram_bits(act_bits_in, act_bits_out, input_from_dram, dram_tiled)
+    w_values = round(wd * layer.K * layer.channels_per_group * layer.R * layer.S)
+    return EventCounts(
+        mult_ops=formed, useful_mults=useful_products(layer, wd, ad), energized_mults=formed,
+        mult_slots=round(total_batches * F * I), pe_cycles=math.ceil(sum(cycles)),
+        acc_updates=formed, xbar_transfers=formed,
+        # each PE drains its accumulator window once per output channel
+        acc_drains=layer.K * sum(n * ex * ey for n, _, _, ex, ey, _ in classes),
+        act_ram_bits=sum(
+            n * layer.C * round(ad * wt * ht) * coded_bits * gplan.n_groups
+            for n, wt, ht, *_ in classes
+        ) + act_bits_out,
+        weight_buf_bits=weight_buf_bits,
+        dram_bits=w_values * coded_bits + act_dram,
+        tiling_dram_bits=tiling,
     )
-    w_values = round(wd * w_cells_total) if sparse else w_cells_total
-    c.dram_bits = w_values * op_bits + act_dram
-    return c
 
 
 def dense_baseline(
     arch: ArchConfig,
     layer: LayerShape,
     pool: PoolSpec | None,
-    variants: Sequence[str],
-    densities: tuple[float, float],
+    act_density: float,
     useful: int,
     input_from_dram: bool = True,
 ) -> tuple[list[int], bool, dict[str, EventCounts]]:
-    """The dense baselines' cost of one layer, from shapes and densities
-    only, for both engines: each PE's busy cycles in PE order, a straight
-    throughput bound over the outputs it owns (plan.y.out_ranges x
-    plan.x.out_ranges); whether the layer is tiled through DRAM
-    (`dense_dram_tiled`); and the `count_events` totals of each dense
-    variant in `variants`, with mult_slots and pe_max_batches read off the
-    per-PE cycles and `useful`, the engine's count of useful multiplies, as
-    useful_mults (and dcnn-opt's energized_mults). Each engine picks its
-    cycles from them."""
+    """The dense baselines' cost of one layer, from shapes for both engines:
+    each PE's busy cycles in PE order, a straight throughput bound over the
+    outputs it owns (plan.y.out_ranges x plan.x.out_ranges); whether the
+    layer is tiled through DRAM (`dense_dram_tiled`); and the events of the
+    dcnn and dcnn-opt rows, with `useful`, the engine's count of useful
+    multiplies, as useful_mults. Both rows run every multiply on
+    dot-product PEs holding plain 16-bit values; dcnn-opt energizes only
+    the useful ones and moves DRAM activations compressed, at `act_density`.
+    Each engine picks its cycles and its rows from them."""
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
-    per_cell = layer.K * layer.channels_per_group * layer.R * layer.S
+    classes = plan.tile_classes()
+    w_values = layer.K * layer.channels_per_group * layer.R * layer.S
     pe_busy = [
-        -(-per_cell * (xh - xl) * (yh - yl) // arch.mults_per_pe)
+        -(-w_values * (xh - xl) * (yh - yl) // arch.mults_per_pe)
         for yl, yh in plan.y.out_ranges
         for xl, xh in plan.x.out_ranges
     ]
     tiled = dense_dram_tiled(arch, layer, pool)
-    events = {}
-    for variant in variants:
-        if variant in (VARIANT_DCNN, VARIANT_DCNN_OPT):
-            dataflow = "dense" if variant == VARIANT_DCNN else "dense-opt"
-            ev = count_events(arch, layer, dataflow, densities, input_from_dram, tiled)
-            ev.useful_mults = useful
-            if dataflow == "dense-opt":
-                ev.energized_mults = useful
-            ev.mult_slots = sum(pe_busy) * arch.mults_per_pe
-            ev.pe_max_batches = max(pe_busy)
-            events[variant] = ev
-    return pe_busy, tiled, events
+    val_bits, coded_bits = STORED_VALUE_BITS, STORED_VALUE_BITS + INDEX_OVERHEAD_BITS
+    mult_ops = layer.dense_multiplies()
+    in_values, out_values = layer.C * layer.W * layer.H, layer.K * layer.Wo * layer.Ho
+    # each PE reads its input tile once per output-channel group and
+    # streams every weight once per I-wide activation vector of its tile
+    tile_cells = sum(n * wt * ht for n, wt, ht, *_ in classes)
+    act_vectors = sum(n * -(-wt * ht // arch.acts_per_fetch) for n, wt, ht, *_ in classes)
+    n_groups = choose_kc(layer, arch).n_groups
+    drains = layer.K * sum(n * ex * ey for n, _, _, ex, ey, _ in classes)
+
+    def row(energized: int, in_bits: int, out_bits: int) -> EventCounts:
+        act_dram, tiling = activation_dram_bits(in_bits, out_bits, input_from_dram, tiled)
+        return EventCounts(
+            mult_ops=mult_ops, useful_mults=useful, energized_mults=energized,
+            mult_slots=sum(pe_busy) * arch.mults_per_pe, pe_cycles=max(pe_busy),
+            acc_updates=-(-mult_ops // arch.mults_per_pe), acc_drains=drains,
+            act_ram_bits=(layer.C * tile_cells * n_groups + out_values) * val_bits,
+            weight_buf_bits=act_vectors * w_values * val_bits,
+            dram_bits=w_values * val_bits + act_dram, tiling_dram_bits=tiling,
+        )
+
+    return pe_busy, tiled, {
+        VARIANT_DCNN: row(mult_ops, in_values * val_bits, out_values * val_bits),
+        VARIANT_DCNN_OPT: row(
+            useful,
+            round(in_values * act_density) * coded_bits,
+            round(out_values * act_density) * coded_bits,
+        ),
+    }
 
 
 def analytic_cycles(counts: EventCounts, arch) -> int:
-    """The analytic engine's cycles: the busiest PE's
-    (`counts.pe_max_batches`, timed by `group_cycles` on the sparse
-    dataflow), or the layer's DRAM traffic over the DRAM bandwidth when
-    that is longer."""
+    """The analytic engine's cycles: the busiest PE's (`counts.pe_cycles`),
+    or the layer's DRAM traffic over the DRAM bandwidth when that is
+    longer."""
     dram = math.ceil(counts.dram_bits / (arch.dram_values_per_cycle * 16))
-    return max(counts.pe_max_batches, dram)
+    return max(counts.pe_cycles, dram)
 
 
 def analytic_time_energy(

@@ -704,7 +704,6 @@ def simulate_scnn_layer(
 def simulate_dcnn_layer(
     arch: ArchConfig,
     layer: LayerShape,
-    weights: DenseTensor,
     acts: DenseTensor,
     useful_mults: int,
     variants: Sequence[str] = (VARIANT_DCNN, VARIANT_DCNN_OPT),
@@ -712,17 +711,17 @@ def simulate_dcnn_layer(
     input_from_dram: bool = True,
 ) -> dict[str, SimReport]:
     """The rows of the dense variants in `variants` for one layer: the
-    cost `analytic.dense_baseline` gives at the tensors' densities, taking
+    cost `analytic.dense_baseline` gives at the activations' density, taking
     the busiest PE's cycles, with `useful_mults` the layer's `_gated_mults`."""
     pe_busy, tiled, events = dense_baseline(
-        arch, layer, pool, variants, (weights.density(), acts.density()), useful_mults,
-        input_from_dram,
+        arch, layer, pool, acts.density(), useful_mults, input_from_dram
     )
     cycles = max(pe_busy)
     pe_wait = [cycles - b for b in pe_busy]
     return {
-        v: SimReport.build(arch, layer, v, cycles, ev, pe_busy, pe_wait, dram_tiled=tiled)
-        for v, ev in events.items()
+        v: SimReport.build(arch, layer, v, cycles, events[v], pe_busy, pe_wait, dram_tiled=tiled)
+        for v in variants
+        if v in events
     }
 
 

@@ -497,7 +497,7 @@ def _sim_layer(
             reports[VARIANT_SCNN] = rep
     if VARIANT_DCNN in variants or VARIANT_DCNN_OPT in variants:
         reports.update(simulator.simulate_dcnn_layer(
-            arch, spec.shape, weights, acts, useful, variants,
+            arch, spec.shape, acts, useful, variants,
             pool=spec.pool, input_from_dram=first,
         ))
     return reports, decoded, checked
@@ -511,7 +511,7 @@ def _analytic_layer(
     wd, ad = spec.weight_density, spec.act_density
     useful = useful_products(shape, wd, ad)
     pe_busy, dense_tiled, dense = dense_baseline(
-        arch, shape, spec.pool, variants, (wd, ad), useful, input_from_dram=first
+        arch, shape, spec.pool, ad, useful, input_from_dram=first
     )
     for variant in variants:
         if variant == VARIANT_ORACLE:

@@ -10,8 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import loop_gated_mults
-from scnnsim.analytic import _ceil_vec_moments, _max_of, _max_quantile, useful_products
-from scnnsim.dataflow import LayerShape
+from scnnsim.analytic import (
+    ArchConfig,
+    _ceil_vec_moments,
+    _max_of,
+    _max_quantile,
+    count_events,
+    useful_products,
+)
+from scnnsim.dataflow import ConfigurationError, LayerShape
 from scnnsim.simulator import _gated_mults
 from scnnsim.tensors import ACT_ROLES, WEIGHT_ROLES, DenseTensor
 from scnnsim.workloads import load_network, shipped_networks
@@ -122,3 +129,11 @@ def test_useful_products_count_the_valid_output_tap_pairs(
 def test_useful_products_are_exact_on_every_shipped_layer(network):
     for spec in load_network(network).layers:
         assert_useful_products_exact(spec.shape)
+
+
+@pytest.mark.parametrize("dataflow", ["dense", "dense-opt"])
+def test_count_events_counts_only_the_sparse_array(dataflow):
+    # the dense baselines are costed by dense_baseline
+    layer = LayerShape("d", C=2, K=2, W=4, H=4, R=3, S=3, pad=1)
+    with pytest.raises(ConfigurationError, match="sparse"):
+        count_events(ArchConfig(), layer, dataflow, (0.5, 0.5))

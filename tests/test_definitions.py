@@ -6,8 +6,9 @@ import math
 
 from hypothesis import example, given, settings, strategies as st
 
-from scnnsim.analytic import VARIANT_DCNN, VARIANT_DCNN_OPT, VARIANT_SCNN, ArchConfig
+from scnnsim.analytic import VARIANT_DCNN, VARIANT_DCNN_OPT, VARIANT_SCNN, ArchConfig, EventCounts
 from scnnsim.dataflow import LayerShape, partition_tiles
+from scnnsim.record import fields
 from scnnsim.workloads import (
     ALL_VARIANTS,
     VARIANT_ORACLE,
@@ -17,10 +18,12 @@ from scnnsim.workloads import (
 )
 
 
-def check_layer_reports(arch: ArchConfig, engine: str, reports: dict) -> None:
+def check_layer_reports(
+    arch: ArchConfig, engine: str, layer: LayerShape, reports: dict
+) -> None:
     """One layer's rows: each obeys `SimReport`'s definitions, all read the
-    layer's one count of useful multiplies, and the bound row bounds the
-    others' cycles."""
+    layer's one count of useful multiplies, the bound row bounds the
+    others' cycles, and the two dense rows count one machine."""
     assert set(reports) == set(ALL_VARIANTS)
     useful = reports[VARIANT_ORACLE].useful_mults
     for variant, rep in reports.items():
@@ -44,8 +47,19 @@ def check_layer_reports(arch: ArchConfig, engine: str, reports: dict) -> None:
             assert min(rep.pe_wait) >= 0
     scnn, dcnn = reports[VARIANT_SCNN], reports[VARIANT_DCNN]
     assert reports[VARIANT_ORACLE].cycles <= min(scnn.cycles, dcnn.cycles)
-    # gating leaves energized exactly the useful multiplies
-    assert reports[VARIANT_DCNN_OPT].events.energized_mults == useful
+    opt = reports[VARIANT_DCNN_OPT]
+    for rep in (dcnn, opt):
+        # every multiply runs, in each PE's busy cycles
+        assert rep.events.mult_ops == layer.dense_multiplies()
+        assert rep.events.mult_slots == sum(rep.pe_busy) * arch.mults_per_pe
+        assert rep.events.pe_cycles == max(rep.pe_busy)
+    # without gating every multiply is energized; gating leaves energized
+    # exactly the useful ones
+    assert dcnn.events.energized_mults == dcnn.events.mult_ops
+    assert opt.events.energized_mults == useful
+    # the rows differ only in gating and in DRAM activation coding
+    for name in set(fields(EventCounts)) - {"energized_mults", "dram_bits", "tiling_dram_bits"}:
+        assert getattr(dcnn.events, name) == getattr(opt.events, name), name
     if engine == "sim":
         # every stored pair is formed; those whose stride phases do not meet
         # are skipped, the rest cross to the accumulators
@@ -97,4 +111,4 @@ def test_every_row_obeys_its_definitions_on_random_layers(case, densities):
     net = NetworkDescriptor("p", (LayerSpec(layer, *densities, densities[1]),))
     for engine in ("sim", "analytic"):
         (run,) = run_network(net, arch, ALL_VARIANTS, seed=5, engine=engine).layers
-        check_layer_reports(arch, engine, run.reports)
+        check_layer_reports(arch, engine, layer, run.reports)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from scnnsim import analytic, codec, dataflow, simulator, tensors, workloads
-from scnnsim.analytic import ArchConfig, EnergyModel, EventCounts, dcnn_arch
+from scnnsim.analytic import ArchConfig, EnergyModel, EventCounts
 from scnnsim.codec import BlockSet, CodecError
 from scnnsim.dataflow import ConfigurationError, LayerShape, ShapeError, partition_tiles
 from scnnsim.record import Record, fields, replace
@@ -192,6 +192,12 @@ def test_replace_runs_the_checks_again(record, change, error):
         replace(record, **change)
 
 
+def test_construction_warnings_name_the_constructors_caller():
+    with pytest.warns(UserWarning, match="accumulator banks") as caught:
+        ArchConfig(accum_banks=8)
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_replace_rederives_block_positions():
     assert "positions" not in fields(BlockSet)
     with pytest.raises(TypeError):
@@ -213,9 +219,6 @@ def test_record_defaults_are_shared_and_frozen():
 
 
 def test_equal_records_hit_the_plan_caches():
-    dcnn_arch.cache_clear()
-    assert dcnn_arch(ArchConfig()) is dcnn_arch(ArchConfig())
-    assert dcnn_arch.cache_info().hits == 1
     shape = LayerShape(**_of(SHAPE))
     assert shape is not SHAPE
     assert partition_tiles(shape, (2, 2)) is PLAN

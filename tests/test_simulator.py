@@ -19,7 +19,7 @@ from scnnsim.analytic import (
     ArchConfig,
     PoolSpec,
     count_events,
-    dcnn_arch,
+    dense_dram_tiled,
     useful_products,
 )
 from scnnsim import codec, simulator, workloads
@@ -63,7 +63,7 @@ def sim_scnn(arch, layer, w, a, **kw):
 
 def sim_dcnn(arch, layer, w, a, *args, **kw):
     """`simulate_dcnn_layer` given the tensors' useful count."""
-    return simulate_dcnn_layer(arch, layer, w, a, _gated_mults(layer, w, a), *args, **kw)
+    return simulate_dcnn_layer(arch, layer, a, _gated_mults(layer, w, a), *args, **kw)
 
 
 def run_scnn(arch, layer, wd=0.5, ad=0.5, seed=0, pool=None):
@@ -303,7 +303,7 @@ def test_engines_time_a_fully_dense_stride_1_layer_alike(
     a = rng.integers(1, 8, size=layer.input_shape())
     _, report = sim_scnn(arch, layer, DenseTensor(w, WEIGHT_ROLES), DenseTensor(a, ACT_ROLES))
     assume(report.bank_conflict_stalls == 0)
-    assert count_events(arch, layer, "sparse", (1.0, 1.0)).pe_max_batches == report.cycles
+    assert count_events(arch, layer, "sparse", (1.0, 1.0)).pe_cycles == report.cycles
 
 
 class TestLayerEncodes:
@@ -523,11 +523,16 @@ class TestDenseBaselines:
         arch = ArchConfig()
         w = gen_synthetic(layer.weight_shape(), 1.0, seed=1)
         a = gen_synthetic(layer.input_shape(), 1.0, seed=2, signed=False)
-        report = sim_dcnn(arch, layer, w, a)[VARIANT_DCNN]
-        on_chip = count_events(arch, layer, "dense", (w.density(), a.density()))
-        assert report.dram_tiled
         out_bits = layer.K * layer.Wo * layer.Ho * STORED_VALUE_BITS
-        assert report.events.dram_bits == on_chip.dram_bits + out_bits
+        in_bits = layer.C * layer.W * layer.H * STORED_VALUE_BITS
+        w_bits = layer.K * layer.C * STORED_VALUE_BITS
+        for first, tiling in ((True, out_bits), (False, in_bits + out_bits)):
+            report = sim_dcnn(arch, layer, w, a, input_from_dram=first)[VARIANT_DCNN]
+            assert report.dram_tiled
+            # the output makes a round trip, and so does an input that
+            # would not cross DRAM anyway
+            assert report.events.tiling_dram_bits == tiling
+            assert report.events.dram_bits == w_bits + in_bits + out_bits
 
     def test_both_rows_count_the_tensors_once(self):
         # one count of useful multiplies per layer, whatever rows are asked
@@ -555,11 +560,26 @@ class TestDenseBaselines:
             busy |= {reports[v].pe_busy for v in (VARIANT_DCNN, VARIANT_DCNN_OPT) if v in reports}
         assert len(busy) == 1
 
-    def test_dcnn_arch_has_2mb_sram(self):
-        arch = ArchConfig()
-        d = dcnn_arch(arch)
-        total = d.n_pes * (d.iaram_bytes + d.oaram_bytes)
-        assert total == 2 * 1024 * 1024
+    @pytest.mark.parametrize(
+        "grid,capacity",
+        [
+            # 2MB of 16-bit values over 64 PEs' two RAMs each
+            ((8, 8), 1024 * 1024),
+            # 2MB does not split evenly over 18 RAMs: 116,508 bytes each
+            ((3, 3), 18 * (116_508 // 2)),
+        ],
+        ids=["8x8", "3x3"],
+    )
+    def test_dram_tiling_starts_one_value_past_the_sram(self, grid, capacity):
+        arch = ArchConfig(pe_rows=grid[0], pe_cols=grid[1])
+        for extra, tiled in ((0, False), (1, True)):
+            # one input value, the rest output
+            layer = LayerShape("b", C=1, K=capacity - 1 + extra, W=1, H=1, R=1, S=1)
+            assert dense_dram_tiled(arch, layer, None) is tiled
+        # the pooled output is what must fit: 32 x 128² in, 128 x 64² out
+        layer = LayerShape("p", C=32, K=128, W=128, H=128, R=1, S=1)
+        assert dense_dram_tiled(arch, layer, PoolSpec(2, 2)) is (capacity < 1024 * 1024)
+        assert dense_dram_tiled(arch, layer, None)
 
 
 @settings(max_examples=300, deadline=None)

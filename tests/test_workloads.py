@@ -342,7 +342,7 @@ def test_every_report_obeys_its_definitions(engine, tmp_path):
     arch = ArchConfig()
     run = run_network(load_network(path), arch, ALL_VARIANTS, seed=3, engine=engine)
     for lr in run.layers:
-        check_layer_reports(arch, engine, lr.reports)
+        check_layer_reports(arch, engine, lr.spec.shape, lr.reports)
 
 
 YAML_VALUES = st.recursive(
