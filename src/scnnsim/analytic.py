@@ -42,8 +42,14 @@ VARIANT_SCNN = "scnn"
 VARIANT_DCNN = "dcnn"
 VARIANT_DCNN_OPT = "dcnn-opt"
 
-# compressed runs are held as int64, so an index field is at most 62 bits wide
+# compressed runs are summed into positions as int64, so an index field is
+# at most 62 bits wide
 MAX_INDEX_BITS = 62
+
+# The most PEs a grid may have. Both engines keep per-PE lists and arrays
+# (every row's `pe_busy` and `pe_wait`), which a grid of 10**12 PEs would
+# never finish building; the shipped configs and sweeps use at most 64.
+MAX_PES = 1 << 16
 
 
 # Bits charged per stored value in RAM and DRAM traffic: the value itself
@@ -171,6 +177,10 @@ class ArchConfig(Record):
         ):
             if getattr(self, attr) < 1:
                 raise ConfigurationError(f"{attr} must be >= 1")
+        if self.n_pes > MAX_PES:
+            raise ConfigurationError(
+                f"pe_rows * pe_cols = {self.n_pes} PEs exceeds the limit of {MAX_PES}"
+            )
         if self.halo_latency_cycles < 0 or not self.dram_values_per_cycle > 0:
             raise ConfigurationError("bandwidth/latency knobs must be positive")
         if not 1 <= self.index_bits <= MAX_INDEX_BITS:

@@ -14,9 +14,14 @@ validated once. The simulator reads the flat arrays (and the dense positions
 derived from the runs) directly; a single block is the slice
 offsets[b]:offsets[b + 1] of those arrays.
 
-Values are stored as int32, narrowed only after the 24-bit accumulator check;
-run lengths, offsets, extents and positions stay int64, since an index field
-may be up to 62 bits wide.
+Each entry is held at its stored width: its value as int32, narrowed only
+after the 24-bit accumulator check; its run length in the narrowest unsigned
+type that holds 2**index_bits - 1 (uint8 at the default 4 bits); and its
+position as int32 while every extent is below 2**31, else as int64. That is
+9 bytes an entry at the default width, where the int32 dense tensor takes 4
+bytes a value. The per-block offsets and extents stay int64, and so does
+the arithmetic on runs and positions wherever a sum or product may pass
+2**31.
 """
 
 from __future__ import annotations
@@ -56,6 +61,11 @@ def _passes(bounds: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
+def _run_dtype(index_bits: int) -> np.dtype:
+    """The narrowest unsigned type that holds a run of 2**index_bits - 1."""
+    return np.min_scalar_type((1 << index_bits) - 1)
+
+
 def _check_stream(
     values: np.ndarray,
     run_lengths: np.ndarray,
@@ -65,8 +75,7 @@ def _check_stream(
 ) -> np.ndarray:
     """Validate a stream of blocks, block b owning entries
     offsets[b]:offsets[b + 1], and return each entry's dense position within
-    its block."""
-    _check_index_bits(index_bits)
+    its block, as int32 when every extent is below 2**31."""
     if values.shape != run_lengths.shape or values.ndim != 1:
         raise CodecError("values and run_lengths differ in length")
     if (
@@ -90,23 +99,25 @@ def _check_stream(
         raise CodecError(
             f"value {int(values[bad.argmax()])} outside 24-bit accumulator range"
         )
-    # every entry must land inside its block. The int64 sums wrap modulo
-    # 2**64, so a position is exact while below 2**63; the first entry past
-    # an extent (< 2**63) overshoots it by at most one run (< 2**62), so its
-    # position is either exact or wraps negative.
-    positions = np.empty(values.size, dtype=np.int64)
+    # every entry must land inside its block. The runs are widened to int64
+    # first (a uint8 run of 255 plus one wraps), and the int64 sums wrap
+    # modulo 2**64, so a position is exact while below 2**63; the first entry
+    # past an extent (< 2**63) overshoots it by at most one run (< 2**62), so
+    # its position is either exact or wraps negative.
+    wide = extents.size and int(extents.max()) >= 1 << 31
+    positions = np.empty(values.size, dtype=np.int64 if wide else np.int32)
     over = extents < 0
     for b0, b1 in _passes(offsets):
         lo, hi = offsets[b0], offsets[b1]
         ends = np.zeros(hi - lo + 1, dtype=np.int64)
-        np.cumsum(run_lengths[lo:hi] + 1, out=ends[1:])
+        np.cumsum(run_lengths[lo:hi].astype(np.int64) + 1, out=ends[1:])
         counts = np.diff(offsets[b0 : b1 + 1])
-        pos = positions[lo:hi]
-        np.subtract(ends[1:] - 1, np.repeat(ends[offsets[b0:b1] - lo], counts), out=pos)
+        pos = ends[1:] - 1 - np.repeat(ends[offsets[b0:b1] - lo], counts)
         outside = (pos < 0) | (pos >= np.repeat(extents[b0:b1], counts))
         if outside.any():
             over[np.searchsorted(offsets, lo + outside.argmax(), side="right") - 1] = True
             break
+        positions[lo:hi] = pos
     if over.any():
         raise CodecError(
             f"block expands past its logical extent {int(extents[over.argmax()])}"
@@ -137,8 +148,11 @@ class BlockSet(Record, eq=False):
     from the runs.
     The whole set is checked once: the index width, offsets that partition
     the stream, runs within the index width, values within the 24-bit
-    accumulator range and every entry inside its block's extent. `values`
-    is then held as int32, the other arrays as int64."""
+    accumulator range and every entry inside its block's extent. Then
+    `values` is held as int32, `run_lengths` as `_run_dtype(index_bits)`,
+    `positions` as int32 while every extent is below 2**31 (else int64),
+    and `offsets` and `extents` as int64. Runs of any other width are read
+    as int64 and narrowed after their check."""
 
     values: np.ndarray
     run_lengths: np.ndarray
@@ -147,13 +161,16 @@ class BlockSet(Record, eq=False):
     index_bits: int = DEFAULT_INDEX_BITS
 
     def __post_init__(self) -> None:
-        for name in ("run_lengths", "offsets", "extents"):
+        _check_index_bits(self.index_bits)
+        for name in ("offsets", "extents"):
             object.__setattr__(self, name, _int64(getattr(self, name), name))
+        runs, narrow = self.run_lengths, _run_dtype(self.index_bits)
+        if not (isinstance(runs, np.ndarray) and runs.dtype == narrow):
+            runs = _int64(runs, "run_lengths")
         values = _int_values(self.values)
-        positions = _check_stream(
-            values, self.run_lengths, self.offsets, self.extents, self.index_bits
-        )
+        positions = _check_stream(values, runs, self.offsets, self.extents, self.index_bits)
         object.__setattr__(self, "values", values.astype(np.int32, copy=False))
+        object.__setattr__(self, "run_lengths", runs.astype(narrow, copy=False))
         object.__setattr__(self, "positions", positions)
 
     def __len__(self) -> int:
@@ -169,7 +186,7 @@ def encode_blocks(
     blocks' linearized slices and `extents` gives their lengths. The value
     buffer takes the dense values' width, int32 from every simulator stage;
     any other input is widened to int64 and narrowed by `BlockSet` after its
-    range check."""
+    range check. Runs are written at their stored width from the start."""
     _check_index_bits(index_bits)
     flat = _int_values(dense).reshape(-1)
     extents = _int64(extents, "extent").reshape(-1)
@@ -185,7 +202,7 @@ def encode_blocks(
     # a block of extent e holds at most e >> index_bits placeholders
     bound = np.count_nonzero(flat) + int((extents >> index_bits).sum())
     values = np.zeros(bound, dtype=flat.dtype)
-    runs = np.full(bound, (1 << index_bits) - 1, dtype=np.int64)
+    runs = np.full(bound, (1 << index_bits) - 1, dtype=_run_dtype(index_bits))
     offsets = np.zeros(extents.size + 1, dtype=np.int64)
     for b0, b1 in _passes(starts):
         part, at = flat[starts[b0] : starts[b1]], offsets[b0]

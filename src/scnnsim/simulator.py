@@ -21,33 +21,38 @@ channel c), the activation tiles of every PE (block pe * C + c) and its
 outputs (block pe * K + k). Nothing is encoded or decoded block by block:
 the scatter reads each set's flat values and the dense positions derived
 from its runs, and `LayerOutput.decoded` rebuilds the plane from them with
-one scatter. Operands, output planes and block values are int32; only the
-accumulators and the PPU's merge, whose sums may outgrow 24 bits before
-their check, hold int64.
+one scatter. Operands, output planes and block values are int32, and block
+positions int32 below 2**31; index arithmetic that may pass 2**31 runs in
+int64. The accumulators, whose sums may outgrow 24 bits before their check,
+are float64 and exact (below); the PPU merges them in place and narrows the
+checked plane to int32.
 
 The hardware works through a layer one output-channel group at a time; the
 host scatters batches of consecutive groups (`_batches`, sized by the
 _BATCH byte budget), each over every live PE at once, as the weights are
 broadcast to all of them, into accumulators laid out uniformly as
-[slot, k, EX, EY] (`_Slots`). Each group keeps its own cells, so its bank
+[k, EX, EY, slot] (`_Slots`). Each group keeps its own cells, so its bank
 totals, stalls and skipped products are those of a pass of its own. A
 product lands only when the stride phases of its tap (r % stride) and its
 activation ((x + pad) % stride) agree in both axes, so products a stride
 skips are counted, never formed. Activations are read once per layer into
 one dense grid per phase (`_activation_operand`), and each batch's weights
-into a dense [C, R, S, k] array. All products of one (filter, tap,
-activation position) land in one cell, whose sum and count are all that is
-read, so per phase and convolution group the scatter contracts the input
-channels first: one float64 GEMM of the values and one float32 GEMM of the
-0/1 masks of stored entries (placeholders included), whose tap rows then
-add into the accumulators as shifted slices (`_scatter`). Both are exact in
-any order of addition. Products of 16-bit operands are integers below
+into a dense [C, R, S, kw] array over each channel's own convolution group
+(`_weight_cells`). All products of one (filter, tap, activation position)
+land in one cell, whose sum and count are all that is read, so per phase
+and convolution group the scatter contracts the input channels first: one
+float64 GEMM of the values and one float32 GEMM of the 0/1 masks of stored
+entries (placeholders included), whose tap rows then add into the
+accumulators as shifted slices (`_scatter`). Both are exact in any order of
+addition. Products of 16-bit operands are integers below
 2**30, so every partial sum of a cell is an integer below
 channels_per_group * R * S * 2**30, which `simulate_scnn_layer` keeps below
 2**53; every count is an integer below 2**23, which float32 holds. The PPU
 sums the slots into the output plane through a merge map `_Slots` builds
-once per layer, batch by batch; the cycle model then works on every group
-at once from the per-group counts.
+once per layer over the accumulators' own order, batch by batch. Every
+product of an output lands in exactly one PE's cell, so a merged sum is a
+sum of distinct products of that output and as exact as a cell. The cycle
+model then works on every group at once from the per-group counts.
 
 Functional equivalence is the master contract: the decoded, halo-merged,
 ReLU'd (and optionally pooled) outputs equal the exact reference convolution
@@ -189,16 +194,16 @@ _BATCH = 1 << 23
 
 
 class _Slots(Record):
-    """A layer's uniform accumulator layout [slot, kc, EX, EY]: slot i is
-    live PE pes[i], kc the largest group and (EX, EY) the largest extents
-    (a slot fits the capacity `choose_kc` sized); the PE's own accumulator
-    is [i, :kc, :ex, :ey]. `bank` holds every cell's i * n_banks + bank, the
-    bank taken from the PE's own address (k * ex + x) * ey + y. It is a view
-    of a [kc, EX, EY, slot] array, the memory order the scatter fills.
+    """A layer's uniform accumulator layout [kc, EX, EY, slot], the memory
+    order the scatter fills: slot i is live PE pes[i], kc the largest group
+    and (EX, EY) the largest extents (a slot fits the capacity `choose_kc`
+    sized); the PE's own accumulator is [:kc, :ex, :ey, i]. `bank` holds
+    every cell's i * n_banks + bank, the bank taken from the PE's own
+    address (k * ex + x) * ey + y.
 
     Per PE: its input tile (`_rects`) and `origin`, its slot (-1 when
     idle) and the output coordinate (xb, yb) of its accumulator cell
-    (0, 0). The merge map, over the cells of [slot, EX, EY] and the plane
+    (0, 0). The merge map, over the cells of [EX, EY, slot] and the plane
     coordinates x * Ho + y: `src` holds the first cell that lands on each
     coordinate (0 where none does, the coordinates in `bare`), and each
     pair (cells, dest) of `adds` adds one more cell to each of a set of
@@ -208,7 +213,7 @@ class _Slots(Record):
     plan: TilePlan
     pes: list[int]
     extent: np.ndarray    # (slots, 2): each live PE's (ex, ey)
-    bank: np.ndarray      # [slot, kc, EX, EY]
+    bank: np.ndarray      # [kc, EX, EY, slot]
     n_banks: int
     tile: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     origin: np.ndarray    # (n_pes, 3): slot, xb, yb
@@ -237,18 +242,17 @@ def _slots(plan: TilePlan, kc: int, banks: int, bank_map: str) -> _Slots:
         rows, cols, [ax.acc_extent(c) for c in range(cols)], [ay.acc_extent(r) for r in range(rows)]
     ).T
     extent = np.stack([ex[pes], ey[pes]], axis=1)
-    k, x, y = np.ogrid[:kc, : ex[pes].max(), : ey[pes].max()]
-    ex, ey = ex[pes, None, None, None], ey[pes, None, None, None]
-    bank = _bank_ids((k * ex + x) * ey + y, banks, bank_map)
-    bank += np.arange(pes.size)[:, None, None, None] * banks
-    bank = np.ascontiguousarray(bank.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+    # axes [k, x, y, slot]
+    k, x, y, _ = np.ogrid[:kc, : ex[pes].max(), : ey[pes].max(), :1]
+    ex, ey = ex[pes], ey[pes]
+    bank = _bank_ids((k * ex + x) * ey + y, banks, bank_map) + np.arange(pes.size) * banks
     origin = np.stack([np.where(live, np.cumsum(live) - 1, -1), xb, yb], axis=1)
     # the merge map, from every slot cell's global output coordinate
-    gx, gy = x[0] + xb[pes, None, None], y[0] + yb[pes, None, None]
-    inside = (x[0] < ex[:, 0]) & (y[0] < ey[:, 0])
+    gx, gy = x[0] + xb[pes], y[0] + yb[pes]
+    inside = (x[0] < ex) & (y[0] < ey)
     inside &= (gx >= 0) & (gx < layer.Wo) & (gy >= 0) & (gy < layer.Ho)
-    ranges = _per_pe(rows, cols, ax.out_ranges, ay.out_ranges)[pes, :, :, None, None]
-    (oxl, oxh), (oyl, oyh) = ranges.transpose(1, 2, 0, 3, 4)
+    ranges = _per_pe(rows, cols, ax.out_ranges, ay.out_ranges)[pes]
+    (oxl, oxh), (oyl, oyh) = ranges.transpose(1, 2, 0)
     owned = (gx >= oxl) & (gx < oxh) & (gy >= oyl) & (gy < oyh)
     cells = np.flatnonzero(inside)
     dest = (gx * layer.Ho + gy).reshape(-1)[cells]
@@ -274,11 +278,12 @@ class _Operand(Record):
     values and float32 0/1 masks of the stored entries, placeholders
     included.
 
-    Weights are [C, R, S, k] over the batch's filters k (None when the
-    batch stores nothing). Activations are keyed by stride phase (px, py),
-    each a [C, GX * GY * slot] grid (`_activation_operand`); no key holds
-    an activation that meets no tap. `stored` counts entries per (group,
-    channel) for weights and per (slot, channel) for activations."""
+    Weights are [C, R, S, kw] over each channel's own filters
+    (`_weight_cells`; None when the batch stores nothing). Activations are
+    keyed by stride phase (px, py), each a [C, GX * GY * slot] grid
+    (`_activation_operand`); no key holds an activation that meets no tap.
+    `stored` counts entries per (group, channel) for weights and per (slot,
+    channel) for activations."""
 
     stored: np.ndarray
     vals: np.ndarray | dict[tuple[int, int], np.ndarray] | None
@@ -290,33 +295,46 @@ def _batches(n_groups: int, slots: _Slots) -> list[range]:
     weights, 12 bytes a cell or a (tap, filter, channel), fit _BATCH bytes
     together."""
     layer = slots.plan.layer
-    n_slots, kc, EX, EY = slots.bank.shape
+    kc, EX, EY, n_slots = slots.bank.shape
     per_group = 12 * kc * (n_slots * EX * EY + layer.R * layer.S * layer.C)
     per = max(1, _BATCH // per_group)
     return [range(g, min(g + per, n_groups)) for g in range(0, n_groups, per)]
 
 
+def _weight_cells(stream: WeightStream, batch: range) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Each stored weight's flat int64 index into the weight operand of the
+    output-channel groups `batch`, and the operand's shape [C, R, S, kw]:
+    column j of channel c is the batch's j-th filter in c's convolution
+    group, so kw, the most any convolution group has in the batch, is at
+    most filters_per_group."""
+    layer, gplan, blocks = stream.layer, stream.gplan, stream.blocks
+    C, rs, kpg = layer.C, layer.R * layer.S, layer.filters_per_group
+    offsets = blocks.offsets[batch.start * C : batch.stop * C + 1]
+    k0, k1 = gplan.groups[batch.start].start, gplan.groups[batch.stop - 1].stop
+    # the batch's first filter in each convolution group, and kw
+    conv_groups = np.arange(layer.groups)
+    base = np.maximum(k0, conv_groups * kpg)
+    kw = int((np.minimum(k1, (conv_groups + 1) * kpg) - base).max())
+    g, c = np.divmod(np.arange(batch.start * C, batch.stop * C), C)
+    cg = c // layer.channels_per_group
+    # block (g, c) starts at g's first filter in c's convolution group
+    first = np.maximum(cg * kpg, g * gplan.kc) - base[cg]
+    k, tap = np.divmod(blocks.positions[offsets[0] : offsets[-1]].astype(np.int64), rs)
+    at = tap * kw + k + np.repeat(c * (rs * kw) + first, np.diff(offsets))
+    return at, (C, layer.R, layer.S, kw)
+
+
 def _weight_operand(stream: WeightStream, batch: range) -> _Operand:
     """The weights of the output-channel groups `batch` (consecutive
     indices into the group plan), shared by every PE."""
-    layer, gplan, blocks = stream.layer, stream.gplan, stream.blocks
-    C, rs = layer.C, layer.R * layer.S
+    C, blocks = stream.layer.C, stream.blocks
     offsets = blocks.offsets[batch.start * C : batch.stop * C + 1]
-    lo, hi = offsets[0], offsets[-1]
-    v = blocks.values[lo:hi]
     stored = np.diff(offsets)
     vals = mask = None
-    if hi > lo:
-        k0 = gplan.groups[batch.start].start
-        nk = gplan.groups[batch.stop - 1].stop - k0
-        g, c = np.divmod(np.arange(batch.start * C, batch.stop * C), C)
-        # block (g, c) starts at g's first filter in c's convolution group
-        first = np.maximum(c // layer.channels_per_group * layer.filters_per_group, g * gplan.kc)
-        k, tap = np.divmod(blocks.positions[lo:hi], rs)
-        at = tap * nk + k + np.repeat(c * (rs * nk) + first - k0, stored)
-        shape = (C, layer.R, layer.S, nk)
+    if offsets[-1] > offsets[0]:
+        at, shape = _weight_cells(stream, batch)
         vals, mask = np.zeros(shape), np.zeros(shape, dtype=np.float32)
-        vals.reshape(-1)[at] = v
+        vals.reshape(-1)[at] = blocks.values[offsets[0] : offsets[-1]]
         mask.reshape(-1)[at] = 1
     return _Operand(stored.reshape(-1, C), vals, mask)
 
@@ -341,7 +359,7 @@ def _activation_operand(plan: TilePlan, slots: _Slots, tiles: BlockSet) -> _Oper
     however many millions of entries a layer holds."""
     layer = plan.layer
     s, pad, C = layer.stride, layer.pad, layer.C
-    n_slots, _, EX, EY = slots.bank.shape
+    _, EX, EY, n_slots = slots.bank.shape
     if len(tiles) != plan.n_pes * C:
         raise ConfigurationError(
             f"{len(tiles)} activation blocks for {plan.n_pes} PEs of {C} channels"
@@ -367,6 +385,7 @@ def _activation_operand(plan: TilePlan, slots: _Slots, tiles: BlockSet) -> _Oper
         ids = np.repeat(np.arange(b0, b1), np.diff(tiles.offsets[b0 : b1 + 1]))
         v = tiles.values[lo:hi]
         pe, c = np.divmod(ids, C)
+        # ht is int64, so every coordinate and index below is int64
         x, y = np.divmod(tiles.positions[lo:hi], ht[pe])
         x, px = np.divmod(x + x0[pe] + pad, s)
         y, py = np.divmod(y + y0[pe] + pad, s)
@@ -393,9 +412,9 @@ def _scatter(
     groups: tuple[range, ...], w: _Operand, a: _Operand, slots: _Slots
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every phase-matched product of a batch of consecutive output-channel
-    groups on every live PE: the [slot, k, EX, EY] accumulators over the
-    batch's filters, and per group each slot's products per bank and its
-    products skipped by the stride.
+    groups on every live PE: the float64 [k, EX, EY, slot] accumulators over
+    the batch's filters, each an exact integer, and per group each slot's
+    products per bank and its products skipped by the stride.
 
     Per stride phase and convolution group, one GEMM contracts the input
     channels of the phase's taps (rows tap, k) with its activation grid
@@ -409,7 +428,7 @@ def _scatter(
     a pass of its own."""
     layer = slots.plan.layer
     s, taps = layer.stride, _phase_taps(layer)
-    n_slots, _, EX, EY = slots.bank.shape
+    _, EX, EY, n_slots = slots.bank.shape
     k0, k1 = groups[0].start, groups[-1].stop
     acc = np.zeros((k1 - k0, EX, EY, n_slots))
     landed = np.zeros((k1 - k0, EX, EY, n_slots), dtype=np.float32)
@@ -430,8 +449,8 @@ def _scatter(
             for k_lo, k_hi, c_lo, c_hi in conv_groups:
                 kg, cs = k_hi - k_lo, slice(c_lo, c_hi)
                 passes = [
-                    (w_vals[cs, :, :, k_lo:k_hi].reshape(cpg, -1).T, a_vals[cs], acc),
-                    (w_mask[cs, :, :, k_lo:k_hi].reshape(cpg, -1).T, a.mask[px, py][cs], landed),
+                    (w_vals[cs, :, :, :kg].reshape(cpg, -1).T, a_vals[cs], acc),
+                    (w_mask[cs, :, :, :kg].reshape(cpg, -1).T, a.mask[px, py][cs], landed),
                 ]
                 rows = max(1, _BAND // (len(shifts) * kg * GY * n_slots))
                 for g0 in range(0, GX, rows):
@@ -442,35 +461,33 @@ def _scatter(
                         for j, (dx, dy) in enumerate(shifts):
                             out[k_lo:k_hi, g0 + dx : g1 + dx, dy : dy + GY] += m[j]
     # a group's bank of cell (k, x, y) is that of its own filter k - start
-    bank = slots.bank.transpose(1, 2, 3, 0)
     bank_totals = np.stack([
         np.bincount(
-            bank[: len(g)].reshape(-1),
+            slots.bank[: len(g)].reshape(-1),
             landed[g.start - k0 : g.stop - k0].reshape(-1),
             n_slots * slots.n_banks,
         )
         for g in groups
     ]).astype(np.int64).reshape(len(groups), n_slots, -1)
     skipped = w.stored @ a.stored.T - bank_totals.sum(axis=2)
-    # in the [k, slot, EX, EY] memory order the PPU reads
-    acc = acc.transpose(0, 3, 1, 2).astype(np.int64, order="C").transpose(1, 0, 2, 3)
     return acc, bank_totals, skipped
 
 
 def _merge_group_plane(acc: np.ndarray, slots: _Slots) -> tuple[np.ndarray, int]:
     """Sum every slot's accumulator cells at their global coordinates, through
-    the layer's merge map.
+    the layer's merge map, in the accumulators' own [k, EX, EY, slot] order
+    and dtype.
 
     Cells whose output coordinate falls outside the plane are dropped; the
     non-zero cells outside a PE's owned rectangle are the halo traffic."""
     layer = slots.plan.layer
-    kc = acc.shape[1]
-    flat = acc.transpose(1, 0, 2, 3).reshape(kc, -1)
+    kc = acc.shape[0]
+    flat = acc.reshape(kc, -1)
     if flat.size:
         full = flat[:, slots.src]
         full[:, slots.bare] = 0
     else:
-        full = np.zeros((kc, layer.Wo * layer.Ho), dtype=np.int64)
+        full = np.zeros((kc, layer.Wo * layer.Ho), dtype=acc.dtype)
     for cells, dest in slots.adds:
         full[:, dest] += flat[:, cells]
     halo_values = int(np.count_nonzero(flat[:, slots.halo]))
@@ -512,8 +529,9 @@ def ppu_finalize(
     non-zero halo values exchanged.
 
     `acc` holds the accumulators of one or more consecutive output-channel
-    groups, [slot, k, EX, EY] as `slots` describes. Halo cells are added
-    into their owners' int64 partial sums, and the merged plane is
+    groups, [k, EX, EY, slot] as `slots` describes, as the scatter's exact
+    float64 sums (or any integer dtype). Halo cells are added into their
+    owners' partial sums in that dtype, and the merged plane is
     range-checked, narrowed to int32, ReLU'd and max-pooled when requested;
     every step acts on each output channel alone, so a batch of groups
     gives each group's result. The layer compresses the planes of all its
@@ -524,7 +542,7 @@ def ppu_finalize(
     np.maximum(plane, 0, out=plane)
     if pool is not None:
         plane = max_pool(plane, pool)
-    drained = acc.shape[1] * int(slots.extent.prod(axis=1).sum())
+    drained = acc.shape[0] * int(slots.extent.prod(axis=1).sum())
     return plane, drained, halo_values
 
 
@@ -547,6 +565,7 @@ class LayerOutput(Record):
         blocks = self.blocks
         starts = np.zeros(len(blocks), dtype=np.int64)
         np.cumsum(blocks.extents[:-1], out=starts[1:])
+        # int64, whatever the positions' width
         where = np.repeat(starts, np.diff(blocks.offsets))
         where += blocks.positions
         dense = np.zeros(k * w * h, dtype=np.int32)

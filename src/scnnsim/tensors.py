@@ -7,9 +7,10 @@ range, so any two correct implementations of the same layer agree bit for
 bit.
 
 Storage is int32: every `DenseTensor` holds its values as int32, so each
-operand, output and synthetic draw takes half the memory int64 would. Only
-sums that can outgrow int32 stay int64, here `reference_conv`'s running
-output; a value narrowed to int32 is range-checked first, never wrapped.
+operand, output and synthetic draw takes half the memory int64 would, and
+`reference_conv` pads its input as int32. Only sums that can outgrow int32
+are wider: `reference_conv`'s float64 terms and its int64 running output; a
+value narrowed to int32 is range-checked first, never wrapped.
 """
 
 from __future__ import annotations
@@ -131,7 +132,8 @@ def reference_conv(layer: LayerShape, weights: DenseTensor, input_: DenseTensor)
     c, w, h = layer.C, layer.W, layer.H
     pad, stride = layer.pad, layer.stride
     wo, ho = layer.Wo, layer.Ho
-    padded = np.zeros((c, w + 2 * pad, h + 2 * pad))
+    # int32 like the input; each window copy below widens it to float64
+    padded = np.zeros((c, w + 2 * pad, h + 2 * pad), dtype=np.int32)
     padded[:, pad : pad + w, pad : pad + h] = input_.values
     # [r, s, k, c]: each tap's filter matrix, rows contiguous
     taps = np.ascontiguousarray(weights.values.transpose(2, 3, 0, 1), dtype=np.float64)

@@ -614,6 +614,8 @@ def run_network(
             if decoded is None:
                 decoded = DenseTensor(_reference_output(spec, weights, acts), OUT_ROLES)
             outputs[spec.name] = requantize(decoded, list(map(weights_of, consumers[spec.name])))
+        # the requantized copy is all a consumer reads
+        del decoded
         runs.append(LayerRun(spec, reports, oracle_checked=checked))
     return NetworkRun(net.name, engine, seed, runs, tuple(variants))
 

@@ -93,6 +93,11 @@ def test_bad_run_input_is_a_one_line_error(argv, message, tmp_path, capsys):
             ": bad arch field: pe_rows must be Integral, got 2.5",
         ),
         (
+            # refused as the config loads, so no engine sees the grid
+            "--config", "schema_version: 1\narch: {pe_rows: 1000000, pe_cols: 1000000}\n",
+            ": bad arch field: pe_rows * pe_cols = 1000000000000 PEs exceeds the limit of 65536",
+        ),
+        (
             "--config", "schema_version: 1\narch: {act_ram_port_bits: 104}\n",
             ": bad arch field: unknown key 'act_ram_port_bits'",
         ),

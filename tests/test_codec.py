@@ -298,16 +298,84 @@ class TestBlockSetRejects:
         with pytest.raises(CodecError, match=f"value {value} outside 24-bit"):
             encode_blocks([0, value, 0], [3])
 
-    def test_values_are_int32_and_indices_int64(self):
+    @pytest.mark.parametrize(
+        "index_bits,runs",
+        [(1, np.uint8), (4, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16),
+         (17, np.uint32), (32, np.uint32), (33, np.uint64), (62, np.uint64)],
+    )
+    def test_entries_are_held_at_their_stored_width(self, index_bits, runs):
+        # an int32 value, the narrowest unsigned run that holds
+        # 2**index_bits - 1 and an int32 position: 9 bytes an entry at 4 bits
         for bs in (
-            BlockSet([ACCUM_MIN, ACCUM_MAX], [0, 15], [0, 1, 2], [1, 16]),
-            encode_blocks(np.array([0, 5, 0, -3], dtype=np.int32), [2, 2]),
-            encode_blocks([0, 5, 0, -3], [2, 2]),
+            BlockSet([ACCUM_MIN, ACCUM_MAX], [0, 1], [0, 1, 2], [1, 16], index_bits),
+            BlockSet([7], np.array([1], dtype=runs), [0, 1], [2], index_bits),
+            encode_blocks(np.array([0, 5, 0, -3], dtype=np.int32), [2, 2], index_bits),
+            encode_blocks([0, 5, 0, -3], [2, 2], index_bits),
         ):
             assert bs.values.dtype == np.int32
-            for index in (bs.run_lengths, bs.offsets, bs.extents, bs.positions):
-                assert index.dtype == np.int64
+            assert bs.run_lengths.dtype == runs
+            assert bs.positions.dtype == np.int32
+            assert bs.offsets.dtype == bs.extents.dtype == np.int64
+        entry = (bs.values, bs.run_lengths, bs.positions)
+        assert sum(column.itemsize for column in entry) == 8 + np.dtype(runs).itemsize
+
+    def test_runs_of_another_width_are_checked_then_narrowed(self):
+        # a uint8 run past the 4-bit width, and an int64 one that uint8 would wrap
+        for run in (np.array([16], dtype=np.uint8), np.array([256 + 3], dtype=np.int64)):
+            with pytest.raises(CodecError, match="run length"):
+                BlockSet([1], run, [0, 1], [300], index_bits=4)
+        bs = BlockSet([1], np.array([3], dtype=np.uint16), [0, 1], [4], index_bits=4)
+        assert bs.run_lengths.dtype == np.uint8 and bs.positions.tolist() == [3]
 
     def test_extremes_accepted(self):
         bs = BlockSet([ACCUM_MIN, ACCUM_MAX], [0, 15], [0, 1, 2], [1, 16])
         assert bs.positions.tolist() == [0, 15]
+
+
+class TestIndexWidths:
+    """Runs held as uint8 to uint64 and positions as int32 or int64 place
+    every entry exactly; all index arithmetic on them runs in int64."""
+
+    def test_runs_of_255_at_8_bits(self):
+        # a uint8 run of 255 plus one wraps to 0 unless widened first
+        dense = ([0] * 255 + [7]) * 3 + [0] * 256 + [9]
+        b = encode(dense, index_bits=8)
+        assert b.run_lengths.dtype == np.uint8
+        assert b.run_lengths.tolist() == [255, 255, 255, 255, 0]
+        assert b.values.tolist() == [7, 7, 7, 0, 9]
+        assert b.positions.tolist() == [255, 511, 767, 1023, 1024]
+        assert decode(b) == dense
+
+    @pytest.mark.parametrize("index_bits", range(9, 63))
+    def test_round_trip_at_every_wider_width(self, index_bits):
+        # gaps around 2**9 and 2**10 make placeholders at the narrowest widths
+        rng = np.random.default_rng(index_bits)
+        dense = []
+        for gap in (0, 1, 255, 256, 511, 512, 513, 1023, 1024, 2500):
+            dense += [0] * gap + [int(rng.integers(1, 1000))]
+        dense += [0] * 700
+        b = encode(dense, index_bits)
+        runs = np.uint16 if index_bits <= 16 else np.uint32 if index_bits <= 32 else np.uint64
+        assert b.run_lengths.dtype == runs
+        assert decode(b) == dense
+        placed = np.zeros(len(dense), dtype=np.int64)
+        placed[b.positions] = b.values
+        assert placed.tolist() == dense
+        # the longest run the width holds, and the entry just after it
+        top = (1 << index_bits) - 1
+        bs = BlockSet([3, 5], [top, 0], [0, 2], [top + 2], index_bits)
+        assert bs.run_lengths.dtype == runs
+        assert bs.positions.tolist() == [top, top + 1]
+        assert bs.positions.dtype == (np.int32 if top + 2 < 1 << 31 else np.int64)
+
+    def test_an_extent_past_2_31_keeps_int64_positions(self):
+        # built from offsets and extents: no dense array of that size exists
+        big = 1 << 31
+        bs = BlockSet([4, 6, 8], [2, big - 1, 5], [0, 1, 3], [3, big + 6], index_bits=31)
+        assert bs.positions.dtype == np.int64
+        assert bs.positions.tolist() == [2, big - 1, big + 5]
+        below = BlockSet([6], [big - 2], [0, 1], [big - 1], index_bits=31)
+        assert below.positions.dtype == np.int32
+        assert below.positions.tolist() == [big - 2]
+        with pytest.raises(CodecError, match=f"logical extent {big}"):
+            BlockSet([6], [big], [0, 1], [big], index_bits=32)

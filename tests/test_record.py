@@ -192,6 +192,17 @@ def test_replace_runs_the_checks_again(record, change, error):
         replace(record, **change)
 
 
+def test_grids_past_the_pe_limit_are_refused_at_construction():
+    # per-PE lists grow with pe_rows * pe_cols; such a grid is only built
+    # here, never run
+    assert ArchConfig(pe_rows=256, pe_cols=256).n_pes == analytic.MAX_PES == 1 << 16
+    for rows, cols in ((257, 256), (1, (1 << 16) + 1), (10**6, 10**6)):
+        with pytest.raises(ConfigurationError, match="exceeds the limit of 65536"):
+            ArchConfig(pe_rows=rows, pe_cols=cols)
+    with pytest.raises(ConfigurationError, match="exceeds the limit"):
+        replace(ArchConfig(pe_rows=256, pe_cols=256), pe_rows=257)
+
+
 def test_construction_warnings_name_the_constructors_caller():
     with pytest.warns(UserWarning, match="accumulator banks") as caught:
         ArchConfig(accum_banks=8)

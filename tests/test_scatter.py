@@ -4,13 +4,14 @@
 for one PE and each input channel, form every weight x activation product,
 drop those the stride skips, and add the rest into the accumulator with
 `np.add.at` in int64. The simulator scatters a batch of consecutive
-output-channel groups over every live PE at once into a uniform
-[slot, k, EX, EY] layout: per stride phase it contracts the input channels
+output-channel groups over every live PE at once into a uniform float64
+[k, EX, EY, slot] layout: per stride phase it contracts the input channels
 with a float64 GEMM of the values and a float32 GEMM of the stored-entry
 masks, in bands of the GEMM output, then adds each tap's rows into the
 accumulators as a shifted slice. Every PE's view of each group's result,
 its bank totals and its skipped count must reproduce the reference exactly,
-however the groups are batched.
+however the groups are batched, and the PPU merges those float64
+accumulators where they lie.
 """
 
 import tracemalloc
@@ -21,8 +22,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scnnsim.analytic import ArchConfig
-from scnnsim.codec import encode_blocks
-from scnnsim.dataflow import ConfigurationError, LayerShape, choose_kc, partition_tiles
+from scnnsim.codec import BlockSet, encode_blocks
+from scnnsim.dataflow import (
+    ConfigurationError,
+    GroupPlan,
+    LayerShape,
+    choose_kc,
+    partition_tiles,
+)
 from oracles import loop_merge_group_plane
 from scnnsim import simulator
 from scnnsim.simulator import (
@@ -33,6 +40,7 @@ from scnnsim.simulator import (
     _merge_group_plane,
     _scatter,
     _slots,
+    _weight_cells,
     _weight_operand,
     prepare_scnn_inputs,
     simulate_scnn_layer,
@@ -42,9 +50,10 @@ from scnnsim.tensors import ACT_ROLES, WEIGHT_ROLES, DenseTensor
 
 def block_entries(blocks, b):
     """Values and dense positions of block b's entries, the positions summed
-    from its runs here rather than read from the set."""
+    from its runs, widened from their stored width, here rather than read
+    from the set."""
     lo, hi = blocks.offsets[b], blocks.offsets[b + 1]
-    return blocks.values[lo:hi], np.cumsum(blocks.run_lengths[lo:hi] + 1) - 1
+    return blocks.values[lo:hi], np.cumsum(blocks.run_lengths[lo:hi].astype(np.int64) + 1) - 1
 
 
 def loop_scatter(arch, layer, stream, tiles, gi, pe):
@@ -103,18 +112,26 @@ def group_scatters(arch, layer, stream, tiles):
         if wt and ht
     ]
     acts = _activation_operand(plan, slots, tiles)
+    kpg = layer.filters_per_group
     for batch in _batches(len(groups), slots):
         w = _weight_operand(stream, batch)
+        # each channel's weight columns are the batch's filters in its own
+        # convolution group
+        k0, k1 = groups[batch.start].start, groups[batch.stop - 1].stop
+        kw = max(min(k1, (g + 1) * kpg) - max(k0, g * kpg) for g in range(layer.groups))
+        assert w.vals is None or w.vals.shape == (layer.C, layer.R, layer.S, kw)
         acc, bank_totals, skipped = _scatter(groups[batch.start : batch.stop], w, acts, slots)
-        assert acc.dtype == np.int64
-        assert acc.shape[1] == sum(len(groups[gi]) for gi in batch)
+        # exact integers in the [k, EX, EY, slot] float64 layout the PPU merges
+        assert acc.dtype == np.float64 and acc.flags.c_contiguous
+        assert acc.shape == (k1 - k0, *slots.bank.shape[1:])
+        assert (acc == np.round(acc)).all()
         for j, gi in enumerate(batch):
             k0 = groups[gi].start - groups[batch.start].start
             for i, pe in enumerate(slots.pes):
                 kc, (ex, ey) = len(groups[gi]), slots.extent[i]
-                view = acc[i, k0 : k0 + kc, :ex, :ey]
-                assert np.abs(acc[i, k0 : k0 + kc]).sum() == np.abs(view).sum()
-                yield pe, gi, view, bank_totals[j, i], int(skipped[j, i])
+                view = acc[k0 : k0 + kc, :ex, :ey, i]
+                assert np.abs(acc[k0 : k0 + kc, :, :, i]).sum() == np.abs(view).sum()
+                yield pe, gi, view.astype(np.int64), bank_totals[j, i], int(skipped[j, i])
 
 
 def assert_matches_loop_reference(arch, layer, stream, tiles):
@@ -193,9 +210,7 @@ def test_batched_scatter_equals_loop_reference(case, per):
     slots = _slots(plan, max(map(len, groups)), arch.accum_banks, arch.bank_map)
     n = {"one": 1, "two": 2, "all": len(groups)}[per]
     # the budget the batches of n groups just fit, and a byte short of n + 1
-    one = 12 * max(map(len, groups)) * (
-        slots.bank[0, 0].size * len(slots.pes) + layer.R * layer.S * layer.C
-    )
+    one = 12 * max(map(len, groups)) * (slots.bank[0].size + layer.R * layer.S * layer.C)
     with mock.patch.object(simulator, "_BATCH", n * one + one - 1):
         sizes = [len(b) for b in _batches(len(groups), slots)]
         assert sizes == [min(n, len(groups) - g) for g in range(0, len(groups), n)]
@@ -205,30 +220,51 @@ def test_batched_scatter_equals_loop_reference(case, per):
 @settings(max_examples=150, deadline=None)
 @given(scatter_cases(), st.integers(0, 2**32 - 1))
 def test_merge_equals_loop_reference(case, seed):
-    # the layer's merge map against a per-PE sum, on the scatter's own
-    # accumulators and on random ones filling every slot's extent
+    # the layer's merge map against a per-PE int64 sum, on the scatter's own
+    # float64 accumulators and on random ones filling every slot's extent,
+    # large enough that a sum rounded anywhere would differ; at most 2**5
+    # cells land on one coordinate, so every partial sum stays below 2**53
     arch, layer, w, a = case
     stream, tiles = prepare_scnn_inputs(arch, layer, w, a)
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
     groups = stream.gplan.groups
     slots = _slots(plan, max(map(len, groups)), arch.accum_banks, arch.bank_map)
     acts = _activation_operand(plan, slots, tiles)
+    assert len(slots.adds) < 1 << 5
     rng = np.random.default_rng(seed)
     for batch in _batches(len(groups), slots):
         batch_groups = groups[batch.start : batch.stop]
         kc = sum(map(len, batch_groups))
-        noise = np.zeros((len(slots.pes), kc, *slots.bank.shape[2:]), dtype=np.int64)
+        noise = np.zeros((kc, *slots.bank.shape[1:]))
         for i, (ex, ey) in enumerate(slots.extent.tolist()):
-            noise[i, :kc, :ex, :ey] = rng.integers(-3, 4, size=(kc, ex, ey))
+            noise[:, :ex, :ey, i] = rng.integers(-(1 << 47), 1 << 47, size=(kc, ex, ey))
         scattered = _scatter(batch_groups, _weight_operand(stream, batch), acts, slots)[0]
         for acc in (scattered, noise):
             views = [None] * plan.n_pes
             for i, (pe, (ex, ey)) in enumerate(zip(slots.pes, slots.extent.tolist())):
-                views[pe] = acc[i, :kc, :ex, :ey]
+                views[pe] = acc[:, :ex, :ey, i].astype(np.int64)
             plane, halo = _merge_group_plane(acc, slots)
             ref_plane, ref_halo = loop_merge_group_plane(views, plan, kc)
-            assert np.array_equal(plane, ref_plane)
+            assert plane.dtype == np.float64
+            assert np.array_equal(plane.astype(np.int64), ref_plane)
             assert halo == ref_halo
+
+
+def test_weight_cells_past_2_31_are_int64():
+    # four groups of 2**20 filters over one channel of 32x32 taps: each
+    # block's extent is 2**30, so its positions are int32, yet the last tap
+    # of the last filter lands in cell 2**32 - 1 of the [C, R, S, kw]
+    # operand, which int32 arithmetic (int32 * int stays int32) would wrap;
+    # the operand itself is never built
+    kc, rs = 1 << 20, 32 * 32
+    layer = LayerShape("wide", C=1, K=4 * kc, W=32, H=32, R=32, S=32)
+    gplan = GroupPlan(kc, tuple(range(g * kc, (g + 1) * kc) for g in range(4)), kc)
+    blocks = BlockSet([5, 7], [0, kc * rs - 1], [0, 1, 1, 1, 2], [kc * rs] * 4, index_bits=30)
+    assert blocks.positions.dtype == np.int32
+    at, shape = _weight_cells(WeightStream(layer, gplan, blocks), range(4))
+    assert shape == (1, 32, 32, 4 * kc)
+    assert at.dtype == np.int64
+    assert at.tolist() == [0, (1 << 32) - 1]
 
 
 def _dense_case(layer, arch, density, seed):

@@ -396,16 +396,21 @@ class TestDistribute:
 
 
 def test_values_are_int32_from_synthesis_to_the_output_blocks():
-    # the accumulators keep int64; every stored value on either side is int32
+    # every stored value on either side is int32, and every block entry takes
+    # 9 bytes: its int32 value, uint8 run (4-bit index) and int32 position
     layer = LayerShape("widths", C=3, K=6, W=9, H=9, R=3, S=3, pad=1, stride=2)
     arch = small_arch()
+    assert arch.index_bits == 4
     w, a, out, _ = run_scnn(arch, layer, 0.5, 0.6, pool=PoolSpec(2, 2))
     stream, tiles = prepare_scnn_inputs(arch, layer, w, a)
     for values in (w.values, a.values, stream.blocks.values, tiles.values, out.blocks.values):
         assert values.dtype == np.int32
     for blocks in (stream.blocks, tiles, out.blocks):
-        for index in (blocks.run_lengths, blocks.offsets, blocks.extents, blocks.positions):
-            assert index.dtype == np.int64
+        assert blocks.run_lengths.dtype == np.uint8
+        assert blocks.positions.dtype == np.int32
+        assert blocks.offsets.dtype == blocks.extents.dtype == np.int64
+        entry = (blocks.values, blocks.run_lengths, blocks.positions)
+        assert sum(column.itemsize for column in entry) == 9
     decoded = out.decoded().values
     assert decoded.dtype == np.int32
     assert decoded.tolist() == expected_output(layer, w, a, PoolSpec(2, 2)).tolist()
@@ -432,8 +437,9 @@ class TestPPU:
     def test_single_pe_halo_exchange_noop(self):
         layer = LayerShape("noop", C=2, K=2, W=6, H=6, R=3, S=3, pad=1)
         plan = partition_tiles(layer, (1, 1))
-        acc = np.zeros((1, 2, 8, 8), dtype=np.int64)
-        acc[0, 0, 2, 2] = 7
+        # [k, EX, EY, slot], the scatter's float64 layout
+        acc = np.zeros((2, 8, 8, 1))
+        acc[0, 2, 2, 0] = 7
         plane, _, halo_values = ppu_finalize(acc, _slots(plan, 2, 32, "mod"))
         assert plane.dtype == np.int32
         assert halo_values == 0
@@ -444,7 +450,7 @@ class TestPPU:
         # every partial sum is -5, so ReLU leaves an empty output block
         layer = LayerShape("neg", C=1, K=1, W=4, H=4, R=1, S=1)
         plan = partition_tiles(layer, (1, 1))
-        acc = np.full((1, 1, 4, 4), -5, dtype=np.int64)
+        acc = np.full((1, 4, 4, 1), -5.0)
         plane, _, _ = ppu_finalize(acc, _slots(plan, 1, 32, "mod"))
         assert not plane.any()
         arch = ArchConfig(pe_rows=1, pe_cols=1)

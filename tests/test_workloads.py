@@ -144,6 +144,32 @@ def test_sim_engine_makes_weights_one_layer_ahead(monkeypatch, tmp_path):
     assert all(lr.oracle_checked for lr in run.layers)
 
 
+@pytest.mark.parametrize("variants", [ALL_VARIANTS, (VARIANT_DCNN,)])
+def test_sim_engine_frees_each_decoded_output_before_the_next_layer(
+    monkeypatch, tmp_path, variants
+):
+    # the decoded output (or, with no sparse variant, the reference output)
+    # is dead once requantized: only the requantized copy reaches a consumer
+    path = tmp_path / "tiny.yaml"
+    path.write_text(TINY_CHAIN)
+    decoded, alive_at_start = [], []
+    sim_layer, requantize = workloads._sim_layer, workloads.requantize
+
+    def tracked_layer(*args, **kwargs):
+        alive_at_start.append(sum(r() is not None for r in decoded))
+        return sim_layer(*args, **kwargs)
+
+    def tracked_requantize(t, consumer_weights=()):
+        decoded.append(weakref.ref(t))
+        return requantize(t, consumer_weights)
+
+    monkeypatch.setattr(workloads, "_sim_layer", tracked_layer)
+    monkeypatch.setattr(workloads, "requantize", tracked_requantize)
+    run_network(load_network(path), ArchConfig(), variants, seed=1)
+    assert len(decoded) == 2
+    assert alive_at_start == [0, 0, 0]
+
+
 # a reads the input and feeds c and d; b reads the input and feeds c; c
 # concatenates a, b and the input; d concatenates c and a
 GRAPH = """\
