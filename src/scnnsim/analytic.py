@@ -53,9 +53,11 @@ MAX_PES = 1 << 16
 
 
 # Bits charged per stored value in RAM and DRAM traffic: the value itself
-# plus the per-value coordinate overhead the compressed buffers carry.
+# plus the per-value coordinate overhead the compressed buffers carry; a
+# compressed value costs CODED_VALUE_BITS, a dense one STORED_VALUE_BITS.
 STORED_VALUE_BITS = 16
 INDEX_OVERHEAD_BITS = 10
+CODED_VALUE_BITS = STORED_VALUE_BITS + INDEX_OVERHEAD_BITS
 
 
 class EventCounts(Record, frozen=False):
@@ -384,10 +386,9 @@ def group_cycles(
     then the PPU's drain of kc * cells accumulator entries, hidden only
     when double-buffered, then halo_latency_cycles. Returns, per group,
     its cycles, FIFO refill (stream beyond compute) and unhidden drain."""
-    coded_bits = STORED_VALUE_BITS + INDEX_OVERHEAD_BITS
     cycles, refill, unhidden = [], [], []
     for grp, busy, values in zip(gplan.groups, compute, streamed):
-        t = max(busy, math.ceil(values * coded_bits / 16 / arch.dram_values_per_cycle))
+        t = max(busy, math.ceil(values * CODED_VALUE_BITS / 16 / arch.dram_values_per_cycle))
         drain = -(-len(grp) * cells // arch.ppu_values_per_cycle)
         end = max(t, drain) if gplan.double_buffered else t + drain
         cycles.append(end + arch.halo_latency_cycles)
@@ -443,7 +444,6 @@ def count_events(
     wd, ad = densities
     if not (0.0 <= wd <= 1.0 and 0.0 <= ad <= 1.0):
         raise ConfigurationError(f"densities {densities} outside [0, 1]")
-    coded_bits = STORED_VALUE_BITS + INDEX_OVERHEAD_BITS
 
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
     gplan = choose_kc(layer, arch)
@@ -479,7 +479,7 @@ def count_events(
             # least its products over its banks (binds below F x I banks)
             bank_floor = w_stored * ad * wt * ht / arch.accum_banks
             best = max(best, _max_of(n, mean_pe, var_pe), bank_floor)
-            weight_buf_bits += round(n * ea * w_stored * coded_bits)
+            weight_buf_bits += round(n * ea * w_stored * CODED_VALUE_BITS)
         compute.append(best)
         streamed.append(w_stored)
     cycles, _, _ = group_cycles(arch, gplan, plan.max_acc_cells(), compute, streamed)
@@ -489,8 +489,8 @@ def count_events(
     # DRAM: weights stream once per layer (broadcast), activations by the
     # rule both engines share.
     in_values, out_values = layer.C * layer.W * layer.H, layer.K * layer.Wo * layer.Ho
-    act_bits_in = round(in_values * ad) * coded_bits
-    act_bits_out = round(out_values * ad) * coded_bits
+    act_bits_in = round(in_values * ad) * CODED_VALUE_BITS
+    act_bits_out = round(out_values * ad) * CODED_VALUE_BITS
     act_dram, tiling = activation_dram_bits(act_bits_in, act_bits_out, input_from_dram, dram_tiled)
     w_values = round(wd * layer.K * layer.channels_per_group * layer.R * layer.S)
     return EventCounts(
@@ -500,11 +500,11 @@ def count_events(
         # each PE drains its accumulator window once per output channel
         acc_drains=layer.K * sum(n * ex * ey for n, _, _, ex, ey, _ in classes),
         act_ram_bits=sum(
-            n * layer.C * round(ad * wt * ht) * coded_bits * gplan.n_groups
+            n * layer.C * round(ad * wt * ht) * CODED_VALUE_BITS * gplan.n_groups
             for n, wt, ht, *_ in classes
         ) + act_bits_out,
         weight_buf_bits=weight_buf_bits,
-        dram_bits=w_values * coded_bits + act_dram,
+        dram_bits=w_values * CODED_VALUE_BITS + act_dram,
         tiling_dram_bits=tiling,
     )
 
@@ -535,7 +535,7 @@ def dense_baseline(
         for xl, xh in plan.x.out_ranges
     ]
     tiled = dense_dram_tiled(arch, layer, pool)
-    val_bits, coded_bits = STORED_VALUE_BITS, STORED_VALUE_BITS + INDEX_OVERHEAD_BITS
+    val_bits = STORED_VALUE_BITS
     mult_ops = layer.dense_multiplies()
     in_values, out_values = layer.C * layer.W * layer.H, layer.K * layer.Wo * layer.Ho
     # each PE reads its input tile once per output-channel group and
@@ -560,8 +560,8 @@ def dense_baseline(
         VARIANT_DCNN: row(mult_ops, in_values * val_bits, out_values * val_bits),
         VARIANT_DCNN_OPT: row(
             useful,
-            round(in_values * act_density) * coded_bits,
-            round(out_values * act_density) * coded_bits,
+            round(in_values * act_density) * CODED_VALUE_BITS,
+            round(out_values * act_density) * CODED_VALUE_BITS,
         ),
     }
 

@@ -13,12 +13,16 @@ within a group). `analytic.group_cycles`, the timing rule both engines
 share, turns the counts into cycles: a barrier at each group boundary
 charges every PE the time of the slowest one.
 
-On the host, operands stay columnar (`codec.BlockSet`), and every stage of a
-layer outside the scatter is a few array passes, never a loop over PEs or
-channels. A layer makes three `codec.encode_blocks` calls, whatever its
-group count: its weights (block g * C + c: group g's filters of input
-channel c), the activation tiles of every PE (block pe * C + c) and its
-outputs (block pe * K + k). Nothing is encoded or decoded block by block:
+`simulate_scnn_layer` takes a layer's dense weights and activations and
+compresses them itself (`prepare_scnn_inputs`), as the machine does: no
+caller hands it an encoding, so it trusts the block counts and extents of
+the sets it made. On the host, operands stay columnar (`codec.BlockSet`),
+and every stage of a layer outside the scatter is a few array passes, never
+a loop over PEs or channels. A layer makes three `codec.encode_blocks`
+calls, whatever its group count: its weights (block g * C + c: group g's
+filters of input channel c), the activation tiles of every PE (block
+pe * C + c), dropped once their phase grids are built, and its outputs
+(block pe * K + k). Nothing is encoded or decoded block by block:
 the scatter reads each set's flat values and the dense positions derived
 from its runs, and `LayerOutput.decoded` rebuilds the plane from them with
 one scatter. Operands, output planes and block values are int32, and block
@@ -68,8 +72,7 @@ import numpy as np
 
 from . import codec
 from .analytic import (
-    INDEX_OVERHEAD_BITS,
-    STORED_VALUE_BITS,
+    CODED_VALUE_BITS,
     VARIANT_DCNN,
     VARIANT_DCNN_OPT,
     VARIANT_SCNN,
@@ -98,7 +101,6 @@ from .tensors import (
     EXACT_FLOAT_BITS,
     PRODUCT_BITS,
     DenseTensor,
-    OUT_ROLES,
     check_operand_range,
     check_range,
 )
@@ -121,6 +123,10 @@ def compress_weights(
     """Encode pruned weights for broadcast to the PEs, every output-channel
     group in one block set."""
     check_operand_range(weights, "weight")
+    if weights.shape != layer.weight_shape():
+        raise ConfigurationError(
+            f"weights {weights.shape} do not match layer {layer.weight_shape()}"
+        )
     kpg, rs = layer.filters_per_group, layer.R * layer.S
     parts, extents = [], []
     for grp in gplan.groups:
@@ -167,7 +173,10 @@ def _pe_major(planes: np.ndarray, x0, wt, y0, ht) -> np.ndarray:
 def prepare_scnn_inputs(
     arch: ArchConfig, layer: LayerShape, weights: DenseTensor, acts: DenseTensor
 ) -> tuple[WeightStream, BlockSet]:
-    """Plan the layer and compress/distribute dense operands for the array."""
+    """Plan the layer and compress/distribute dense operands for the array:
+    the weight stream and every PE's activation tiles. `simulate_scnn_layer`
+    calls it by its module-level name, so wrapping that name sees each
+    layer's operands."""
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
     gplan = choose_kc(layer, arch)
     stream = compress_weights(layer, gplan, weights, arch.index_bits)
@@ -360,18 +369,7 @@ def _activation_operand(plan: TilePlan, slots: _Slots, tiles: BlockSet) -> _Oper
     layer = plan.layer
     s, pad, C = layer.stride, layer.pad, layer.C
     _, EX, EY, n_slots = slots.bank.shape
-    if len(tiles) != plan.n_pes * C:
-        raise ConfigurationError(
-            f"{len(tiles)} activation blocks for {plan.n_pes} PEs of {C} channels"
-        )
-    x0, wt, y0, ht = slots.tile
-    bad = np.flatnonzero(tiles.extents != np.repeat(wt * ht, C))
-    if bad.size:
-        pe, c = divmod(int(bad[0]), C)
-        raise ConfigurationError(
-            f"pe {pe} channel {c}: block extent {tiles.extents[bad[0]]} "
-            f"does not match tile {wt[pe]}x{ht[pe]}"
-        )
+    x0, _, y0, ht = slots.tile
     taps = _phase_taps(layer)
     grid = np.array([[EX], [EY]]) - taps + 1
     live = np.outer((taps[0] > 0) & (grid[0] > 0), (taps[1] > 0) & (grid[1] > 0))
@@ -577,32 +575,33 @@ class LayerOutput(Record):
         for x, dx, y, dy in zip(x0.tolist(), wt.tolist(), y0.tolist(), ht.tolist()):
             out[:, x : x + dx, y : y + dy] = dense[at : at + k * dx * dy].reshape(k, dx, dy)
             at += k * dx * dy
-        return DenseTensor(out, OUT_ROLES)
+        return DenseTensor(out)
 
 
 def simulate_scnn_layer(
     arch: ArchConfig,
     layer: LayerShape,
-    weights: WeightStream,
-    act_tiles: BlockSet,
+    weights: DenseTensor,
+    acts: DenseTensor,
     useful_mults: int,
     pool: PoolSpec | None = None,
     input_from_dram: bool = True,
 ) -> tuple[LayerOutput, SimReport]:
-    """Run one layer through the sparse PE array.
+    """Run one layer's dense operands through the sparse PE array.
 
-    Activations must already be distributed per the layer's tile plan (one
-    set, block pe * C + c) and the weights broadcast (same stream for every
-    PE); `useful_mults` is the layer's `_gated_mults`. Returns the compressed
-    per-PE outputs and the cycle/energy report. Every stored pair of a
-    channel, placeholders included, is formed (mult_ops); the pairs whose
-    stride phases do not meet are stride_skipped, the rest xbar_transfers.
+    The layer compresses its own operands (`prepare_scnn_inputs`), as the
+    machine does: the weights offline, for broadcast to every PE, and the
+    activations into each PE's tile. `useful_mults` is the layer's
+    `_gated_mults`. Returns the compressed per-PE outputs and the
+    cycle/energy report. Every stored pair of a channel, placeholders
+    included, is formed (mult_ops); the pairs whose stride phases do not
+    meet are stride_skipped, the rest xbar_transfers.
 
     Output-channel groups are scattered in batches (`_batches`), each
     contracting only phase-matched taps and activations in float64 (see
     the module docstring). That is exact for 16-bit operands while
     channels_per_group * R * S * 2**30 < 2**53; a layer beyond that bound
-    raises ConfigurationError.
+    raises ConfigurationError before anything is encoded.
     """
     per_cell = layer.channels_per_group * layer.R * layer.S
     if per_cell << PRODUCT_BITS >= 1 << EXACT_FLOAT_BITS:
@@ -611,33 +610,24 @@ def simulate_scnn_layer(
             f"(channels_per_group * R * S) could exceed 2**{EXACT_FLOAT_BITS}, "
             "past exact float64 accumulation"
         )
+    stream, tiles = prepare_scnn_inputs(arch, layer, weights, acts)
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
-    gplan = weights.gplan
+    gplan = stream.gplan
     n_pes, n_groups = arch.n_pes, gplan.n_groups
-    if len(weights.blocks) != n_groups * layer.C:
-        raise ConfigurationError(
-            f"expected {n_groups * layer.C} weight blocks, "
-            f"{layer.C} channels for each of {n_groups} groups"
-        )
     F, I = arch.weights_per_fetch, arch.acts_per_fetch
-    coded_bits = STORED_VALUE_BITS + INDEX_OVERHEAD_BITS
 
     ev = EventCounts(useful_mults=useful_mults)
 
-    kc_max, cells = max(map(len, gplan.groups)), plan.max_acc_cells()
-    if kc_max * cells > gplan.capacity_entries:
-        raise ConfigurationError(
-            f"group of {kc_max} channels overflows the accumulator "
-            f"({kc_max * cells} > {gplan.capacity_entries} entries)"
-        )
+    cells = plan.max_acc_cells()
     # activations of every live PE read once per layer and reused across
     # batches of groups; weights built per batch (shared by all PEs)
-    slots = _slots(plan, kc_max, arch.accum_banks, arch.bank_map)
-    acts = _activation_operand(plan, slots, act_tiles)
-    iaram_stored = int(acts.stored.sum())
+    slots = _slots(plan, gplan.kc, arch.accum_banks, arch.bank_map)
+    a_op = _activation_operand(plan, slots, tiles)
+    del tiles  # the phase grids are all the scatter reads
+    iaram_stored = int(a_op.stored.sum())
     # activation vectors per (PE, channel)
     va = np.zeros((n_pes, layer.C), dtype=np.int64)
-    va[slots.pes] = -((-acts.stored) // I)
+    va[slots.pes] = -((-a_op.stored) // I)
 
     # per (group, channel): stored weights; per (PE, group): the hottest
     # bank's products
@@ -647,8 +637,8 @@ def simulate_scnn_layer(
     planes: list[np.ndarray] = []
     for batch in _batches(n_groups, slots):
         rows = slice(batch.start, batch.stop)
-        w = _weight_operand(weights, batch)
-        acc, bank_totals, skipped = _scatter(gplan.groups[rows], w, acts, slots)
+        w = _weight_operand(stream, batch)
+        acc, bank_totals, skipped = _scatter(gplan.groups[rows], w, a_op, slots)
         w_stored[rows] = w.stored
         peak[slots.pes, rows] = bank_totals.max(axis=2).T
         stride_skipped += int(skipped.sum())
@@ -657,7 +647,7 @@ def simulate_scnn_layer(
         planes.append(plane)
         ev.acc_drains += drained
     ev.acc_updates = ev.xbar_transfers
-    ev.mult_ops = int((acts.stored @ w_stored.T).sum())
+    ev.mult_ops = int((a_op.stored @ w_stored.T).sum())
     # every activation vector of a channel re-reads that channel's weights
     weight_reads = int((w_stored * va.sum(axis=0)).sum())
 
@@ -692,17 +682,18 @@ def simulate_scnn_layer(
 
     oaram_stored = int(out_stored.sum())
     dram_tiled = bool(
-        (acts.stored.sum(axis=1) > arch.iaram_value_capacity).any()
+        (a_op.stored.sum(axis=1) > arch.iaram_value_capacity).any()
         or (out_stored > arch.oaram_value_capacity).any()
     )
 
-    ev.act_ram_bits += iaram_stored * coded_bits * n_groups
-    ev.act_ram_bits += oaram_stored * coded_bits
-    ev.weight_buf_bits += coded_bits * weight_reads
+    ev.act_ram_bits += iaram_stored * CODED_VALUE_BITS * n_groups
+    ev.act_ram_bits += oaram_stored * CODED_VALUE_BITS
+    ev.weight_buf_bits += CODED_VALUE_BITS * weight_reads
     act_dram, ev.tiling_dram_bits = activation_dram_bits(
-        iaram_stored * coded_bits, oaram_stored * coded_bits, input_from_dram, dram_tiled
+        iaram_stored * CODED_VALUE_BITS, oaram_stored * CODED_VALUE_BITS,
+        input_from_dram, dram_tiled,
     )
-    ev.dram_bits += weights.blocks.values.size * coded_bits + act_dram
+    ev.dram_bits += stream.blocks.values.size * CODED_VALUE_BITS + act_dram
 
     ev.energized_mults = ev.mult_ops
     ev.mult_slots = int(group_batches.sum()) * F * I

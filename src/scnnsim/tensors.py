@@ -36,10 +36,6 @@ PRODUCT_BITS = 2 * (VALUE_BITS - 1)
 EXACT_FLOAT_BITS = 53
 _CONV_PASS = 1 << 18  # values per buffer of one reference_conv band
 
-WEIGHT_ROLES = ("k", "c", "r", "s")
-ACT_ROLES = ("c", "x", "y")
-OUT_ROLES = ("k", "x", "y")
-
 
 class FixedPointOverflow(ArithmeticError):
     """A value left the 16-bit operand, 24-bit accumulator or 32-bit storage
@@ -47,15 +43,14 @@ class FixedPointOverflow(ArithmeticError):
 
 
 class DenseTensor(Record):
-    """A rank-3/4 integer array with role labels for each dimension
-    (weights: k,c,r,s; activations: c,x,y).
+    """An integer array: weights [k, c, r, s], activations [c, x, y] and
+    outputs [k, x, y]; each consumer checks the shape against its layer.
 
     The values are one read-only int32 copy of what is given. Operands are
     16-bit and outputs 24-bit checked partial sums, so int32 holds them all;
     a value outside int32 raises FixedPointOverflow instead of wrapping."""
 
     values: np.ndarray
-    roles: tuple[str, ...]
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values)
@@ -63,8 +58,6 @@ class DenseTensor(Record):
             arr = np.asarray(arr, dtype=np.int64)
             check_range(arr, STORAGE_BITS, "tensor values")
         arr = arr.astype(np.int32)
-        if arr.ndim != len(self.roles):
-            raise ShapeError(f"rank {arr.ndim} does not match roles {self.roles}")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -81,9 +74,6 @@ class DenseTensor(Record):
 
     def density(self) -> float:
         return self.nnz() / self.size if self.size else 0.0
-
-    def with_values(self, values: np.ndarray) -> "DenseTensor":
-        return DenseTensor(values, self.roles)
 
 
 def check_range(values: np.ndarray, bits: int, what: str) -> None:
@@ -158,12 +148,12 @@ def reference_conv(layer: LayerShape, weights: DenseTensor, input_: DenseTensor)
                     out[ks, x0 : x0 + n] += exact
     del padded  # before DenseTensor copies the output
     check_range(out, ACCUM_BITS, "partial sums")
-    return DenseTensor(out, OUT_ROLES)
+    return DenseTensor(out)
 
 
 def apply_relu(t: DenseTensor) -> DenseTensor:
     """Clamp negative values to zero, element-wise; shape preserved."""
-    return t.with_values(np.maximum(t.values, 0))
+    return DenseTensor(np.maximum(t.values, 0))
 
 
 def prune_magnitude(weights: DenseTensor, target_density: float) -> DenseTensor:
@@ -186,14 +176,13 @@ def prune_magnitude(weights: DenseTensor, target_density: float) -> DenseTensor:
     threshold = np.partition(mag, n - keep)[n - keep]
     mask = mag > threshold
     mask[np.flatnonzero(mag == threshold)[: keep - np.count_nonzero(mask)]] = True
-    return weights.with_values(np.where(mask.reshape(weights.shape), weights.values, 0))
+    return DenseTensor(np.where(mask.reshape(weights.shape), weights.values, 0))
 
 
 def gen_synthetic(
     shape: Sequence[int],
     density: float,
     seed: int,
-    roles: tuple[str, ...] | None = None,
     lo: int = 1,
     hi: int = 99,
     signed: bool = True,
@@ -213,8 +202,6 @@ def gen_synthetic(
     if not 1 <= lo <= hi <= VALUE_MAX:
         raise ValueError(f"value range [{lo}, {hi}] invalid")
     shape = tuple(int(d) for d in shape)
-    if roles is None:
-        roles = {3: ACT_ROLES, 4: WEIGHT_ROLES}.get(len(shape), tuple("d" * len(shape)))
     n = math.prod(shape)
     m = math.ceil(density * n)
     rng = np.random.default_rng(seed)
@@ -225,4 +212,4 @@ def gen_synthetic(
         mags *= rng.integers(0, 2, size=n, dtype=np.int32) * 2 - 1
     flat = np.zeros(n, dtype=np.int32)
     flat[positions[:m]] = mags[:m]
-    return DenseTensor(flat.reshape(shape), roles)
+    return DenseTensor(flat.reshape(shape))

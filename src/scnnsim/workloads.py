@@ -394,7 +394,7 @@ def requantize(t: DenseTensor, consumer_weights: Sequence[DenseTensor] = ()) -> 
     smallest amount that provably keeps each of their accumulations inside
     24 bits, whatever else they concatenate). Applied identically wherever
     activations chain, oracle path included."""
-    from .tensors import ACCUM_MAX, ACT_ROLES, VALUE_MAX, DenseTensor
+    from .tensors import ACCUM_MAX, VALUE_MAX, DenseTensor
 
     l1 = max(map(max_l1_per_output, consumer_weights), default=0)
     bound = min(VALUE_MAX, ACCUM_MAX // l1) if l1 > 0 else VALUE_MAX
@@ -402,7 +402,7 @@ def requantize(t: DenseTensor, consumer_weights: Sequence[DenseTensor] = ()) -> 
     shift = 0
     while (m >> shift) > bound:
         shift += 1
-    return DenseTensor(t.values >> shift, ACT_ROLES)
+    return DenseTensor(t.values >> shift)
 
 
 class LayerRun(Record, frozen=False):
@@ -471,10 +471,8 @@ def _sim_layer(
     checked = False
     useful = simulator._gated_mults(spec.shape, weights, acts)
     if VARIANT_SCNN in variants or VARIANT_ORACLE in variants:
-        # the compressed operands are freed before the oracle runs
         out, rep = simulator.simulate_scnn_layer(
-            arch, spec.shape, *simulator.prepare_scnn_inputs(arch, spec.shape, weights, acts),
-            useful, pool=spec.pool, input_from_dram=first,
+            arch, spec.shape, weights, acts, useful, pool=spec.pool, input_from_dram=first
         )
         decoded = out.decoded()
         if VARIANT_ORACLE in variants:
@@ -580,7 +578,7 @@ def run_network(
         return NetworkRun(net.name, engine, seed, runs, tuple(variants))
     import numpy as np
 
-    from .tensors import ACT_ROLES, OUT_ROLES, DenseTensor
+    from .tensors import DenseTensor
 
     consumers: dict[str, list[int]] = {}
     for i, spec in enumerate(net.layers):
@@ -601,9 +599,7 @@ def run_network(
         if len(spec.takes) == 1:
             acts = outputs[spec.takes[0]]
         else:
-            acts = DenseTensor(
-                np.concatenate([outputs[t].values for t in spec.takes]), ACT_ROLES
-            )
+            acts = DenseTensor(np.concatenate([outputs[t].values for t in spec.takes]))
         reports, decoded, checked = _sim_layer(
             arch, spec, weights, acts, variants, first=i == 0
         )
@@ -612,7 +608,7 @@ def run_network(
                 del outputs[t]
         if spec.name in consumers:
             if decoded is None:
-                decoded = DenseTensor(_reference_output(spec, weights, acts), OUT_ROLES)
+                decoded = DenseTensor(_reference_output(spec, weights, acts))
             outputs[spec.name] = requantize(decoded, list(map(weights_of, consumers[spec.name])))
         # the requantized copy is all a consumer reads
         del decoded

@@ -20,7 +20,7 @@ from scnnsim.analytic import (
 )
 from scnnsim.dataflow import ConfigurationError, LayerShape
 from scnnsim.simulator import _gated_mults
-from scnnsim.tensors import ACT_ROLES, WEIGHT_ROLES, DenseTensor
+from scnnsim.tensors import DenseTensor
 from scnnsim.workloads import load_network, shipped_networks
 
 
@@ -98,7 +98,7 @@ def assert_useful_products_exact(layer):
     w = np.ones(layer.weight_shape(), dtype=np.int32)
     a = np.ones(layer.input_shape(), dtype=np.int32)
     want = loop_gated_mults(layer, w, a)
-    assert _gated_mults(layer, DenseTensor(w, WEIGHT_ROLES), DenseTensor(a, ACT_ROLES)) == want
+    assert _gated_mults(layer, DenseTensor(w), DenseTensor(a)) == want
     assert useful_products(layer, 1.0, 1.0) == want
 
 

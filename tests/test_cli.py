@@ -431,7 +431,7 @@ def off_by_one_reference(reference_conv):
     def wrong(*args):
         values = reference_conv(*args).values.copy()
         values[0, 0, 0] = max(values[0, 0, 0], 0) + 1
-        return tensors.DenseTensor(values, tensors.OUT_ROLES)
+        return tensors.DenseTensor(values)
 
     return wrong
 
@@ -454,7 +454,7 @@ def test_oracle_shape_mismatch_exits_1_with_one_line(tmp_path, capsys, monkeypat
     decoded = simulator.LayerOutput.decoded
 
     def cropped(self):
-        return tensors.DenseTensor(decoded(self).values[:, :-1, :], tensors.OUT_ROLES)
+        return tensors.DenseTensor(decoded(self).values[:, :-1, :])
 
     monkeypatch.setattr(simulator.LayerOutput, "decoded", cropped)
     path = tmp_path / "net.yaml"

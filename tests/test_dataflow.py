@@ -8,7 +8,7 @@ from oracles import (
     strided_out_coord,
 )
 from scnnsim.dataflow import ConfigurationError, LayerShape, choose_kc, partition_tiles
-from scnnsim.tensors import ACT_ROLES, WEIGHT_ROLES, DenseTensor, gen_synthetic
+from scnnsim.tensors import gen_synthetic
 
 
 class Arch:

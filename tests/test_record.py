@@ -19,7 +19,7 @@ SHAPE = LayerShape("c", 2, 4, 5, 5, 3, 3, pad=1)
 PLAN = partition_tiles(SHAPE, (2, 2))
 GPLAN = dataflow.choose_kc(SHAPE, ArchConfig())
 BLOCKS = BlockSet([3, 0, 5], [1, 15, 2], [0, 2, 3], [20, 4])
-DENSE = tensors.DenseTensor(np.arange(8).reshape(2, 2, 2), tensors.ACT_ROLES)
+DENSE = tensors.DenseTensor(np.arange(8).reshape(2, 2, 2))
 SPEC = LayerSpec(SHAPE, 0.5, 0.6, 0.7)
 SLOTS = simulator._slots(PLAN, 2, 32, "mod")
 
@@ -183,7 +183,7 @@ def test_replace_changes_only_the_named_field(cls):
         (ExperimentConfig(), {"seed": -1}, ConfigurationError),
         (ExperimentConfig(), {"densities": ()}, ConfigurationError),
         (BLOCKS, {"extents": [1, 4]}, CodecError),
-        (DENSE, {"roles": ("c",)}, ShapeError),
+        (DENSE, {"values": np.array([[[1 << 40]]])}, tensors.FixedPointOverflow),
     ],
     ids=lambda v: type(v).__name__ if isinstance(v, Record) else None,
 )

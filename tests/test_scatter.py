@@ -31,7 +31,7 @@ from scnnsim.dataflow import (
     partition_tiles,
 )
 from oracles import loop_merge_group_plane
-from scnnsim import simulator
+from scnnsim import codec, simulator
 from scnnsim.simulator import (
     _BAND,
     WeightStream,
@@ -45,7 +45,7 @@ from scnnsim.simulator import (
     prepare_scnn_inputs,
     simulate_scnn_layer,
 )
-from scnnsim.tensors import ACT_ROLES, WEIGHT_ROLES, DenseTensor
+from scnnsim.tensors import DenseTensor
 
 
 def block_entries(blocks, b):
@@ -183,8 +183,8 @@ def scatter_cases(draw, max_groups=2):
     wd = draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
     ad = draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    w = DenseTensor(_operand(rng, layer.weight_shape(), wd, -(1 << 15)), WEIGHT_ROLES)
-    a = DenseTensor(_operand(rng, layer.input_shape(), ad, 0), ACT_ROLES)
+    w = DenseTensor(_operand(rng, layer.weight_shape(), wd, -(1 << 15)))
+    a = DenseTensor(_operand(rng, layer.input_shape(), ad, 0))
     return arch, layer, w, a
 
 
@@ -269,8 +269,8 @@ def test_weight_cells_past_2_31_are_int64():
 
 def _dense_case(layer, arch, density, seed):
     rng = np.random.default_rng(seed)
-    w = DenseTensor(_operand(rng, layer.weight_shape(), density, -(1 << 15)), WEIGHT_ROLES)
-    a = DenseTensor(_operand(rng, layer.input_shape(), density, 0), ACT_ROLES)
+    w = DenseTensor(_operand(rng, layer.weight_shape(), density, -(1 << 15)))
+    a = DenseTensor(_operand(rng, layer.input_shape(), density, 0))
     return prepare_scnn_inputs(arch, layer, w, a)
 
 
@@ -324,9 +324,7 @@ def test_channel_sums_past_the_blas_block():
     w[2, 0::2], w[2, 1::2] = (1 << 15) - 1, -((1 << 15) - 1)
     a = rng.choice([(1 << 15) - 1, 0], size=layer.input_shape(), p=[0.9, 0.1])
     a[1::2] = a[0::2]
-    stream, tiles = prepare_scnn_inputs(
-        arch, layer, DenseTensor(w, WEIGHT_ROLES), DenseTensor(a, ACT_ROLES)
-    )
+    stream, tiles = prepare_scnn_inputs(arch, layer, DenseTensor(w), DenseTensor(a))
     assert stream.gplan.n_groups == 1
     accs = [acc for _, _, acc, _, _ in group_scatters(arch, layer, stream, tiles)]
     assert max(int(np.abs(acc).max()) for acc in accs) > 1 << 40
@@ -345,22 +343,38 @@ def test_float64_exactness_bound(cpg, groups, rejected):
         "huge", C=cpg * groups, K=groups, W=1, H=1, R=3, S=3, pad=1, groups=groups
     )
     arch = ArchConfig(pe_rows=1, pe_cols=1)
-    gplan = choose_kc(layer, arch)
-    # blocks of every channel, all empty: no weight and a zero activation
-    no_weights = encode_blocks([], [0] * layer.C * gplan.n_groups)
-    stream = WeightStream(layer, gplan, no_weights)
-    tiles = encode_blocks(np.zeros(layer.C), [1] * layer.C)
+
+    class Encoded(Exception):
+        """`prepare_scnn_inputs` was reached."""
+
+    # the bound reads only the layer, so the operands are never looked at:
+    # a refused layer encodes nothing, an accepted one goes on to encode
+    outcome = (
+        pytest.raises(ConfigurationError, match="exact float64") if rejected
+        else pytest.raises(Encoded)
+    )
+    with mock.patch.object(simulator, "prepare_scnn_inputs", side_effect=Encoded) as prepare, \
+            mock.patch.object(codec, "encode_blocks") as enc, outcome:
+        simulate_scnn_layer(arch, layer, mock.sentinel.weights, mock.sentinel.acts, 0)
+    assert prepare.call_count == (0 if rejected else 1)
+    assert enc.call_count == 0
     if rejected:
-        with pytest.raises(ConfigurationError, match="exact float64"):
-            simulate_scnn_layer(arch, layer, stream, tiles, 0)
-    else:
-        # empty operands build no [taps x channels] weight matrix: with its
-        # float32 mask it alone would take 12 bytes per (tap, channel)
-        tracemalloc.start()
-        try:
-            _, report = simulate_scnn_layer(arch, layer, stream, tiles, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.events.mult_ops == 0
-        assert peak < layer.R * layer.S * layer.C * 12
+        return
+    # empty operands build no [C, R, S, kw] weight operand: with its float32
+    # mask it alone would take 12 bytes per (tap, channel)
+    gplan = choose_kc(layer, arch)
+    stream = WeightStream(layer, gplan, encode_blocks([], [0] * layer.C * gplan.n_groups))
+    tiles = encode_blocks(np.zeros(layer.C), [1] * layer.C)
+    plan = partition_tiles(layer, (1, 1))
+    slots = _slots(plan, gplan.kc, arch.accum_banks, arch.bank_map)
+    tracemalloc.start()
+    try:
+        acts = _activation_operand(plan, slots, tiles)
+        w = _weight_operand(stream, range(gplan.n_groups))
+        acc, bank_totals, skipped = _scatter(gplan.groups, w, acts, slots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.vals is None
+    assert not acc.any() and not bank_totals.any() and not skipped.any()
+    assert peak < layer.R * layer.S * layer.C * 12

@@ -1,3 +1,4 @@
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -23,10 +24,8 @@ from scnnsim.analytic import (
     useful_products,
 )
 from scnnsim import codec, simulator, workloads
-from scnnsim.codec import encode_blocks
 from scnnsim.dataflow import ConfigurationError, LayerShape, choose_kc, partition_tiles
 from scnnsim.simulator import (
-    WeightStream,
     _gated_mults,
     _slots,
     compress_weights,
@@ -38,8 +37,6 @@ from scnnsim.simulator import (
     simulate_scnn_layer,
 )
 from scnnsim.tensors import (
-    ACT_ROLES,
-    WEIGHT_ROLES,
     DenseTensor,
     apply_relu,
     gen_synthetic,
@@ -55,10 +52,8 @@ def small_arch(**kw):
 
 
 def sim_scnn(arch, layer, w, a, **kw):
-    """`simulate_scnn_layer` on dense operands, given their useful count."""
-    return simulate_scnn_layer(
-        arch, layer, *prepare_scnn_inputs(arch, layer, w, a), _gated_mults(layer, w, a), **kw
-    )
+    """`simulate_scnn_layer` given the tensors' useful count."""
+    return simulate_scnn_layer(arch, layer, w, a, _gated_mults(layer, w, a), **kw)
 
 
 def sim_dcnn(arch, layer, w, a, *args, **kw):
@@ -301,7 +296,7 @@ def test_engines_time_a_fully_dense_stride_1_layer_alike(
     rng = np.random.default_rng(seed)
     w = rng.integers(1, 8, size=layer.weight_shape()) * rng.choice([-1, 1], layer.weight_shape())
     a = rng.integers(1, 8, size=layer.input_shape())
-    _, report = sim_scnn(arch, layer, DenseTensor(w, WEIGHT_ROLES), DenseTensor(a, ACT_ROLES))
+    _, report = sim_scnn(arch, layer, DenseTensor(w), DenseTensor(a))
     assume(report.bank_conflict_stalls == 0)
     assert count_events(arch, layer, "sparse", (1.0, 1.0)).pe_cycles == report.cycles
 
@@ -336,17 +331,43 @@ class TestLayerEncodes:
         assert scatter.call_count == (n_groups if budget else 1)
         assert len(out.blocks) == arch.n_pes * layer.K
 
-    def test_weight_set_must_hold_every_group(self):
-        # one group's worth of channel blocks for a layer of two groups
-        layer = LayerShape("short", C=3, K=8, W=8, H=8, R=3, S=3, pad=1)
+    def test_activation_tiles_are_freed_before_the_first_scatter(self):
+        # the phase grids are all the scatter reads, so the tiles' block set
+        # is dead before any batch of groups is scattered
+        layer = LayerShape("free", C=3, K=8, W=8, H=8, R=3, S=3, pad=1)
         arch = small_arch(bank_entries=16)
         w = gen_synthetic(layer.weight_shape(), 0.5, seed=1)
         a = gen_synthetic(layer.input_shape(), 0.5, seed=2, signed=False)
-        stream, tiles = prepare_scnn_inputs(arch, layer, w, a)
-        assert stream.gplan.n_groups == 2
-        short = WeightStream(layer, stream.gplan, encode_blocks([], [0] * layer.C))
-        with pytest.raises(ConfigurationError, match="expected 6 weight blocks"):
-            simulate_scnn_layer(arch, layer, short, tiles, 0)
+        tiles, alive, scatter_batch = [], [], simulator._scatter
+
+        def prepare(*args):
+            stream, blocks = prepare_scnn_inputs(*args)
+            tiles.append(weakref.ref(blocks))
+            return stream, blocks
+
+        def scatter(*args):
+            alive.append(tiles[0]() is not None)
+            return scatter_batch(*args)
+
+        with mock.patch.object(simulator, "prepare_scnn_inputs", prepare), \
+                mock.patch.object(simulator, "_scatter", scatter), \
+                mock.patch.object(simulator, "_BATCH", 1):
+            sim_scnn(arch, layer, w, a)
+        assert alive == [False, False]
+
+    def test_weights_must_have_the_layers_shape(self):
+        # a 1x3 layer's taps given as 3x1 hold as many values, and would
+        # encode and be simulated with transposed taps
+        layer = LayerShape("taps", C=2, K=2, W=4, H=4, R=1, S=3)
+        arch = small_arch()
+        assert layer.weight_shape() == (2, 2, 1, 3)
+        w = gen_synthetic((2, 2, 3, 1), 1.0, seed=1)
+        a = gen_synthetic(layer.input_shape(), 0.5, seed=2, signed=False)
+        error = r"weights \(2, 2, 3, 1\) do not match layer \(2, 2, 1, 3\)"
+        with pytest.raises(ConfigurationError, match=error):
+            compress_weights(layer, choose_kc(layer, arch), w)
+        with pytest.raises(ConfigurationError, match=error):
+            simulate_scnn_layer(arch, layer, w, a, 0)
 
 
 class TestDistribute:
@@ -379,21 +400,6 @@ class TestDistribute:
         counts = np.concatenate([np.diff(r.offsets) for r in refs])
         assert np.diff(got.offsets).tolist() == counts.tolist()
 
-    def test_tile_checks_name_the_pe_and_channel(self):
-        layer = LayerShape("chk", C=3, K=2, W=6, H=6, R=3, S=3, pad=1)
-        arch = small_arch()
-        w = gen_synthetic(layer.weight_shape(), 0.5, seed=1)
-        a = gen_synthetic(layer.input_shape(), 0.5, seed=2, signed=False)
-        stream, tiles = prepare_scnn_inputs(arch, layer, w, a)
-        short = encode_blocks(np.zeros(9 * 3), [9] * 3)
-        with pytest.raises(ConfigurationError, match="3 activation blocks for 4 PEs of 3 channels"):
-            simulate_scnn_layer(arch, layer, stream, short, 0)
-        extents = tiles.extents.copy()
-        extents[1 * 3 + 2] += 1  # PE 1, channel 2
-        dense = np.zeros(int(extents.sum()))
-        with pytest.raises(ConfigurationError, match="pe 1 channel 2: block extent 10"):
-            simulate_scnn_layer(arch, layer, stream, encode_blocks(dense, extents), 0)
-
 
 def test_values_are_int32_from_synthesis_to_the_output_blocks():
     # every stored value on either side is int32, and every block entry takes
@@ -425,9 +431,9 @@ class TestPPU:
         w[0, 0, 0, 1] = 2  # r=0 shifts the contribution right
         a = np.zeros(layer.input_shape(), dtype=int)
         a[0, 3, 2] = 5  # last column of PE0's tile
-        from scnnsim.tensors import ACT_ROLES, WEIGHT_ROLES, DenseTensor
+        from scnnsim.tensors import DenseTensor
 
-        w, a = DenseTensor(w, WEIGHT_ROLES), DenseTensor(a, ACT_ROLES)
+        w, a = DenseTensor(w), DenseTensor(a)
         out, report = sim_scnn(arch, layer, w, a)
         # output coordinate: xo = x - r + pad = 4, owned by PE1; one output
         # channel, so block pe * K + 0 holds PE pe's tile
@@ -454,8 +460,8 @@ class TestPPU:
         plane, _, _ = ppu_finalize(acc, _slots(plan, 1, 32, "mod"))
         assert not plane.any()
         arch = ArchConfig(pe_rows=1, pe_cols=1)
-        w = DenseTensor(np.full(layer.weight_shape(), -1), WEIGHT_ROLES)
-        a = DenseTensor(np.full(layer.input_shape(), 5), ACT_ROLES)
+        w = DenseTensor(np.full(layer.weight_shape(), -1))
+        a = DenseTensor(np.full(layer.input_shape(), 5))
         out, _ = sim_scnn(arch, layer, w, a)
         assert out.blocks.offsets.tolist() == [0, 0]
 
@@ -488,7 +494,7 @@ class TestDenseBaselines:
         full = gen_synthetic(layer.input_shape(), 1.0, seed=6, signed=False)
         half_vals = full.values.copy()
         half_vals[:, ::2, :] = 0  # zero half the activations
-        half = DenseTensor(half_vals, ACT_ROLES)
+        half = DenseTensor(half_vals)
         (r_full,) = sim_dcnn(arch, layer, w, full, (VARIANT_DCNN_OPT,)).values()
         (r_half,) = sim_dcnn(arch, layer, w, half, (VARIANT_DCNN_OPT,)).values()
         assert r_half.events.energized_mults * 2 == r_full.events.energized_mults
@@ -520,7 +526,7 @@ class TestDenseBaselines:
         rng = np.random.default_rng(seed)
         w = rng.integers(-3, 4, size=layer.weight_shape()) * (rng.random(layer.weight_shape()) < wd)
         a = rng.integers(1, 4, size=layer.input_shape()) * (rng.random(layer.input_shape()) < ad)
-        got = _gated_mults(layer, DenseTensor(w, WEIGHT_ROLES), DenseTensor(a, ACT_ROLES))
+        got = _gated_mults(layer, DenseTensor(w), DenseTensor(a))
         assert got == loop_gated_mults(layer, w, a)
 
     def test_tiled_layer_charges_the_output_round_trip(self):

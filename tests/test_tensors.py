@@ -10,12 +10,10 @@ from scnnsim.dataflow import LayerShape, ShapeError
 from scnnsim.tensors import (
     ACCUM_MAX,
     ACCUM_MIN,
-    ACT_ROLES,
     DenseTensor,
     FixedPointOverflow,
     VALUE_MAX,
     VALUE_MIN,
-    WEIGHT_ROLES,
     apply_relu,
     gen_synthetic,
     prune_magnitude,
@@ -23,22 +21,15 @@ from scnnsim.tensors import (
 )
 
 
-def t(values, roles=None):
-    arr = np.asarray(values)
-    if roles is None:
-        roles = tuple("d" * arr.ndim)
-    return DenseTensor(arr, roles)
-
-
 class TestDenseTensor:
     def test_values_are_one_read_only_int32_copy(self):
         src = np.arange(6, dtype=np.int64).reshape(1, 2, 3)
-        x = t(src, ACT_ROLES)
+        x = DenseTensor(src)
         assert x.values.dtype == np.int32
         assert not x.values.flags.writeable
         src[0, 0, 0] = 9
         assert x.values[0, 0, 0] == 0
-        y = t(x.values, ACT_ROLES)
+        y = DenseTensor(x.values)
         assert y.values is not x.values
 
     @pytest.mark.parametrize(
@@ -46,12 +37,12 @@ class TestDenseTensor:
     )
     def test_values_outside_int32_are_refused_not_wrapped(self, value):
         with pytest.raises(FixedPointOverflow, match=str(value)):
-            t(np.array([[[0, value]]]), ACT_ROLES)
+            DenseTensor(np.array([[[0, value]]]))
         with pytest.raises(FixedPointOverflow, match=str(value)):
-            t([[[value]]], ACT_ROLES)
+            DenseTensor([[[value]]])
 
     def test_int32_extremes_accepted(self):
-        x = t([[[-(1 << 31), (1 << 31) - 1]]], ACT_ROLES)
+        x = DenseTensor([[[-(1 << 31), (1 << 31) - 1]]])
         assert x.values.tolist() == [[[-(1 << 31), (1 << 31) - 1]]]
 
 
@@ -80,14 +71,14 @@ class TestLayerShape:
 class TestReferenceConv:
     def test_degenerate_1x1(self):
         layer = LayerShape("one", C=1, K=1, W=1, H=1, R=1, S=1)
-        out = reference_conv(layer, t([[[[3]]]], WEIGHT_ROLES), t([[[7]]], ACT_ROLES))
+        out = reference_conv(layer, DenseTensor([[[[3]]]]), DenseTensor([[[7]]]))
         assert out.values.tolist() == [[[21]]]
 
     def test_all_zero_weights_annihilate(self):
         layer = LayerShape("z", C=2, K=2, W=3, H=3, R=3, S=3, pad=1)
         rng = np.random.default_rng(0)
-        acts = t(rng.integers(-9, 9, (2, 3, 3)), ACT_ROLES)
-        w = t(np.zeros((2, 2, 3, 3), dtype=int), WEIGHT_ROLES)
+        acts = DenseTensor(rng.integers(-9, 9, (2, 3, 3)))
+        w = DenseTensor(np.zeros((2, 2, 3, 3), dtype=int))
         assert not reference_conv(layer, w, acts).values.any()
 
     @pytest.mark.parametrize("seed", range(6))
@@ -97,7 +88,7 @@ class TestReferenceConv:
         w = rng.integers(-9, 10, layer.weight_shape())
         a = rng.integers(-9, 10, layer.input_shape())
         expect = naive_conv(layer, w.tolist(), a.tolist())
-        got = reference_conv(layer, t(w, WEIGHT_ROLES), t(a, ACT_ROLES))
+        got = reference_conv(layer, DenseTensor(w), DenseTensor(a))
         assert got.values.tolist() == expect
 
     @pytest.mark.parametrize(
@@ -116,41 +107,41 @@ class TestReferenceConv:
         w = rng.integers(-20, 21, layer.weight_shape())
         a = rng.integers(-20, 21, layer.input_shape())
         expect = naive_conv(layer, w.tolist(), a.tolist())
-        got = reference_conv(layer, t(w, WEIGHT_ROLES), t(a, ACT_ROLES))
+        got = reference_conv(layer, DenseTensor(w), DenseTensor(a))
         assert got.values.tolist() == expect
 
     def test_linear_in_activations(self):
         layer = LayerShape("lin", C=2, K=3, W=4, H=4, R=3, S=3, pad=1)
         rng = np.random.default_rng(42)
-        w = t(rng.integers(-9, 10, layer.weight_shape()), WEIGHT_ROLES)
+        w = DenseTensor(rng.integers(-9, 10, layer.weight_shape()))
         a = rng.integers(-9, 10, layer.input_shape())
         b = rng.integers(-9, 10, layer.input_shape())
-        lhs = reference_conv(layer, w, t(a + b, ACT_ROLES)).values
+        lhs = reference_conv(layer, w, DenseTensor(a + b)).values
         rhs = (
-            reference_conv(layer, w, t(a, ACT_ROLES)).values
-            + reference_conv(layer, w, t(b, ACT_ROLES)).values
+            reference_conv(layer, w, DenseTensor(a)).values
+            + reference_conv(layer, w, DenseTensor(b)).values
         )
         assert (lhs == rhs).all()
 
     def test_dimension_mismatch(self):
         layer = LayerShape("mm", C=2, K=2, W=4, H=4, R=3, S=3, pad=1)
-        w = t(np.zeros((2, 2, 3, 3), dtype=int), WEIGHT_ROLES)
-        bad = t(np.zeros((3, 4, 4), dtype=int), ACT_ROLES)
+        w = DenseTensor(np.zeros((2, 2, 3, 3), dtype=int))
+        bad = DenseTensor(np.zeros((3, 4, 4), dtype=int))
         with pytest.raises(ShapeError):
             reference_conv(layer, w, bad)
 
     def test_accumulator_overflow_reported(self):
         layer = LayerShape("ovf", C=64, K=1, W=3, H=3, R=3, S=3, pad=1)
-        w = t(np.full(layer.weight_shape(), 181, dtype=int), WEIGHT_ROLES)
-        a = t(np.full(layer.input_shape(), 181, dtype=int), ACT_ROLES)
+        w = DenseTensor(np.full(layer.weight_shape(), 181, dtype=int))
+        a = DenseTensor(np.full(layer.input_shape(), 181, dtype=int))
         with pytest.raises(FixedPointOverflow):
             reference_conv(layer, w, a)
 
     def test_operand_overflow_reported(self):
         layer = LayerShape("op", C=1, K=1, W=1, H=1, R=1, S=1)
-        w = t([[[[1 << 16]]]], WEIGHT_ROLES)
+        w = DenseTensor([[[[1 << 16]]]])
         with pytest.raises(FixedPointOverflow):
-            reference_conv(layer, w, t([[[1]]], ACT_ROLES))
+            reference_conv(layer, w, DenseTensor([[[1]]]))
 
 
 def _operand(rng, shape, bits, extreme):
@@ -191,9 +182,9 @@ class TestReferenceConvAgainstEinsum:
         expect = einsum_conv(layer, w, a)
         if expect.min() < ACCUM_MIN or expect.max() > ACCUM_MAX:
             with pytest.raises(FixedPointOverflow):
-                reference_conv(layer, t(w, WEIGHT_ROLES), t(a, ACT_ROLES))
+                reference_conv(layer, DenseTensor(w), DenseTensor(a))
         else:
-            got = reference_conv(layer, t(w, WEIGHT_ROLES), t(a, ACT_ROLES))
+            got = reference_conv(layer, DenseTensor(w), DenseTensor(a))
             assert got.values.dtype == np.int32
             assert np.array_equal(got.values, expect)
 
@@ -204,9 +195,9 @@ class TestReferenceConvAgainstEinsum:
         w = np.array([[VALUE_MAX, VALUE_MAX], [VALUE_MAX, -VALUE_MAX]]).reshape(2, 2, 1, 1)
         a = np.full((2, 1, 1), VALUE_MAX)
         with pytest.raises(FixedPointOverflow):
-            reference_conv(layer, t(w, WEIGHT_ROLES), t(a, ACT_ROLES))
+            reference_conv(layer, DenseTensor(w), DenseTensor(a))
         w[0] = 0
-        got = reference_conv(layer, t(w, WEIGHT_ROLES), t(a, ACT_ROLES))
+        got = reference_conv(layer, DenseTensor(w), DenseTensor(a))
         assert got.values.reshape(-1).tolist() == [0, 0]
 
     def test_wide_channel_sum_near_the_float64_bound(self):
@@ -220,7 +211,7 @@ class TestReferenceConvAgainstEinsum:
         a = np.full(n, VALUE_MAX)
         w[0] = a[0] = VALUE_MIN
         w, a = w.reshape(1, n, 1, 1), a.reshape(n, 1, 1)
-        got = reference_conv(layer, t(w, WEIGHT_ROLES), t(a, ACT_ROLES))
+        got = reference_conv(layer, DenseTensor(w), DenseTensor(a))
         assert got.values.reshape(-1).tolist() == [65535]
         assert einsum_conv(layer, w, a).reshape(-1).tolist() == [65535]
 
@@ -228,57 +219,57 @@ class TestReferenceConvAgainstEinsum:
         # channels_per_group * 2**30 must stay below 2**53
         n = 1 << 23
         layer = LayerShape("too-deep", C=n, K=1, W=1, H=1, R=1, S=1)
-        w = t(np.zeros((1, n, 1, 1), dtype=np.int64), WEIGHT_ROLES)
-        a = t(np.zeros((n, 1, 1), dtype=np.int64), ACT_ROLES)
+        w = DenseTensor(np.zeros((1, n, 1, 1), dtype=np.int64))
+        a = DenseTensor(np.zeros((n, 1, 1), dtype=np.int64))
         with pytest.raises(ShapeError, match="exact float64"):
             reference_conv(layer, w, a)
 
 
 class TestRelu:
     def test_definition(self):
-        assert apply_relu(t([-3, 0, 5])).values.tolist() == [0, 0, 5]
+        assert apply_relu(DenseTensor([-3, 0, 5])).values.tolist() == [0, 0, 5]
 
     def test_all_negative_gives_zero_density(self):
-        out = apply_relu(t([[-1, -2], [-3, -4]]))
+        out = apply_relu(DenseTensor([[-1, -2], [-3, -4]]))
         assert not out.values.any()
         assert out.density() == 0.0
 
     @given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=64))
     def test_idempotent(self, xs):
-        once = apply_relu(t(xs))
+        once = apply_relu(DenseTensor(xs))
         twice = apply_relu(once)
         assert once.values.tolist() == twice.values.tolist()
 
     def test_symmetric_distribution_halves_density(self):
         rng = np.random.default_rng(7)
         vals = rng.integers(1, 1000, 20000) * rng.choice([-1, 1], 20000)
-        out = apply_relu(t(vals))
+        out = apply_relu(DenseTensor(vals))
         assert abs(out.density() - 0.5) < 0.02
 
 
 class TestPrune:
     def test_top_two_survive(self):
-        out = prune_magnitude(t([5, -1, 3, 2]), 0.5)
+        out = prune_magnitude(DenseTensor([5, -1, 3, 2]), 0.5)
         assert out.values.tolist() == [5, 0, 3, 0]
 
     def test_density_one_is_identity(self):
-        x = t([4, -4, 0, 9])
+        x = DenseTensor([4, -4, 0, 9])
         assert prune_magnitude(x, 1.0).values.tolist() == x.values.tolist()
 
     def test_exact_resulting_density(self):
         rng = np.random.default_rng(3)
-        x = t(rng.choice([-1, 1], 1000) * rng.integers(1, 500, 1000))
+        x = DenseTensor(rng.choice([-1, 1], 1000) * rng.integers(1, 500, 1000))
         out = prune_magnitude(x, 0.3)
         assert out.nnz() == 300
         assert out.density() == pytest.approx(0.3)
 
     def test_least_int32_ranks_as_largest(self):
         # |-2**31| wraps in int32; the magnitude must not
-        out = prune_magnitude(t([1, -(1 << 31), 3, 2]), 0.25)
+        out = prune_magnitude(DenseTensor([1, -(1 << 31), 3, 2]), 0.25)
         assert out.values.tolist() == [0, -(1 << 31), 0, 0]
 
     def test_tie_break_by_lowest_index(self):
-        out = prune_magnitude(t([2, -2, 2, 1]), 0.5)
+        out = prune_magnitude(DenseTensor([2, -2, 2, 1]), 0.5)
         assert out.values.tolist() == [2, -2, 0, 0]
 
     @given(
@@ -286,14 +277,14 @@ class TestPrune:
         st.floats(0.05, 1.0),
     )
     def test_hadamard_mask(self, xs, d):
-        x = t(xs)
+        x = DenseTensor(xs)
         out = prune_magnitude(x, d)
         kept = out.values != 0
         assert (out.values[kept] == x.values[kept]).all()
 
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
-            prune_magnitude(t(np.zeros((0,), dtype=int)), 0.5)
+            prune_magnitude(DenseTensor(np.zeros((0,), dtype=int)), 0.5)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -306,7 +297,7 @@ class TestPrune:
         x = np.array(xs)
         if len(xs) % 2:
             shape = (-1,)
-        got = prune_magnitude(t(x.reshape(shape)), d)
+        got = prune_magnitude(DenseTensor(x.reshape(shape)), d)
         assert got.values.tolist() == argsort_prune(x.reshape(shape), d).tolist()
 
 
