@@ -32,6 +32,7 @@ from .workloads import (
     emit_report,
     load_experiment_config,
     load_network,
+    network_row,
     pe_granularity_sweep,
     rows_from_run,
     run_network,
@@ -134,9 +135,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{net.name}: {len(run.layers)} layers via {args.engine} -> {path}")
             if tiled:
                 print(f"DRAM-tiled layers: {', '.join(tiled)}")
-            for v in variants:
-                if v in run.layers[0].reports:
-                    print(f"  {v}: {run.total(v)} cycles, energy {run.total(v, 'energy'):.4g}")
+            for v in run.variants:
+                total = network_row(run, cfg.arch, v)
+                print(f"  {v}: {total.cycles} cycles, energy {total.energy:.4g}")
             return 0
 
         if args.command == "sweep-density":

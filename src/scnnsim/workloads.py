@@ -418,9 +418,6 @@ class NetworkRun(Record, frozen=False):
     layers: list[LayerRun]
     variants: tuple[str, ...]
 
-    def total(self, variant: str, attr: str = "cycles"):
-        return sum(getattr(run.reports[variant], attr) for run in self.layers)
-
     def tiled_layers(self) -> list[str]:
         out = []
         for run in self.layers:
@@ -624,22 +621,24 @@ def density_sweep(
     engine: str = "sim",
 ) -> list[ReportRow]:
     """Sweep weight and activation density together across the network:
-    one network-total row per (point, variant), for every variant.
+    one `network_row` per (point, variant), for every variant.
 
-    engine="sim" regenerates every layer's operands at the point density
-    from one seeded permutation per tensor, so lower densities are position
-    subsets of higher ones and the speedup series is monotone by
-    construction; the dense weights are made once and pruned per point.
-    engine="analytic" reads only layer shapes and the point density and
-    makes no tensor.
+    A point is the network re-declared with every layer's weight, input
+    and output density at the point density. engine="analytic" runs it
+    with `run_network`, so each row is the run's own network total.
+    engine="sim" does not chain the layers: it regenerates every layer's
+    operands at the point density from one seeded permutation per tensor,
+    so lower densities are position subsets of higher ones and the speedup
+    series is monotone by construction; the dense weights are made once
+    and pruned per point. A chained run would not hold the point density
+    past the first layer, since each output's density is what its layer
+    makes of its inputs. Only layer 0's input is read from DRAM, as in a run.
     """
     if engine not in ("sim", "analytic"):
         raise ConfigurationError(f"unknown engine {engine}")
     for d in points:
         if not 0.0 < d <= 1.0:
             raise ConfigurationError(f"sweep density {d} outside (0, 1]")
-    rows: list[ReportRow] = []
-    dense_weights = []
     if engine == "sim":
         from .tensors import gen_synthetic, prune_magnitude
 
@@ -647,35 +646,24 @@ def density_sweep(
             gen_synthetic(s.shape.weight_shape(), 1.0, seed=seed + 101 * i, lo=1, hi=31)
             for i, s in enumerate(net.layers)
         ]
+    rows: list[ReportRow] = []
     for d in points:
-        totals: dict[str, list[float]] = {v: [0, 0.0] for v in ALL_VARIANTS}
-        for i, spec in enumerate(net.layers):
-            swept = replace(spec, weight_density=d, act_density=d, out_density=d)
-            if engine == "sim":
+        swept = replace(net, layers=tuple(
+            replace(s, weight_density=d, act_density=d, out_density=d) for s in net.layers
+        ))
+        if engine == "analytic":
+            run = run_network(swept, arch, ALL_VARIANTS, seed=seed, engine=engine)
+        else:
+            layers = []
+            for i, spec in enumerate(swept.layers):
                 w = prune_magnitude(dense_weights[i], d)
-                a = synth_acts(swept, seed + 101 * i + 50)
-                reports, _, _ = _sim_layer(arch, swept, w, a, ALL_VARIANTS, first=True)
-            else:
-                reports = _analytic_layer(arch, swept, ALL_VARIANTS, first=True)
-            for v, rep in reports.items():
-                totals[v][0] += rep.cycles
-                totals[v][1] += rep.energy
-        base_cycles, base_energy = totals[VARIANT_DCNN]
-        for v in ALL_VARIANTS:
-            cycles, energy = totals[v]
-            rows.append(
-                ReportRow(
-                    network=net.name,
-                    layer="(network)",
-                    variant=v,
-                    sweep_wd=d,
-                    sweep_ad=d,
-                    cycles=int(cycles),
-                    energy=energy,
-                    speedup_vs_dcnn=base_cycles / cycles if cycles else math.inf,
-                    energy_vs_dcnn=base_energy / energy if energy else math.inf,
-                )
-            )
+                a = synth_acts(spec, seed + 101 * i + 50)
+                reports, _, checked = _sim_layer(arch, spec, w, a, ALL_VARIANTS, first=i == 0)
+                layers.append(LayerRun(spec, reports, oracle_checked=checked))
+            run = NetworkRun(net.name, engine, seed, layers, ALL_VARIANTS)
+        rows += (
+            replace(network_row(run, arch, v), sweep_wd=d, sweep_ad=d) for v in ALL_VARIANTS
+        )
     return rows
 
 
@@ -713,27 +701,13 @@ def pe_granularity_sweep(
     total_mults: int = 1024,
 ) -> list[ReportRow]:
     """Hold chip math throughput constant and trade PE count against per-PE
-    multiplier array size: one network-total scnn row per grid, its barrier
-    fraction the network's total PE wait over n_pes * cycles."""
+    multiplier array size: per grid, the `network_row` of a sim scnn run
+    on `pe_granularity_arch`, tagged with the grid."""
     rows = []
     for grid in grids:
         garch = pe_granularity_arch(arch, grid, total_mults)
         run = run_network(net, garch, (VARIANT_SCNN,), seed=seed, engine="sim")
-        cycles = run.total(VARIANT_SCNN)
-        useful = run.total(VARIANT_SCNN, "useful_mults")
-        util = useful / (total_mults * cycles) if cycles else 0.0
-        wait = sum(sum(r.reports[VARIANT_SCNN].pe_wait) for r in run.layers)
-        rows.append(
-            ReportRow(
-                network=net.name,
-                layer="(network)",
-                variant=VARIANT_SCNN,
-                grid=f"{grid[0]}x{grid[1]}",
-                cycles=cycles,
-                mult_utilization=util,
-                barrier_stall_fraction=wait / (garch.n_pes * cycles) if cycles else 0.0,
-            )
-        )
+        rows.append(replace(network_row(run, garch, VARIANT_SCNN), grid=f"{grid[0]}x{grid[1]}"))
     return rows
 
 
@@ -762,37 +736,57 @@ REPORT_COLUMNS = fields(ReportRow)
 
 
 def rows_from_run(run: NetworkRun) -> list[ReportRow]:
+    """One row per (layer, variant): every column its `SimReport` has, and
+    the ratios to the layer's dcnn row when the run has one."""
     rows = []
     for lr in run.layers:
         base = lr.reports.get(VARIANT_DCNN)
         for variant in run.variants:
-            rep = lr.reports.get(variant)
-            if rep is None:
-                continue
-            rows.append(
-                ReportRow(
-                    network=run.network,
-                    layer=lr.spec.name,
-                    variant=variant,
-                    cycles=rep.cycles,
-                    batches=rep.batches,
-                    useful_mults=rep.useful_mults,
-                    mult_utilization=rep.mult_utilization,
-                    barrier_stall_fraction=rep.barrier_stall_fraction,
-                    bank_conflict_stalls=rep.bank_conflict_stalls,
-                    fifo_stalls=rep.fifo_stalls,
-                    dram_tiled=rep.dram_tiled,
-                    tiling_energy_fraction=rep.tiling_energy_fraction,
-                    energy=rep.energy,
-                    speedup_vs_dcnn=(
-                        base.cycles / rep.cycles if base and rep.cycles else None
-                    ),
-                    energy_vs_dcnn=(
-                        base.energy / rep.energy if base and rep.energy else None
-                    ),
-                )
-            )
+            rep = lr.reports[variant]
+            rows.append(ReportRow(
+                network=run.network,
+                **{c: getattr(rep, c) for c in REPORT_COLUMNS if hasattr(rep, c)},
+                speedup_vs_dcnn=base.cycles / rep.cycles if base and rep.cycles else None,
+                energy_vs_dcnn=base.energy / rep.energy if base and rep.energy else None,
+            ))
     return rows
+
+
+def network_row(run: NetworkRun, arch: ArchConfig, variant: str) -> ReportRow:
+    """One variant's network total: each field of the layer reports summed,
+    or, for a ratio, taken by `SimReport`'s definition over the sums.
+    mult_utilization is Σuseful / (total_mults * Σcycles), the barrier
+    fraction Σpe_wait / (n_pes * Σcycles), tiling_energy_fraction
+    Σpenalty / (Σenergy - Σpenalty), and dram_tiled is whether any layer
+    is; the dcnn ratios are over the dcnn totals, when the run has dcnn.
+    The bound (oracle) row's utilization can read just below 1, though
+    each of its layers reads 1, as each layer rounds its cycles up.
+    `arch` is the one the run ran on."""
+    reps = [lr.reports[variant] for lr in run.layers]
+    cycles = sum(r.cycles for r in reps)
+    energy = sum(r.energy for r in reps)
+    useful = sum(r.useful_mults for r in reps)
+    penalty = sum(r.events.tiling_dram_bits for r in reps) * arch.energy.dram_bit
+    base = [lr.reports[VARIANT_DCNN] for lr in run.layers if VARIANT_DCNN in run.variants]
+    return ReportRow(
+        network=run.network,
+        layer="(network)",
+        variant=variant,
+        cycles=cycles,
+        batches=sum(r.batches for r in reps),
+        useful_mults=useful,
+        mult_utilization=useful / (arch.total_mults * cycles) if cycles else 0.0,
+        barrier_stall_fraction=(
+            sum(sum(r.pe_wait) for r in reps) / (arch.n_pes * cycles) if cycles else 0.0
+        ),
+        bank_conflict_stalls=sum(r.bank_conflict_stalls for r in reps),
+        fifo_stalls=sum(r.fifo_stalls for r in reps),
+        dram_tiled=any(r.dram_tiled for r in reps),
+        tiling_energy_fraction=penalty / (energy - penalty) if energy > penalty else 0.0,
+        energy=energy,
+        speedup_vs_dcnn=sum(r.cycles for r in base) / cycles if base and cycles else None,
+        energy_vs_dcnn=sum(r.energy for r in base) / energy if base and energy else None,
+    )
 
 
 def _fmt(value) -> str:

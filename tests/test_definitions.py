@@ -1,9 +1,11 @@
 """Every report row obeys its own definitions, in both engines, on random
 single layers and random architectures; `check_layer_reports` is the one
-checker, shared with the network runs of test_workloads."""
+checker of layer rows and `check_network_row` of network totals, both
+shared with the network runs and sweeps of test_workloads."""
 
 import math
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from scnnsim.analytic import VARIANT_DCNN, VARIANT_DCNN_OPT, VARIANT_SCNN, ArchConfig, EventCounts
@@ -14,6 +16,7 @@ from scnnsim.workloads import (
     VARIANT_ORACLE,
     LayerSpec,
     NetworkDescriptor,
+    network_row,
     run_network,
 )
 
@@ -66,6 +69,39 @@ def check_layer_reports(
         assert scnn.events.mult_ops == scnn.events.xbar_transfers + scnn.stride_skipped
 
 
+def check_network_row(arch: ArchConfig, run, rows: dict) -> None:
+    """One point's network rows, keyed by variant: each field is its
+    variant's layer reports summed, or a ratio taken over those sums by
+    the layer rows' own definition, and every variant reads the same
+    count of useful multiplies."""
+    assert set(rows) == set(run.variants)
+    assert len({row.useful_mults for row in rows.values()}) == 1
+    dcnn = rows.get(VARIANT_DCNN)
+    for variant, row in rows.items():
+        reps = [lr.reports[variant] for lr in run.layers]
+        assert (row.layer, row.variant) == ("(network)", variant)
+        for name in ("cycles", "batches", "useful_mults", "bank_conflict_stalls", "fifo_stalls"):
+            assert getattr(row, name) == sum(getattr(r, name) for r in reps), name
+        assert row.energy == pytest.approx(sum(r.energy for r in reps), rel=1e-12)
+        assert row.dram_tiled == any(r.dram_tiled for r in reps)
+        assert row.batches <= arch.n_pes * row.cycles
+        cycles = row.cycles or math.inf
+        assert row.mult_utilization == row.useful_mults / (arch.total_mults * cycles)
+        assert 0.0 <= row.mult_utilization <= 1.0
+        wait = sum(sum(r.pe_wait) for r in reps)
+        assert row.barrier_stall_fraction == wait / (arch.n_pes * cycles)
+        penalty = sum(r.events.tiling_dram_bits for r in reps) * arch.energy.dram_bit
+        assert row.tiling_energy_fraction == pytest.approx(
+            penalty / (row.energy - penalty) if row.energy > penalty else 0.0, rel=1e-12
+        )
+        # a row with no cycles (a bound row with no useful multiply) has no ratio
+        if dcnn is None or not row.cycles:
+            assert row.speedup_vs_dcnn is row.energy_vs_dcnn is None
+        else:
+            assert row.speedup_vs_dcnn == dcnn.cycles / row.cycles
+            assert row.energy_vs_dcnn == pytest.approx(dcnn.energy / row.energy, rel=1e-12)
+
+
 @st.composite
 def cases(draw):
     """A random layer (stride 1-4, pad 0-2, groups 1-3, taps 1-5, planes up
@@ -110,5 +146,6 @@ def test_every_row_obeys_its_definitions_on_random_layers(case, densities):
     layer, arch = case
     net = NetworkDescriptor("p", (LayerSpec(layer, *densities, densities[1]),))
     for engine in ("sim", "analytic"):
-        (run,) = run_network(net, arch, ALL_VARIANTS, seed=5, engine=engine).layers
-        check_layer_reports(arch, engine, layer, run.reports)
+        run = run_network(net, arch, ALL_VARIANTS, seed=5, engine=engine)
+        check_layer_reports(arch, engine, layer, run.layers[0].reports)
+        check_network_row(arch, run, {v: network_row(run, arch, v) for v in ALL_VARIANTS})

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scnnsim import tensors, workloads
 from scnnsim.analytic import VARIANT_DCNN, VARIANT_DCNN_OPT, ArchConfig, EnergyModel
 from scnnsim.dataflow import ConfigurationError
-from scnnsim.record import fields
+from scnnsim.record import fields, replace
 from scnnsim.workloads import (
     ALL_VARIANTS,
     VARIANT_ORACLE,
@@ -23,12 +23,13 @@ from scnnsim.workloads import (
     density_sweep,
     load_experiment_config,
     load_network,
+    network_row,
     pe_granularity_arch,
     pe_granularity_sweep,
     rows_from_run,
     run_network,
 )
-from test_definitions import check_layer_reports
+from test_definitions import check_layer_reports, check_network_row
 from test_golden import GOLDEN
 
 SHIPPED = ("alexnet", "googlenet", "inception_mini", "vggnet")
@@ -327,18 +328,18 @@ def test_pe_grids_share_the_chip_ram_budget(grid):
 
 
 def test_pe_sweep_barrier_is_the_network_wait_over_pe_cycles(tmp_path):
-    # wait over n_pes * cycles, summed over the layers: not a mean of the
-    # layers' fractions, which weighs a short layer like a long one
+    # the row is the network total of its run, so its barrier fraction is
+    # the wait over n_pes * cycles, summed over the layers: not a mean of
+    # the layers' fractions, which weighs a short layer like a long one
     path = tmp_path / "tiny.yaml"
     path.write_text(TINY_CHAIN)
     net = load_network(path)
     (row,) = pe_granularity_sweep(net, ArchConfig(), ((2, 2),), seed=3)
     garch = pe_granularity_arch(ArchConfig(), (2, 2), 1024)
-    reps = [
-        lr.reports[VARIANT_SCNN]
-        for lr in run_network(net, garch, (VARIANT_SCNN,), seed=3).layers
-    ]
-    assert row.cycles == sum(r.cycles for r in reps)
+    run = run_network(net, garch, (VARIANT_SCNN,), seed=3)
+    reps = [lr.reports[VARIANT_SCNN] for lr in run.layers]
+    assert row == replace(network_row(run, garch, VARIANT_SCNN), grid="2x2")
+    check_network_row(garch, run, {VARIANT_SCNN: row})
     wait = sum(sum(r.pe_wait) for r in reps)
     assert row.barrier_stall_fraction == wait / (garch.n_pes * row.cycles)
     # the chain tells the two apart: its layers' fractions and cycles differ
@@ -369,6 +370,60 @@ def test_every_report_obeys_its_definitions(engine, tmp_path):
     run = run_network(load_network(path), arch, ALL_VARIANTS, seed=3, engine=engine)
     for lr in run.layers:
         check_layer_reports(arch, engine, lr.spec.shape, lr.reports)
+    check_network_row(arch, run, {v: network_row(run, arch, v) for v in ALL_VARIANTS})
+
+
+def at_density(net, d):
+    """The network with every layer declared at density d."""
+    return replace(net, layers=tuple(
+        replace(s, weight_density=d, act_density=d, out_density=d) for s in net.layers
+    ))
+
+
+@pytest.mark.parametrize(
+    "network",
+    ["inception_mini", GOLDEN / "strided_chain.yaml"],
+    ids=["inception_mini", "strided_chain"],
+)
+def test_analytic_density_point_is_the_run_it_stands_for(network):
+    # each row is the network total of run_network on the network declared
+    # at the point density, so only layer 0's input is read from DRAM
+    net, arch = load_network(network), ArchConfig()
+    points = ExperimentConfig().densities
+    rows = density_sweep(net, arch, points, engine="analytic")
+    runs = [run_network(at_density(net, d), arch, engine="analytic") for d in points]
+    assert rows == [
+        replace(network_row(run, arch, v), sweep_wd=d, sweep_ad=d)
+        for d, run in zip(points, runs)
+        for v in ALL_VARIANTS
+    ]
+
+
+@pytest.mark.parametrize("engine", ["sim", "analytic"])
+def test_density_sweep_rows_obey_their_definitions(engine, tmp_path, monkeypatch):
+    path = tmp_path / "tiny.yaml"
+    path.write_text(TINY_CHAIN)
+    arch, points = ArchConfig(), (0.9, 0.4)
+    made = []
+
+    def spy(run, *args):
+        made.append((run, network_row(run, *args)))
+        return made[-1][1]
+
+    monkeypatch.setattr(workloads, "network_row", spy)
+    rows = density_sweep(load_network(path), arch, points, seed=3, engine=engine)
+    assert len(rows) == len(made) == len(points) * len(ALL_VARIANTS)
+    for i, d in enumerate(points):
+        point = made[i * len(ALL_VARIANTS):(i + 1) * len(ALL_VARIANTS)]
+        run = point[0][0]
+        assert all(r is run for r, _ in point)
+        assert [lr.spec.act_density for lr in run.layers] == [d] * len(run.layers)
+        for lr in run.layers:
+            check_layer_reports(arch, engine, lr.spec.shape, lr.reports)
+        check_network_row(arch, run, {row.variant: row for _, row in point})
+        assert rows[i * len(ALL_VARIANTS):(i + 1) * len(ALL_VARIANTS)] == [
+            replace(row, sweep_wd=d, sweep_ad=d) for _, row in point
+        ]
 
 
 YAML_VALUES = st.recursive(
