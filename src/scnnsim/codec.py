@@ -7,21 +7,26 @@ placeholders, each standing for 2**index_bits - 1 zeros plus itself, and a
 final run of g % 2**index_bits. Trailing zeros are implicit in the logical
 extent, so decode(encode(x)) == x for every slice.
 
-`BlockSet` is the one block format: it holds many blocks as the flat
-`values` and `run_lengths` streams plus per-block `offsets` and `extents`,
-built for a whole tensor slice by one vectorized `encode_blocks` and
-validated once. The simulator reads the flat arrays (and the dense positions
-derived from the runs) directly; a single block is the slice
-offsets[b]:offsets[b + 1] of those arrays.
+`BlockSet` is the one block format: many blocks as the flat `values`,
+`run_lengths` and `positions` columns plus per-block `offsets` and
+`extents`; a single block is the slice offsets[b]:offsets[b + 1] of the
+columns. As on the machine, where only its own compressor writes the
+encoding (weights offline, outputs in the PPU), one producer builds every
+set: `encode_blocks`, which encodes a whole tensor slice at once and derives
+each entry's dense position from the runs as it goes. A set is a plain
+record, never checked after it is built. Value ranges are checked where data
+enters the pipeline instead: operands by `tensors.check_operand_range` in
+`simulator.compress_weights` and `simulator.distribute_activations`, outputs
+against 24 bits in `simulator.ppu_finalize`; `ArchConfig` holds index_bits
+to [1, 62].
 
-Each entry is held at its stored width: its value as int32, narrowed only
-after the 24-bit accumulator check; its run length in the narrowest unsigned
-type that holds 2**index_bits - 1 (uint8 at the default 4 bits); and its
-position as int32 while every extent is below 2**31, else as int64. That is
-9 bytes an entry at the default width, where the int32 dense tensor takes 4
-bytes a value. The per-block offsets and extents stay int64, and so does
-the arithmetic on runs and positions wherever a sum or product may pass
-2**31.
+Each entry is held at its stored width: its value as int32; its run length
+in the narrowest unsigned type that holds 2**index_bits - 1 (uint8 at 4
+bits); and its position as int32 while every extent is below 2**31, else as
+int64. That is 9 bytes an entry at 4 bits, where the int32 dense tensor
+takes 4 bytes a value, and every column is exactly as long as the set's
+entries. The per-block offsets and extents are int64, and so is the
+arithmetic on runs and positions wherever a sum may pass 2**31.
 """
 
 from __future__ import annotations
@@ -30,26 +35,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import MAX_INDEX_BITS
 from .record import Record
-from .tensors import ACCUM_MAX, ACCUM_MIN
-
-DEFAULT_INDEX_BITS = 4
 
 
 class CodecError(ValueError):
-    """Malformed compressed block."""
+    """Dense values the encoder cannot take."""
 
 
-def _check_index_bits(index_bits: int) -> None:
-    if not 1 <= index_bits <= MAX_INDEX_BITS:
-        raise CodecError(f"index_bits {index_bits} outside [1, {MAX_INDEX_BITS}]")
-
-
-# Items per pass of the encoder and the stream check. A pass covers whole
-# blocks, so its scratch arrays stay near cache size however large the set;
-# a block longer than this is a pass of its own.
+# Items per pass of the encoder. A pass covers whole blocks, so its scratch
+# arrays stay near cache size however large the set; a block longer than
+# this is a pass of its own.
 _PASS = 1 << 16
+
+# The least extent whose positions are stored as int64.
+_WIDE = 1 << 31
 
 
 def _passes(bounds: np.ndarray) -> list[tuple[int, int]]:
@@ -61,135 +60,37 @@ def _passes(bounds: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _run_dtype(index_bits: int) -> np.dtype:
-    """The narrowest unsigned type that holds a run of 2**index_bits - 1."""
-    return np.min_scalar_type((1 << index_bits) - 1)
-
-
-def _check_stream(
-    values: np.ndarray,
-    run_lengths: np.ndarray,
-    offsets: np.ndarray,
-    extents: np.ndarray,
-    index_bits: int,
-) -> np.ndarray:
-    """Validate a stream of blocks, block b owning entries
-    offsets[b]:offsets[b + 1], and return each entry's dense position within
-    its block, as int32 when every extent is below 2**31."""
-    if values.shape != run_lengths.shape or values.ndim != 1:
-        raise CodecError("values and run_lengths differ in length")
-    if (
-        offsets.ndim != 1
-        or extents.ndim != 1
-        or offsets.size != extents.size + 1
-        or offsets[0] != 0
-        or offsets[-1] != values.size
-        or (np.diff(offsets) < 0).any()
-    ):
-        raise CodecError("block offsets do not partition the stream")
-    max_run = (1 << index_bits) - 1
-    if values.size and (run_lengths.min() < 0 or run_lengths.max() > max_run):
-        bad = (run_lengths < 0) | (run_lengths > max_run)
-        run = int(run_lengths[bad.argmax()])
-        raise CodecError(f"run length {run} outside [0, {max_run}]")
-    # blocks carry 16-bit operands or 24-bit pre-requantization outputs;
-    # operand-range enforcement happens where data enters the pipeline
-    if values.size and (values.min() < ACCUM_MIN or values.max() > ACCUM_MAX):
-        bad = (values < ACCUM_MIN) | (values > ACCUM_MAX)
-        raise CodecError(
-            f"value {int(values[bad.argmax()])} outside 24-bit accumulator range"
-        )
-    # every entry must land inside its block. The runs are widened to int64
-    # first (a uint8 run of 255 plus one wraps), and the int64 sums wrap
-    # modulo 2**64, so a position is exact while below 2**63; the first entry
-    # past an extent (< 2**63) overshoots it by at most one run (< 2**62), so
-    # its position is either exact or wraps negative.
-    wide = extents.size and int(extents.max()) >= 1 << 31
-    positions = np.empty(values.size, dtype=np.int64 if wide else np.int32)
-    over = extents < 0
-    for b0, b1 in _passes(offsets):
-        lo, hi = offsets[b0], offsets[b1]
-        ends = np.zeros(hi - lo + 1, dtype=np.int64)
-        np.cumsum(run_lengths[lo:hi].astype(np.int64) + 1, out=ends[1:])
-        counts = np.diff(offsets[b0 : b1 + 1])
-        pos = ends[1:] - 1 - np.repeat(ends[offsets[b0:b1] - lo], counts)
-        outside = (pos < 0) | (pos >= np.repeat(extents[b0:b1], counts))
-        if outside.any():
-            over[np.searchsorted(offsets, lo + outside.argmax(), side="right") - 1] = True
-            break
-        positions[lo:hi] = pos
-    if over.any():
-        raise CodecError(
-            f"block expands past its logical extent {int(extents[over.argmax()])}"
-        )
-    return positions
-
-
-def _int64(xs, what: str) -> np.ndarray:
-    try:
-        return np.asarray(xs, dtype=np.int64)
-    except OverflowError as e:
-        raise CodecError(f"{what} outside the 64-bit range") from e
-
-
-def _int_values(xs) -> np.ndarray:
-    """Values as given when they are an int32 array, else as int64."""
-    if isinstance(xs, np.ndarray) and xs.dtype == np.int32:
-        return xs
-    return _int64(xs, "value")
-
-
 class BlockSet(Record, eq=False):
-    """Many blocks in the stream format, stored column-wise.
+    """Many blocks in the stream format, stored column-wise, as
+    `encode_blocks` builds them.
 
-    Block b owns entries offsets[b]:offsets[b + 1] of `values` and
-    `run_lengths` and expands to extents[b] dense values. `positions`, not a
-    field, holds each entry's dense coordinate within its block, derived
-    from the runs.
-    The whole set is checked once: the index width, offsets that partition
-    the stream, runs within the index width, values within the 24-bit
-    accumulator range and every entry inside its block's extent. Then
-    `values` is held as int32, `run_lengths` as `_run_dtype(index_bits)`,
-    `positions` as int32 while every extent is below 2**31 (else int64),
-    and `offsets` and `extents` as int64. Runs of any other width are read
-    as int64 and narrowed after their check."""
+    Block b owns entries offsets[b]:offsets[b + 1] of `values`,
+    `run_lengths` and `positions` and expands to extents[b] dense values;
+    an entry's position is its dense coordinate within its block."""
 
     values: np.ndarray
     run_lengths: np.ndarray
+    positions: np.ndarray
     offsets: np.ndarray
     extents: np.ndarray
-    index_bits: int = DEFAULT_INDEX_BITS
-
-    def __post_init__(self) -> None:
-        _check_index_bits(self.index_bits)
-        for name in ("offsets", "extents"):
-            object.__setattr__(self, name, _int64(getattr(self, name), name))
-        runs, narrow = self.run_lengths, _run_dtype(self.index_bits)
-        if not (isinstance(runs, np.ndarray) and runs.dtype == narrow):
-            runs = _int64(runs, "run_lengths")
-        values = _int_values(self.values)
-        positions = _check_stream(values, runs, self.offsets, self.extents, self.index_bits)
-        object.__setattr__(self, "values", values.astype(np.int32, copy=False))
-        object.__setattr__(self, "run_lengths", runs.astype(narrow, copy=False))
-        object.__setattr__(self, "positions", positions)
+    index_bits: int
 
     def __len__(self) -> int:
         return self.extents.size
 
 
 def encode_blocks(
-    dense: Sequence[int] | np.ndarray,
-    extents: Sequence[int] | np.ndarray,
-    index_bits: int = DEFAULT_INDEX_BITS,
+    dense: np.ndarray, extents: Sequence[int] | np.ndarray, index_bits: int
 ) -> BlockSet:
-    """Run-length encode many dense slices at once: `dense` concatenates the
-    blocks' linearized slices and `extents` gives their lengths. The value
-    buffer takes the dense values' width, int32 from every simulator stage;
-    any other input is widened to int64 and narrowed by `BlockSet` after its
-    range check. Runs are written at their stored width from the start."""
-    _check_index_bits(index_bits)
-    flat = _int_values(dense).reshape(-1)
-    extents = _int64(extents, "extent").reshape(-1)
+    """Run-length encode many int32 dense slices at once: `dense`
+    concatenates the blocks' linearized slices and `extents` gives their
+    lengths. Values and runs are written at their stored width into
+    worst-case buffers, which are then shrunk in place to the entry count;
+    only then are the positions allocated and derived from the runs."""
+    flat = np.asarray(dense).reshape(-1)
+    if flat.dtype != np.int32:
+        raise CodecError(f"dense values are {flat.dtype}, not int32")
+    extents = np.asarray(extents, dtype=np.int64).reshape(-1)
     starts = np.zeros(extents.size + 1, dtype=np.int64)
     np.cumsum(extents, out=starts[1:])
     # with no extent negative, a wrapped int64 sum shows as a decrease
@@ -201,8 +102,9 @@ def encode_blocks(
         raise CodecError(f"extents do not partition {flat.size} dense values")
     # a block of extent e holds at most e >> index_bits placeholders
     bound = np.count_nonzero(flat) + int((extents >> index_bits).sum())
-    values = np.zeros(bound, dtype=flat.dtype)
-    runs = np.full(bound, (1 << index_bits) - 1, dtype=_run_dtype(index_bits))
+    max_run = (1 << index_bits) - 1
+    values = np.zeros(bound, dtype=np.int32)
+    runs = np.full(bound, max_run, dtype=np.min_scalar_type(max_run))
     offsets = np.zeros(extents.size + 1, dtype=np.int64)
     for b0, b1 in _passes(starts):
         part, at = flat[starts[b0] : starts[b1]], offsets[b0]
@@ -220,7 +122,19 @@ def encode_blocks(
         # each placeholder stands for 2**index_bits - 1 zeros plus itself
         ends = at + np.cumsum((gap >> index_bits) + 1)
         values[ends - 1] = part[nz]
-        runs[ends - 1] = gap & ((1 << index_bits) - 1)
+        runs[ends - 1] = gap & max_run
         offsets[b0 + 1 : b1 + 1] = np.concatenate(([at], ends))[first[1:]]
-    n = offsets[-1]
-    return BlockSet(values[:n], runs[:n], offsets, extents, index_bits)
+    n = int(offsets[-1])
+    # no view of either buffer exists yet
+    values.resize(n, refcheck=False)
+    runs.resize(n, refcheck=False)
+    wide = extents.size and int(extents.max()) >= _WIDE
+    positions = np.empty(n, dtype=np.int64 if wide else np.int32)
+    for b0, b1 in _passes(offsets):
+        lo, hi = offsets[b0], offsets[b1]
+        # widened first: a uint8 run of 255 plus one wraps
+        ends = np.zeros(hi - lo + 1, dtype=np.int64)
+        np.cumsum(runs[lo:hi].astype(np.int64) + 1, out=ends[1:])
+        before = ends[offsets[b0:b1] - lo]
+        positions[lo:hi] = ends[1:] - 1 - np.repeat(before, np.diff(offsets[b0 : b1 + 1]))
+    return BlockSet(values, runs, positions, offsets, extents, index_bits)

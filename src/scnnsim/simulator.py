@@ -118,7 +118,7 @@ class WeightStream(Record):
 
 
 def compress_weights(
-    layer: LayerShape, gplan: GroupPlan, weights: DenseTensor, index_bits: int = 4
+    layer: LayerShape, gplan: GroupPlan, weights: DenseTensor, index_bits: int
 ) -> WeightStream:
     """Encode pruned weights for broadcast to the PEs, every output-channel
     group in one block set."""
@@ -140,9 +140,7 @@ def compress_weights(
     return WeightStream(layer, gplan, blocks)
 
 
-def distribute_activations(
-    plan: TilePlan, acts: DenseTensor, index_bits: int = 4
-) -> BlockSet:
+def distribute_activations(plan: TilePlan, acts: DenseTensor, index_bits: int) -> BlockSet:
     """Every PE's compressed tile in one block set: block pe * C + c holds
     PE pe's channel c, x-major then y within the tile (extent 0 on an idle
     PE)."""
@@ -408,11 +406,11 @@ def _activation_operand(plan: TilePlan, slots: _Slots, tiles: BlockSet) -> _Oper
 
 def _scatter(
     groups: tuple[range, ...], w: _Operand, a: _Operand, slots: _Slots
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Every phase-matched product of a batch of consecutive output-channel
     groups on every live PE: the float64 [k, EX, EY, slot] accumulators over
     the batch's filters, each an exact integer, and per group each slot's
-    products per bank and its products skipped by the stride.
+    products per bank.
 
     Per stride phase and convolution group, one GEMM contracts the input
     channels of the phase's taps (rows tap, k) with its activation grid
@@ -467,8 +465,7 @@ def _scatter(
         )
         for g in groups
     ]).astype(np.int64).reshape(len(groups), n_slots, -1)
-    skipped = w.stored @ a.stored.T - bank_totals.sum(axis=2)
-    return acc, bank_totals, skipped
+    return acc, bank_totals
 
 
 def _merge_group_plane(acc: np.ndarray, slots: _Slots) -> tuple[np.ndarray, int]:
@@ -633,15 +630,13 @@ def simulate_scnn_layer(
     # bank's products
     w_stored = np.zeros((n_groups, layer.C), dtype=np.int64)
     peak = np.zeros((n_pes, n_groups), dtype=np.int64)
-    stride_skipped = 0
     planes: list[np.ndarray] = []
     for batch in _batches(n_groups, slots):
         rows = slice(batch.start, batch.stop)
         w = _weight_operand(stream, batch)
-        acc, bank_totals, skipped = _scatter(gplan.groups[rows], w, a_op, slots)
+        acc, bank_totals = _scatter(gplan.groups[rows], w, a_op, slots)
         w_stored[rows] = w.stored
         peak[slots.pes, rows] = bank_totals.max(axis=2).T
-        stride_skipped += int(skipped.sum())
         ev.xbar_transfers += int(bank_totals.sum())
         plane, drained, _ = ppu_finalize(acc, slots, pool)
         planes.append(plane)
@@ -703,7 +698,7 @@ def simulate_scnn_layer(
         bank_conflict_stalls=int(stall.sum()),
         fifo_stalls=int(refill.sum()),
         drain_overhead_cycles=int(drain_overhead.sum()),
-        stride_skipped=stride_skipped,
+        stride_skipped=ev.mult_ops - ev.xbar_transfers,
         dram_tiled=dram_tiled,
         kc=gplan.kc,
         n_groups=n_groups,

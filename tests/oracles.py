@@ -179,11 +179,14 @@ def argsort_prune(values: np.ndarray, target_density: float) -> np.ndarray:
     return np.where(mask.reshape(values.shape), values, 0)
 
 
-def pass_encode_blocks(dense, extents, index_bits: int):
-    """`codec.encode_blocks` as it was first vectorized: per pass, a block id
-    for every dense value (`np.repeat`), and each non-zero's gap taken from
-    the previous non-zero when the neighbouring block ids agree."""
-    from scnnsim.codec import BlockSet, _passes
+def pass_encode_blocks(dense, extents, index_bits: int) -> dict:
+    """`codec.encode_blocks` as it was first vectorized, as a dict of its
+    columns in int64: per pass, a block id for every dense value
+    (`np.repeat`), and each non-zero's gap taken from the previous non-zero
+    when the neighbouring block ids agree. A non-zero's position is its
+    index in its block, and its j-th placeholder's is 2**index_bits * j past
+    the previous non-zero (or the block's start, at -1)."""
+    from scnnsim.codec import _passes
 
     flat = np.asarray(dense, dtype=np.int64).reshape(-1)
     extents = np.asarray(extents, dtype=np.int64).reshape(-1)
@@ -192,6 +195,7 @@ def pass_encode_blocks(dense, extents, index_bits: int):
     bound = np.count_nonzero(flat) + int((extents >> index_bits).sum())
     values = np.zeros(bound, dtype=np.int64)
     runs = np.full(bound, (1 << index_bits) - 1, dtype=np.int64)
+    positions = np.zeros(bound, dtype=np.int64)
     offsets = np.zeros(extents.size + 1, dtype=np.int64)
     for b0, b1 in _passes(starts):
         part, at = flat[starts[b0] : starts[b1]], offsets[b0]
@@ -202,13 +206,21 @@ def pass_encode_blocks(dense, extents, index_bits: int):
         prev[:1] = -1
         prev[1:] = np.where(blk[1:] == blk[:-1], local[:-1], -1)
         gap = local - prev - 1
-        ends = at + np.cumsum((gap >> index_bits) + 1)
+        held = gap >> index_bits
+        ends = at + np.cumsum(held + 1)
         values[ends - 1] = part[nz]
         runs[ends - 1] = gap & ((1 << index_bits) - 1)
+        positions[ends - 1] = local
+        j = np.arange(held.sum()) - np.repeat(np.cumsum(held) - held, held)
+        at_held = np.repeat(ends - 1 - held, held) + j
+        positions[at_held] = np.repeat(prev, held) + ((j + 1) << index_bits)
         block_ends = np.cumsum(np.bincount(blk, minlength=b1 - b0))
         offsets[b0 + 1 : b1 + 1] = np.concatenate(([at], ends))[block_ends]
     n = offsets[-1]
-    return BlockSet(values[:n], runs[:n], offsets, extents, index_bits)
+    return dict(
+        values=values[:n], run_lengths=runs[:n], positions=positions[:n],
+        offsets=offsets, extents=extents,
+    )
 
 
 def per_pe_tiles_encoded(plan, acts: np.ndarray, index_bits: int):

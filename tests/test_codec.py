@@ -7,13 +7,20 @@ from hypothesis import strategies as st
 
 from oracles import loop_rle_encode, naive_rle_decode, pass_encode_blocks
 from scnnsim import codec
-from scnnsim.codec import BlockSet, CodecError, encode_blocks
+from scnnsim.analytic import ArchConfig
+from scnnsim.codec import CodecError, encode_blocks
+from scnnsim.dataflow import ConfigurationError
 from scnnsim.tensors import ACCUM_MAX, ACCUM_MIN
+
+
+def encode_list(dense, extents, index_bits=4):
+    """`encode_blocks` of dense values given as a list."""
+    return encode_blocks(np.array(dense, dtype=np.int32), extents, index_bits)
 
 
 def encode(dense, index_bits=4):
     """One dense slice as a one-block set."""
-    return encode_blocks(dense, [len(dense)], index_bits)
+    return encode_list(dense, [len(dense)], index_bits)
 
 
 def decode(b):
@@ -66,23 +73,15 @@ class TestEncode:
 
 class TestDecode:
     def test_basic(self):
-        assert decode(BlockSet([1, 2], [0, 2], [0, 2], [4])) == [1, 0, 0, 2]
+        assert decode(encode([1, 0, 0, 2])) == [1, 0, 0, 2]
 
     def test_empty_block(self):
-        assert decode(BlockSet([], [], [0, 0], [3])) == [0, 0, 0]
+        assert decode(encode([0, 0, 0])) == [0, 0, 0]
 
     def test_entries_expose_coordinates(self):
         b = encode([0, 9, 0, 0, 4])
         assert b.values.tolist() == [9, 4]
         assert b.positions.tolist() == [1, 4]
-
-    def test_overlong_block_rejected(self):
-        with pytest.raises(CodecError):
-            BlockSet([1, 1], [3, 3], [0, 2], [4])
-
-    def test_run_length_over_width_rejected(self):
-        with pytest.raises(CodecError):
-            BlockSet([1], [16], [0, 1], [20], index_bits=4)
 
 
 class TestRoundTrip:
@@ -105,8 +104,8 @@ class TestRoundTrip:
         extents = rng.integers(1, 64, 10_000)
         dense = np.where(
             rng.random(extents.sum()) < 0.15, rng.integers(1, 100, extents.sum()), 0
-        )
-        b = encode_blocks(dense, extents)
+        ).astype(np.int32)
+        b = encode_blocks(dense, extents, 4)
         assert len(b) == extents.size
         assert decode(b) == dense.tolist()
 
@@ -149,7 +148,7 @@ class TestEncodeBlocks:
     @given(st.lists(dense_block(), max_size=8), st.integers(1, 4))
     @settings(max_examples=300, deadline=None)
     def test_equals_loop_reference(self, blocks, index_bits):
-        bs = encode_blocks(
+        bs = encode_list(
             [v for b in blocks for v in b], [len(b) for b in blocks], index_bits
         )
         refs = [loop_rle_encode(b, index_bits) for b in blocks]
@@ -174,9 +173,9 @@ class TestEncodeBlocks:
         # passes of a few values split the set at many block boundaries, and
         # blocks longer than a pass each take one of their own
         dense, extents = [v for b in blocks for v in b], [len(b) for b in blocks]
-        one = encode_blocks(dense, extents, index_bits)
+        one = encode_list(dense, extents, index_bits)
         with mock.patch.object(codec, "_PASS", pass_size):
-            many = encode_blocks(dense, extents, index_bits)
+            many = encode_list(dense, extents, index_bits)
         for name in ("values", "run_lengths", "offsets", "extents", "positions"):
             assert getattr(many, name).tolist() == getattr(one, name).tolist()
 
@@ -200,103 +199,58 @@ class TestEncodeBlocks:
         # at small pass sizes blocks longer than a pass
         dense, extents = [v for b in blocks for v in b], [len(b) for b in blocks]
         with mock.patch.object(codec, "_PASS", pass_size or codec._PASS):
-            got = encode_blocks(dense, extents, index_bits)
+            got = encode_list(dense, extents, index_bits)
             ref = pass_encode_blocks(dense, extents, index_bits)
         for name in ("values", "run_lengths", "offsets", "extents", "positions"):
-            assert getattr(got, name).tolist() == getattr(ref, name).tolist()
+            assert getattr(got, name).tolist() == ref[name].tolist()
 
     def test_equals_pass_encoder_on_empty_input(self):
         for extents in ([], [0], [0, 0, 0]):
-            got, ref = encode_blocks([], extents), pass_encode_blocks([], extents, 4)
-            assert got.offsets.tolist() == ref.offsets.tolist() == [0] * (len(extents) + 1)
-            assert got.values.size == ref.values.size == 0
+            got, ref = encode_list([], extents), pass_encode_blocks([], extents, 4)
+            assert got.offsets.tolist() == ref["offsets"].tolist() == [0] * (len(extents) + 1)
+            assert got.values.size == ref["values"].size == got.positions.size == 0
 
     def test_extents_must_cover_the_values(self):
         with pytest.raises(CodecError, match="partition"):
-            encode_blocks([1, 0, 2], [2])
+            encode_list([1, 0, 2], [2])
         with pytest.raises(CodecError, match="partition"):
-            encode_blocks([1, 0, 2], [4, -1])
+            encode_list([1, 0, 2], [4, -1])
+
+    def test_columns_are_exactly_sized(self):
+        # long zero runs make the worst-case bound, a placeholder for every
+        # 2**index_bits values, far exceed the entries stored
+        dense = np.zeros(10_000, dtype=np.int32)
+        dense[[5, 4_000, 9_999]] = [3, -2, 7]
+        b = encode_blocks(dense, [2_000] * 5, 4)
+        assert b.values.size < (dense.size >> 4)
+        for column in (b.values, b.run_lengths, b.positions):
+            assert column.base is None
+            assert column.size == b.offsets[-1]
+            assert column.nbytes == column.size * column.itemsize
 
 
 class TestBlockSetRejects:
-    """One case per condition the container checks."""
+    """What `encode_blocks` refuses, and the widths of what it builds."""
 
     @pytest.mark.parametrize("index_bits", [0, -1, 63])
     def test_index_bits_outside_range(self, index_bits):
-        with pytest.raises(CodecError, match="index_bits"):
-            BlockSet([], [], [0], [], index_bits=index_bits)
-        with pytest.raises(CodecError, match="index_bits"):
-            encode_blocks([1], [1], index_bits=index_bits)
-
-    def test_values_and_runs_differ_in_length(self):
-        with pytest.raises(CodecError, match="differ in length"):
-            BlockSet([1, 2], [0], [0, 2], [4])
-
-    def test_offsets_do_not_partition_the_stream(self):
-        cases = [
-            ([0, 1], [4]),              # last offset short of the stream
-            ([1, 2], [4]),              # first offset not 0
-            ([0, 2, 1, 2], [4, 4, 4]),  # decreasing
-            ([0, 2], [4, 4]),           # one offset too few for the extents
-        ]
-        for offsets, extents in cases:
-            with pytest.raises(CodecError, match="offsets"):
-                BlockSet([1, 2], [0, 0], offsets, extents)
-
-    @pytest.mark.parametrize("run", [-1, 16])
-    def test_run_outside_index_width(self, run):
-        with pytest.raises(CodecError, match="run length"):
-            BlockSet([5, 1], [0, run], [0, 1, 2], [20, 20], index_bits=4)
-
-    @pytest.mark.parametrize(
-        "value,message",
-        [
-            (ACCUM_MIN - 1, "24-bit accumulator range"),
-            (ACCUM_MAX + 1, "24-bit accumulator range"),
-            (1 << 70, "64-bit range"),
-        ],
-    )
-    def test_value_outside_accumulator_range(self, value, message):
-        with pytest.raises(CodecError, match=message):
-            BlockSet([1, value], [0, 0], [0, 1, 2], [1, 1])
-
-    def test_block_expands_past_its_extent(self):
-        # the stream fits the total extent 7; block 1 alone needs 3 of its 2
-        with pytest.raises(CodecError, match="logical extent 2"):
-            BlockSet([1, 1], [0, 2], [0, 1, 2], [5, 2])
-
-    def test_block_past_its_extent_in_a_later_pass(self):
-        # one block per pass: the third pass finds block 2 overflowing
-        with mock.patch.object(codec, "_PASS", 1):
-            with pytest.raises(CodecError, match="logical extent 2"):
-                BlockSet([1, 1, 1], [0, 4, 2], [0, 1, 2, 3], [5, 5, 2])
-
-    def test_run_sum_past_int64_does_not_wrap_into_the_extent(self):
-        # two runs of 2**62 - 1 sum to 2**63, which wraps negative in int64
-        runs = [(1 << 62) - 1] * 2
-        with pytest.raises(CodecError, match="logical extent 5"):
-            BlockSet([1, 1], runs, [0, 2], [5], index_bits=62)
-        # the third entry's position, 2**63 + 4, wraps negative
-        with pytest.raises(CodecError, match="logical extent"):
-            BlockSet(
-                [1] * 3, [(1 << 62) - 1, (1 << 62) - 2, 5], [0, 3], [(1 << 63) - 1],
-                index_bits=62,
-            )
-        # blocks that fit their extents stay valid when the stream total wraps
-        bs = BlockSet([1] * 4, runs * 2, [0, 1, 2, 3, 4], [1 << 62] * 4, index_bits=62)
-        assert bs.positions.tolist() == [(1 << 62) - 1] * 4
+        # the encoder takes its width unchecked from `ArchConfig`, which
+        # refuses any outside [1, 62]
+        with pytest.raises(ConfigurationError, match="index_bits"):
+            ArchConfig(index_bits=index_bits)
 
     def test_extents_summing_past_int64_do_not_wrap(self):
         with pytest.raises(CodecError, match="partition"):
-            encode_blocks([], [(1 << 63) - 1, (1 << 63) - 1, 2])
+            encode_list([], [(1 << 63) - 1, (1 << 63) - 1, 2])
 
     @pytest.mark.parametrize("value", [(1 << 32) + 1, -(1 << 32) + 7, 1 << 40])
     def test_values_past_int32_are_refused_not_wrapped(self, value):
-        # each wraps to a small int32; the 24-bit check must see it first
-        with pytest.raises(CodecError, match=f"value {value} outside 24-bit"):
-            BlockSet([1, value], [0, 0], [0, 1, 2], [1, 1])
-        with pytest.raises(CodecError, match=f"value {value} outside 24-bit"):
-            encode_blocks([0, value, 0], [3])
+        # each would wrap to a small int32: any dense dtype but int32 is refused
+        with pytest.raises(CodecError, match="int64, not int32"):
+            encode_blocks(np.array([0, value, 0]), [3], 4)
+        for dense in ([0, 1, 0], np.array([0, 1, 0], dtype=np.int16), np.zeros(3)):
+            with pytest.raises(CodecError, match="not int32"):
+                encode_blocks(dense, [3], 4)
 
     @pytest.mark.parametrize(
         "index_bits,runs",
@@ -306,29 +260,18 @@ class TestBlockSetRejects:
     def test_entries_are_held_at_their_stored_width(self, index_bits, runs):
         # an int32 value, the narrowest unsigned run that holds
         # 2**index_bits - 1 and an int32 position: 9 bytes an entry at 4 bits
-        for bs in (
-            BlockSet([ACCUM_MIN, ACCUM_MAX], [0, 1], [0, 1, 2], [1, 16], index_bits),
-            BlockSet([7], np.array([1], dtype=runs), [0, 1], [2], index_bits),
-            encode_blocks(np.array([0, 5, 0, -3], dtype=np.int32), [2, 2], index_bits),
-            encode_blocks([0, 5, 0, -3], [2, 2], index_bits),
-        ):
-            assert bs.values.dtype == np.int32
-            assert bs.run_lengths.dtype == runs
-            assert bs.positions.dtype == np.int32
-            assert bs.offsets.dtype == bs.extents.dtype == np.int64
+        bs = encode_list([0, 5, 0, -3], [2, 2], index_bits)
+        assert bs.values.dtype == np.int32
+        assert bs.run_lengths.dtype == runs
+        assert bs.positions.dtype == np.int32
+        assert bs.offsets.dtype == bs.extents.dtype == np.int64
         entry = (bs.values, bs.run_lengths, bs.positions)
         assert sum(column.itemsize for column in entry) == 8 + np.dtype(runs).itemsize
 
-    def test_runs_of_another_width_are_checked_then_narrowed(self):
-        # a uint8 run past the 4-bit width, and an int64 one that uint8 would wrap
-        for run in (np.array([16], dtype=np.uint8), np.array([256 + 3], dtype=np.int64)):
-            with pytest.raises(CodecError, match="run length"):
-                BlockSet([1], run, [0, 1], [300], index_bits=4)
-        bs = BlockSet([1], np.array([3], dtype=np.uint16), [0, 1], [4], index_bits=4)
-        assert bs.run_lengths.dtype == np.uint8 and bs.positions.tolist() == [3]
-
     def test_extremes_accepted(self):
-        bs = BlockSet([ACCUM_MIN, ACCUM_MAX], [0, 15], [0, 1, 2], [1, 16])
+        bs = encode_list([ACCUM_MIN] + [0] * 15 + [ACCUM_MAX], [1, 16])
+        assert bs.values.tolist() == [ACCUM_MIN, ACCUM_MAX]
+        assert bs.run_lengths.tolist() == [0, 15]
         assert bs.positions.tolist() == [0, 15]
 
 
@@ -361,21 +304,19 @@ class TestIndexWidths:
         placed = np.zeros(len(dense), dtype=np.int64)
         placed[b.positions] = b.values
         assert placed.tolist() == dense
-        # the longest run the width holds, and the entry just after it
-        top = (1 << index_bits) - 1
-        bs = BlockSet([3, 5], [top, 0], [0, 2], [top + 2], index_bits)
-        assert bs.run_lengths.dtype == runs
-        assert bs.positions.tolist() == [top, top + 1]
-        assert bs.positions.dtype == (np.int32 if top + 2 < 1 << 31 else np.int64)
 
     def test_an_extent_past_2_31_keeps_int64_positions(self):
-        # built from offsets and extents: no dense array of that size exists
-        big = 1 << 31
-        bs = BlockSet([4, 6, 8], [2, big - 1, 5], [0, 1, 3], [3, big + 6], index_bits=31)
-        assert bs.positions.dtype == np.int64
-        assert bs.positions.tolist() == [2, big - 1, big + 5]
-        below = BlockSet([6], [big - 2], [0, 1], [big - 1], index_bits=31)
-        assert below.positions.dtype == np.int32
-        assert below.positions.tolist() == [big - 2]
-        with pytest.raises(CodecError, match=f"logical extent {big}"):
-            BlockSet([6], [big], [0, 1], [big], index_bits=32)
+        # no dense array of 2**31 values is built: the threshold is lowered
+        # to 16, so an extent of 16 stores its positions as int64, and one
+        # of 15 keeps them int32
+        dense = [0, 0, 4, 0, 0, 0, 6] + [0] * 8 + [8]
+        with mock.patch.object(codec, "_WIDE", 16):
+            bs = encode_list(dense, [3, 13], index_bits=2)
+            wide = encode_list(dense, [16], index_bits=2)
+            below = encode_list(dense[:15], [15], index_bits=2)
+        assert bs.positions.dtype == below.positions.dtype == np.int32
+        assert bs.positions.tolist() == [2, 3, 7, 11, 12]
+        assert wide.positions.dtype == np.int64
+        assert wide.positions.tolist() == [2, 6, 10, 14, 15]
+        assert wide.values.tolist() == [4, 6, 0, 0, 8]
+        assert below.positions.tolist() == [2, 6]

@@ -9,7 +9,7 @@ import pytest
 
 from scnnsim import analytic, codec, dataflow, simulator, tensors, workloads
 from scnnsim.analytic import ArchConfig, EnergyModel, EventCounts
-from scnnsim.codec import BlockSet, CodecError
+from scnnsim.codec import encode_blocks
 from scnnsim.dataflow import ConfigurationError, LayerShape, ShapeError, partition_tiles
 from scnnsim.record import Record, fields, replace
 from scnnsim.workloads import REPORT_COLUMNS, ExperimentConfig, LayerSpec
@@ -18,7 +18,7 @@ from test_golden import GOLDEN
 SHAPE = LayerShape("c", 2, 4, 5, 5, 3, 3, pad=1)
 PLAN = partition_tiles(SHAPE, (2, 2))
 GPLAN = dataflow.choose_kc(SHAPE, ArchConfig())
-BLOCKS = BlockSet([3, 0, 5], [1, 15, 2], [0, 2, 3], [20, 4])
+BLOCKS = encode_blocks(np.array([0, 3] + [0] * 20 + [5, 0], dtype=np.int32), [20, 4], 4)
 DENSE = tensors.DenseTensor(np.arange(8).reshape(2, 2, 2))
 SPEC = LayerSpec(SHAPE, 0.5, 0.6, 0.7)
 SLOTS = simulator._slots(PLAN, 2, 32, "mod")
@@ -154,8 +154,7 @@ def test_unknown_repeated_and_missing_fields_are_type_errors(cls):
 
 # the records whose checks refuse a bare object() as their last field
 CHECKS_LAST = {
-    analytic.EnergyModel, analytic.ArchConfig, dataflow.LayerShape, codec.BlockSet,
-    tensors.DenseTensor,
+    analytic.EnergyModel, analytic.ArchConfig, dataflow.LayerShape, tensors.DenseTensor,
 }
 
 
@@ -182,7 +181,7 @@ def test_replace_changes_only_the_named_field(cls):
         (SHAPE, {"groups": 3}, ShapeError),
         (ExperimentConfig(), {"seed": -1}, ConfigurationError),
         (ExperimentConfig(), {"densities": ()}, ConfigurationError),
-        (BLOCKS, {"extents": [1, 4]}, CodecError),
+        (ArchConfig(), {"index_bits": 0}, ConfigurationError),
         (DENSE, {"values": np.array([[[1 << 40]]])}, tensors.FixedPointOverflow),
     ],
     ids=lambda v: type(v).__name__ if isinstance(v, Record) else None,
@@ -207,15 +206,6 @@ def test_construction_warnings_name_the_constructors_caller():
     with pytest.warns(UserWarning, match="accumulator banks") as caught:
         ArchConfig(accum_banks=8)
     assert [w.filename for w in caught] == [__file__]
-
-
-def test_replace_rederives_block_positions():
-    assert "positions" not in fields(BlockSet)
-    with pytest.raises(TypeError):
-        BlockSet([1], [0], [0, 1], [1], positions=np.zeros(1))
-    moved = replace(BLOCKS, run_lengths=[0, 15, 3])
-    assert BLOCKS.positions.tolist() == [1, 17, 2]
-    assert moved.positions.tolist() == [0, 16, 3]
 
 
 def test_report_columns_are_the_row_fields_in_order():

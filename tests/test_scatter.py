@@ -9,9 +9,9 @@ output-channel groups over every live PE at once into a uniform float64
 with a float64 GEMM of the values and a float32 GEMM of the stored-entry
 masks, in bands of the GEMM output, then adds each tap's rows into the
 accumulators as a shifted slice. Every PE's view of each group's result,
-its bank totals and its skipped count must reproduce the reference exactly,
-however the groups are batched, and the PPU merges those float64
-accumulators where they lie.
+its bank totals and its skipped count, the products formed less those
+landed, must reproduce the reference exactly, however the groups are
+batched, and the PPU merges those float64 accumulators where they lie.
 """
 
 import tracemalloc
@@ -100,7 +100,8 @@ def loop_scatter(arch, layer, stream, tiles, gi, pe):
 
 def group_scatters(arch, layer, stream, tiles):
     """(pe, gi, acc, bank_totals, skipped) of every live PE in every group,
-    from one scatter per batch of groups (`_batches`). The cells of a slot
+    from one scatter per batch of groups (`_batches`), skipped being the
+    stored pairs formed less the products landed. The cells of a slot
     outside its PE's [kc, ex, ey] view of a group must stay empty."""
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
     groups = stream.gplan.groups
@@ -120,7 +121,8 @@ def group_scatters(arch, layer, stream, tiles):
         k0, k1 = groups[batch.start].start, groups[batch.stop - 1].stop
         kw = max(min(k1, (g + 1) * kpg) - max(k0, g * kpg) for g in range(layer.groups))
         assert w.vals is None or w.vals.shape == (layer.C, layer.R, layer.S, kw)
-        acc, bank_totals, skipped = _scatter(groups[batch.start : batch.stop], w, acts, slots)
+        acc, bank_totals = _scatter(groups[batch.start : batch.stop], w, acts, slots)
+        formed = w.stored @ acts.stored.T
         # exact integers in the [k, EX, EY, slot] float64 layout the PPU merges
         assert acc.dtype == np.float64 and acc.flags.c_contiguous
         assert acc.shape == (k1 - k0, *slots.bank.shape[1:])
@@ -131,7 +133,8 @@ def group_scatters(arch, layer, stream, tiles):
                 kc, (ex, ey) = len(groups[gi]), slots.extent[i]
                 view = acc[k0 : k0 + kc, :ex, :ey, i]
                 assert np.abs(acc[k0 : k0 + kc, :, :, i]).sum() == np.abs(view).sum()
-                yield pe, gi, view.astype(np.int64), bank_totals[j, i], int(skipped[j, i])
+                skipped = int(formed[j, i] - bank_totals[j, i].sum())
+                yield pe, gi, view.astype(np.int64), bank_totals[j, i], skipped
 
 
 def assert_matches_loop_reference(arch, layer, stream, tiles):
@@ -259,8 +262,15 @@ def test_weight_cells_past_2_31_are_int64():
     kc, rs = 1 << 20, 32 * 32
     layer = LayerShape("wide", C=1, K=4 * kc, W=32, H=32, R=32, S=32)
     gplan = GroupPlan(kc, tuple(range(g * kc, (g + 1) * kc) for g in range(4)), kc)
-    blocks = BlockSet([5, 7], [0, kc * rs - 1], [0, 1, 1, 1, 2], [kc * rs] * 4, index_bits=30)
-    assert blocks.positions.dtype == np.int32
+    # built as `encode_blocks` would hold it, without the 2**32 dense values
+    blocks = BlockSet(
+        values=np.array([5, 7], dtype=np.int32),
+        run_lengths=np.array([0, kc * rs - 1], dtype=np.uint32),
+        positions=np.array([0, kc * rs - 1], dtype=np.int32),
+        offsets=np.array([0, 1, 1, 1, 2]),
+        extents=np.full(4, kc * rs),
+        index_bits=30,
+    )
     at, shape = _weight_cells(WeightStream(layer, gplan, blocks), range(4))
     assert shape == (1, 32, 32, 4 * kc)
     assert at.dtype == np.int64
@@ -363,18 +373,19 @@ def test_float64_exactness_bound(cpg, groups, rejected):
     # empty operands build no [C, R, S, kw] weight operand: with its float32
     # mask it alone would take 12 bytes per (tap, channel)
     gplan = choose_kc(layer, arch)
-    stream = WeightStream(layer, gplan, encode_blocks([], [0] * layer.C * gplan.n_groups))
-    tiles = encode_blocks(np.zeros(layer.C), [1] * layer.C)
+    empty = np.zeros(0, dtype=np.int32)
+    stream = WeightStream(layer, gplan, encode_blocks(empty, [0] * layer.C * gplan.n_groups, 4))
+    tiles = encode_blocks(np.zeros(layer.C, dtype=np.int32), [1] * layer.C, 4)
     plan = partition_tiles(layer, (1, 1))
     slots = _slots(plan, gplan.kc, arch.accum_banks, arch.bank_map)
     tracemalloc.start()
     try:
         acts = _activation_operand(plan, slots, tiles)
         w = _weight_operand(stream, range(gplan.n_groups))
-        acc, bank_totals, skipped = _scatter(gplan.groups, w, acts, slots)
+        acc, bank_totals = _scatter(gplan.groups, w, acts, slots)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert w.vals is None
-    assert not acc.any() and not bank_totals.any() and not skipped.any()
+    assert not acc.any() and not bank_totals.any()
     assert peak < layer.R * layer.S * layer.C * 12

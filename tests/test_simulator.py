@@ -365,7 +365,7 @@ class TestLayerEncodes:
         a = gen_synthetic(layer.input_shape(), 0.5, seed=2, signed=False)
         error = r"weights \(2, 2, 3, 1\) do not match layer \(2, 2, 1, 3\)"
         with pytest.raises(ConfigurationError, match=error):
-            compress_weights(layer, choose_kc(layer, arch), w)
+            compress_weights(layer, choose_kc(layer, arch), w, arch.index_bits)
         with pytest.raises(ConfigurationError, match=error):
             simulate_scnn_layer(arch, layer, w, a, 0)
 
