@@ -106,7 +106,10 @@ class EnergyModel(Record):
 
     def __post_init__(self) -> None:
         for name in fields(EnergyModel):
-            if not getattr(self, name) >= 0:  # NaN fails too
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ConfigurationError(f"energy coefficient {name} must be Real, got {value!r}")
+            if not value >= 0:  # NaN fails too
                 raise ConfigurationError(f"energy coefficient {name} must be >= 0")
         on_chip_bit = max(self.sram_bit, self.fifo_bit)
         if self.dram_bit <= on_chip_bit:

@@ -52,11 +52,11 @@ addition. Products of 16-bit operands are integers below
 2**30, so every partial sum of a cell is an integer below
 channels_per_group * R * S * 2**30, which `simulate_scnn_layer` keeps below
 2**53; every count is an integer below 2**23, which float32 holds. The PPU
-sums the slots into the output plane through a merge map `_Slots` builds
-once per layer over the accumulators' own order, batch by batch. Every
-product of an output lands in exactly one PE's cell, so a merged sum is a
-sum of distinct products of that output and as exact as a cell. The cycle
-model then works on every group at once from the per-group counts.
+adds each batch's slots into the output plane one axis at a time: columns
+overlap-add into a band, then rows into the plane. Every product of an
+output lands in exactly one PE's cell, so a merged sum is a sum of distinct
+products of that output and as exact as a cell. The cycle model then works
+on every group at once from the per-group counts.
 
 Functional equivalence is the master contract: the decoded, halo-merged,
 ReLU'd (and optionally pooled) outputs equal the exact reference convolution
@@ -199,23 +199,26 @@ _BAND = 1 << 18
 # worth its cache misses.
 _BATCH = 1 << 23
 
+# Accumulator cells the PPU merges in one pass, whose band then stays in cache.
+_MERGE = 1 << 16
+
 
 class _Slots(Record):
     """A layer's uniform accumulator layout [kc, EX, EY, slot], the memory
-    order the scatter fills: slot i is live PE pes[i], kc the largest group
-    and (EX, EY) the largest extents (a slot fits the capacity `choose_kc`
-    sized); the PE's own accumulator is [:kc, :ex, :ey, i]. `bank` holds
-    every cell's i * n_banks + bank, the bank taken from the PE's own
-    address (k * ex + x) * ey + y.
+    order the scatter fills: kc is the largest group and (EX, EY) the
+    largest extents (a slot fits the capacity `choose_kc` sized). The live
+    PEs are the first nr row parts times the first nc column parts, as
+    `plane_partition` leaves only trailing parts empty: slot i = r * nc + c
+    is PE r * pe_cols + c, so the layout is also [kc, EX, EY, nr, nc], and
+    the PE's own accumulator is [:kc, :ex, :ey, i]. `bank` holds every
+    cell's i * n_banks + bank, the bank taken from the PE's own address
+    (k * ex + x) * ey + y.
 
     Per PE: its input tile (`_rects`) and `origin`, its slot (-1 when
     idle) and the output coordinate (xb, yb) of its accumulator cell
-    (0, 0). The merge map, over the cells of [EX, EY, slot] and the plane
-    coordinates x * Ho + y: `src` holds the first cell that lands on each
-    coordinate (0 where none does, the coordinates in `bare`), and each
-    pair (cells, dest) of `adds` adds one more cell to each of a set of
-    distinct coordinates. `halo` holds the in-plane cells outside their
-    PE's owned rectangle."""
+    (0, 0). Per live column in `x` and live row in `y`: (lo, hi, base), its
+    cells [lo, hi) being those in the plane, on outputs base + lo onward.
+    `halo` holds the in-plane cells outside their PE's owned rectangle."""
 
     plan: TilePlan
     pes: list[int]
@@ -224,9 +227,8 @@ class _Slots(Record):
     n_banks: int
     tile: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     origin: np.ndarray    # (n_pes, 3): slot, xb, yb
-    src: np.ndarray
-    bare: np.ndarray
-    adds: tuple[tuple[np.ndarray, np.ndarray], ...]
+    x: list[tuple[int, int, int]]
+    y: list[tuple[int, int, int]]
     halo: np.ndarray
 
 
@@ -235,6 +237,16 @@ def _per_pe(rows: int, cols: int, per_col, per_row) -> np.ndarray:
     xs, ys = np.asarray(per_col, dtype=np.int64), np.asarray(per_row, dtype=np.int64)
     xs = np.tile(xs, (rows,) + (1,) * (xs.ndim - 1))
     return np.stack([xs, np.repeat(ys, cols, axis=0)], axis=1)
+
+
+def _windows(ax, out: int, size: int):
+    """Each live part's (lo, hi, base) along one axis (`_Slots`), and [size,
+    parts] masks of its cells in the plane and of those on its own outputs."""
+    parts = [(p, ax.acc_base(p)) for p, width in enumerate(ax.widths) if width]
+    windows = [(max(0, -b), min(ax.acc_extent(p), out - b), b) for p, b in parts]
+    (lo, hi, base), (o_lo, o_hi) = np.array(windows).T, np.array(ax.out_ranges[: len(parts)]).T
+    e = np.arange(size)[:, None]
+    return windows, (e >= lo) & (e < hi), (e + base >= o_lo) & (e + base < o_hi)
 
 
 def _slots(plan: TilePlan, kc: int, banks: int, bank_map: str) -> _Slots:
@@ -254,30 +266,12 @@ def _slots(plan: TilePlan, kc: int, banks: int, bank_map: str) -> _Slots:
     ex, ey = ex[pes], ey[pes]
     bank = _bank_ids((k * ex + x) * ey + y, banks, bank_map) + np.arange(pes.size) * banks
     origin = np.stack([np.where(live, np.cumsum(live) - 1, -1), xb, yb], axis=1)
-    # the merge map, from every slot cell's global output coordinate
-    gx, gy = x[0] + xb[pes], y[0] + yb[pes]
-    inside = (x[0] < ex) & (y[0] < ey)
-    inside &= (gx >= 0) & (gx < layer.Wo) & (gy >= 0) & (gy < layer.Ho)
-    ranges = _per_pe(rows, cols, ax.out_ranges, ay.out_ranges)[pes]
-    (oxl, oxh), (oyl, oyh) = ranges.transpose(1, 2, 0)
-    owned = (gx >= oxl) & (gx < oxh) & (gy >= oyl) & (gy < oyh)
-    cells = np.flatnonzero(inside)
-    dest = (gx * layer.Ho + gy).reshape(-1)[cells]
-    order = np.argsort(dest, kind="stable")
-    cells, dest = cells[order], dest[order]
-    # each cell's rank among the cells landing on its coordinate
-    rank = np.arange(dest.size) - np.searchsorted(dest, dest)
-    src = np.zeros(layer.Wo * layer.Ho, dtype=np.int64)
-    src[dest[rank == 0]] = cells[rank == 0]
-    bare = np.ones(src.size, dtype=bool)
-    bare[dest] = False
-    adds = tuple(
-        (cells[rank == r], dest[rank == r]) for r in range(1, rank.max(initial=0) + 1)
-    )
-    return _Slots(
-        plan, pes.tolist(), extent, bank, banks, tile, origin,
-        src, np.flatnonzero(bare), adds, np.flatnonzero(inside & ~owned),
-    )
+    # halo cells are in the plane along both axes, but not owned along both
+    xs, in_x, own_x = _windows(ax, layer.Wo, bank.shape[1])
+    ys, in_y, own_y = _windows(ay, layer.Ho, bank.shape[2])
+    inside, owned = in_x[:, None, None] & in_y[:, :, None], own_x[:, None, None] & own_y[:, :, None]
+    halo = np.flatnonzero(inside & ~owned)
+    return _Slots(plan, pes.tolist(), extent, bank, banks, tile, origin, xs, ys, halo)
 
 
 class _Operand(Record):
@@ -469,24 +463,24 @@ def _scatter(
 
 
 def _merge_group_plane(acc: np.ndarray, slots: _Slots) -> tuple[np.ndarray, int]:
-    """Sum every slot's accumulator cells at their global coordinates, through
-    the layer's merge map, in the accumulators' own [k, EX, EY, slot] order
-    and dtype.
+    """Sum every slot's accumulator cells at their global coordinates, one
+    axis at a time, in the accumulators' dtype and about _MERGE cells at a
+    time: each live column adds its in-plane cells into a band [k, Wo, EY,
+    nr], then each live row its in-plane cells of the band into [k, Wo, Ho].
 
     Cells whose output coordinate falls outside the plane are dropped; the
     non-zero cells outside a PE's owned rectangle are the halo traffic."""
-    layer = slots.plan.layer
-    kc = acc.shape[0]
-    flat = acc.reshape(kc, -1)
-    if flat.size:
-        full = flat[:, slots.src]
-        full[:, slots.bare] = 0
-    else:
-        full = np.zeros((kc, layer.Wo * layer.Ho), dtype=acc.dtype)
-    for cells, dest in slots.adds:
-        full[:, dest] += flat[:, cells]
-    halo_values = int(np.count_nonzero(flat[:, slots.halo]))
-    return full.reshape(kc, layer.Wo, layer.Ho), halo_values
+    layer, kc = slots.plan.layer, len(acc)
+    cells = acc.reshape(*acc.shape[:3], len(slots.y), len(slots.x))
+    full = np.zeros((kc, layer.Wo, layer.Ho), dtype=acc.dtype)
+    step = max(1, _MERGE // max(1, acc[0].size))
+    for k in range(0, kc, step):
+        band = np.zeros((min(step, kc - k), layer.Wo, *cells.shape[2:4]), dtype=acc.dtype)
+        for c, (lo, hi, base) in enumerate(slots.x):
+            band[:, base + lo : base + hi] += cells[k : k + step, lo:hi, :, :, c]
+        for r, (lo, hi, base) in enumerate(slots.y):
+            full[k : k + step, :, base + lo : base + hi] += band[:, :, lo:hi, r]
+    return full, int(np.count_nonzero(acc.reshape(kc, -1)[:, slots.halo]))
 
 
 def max_pool(plane: np.ndarray, pool: PoolSpec) -> np.ndarray:

@@ -33,6 +33,11 @@ CASES = {
     "inception_mini_grids_sim.csv": [
         "sweep-pe", "--network", "inception_mini", "--grids", "2x2,8x8"
     ],
+    # non-square grids: more column parts than row parts and the reverse,
+    # so the accumulators' rows and columns are merged unequally
+    "inception_mini_grids_nonsquare_sim.csv": [
+        "sweep-pe", "--network", "inception_mini", "--grids", "2x8,8x2"
+    ],
     # strides 2 and 4, grouped layers, pooling and placeholder runs
     "strided_chain_run_sim.csv": [
         "run", "--network", str(GOLDEN / "strided_chain.yaml"), "--engine", "sim"

@@ -221,19 +221,26 @@ def test_batched_scatter_equals_loop_reference(case, per):
 
 
 @settings(max_examples=150, deadline=None)
-@given(scatter_cases(), st.integers(0, 2**32 - 1))
-def test_merge_equals_loop_reference(case, seed):
-    # the layer's merge map against a per-PE int64 sum, on the scatter's own
+@given(scatter_cases(), st.integers(0, 2**32 - 1), st.sampled_from([1, simulator._MERGE]))
+def test_merge_equals_loop_reference(case, seed, budget):
+    # the per-axis merge against a per-PE int64 sum, on the scatter's own
     # float64 accumulators and on random ones filling every slot's extent,
-    # large enough that a sum rounded anywhere would differ; at most 2**5
-    # cells land on one coordinate, so every partial sum stays below 2**53
+    # large enough that a sum rounded anywhere would differ; the most column
+    # windows over one x times the most row windows over one y stays below
+    # 2**5, so fewer than 2**5 cells land on one coordinate and every
+    # partial sum stays below 2**53. A budget of one cell merges the
+    # channels one at a time.
     arch, layer, w, a = case
     stream, tiles = prepare_scnn_inputs(arch, layer, w, a)
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
     groups = stream.gplan.groups
     slots = _slots(plan, max(map(len, groups)), arch.accum_banks, arch.bank_map)
     acts = _activation_operand(plan, slots, tiles)
-    assert len(slots.adds) < 1 << 5
+
+    def most_windows(windows, out):
+        return max(sum(base + lo <= o < base + hi for lo, hi, base in windows) for o in range(out))
+
+    assert most_windows(slots.x, layer.Wo) * most_windows(slots.y, layer.Ho) < 1 << 5
     rng = np.random.default_rng(seed)
     for batch in _batches(len(groups), slots):
         batch_groups = groups[batch.start : batch.stop]
@@ -246,7 +253,8 @@ def test_merge_equals_loop_reference(case, seed):
             views = [None] * plan.n_pes
             for i, (pe, (ex, ey)) in enumerate(zip(slots.pes, slots.extent.tolist())):
                 views[pe] = acc[:, :ex, :ey, i].astype(np.int64)
-            plane, halo = _merge_group_plane(acc, slots)
+            with mock.patch.object(simulator, "_MERGE", budget):
+                plane, halo = _merge_group_plane(acc, slots)
             ref_plane, ref_halo = loop_merge_group_plane(views, plan, kc)
             assert plane.dtype == np.float64
             assert np.array_equal(plane.astype(np.int64), ref_plane)
