@@ -109,8 +109,8 @@ class EnergyModel(Record):
             value = getattr(self, name)
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise ConfigurationError(f"energy coefficient {name} must be Real, got {value!r}")
-            if not value >= 0:  # NaN fails too
-                raise ConfigurationError(f"energy coefficient {name} must be >= 0")
+            if not 0 <= value < math.inf:  # NaN fails too
+                raise ConfigurationError(f"energy coefficient {name} must be >= 0 and finite")
         on_chip_bit = max(self.sram_bit, self.fifo_bit)
         if self.dram_bit <= on_chip_bit:
             raise ConfigurationError("DRAM energy per bit must exceed on-chip access")
@@ -500,8 +500,7 @@ def count_events(
         mult_ops=formed, useful_mults=useful_products(layer, wd, ad), energized_mults=formed,
         mult_slots=round(total_batches * F * I), pe_cycles=math.ceil(sum(cycles)),
         acc_updates=formed, xbar_transfers=formed,
-        # each PE drains its accumulator window once per output channel
-        acc_drains=layer.K * sum(n * ex * ey for n, _, _, ex, ey, _ in classes),
+        acc_drains=layer.K * plan.acc_cells(),
         act_ram_bits=sum(
             n * layer.C * round(ad * wt * ht) * CODED_VALUE_BITS * gplan.n_groups
             for n, wt, ht, *_ in classes
@@ -546,14 +545,14 @@ def dense_baseline(
     tile_cells = sum(n * wt * ht for n, wt, ht, *_ in classes)
     act_vectors = sum(n * -(-wt * ht // arch.acts_per_fetch) for n, wt, ht, *_ in classes)
     n_groups = choose_kc(layer, arch).n_groups
-    drains = layer.K * sum(n * ex * ey for n, _, _, ex, ey, _ in classes)
 
     def row(energized: int, in_bits: int, out_bits: int) -> EventCounts:
         act_dram, tiling = activation_dram_bits(in_bits, out_bits, input_from_dram, tiled)
         return EventCounts(
             mult_ops=mult_ops, useful_mults=useful, energized_mults=energized,
             mult_slots=sum(pe_busy) * arch.mults_per_pe, pe_cycles=max(pe_busy),
-            acc_updates=-(-mult_ops // arch.mults_per_pe), acc_drains=drains,
+            acc_updates=-(-mult_ops // arch.mults_per_pe),
+            acc_drains=layer.K * plan.acc_cells(),
             act_ram_bits=(layer.C * tile_cells * n_groups + out_values) * val_bits,
             weight_buf_bits=act_vectors * w_values * val_bits,
             dram_bits=w_values * val_bits + act_dram, tiling_dram_bits=tiling,

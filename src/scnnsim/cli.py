@@ -100,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep-pe", help="trade PE count against PE width")
     _add_common(sp, network_help)
     sp.add_argument("--grids", default="2x2,4x4,8x8")
-    sp.add_argument("--total-mults", type=int, default=1024)
 
     val = sub.add_parser("validate", help="oracle-only functional check")
     _add_common(val, network_help)
@@ -149,13 +148,11 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "sweep-pe":
             grids = _parse_grids(args.grids)
-            rows = pe_granularity_sweep(
-                net, cfg.arch, grids, seed=seed, total_mults=args.total_mults
-            )
+            rows = pe_granularity_sweep(net, cfg.arch, grids, seed=seed)
             path = emit_report(rows, args.format, out_dir / f"{net.name}_grids.{args.format}")
             for (pe_rows, pe_cols), row in zip(grids, rows):
                 print(
-                    f"  {row.grid} PEs ({args.total_mults // (pe_rows * pe_cols)}/PE): "
+                    f"  {row.grid} PEs ({cfg.arch.total_mults // (pe_rows * pe_cols)}/PE): "
                     f"{row.cycles} cycles, util {row.mult_utilization:.3f}, "
                     f"barrier {row.barrier_stall_fraction:.3f}"
                 )

@@ -73,7 +73,6 @@ class BlockSet(Record, eq=False):
     positions: np.ndarray
     offsets: np.ndarray
     extents: np.ndarray
-    index_bits: int
 
     def __len__(self) -> int:
         return self.extents.size
@@ -137,4 +136,4 @@ def encode_blocks(
         np.cumsum(runs[lo:hi].astype(np.int64) + 1, out=ends[1:])
         before = ends[offsets[b0:b1] - lo]
         positions[lo:hi] = ends[1:] - 1 - np.repeat(before, np.diff(offsets[b0 : b1 + 1]))
-    return BlockSet(values, runs, positions, offsets, extents, index_bits)
+    return BlockSet(values, runs, positions, offsets, extents)

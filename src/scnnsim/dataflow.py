@@ -181,6 +181,15 @@ class TilePlan(Record):
         """Largest per-group spatial accumulator window over the PEs, in cells."""
         return max(e for _, e, _ in self.x.classes) * max(e for _, e, _ in self.y.classes)
 
+    def acc_cells(self) -> int:
+        """Accumulator cells over the PEs that hold inputs, the sum of ex * ey:
+        each drains its window once per output channel. The sum of products
+        over a column class times a row class is the product of the axes'
+        sums."""
+        return sum(n * e for (_, e, _), n in self.x.classes.items()) * sum(
+            n * e for (_, e, _), n in self.y.classes.items()
+        )
+
 
 def partition_tiles(layer: LayerShape, pe_grid: tuple[int, int]) -> TilePlan:
     """Split the input plane into per-PE tiles (columns cut W, rows cut H).
@@ -214,7 +223,6 @@ class GroupPlan(Record):
 
     kc: int
     groups: tuple[range, ...]
-    capacity_entries: int
     double_buffered: bool = True
 
     @property
@@ -247,7 +255,7 @@ def _group_plan(
     capacity = physical // 2 if double_buffered else physical
     if cells == 0:
         # every output sees only padding: no product lands anywhere
-        return GroupPlan(layer.K, (range(layer.K),), capacity, double_buffered)
+        return GroupPlan(layer.K, (range(layer.K),), double_buffered)
     kc = min(layer.K, capacity // cells)
     if kc < 1 and double_buffered and physical // cells >= 1:
         double_buffered = False
@@ -261,4 +269,4 @@ def _group_plan(
     groups = tuple(
         range(k0, min(k0 + kc, layer.K)) for k0 in range(0, layer.K, kc)
     )
-    return GroupPlan(kc, groups, capacity, double_buffered)
+    return GroupPlan(kc, groups, double_buffered)

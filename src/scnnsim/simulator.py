@@ -35,20 +35,24 @@ The hardware works through a layer one output-channel group at a time; the
 host scatters batches of consecutive groups (`_batches`, sized by the
 _BATCH byte budget), each over every live PE at once, as the weights are
 broadcast to all of them, into accumulators laid out uniformly as
-[k, EX, EY, slot] (`_Slots`). Each group keeps its own cells, so its bank
-totals, stalls and skipped products are those of a pass of its own. A
-product lands only when the stride phases of its tap (r % stride) and its
-activation ((x + pad) % stride) agree in both axes, so products a stride
-skips are counted, never formed. Activations are read once per layer into
-one dense grid per phase (`_activation_operand`), and each batch's weights
-into a dense [C, R, S, kw] array over each channel's own convolution group
-(`_weight_cells`). All products of one (filter, tap, activation position)
-land in one cell, whose sum and count are all that is read, so per phase
-and convolution group the scatter contracts the input channels first: one
-float64 GEMM of the values and one float32 GEMM of the 0/1 masks of stored
-entries (placeholders included), whose tap rows then add into the
-accumulators as shifted slices (`_scatter`). Both are exact in any order of
-addition. Products of 16-bit operands are integers below
+[k, EX, EY, slot] (`_Slots`). A PE's tile, accumulator window and owned
+outputs are its column's along x times its row's along y, so the layout,
+the activation grids and the merge read the PE grid only through the plan's
+two axes (`TilePlan.x`, `TilePlan.y`), and the drains every engine counts
+are the plan's (`TilePlan.acc_cells`). Each group keeps its own cells, so
+its bank totals, stalls and skipped products are those of a pass of its
+own. A product lands only when the stride phases of its tap (r % stride)
+and its activation ((x + pad) % stride) agree in both axes, so products a
+stride skips are counted, never formed. Activations are read once per layer
+into one dense grid per phase (`_activation_operand`), and each batch's
+weights into a dense [C, R, S, kw] array over each channel's own
+convolution group (`_weight_cells`). All products of one (filter, tap,
+activation position) land in one cell, whose sum and count are all that is
+read, so per phase and convolution group the scatter contracts the input
+channels first: one float64 GEMM of the values and one float32 GEMM of the
+0/1 masks of stored entries (placeholders included), whose tap rows then
+add into the accumulators as shifted slices (`_scatter`). Both are exact in
+any order of addition. Products of 16-bit operands are integers below
 2**30, so every partial sum of a cell is an integer below
 channels_per_group * R * S * 2**30, which `simulate_scnn_layer` keeps below
 2**53; every count is an integer below 2**23, which float32 holds. The PPU
@@ -151,21 +155,22 @@ def distribute_activations(plan: TilePlan, acts: DenseTensor, index_bits: int) -
         )
     if acts.size and int(acts.values.min()) < 0:
         raise ConfigurationError("input activations must be non-negative (post ReLU)")
-    x0, wt, y0, ht = _rects(plan.layer.W, plan.layer.H, plan.pe_rows, plan.pe_cols)
-    dense = _pe_major(acts.values, x0, wt, y0, ht)
-    return codec.encode_blocks(dense, np.repeat(wt * ht, plan.layer.C), index_bits)
+    return _encode_pe_major(acts.values, plan.pe_rows, plan.pe_cols, index_bits)
 
 
-def _pe_major(planes: np.ndarray, x0, wt, y0, ht) -> np.ndarray:
-    """planes[:, x0:x0 + wt, y0:y0 + ht] of every PE, flattened in PE order
-    in the planes' own dtype (int32 for the operands and outputs); the
-    rectangles partition the plane, so each value is copied once."""
+def _encode_pe_major(planes: np.ndarray, pe_rows: int, pe_cols: int, index_bits: int) -> BlockSet:
+    """Every PE's rectangle (`_rects`) of the [k, W, H] planes in one block
+    set, block pe * k + c its channel c x-major then y, from a PE-major
+    stream in the planes' own dtype (int32 for the operands and outputs)
+    that copies each value once, as the rectangles partition the plane."""
     k, at = planes.shape[0], 0
+    rects = _rects(planes.shape[1], planes.shape[2], pe_rows, pe_cols)
     dense = np.empty(planes.size, dtype=planes.dtype)
-    for x, dx, y, dy in zip(x0.tolist(), wt.tolist(), y0.tolist(), ht.tolist()):
+    for x, dx, y, dy in rects:
         dense[at : at + k * dx * dy].reshape(k, dx, dy)[...] = planes[:, x : x + dx, y : y + dy]
         at += k * dx * dy
-    return dense
+    extents = np.repeat([dx * dy for _, dx, _, dy in rects], k)
+    return codec.encode_blocks(dense, extents, index_bits)
 
 
 def prepare_scnn_inputs(
@@ -209,69 +214,50 @@ class _Slots(Record):
     largest extents (a slot fits the capacity `choose_kc` sized). The live
     PEs are the first nr row parts times the first nc column parts, as
     `plane_partition` leaves only trailing parts empty: slot i = r * nc + c
-    is PE r * pe_cols + c, so the layout is also [kc, EX, EY, nr, nc], and
-    the PE's own accumulator is [:kc, :ex, :ey, i]. `bank` holds every
-    cell's i * n_banks + bank, the bank taken from the PE's own address
-    (k * ex + x) * ey + y.
+    is PE r * pe_cols + c, so the layout is also [kc, EX, EY, nr, nc]. The
+    grid is held per axis only: the PE's own accumulator is [:kc, :ex, :ey,
+    i], ex being its column's `acc_extent` and ey its row's. `bank` holds
+    every cell's i * n_banks + bank, the bank taken from the PE's own
+    address (k * ex + x) * ey + y.
 
-    Per PE: its input tile (`_rects`) and `origin`, its slot (-1 when
-    idle) and the output coordinate (xb, yb) of its accumulator cell
-    (0, 0). Per live column in `x` and live row in `y`: (lo, hi, base), its
-    cells [lo, hi) being those in the plane, on outputs base + lo onward.
-    `halo` holds the in-plane cells outside their PE's owned rectangle."""
+    Per live column in `x` and live row in `y`: (lo, hi, base), its cells
+    [lo, hi) being those in the plane, on outputs base + lo onward. `halo`
+    holds the in-plane cells outside their PE's owned rectangle."""
 
     plan: TilePlan
     pes: list[int]
-    extent: np.ndarray    # (slots, 2): each live PE's (ex, ey)
     bank: np.ndarray      # [kc, EX, EY, slot]
     n_banks: int
-    tile: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    origin: np.ndarray    # (n_pes, 3): slot, xb, yb
     x: list[tuple[int, int, int]]
     y: list[tuple[int, int, int]]
     halo: np.ndarray
 
 
-def _per_pe(rows: int, cols: int, per_col, per_row) -> np.ndarray:
-    """Rows (per_col[c], per_row[r]) for PE r * cols + c, on axis 1."""
-    xs, ys = np.asarray(per_col, dtype=np.int64), np.asarray(per_row, dtype=np.int64)
-    xs = np.tile(xs, (rows,) + (1,) * (xs.ndim - 1))
-    return np.stack([xs, np.repeat(ys, cols, axis=0)], axis=1)
-
-
-def _windows(ax, out: int, size: int):
-    """Each live part's (lo, hi, base) along one axis (`_Slots`), and [size,
-    parts] masks of its cells in the plane and of those on its own outputs."""
-    parts = [(p, ax.acc_base(p)) for p, width in enumerate(ax.widths) if width]
-    windows = [(max(0, -b), min(ax.acc_extent(p), out - b), b) for p, b in parts]
+def _windows(ax, out: int):
+    """Each live part's (lo, hi, base) along one axis (`_Slots`), the parts'
+    extents, and [most extent, parts] masks of each part's cells in the
+    plane and of those on its own outputs."""
+    parts = [(ax.acc_base(p), ax.acc_extent(p)) for p, width in enumerate(ax.widths) if width]
+    windows = [(max(0, -b), min(e, out - b), b) for b, e in parts]
     (lo, hi, base), (o_lo, o_hi) = np.array(windows).T, np.array(ax.out_ranges[: len(parts)]).T
-    e = np.arange(size)[:, None]
-    return windows, (e >= lo) & (e < hi), (e + base >= o_lo) & (e + base < o_hi)
+    extents = np.array([e for _, e in parts])
+    e = np.arange(extents.max())[:, None]
+    return windows, extents, (e >= lo) & (e < hi), (e + base >= o_lo) & (e + base < o_hi)
 
 
 def _slots(plan: TilePlan, kc: int, banks: int, bank_map: str) -> _Slots:
-    layer, ax, ay, rows, cols = plan.layer, plan.x, plan.y, plan.pe_rows, plan.pe_cols
-    tile = _rects(layer.W, layer.H, rows, cols)
-    live = tile[1] * tile[3] > 0
-    pes = np.flatnonzero(live)
-    xb, yb = _per_pe(
-        rows, cols, [ax.acc_base(c) for c in range(cols)], [ay.acc_base(r) for r in range(rows)]
-    ).T
-    ex, ey = _per_pe(
-        rows, cols, [ax.acc_extent(c) for c in range(cols)], [ay.acc_extent(r) for r in range(rows)]
-    ).T
-    extent = np.stack([ex[pes], ey[pes]], axis=1)
-    # axes [k, x, y, slot]
-    k, x, y, _ = np.ogrid[:kc, : ex[pes].max(), : ey[pes].max(), :1]
-    ex, ey = ex[pes], ey[pes]
-    bank = _bank_ids((k * ex + x) * ey + y, banks, bank_map) + np.arange(pes.size) * banks
-    origin = np.stack([np.where(live, np.cumsum(live) - 1, -1), xb, yb], axis=1)
+    xs, ex, in_x, own_x = _windows(plan.x, plan.layer.Wo)
+    ys, ey, in_y, own_y = _windows(plan.y, plan.layer.Ho)
+    # each live column's ex and live row's ey, broadcast over [k, x, y, r, c]
+    nr, nc = ey.size, ex.size
+    k, x, y, r, c = np.ogrid[:kc, : ex.max(), : ey.max(), :nr, :nc]
+    ids = _bank_ids((k * ex[c] + x) * ey[r] + y, banks, bank_map) + (r * nc + c) * banks
+    bank = ids.reshape(*ids.shape[:3], nr * nc)
     # halo cells are in the plane along both axes, but not owned along both
-    xs, in_x, own_x = _windows(ax, layer.Wo, bank.shape[1])
-    ys, in_y, own_y = _windows(ay, layer.Ho, bank.shape[2])
     inside, owned = in_x[:, None, None] & in_y[:, :, None], own_x[:, None, None] & own_y[:, :, None]
     halo = np.flatnonzero(inside & ~owned)
-    return _Slots(plan, pes.tolist(), extent, bank, banks, tile, origin, xs, ys, halo)
+    pes = [r * plan.pe_cols + c for r in range(nr) for c in range(nc)]
+    return _Slots(plan, pes, bank, banks, xs, ys, halo)
 
 
 class _Operand(Record):
@@ -358,10 +344,16 @@ def _activation_operand(plan: TilePlan, slots: _Slots, tiles: BlockSet) -> _Oper
     grid of phase (px, py) is [C, GX, GY, slot]. It is filled in passes of
     whole blocks (`codec._passes`), so per-entry temporaries stay small
     however many millions of entries a layer holds."""
-    layer = plan.layer
+    layer, ax, ay, rows, cols = plan.layer, plan.x, plan.y, plan.pe_rows, plan.pe_cols
     s, pad, C = layer.stride, layer.pad, layer.C
     _, EX, EY, n_slots = slots.bank.shape
-    x0, _, y0, ht = slots.tile
+    # per PE r * cols + c, only live ones holding entries: its column's
+    # terms tiled over the rows, its row's repeated, its slot r * nc + c
+    x0, xb = (np.tile(t, rows) for t in (ax.starts, [ax.acc_base(c) for c in range(cols)]))
+    y0, ht, yb = (
+        np.repeat(t, cols) for t in (ay.starts, ay.widths, [ay.acc_base(r) for r in range(rows)])
+    )
+    slot = np.repeat(np.arange(rows) * len(slots.x), cols) + np.tile(np.arange(cols), rows)
     taps = _phase_taps(layer)
     grid = np.array([[EX], [EY]]) - taps + 1
     live = np.outer((taps[0] > 0) & (grid[0] > 0), (taps[1] > 0) & (grid[1] > 0))
@@ -369,7 +361,6 @@ def _activation_operand(plan: TilePlan, slots: _Slots, tiles: BlockSet) -> _Oper
     size = np.where(live, C * n_slots * np.outer(grid[0], grid[1]), 0)
     base = (np.cumsum(size) - size.reshape(-1)).reshape(s, s)
     vals, mask = np.zeros(size.sum()), np.zeros(size.sum(), dtype=np.float32)
-    slot, xb, yb = slots.origin.T
     for b0, b1 in codec._passes(tiles.offsets):
         lo, hi = tiles.offsets[b0], tiles.offsets[b1]
         ids = np.repeat(np.arange(b0, b1), np.diff(tiles.offsets[b0 : b1 + 1]))
@@ -493,29 +484,26 @@ def max_pool(plane: np.ndarray, pool: PoolSpec) -> np.ndarray:
     wo, ho = pool.out_extent(w), pool.out_extent(h)
     span = (max(w, (wo - 1) * st + win), max(h, (ho - 1) * st + win))
     if span != (w, h):
-        least = np.iinfo(plane.dtype).min if plane.dtype.kind in "iu" else -np.inf
-        padded = np.full((k, *span), least, plane.dtype)
+        padded = np.full((k, *span), np.iinfo(plane.dtype).min, plane.dtype)
         padded[:, :w, :h] = plane
         plane = padded
     cols = functools.reduce(np.maximum, [plane[:, d : d + st * wo : st] for d in range(win)])
     return functools.reduce(np.maximum, [cols[:, :, d : d + st * ho : st] for d in range(win)])
 
 
-def _rects(
-    w: int, h: int, pe_rows: int, pe_cols: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(x_lo, width, y_lo, height) of each PE's share of a w x h plane."""
-    parts = (plane_partition(w, pe_cols), plane_partition(h, pe_rows))
-    (x_lo, y_lo), (x_hi, y_hi) = _per_pe(pe_rows, pe_cols, *parts).transpose(2, 1, 0)
-    return x_lo, x_hi - x_lo, y_lo, y_hi - y_lo
+def _rects(w: int, h: int, pe_rows: int, pe_cols: int) -> list[tuple[int, int, int, int]]:
+    """(x_lo, width, y_lo, height) of each PE's share of a w x h plane, in PE
+    order: PE r * pe_cols + c takes column part c and row part r."""
+    xs, ys = plane_partition(w, pe_cols), plane_partition(h, pe_rows)
+    return [(x0, x1 - x0, y0, y1 - y0) for y0, y1 in ys for x0, x1 in xs]
 
 
 def ppu_finalize(
     acc: np.ndarray, slots: _Slots, pool: PoolSpec | None = None
-) -> tuple[np.ndarray, int, int]:
+) -> tuple[np.ndarray, int]:
     """Group-boundary post-processing across the PE array: the merged
-    post-ReLU/pool plane [k, Wp, Hp], the accumulator cells drained and the
-    non-zero halo values exchanged.
+    post-ReLU/pool plane [k, Wp, Hp] and the non-zero halo values
+    exchanged; the drains are counted from the plan (`TilePlan.acc_cells`).
 
     `acc` holds the accumulators of one or more consecutive output-channel
     groups, [k, EX, EY, slot] as `slots` describes, as the scatter's exact
@@ -531,8 +519,7 @@ def ppu_finalize(
     np.maximum(plane, 0, out=plane)
     if pool is not None:
         plane = max_pool(plane, pool)
-    drained = acc.shape[0] * int(slots.extent.prod(axis=1).sum())
-    return plane, drained, halo_values
+    return plane, halo_values
 
 
 class LayerOutput(Record):
@@ -548,7 +535,7 @@ class LayerOutput(Record):
     pe_cols: int
 
     def decoded(self) -> DenseTensor:
-        """The blocks expanded into the PE-major stream `_pe_major` encodes,
+        """The blocks expanded into the PE-major stream `_encode_pe_major` encodes,
         one index per entry, then each PE's rectangle copied into place."""
         k, w, h = self.shape
         blocks = self.blocks
@@ -561,9 +548,8 @@ class LayerOutput(Record):
         dense[where] = blocks.values
         del where
         out = np.empty((k, w, h), dtype=np.int32)
-        x0, wt, y0, ht = _rects(w, h, self.pe_rows, self.pe_cols)
         at = 0
-        for x, dx, y, dy in zip(x0.tolist(), wt.tolist(), y0.tolist(), ht.tolist()):
+        for x, dx, y, dy in _rects(w, h, self.pe_rows, self.pe_cols):
             out[:, x : x + dx, y : y + dy] = dense[at : at + k * dx * dy].reshape(k, dx, dy)
             at += k * dx * dy
         return DenseTensor(out)
@@ -632,10 +618,10 @@ def simulate_scnn_layer(
         w_stored[rows] = w.stored
         peak[slots.pes, rows] = bank_totals.max(axis=2).T
         ev.xbar_transfers += int(bank_totals.sum())
-        plane, drained, _ = ppu_finalize(acc, slots, pool)
-        planes.append(plane)
-        ev.acc_drains += drained
+        planes.append(ppu_finalize(acc, slots, pool)[0])
     ev.acc_updates = ev.xbar_transfers
+    # each PE drains its accumulator window once per output channel
+    ev.acc_drains = layer.K * plan.acc_cells()
     ev.mult_ops = int((a_op.stored @ w_stored.T).sum())
     # every activation vector of a channel re-reads that channel's weights
     weight_reads = int((w_stored * va.sum(axis=0)).sum())
@@ -661,10 +647,7 @@ def simulate_scnn_layer(
     # the PEs' output RAMs: block pe * K + k of one set for the layer
     out = np.concatenate(planes, axis=0)
     del planes  # the concatenation is the one copy of the outputs kept
-    x0, wt, y0, ht = _rects(out.shape[1], out.shape[2], arch.pe_rows, arch.pe_cols)
-    out_blocks = codec.encode_blocks(
-        _pe_major(out, x0, wt, y0, ht), np.repeat(wt * ht, layer.K), arch.index_bits
-    )
+    out_blocks = _encode_pe_major(out, arch.pe_rows, arch.pe_cols, arch.index_bits)
     output = LayerOutput(out_blocks, out.shape, arch.pe_rows, arch.pe_cols)
     # stored output entries per PE
     out_stored = np.diff(out_blocks.offsets[:: layer.K])

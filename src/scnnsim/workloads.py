@@ -78,7 +78,6 @@ class LayerSpec(Record):
 class NetworkDescriptor(Record):
     name: str
     layers: tuple[LayerSpec, ...]
-    source: str = ""
 
     def total_multiplies(self) -> int:
         return sum(s.shape.dense_multiplies() for s in self.layers)
@@ -282,7 +281,7 @@ def _check_network(doc, where: str) -> NetworkDescriptor:
     if version != SCHEMA_VERSION:
         raise DescriptorError(f"{where}: schema_version {version} != {SCHEMA_VERSION}")
     name = _field(doc, "name", where, str)
-    return NetworkDescriptor(name, _load_layers(doc, name), doc.get("source", ""))
+    return NetworkDescriptor(name, _load_layers(doc, name))
 
 
 def _check_variants(variants: Sequence[str]) -> None:
@@ -667,18 +666,17 @@ def density_sweep(
     return rows
 
 
-def pe_granularity_arch(arch: ArchConfig, grid: tuple[int, int], total_mults: int) -> ArchConfig:
-    """Same chip-wide multiplier and RAM budget redistributed over the grid."""
+def pe_granularity_arch(arch: ArchConfig, grid: tuple[int, int]) -> ArchConfig:
+    """`arch`'s chip-wide multiplier and RAM budget redistributed over the
+    grid."""
     rows, cols = grid
-    if rows < 1 or cols < 1 or total_mults < 1:
-        raise ConfigurationError(
-            f"grid {grid} and {total_mults} multipliers must all be positive"
-        )
-    per_pe = total_mults // (rows * cols)
+    if rows < 1 or cols < 1:
+        raise ConfigurationError(f"grid {grid} must have at least one PE per axis")
+    per_pe = arch.total_mults // (rows * cols)
     side = math.isqrt(per_pe)
-    if rows * cols * per_pe != total_mults or side * side != per_pe:
+    if rows * cols * per_pe != arch.total_mults or side * side != per_pe:
         raise ConfigurationError(
-            f"grid {grid} cannot hold {total_mults} multipliers as square F x I arrays"
+            f"grid {grid} cannot hold {arch.total_mults} multipliers as square F x I arrays"
         )
     base_pes = arch.pe_rows * arch.pe_cols
     return replace(
@@ -698,14 +696,13 @@ def pe_granularity_sweep(
     arch: ArchConfig,
     grids: Sequence[tuple[int, int]] = ((2, 2), (4, 4), (8, 8)),
     seed: int = 1,
-    total_mults: int = 1024,
 ) -> list[ReportRow]:
     """Hold chip math throughput constant and trade PE count against per-PE
     multiplier array size: per grid, the `network_row` of a sim scnn run
     on `pe_granularity_arch`, tagged with the grid."""
     rows = []
     for grid in grids:
-        garch = pe_granularity_arch(arch, grid, total_mults)
+        garch = pe_granularity_arch(arch, grid)
         run = run_network(net, garch, (VARIANT_SCNN,), seed=seed, engine="sim")
         rows.append(replace(network_row(run, garch, VARIANT_SCNN), grid=f"{grid[0]}x{grid[1]}"))
     return rows

@@ -111,11 +111,11 @@ def _axis_parts(span, parts, tap, pad, stride):
 def per_pe_tiles(layer, rows, cols):
     """The tiles with inputs, one PE at a time in row-major order: their
     (count, wt, ht, ex, ey, owned output cells) classes, merged in order of
-    first sight, and the largest ex * ey among them."""
+    first sight, the largest ex * ey among them and the sum of ex * ey."""
     xs = _axis_parts(layer.W, cols, layer.R, layer.pad, layer.stride)
     ys = _axis_parts(layer.H, rows, layer.S, layer.pad, layer.stride)
     seen = {}
-    max_cells = 0
+    max_cells = cells = 0
     for r in range(rows):
         for c in range(cols):
             (wt, ex, ox), (ht, ey, oy) = xs[c], ys[r]
@@ -123,7 +123,8 @@ def per_pe_tiles(layer, rows, cols):
                 key = (wt, ht, ex, ey, ox * oy)
                 seen[key] = seen.get(key, 0) + 1
                 max_cells = max(max_cells, ex * ey)
-    return [(n, *key) for key, n in seen.items()], max_cells
+                cells += ex * ey
+    return [(n, *key) for key, n in seen.items()], max_cells, cells
 
 
 def naive_max_pool(plane: list, window: int, stride: int) -> list:

@@ -113,6 +113,11 @@ def test_bad_run_input_is_a_one_line_error(argv, message, tmp_path, capsys):
             ": bad energy field: energy coefficient mult_op must be >= 0",
         ),
         (
+            # an infinite coefficient would write inf energies and nan ratios
+            "--config", "schema_version: 1\nenergy: {mult_op: .inf}\n",
+            ": bad energy field: energy coefficient mult_op must be >= 0 and finite",
+        ),
+        (
             # YAML 1.1 reads 3e-2, with no dot, as a string
             "--config", "schema_version: 1\nenergy: {sram_bit: 3e-2}\n",
             ": bad energy field: energy coefficient sram_bit must be Real, got '3e-2'",

@@ -120,10 +120,12 @@ class TestPartition:
         ))
         lay = LayerShape("axes", C=1, K=1, W=w, H=h, R=r, S=s, pad=pad, stride=stride)
         plan = partition_tiles(lay, (rows, cols))
-        classes, max_cells = per_pe_tiles(lay, rows, cols)
+        classes, max_cells, cells = per_pe_tiles(lay, rows, cols)
         # the order matters: count_events sums the classes in this order
         assert plan.tile_classes() == classes
         assert plan.max_acc_cells() == max_cells
+        # every engine's accumulator drains per output channel
+        assert plan.acc_cells() == cells
 
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -98,6 +98,12 @@ def loop_scatter(arch, layer, stream, tiles, gi, pe):
     return acc, bank_totals, skipped
 
 
+def extents(plan, pe):
+    """(ex, ey) of PE pe's accumulator, from its column and its row."""
+    r, c = divmod(pe, plan.pe_cols)
+    return plan.x.acc_extent(c), plan.y.acc_extent(r)
+
+
 def group_scatters(arch, layer, stream, tiles):
     """(pe, gi, acc, bank_totals, skipped) of every live PE in every group,
     from one scatter per batch of groups (`_batches`), skipped being the
@@ -130,7 +136,7 @@ def group_scatters(arch, layer, stream, tiles):
         for j, gi in enumerate(batch):
             k0 = groups[gi].start - groups[batch.start].start
             for i, pe in enumerate(slots.pes):
-                kc, (ex, ey) = len(groups[gi]), slots.extent[i]
+                kc, (ex, ey) = len(groups[gi]), extents(plan, pe)
                 view = acc[k0 : k0 + kc, :ex, :ey, i]
                 assert np.abs(acc[k0 : k0 + kc, :, :, i]).sum() == np.abs(view).sum()
                 skipped = int(formed[j, i] - bank_totals[j, i].sum())
@@ -246,12 +252,14 @@ def test_merge_equals_loop_reference(case, seed, budget):
         batch_groups = groups[batch.start : batch.stop]
         kc = sum(map(len, batch_groups))
         noise = np.zeros((kc, *slots.bank.shape[1:]))
-        for i, (ex, ey) in enumerate(slots.extent.tolist()):
+        for i, pe in enumerate(slots.pes):
+            ex, ey = extents(plan, pe)
             noise[:, :ex, :ey, i] = rng.integers(-(1 << 47), 1 << 47, size=(kc, ex, ey))
         scattered = _scatter(batch_groups, _weight_operand(stream, batch), acts, slots)[0]
         for acc in (scattered, noise):
             views = [None] * plan.n_pes
-            for i, (pe, (ex, ey)) in enumerate(zip(slots.pes, slots.extent.tolist())):
+            for i, pe in enumerate(slots.pes):
+                ex, ey = extents(plan, pe)
                 views[pe] = acc[:, :ex, :ey, i].astype(np.int64)
             with mock.patch.object(simulator, "_MERGE", budget):
                 plane, halo = _merge_group_plane(acc, slots)
@@ -269,7 +277,7 @@ def test_weight_cells_past_2_31_are_int64():
     # the operand itself is never built
     kc, rs = 1 << 20, 32 * 32
     layer = LayerShape("wide", C=1, K=4 * kc, W=32, H=32, R=32, S=32)
-    gplan = GroupPlan(kc, tuple(range(g * kc, (g + 1) * kc) for g in range(4)), kc)
+    gplan = GroupPlan(kc, tuple(range(g * kc, (g + 1) * kc) for g in range(4)))
     # built as `encode_blocks` would hold it, without the 2**32 dense values
     blocks = BlockSet(
         values=np.array([5, 7], dtype=np.int32),
@@ -277,7 +285,6 @@ def test_weight_cells_past_2_31_are_int64():
         positions=np.array([0, kc * rs - 1], dtype=np.int32),
         offsets=np.array([0, 1, 1, 1, 2]),
         extents=np.full(4, kc * rs),
-        index_bits=30,
     )
     at, shape = _weight_cells(WeightStream(layer, gplan, blocks), range(4))
     assert shape == (1, 32, 32, 4 * kc)

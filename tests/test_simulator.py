@@ -446,7 +446,7 @@ class TestPPU:
         # [k, EX, EY, slot], the scatter's float64 layout
         acc = np.zeros((2, 8, 8, 1))
         acc[0, 2, 2, 0] = 7
-        plane, _, halo_values = ppu_finalize(acc, _slots(plan, 2, 32, "mod"))
+        plane, halo_values = ppu_finalize(acc, _slots(plan, 2, 32, "mod"))
         assert plane.dtype == np.int32
         assert halo_values == 0
         # accumulator base is -1 with pad 1 and a 3x3 filter
@@ -457,7 +457,7 @@ class TestPPU:
         layer = LayerShape("neg", C=1, K=1, W=4, H=4, R=1, S=1)
         plan = partition_tiles(layer, (1, 1))
         acc = np.full((1, 4, 4, 1), -5.0)
-        plane, _, _ = ppu_finalize(acc, _slots(plan, 1, 32, "mod"))
+        plane, _ = ppu_finalize(acc, _slots(plan, 1, 32, "mod"))
         assert not plane.any()
         arch = ArchConfig(pe_rows=1, pe_cols=1)
         w = DenseTensor(np.full(layer.weight_shape(), -1))

@@ -321,7 +321,7 @@ def test_engines_agree_on_dense_batches(network):
 @pytest.mark.parametrize("grid", [(2, 2), (4, 4), (8, 8), (16, 16), (32, 32)])
 def test_pe_grids_share_the_chip_ram_budget(grid):
     base = ArchConfig()
-    garch = pe_granularity_arch(base, grid, 1024)
+    garch = pe_granularity_arch(base, grid)
     assert garch.n_pes * garch.iaram_bytes == base.n_pes * base.iaram_bytes
     assert garch.n_pes * garch.oaram_bytes == base.n_pes * base.oaram_bytes
     assert garch.total_mults == 1024
@@ -335,7 +335,7 @@ def test_pe_sweep_barrier_is_the_network_wait_over_pe_cycles(tmp_path):
     path.write_text(TINY_CHAIN)
     net = load_network(path)
     (row,) = pe_granularity_sweep(net, ArchConfig(), ((2, 2),), seed=3)
-    garch = pe_granularity_arch(ArchConfig(), (2, 2), 1024)
+    garch = pe_granularity_arch(ArchConfig(), (2, 2))
     run = run_network(net, garch, (VARIANT_SCNN,), seed=3)
     reps = [lr.reports[VARIANT_SCNN] for lr in run.layers]
     assert row == replace(network_row(run, garch, VARIANT_SCNN), grid="2x2")
@@ -350,7 +350,19 @@ def test_pe_sweep_barrier_is_the_network_wait_over_pe_cycles(tmp_path):
 def test_pe_grid_larger_than_the_base_array_runs():
     (row,) = pe_granularity_sweep(load_network("inception_mini"), ArchConfig(), ((16, 16),))
     assert row.grid == "16x16" and row.cycles > 0
-    assert pe_granularity_arch(ArchConfig(), (16, 16), 1024).mults_per_pe == 4
+    assert pe_granularity_arch(ArchConfig(), (16, 16)).mults_per_pe == 4
+
+
+@pytest.mark.parametrize("grid,side", [((2, 2), 8), ((4, 4), 4), ((16, 16), 1)])
+def test_pe_grids_take_the_multiplier_budget_from_the_arch(grid, side):
+    # 8x8 PEs of 2x2 multipliers: a chip of 256, not the default 1024
+    base = ArchConfig(weights_per_fetch=2, acts_per_fetch=2)
+    garch = pe_granularity_arch(base, grid)
+    assert garch.total_mults == base.total_mults == 256
+    assert (garch.weights_per_fetch, garch.acts_per_fetch) == (side, side)
+    # 1024 PEs cannot share 256 multipliers
+    with pytest.raises(ConfigurationError, match="cannot hold 256 multipliers"):
+        pe_granularity_arch(base, (32, 32))
 
 
 @pytest.mark.parametrize("engine", ["analytical", "Sim", ""])
