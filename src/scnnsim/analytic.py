@@ -91,10 +91,19 @@ class EventCounts(Record, frozen=False):
 
 
 class EnergyModel(Record):
-    """Per-event energy coefficients in abstract units.
+    """Per-event energy coefficients in units of one 16-bit multiply.
 
-    The values are estimates (the reference breakdowns behind them are not
-    published); experiments assert orderings and crossovers, never joules.
+    Every default is this repo's estimate relative to that multiply; none
+    has a published source here, so experiments assert orderings and
+    crossovers, never joules:
+    - mult_op 1.0: the 16-bit multiply itself, the unit;
+    - acc_op 0.65: an accumulator update or drain, estimated;
+    - xbar_op 0.25: a product routed through the scatter crossbar, estimated;
+    - sram_bit 0.03: an activation-RAM bit, estimated;
+    - fifo_bit 0.025: a weight-FIFO bit, estimated;
+    - dram_bit 4.0: a DRAM bit, estimated.
+    `tests/test_claims.py` asserts SCNN's energy win over the box of every
+    coefficient halved or doubled (64 vertices).
     """
 
     mult_op: float = 1.0

@@ -60,7 +60,8 @@ adds each batch's slots into the output plane one axis at a time: columns
 overlap-add into a band, then rows into the plane. Every product of an
 output lands in exactly one PE's cell, so a merged sum is a sum of distinct
 products of that output and as exact as a cell. The cycle model then works
-on every group at once from the per-group counts.
+on every group at once from the per-group counts, reading every stored
+count, of weights, activations and outputs, off its block set's offsets.
 
 Functional equivalence is the master contract: the decoded, halo-merged,
 ReLU'd (and optionally pooled) outputs equal the exact reference convolution
@@ -110,22 +111,13 @@ from .tensors import (
 )
 
 
-class WeightStream(Record):
-    """Broadcast weights of every output-channel group in one block set:
-    block g * C + c holds input channel c of group g, linearized k-major
-    then r then s over the group's filters in c's convolution group
-    (extent 0 when there are none)."""
-
-    layer: LayerShape
-    gplan: GroupPlan
-    blocks: BlockSet
-
-
 def compress_weights(
     layer: LayerShape, gplan: GroupPlan, weights: DenseTensor, index_bits: int
-) -> WeightStream:
+) -> BlockSet:
     """Encode pruned weights for broadcast to the PEs, every output-channel
-    group in one block set."""
+    group in one block set: block g * C + c holds input channel c of group
+    g, linearized k-major then r then s over the group's filters in c's
+    convolution group (extent 0 when there are none)."""
     check_operand_range(weights, "weight")
     if weights.shape != layer.weight_shape():
         raise ConfigurationError(
@@ -140,8 +132,7 @@ def compress_weights(
             # [k, c, r, s] -> one row per channel of this convolution group
             parts.append(weights.values[k_lo:k_hi].transpose(1, 0, 2, 3).reshape(-1))
             extents += [(k_hi - k_lo) * rs] * layer.channels_per_group
-    blocks = codec.encode_blocks(np.concatenate(parts), extents, index_bits)
-    return WeightStream(layer, gplan, blocks)
+    return codec.encode_blocks(np.concatenate(parts), extents, index_bits)
 
 
 def distribute_activations(plan: TilePlan, acts: DenseTensor, index_bits: int) -> BlockSet:
@@ -175,16 +166,14 @@ def _encode_pe_major(planes: np.ndarray, pe_rows: int, pe_cols: int, index_bits:
 
 def prepare_scnn_inputs(
     arch: ArchConfig, layer: LayerShape, weights: DenseTensor, acts: DenseTensor
-) -> tuple[WeightStream, BlockSet]:
+) -> tuple[BlockSet, BlockSet]:
     """Plan the layer and compress/distribute dense operands for the array:
-    the weight stream and every PE's activation tiles. `simulate_scnn_layer`
-    calls it by its module-level name, so wrapping that name sees each
-    layer's operands."""
+    the weights of every group and every PE's activation tiles.
+    `simulate_scnn_layer` calls it by its module-level name, so wrapping
+    that name sees each layer's operands."""
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
-    gplan = choose_kc(layer, arch)
-    stream = compress_weights(layer, gplan, weights, arch.index_bits)
-    tiles = distribute_activations(plan, acts, arch.index_bits)
-    return stream, tiles
+    weight_blocks = compress_weights(layer, choose_kc(layer, arch), weights, arch.index_bits)
+    return weight_blocks, distribute_activations(plan, acts, arch.index_bits)
 
 
 def _bank_ids(linear: np.ndarray, banks: int, bank_map: str) -> np.ndarray:
@@ -260,23 +249,6 @@ def _slots(plan: TilePlan, kc: int, banks: int, bank_map: str) -> _Slots:
     return _Slots(plan, pes, bank, banks, xs, ys, halo)
 
 
-class _Operand(Record):
-    """A batch of groups' weights or every live PE's activations as float64
-    values and float32 0/1 masks of the stored entries, placeholders
-    included.
-
-    Weights are [C, R, S, kw] over each channel's own filters
-    (`_weight_cells`; None when the batch stores nothing). Activations are
-    keyed by stride phase (px, py), each a [C, GX * GY * slot] grid
-    (`_activation_operand`); no key holds an activation that meets no tap.
-    `stored` counts entries per (group, channel) for weights and per (slot,
-    channel) for activations."""
-
-    stored: np.ndarray
-    vals: np.ndarray | dict[tuple[int, int], np.ndarray] | None
-    mask: np.ndarray | dict[tuple[int, int], np.ndarray] | None
-
-
 def _batches(n_groups: int, slots: _Slots) -> list[range]:
     """Runs of consecutive output-channel groups whose accumulators and
     weights, 12 bytes a cell or a (tap, filter, channel), fit _BATCH bytes
@@ -288,13 +260,14 @@ def _batches(n_groups: int, slots: _Slots) -> list[range]:
     return [range(g, min(g + per, n_groups)) for g in range(0, n_groups, per)]
 
 
-def _weight_cells(stream: WeightStream, batch: range) -> tuple[np.ndarray, tuple[int, ...]]:
+def _weight_cells(
+    layer: LayerShape, gplan: GroupPlan, blocks: BlockSet, batch: range
+) -> tuple[np.ndarray, tuple[int, ...]]:
     """Each stored weight's flat int64 index into the weight operand of the
     output-channel groups `batch`, and the operand's shape [C, R, S, kw]:
     column j of channel c is the batch's j-th filter in c's convolution
     group, so kw, the most any convolution group has in the batch, is at
     most filters_per_group."""
-    layer, gplan, blocks = stream.layer, stream.gplan, stream.blocks
     C, rs, kpg = layer.C, layer.R * layer.S, layer.filters_per_group
     offsets = blocks.offsets[batch.start * C : batch.stop * C + 1]
     k0, k1 = gplan.groups[batch.start].start, gplan.groups[batch.stop - 1].stop
@@ -311,19 +284,21 @@ def _weight_cells(stream: WeightStream, batch: range) -> tuple[np.ndarray, tuple
     return at, (C, layer.R, layer.S, kw)
 
 
-def _weight_operand(stream: WeightStream, batch: range) -> _Operand:
+def _weight_operand(
+    layer: LayerShape, gplan: GroupPlan, blocks: BlockSet, batch: range
+) -> tuple[np.ndarray, np.ndarray] | None:
     """The weights of the output-channel groups `batch` (consecutive
-    indices into the group plan), shared by every PE."""
-    C, blocks = stream.layer.C, stream.blocks
-    offsets = blocks.offsets[batch.start * C : batch.stop * C + 1]
-    stored = np.diff(offsets)
-    vals = mask = None
-    if offsets[-1] > offsets[0]:
-        at, shape = _weight_cells(stream, batch)
-        vals, mask = np.zeros(shape), np.zeros(shape, dtype=np.float32)
-        vals.reshape(-1)[at] = blocks.values[offsets[0] : offsets[-1]]
-        mask.reshape(-1)[at] = 1
-    return _Operand(stored.reshape(-1, C), vals, mask)
+    indices into the group plan), shared by every PE: float64 values and a
+    float32 0/1 mask of the stored entries, placeholders included, both
+    [C, R, S, kw] (`_weight_cells`); None when the batch stores nothing."""
+    lo, hi = blocks.offsets[batch.start * layer.C], blocks.offsets[batch.stop * layer.C]
+    if lo == hi:
+        return None
+    at, shape = _weight_cells(layer, gplan, blocks, batch)
+    vals, mask = np.zeros(shape), np.zeros(shape, dtype=np.float32)
+    vals.reshape(-1)[at] = blocks.values[lo:hi]
+    mask.reshape(-1)[at] = 1
+    return vals, mask
 
 
 def _phase_taps(layer: LayerShape) -> np.ndarray:
@@ -333,8 +308,11 @@ def _phase_taps(layer: LayerShape) -> np.ndarray:
     return np.stack([-(-(layer.R - p) // layer.stride), -(-(layer.S - p) // layer.stride)])
 
 
-def _activation_operand(plan: TilePlan, slots: _Slots, tiles: BlockSet) -> _Operand:
-    """The activations of every live PE, built once per layer.
+def _activation_operand(plan: TilePlan, slots: _Slots, tiles: BlockSet) -> tuple[dict, dict]:
+    """The activations of every live PE, built once per layer: float64
+    values and float32 0/1 masks of the stored entries, placeholders
+    included, keyed by stride phase (px, py), each a [C, GX * GY * slot]
+    grid; no key holds an activation that meets no tap.
 
     Along x, an activation at padded x of phase px = x % stride meets the
     rq taps r = px + stride * i, and tap i sends it to accumulator row
@@ -382,20 +360,20 @@ def _activation_operand(plan: TilePlan, slots: _Slots, tiles: BlockSet) -> _Oper
         (px, py): slice(base[px, py], base[px, py] + size[px, py])
         for px, py in zip(*np.nonzero(live))
     }
-    return _Operand(
-        np.diff(tiles.offsets).reshape(-1, C)[slots.pes],
+    return (
         {p: vals[span].reshape(C, -1) for p, span in spans.items()},
         {p: mask[span].reshape(C, -1) for p, span in spans.items()},
     )
 
 
 def _scatter(
-    groups: tuple[range, ...], w: _Operand, a: _Operand, slots: _Slots
+    groups: tuple[range, ...], w: tuple | None, a: tuple[dict, dict], slots: _Slots
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every phase-matched product of a batch of consecutive output-channel
     groups on every live PE: the float64 [k, EX, EY, slot] accumulators over
     the batch's filters, each an exact integer, and per group each slot's
-    products per bank.
+    products per bank. `w` is the batch's `_weight_operand` and `a` the
+    layer's `_activation_operand`.
 
     Per stride phase and convolution group, one GEMM contracts the input
     channels of the phase's taps (rows tap, k) with its activation grid
@@ -413,25 +391,26 @@ def _scatter(
     k0, k1 = groups[0].start, groups[-1].stop
     acc = np.zeros((k1 - k0, EX, EY, n_slots))
     landed = np.zeros((k1 - k0, EX, EY, n_slots), dtype=np.float32)
-    if w.vals is not None:
+    if w is not None:
+        (w_vals, w_mask), (a_vals, a_mask) = w, a
         kpg, cpg = layer.filters_per_group, layer.channels_per_group
-        stored = w.stored.sum(axis=0)
+        # the convolution groups with filters in the batch and weights stored
         conv_groups = [
             (k_lo - k0, k_hi - k0, g * cpg, (g + 1) * cpg)
             for g in range(layer.groups)
             for k_lo, k_hi in [(max(k0, g * kpg), min(k1, (g + 1) * kpg))]
-            if k_lo < k_hi and stored[g * cpg : (g + 1) * cpg].any()
+            if k_lo < k_hi and w_mask[g * cpg : (g + 1) * cpg].any()
         ]
-        for (px, py), a_vals in a.vals.items():
+        for (px, py), a_phase in a_vals.items():
             rq, sq = taps[0, px], taps[1, py]
             GX, GY = EX - rq + 1, EY - sq + 1
             shifts = [(rq - 1 - i, sq - 1 - j) for i in range(rq) for j in range(sq)]
-            w_vals, w_mask = w.vals[:, px::s, py::s], w.mask[:, px::s, py::s]
+            wv, wm = w_vals[:, px::s, py::s], w_mask[:, px::s, py::s]
             for k_lo, k_hi, c_lo, c_hi in conv_groups:
                 kg, cs = k_hi - k_lo, slice(c_lo, c_hi)
                 passes = [
-                    (w_vals[cs, :, :, :kg].reshape(cpg, -1).T, a_vals[cs], acc),
-                    (w_mask[cs, :, :, :kg].reshape(cpg, -1).T, a.mask[px, py][cs], landed),
+                    (wv[cs, :, :, :kg].reshape(cpg, -1).T, a_phase[cs], acc),
+                    (wm[cs, :, :, :kg].reshape(cpg, -1).T, a_mask[px, py][cs], landed),
                 ]
                 rows = max(1, _BAND // (len(shifts) * kg * GY * n_slots))
                 for g0 in range(0, GX, rows):
@@ -587,42 +566,39 @@ def simulate_scnn_layer(
             f"(channels_per_group * R * S) could exceed 2**{EXACT_FLOAT_BITS}, "
             "past exact float64 accumulation"
         )
-    stream, tiles = prepare_scnn_inputs(arch, layer, weights, acts)
+    w_blocks, tiles = prepare_scnn_inputs(arch, layer, weights, acts)
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
-    gplan = stream.gplan
+    gplan = choose_kc(layer, arch)
     n_pes, n_groups = arch.n_pes, gplan.n_groups
     F, I = arch.weights_per_fetch, arch.acts_per_fetch
-
     ev = EventCounts(useful_mults=useful_mults)
-
-    cells = plan.max_acc_cells()
+    # stored entries per (group, channel) and per (PE, channel), an idle
+    # PE's blocks being empty
+    w_stored = np.diff(w_blocks.offsets).reshape(n_groups, layer.C)
+    a_stored = np.diff(tiles.offsets).reshape(n_pes, layer.C)
     # activations of every live PE read once per layer and reused across
     # batches of groups; weights built per batch (shared by all PEs)
     slots = _slots(plan, gplan.kc, arch.accum_banks, arch.bank_map)
     a_op = _activation_operand(plan, slots, tiles)
     del tiles  # the phase grids are all the scatter reads
-    iaram_stored = int(a_op.stored.sum())
+    iaram_stored = int(a_stored.sum())
     # activation vectors per (PE, channel)
-    va = np.zeros((n_pes, layer.C), dtype=np.int64)
-    va[slots.pes] = -((-a_op.stored) // I)
+    va = -((-a_stored) // I)
 
-    # per (group, channel): stored weights; per (PE, group): the hottest
-    # bank's products
-    w_stored = np.zeros((n_groups, layer.C), dtype=np.int64)
+    # per (PE, group): the hottest bank's products
     peak = np.zeros((n_pes, n_groups), dtype=np.int64)
     planes: list[np.ndarray] = []
     for batch in _batches(n_groups, slots):
         rows = slice(batch.start, batch.stop)
-        w = _weight_operand(stream, batch)
+        w = _weight_operand(layer, gplan, w_blocks, batch)
         acc, bank_totals = _scatter(gplan.groups[rows], w, a_op, slots)
-        w_stored[rows] = w.stored
         peak[slots.pes, rows] = bank_totals.max(axis=2).T
         ev.xbar_transfers += int(bank_totals.sum())
         planes.append(ppu_finalize(acc, slots, pool)[0])
     ev.acc_updates = ev.xbar_transfers
     # each PE drains its accumulator window once per output channel
     ev.acc_drains = layer.K * plan.acc_cells()
-    ev.mult_ops = int((a_op.stored @ w_stored.T).sum())
+    ev.mult_ops = int((a_stored @ w_stored.T).sum())
     # every activation vector of a channel re-reads that channel's weights
     weight_reads = int((w_stored * va.sum(axis=0)).sum())
 
@@ -639,7 +615,7 @@ def simulate_scnn_layer(
     passes = np.where(wv <= arch.weight_fifo_entries, 1, np.maximum(va.max(axis=0), 1))
     stream_values = (w_stored * passes).sum(axis=1)
     per_group, refill, drain_overhead = map(np.array, group_cycles(
-        arch, gplan, cells, group_busy.max(axis=0).tolist(), stream_values.tolist()
+        arch, gplan, plan.max_acc_cells(), group_busy.max(axis=0).tolist(), stream_values.tolist()
     ))
     pe_busy = group_busy.sum(axis=1)
     pe_wait = (per_group - group_busy).sum(axis=1)
@@ -654,7 +630,7 @@ def simulate_scnn_layer(
 
     oaram_stored = int(out_stored.sum())
     dram_tiled = bool(
-        (a_op.stored.sum(axis=1) > arch.iaram_value_capacity).any()
+        (a_stored.sum(axis=1) > arch.iaram_value_capacity).any()
         or (out_stored > arch.oaram_value_capacity).any()
     )
 
@@ -665,7 +641,7 @@ def simulate_scnn_layer(
         iaram_stored * CODED_VALUE_BITS, oaram_stored * CODED_VALUE_BITS,
         input_from_dram, dram_tiled,
     )
-    ev.dram_bits += stream.blocks.values.size * CODED_VALUE_BITS + act_dram
+    ev.dram_bits += w_blocks.values.size * CODED_VALUE_BITS + act_dram
 
     ev.energized_mults = ev.mult_ops
     ev.mult_slots = int(group_batches.sum()) * F * I

@@ -800,14 +800,13 @@ def emit_report(rows: Sequence[ReportRow], fmt: str, path: str | Path) -> Path:
     """Write rows as CSV or a readable text table; deterministic bytes for
     identical inputs. Returns the written path."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
         for row in rows:
             writer.writerow([_fmt(getattr(row, col)) for col in REPORT_COLUMNS])
-        path.write_text(buf.getvalue())
+        text = buf.getvalue()
     elif fmt == "text":
         widths = {c: len(c) for c in REPORT_COLUMNS}
         table = []
@@ -822,7 +821,12 @@ def emit_report(rows: Sequence[ReportRow], fmt: str, path: str | Path) -> Path:
             return "  ".join(cells[c].ljust(widths[c]) for c in REPORT_COLUMNS).rstrip()
 
         lines = [line({c: c for c in REPORT_COLUMNS}), *map(line, table)]
-        path.write_text("\n".join(lines) + "\n")
+        text = "\n".join(lines) + "\n"
     else:
         raise ConfigurationError(f"unknown report format {fmt}")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as e:
+        raise ConfigurationError(f"{path}: cannot write report: {e.strerror}") from e
     return path

@@ -358,6 +358,25 @@ def test_out_dir_naming_a_file_fails_before_the_run(argv, tmp_path, capsys, monk
     )
 
 
+@pytest.mark.parametrize(
+    "argv,report",
+    [
+        (["run"], "run"),
+        (["sweep-density", "--engine", "analytic", "--points", "0.5"], "density"),
+        (["sweep-pe", "--grids", "1x1"], "grids"),
+    ],
+    ids=["run", "sweep-density", "sweep-pe"],
+)
+def test_unwritable_report_fails_with_one_line(argv, report, tmp_path, capsys):
+    # the run completes, but its report's path is a directory: a one-line
+    # error naming the path and exit 2, as exit 1 means an oracle mismatch
+    path = tmp_path / f"inception-mini_{report}.csv"
+    path.mkdir()
+    rc = main([*argv, "--network", "inception_mini", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {path}: cannot write report: Is a directory\n"
+
+
 def test_pool_window_shorter_than_stride_matches_the_oracle(tmp_path, capsys):
     # a 5-wide plane pooled by window 1, stride 3 keeps columns 0 and 3; a
     # third ceil-mode window would start at 6, past the plane

@@ -45,9 +45,7 @@ SAMPLES = {
     dataflow.GroupPlan: _of(GPLAN),
     tensors.DenseTensor: _of(DENSE),
     codec.BlockSet: _of(BLOCKS),
-    simulator.WeightStream: dict(layer=SHAPE, gplan=GPLAN, blocks=BLOCKS),
     simulator._Slots: _of(SLOTS),
-    simulator._Operand: dict(stored=np.ones((2, 2)), vals=None, mask=None),
     simulator.LayerOutput: dict(blocks=BLOCKS, shape=(1, 2, 2), pe_rows=1, pe_cols=1),
     workloads.LayerSpec: _of(SPEC),
     workloads.NetworkDescriptor: dict(name="n", layers=(SPEC,)),

@@ -34,7 +34,6 @@ from oracles import loop_merge_group_plane
 from scnnsim import codec, simulator
 from scnnsim.simulator import (
     _BAND,
-    WeightStream,
     _activation_operand,
     _batches,
     _merge_group_plane,
@@ -56,13 +55,14 @@ def block_entries(blocks, b):
     return blocks.values[lo:hi], np.cumsum(blocks.run_lengths[lo:hi].astype(np.int64) + 1) - 1
 
 
-def loop_scatter(arch, layer, stream, tiles, gi, pe):
+def loop_scatter(arch, layer, w_blocks, tiles, gi, pe):
     """(acc, bank_totals, stride_skipped) of one PE and group, one
     `np.add.at` per input channel."""
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
     row, col = divmod(pe, plan.pe_cols)
     x0, y0, ht = plan.x.starts[col], plan.y.starts[row], plan.y.widths[row]
-    kc = len(stream.gplan.groups[gi])
+    group = choose_kc(layer, arch).groups[gi]
+    kc = len(group)
     xb, yb = plan.x.acc_base(col), plan.y.acc_base(row)
     ex, ey = plan.x.acc_extent(col), plan.y.acc_extent(row)
     banks = arch.accum_banks
@@ -70,11 +70,10 @@ def loop_scatter(arch, layer, stream, tiles, gi, pe):
     bank_totals = np.zeros(banks, dtype=np.int64)
     skipped = 0
     rs = layer.R * layer.S
-    group = stream.gplan.groups[gi]
     kpg, cpg = layer.filters_per_group, layer.channels_per_group
     for c in range(layer.C):
         avals, apos = block_entries(tiles, pe * layer.C + c)
-        wvals, wpos = block_entries(stream.blocks, gi * layer.C + c)
+        wvals, wpos = block_entries(w_blocks, gi * layer.C + c)
         xs = x0 + apos // ht
         ys = y0 + apos % ht
         # the block starts at the group's first filter in c's convolution group
@@ -104,13 +103,19 @@ def extents(plan, pe):
     return plan.x.acc_extent(c), plan.y.acc_extent(r)
 
 
-def group_scatters(arch, layer, stream, tiles):
+def group_scatters(arch, layer, w_blocks, tiles):
     """(pe, gi, acc, bank_totals, skipped) of every live PE in every group,
     from one scatter per batch of groups (`_batches`), skipped being the
-    stored pairs formed less the products landed. The cells of a slot
-    outside its PE's [kc, ex, ey] view of a group must stay empty."""
+    stored pairs formed, counted from the block sets' offsets as the
+    simulator counts them, less the products landed. The cells of a slot
+    outside its PE's [kc, ex, ey] view of a group must stay empty, and
+    each batch's weight mask holds, per channel, exactly the batch's
+    stored weights."""
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
-    groups = stream.gplan.groups
+    gplan = choose_kc(layer, arch)
+    groups = gplan.groups
+    w_stored = np.diff(w_blocks.offsets).reshape(gplan.n_groups, layer.C)
+    a_stored = np.diff(tiles.offsets).reshape(plan.n_pes, layer.C)
     slots = _slots(plan, max(map(len, groups)), arch.accum_banks, arch.bank_map)
     assert slots.pes == [
         r * plan.pe_cols + c
@@ -121,14 +126,20 @@ def group_scatters(arch, layer, stream, tiles):
     acts = _activation_operand(plan, slots, tiles)
     kpg = layer.filters_per_group
     for batch in _batches(len(groups), slots):
-        w = _weight_operand(stream, batch)
+        w = _weight_operand(layer, gplan, w_blocks, batch)
         # each channel's weight columns are the batch's filters in its own
         # convolution group
         k0, k1 = groups[batch.start].start, groups[batch.stop - 1].stop
         kw = max(min(k1, (g + 1) * kpg) - max(k0, g * kpg) for g in range(layer.groups))
-        assert w.vals is None or w.vals.shape == (layer.C, layer.R, layer.S, kw)
+        stored = w_stored[batch.start : batch.stop]
+        if w is None:
+            assert not stored.any()
+        else:
+            vals, mask = w
+            assert vals.shape == mask.shape == (layer.C, layer.R, layer.S, kw)
+            assert mask.reshape(layer.C, -1).sum(axis=1).tolist() == stored.sum(axis=0).tolist()
         acc, bank_totals = _scatter(groups[batch.start : batch.stop], w, acts, slots)
-        formed = w.stored @ acts.stored.T
+        formed = stored @ a_stored[slots.pes].T
         # exact integers in the [k, EX, EY, slot] float64 layout the PPU merges
         assert acc.dtype == np.float64 and acc.flags.c_contiguous
         assert acc.shape == (k1 - k0, *slots.bank.shape[1:])
@@ -143,11 +154,11 @@ def group_scatters(arch, layer, stream, tiles):
                 yield pe, gi, view.astype(np.int64), bank_totals[j, i], skipped
 
 
-def assert_matches_loop_reference(arch, layer, stream, tiles):
+def assert_matches_loop_reference(arch, layer, w_blocks, tiles):
     """Compare every live PE in every group; return their skipped counts."""
     skips = []
-    for pe, gi, acc, bank_totals, skipped in group_scatters(arch, layer, stream, tiles):
-        ref_acc, ref_banks, ref_skipped = loop_scatter(arch, layer, stream, tiles, gi, pe)
+    for pe, gi, acc, bank_totals, skipped in group_scatters(arch, layer, w_blocks, tiles):
+        ref_acc, ref_banks, ref_skipped = loop_scatter(arch, layer, w_blocks, tiles, gi, pe)
         assert np.array_equal(acc, ref_acc)
         assert np.array_equal(bank_totals, ref_banks)
         assert skipped == ref_skipped
@@ -201,8 +212,8 @@ def scatter_cases(draw, max_groups=2):
 @given(scatter_cases())
 def test_scatter_equals_loop_reference(case):
     arch, layer, w, a = case
-    stream, tiles = prepare_scnn_inputs(arch, layer, w, a)
-    assert_matches_loop_reference(arch, layer, stream, tiles)
+    w_blocks, tiles = prepare_scnn_inputs(arch, layer, w, a)
+    assert_matches_loop_reference(arch, layer, w_blocks, tiles)
 
 
 @settings(max_examples=100, deadline=None)
@@ -213,8 +224,8 @@ def test_batched_scatter_equals_loop_reference(case, per):
     # are those of the per-(PE, channel) loop, however the groups share
     # the passes
     arch, layer, w, a = case
-    stream, tiles = prepare_scnn_inputs(arch, layer, w, a)
-    groups = stream.gplan.groups
+    w_blocks, tiles = prepare_scnn_inputs(arch, layer, w, a)
+    groups = choose_kc(layer, arch).groups
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
     slots = _slots(plan, max(map(len, groups)), arch.accum_banks, arch.bank_map)
     n = {"one": 1, "two": 2, "all": len(groups)}[per]
@@ -223,7 +234,7 @@ def test_batched_scatter_equals_loop_reference(case, per):
     with mock.patch.object(simulator, "_BATCH", n * one + one - 1):
         sizes = [len(b) for b in _batches(len(groups), slots)]
         assert sizes == [min(n, len(groups) - g) for g in range(0, len(groups), n)]
-        assert_matches_loop_reference(arch, layer, stream, tiles)
+        assert_matches_loop_reference(arch, layer, w_blocks, tiles)
 
 
 @settings(max_examples=150, deadline=None)
@@ -237,9 +248,10 @@ def test_merge_equals_loop_reference(case, seed, budget):
     # partial sum stays below 2**53. A budget of one cell merges the
     # channels one at a time.
     arch, layer, w, a = case
-    stream, tiles = prepare_scnn_inputs(arch, layer, w, a)
+    w_blocks, tiles = prepare_scnn_inputs(arch, layer, w, a)
     plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
-    groups = stream.gplan.groups
+    gplan = choose_kc(layer, arch)
+    groups = gplan.groups
     slots = _slots(plan, max(map(len, groups)), arch.accum_banks, arch.bank_map)
     acts = _activation_operand(plan, slots, tiles)
 
@@ -255,7 +267,8 @@ def test_merge_equals_loop_reference(case, seed, budget):
         for i, pe in enumerate(slots.pes):
             ex, ey = extents(plan, pe)
             noise[:, :ex, :ey, i] = rng.integers(-(1 << 47), 1 << 47, size=(kc, ex, ey))
-        scattered = _scatter(batch_groups, _weight_operand(stream, batch), acts, slots)[0]
+        w = _weight_operand(layer, gplan, w_blocks, batch)
+        scattered = _scatter(batch_groups, w, acts, slots)[0]
         for acc in (scattered, noise):
             views = [None] * plan.n_pes
             for i, pe in enumerate(slots.pes):
@@ -286,7 +299,7 @@ def test_weight_cells_past_2_31_are_int64():
         offsets=np.array([0, 1, 1, 1, 2]),
         extents=np.full(4, kc * rs),
     )
-    at, shape = _weight_cells(WeightStream(layer, gplan, blocks), range(4))
+    at, shape = _weight_cells(layer, gplan, blocks, range(4))
     assert shape == (1, 32, 32, 4 * kc)
     assert at.dtype == np.int64
     assert at.tolist() == [0, (1 << 32) - 1]
@@ -304,12 +317,12 @@ def test_scatter_spans_several_chunks():
     # three bands, each of whole grid rows
     layer = LayerShape("big", C=4, K=16, W=64, H=64, R=3, S=3, pad=1)
     arch = ArchConfig(pe_rows=1, pe_cols=1, accum_banks=32, bank_entries=4400)
-    stream, tiles = _dense_case(layer, arch, 1.0, 3)
-    kc = len(stream.gplan.groups[0])
+    w_blocks, tiles = _dense_case(layer, arch, 1.0, 3)
+    kc = len(choose_kc(layer, arch).groups[0])
     assert kc == layer.K
     assert layer.R * layer.S * kc * layer.W * layer.H > 2 * _BAND
     assert layer.R * layer.S * kc * layer.H <= _BAND
-    assert assert_matches_loop_reference(arch, layer, stream, tiles) == [0]
+    assert assert_matches_loop_reference(arch, layer, w_blocks, tiles) == [0]
 
 
 def test_slots_pad_pes_with_smaller_accumulators():
@@ -317,13 +330,13 @@ def test_slots_pad_pes_with_smaller_accumulators():
     # phases give neighbouring tiles different accumulator extents
     layer = LayerShape("ragged", C=3, K=5, W=11, H=7, R=3, S=3, stride=2, pad=1)
     arch = ArchConfig(pe_rows=2, pe_cols=3, accum_banks=16, bank_entries=3, bank_map="xor")
-    stream, tiles = _dense_case(layer, arch, 0.8, 5)
+    w_blocks, tiles = _dense_case(layer, arch, 0.8, 5)
     plan = partition_tiles(layer, (2, 3))
     for ax in (plan.x, plan.y):
         assert len({ax.acc_extent(p) for p in range(len(ax.starts))}) > 1
     # groups of 2, 2 and 1 channels: the last leaves a slot's k padding empty
-    assert [len(g) for g in stream.gplan.groups] == [2, 2, 1]
-    assert len(assert_matches_loop_reference(arch, layer, stream, tiles)) == 6 * 3
+    assert [len(g) for g in choose_kc(layer, arch).groups] == [2, 2, 1]
+    assert len(assert_matches_loop_reference(arch, layer, w_blocks, tiles)) == 6 * 3
 
 
 def test_group_with_more_cells_than_one_pass():
@@ -331,10 +344,10 @@ def test_group_with_more_cells_than_one_pass():
     # band, which then holds that one row
     layer = LayerShape("wide", C=2, K=64, W=64, H=64, R=3, S=3, pad=1)
     arch = ArchConfig(pe_rows=8, pe_cols=8, accum_banks=32, bank_entries=512)
-    stream, tiles = _dense_case(layer, arch, 0.5, 7)
-    assert stream.gplan.n_groups == 1
+    w_blocks, tiles = _dense_case(layer, arch, 0.5, 7)
+    assert choose_kc(layer, arch).n_groups == 1
     assert layer.R * layer.S * layer.K * (layer.H // 8) * 64 > _BAND
-    assert len(assert_matches_loop_reference(arch, layer, stream, tiles)) == 64
+    assert len(assert_matches_loop_reference(arch, layer, w_blocks, tiles)) == 64
 
 
 def test_channel_sums_past_the_blas_block():
@@ -349,12 +362,12 @@ def test_channel_sums_past_the_blas_block():
     w[2, 0::2], w[2, 1::2] = (1 << 15) - 1, -((1 << 15) - 1)
     a = rng.choice([(1 << 15) - 1, 0], size=layer.input_shape(), p=[0.9, 0.1])
     a[1::2] = a[0::2]
-    stream, tiles = prepare_scnn_inputs(arch, layer, DenseTensor(w), DenseTensor(a))
-    assert stream.gplan.n_groups == 1
-    accs = [acc for _, _, acc, _, _ in group_scatters(arch, layer, stream, tiles)]
+    w_blocks, tiles = prepare_scnn_inputs(arch, layer, DenseTensor(w), DenseTensor(a))
+    assert choose_kc(layer, arch).n_groups == 1
+    accs = [acc for _, _, acc, _, _ in group_scatters(arch, layer, w_blocks, tiles)]
     assert max(int(np.abs(acc).max()) for acc in accs) > 1 << 40
     assert not any(acc[2].any() for acc in accs)
-    assert len(assert_matches_loop_reference(arch, layer, stream, tiles)) == 4
+    assert len(assert_matches_loop_reference(arch, layer, w_blocks, tiles)) == 4
 
 
 # channels_per_group * R * S * 2**30 must stay below 2**53, i.e. fewer than
@@ -389,18 +402,18 @@ def test_float64_exactness_bound(cpg, groups, rejected):
     # mask it alone would take 12 bytes per (tap, channel)
     gplan = choose_kc(layer, arch)
     empty = np.zeros(0, dtype=np.int32)
-    stream = WeightStream(layer, gplan, encode_blocks(empty, [0] * layer.C * gplan.n_groups, 4))
+    w_blocks = encode_blocks(empty, [0] * layer.C * gplan.n_groups, 4)
     tiles = encode_blocks(np.zeros(layer.C, dtype=np.int32), [1] * layer.C, 4)
     plan = partition_tiles(layer, (1, 1))
     slots = _slots(plan, gplan.kc, arch.accum_banks, arch.bank_map)
     tracemalloc.start()
     try:
         acts = _activation_operand(plan, slots, tiles)
-        w = _weight_operand(stream, range(gplan.n_groups))
+        w = _weight_operand(layer, gplan, w_blocks, range(gplan.n_groups))
         acc, bank_totals = _scatter(gplan.groups, w, acts, slots)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert w.vals is None
+    assert w is None
     assert not acc.any() and not bank_totals.any()
     assert peak < layer.R * layer.S * layer.C * 12

@@ -341,9 +341,9 @@ class TestLayerEncodes:
         tiles, alive, scatter_batch = [], [], simulator._scatter
 
         def prepare(*args):
-            stream, blocks = prepare_scnn_inputs(*args)
+            w_blocks, blocks = prepare_scnn_inputs(*args)
             tiles.append(weakref.ref(blocks))
-            return stream, blocks
+            return w_blocks, blocks
 
         def scatter(*args):
             alive.append(tiles[0]() is not None)
@@ -408,10 +408,10 @@ def test_values_are_int32_from_synthesis_to_the_output_blocks():
     arch = small_arch()
     assert arch.index_bits == 4
     w, a, out, _ = run_scnn(arch, layer, 0.5, 0.6, pool=PoolSpec(2, 2))
-    stream, tiles = prepare_scnn_inputs(arch, layer, w, a)
-    for values in (w.values, a.values, stream.blocks.values, tiles.values, out.blocks.values):
+    w_blocks, tiles = prepare_scnn_inputs(arch, layer, w, a)
+    for values in (w.values, a.values, w_blocks.values, tiles.values, out.blocks.values):
         assert values.dtype == np.int32
-    for blocks in (stream.blocks, tiles, out.blocks):
+    for blocks in (w_blocks, tiles, out.blocks):
         assert blocks.run_lengths.dtype == np.uint8
         assert blocks.positions.dtype == np.int32
         assert blocks.offsets.dtype == blocks.extents.dtype == np.int64
