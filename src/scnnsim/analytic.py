@@ -60,7 +60,7 @@ INDEX_OVERHEAD_BITS = 10
 CODED_VALUE_BITS = STORED_VALUE_BITS + INDEX_OVERHEAD_BITS
 
 
-class EventCounts(Record, frozen=False):
+class EventCounts(Record):
     """Operation and traffic totals for one layer run (one variant).
 
     Each row is built whole by the function that models its machine:
@@ -133,7 +133,11 @@ class EnergyModel(Record):
             "weight_buf": counts.weight_buf_bits * self.fifo_bit,
             "dram": counts.dram_bits * self.dram_bit,
         }
-        return sum(breakdown.values()), breakdown
+        total = sum(breakdown.values())
+        if total == math.inf:  # named by the largest term, in the fields' order
+            _, name = max(zip(breakdown.values(), fields(self)))
+            raise ConfigurationError(f"energy coefficient {name}: a layer's energy overflows")
+        return total, breakdown
 
 
 class PoolSpec(Record):
@@ -230,6 +234,13 @@ class ArchConfig(Record):
     def oaram_value_capacity(self) -> int:
         return self.oaram_bytes * 8 // 16
 
+    def dram_cycles(self, bits) -> int:
+        """DRAM's cycles to move `bits` as 16-bit values; refused past float64."""
+        t = bits / 16 / self.dram_values_per_cycle
+        if t == math.inf:
+            raise ConfigurationError("dram_values_per_cycle: a layer's DRAM time overflows")
+        return math.ceil(t)
+
 
 def dense_dram_tiled(arch: ArchConfig, layer: LayerShape, pool: PoolSpec | None) -> bool:
     """Whether the dense baselines tile a layer through DRAM: its raw input
@@ -285,8 +296,6 @@ class SimReport(Record):
     dram_tiled: bool = False
     pe_busy: tuple[int, ...] = ()
     pe_wait: tuple[int, ...] = ()
-    kc: int = 0
-    n_groups: int = 1
     tiling_energy_fraction: float = 0.0
 
     @property
@@ -295,8 +304,7 @@ class SimReport(Record):
 
     @staticmethod
     def build(
-        arch: ArchConfig, layer: LayerShape, variant: str, cycles: int,
-        events: EventCounts,
+        arch: ArchConfig, layer: LayerShape, variant: str, cycles: int, events: EventCounts,
         pe_busy: Sequence[int] = (), pe_wait: Sequence[int] = (), **extra,
     ) -> SimReport:
         energy, breakdown = arch.energy.rollup(events)
@@ -400,7 +408,7 @@ def group_cycles(
     its cycles, FIFO refill (stream beyond compute) and unhidden drain."""
     cycles, refill, unhidden = [], [], []
     for grp, busy, values in zip(gplan.groups, compute, streamed):
-        t = max(busy, math.ceil(values * CODED_VALUE_BITS / 16 / arch.dram_values_per_cycle))
+        t = max(busy, arch.dram_cycles(values * CODED_VALUE_BITS))
         drain = -(-len(grp) * cells // arch.ppu_values_per_cycle)
         end = max(t, drain) if gplan.double_buffered else t + drain
         cycles.append(end + arch.halo_latency_cycles)
@@ -578,11 +586,9 @@ def dense_baseline(
 
 
 def analytic_cycles(counts: EventCounts, arch) -> int:
-    """The analytic engine's cycles: the busiest PE's (`counts.pe_cycles`),
-    or the layer's DRAM traffic over the DRAM bandwidth when that is
-    longer."""
-    dram = math.ceil(counts.dram_bits / (arch.dram_values_per_cycle * 16))
-    return max(counts.pe_cycles, dram)
+    """The analytic engine's cycles: the busiest PE's (`counts.pe_cycles`)
+    or, when longer, DRAM's for the layer's traffic (`ArchConfig.dram_cycles`)."""
+    return max(counts.pe_cycles, arch.dram_cycles(counts.dram_bits))
 
 
 def analytic_time_energy(

@@ -127,6 +127,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             variants = tuple(v.strip() for v in args.variants.split(",") if v.strip())
             run = run_network(net, cfg.arch, variants, seed=seed, engine=args.engine)
+            # the totals too are checked before anything is written
+            totals = [network_row(run, cfg.arch, v) for v in run.variants]
             path = emit_report(
                 rows_from_run(run), args.format, out_dir / f"{net.name}_run.{args.format}"
             )
@@ -134,9 +136,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{net.name}: {len(run.layers)} layers via {args.engine} -> {path}")
             if tiled:
                 print(f"DRAM-tiled layers: {', '.join(tiled)}")
-            for v in run.variants:
-                total = network_row(run, cfg.arch, v)
-                print(f"  {v}: {total.cycles} cycles, energy {total.energy:.4g}")
+            for total in totals:
+                print(f"  {total.variant}: {total.cycles} cycles, energy {total.energy:.4g}")
             return 0
 
         if args.command == "sweep-density":

@@ -20,27 +20,25 @@ class Record:
     """A record whose fields are the annotated names of its class body, in
     order, each defaulting to the class attribute of that name if any.
 
-        class Point(Record):              # frozen, compared by value
+        class Point(Record):  # frozen, compared by value
             x: int
             y: int = 0
 
-        class Tally(Record, frozen=False):  # assignable, unhashable
-            n: int = 0
-
     The constructor binds fields by position or keyword, refuses unknown,
     repeated and missing ones with a TypeError, and then calls
-    `__post_init__`, where checks and normalisation go (a frozen record
-    sets attributes there through `object.__setattr__`). Records compare
-    equal, and frozen ones hash alike, when their types and field values
-    are; `eq=False` keeps comparison and hashing by identity. A default
-    is shared by every instance, so it must be immutable.
+    `__post_init__`, where checks and normalisation go (attributes are set
+    there through `object.__setattr__`). A record is built whole: no field
+    can be assigned or deleted afterwards. Records compare equal and hash
+    alike when their types and field values are; `eq=False` keeps
+    comparison and hashing by identity. A default is shared by every
+    instance, so it must be immutable.
     """
 
     _fields: tuple[str, ...] = ()
     _defaults: dict[str, object] = {}
     _names: frozenset[str] = frozenset()
 
-    def __init_subclass__(cls, frozen: bool = True, eq: bool = True, **kwargs) -> None:
+    def __init_subclass__(cls, eq: bool = True, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         body = vars(cls)
         new = [n for n in body.get("__annotations__", {}) if n not in cls._names]
@@ -51,11 +49,6 @@ class Record:
         if not eq:
             cls.__eq__ = object.__eq__
             cls.__hash__ = object.__hash__
-        elif not frozen:
-            cls.__hash__ = None
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
 
     def __init__(self, *args, **kwargs) -> None:
         names = self._fields

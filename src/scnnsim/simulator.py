@@ -39,29 +39,22 @@ broadcast to all of them, into accumulators laid out uniformly as
 outputs are its column's along x times its row's along y, so the layout,
 the activation grids and the merge read the PE grid only through the plan's
 two axes (`TilePlan.x`, `TilePlan.y`), and the drains every engine counts
-are the plan's (`TilePlan.acc_cells`). Each group keeps its own cells, so
-its bank totals, stalls and skipped products are those of a pass of its
-own. A product lands only when the stride phases of its tap (r % stride)
-and its activation ((x + pad) % stride) agree in both axes, so products a
-stride skips are counted, never formed. Activations are read once per layer
-into one dense grid per phase (`_activation_operand`), and each batch's
-weights into a dense [C, R, S, kw] array over each channel's own
-convolution group (`_weight_cells`). All products of one (filter, tap,
-activation position) land in one cell, whose sum and count are all that is
-read, so per phase and convolution group the scatter contracts the input
-channels first: one float64 GEMM of the values and one float32 GEMM of the
-0/1 masks of stored entries (placeholders included), whose tap rows then
-add into the accumulators as shifted slices (`_scatter`). Both are exact in
-any order of addition. Products of 16-bit operands are integers below
-2**30, so every partial sum of a cell is an integer below
-channels_per_group * R * S * 2**30, which `simulate_scnn_layer` keeps below
-2**53; every count is an integer below 2**23, which float32 holds. The PPU
-adds each batch's slots into the output plane one axis at a time: columns
-overlap-add into a band, then rows into the plane. Every product of an
-output lands in exactly one PE's cell, so a merged sum is a sum of distinct
-products of that output and as exact as a cell. The cycle model then works
-on every group at once from the per-group counts, reading every stored
-count, of weights, activations and outputs, off its block set's offsets.
+are the plan's (`TilePlan.acc_cells`). A product lands only when the
+stride phases of its tap (r % stride) and its activation ((x + pad) %
+stride) agree in both axes, so products a stride skips are counted, never
+formed. All products of one (filter, tap, activation position) land in one
+cell, whose sum and count are all that is read, so the scatter contracts
+the input channels first, in a float64 GEMM of the values and a float32
+GEMM of the 0/1 masks of stored entries (`_scatter`). Both are exact in any
+order of addition. Products of 16-bit operands are integers below 2**30,
+so every partial sum of a cell is an integer below
+channels_per_group * R * S * 2**30, which `simulate_scnn_layer` keeps
+below 2**53; every count is an integer below 2**23, which float32 holds.
+Every product of an output lands in exactly one PE's cell, so the PPU's
+merged sum is a sum of distinct products of that output and as exact as a
+cell. The cycle model then works on every group at once from the
+per-group counts, reading every stored count, of weights, activations and
+outputs, off its block set's offsets.
 
 Functional equivalence is the master contract: the decoded, halo-merged,
 ReLU'd (and optionally pooled) outputs equal the exact reference convolution
@@ -571,7 +564,6 @@ def simulate_scnn_layer(
     gplan = choose_kc(layer, arch)
     n_pes, n_groups = arch.n_pes, gplan.n_groups
     F, I = arch.weights_per_fetch, arch.acts_per_fetch
-    ev = EventCounts(useful_mults=useful_mults)
     # stored entries per (group, channel) and per (PE, channel), an idle
     # PE's blocks being empty
     w_stored = np.diff(w_blocks.offsets).reshape(n_groups, layer.C)
@@ -588,17 +580,15 @@ def simulate_scnn_layer(
     # per (PE, group): the hottest bank's products
     peak = np.zeros((n_pes, n_groups), dtype=np.int64)
     planes: list[np.ndarray] = []
+    landed = 0
     for batch in _batches(n_groups, slots):
         rows = slice(batch.start, batch.stop)
         w = _weight_operand(layer, gplan, w_blocks, batch)
         acc, bank_totals = _scatter(gplan.groups[rows], w, a_op, slots)
         peak[slots.pes, rows] = bank_totals.max(axis=2).T
-        ev.xbar_transfers += int(bank_totals.sum())
+        landed += int(bank_totals.sum())
         planes.append(ppu_finalize(acc, slots, pool)[0])
-    ev.acc_updates = ev.xbar_transfers
-    # each PE drains its accumulator window once per output channel
-    ev.acc_drains = layer.K * plan.acc_cells()
-    ev.mult_ops = int((a_stored @ w_stored.T).sum())
+    mult_ops = int((a_stored @ w_stored.T).sum())
     # every activation vector of a channel re-reads that channel's weights
     weight_reads = int((w_stored * va.sum(axis=0)).sum())
 
@@ -634,27 +624,26 @@ def simulate_scnn_layer(
         or (out_stored > arch.oaram_value_capacity).any()
     )
 
-    ev.act_ram_bits += iaram_stored * CODED_VALUE_BITS * n_groups
-    ev.act_ram_bits += oaram_stored * CODED_VALUE_BITS
-    ev.weight_buf_bits += CODED_VALUE_BITS * weight_reads
-    act_dram, ev.tiling_dram_bits = activation_dram_bits(
+    act_dram, tiling = activation_dram_bits(
         iaram_stored * CODED_VALUE_BITS, oaram_stored * CODED_VALUE_BITS,
         input_from_dram, dram_tiled,
     )
-    ev.dram_bits += w_blocks.values.size * CODED_VALUE_BITS + act_dram
-
-    ev.energized_mults = ev.mult_ops
-    ev.mult_slots = int(group_batches.sum()) * F * I
-
+    events = EventCounts(
+        mult_ops=mult_ops, useful_mults=useful_mults, energized_mults=mult_ops,
+        mult_slots=int(group_batches.sum()) * F * I, acc_updates=landed, xbar_transfers=landed,
+        # each PE drains its accumulator window once per output channel
+        acc_drains=layer.K * plan.acc_cells(),
+        act_ram_bits=(iaram_stored * n_groups + oaram_stored) * CODED_VALUE_BITS,
+        weight_buf_bits=CODED_VALUE_BITS * weight_reads,
+        dram_bits=w_blocks.values.size * CODED_VALUE_BITS + act_dram, tiling_dram_bits=tiling,
+    )
     report = SimReport.build(
-        arch, layer, VARIANT_SCNN, int(per_group.sum()), ev, pe_busy, pe_wait,
+        arch, layer, VARIANT_SCNN, int(per_group.sum()), events, pe_busy, pe_wait,
         bank_conflict_stalls=int(stall.sum()),
         fifo_stalls=int(refill.sum()),
         drain_overhead_cycles=int(drain_overhead.sum()),
-        stride_skipped=ev.mult_ops - ev.xbar_transfers,
+        stride_skipped=mult_ops - landed,
         dram_tiled=dram_tiled,
-        kc=gplan.kc,
-        n_groups=n_groups,
     )
     return output, report
 

@@ -156,6 +156,15 @@ def apply_relu(t: DenseTensor) -> DenseTensor:
     return DenseTensor(np.maximum(t.values, 0))
 
 
+def reference_pool(t: DenseTensor, pool) -> DenseTensor:
+    """Ceil-mode max pooling, the oracle's own, sharing no code with the
+    PPU's: along each axis, output o is the maximum of inputs o * stride + j,
+    j < window, an index past the far edge clamped to the last input."""
+    (_, w, h), st, j = t.shape, pool.stride, np.arange(pool.window)
+    x, y = (np.minimum(np.arange(pool.out_extent(n))[:, None] * st + j, n - 1) for n in (w, h))
+    return DenseTensor(t.values[:, x].max(axis=2)[:, :, y].max(axis=3))
+
+
 def prune_magnitude(weights: DenseTensor, target_density: float) -> DenseTensor:
     """Zero all but the ceil(target_density * n) largest-magnitude values.
 

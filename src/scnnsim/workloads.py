@@ -404,26 +404,22 @@ def requantize(t: DenseTensor, consumer_weights: Sequence[DenseTensor] = ()) -> 
     return DenseTensor(t.values >> shift)
 
 
-class LayerRun(Record, frozen=False):
+class LayerRun(Record):
     spec: LayerSpec
     reports: dict[str, SimReport]
     oracle_checked: bool = False
 
 
-class NetworkRun(Record, frozen=False):
+class NetworkRun(Record):
     network: str
-    engine: str
-    seed: int
     layers: list[LayerRun]
     variants: tuple[str, ...]
 
     def tiled_layers(self) -> list[str]:
-        out = []
-        for run in self.layers:
-            rep = run.reports.get(VARIANT_SCNN) or next(iter(run.reports.values()))
-            if rep.dram_tiled:
-                out.append(run.spec.name)
-        return out
+        return [
+            lr.spec.name for lr in self.layers
+            if (lr.reports.get(VARIANT_SCNN) or next(iter(lr.reports.values()))).dram_tiled
+        ]
 
 
 def _oracle_report(layer: LayerShape, useful: int, arch: ArchConfig) -> SimReport:
@@ -441,11 +437,10 @@ def _oracle_report(layer: LayerShape, useful: int, arch: ArchConfig) -> SimRepor
 
 def _reference_output(spec: LayerSpec, weights: DenseTensor, acts: DenseTensor):
     """The layer's exact output, [K, W, H] after ReLU and the pool."""
-    from .simulator import max_pool
-    from .tensors import apply_relu, reference_conv
+    from .tensors import apply_relu, reference_conv, reference_pool
 
-    out = apply_relu(reference_conv(spec.shape, weights, acts)).values
-    return out if spec.pool is None else max_pool(out, spec.pool)
+    out = apply_relu(reference_conv(spec.shape, weights, acts))
+    return (out if spec.pool is None else reference_pool(out, spec.pool)).values
 
 
 def _sim_layer(
@@ -571,7 +566,7 @@ def run_network(
             LayerRun(spec, _analytic_layer(arch, spec, variants, first=i == 0))
             for i, spec in enumerate(net.layers)
         ]
-        return NetworkRun(net.name, engine, seed, runs, tuple(variants))
+        return NetworkRun(net.name, runs, tuple(variants))
     import numpy as np
 
     from .tensors import DenseTensor
@@ -609,7 +604,7 @@ def run_network(
         # the requantized copy is all a consumer reads
         del decoded
         runs.append(LayerRun(spec, reports, oracle_checked=checked))
-    return NetworkRun(net.name, engine, seed, runs, tuple(variants))
+    return NetworkRun(net.name, runs, tuple(variants))
 
 
 def density_sweep(
@@ -659,7 +654,7 @@ def density_sweep(
                 a = synth_acts(spec, seed + 101 * i + 50)
                 reports, _, checked = _sim_layer(arch, spec, w, a, ALL_VARIANTS, first=i == 0)
                 layers.append(LayerRun(spec, reports, oracle_checked=checked))
-            run = NetworkRun(net.name, engine, seed, layers, ALL_VARIANTS)
+            run = NetworkRun(net.name, layers, ALL_VARIANTS)
         rows += (
             replace(network_row(run, arch, v), sweep_wd=d, sweep_ad=d) for v in ALL_VARIANTS
         )
@@ -727,6 +722,12 @@ class ReportRow(Record):
     energy: float = 0.0
     speedup_vs_dcnn: float | None = None
     energy_vs_dcnn: float | None = None
+
+    def __post_init__(self) -> None:
+        # a layer's energy is finite (`EnergyModel.rollup`), not so sums and ratios
+        for name in ("energy", "tiling_energy_fraction", "energy_vs_dcnn"):
+            if isinstance(v := getattr(self, name), float) and not math.isfinite(v):
+                raise ConfigurationError(f"{self.network} {self.layer} {self.variant}: {name}={v}")
 
 
 REPORT_COLUMNS = fields(ReportRow)

@@ -134,6 +134,21 @@ def test_bad_run_input_is_a_one_line_error(argv, message, tmp_path, capsys):
             "--config", "schema_version: 1\nsweep: {grids: [[2, 2]]}\n",
             ".sweep: unknown key 'grids'",
         ),
+        # valid knobs whose costs pass float64's range, refused as they
+        # are costed rather than crashing or writing inf and nan
+        (
+            "--config", "schema_version: 1\narch: {dram_values_per_cycle: 1.0e-310}\n",
+            "error: dram_values_per_cycle: a layer's DRAM time overflows",
+        ),
+        (
+            "--config", "schema_version: 1\nenergy: {dram_bit: 1.0e+308}\n",
+            "error: energy coefficient dram_bit: a layer's energy overflows",
+        ),
+        (
+            # every layer's energy is finite, their sum is not
+            "--config", "schema_version: 1\nenergy: {dram_bit: 3.0e+301}\n",
+            "error: inception-mini (network) scnn: energy=inf",
+        ),
     ],
 )
 def test_bad_input_file_is_a_one_line_error(option, text, message, tmp_path, capsys):
@@ -147,6 +162,41 @@ def test_bad_input_file_is_a_one_line_error(option, text, message, tmp_path, cap
     assert rc == 2
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "knob,message",
+    [
+        ("arch: {dram_values_per_cycle: 1.0e-310}", "dram_values_per_cycle: "),
+        ("energy: {dram_bit: 1.0e+308}", "energy coefficient dram_bit: "),
+    ],
+    ids=["dram-time", "energy"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--engine", "sim"],
+        ["sweep-density", "--engine", "analytic"],
+        ["sweep-density", "--engine", "sim", "--points", "0.5"],
+        ["sweep-pe", "--grids", "2x2"],
+        ["validate"],
+    ],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in argv[::2]),
+)
+def test_costs_past_float64_are_a_one_line_error_in_every_command(
+    argv, knob, message, tmp_path, capsys
+):
+    config = tmp_path / "config.yaml"
+    config.write_text(f"schema_version: 1\n{knob}\n")
+    rc = main([
+        *argv, "--network", str(GOLDEN / "strided_chain.yaml"), "--config", str(config),
+        "--out-dir", str(tmp_path),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))
 
 
 CHAIN_HEAD = (

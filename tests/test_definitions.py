@@ -52,10 +52,12 @@ def check_layer_reports(
     assert reports[VARIANT_ORACLE].cycles <= min(scnn.cycles, dcnn.cycles)
     opt = reports[VARIANT_DCNN_OPT]
     for rep in (dcnn, opt):
-        # every multiply runs, in each PE's busy cycles
+        # every multiply runs, in each PE's busy cycles, and each F x I
+        # batch of them, a partial one too, updates the accumulators once
         assert rep.events.mult_ops == layer.dense_multiplies()
         assert rep.events.mult_slots == sum(rep.pe_busy) * arch.mults_per_pe
         assert rep.events.pe_cycles == max(rep.pe_busy)
+        assert rep.events.acc_updates == -(-rep.events.mult_ops // arch.mults_per_pe)
     # without gating every multiply is energized; gating leaves energized
     # exactly the useful ones
     assert dcnn.events.energized_mults == dcnn.events.mult_ops
@@ -94,11 +96,15 @@ def check_network_row(arch: ArchConfig, run, rows: dict) -> None:
         assert row.tiling_energy_fraction == pytest.approx(
             penalty / (row.energy - penalty) if row.energy > penalty else 0.0, rel=1e-12
         )
-        # a row with no cycles (a bound row with no useful multiply) has no ratio
+        # each ratio is taken over its own denominator: a row with no
+        # cycles has no speedup, and one with no energy no energy ratio
         if dcnn is None or not row.cycles:
-            assert row.speedup_vs_dcnn is row.energy_vs_dcnn is None
+            assert row.speedup_vs_dcnn is None
         else:
             assert row.speedup_vs_dcnn == dcnn.cycles / row.cycles
+        if dcnn is None or not row.energy:
+            assert row.energy_vs_dcnn is None
+        else:
             assert row.energy_vs_dcnn == pytest.approx(dcnn.energy / row.energy, rel=1e-12)
 
 
@@ -142,6 +148,8 @@ def cases(draw):
     ),
     densities=(1.0, 1.0),
 )
+# 9 dense multiplies, a partial F x I batch
+@example(case=(LayerShape("odd", C=1, K=1, W=3, H=3, R=1, S=1), ArchConfig()), densities=(1.0, 1.0))
 def test_every_row_obeys_its_definitions_on_random_layers(case, densities):
     layer, arch = case
     net = NetworkDescriptor("p", (LayerSpec(layer, *densities, densities[1]),))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import argsort_prune, einsum_conv, naive_conv
+from oracles import argsort_prune, einsum_conv, naive_conv, naive_max_pool
+from scnnsim.analytic import PoolSpec
 from scnnsim.dataflow import LayerShape, ShapeError
 from scnnsim.tensors import (
     ACCUM_MAX,
@@ -18,6 +19,7 @@ from scnnsim.tensors import (
     gen_synthetic,
     prune_magnitude,
     reference_conv,
+    reference_pool,
 )
 
 
@@ -245,6 +247,23 @@ class TestRelu:
         vals = rng.integers(1, 1000, 20000) * rng.choice([-1, 1], 20000)
         out = apply_relu(DenseTensor(vals))
         assert abs(out.density() - 0.5) < 0.02
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    window=st.integers(1, 5),
+    stride=st.integers(1, 5),
+    k=st.integers(1, 3),
+    w=st.integers(1, 13),
+    h=st.integers(1, 13),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reference_pool_equals_loop_reference(window, stride, k, w, h, seed):
+    # spans shorter than the window and windows shorter than the stride
+    # included; negative values check that no cut window reads past its edge
+    plane = np.random.default_rng(seed).integers(-(1 << 23), 1 << 23, size=(k, w, h))
+    got = reference_pool(DenseTensor(plane), PoolSpec(window, stride))
+    assert got.values.tolist() == naive_max_pool(plane.tolist(), window, stride)
 
 
 class TestPrune:
