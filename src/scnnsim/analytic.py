@@ -1,13 +1,13 @@
 """Analytical cost model: event counting, cycles and energy, plus the
-architecture and report types and the rules both engines share:
-the dense baselines' DRAM tiling, and the timing of the PE arrays.
+architecture and report types and the rules both engines share: the
+costs of the sparse PE array and of the dense baselines.
 
 Each machine is costed by one function. The sparse PE array's work is
-counted per output-channel group, by the cycle-level engine exactly per PE
-and by `count_events` in expectation per tile class, and one function,
-`group_cycles`, turns the counts into cycles. The dense baselines' work
-depends on shapes alone, so one function, `dense_baseline`, counts both of
-their rows for both engines.
+counted by the cycle-level engine exactly per PE and by `count_events` in
+expectation per tile class, and one function, `scnn_events`, turns either
+engine's counts into the row's events and each output-channel group's
+cycles. The dense baselines' work depends on shapes alone, so one
+function, `dense_baseline`, counts both of their rows for both engines.
 
 Energy coefficients are relative estimates shipped in the config (ordered
 DRAM >> RAM > FIFO > multiply); absolute joules are never asserted.
@@ -31,7 +31,6 @@ from typing import Sequence
 
 from .dataflow import (
     ConfigurationError,
-    GroupPlan,
     LayerShape,
     choose_kc,
     partition_tiles,
@@ -64,16 +63,16 @@ class EventCounts(Record):
     """Operation and traffic totals for one layer run (one variant).
 
     Each row is built whole by the function that models its machine:
-    `count_events` (analytic scnn), `dense_baseline` (dcnn and dcnn-opt,
-    both engines) or the cycle-level engine (sim scnn). Bit counts for
-    memories include the per-value index overhead when the structure holds
-    compressed data. mult_slots is F x I times the vector batches summed
+    `scnn_events` (scnn, from either engine's counts) or `dense_baseline`
+    (dcnn and dcnn-opt, from shapes, for both engines). Bit counts for
+    memories include the per-value index overhead when the structure
+    holds compressed data. mult_slots is F x I times the vector batches summed
     over every PE. tiling_dram_bits is the part of dram_bits charged only
     because the layer is tiled through DRAM: the output's round trip, plus
     the input when it would not cross DRAM anyway. pe_cycles is the busiest
     PE's cycles before the whole-layer DRAM bound (`analytic_cycles`): its
-    time through every group (`group_cycles`) on the analytic scnn row, its
-    multiply cycles on the dense rows. The sim's scnn rows leave it 0.
+    time through every group on the scnn rows, its multiply cycles on the
+    dense rows.
     """
 
     mult_ops: int = 0         # products with operands loaded
@@ -396,16 +395,25 @@ def _max_of(n: int, mean: float, var: float) -> float:
     return mean + _max_quantile(n) * math.sqrt(var)
 
 
-def group_cycles(
-    arch, gplan: GroupPlan, cells: int, compute: Sequence, streamed: Sequence
-) -> tuple[list, list, list]:
-    """The sparse PE array's timing rule, shared by both engines: a barrier
-    ends each output-channel group of `gplan`. Group g takes compute[g]
-    (the busiest PE's multiply and bank-stall cycles) or DRAM's time to
-    stream its streamed[g] broadcast weight values, whichever is longer,
-    then the PPU's drain of kc * cells accumulator entries, hidden only
-    when double-buffered, then halo_latency_cycles. Returns, per group,
-    its cycles, FIFO refill (stream beyond compute) and unhidden drain."""
+def scnn_events(
+    arch, layer: LayerShape, *, formed: int, landed: int, useful: int, batches: float,
+    weight_reads: float, weights: int, ram_inputs: int, dram_inputs: int, outputs: int,
+    compute: Sequence, streamed: Sequence, input_from_dram: bool, dram_tiled: bool,
+) -> tuple[EventCounts, list, list, list]:
+    """The sparse PE array's cost rule, shared by both engines: a layer's
+    counts, measured by the cycle-level engine or expected by
+    `count_events`, made into the scnn row's events and each
+    output-channel group's cycles, FIFO refill (stream beyond compute) and
+    unhidden drain. The counts are the layer's, summed over the PEs, but
+    compute[g] (the busiest PE's multiply and bank-stall cycles) and
+    streamed[g] (its broadcast weight values) are group g's. The group
+    takes compute[g] or DRAM's time to stream its weights, whichever is
+    longer, then the PPU's drain of kc * cells accumulator entries, hidden
+    only when double-buffered, then halo_latency_cycles; a barrier ends
+    it. Each PE reads its inputs once per group."""
+    plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
+    gplan = choose_kc(layer, arch)
+    cells = plan.max_acc_cells()
     cycles, refill, unhidden = [], [], []
     for grp, busy, values in zip(gplan.groups, compute, streamed):
         t = max(busy, arch.dram_cycles(values * CODED_VALUE_BITS))
@@ -414,7 +422,20 @@ def group_cycles(
         cycles.append(end + arch.halo_latency_cycles)
         refill.append(t - busy)
         unhidden.append(end - t)
-    return cycles, refill, unhidden
+    act_dram, tiling = activation_dram_bits(
+        dram_inputs * CODED_VALUE_BITS, outputs * CODED_VALUE_BITS, input_from_dram, dram_tiled
+    )
+    events = EventCounts(
+        mult_ops=formed, useful_mults=useful, energized_mults=formed,
+        mult_slots=round(batches * arch.weights_per_fetch * arch.acts_per_fetch),
+        pe_cycles=math.ceil(sum(cycles)), acc_updates=landed, xbar_transfers=landed,
+        # each PE drains its accumulator window once per output channel
+        acc_drains=layer.K * plan.acc_cells(),
+        act_ram_bits=(ram_inputs * gplan.n_groups + outputs) * CODED_VALUE_BITS,
+        weight_buf_bits=round(weight_reads * CODED_VALUE_BITS),
+        dram_bits=weights * CODED_VALUE_BITS + act_dram, tiling_dram_bits=tiling,
+    )
+    return events, cycles, refill, unhidden
 
 
 def activation_dram_bits(
@@ -450,13 +471,14 @@ def count_events(
     input_from_dram: bool = True,
     dram_tiled: bool = False,
 ) -> EventCounts:
-    """Closed-form event totals of one layer on the sparse PE array, in
-    expectation per tile class: compressed operands, Cartesian-product PEs.
+    """Closed-form event totals of one layer on the sparse PE array:
+    compressed operands, Cartesian-product PEs. The counts are expected
+    per tile class, and `scnn_events`, the rule both engines share, makes
+    them into events.
 
     The array forms every non-zero pair of a channel, landing or not: its
     mult_ops, energized_mults, xbar_transfers and acc_updates. useful_mults
-    are those that land on a valid output (`useful_products`). pe_cycles is
-    the busiest PE's time through every group (`group_cycles`). The dense
+    are those that land on a valid output (`useful_products`). The dense
     baselines are costed by `dense_baseline`; `dataflow` must be "sparse".
     """
     if dataflow != "sparse":
@@ -465,15 +487,13 @@ def count_events(
     if not (0.0 <= wd <= 1.0 and 0.0 <= ad <= 1.0):
         raise ConfigurationError(f"densities {densities} outside [0, 1]")
 
-    plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
     gplan = choose_kc(layer, arch)
     F, I = arch.weights_per_fetch, arch.acts_per_fetch
-    classes = plan.tile_classes()
+    classes = partition_tiles(layer, (arch.pe_rows, arch.pe_cols)).tile_classes()
 
     # expected vector counts per fetch stream; the weight stream is shared
     # by every PE, so only activation variation skews the barrier
-    total_batches = 0.0
-    weight_buf_bits = 0
+    total_batches = weight_reads = 0.0
     compute, streamed = [], []
     kpg = layer.filters_per_group
     for grp in gplan.groups:
@@ -499,33 +519,22 @@ def count_events(
             # least its products over its banks (binds below F x I banks)
             bank_floor = w_stored * ad * wt * ht / arch.accum_banks
             best = max(best, _max_of(n, mean_pe, var_pe), bank_floor)
-            weight_buf_bits += round(n * ea * w_stored * CODED_VALUE_BITS)
+            weight_reads += n * ea * w_stored
         compute.append(best)
         streamed.append(w_stored)
-    cycles, _, _ = group_cycles(arch, gplan, plan.max_acc_cells(), compute, streamed)
     # placeholder slots are negligible in closed form
     formed = round(kpg * layer.C * layer.R * layer.S * layer.W * layer.H * wd * ad)
-
-    # DRAM: weights stream once per layer (broadcast), activations by the
-    # rule both engines share.
-    in_values, out_values = layer.C * layer.W * layer.H, layer.K * layer.Wo * layer.Ho
-    act_bits_in = round(in_values * ad) * CODED_VALUE_BITS
-    act_bits_out = round(out_values * ad) * CODED_VALUE_BITS
-    act_dram, tiling = activation_dram_bits(act_bits_in, act_bits_out, input_from_dram, dram_tiled)
-    w_values = round(wd * layer.K * layer.channels_per_group * layer.R * layer.S)
-    return EventCounts(
-        mult_ops=formed, useful_mults=useful_products(layer, wd, ad), energized_mults=formed,
-        mult_slots=round(total_batches * F * I), pe_cycles=math.ceil(sum(cycles)),
-        acc_updates=formed, xbar_transfers=formed,
-        acc_drains=layer.K * plan.acc_cells(),
-        act_ram_bits=sum(
-            n * layer.C * round(ad * wt * ht) * CODED_VALUE_BITS * gplan.n_groups
-            for n, wt, ht, *_ in classes
-        ) + act_bits_out,
-        weight_buf_bits=weight_buf_bits,
-        dram_bits=w_values * CODED_VALUE_BITS + act_dram,
-        tiling_dram_bits=tiling,
-    )
+    # inputs are rounded per tile for the PEs' RAM, per layer for DRAM
+    return scnn_events(
+        arch, layer, formed=formed, landed=formed, useful=useful_products(layer, wd, ad),
+        batches=total_batches, weight_reads=weight_reads,
+        weights=round(wd * layer.K * layer.channels_per_group * layer.R * layer.S),
+        ram_inputs=sum(n * layer.C * round(ad * wt * ht) for n, wt, ht, *_ in classes),
+        dram_inputs=round(layer.C * layer.W * layer.H * ad),
+        outputs=round(layer.K * layer.Wo * layer.Ho * ad),
+        compute=compute, streamed=streamed,
+        input_from_dram=input_from_dram, dram_tiled=dram_tiled,
+    )[0]
 
 
 def dense_baseline(

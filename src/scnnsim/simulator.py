@@ -9,9 +9,9 @@ coordinate. Work is counted per (PE, output-channel group): the base cost
 is the number of F x I vector batches, and accumulator contention adds
 stalls when the hottest bank's total demand exceeds the batch count (banks
 retire one product per cycle; elastic queues absorb transient imbalance
-within a group). `analytic.group_cycles`, the timing rule both engines
-share, turns the counts into cycles: a barrier at each group boundary
-charges every PE the time of the slowest one.
+within a group). `analytic.scnn_events`, the cost rule both engines
+share, turns the counts into events and cycles: a barrier at each group
+boundary charges every PE the time of the slowest one.
 
 `simulate_scnn_layer` takes a layer's dense weights and activations and
 compresses them itself (`prepare_scnn_inputs`), as the machine does: no
@@ -70,17 +70,14 @@ import numpy as np
 
 from . import codec
 from .analytic import (
-    CODED_VALUE_BITS,
     VARIANT_DCNN,
     VARIANT_DCNN_OPT,
     VARIANT_SCNN,
     ArchConfig,
-    EventCounts,
     PoolSpec,
     SimReport,
-    activation_dram_bits,
     dense_baseline,
-    group_cycles,
+    scnn_events,
 )
 from .codec import BlockSet
 from .dataflow import (
@@ -573,7 +570,6 @@ def simulate_scnn_layer(
     slots = _slots(plan, gplan.kc, arch.accum_banks, arch.bank_map)
     a_op = _activation_operand(plan, slots, tiles)
     del tiles  # the phase grids are all the scatter reads
-    iaram_stored = int(a_stored.sum())
     # activation vectors per (PE, channel)
     va = -((-a_stored) // I)
 
@@ -592,7 +588,7 @@ def simulate_scnn_layer(
     # every activation vector of a channel re-reads that channel's weights
     weight_reads = int((w_stored * va.sum(axis=0)).sum())
 
-    # the cycles of each group, [PE, group] where they differ between PEs
+    # the compute of each group, [PE, group] where it differs between PEs
     wv = -((-w_stored) // F)
     group_batches = va @ wv.T
     # banks retire one product per cycle; within a group the elastic queues
@@ -604,11 +600,6 @@ def simulate_scnn_layer(
     # re-streamed once per activation-vector pass
     passes = np.where(wv <= arch.weight_fifo_entries, 1, np.maximum(va.max(axis=0), 1))
     stream_values = (w_stored * passes).sum(axis=1)
-    per_group, refill, drain_overhead = map(np.array, group_cycles(
-        arch, gplan, plan.max_acc_cells(), group_busy.max(axis=0).tolist(), stream_values.tolist()
-    ))
-    pe_busy = group_busy.sum(axis=1)
-    pe_wait = (per_group - group_busy).sum(axis=1)
 
     # the PEs' output RAMs: block pe * K + k of one set for the layer
     out = np.concatenate(planes, axis=0)
@@ -617,31 +608,25 @@ def simulate_scnn_layer(
     output = LayerOutput(out_blocks, out.shape, arch.pe_rows, arch.pe_cols)
     # stored output entries per PE
     out_stored = np.diff(out_blocks.offsets[:: layer.K])
-
-    oaram_stored = int(out_stored.sum())
     dram_tiled = bool(
         (a_stored.sum(axis=1) > arch.iaram_value_capacity).any()
         or (out_stored > arch.oaram_value_capacity).any()
     )
 
-    act_dram, tiling = activation_dram_bits(
-        iaram_stored * CODED_VALUE_BITS, oaram_stored * CODED_VALUE_BITS,
-        input_from_dram, dram_tiled,
-    )
-    events = EventCounts(
-        mult_ops=mult_ops, useful_mults=useful_mults, energized_mults=mult_ops,
-        mult_slots=int(group_batches.sum()) * F * I, acc_updates=landed, xbar_transfers=landed,
-        # each PE drains its accumulator window once per output channel
-        acc_drains=layer.K * plan.acc_cells(),
-        act_ram_bits=(iaram_stored * n_groups + oaram_stored) * CODED_VALUE_BITS,
-        weight_buf_bits=CODED_VALUE_BITS * weight_reads,
-        dram_bits=w_blocks.values.size * CODED_VALUE_BITS + act_dram, tiling_dram_bits=tiling,
+    iaram_stored = int(a_stored.sum())
+    events, per_group, refill, drain_overhead = scnn_events(
+        arch, layer, formed=mult_ops, landed=landed, useful=useful_mults,
+        batches=int(group_batches.sum()), weight_reads=weight_reads,
+        weights=w_blocks.values.size, ram_inputs=iaram_stored, dram_inputs=iaram_stored,
+        outputs=int(out_stored.sum()), compute=group_busy.max(axis=0).tolist(),
+        streamed=stream_values.tolist(), input_from_dram=input_from_dram, dram_tiled=dram_tiled,
     )
     report = SimReport.build(
-        arch, layer, VARIANT_SCNN, int(per_group.sum()), events, pe_busy, pe_wait,
+        arch, layer, VARIANT_SCNN, events.pe_cycles, events,
+        group_busy.sum(axis=1), (np.array(per_group) - group_busy).sum(axis=1),
         bank_conflict_stalls=int(stall.sum()),
-        fifo_stalls=int(refill.sum()),
-        drain_overhead_cycles=int(drain_overhead.sum()),
+        fifo_stalls=sum(refill),
+        drain_overhead_cycles=sum(drain_overhead),
         stride_skipped=mult_ops - landed,
         dram_tiled=dram_tiled,
     )

@@ -417,8 +417,7 @@ class NetworkRun(Record):
 
     def tiled_layers(self) -> list[str]:
         return [
-            lr.spec.name for lr in self.layers
-            if (lr.reports.get(VARIANT_SCNN) or next(iter(lr.reports.values()))).dram_tiled
+            lr.spec.name for lr in self.layers if any(r.dram_tiled for r in lr.reports.values())
         ]
 
 

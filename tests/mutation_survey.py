@@ -33,11 +33,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 MUTANTS = {
     # the sim's accounting
-    "sim: act-RAM read once, not per group": (
-        "simulator.py",
-        "act_ram_bits=(iaram_stored * n_groups + oaram_stored)",
-        "act_ram_bits=(iaram_stored + oaram_stored)",
-    ),
     "sim: weight reads by the largest vector count, not the sum": (
         "simulator.py",
         "weight_reads = int((w_stored * va.sum(axis=0)).sum())",
@@ -69,11 +64,6 @@ MUTANTS = {
         "return ((linear >> 4) ^ linear) % banks",
     ),
     # the analytic engine and the rules both engines share
-    "analytic: act-RAM read once, not per group": (
-        "analytic.py",
-        "* CODED_VALUE_BITS * gplan.n_groups",
-        "* CODED_VALUE_BITS",
-    ),
     "analytic: bank floor over twice the banks": (
         "analytic.py",
         "bank_floor = w_stored * ad * wt * ht / arch.accum_banks",
@@ -88,6 +78,11 @@ MUTANTS = {
         "analytic.py",
         "acc_updates=-(-mult_ops // arch.mults_per_pe),",
         "acc_updates=mult_ops // arch.mults_per_pe,",
+    ),
+    "shared: act-RAM read once, not per group": (
+        "analytic.py",
+        "act_ram_bits=(ram_inputs * gplan.n_groups + outputs)",
+        "act_ram_bits=(ram_inputs + outputs)",
     ),
     "shared: drain rounded down": (
         "analytic.py",

@@ -452,6 +452,18 @@ def test_seed_option_is_checked_like_the_config_seed(tmp_path, capsys):
     assert capsys.readouterr().err == "error: seed -1 is not an integer >= 0\n"
 
 
+def test_tiled_layers_line_does_not_depend_on_the_variant_order(tmp_path, capsys):
+    # a layer is listed when any of its rows is tiled, whichever row is first
+    lines = []
+    for variants in ("oracle,dcnn", "dcnn,oracle"):
+        argv = ["run", "--network", "vggnet", "--engine", "analytic", "--variants", variants]
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        lines.append([line for line in out if line.startswith("DRAM-tiled layers:")])
+    tiled = "DRAM-tiled layers: conv1_1, conv1_2, conv2_1, conv2_2, conv3_1, conv3_2"
+    assert lines[0] == lines[1] == [tiled]
+
+
 @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
 def test_yaml_syntax_error_names_line_and_column(libyaml, tmp_path, capsys, monkeypatch):
     if not libyaml:

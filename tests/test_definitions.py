@@ -69,6 +69,8 @@ def check_layer_reports(
         # every stored pair is formed; those whose stride phases do not meet
         # are skipped, the rest cross to the accumulators
         assert scnn.events.mult_ops == scnn.events.xbar_transfers + scnn.stride_skipped
+        # with no whole-layer DRAM bound, the busiest PE sets the cycles
+        assert scnn.events.pe_cycles == scnn.cycles
 
 
 def check_network_row(arch: ArchConfig, run, rows: dict) -> None:

@@ -18,6 +18,7 @@ from scnnsim.analytic import (
     VARIANT_DCNN,
     VARIANT_DCNN_OPT,
     ArchConfig,
+    EventCounts,
     PoolSpec,
     count_events,
     dense_dram_tiled,
@@ -25,6 +26,7 @@ from scnnsim.analytic import (
 )
 from scnnsim import codec, simulator, workloads
 from scnnsim.dataflow import ConfigurationError, LayerShape, choose_kc, partition_tiles
+from scnnsim.record import fields
 from scnnsim.simulator import (
     _gated_mults,
     _slots,
@@ -298,7 +300,12 @@ def test_engines_time_a_fully_dense_stride_1_layer_alike(
     a = rng.integers(1, 8, size=layer.input_shape())
     _, report = sim_scnn(arch, layer, DenseTensor(w), DenseTensor(a))
     assume(report.bank_conflict_stalls == 0)
-    assert count_events(arch, layer, "sparse", (1.0, 1.0)).pe_cycles == report.cycles
+    counts = count_events(arch, layer, "sparse", (1.0, 1.0))
+    assert counts.pe_cycles == report.cycles
+    # and every event but the activation bits, which the closed form
+    # charges for outputs at the input's density
+    for name in set(fields(EventCounts)) - {"act_ram_bits", "dram_bits", "tiling_dram_bits"}:
+        assert getattr(counts, name) == getattr(report.events, name), name
 
 
 class TestLayerEncodes:
