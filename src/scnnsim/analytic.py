@@ -495,25 +495,21 @@ def count_events(
     # by every PE, so only activation variation skews the barrier
     total_batches = weight_reads = 0.0
     compute, streamed = [], []
-    kpg = layer.filters_per_group
+    cpg = layer.channels_per_group
     for grp in gplan.groups:
-        # the group's weights split at convolution-group boundaries,
-        # (channels, cells): only the filters of a channel's group count
-        segs = []
-        for gg in range(layer.groups):
-            elig = min(grp.stop, (gg + 1) * kpg) - max(grp.start, gg * kpg)
-            if elig > 0:
-                segs.append((layer.channels_per_group, elig * layer.R * layer.S))
-        w_stored = sum(nch * wd * cells for nch, cells in segs)
+        # the group's weight cells per channel of each convolution group
+        # it meets: only the filters of a channel's group count
+        segs = [len(ks) * layer.R * layer.S for ks in layer.conv_spans(grp) if ks]
+        w_stored = sum(cpg * wd * cells for cells in segs)
         best = 0.0
         for n, wt, ht, *_ in classes:
             ea, ea2 = _ceil_vec_moments(wt * ht, ad, I)
             var_a = max(ea2 - ea * ea, 0.0)
             mean_pe = var_pe = 0.0
-            for nch, cells in segs:
+            for cells in segs:
                 ew, ew2 = _ceil_vec_moments(cells, wd, F)
-                mean_pe += nch * ew * ea
-                var_pe += nch * ew2 * var_a
+                mean_pe += cpg * ew * ea
+                var_pe += cpg * ew2 * var_a
             total_batches += n * mean_pe
             # a bank retires one product per cycle, so a PE spends at
             # least its products over its banks (binds below F x I banks)
@@ -523,7 +519,7 @@ def count_events(
         compute.append(best)
         streamed.append(w_stored)
     # placeholder slots are negligible in closed form
-    formed = round(kpg * layer.C * layer.R * layer.S * layer.W * layer.H * wd * ad)
+    formed = round(layer.K * cpg * layer.R * layer.S * layer.W * layer.H * wd * ad)
     # inputs are rounded per tile for the PEs' RAM, per layer for DRAM
     return scnn_events(
         arch, layer, formed=formed, landed=formed, useful=useful_products(layer, wd, ad),

@@ -78,6 +78,14 @@ class LayerShape(Record):
     def filters_per_group(self) -> int:
         return self.K // self.groups
 
+    def conv_spans(self, ks: range) -> list[range]:
+        """The filters of `ks` in each convolution group, in group order, an
+        empty range where a group has none: where a run of output channels
+        splits at convolution-group boundaries."""
+        kpg = self.filters_per_group
+        los = [max(ks.start, g * kpg) for g in range(self.groups)]
+        return [range(lo, max(lo, min(ks.stop, (g + 1) * kpg))) for g, lo in enumerate(los)]
+
     def dense_multiplies(self) -> int:
         """Multiply count of the plain output-centric loop nest (padding taps
         included), the convention used for whole-network totals."""

@@ -113,15 +113,12 @@ def compress_weights(
         raise ConfigurationError(
             f"weights {weights.shape} do not match layer {layer.weight_shape()}"
         )
-    kpg, rs = layer.filters_per_group, layer.R * layer.S
     parts, extents = [], []
     for grp in gplan.groups:
-        for gg in range(layer.groups):
-            k_lo = max(grp.start, gg * kpg)
-            k_hi = max(k_lo, min(grp.stop, (gg + 1) * kpg))
+        for ks in layer.conv_spans(grp):
             # [k, c, r, s] -> one row per channel of this convolution group
-            parts.append(weights.values[k_lo:k_hi].transpose(1, 0, 2, 3).reshape(-1))
-            extents += [(k_hi - k_lo) * rs] * layer.channels_per_group
+            parts.append(weights.values[ks.start : ks.stop].transpose(1, 0, 2, 3).reshape(-1))
+            extents += [len(ks) * layer.R * layer.S] * layer.channels_per_group
     return codec.encode_blocks(np.concatenate(parts), extents, index_bits)
 
 
@@ -254,24 +251,19 @@ def _weight_cells(
     layer: LayerShape, gplan: GroupPlan, blocks: BlockSet, batch: range
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Each stored weight's flat int64 index into the weight operand of the
-    output-channel groups `batch`, and the operand's shape [C, R, S, kw]:
-    column j of channel c is the batch's j-th filter in c's convolution
-    group, so kw, the most any convolution group has in the batch, is at
-    most filters_per_group."""
-    C, rs, kpg = layer.C, layer.R * layer.S, layer.filters_per_group
+    output-channel groups `batch`, and the operand's shape [C, R, S, nk]:
+    column j is the batch's j-th filter, nk being the batch's filters, and
+    channel c holds weights only in the columns of c's convolution group."""
+    C, rs = layer.C, layer.R * layer.S
     offsets = blocks.offsets[batch.start * C : batch.stop * C + 1]
-    k0, k1 = gplan.groups[batch.start].start, gplan.groups[batch.stop - 1].stop
-    # the batch's first filter in each convolution group, and kw
-    conv_groups = np.arange(layer.groups)
-    base = np.maximum(k0, conv_groups * kpg)
-    kw = int((np.minimum(k1, (conv_groups + 1) * kpg) - base).max())
-    g, c = np.divmod(np.arange(batch.start * C, batch.stop * C), C)
-    cg = c // layer.channels_per_group
+    groups = gplan.groups[batch.start : batch.stop]
+    k0, nk = groups[0].start, groups[-1].stop - groups[0].start
     # block (g, c) starts at g's first filter in c's convolution group
-    first = np.maximum(cg * kpg, g * gplan.kc) - base[cg]
+    starts = [[ks.start - k0 for ks in layer.conv_spans(grp)] for grp in groups]
+    first = np.repeat(starts, layer.channels_per_group, axis=1)
     k, tap = np.divmod(blocks.positions[offsets[0] : offsets[-1]].astype(np.int64), rs)
-    at = tap * kw + k + np.repeat(c * (rs * kw) + first, np.diff(offsets))
-    return at, (C, layer.R, layer.S, kw)
+    at = tap * nk + k + np.repeat((np.arange(C) * (rs * nk) + first).reshape(-1), np.diff(offsets))
+    return at, (C, layer.R, layer.S, nk)
 
 
 def _weight_operand(
@@ -280,7 +272,7 @@ def _weight_operand(
     """The weights of the output-channel groups `batch` (consecutive
     indices into the group plan), shared by every PE: float64 values and a
     float32 0/1 mask of the stored entries, placeholders included, both
-    [C, R, S, kw] (`_weight_cells`); None when the batch stores nothing."""
+    [C, R, S, nk] (`_weight_cells`); None when the batch stores nothing."""
     lo, hi = blocks.offsets[batch.start * layer.C], blocks.offsets[batch.stop * layer.C]
     if lo == hi:
         return None
@@ -383,24 +375,23 @@ def _scatter(
     landed = np.zeros((k1 - k0, EX, EY, n_slots), dtype=np.float32)
     if w is not None:
         (w_vals, w_mask), (a_vals, a_mask) = w, a
-        kpg, cpg = layer.filters_per_group, layer.channels_per_group
-        # the convolution groups with filters in the batch and weights stored
+        cpg = layer.channels_per_group
+        # the columns and channels of each convolution group storing weights
         conv_groups = [
-            (k_lo - k0, k_hi - k0, g * cpg, (g + 1) * cpg)
-            for g in range(layer.groups)
-            for k_lo, k_hi in [(max(k0, g * kpg), min(k1, (g + 1) * kpg))]
-            if k_lo < k_hi and w_mask[g * cpg : (g + 1) * cpg].any()
+            (slice(ks.start - k0, ks.stop - k0), slice(g * cpg, (g + 1) * cpg))
+            for g, ks in enumerate(layer.conv_spans(range(k0, k1)))
+            if ks and w_mask[g * cpg : (g + 1) * cpg].any()
         ]
         for (px, py), a_phase in a_vals.items():
             rq, sq = taps[0, px], taps[1, py]
             GX, GY = EX - rq + 1, EY - sq + 1
             shifts = [(rq - 1 - i, sq - 1 - j) for i in range(rq) for j in range(sq)]
             wv, wm = w_vals[:, px::s, py::s], w_mask[:, px::s, py::s]
-            for k_lo, k_hi, c_lo, c_hi in conv_groups:
-                kg, cs = k_hi - k_lo, slice(c_lo, c_hi)
+            for ks, cs in conv_groups:
+                kg = ks.stop - ks.start
                 passes = [
-                    (wv[cs, :, :, :kg].reshape(cpg, -1).T, a_phase[cs], acc),
-                    (wm[cs, :, :, :kg].reshape(cpg, -1).T, a_mask[px, py][cs], landed),
+                    (wv[cs, :, :, ks].reshape(cpg, -1).T, a_phase[cs], acc),
+                    (wm[cs, :, :, ks].reshape(cpg, -1).T, a_mask[px, py][cs], landed),
                 ]
                 rows = max(1, _BAND // (len(shifts) * kg * GY * n_slots))
                 for g0 in range(0, GX, rows):
@@ -409,7 +400,7 @@ def _scatter(
                     for wmat, amat, out in passes:
                         m = (wmat @ amat[:, cols]).reshape(len(shifts), kg, g1 - g0, GY, n_slots)
                         for j, (dx, dy) in enumerate(shifts):
-                            out[k_lo:k_hi, g0 + dx : g1 + dx, dy : dy + GY] += m[j]
+                            out[ks, g0 + dx : g1 + dx, dy : dy + GY] += m[j]
     # a group's bank of cell (k, x, y) is that of its own filter k - start
     bank_totals = np.stack([
         np.bincount(

@@ -166,6 +166,19 @@ class TestChooseKc:
         with pytest.raises(ConfigurationError):
             choose_kc(layer(W=64, H=64), Arch(1, 1, banks=4, entries=4))
 
+    @given(
+        groups=st.integers(1, 4), kpg=st.integers(1, 4), lo=st.integers(0, 16),
+        n=st.integers(0, 16),
+    )
+    def test_conv_spans_split_a_run_at_group_boundaries(self, groups, kpg, lo, n):
+        lay = layer(C=groups, K=groups * kpg, groups=groups)
+        ks = range(min(lo, lay.K), min(lo + n, lay.K))
+        spans = lay.conv_spans(ks)
+        assert len(spans) == groups
+        # each is its group's filters in the run, an empty range if none
+        for g, span in enumerate(spans):
+            assert list(span) == [k for k in ks if k // kpg == g]
+
 
 class TestOutputCoord:
     def test_strided_skip(self):

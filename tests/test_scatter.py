@@ -124,20 +124,23 @@ def group_scatters(arch, layer, w_blocks, tiles):
         if wt and ht
     ]
     acts = _activation_operand(plan, slots, tiles)
-    kpg = layer.filters_per_group
+    kpg, cpg = layer.filters_per_group, layer.channels_per_group
     for batch in _batches(len(groups), slots):
         w = _weight_operand(layer, gplan, w_blocks, batch)
-        # each channel's weight columns are the batch's filters in its own
-        # convolution group
+        # the weight columns are the batch's filters, and each channel
+        # stores weights only in its own convolution group's columns
         k0, k1 = groups[batch.start].start, groups[batch.stop - 1].stop
-        kw = max(min(k1, (g + 1) * kpg) - max(k0, g * kpg) for g in range(layer.groups))
         stored = w_stored[batch.start : batch.stop]
         if w is None:
             assert not stored.any()
         else:
             vals, mask = w
-            assert vals.shape == mask.shape == (layer.C, layer.R, layer.S, kw)
+            assert vals.shape == mask.shape == (layer.C, layer.R, layer.S, k1 - k0)
             assert mask.reshape(layer.C, -1).sum(axis=1).tolist() == stored.sum(axis=0).tolist()
+            for c in range(layer.C):
+                own = range(c // cpg * kpg - k0, (c // cpg + 1) * kpg - k0)
+                outside = [j for j in range(k1 - k0) if j not in own]
+                assert not mask[c, :, :, outside].any()
         acc, bank_totals = _scatter(groups[batch.start : batch.stop], w, acts, slots)
         formed = stored @ a_stored[slots.pes].T
         # exact integers in the [k, EX, EY, slot] float64 layout the PPU merges
@@ -285,7 +288,7 @@ def test_merge_equals_loop_reference(case, seed, budget):
 def test_weight_cells_past_2_31_are_int64():
     # four groups of 2**20 filters over one channel of 32x32 taps: each
     # block's extent is 2**30, so its positions are int32, yet the last tap
-    # of the last filter lands in cell 2**32 - 1 of the [C, R, S, kw]
+    # of the last filter lands in cell 2**32 - 1 of the [C, R, S, nk]
     # operand, which int32 arithmetic (int32 * int stays int32) would wrap;
     # the operand itself is never built
     kc, rs = 1 << 20, 32 * 32
@@ -398,8 +401,8 @@ def test_float64_exactness_bound(cpg, groups, rejected):
     assert enc.call_count == 0
     if rejected:
         return
-    # empty operands build no [C, R, S, kw] weight operand: with its float32
-    # mask it alone would take 12 bytes per (tap, channel)
+    # empty operands build no [C, R, S, nk] weight operand: with its float32
+    # mask it alone would take 12 bytes per (tap, filter, channel)
     gplan = choose_kc(layer, arch)
     empty = np.zeros(0, dtype=np.int32)
     w_blocks = encode_blocks(empty, [0] * layer.C * gplan.n_groups, 4)
