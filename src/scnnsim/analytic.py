@@ -291,7 +291,7 @@ class SimReport(Record):
     bank_conflict_stalls: int = 0
     fifo_stalls: int = 0
     drain_overhead_cycles: int = 0
-    stride_skipped: int = 0  # stored pairs, placeholders too, whose stride phases miss
+    stride_skipped: int = 0  # pairs formed less those landed: a check, 0 on sim rows
     dram_tiled: bool = False
     pe_busy: tuple[int, ...] = ()
     pe_wait: tuple[int, ...] = ()
@@ -477,7 +477,9 @@ def count_events(
     them into events.
 
     The array forms every non-zero pair of a channel, landing or not: its
-    mult_ops, energized_mults, xbar_transfers and acc_updates. useful_mults
+    mult_ops, energized_mults, xbar_transfers and acc_updates. (The
+    cycle-level engine forms only the pairs whose stride phases meet, so
+    on strided layers the two engines count different products.) useful_mults
     are those that land on a valid output (`useful_products`). The dense
     baselines are costed by `dense_baseline`; `dataflow` must be "sparse".
     """

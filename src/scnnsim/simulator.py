@@ -3,15 +3,16 @@ of useful multiplies, products of two non-zero operands that land on a
 valid output, that every row of a layer reads (`_gated_mults`).
 
 The sparse pipeline is simulated exactly: compressed operands are fetched in
-vectors of F weights x I activations, every operand pair is multiplied, and
-each product is scattered to a banked accumulator addressed by its output
-coordinate. Work is counted per (PE, output-channel group): the base cost
-is the number of F x I vector batches, and accumulator contention adds
-stalls when the hottest bank's total demand exceeds the batch count (banks
-retire one product per cycle; elastic queues absorb transient imbalance
-within a group). `analytic.scnn_events`, the cost rule both engines
-share, turns the counts into events and cycles: a barrier at each group
-boundary charges every PE the time of the slowest one.
+vectors of F weights x I activations of one channel and stride phase
+(below), every operand pair is multiplied, and each product is scattered to
+a banked accumulator addressed by its output coordinate. Work is counted
+per (PE, output-channel group): the base cost is the number of F x I
+vector batches, and accumulator contention adds stalls when the hottest
+bank's total demand exceeds the batch count (banks retire one product per
+cycle; elastic queues absorb transient imbalance within a group).
+`analytic.scnn_events`, the cost rule both engines share, turns the counts
+into events and cycles: a barrier at each group boundary charges every PE
+the time of the slowest one.
 
 `simulate_scnn_layer` takes a layer's dense weights and activations and
 compresses them itself (`prepare_scnn_inputs`), as the machine does: no
@@ -41,9 +42,10 @@ the activation grids and the merge read the PE grid only through the plan's
 two axes (`TilePlan.x`, `TilePlan.y`), and the drains every engine counts
 are the plan's (`TilePlan.acc_cells`). A product lands only when the
 stride phases of its tap (r % stride) and its activation ((x + pad) %
-stride) agree in both axes, so products a stride skips are counted, never
-formed. All products of one (filter, tap, activation position) land in one
-cell, whose sum and count are all that is read, so the scatter contracts
+stride) agree in both axes, so the array pairs each phase's weights only
+with that phase's activations: a product the stride skips is neither
+formed nor counted. All products of one (filter, tap, activation position)
+land in one cell, whose sum and count are all that is read, so the scatter contracts
 the input channels first, in a float64 GEMM of the values and a float32
 GEMM of the 0/1 masks of stored entries (`_scatter`). Both are exact in any
 order of addition. Products of 16-bit operands are integers below 2**30,
@@ -107,7 +109,8 @@ def compress_weights(
     """Encode pruned weights for broadcast to the PEs, every output-channel
     group in one block set: block g * C + c holds input channel c of group
     g, linearized k-major then r then s over the group's filters in c's
-    convolution group (extent 0 when there are none)."""
+    convolution group (`LayerShape.conv_spans`; extent 0 when there are
+    none)."""
     check_operand_range(weights, "weight")
     if weights.shape != layer.weight_shape():
         raise ConfigurationError(
@@ -283,6 +286,18 @@ def _weight_operand(
     return vals, mask
 
 
+def _weight_phases(layer: LayerShape, blocks: BlockSet) -> np.ndarray:
+    """Stored weights per (group, channel, tap phase (r % stride) * stride +
+    s % stride), [group, C * stride**2], at stride 1 read off the offsets."""
+    st = layer.stride
+    if st == 1:
+        return np.diff(blocks.offsets).reshape(-1, layer.C)
+    r, s = np.divmod(blocks.positions % (layer.R * layer.S), layer.S)
+    ids = np.repeat(np.arange(len(blocks)), np.diff(blocks.offsets))
+    phase = (ids * st + r % st) * st + s % st
+    return np.bincount(phase, minlength=len(blocks) * st * st).reshape(-1, layer.C * st * st)
+
+
 def _phase_taps(layer: LayerShape) -> np.ndarray:
     """(2, stride): the taps of each phase p along x and y, r = p + stride * i
     for i < ceil((R - p) / stride)."""
@@ -290,11 +305,15 @@ def _phase_taps(layer: LayerShape) -> np.ndarray:
     return np.stack([-(-(layer.R - p) // layer.stride), -(-(layer.S - p) // layer.stride)])
 
 
-def _activation_operand(plan: TilePlan, slots: _Slots, tiles: BlockSet) -> tuple[dict, dict]:
+def _activation_operand(
+    plan: TilePlan, slots: _Slots, tiles: BlockSet
+) -> tuple[tuple[dict, dict], np.ndarray]:
     """The activations of every live PE, built once per layer: float64
     values and float32 0/1 masks of the stored entries, placeholders
     included, keyed by stride phase (px, py), each a [C, GX * GY * slot]
-    grid; no key holds an activation that meets no tap.
+    grid; no key holds an activation that meets no tap. Also the stored
+    entries per (PE, channel, phase px * stride + py), [PE, C * stride**2],
+    at stride 1 read off the offsets.
 
     Along x, an activation at padded x of phase px = x % stride meets the
     rq taps r = px + stride * i, and tap i sends it to accumulator row
@@ -321,6 +340,7 @@ def _activation_operand(plan: TilePlan, slots: _Slots, tiles: BlockSet) -> tuple
     size = np.where(live, C * n_slots * np.outer(grid[0], grid[1]), 0)
     base = (np.cumsum(size) - size.reshape(-1)).reshape(s, s)
     vals, mask = np.zeros(size.sum()), np.zeros(size.sum(), dtype=np.float32)
+    stored = np.diff(tiles.offsets) if s == 1 else np.zeros(len(tiles) * s * s, dtype=np.int64)
     for b0, b1 in codec._passes(tiles.offsets):
         lo, hi = tiles.offsets[b0], tiles.offsets[b1]
         ids = np.repeat(np.arange(b0, b1), np.diff(tiles.offsets[b0 : b1 + 1]))
@@ -330,6 +350,9 @@ def _activation_operand(plan: TilePlan, slots: _Slots, tiles: BlockSet) -> tuple
         x, y = np.divmod(tiles.positions[lo:hi], ht[pe])
         x, px = np.divmod(x + x0[pe] + pad, s)
         y, py = np.divmod(y + y0[pe] + pad, s)
+        if s > 1:
+            phase = ((ids - b0) * s + px) * s + py
+            stored[b0 * s * s : b1 * s * s] += np.bincount(phase, minlength=(b1 - b0) * s * s)
         keep = live[px, py]
         if not keep.all():
             pe, c, x, y, px, py, v = (t[keep] for t in (pe, c, x, y, px, py, v))
@@ -345,7 +368,7 @@ def _activation_operand(plan: TilePlan, slots: _Slots, tiles: BlockSet) -> tuple
     return (
         {p: vals[span].reshape(C, -1) for p, span in spans.items()},
         {p: mask[span].reshape(C, -1) for p, span in spans.items()},
-    )
+    ), stored.reshape(-1, C * s * s)
 
 
 def _scatter(
@@ -530,9 +553,15 @@ def simulate_scnn_layer(
     machine does: the weights offline, for broadcast to every PE, and the
     activations into each PE's tile. `useful_mults` is the layer's
     `_gated_mults`. Returns the compressed per-PE outputs and the
-    cycle/energy report. Every stored pair of a channel, placeholders
-    included, is formed (mult_ops); the pairs whose stride phases do not
-    meet are stride_skipped, the rest xbar_transfers.
+    cycle/energy report.
+
+    The accounting is polyphase; it replaced the whole-channel Cartesian
+    basis, with no knob and no variant: a PE forms (mult_ops), fetches,
+    reads and streams only the stored pairs of a channel, placeholders
+    included, whose stride phases meet, counted per (channel, phase) from
+    the operands apart from the scatter. At stride 1 the one phase is the
+    whole channel. Every formed pair lands, so stride_skipped, mult_ops
+    less the scatter's landed products, is a check that reads 0.
 
     Output-channel groups are scattered in batches (`_batches`), each
     contracting only phase-matched taps and activations in float64 (see
@@ -552,16 +581,16 @@ def simulate_scnn_layer(
     gplan = choose_kc(layer, arch)
     n_pes, n_groups = arch.n_pes, gplan.n_groups
     F, I = arch.weights_per_fetch, arch.acts_per_fetch
-    # stored entries per (group, channel) and per (PE, channel), an idle
-    # PE's blocks being empty
-    w_stored = np.diff(w_blocks.offsets).reshape(n_groups, layer.C)
-    a_stored = np.diff(tiles.offsets).reshape(n_pes, layer.C)
     # activations of every live PE read once per layer and reused across
     # batches of groups; weights built per batch (shared by all PEs)
     slots = _slots(plan, gplan.kc, arch.accum_banks, arch.bank_map)
-    a_op = _activation_operand(plan, slots, tiles)
+    a_op, a_stored = _activation_operand(plan, slots, tiles)
     del tiles  # the phase grids are all the scatter reads
-    # activation vectors per (PE, channel)
+    # stored entries per (group, channel, phase) and per (PE, channel,
+    # phase), an idle PE's blocks being empty: a pair is formed only within
+    # a phase, so every count below is summed over (channel, phase)
+    w_stored = _weight_phases(layer, w_blocks)
+    # activation vectors per (PE, channel, phase)
     va = -((-a_stored) // I)
 
     # per (PE, group): the hottest bank's products
@@ -576,7 +605,7 @@ def simulate_scnn_layer(
         landed += int(bank_totals.sum())
         planes.append(ppu_finalize(acc, slots, pool)[0])
     mult_ops = int((a_stored @ w_stored.T).sum())
-    # every activation vector of a channel re-reads that channel's weights
+    # every activation vector of a phase re-reads that phase's weights
     weight_reads = int((w_stored * va.sum(axis=0)).sum())
 
     # the compute of each group, [PE, group] where it differs between PEs
@@ -587,8 +616,8 @@ def simulate_scnn_layer(
     stall = np.where(group_batches > 0, np.maximum(peak - group_batches, 0), 0)
     group_busy = group_batches + stall
     # weight FIFO refill: DRAM streams each group's broadcast weights in
-    # parallel with compute; channels whose working set spills the FIFO are
-    # re-streamed once per activation-vector pass
+    # parallel with compute; a channel's phase whose working set spills
+    # the FIFO is re-streamed once per activation-vector pass
     passes = np.where(wv <= arch.weight_fifo_entries, 1, np.maximum(va.max(axis=0), 1))
     stream_values = (w_stored * passes).sum(axis=1)
 

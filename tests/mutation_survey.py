@@ -38,6 +38,11 @@ MUTANTS = {
         "weight_reads = int((w_stored * va.sum(axis=0)).sum())",
         "weight_reads = int((w_stored * va.max(axis=0)).sum())",
     ),
+    "sim: an activation's stride phase taken as px + 1": (
+        "simulator.py",
+        "phase = ((ids - b0) * s + px) * s + py",
+        "phase = ((ids - b0) * s + (px + 1) % s) * s + py",
+    ),
     "sim: FIFO re-stream boundary <= -> <": (
         "simulator.py",
         "passes = np.where(wv <= arch.weight_fifo_entries,",

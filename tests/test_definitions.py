@@ -66,9 +66,11 @@ def check_layer_reports(
     for name in set(fields(EventCounts)) - {"energized_mults", "dram_bits", "tiling_dram_bits"}:
         assert getattr(dcnn.events, name) == getattr(opt.events, name), name
     if engine == "sim":
-        # every stored pair is formed; those whose stride phases do not meet
-        # are skipped, the rest cross to the accumulators
-        assert scnn.events.mult_ops == scnn.events.xbar_transfers + scnn.stride_skipped
+        # only stored pairs whose stride phases meet are formed, counted per
+        # phase apart from the scatter, and every one crosses to the
+        # accumulators
+        assert scnn.events.mult_ops == scnn.events.xbar_transfers == scnn.events.acc_updates
+        assert scnn.stride_skipped == 0
         # with no whole-layer DRAM bound, the busiest PE sets the cycles
         assert scnn.events.pe_cycles == scnn.cycles
 
@@ -146,6 +148,23 @@ def cases(draw):
 @example(
     case=(
         LayerShape("s4", C=2, K=2, W=13, H=13, R=1, S=1, stride=4),
+        ArchConfig(pe_rows=2, pe_cols=2, bank_entries=64),
+    ),
+    densities=(1.0, 1.0),
+)
+# a grouped stride-4 7x7 layer, as alexnet's conv1 in small
+@example(
+    case=(
+        LayerShape("s4g", C=2, K=4, W=23, H=19, R=7, S=7, stride=4, pad=0, groups=2),
+        ArchConfig(pe_rows=2, pe_cols=2, bank_entries=64),
+    ),
+    densities=(0.5, 0.6),
+)
+# a 1x1 stride-2 layer: activations at odd coordinates are of a phase that
+# meets no tap
+@example(
+    case=(
+        LayerShape("s2", C=2, K=3, W=9, H=7, R=1, S=1, stride=2),
         ArchConfig(pe_rows=2, pe_cols=2, bank_entries=64),
     ),
     densities=(1.0, 1.0),

@@ -41,6 +41,7 @@ from scnnsim.simulator import (
     _slots,
     _weight_cells,
     _weight_operand,
+    _weight_phases,
     prepare_scnn_inputs,
     simulate_scnn_layer,
 )
@@ -105,9 +106,10 @@ def extents(plan, pe):
 
 def group_scatters(arch, layer, w_blocks, tiles):
     """(pe, gi, acc, bank_totals, skipped) of every live PE in every group,
-    from one scatter per batch of groups (`_batches`), skipped being the
-    stored pairs formed, counted from the block sets' offsets as the
-    simulator counts them, less the products landed. The cells of a slot
+    from one scatter per batch of groups (`_batches`), skipped being every
+    stored pair of a channel, counted from the block sets' offsets, less
+    the products landed. The pairs whose stride phases meet, counted per
+    phase as the simulator counts them, must all land. The cells of a slot
     outside its PE's [kc, ex, ey] view of a group must stay empty, and
     each batch's weight mask holds, per channel, exactly the batch's
     stored weights."""
@@ -123,7 +125,11 @@ def group_scatters(arch, layer, w_blocks, tiles):
         for c, wt in enumerate(plan.x.widths)
         if wt and ht
     ]
-    acts = _activation_operand(plan, slots, tiles)
+    acts, a_phases = _activation_operand(plan, slots, tiles)
+    w_phases = _weight_phases(layer, w_blocks)
+    # the stored entries of each (block, phase) add up to the block's
+    assert a_phases.reshape(*a_stored.shape, -1).sum(axis=2).tolist() == a_stored.tolist()
+    assert w_phases.reshape(*w_stored.shape, -1).sum(axis=2).tolist() == w_stored.tolist()
     kpg, cpg = layer.filters_per_group, layer.channels_per_group
     for batch in _batches(len(groups), slots):
         w = _weight_operand(layer, gplan, w_blocks, batch)
@@ -143,6 +149,8 @@ def group_scatters(arch, layer, w_blocks, tiles):
                 assert not mask[c, :, :, outside].any()
         acc, bank_totals = _scatter(groups[batch.start : batch.stop], w, acts, slots)
         formed = stored @ a_stored[slots.pes].T
+        # the pairs whose phases meet, counted apart from the scatter
+        matched = w_phases[batch.start : batch.stop] @ a_phases[slots.pes].T
         # exact integers in the [k, EX, EY, slot] float64 layout the PPU merges
         assert acc.dtype == np.float64 and acc.flags.c_contiguous
         assert acc.shape == (k1 - k0, *slots.bank.shape[1:])
@@ -154,6 +162,7 @@ def group_scatters(arch, layer, w_blocks, tiles):
                 view = acc[k0 : k0 + kc, :ex, :ey, i]
                 assert np.abs(acc[k0 : k0 + kc, :, :, i]).sum() == np.abs(view).sum()
                 skipped = int(formed[j, i] - bank_totals[j, i].sum())
+                assert matched[j, i] == bank_totals[j, i].sum()
                 yield pe, gi, view.astype(np.int64), bank_totals[j, i], skipped
 
 
@@ -256,7 +265,7 @@ def test_merge_equals_loop_reference(case, seed, budget):
     gplan = choose_kc(layer, arch)
     groups = gplan.groups
     slots = _slots(plan, max(map(len, groups)), arch.accum_banks, arch.bank_map)
-    acts = _activation_operand(plan, slots, tiles)
+    acts, _ = _activation_operand(plan, slots, tiles)
 
     def most_windows(windows, out):
         return max(sum(base + lo <= o < base + hi for lo, hi, base in windows) for o in range(out))
@@ -411,7 +420,7 @@ def test_float64_exactness_bound(cpg, groups, rejected):
     slots = _slots(plan, gplan.kc, arch.accum_banks, arch.bank_map)
     tracemalloc.start()
     try:
-        acts = _activation_operand(plan, slots, tiles)
+        acts, _ = _activation_operand(plan, slots, tiles)
         w = _weight_operand(layer, gplan, w_blocks, range(gplan.n_groups))
         acc, bank_totals = _scatter(gplan.groups, w, acts, slots)
         peak = tracemalloc.get_traced_memory()[1]
