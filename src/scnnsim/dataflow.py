@@ -115,10 +115,12 @@ class _Axis:
 
     `classes` maps each distinct (width, accumulator extent, owned outputs)
     of the parts with inputs to its number of parts, in part order of first
-    appearance."""
+    appearance. `phase_taps[q]` is the number of taps t = q + stride * i
+    that an input of padded phase q = (x + pad) % stride meets."""
 
     def __init__(self, span: int, parts: int, tap: int, pad: int, stride: int, out: int):
         self.tap, self.pad, self.stride = tap, pad, stride
+        self.phase_taps = tuple(_ceil_div(tap - q, stride) for q in range(stride))
         ranges = plane_partition(span, parts)
         self.starts = [lo for lo, _ in ranges]
         self.widths = [hi - lo for lo, hi in ranges]

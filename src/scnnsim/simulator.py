@@ -298,13 +298,6 @@ def _weight_phases(layer: LayerShape, blocks: BlockSet) -> np.ndarray:
     return np.bincount(phase, minlength=len(blocks) * st * st).reshape(-1, layer.C * st * st)
 
 
-def _phase_taps(layer: LayerShape) -> np.ndarray:
-    """(2, stride): the taps of each phase p along x and y, r = p + stride * i
-    for i < ceil((R - p) / stride)."""
-    p = np.arange(layer.stride)
-    return np.stack([-(-(layer.R - p) // layer.stride), -(-(layer.S - p) // layer.stride)])
-
-
 def _activation_operand(
     plan: TilePlan, slots: _Slots, tiles: BlockSet
 ) -> tuple[tuple[dict, dict], np.ndarray]:
@@ -316,13 +309,14 @@ def _activation_operand(
     at stride 1 read off the offsets.
 
     Along x, an activation at padded x of phase px = x % stride meets the
-    rq taps r = px + stride * i, and tap i sends it to accumulator row
-    x // stride - xb - i. Every product lands in [0, ex), so the activation
-    sits in row g = x // stride - xb - (rq - 1) of a grid GX = EX - rq + 1
-    rows deep, and tap i reaches row g + rq - 1 - i; likewise along y. The
-    grid of phase (px, py) is [C, GX, GY, slot]. It is filled in passes of
-    whole blocks (`codec._passes`), so per-entry temporaries stay small
-    however many millions of entries a layer holds."""
+    rq = plan.x.phase_taps[px] taps r = px + stride * i, and tap i sends it
+    to accumulator row x // stride - xb - i. Every product lands in [0, ex),
+    so the activation sits in row g = x // stride - xb - (rq - 1) of a grid
+    GX = EX - rq + 1 rows deep, and tap i reaches row g + rq - 1 - i;
+    likewise along y. The grid of phase (px, py) is [C, GX, GY, slot]. It
+    is filled in passes of whole blocks (`codec._passes`), so per-entry
+    temporaries stay small however many millions of entries a layer
+    holds."""
     layer, ax, ay, rows, cols = plan.layer, plan.x, plan.y, plan.pe_rows, plan.pe_cols
     s, pad, C = layer.stride, layer.pad, layer.C
     _, EX, EY, n_slots = slots.bank.shape
@@ -333,7 +327,7 @@ def _activation_operand(
         np.repeat(t, cols) for t in (ay.starts, ay.widths, [ay.acc_base(r) for r in range(rows)])
     )
     slot = np.repeat(np.arange(rows) * len(slots.x), cols) + np.tile(np.arange(cols), rows)
-    taps = _phase_taps(layer)
+    taps = np.array([ax.phase_taps, ay.phase_taps])
     grid = np.array([[EX], [EY]]) - taps + 1
     live = np.outer((taps[0] > 0) & (grid[0] > 0), (taps[1] > 0) & (grid[1] > 0))
     live &= tiles.values.size > 0
@@ -390,8 +384,8 @@ def _scatter(
     GEMM output is made in bands of whole grid rows, about _BAND values
     each. Each group's cells stay its own, so its bank totals are those of
     a pass of its own."""
-    layer = slots.plan.layer
-    s, taps = layer.stride, _phase_taps(layer)
+    plan = slots.plan
+    layer, s = plan.layer, plan.layer.stride
     _, EX, EY, n_slots = slots.bank.shape
     k0, k1 = groups[0].start, groups[-1].stop
     acc = np.zeros((k1 - k0, EX, EY, n_slots))
@@ -406,7 +400,7 @@ def _scatter(
             if ks and w_mask[g * cpg : (g + 1) * cpg].any()
         ]
         for (px, py), a_phase in a_vals.items():
-            rq, sq = taps[0, px], taps[1, py]
+            rq, sq = plan.x.phase_taps[px], plan.y.phase_taps[py]
             GX, GY = EX - rq + 1, EY - sq + 1
             shifts = [(rq - 1 - i, sq - 1 - j) for i in range(rq) for j in range(sq)]
             wv, wm = w_vals[:, px::s, py::s], w_mask[:, px::s, py::s]
