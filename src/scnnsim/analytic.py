@@ -4,10 +4,11 @@ costs of the sparse PE array and of the dense baselines.
 
 Each machine is costed by one function. The sparse PE array's work is
 counted by the cycle-level engine exactly per PE and by `count_events` in
-expectation per tile class, and one function, `scnn_events`, turns either
-engine's counts into the row's events and each output-channel group's
-cycles. The dense baselines' work depends on shapes alone, so one
-function, `dense_baseline`, counts both of their rows for both engines.
+expectation per tile class, both per stride phase, and one function,
+`scnn_events`, turns either engine's counts into the row's events and
+each output-channel group's cycles. The dense baselines' work depends on
+shapes alone, so one function, `dense_baseline`, counts both of their
+rows for both engines.
 
 Energy coefficients are relative estimates shipped in the config (ordered
 DRAM >> RAM > FIFO > multiply); absolute joules are never asserted.
@@ -291,7 +292,7 @@ class SimReport(Record):
     bank_conflict_stalls: int = 0
     fifo_stalls: int = 0
     drain_overhead_cycles: int = 0
-    stride_skipped: int = 0  # pairs formed less those landed: a check, 0 on sim rows
+    stride_skipped: int = 0  # pairs formed less those landed: a check, 0 on every row
     dram_tiled: bool = False
     pe_busy: tuple[int, ...] = ()
     pe_wait: tuple[int, ...] = ()
@@ -473,15 +474,17 @@ def count_events(
 ) -> EventCounts:
     """Closed-form event totals of one layer on the sparse PE array:
     compressed operands, Cartesian-product PEs. The counts are expected
-    per tile class, and `scnn_events`, the rule both engines share, makes
-    them into events.
+    per tile class and stride phase pair, and `scnn_events`, the rule both
+    engines share, makes them into events.
 
-    The array forms every non-zero pair of a channel, landing or not: its
-    mult_ops, energized_mults, xbar_transfers and acc_updates. (The
-    cycle-level engine forms only the pairs whose stride phases meet, so
-    on strided layers the two engines count different products.) useful_mults
-    are those that land on a valid output (`useful_products`). The dense
-    baselines are costed by `dense_baseline`; `dataflow` must be "sparse".
+    Counted as the cycle-level engine counts them, per (channel, phase):
+    an input of padded phase (px, py) meets only the taps of its phase
+    (`_Axis.phase_taps`), so the array forms the non-zero pairs of each
+    phase, landing or not: its mult_ops, energized_mults, xbar_transfers
+    and acc_updates. At stride 1 the one phase is the whole channel.
+    useful_mults are those that land on a valid output
+    (`useful_products`). The dense baselines are costed by
+    `dense_baseline`; `dataflow` must be "sparse".
     """
     if dataflow != "sparse":
         raise ConfigurationError(f"count_events counts the sparse dataflow, not {dataflow!r}")
@@ -491,37 +494,61 @@ def count_events(
 
     gplan = choose_kc(layer, arch)
     F, I = arch.weights_per_fetch, arch.acts_per_fetch
-    classes = partition_tiles(layer, (arch.pe_rows, arch.pe_cols)).tile_classes()
-
-    # expected vector counts per fetch stream; the weight stream is shared
-    # by every PE, so only activation variation skews the barrier
-    total_batches = weight_reads = 0.0
-    compute, streamed = [], []
+    plan = partition_tiles(layer, (arch.pe_rows, arch.pe_cols))
+    classes = plan.tile_classes()
+    tx, ty = plan.x.phase_taps, plan.y.phase_taps
     cpg = layer.channels_per_group
-    for grp in gplan.groups:
-        # the group's weight cells per channel of each convolution group
-        # it meets: only the filters of a channel's group count
-        segs = [len(ks) * layer.R * layer.S for ks in layer.conv_spans(grp) if ks]
-        w_stored = sum(cpg * wd * cells for cells in segs)
-        best = 0.0
-        for n, wt, ht, *_ in classes:
-            ea, ea2 = _ceil_vec_moments(wt * ht, ad, I)
-            var_a = max(ea2 - ea * ea, 0.0)
-            mean_pe = var_pe = 0.0
-            for cells in segs:
-                ew, ew2 = _ceil_vec_moments(cells, wd, F)
-                mean_pe += cpg * ew * ea
-                var_pe += cpg * ew2 * var_a
-            total_batches += n * mean_pe
+
+    def group_cost(kws: tuple[int, ...]) -> tuple[float, float, list]:
+        """The busiest PE's compute, the weights and, per tile class, the
+        batches and weight reads of a group holding kws filters in the
+        convolution groups it meets: only a channel's own group's filters
+        count. A phase pair's nx * ny inputs meet its rq * sq taps, and the
+        weight stream is shared by every PE, so only activation variation
+        skews the barrier."""
+        best, terms = 0.0, []
+        for n, *_, xq, yq in classes:
+            mean_pe = var_pe = products = reads = 0.0
+            for rq, nx in zip(tx, xq):
+                for sq, ny in zip(ty, yq):
+                    t = rq * sq
+                    ea, ea2 = _ceil_vec_moments(nx * ny, ad, I)
+                    var_a = max(ea2 - ea * ea, 0.0)
+                    w = sum(cpg * wd * (kw * t) for kw in kws)
+                    for kw in kws:
+                        ew, ew2 = _ceil_vec_moments(kw * t, wd, F)
+                        mean_pe += cpg * ew * ea
+                        var_pe += cpg * ew2 * var_a
+                    products += w * ad * nx * ny
+                    reads += n * ea * w
+            terms.append((n * mean_pe, reads))
             # a bank retires one product per cycle, so a PE spends at
             # least its products over its banks (binds below F x I banks)
-            bank_floor = w_stored * ad * wt * ht / arch.accum_banks
-            best = max(best, _max_of(n, mean_pe, var_pe), bank_floor)
-            weight_reads += n * ea * w_stored
+            best = max(best, _max_of(n, mean_pe, var_pe), products / arch.accum_banks)
+        weights = sum(cpg * wd * (kw * (rq * sq)) for rq in tx for sq in ty for kw in kws)
+        return best, weights, terms
+
+    # groups alike cost alike: each is costed once, and its terms are
+    # summed in group order
+    alike: dict[tuple[int, ...], tuple[float, float, list]] = {}
+    total_batches = weight_reads = 0.0
+    compute, streamed = [], []
+    for grp in gplan.groups:
+        kws = tuple(len(ks) for ks in layer.conv_spans(grp) if ks)
+        if kws not in alike:
+            alike[kws] = group_cost(kws)
+        best, weights, terms = alike[kws]
+        for batches, reads in terms:
+            total_batches += batches
+            weight_reads += reads
         compute.append(best)
-        streamed.append(w_stored)
-    # placeholder slots are negligible in closed form
-    formed = round(layer.K * cpg * layer.R * layer.S * layer.W * layer.H * wd * ad)
+        streamed.append(weights)
+    # the plane's phase-matched (tap, input) pairs are the product of the
+    # axes'; placeholder slots are negligible in closed form
+    pairs = sum(map(mul, tx, plan.x.phase_inputs(0, layer.W))) * sum(
+        map(mul, ty, plan.y.phase_inputs(0, layer.H))
+    )
+    formed = round(layer.K * cpg * pairs * wd * ad)
     # inputs are rounded per tile for the PEs' RAM, per layer for DRAM
     return scnn_events(
         arch, layer, formed=formed, landed=formed, useful=useful_products(layer, wd, ad),

@@ -113,10 +113,11 @@ class _Axis:
     """Tiling arithmetic along one spatial dimension: part p covers inputs
     [starts[p], starts[p] + widths[p]) and owns outputs out_ranges[p].
 
-    `classes` maps each distinct (width, accumulator extent, owned outputs)
-    of the parts with inputs to its number of parts, in part order of first
-    appearance. `phase_taps[q]` is the number of taps t = q + stride * i
-    that an input of padded phase q = (x + pad) % stride meets."""
+    `classes` maps each distinct (width, accumulator extent, owned outputs,
+    inputs per phase) of the parts with inputs to its number of parts, in
+    part order of first appearance. An input x is of padded phase
+    q = (x + pad) % stride, and it meets the phase_taps[q] taps
+    t = q + stride * i."""
 
     def __init__(self, span: int, parts: int, tap: int, pad: int, stride: int, out: int):
         self.tap, self.pad, self.stride = tap, pad, stride
@@ -135,15 +136,21 @@ class _Axis:
             return min(out, max(0, _ceil_div(x - centre, stride)))
 
         self.out_ranges = []
-        self.classes: dict[tuple[int, int, int], int] = {}
+        self.classes: dict[tuple[int, int, int, tuple[int, ...]], int] = {}
         for p, (lo, hi) in enumerate(ranges):
             o_lo = first_reaching(lo) if lo > 0 else 0
             o_hi = first_reaching(hi) if hi < span else out
             owned = (o_lo, o_hi) if lo < hi and o_lo < o_hi else (0, 0)
             self.out_ranges.append(owned)
             if lo < hi:
-                key = (hi - lo, self.acc_extent(p), owned[1] - owned[0])
+                key = (hi - lo, self.acc_extent(p), owned[1] - owned[0], self.phase_inputs(lo, hi))
                 self.classes[key] = self.classes.get(key, 0) + 1
+
+    def phase_inputs(self, lo: int, hi: int) -> tuple[int, ...]:
+        """The inputs x in [lo, hi) of each padded phase q: the first is
+        lo + (q - lo - pad) % stride. At stride 1 it is (hi - lo,)."""
+        s = self.stride
+        return tuple(max(0, _ceil_div(hi - lo - (q - lo - self.pad) % s, s)) for q in range(s))
 
     def acc_base(self, p: int) -> int:
         """Smallest output coordinate reachable from this part's inputs
@@ -175,29 +182,30 @@ class TilePlan(Record):
     def n_pes(self) -> int:
         return self.pe_rows * self.pe_cols
 
-    def tile_classes(self) -> list[tuple[int, int, int, int, int, int]]:
+    def tile_classes(self) -> list[tuple]:
         """Distinct shapes of the tiles that hold inputs, with multiplicity:
-        (count, wt, ht, ex, ey, owned output cells), in the order the PEs
-        first show them. Each is a y-axis class times an x-axis class;
-        products with equal shapes are one class."""
-        seen: dict[tuple[int, int, int, int, int], int] = {}
-        for (ht, ey, oy), ny in self.y.classes.items():
-            for (wt, ex, ox), nx in self.x.classes.items():
-                key = (wt, ht, ex, ey, ox * oy)
+        (count, wt, ht, ex, ey, owned output cells, inputs per x phase,
+        inputs per y phase), in the order the PEs first show them. Each is a
+        y-axis class times an x-axis class; products with equal shapes are
+        one class."""
+        seen: dict[tuple, int] = {}
+        for (ht, ey, oy, yq), ny in self.y.classes.items():
+            for (wt, ex, ox, xq), nx in self.x.classes.items():
+                key = (wt, ht, ex, ey, ox * oy, xq, yq)
                 seen[key] = seen.get(key, 0) + nx * ny
         return [(n, *k) for k, n in seen.items()]
 
     def max_acc_cells(self) -> int:
         """Largest per-group spatial accumulator window over the PEs, in cells."""
-        return max(e for _, e, _ in self.x.classes) * max(e for _, e, _ in self.y.classes)
+        return max(e for _, e, *_ in self.x.classes) * max(e for _, e, *_ in self.y.classes)
 
     def acc_cells(self) -> int:
         """Accumulator cells over the PEs that hold inputs, the sum of ex * ey:
         each drains its window once per output channel. The sum of products
         over a column class times a row class is the product of the axes'
         sums."""
-        return sum(n * e for (_, e, _), n in self.x.classes.items()) * sum(
-            n * e for (_, e, _), n in self.y.classes.items()
+        return sum(n * e for (_, e, *_), n in self.x.classes.items()) * sum(
+            n * e for (_, e, *_), n in self.y.classes.items()
         )
 
 

@@ -71,8 +71,13 @@ MUTANTS = {
     # the analytic engine and the rules both engines share
     "analytic: bank floor over twice the banks": (
         "analytic.py",
-        "bank_floor = w_stored * ad * wt * ht / arch.accum_banks",
-        "bank_floor = w_stored * ad * wt * ht / (2 * arch.accum_banks)",
+        "_max_of(n, mean_pe, var_pe), products / arch.accum_banks)",
+        "_max_of(n, mean_pe, var_pe), products / (2 * arch.accum_banks))",
+    ),
+    "analytic: a part's inputs per phase counted without the padding": (
+        "dataflow.py",
+        "_ceil_div(hi - lo - (q - lo - self.pad) % s, s)",
+        "_ceil_div(hi - lo - (q - lo) % s, s)",
     ),
     "analytic: barrier-skew quantile halved": (
         "analytic.py",

@@ -86,11 +86,13 @@ def strided_out_coord(global_in: int, tap: int, pad: int, stride: int) -> tuple[
 
 
 def _axis_parts(span, parts, tap, pad, stride):
-    """Per part of one plane axis: (width, accumulator extent, owned outputs).
+    """Per part of one plane axis: (width, accumulator extent, owned outputs,
+    inputs per padded phase).
 
     The extent counts the output coordinates, in the plane or not, that some
     input of the part reaches through some tap; an output is owned by the
-    part holding the centre input of its window, clamped to the plane."""
+    part holding the centre input of its window, clamped to the plane. An
+    input x is of phase (x + pad) % stride."""
     out = (span + 2 * pad - tap) // stride + 1
     width = -(-span // parts)
     owner = [min(max(o * stride - pad + (tap - 1) // 2, 0), span - 1) // width for o in range(out)]
@@ -104,23 +106,26 @@ def _axis_parts(span, parts, tap, pad, stride):
             if (x + pad - t) % stride == 0
         }
         extent = max(reached) - min(reached) + 1 if reached else 0
-        result.append((hi - lo, extent, owner.count(p)))
+        phases = [(x + pad) % stride for x in range(lo, hi)]
+        inputs = tuple(phases.count(q) for q in range(stride))
+        result.append((hi - lo, extent, owner.count(p), inputs))
     return result
 
 
 def per_pe_tiles(layer, rows, cols):
     """The tiles with inputs, one PE at a time in row-major order: their
-    (count, wt, ht, ex, ey, owned output cells) classes, merged in order of
-    first sight, the largest ex * ey among them and the sum of ex * ey."""
+    (count, wt, ht, ex, ey, owned output cells, inputs per x phase, inputs
+    per y phase) classes, merged in order of first sight, the largest
+    ex * ey among them and the sum of ex * ey."""
     xs = _axis_parts(layer.W, cols, layer.R, layer.pad, layer.stride)
     ys = _axis_parts(layer.H, rows, layer.S, layer.pad, layer.stride)
     seen = {}
     max_cells = cells = 0
     for r in range(rows):
         for c in range(cols):
-            (wt, ex, ox), (ht, ey, oy) = xs[c], ys[r]
+            (wt, ex, ox, xq), (ht, ey, oy, yq) = xs[c], ys[r]
             if wt and ht:
-                key = (wt, ht, ex, ey, ox * oy)
+                key = (wt, ht, ex, ey, ox * oy, xq, yq)
                 seen[key] = seen.get(key, 0) + 1
                 max_cells = max(max_cells, ex * ey)
                 cells += ex * ey

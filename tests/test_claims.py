@@ -6,12 +6,18 @@ above 1 means SCNN wins.
 
 Claims the reproduction does not make yet have no test here: analytic
 vggnet's `dcnn-opt` cycles, which differ from `dcnn`'s (ROADMAP items 8,
-14); analytic alexnet's SCNN against DCNN, which the stride-4 `conv1`
-loses until the closed form counts pairs per stride phase as the sim does
-(item 1); and sim alexnet's energy win over the coefficient box, which
-reads below 1 at 2 of its 64 vertices, down to 0.966 with multiply,
+14); and sim alexnet's energy win over the coefficient box, which reads
+below 1 at 2 of its 64 vertices, down to 0.966 with multiply,
 weight-buffer and DRAM energy halved and accumulate, crossbar and act-RAM
 energy doubled (item 19).
+
+Nor does analytic alexnet lose to DCNN in cycles with dense operands: at
+density 1 it reads 1.014x, because the stride-4 `conv1`, costed per
+stride phase, takes 126,636 cycles against DCNN's 139,392, whose busiest
+PE owns 64 outputs against a mean of 47.3; `conv2`-`conv5` tie exactly.
+That is the model being right, so only that one case is left out of the
+dense-loses assertion (DENSE_TIES_OR_WINS); its energy loses, and both
+of its series grow as density falls.
 
 `PYTHONPATH=src python tests/test_claims.py` prints the measured figures,
 from which ROADMAP's reproduction table is refreshed.
@@ -50,8 +56,8 @@ BOX = [dict(zip(TERMS, scales)) for scales in itertools.product((0.5, 2.0), repe
 
 # SCNN wins at the default coefficients, and over the whole box
 BOX_WINS = [
-    ("googlenet", "analytic"), ("vggnet", "analytic"), ("inception_mini", "analytic"),
-    ("inception_mini", "sim"),
+    ("alexnet", "analytic"), ("googlenet", "analytic"), ("vggnet", "analytic"),
+    ("inception_mini", "analytic"), ("inception_mini", "sim"),
 ]
 SCNN_WINS = BOX_WINS + [("alexnet", "sim")]
 DCNN_OPT_HOLDS = [
@@ -59,6 +65,8 @@ DCNN_OPT_HOLDS = [
     ("inception_mini", "sim"), ("alexnet", "sim"),
 ]
 NETWORKS = ("alexnet", "googlenet", "vggnet", "inception_mini")
+# (network, ratio) that does not fall below 1 at density 1 (see above)
+DENSE_TIES_OR_WINS = {("alexnet", "speedup_vs_dcnn")}
 SIM_NETWORKS = ("alexnet", "inception_mini")
 
 PAPER_WIN = (
@@ -151,7 +159,7 @@ def test_advantage_grows_as_density_falls_and_scnn_loses_when_dense(net):
         assert all(b > a for a, b in zip(series, series[1:])), (
             f"paper: {PAPER_DENSITY}; {net} {what} by density is {measured}"
         )
-        assert series[0] < 1, (
+        assert series[0] < 1 or (net, what) in DENSE_TIES_OR_WINS, (
             f"paper: {PAPER_DENSITY}; {net} {what} at density 1.0 is {series[0]:.3f}"
         )
 

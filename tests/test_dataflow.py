@@ -126,6 +126,13 @@ class TestPartition:
         assert plan.max_acc_cells() == max_cells
         # every engine's accumulator drains per output channel
         assert plan.acc_cells() == cells
+        # an input of padded phase q meets the taps of phase q, and the
+        # analytic engine counts the plane's inputs per phase too
+        for ax, span, taps in ((plan.x, w, r), (plan.y, h, s)):
+            tap_phases = [t % stride for t in range(taps)]
+            assert ax.phase_taps == tuple(map(tap_phases.count, range(stride)))
+            phases = [(x + pad) % stride for x in range(span)]
+            assert ax.phase_inputs(0, span) == tuple(map(phases.count, range(stride)))
 
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -65,12 +65,12 @@ def check_layer_reports(
     # the rows differ only in gating and in DRAM activation coding
     for name in set(fields(EventCounts)) - {"energized_mults", "dram_bits", "tiling_dram_bits"}:
         assert getattr(dcnn.events, name) == getattr(opt.events, name), name
+    # in both engines only pairs whose stride phases meet are formed (the
+    # sim counts them per phase apart from the scatter), and every one
+    # crosses to the accumulators
+    assert scnn.events.mult_ops == scnn.events.xbar_transfers == scnn.events.acc_updates
+    assert scnn.stride_skipped == 0
     if engine == "sim":
-        # only stored pairs whose stride phases meet are formed, counted per
-        # phase apart from the scatter, and every one crosses to the
-        # accumulators
-        assert scnn.events.mult_ops == scnn.events.xbar_transfers == scnn.events.acc_updates
-        assert scnn.stride_skipped == 0
         # with no whole-layer DRAM bound, the busiest PE sets the cycles
         assert scnn.events.pe_cycles == scnn.cycles
 
