@@ -264,6 +264,7 @@ class TestCycleModel:
     plane=st.tuples(st.integers(1, 9), st.integers(1, 9)),
     taps=st.tuples(st.integers(1, 3), st.integers(1, 3)),
     pad=st.integers(0, 1),
+    stride=st.integers(1, 4),
     grid=st.tuples(st.integers(1, 3), st.integers(1, 3)),
     fetch=st.tuples(st.integers(1, 4), st.integers(1, 4)),
     bank_entries=st.sampled_from([1, 2, 4, 8, 64]),
@@ -273,18 +274,24 @@ class TestCycleModel:
     dram=st.sampled_from([0.25, 1.0, 3.0, 16.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_engines_time_a_fully_dense_stride_1_layer_alike(
-    per_group, groups, plane, taps, pad, grid, fetch, bank_entries, ppu, halo,
+def test_engines_time_a_fully_dense_layer_alike(
+    per_group, groups, plane, taps, pad, stride, grid, fetch, bank_entries, ppu, halo,
     double_buffered, dram, seed,
 ):
-    # at density 1 the closed form's expectations are the exact counts, so
-    # with no bank stall and no FIFO re-stream (which it does not model) its
-    # compute-side cycles are the sim's: single-buffered drains, stream-bound
-    # groups and halo latency included
+    # at density 1 the closed form's expectations are the exact counts, per
+    # stride phase as in the sim, so with no bank stall and no FIFO
+    # re-stream (which it does not model) its compute-side cycles are the
+    # sim's: single-buffered drains, stream-bound groups and halo latency
+    # included
     (cpg, kpg), (R, S) = per_group, taps
-    W, H = max(plane[0], R - 2 * pad), max(plane[1], S - 2 * pad)
+    # each span rounded up so that the outputs fit it exactly
+    W, H = (
+        span + (tap - span - 2 * pad) % stride
+        for span, tap in ((max(plane[0], R - 2 * pad), R), (max(plane[1], S - 2 * pad), S))
+    )
     layer = LayerShape(
-        "t", C=groups * cpg, K=groups * kpg, W=W, H=H, R=R, S=S, pad=pad, groups=groups
+        "t", C=groups * cpg, K=groups * kpg, W=W, H=H, R=R, S=S, pad=pad, stride=stride,
+        groups=groups,
     )
     arch = ArchConfig(
         pe_rows=grid[0], pe_cols=grid[1], weights_per_fetch=fetch[0],
