@@ -26,7 +26,7 @@ import math
 import numbers
 import warnings
 from functools import lru_cache
-from itertools import accumulate, count
+from itertools import accumulate, count, product
 from operator import mul
 from typing import Sequence
 
@@ -506,27 +506,30 @@ def count_events(
         count. A phase pair's nx * ny inputs meet its rq * sq taps, and the
         weight stream is shared by every PE, so only activation variation
         skews the barrier."""
+        # per phase pair, px-major: its weights and weight-vector moments
+        phases = [
+            (
+                sum(cpg * wd * (kw * t) for kw in kws),
+                [_ceil_vec_moments(kw * t, wd, F) for kw in kws],
+            )
+            for t in [rq * sq for rq in tx for sq in ty]
+        ]
         best, terms = 0.0, []
         for n, *_, xq, yq in classes:
             mean_pe = var_pe = products = reads = 0.0
-            for rq, nx in zip(tx, xq):
-                for sq, ny in zip(ty, yq):
-                    t = rq * sq
-                    ea, ea2 = _ceil_vec_moments(nx * ny, ad, I)
-                    var_a = max(ea2 - ea * ea, 0.0)
-                    w = sum(cpg * wd * (kw * t) for kw in kws)
-                    for kw in kws:
-                        ew, ew2 = _ceil_vec_moments(kw * t, wd, F)
-                        mean_pe += cpg * ew * ea
-                        var_pe += cpg * ew2 * var_a
-                    products += w * ad * nx * ny
-                    reads += n * ea * w
+            for (nx, ny), (w, ews) in zip(product(xq, yq), phases):
+                ea, ea2 = _ceil_vec_moments(nx * ny, ad, I)
+                var_a = max(ea2 - ea * ea, 0.0)
+                for ew, ew2 in ews:
+                    mean_pe += cpg * ew * ea
+                    var_pe += cpg * ew2 * var_a
+                products += w * ad * nx * ny
+                reads += n * ea * w
             terms.append((n * mean_pe, reads))
             # a bank retires one product per cycle, so a PE spends at
             # least its products over its banks (binds below F x I banks)
             best = max(best, _max_of(n, mean_pe, var_pe), products / arch.accum_banks)
-        weights = sum(cpg * wd * (kw * (rq * sq)) for rq in tx for sq in ty for kw in kws)
-        return best, weights, terms
+        return best, sum(w for w, _ in phases), terms
 
     # groups alike cost alike: each is costed once, and its terms are
     # summed in group order

@@ -150,7 +150,7 @@ class _Axis:
         """The inputs x in [lo, hi) of each padded phase q: the first is
         lo + (q - lo - pad) % stride. At stride 1 it is (hi - lo,)."""
         s = self.stride
-        return tuple(max(0, _ceil_div(hi - lo - (q - lo - self.pad) % s, s)) for q in range(s))
+        return tuple([_ceil_div(hi - lo - (q - lo - self.pad) % s, s) for q in range(s)])
 
     def acc_base(self, p: int) -> int:
         """Smallest output coordinate reachable from this part's inputs
